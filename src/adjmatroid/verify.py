@@ -482,6 +482,49 @@ def _sets_witness(d: dm.SetSystem, extra: str = "") -> str:
     return f"[ground {' '.join(d.ground)}; family {members}]" + (f" {extra}" if extra else "")
 
 
+def _loop_complement_by_counting(d: dm.SetSystem, x: list[str]) -> frozenset[int]:
+    """Oracle: Y is kept iff the members between Y minus x and Y are odd in number."""
+    xm = d.mask_of(x)
+    return frozenset(
+        y
+        for y in range(1 << d.n)
+        if sum(1 for z in d.family if y & ~xm & ~z == 0 and z & ~y == 0) & 1
+    )
+
+
+def _dual_pivot_by_counting(d: dm.SetSystem, x: list[str]) -> frozenset[int]:
+    """Oracle: Y is kept iff the members between Y and Y union x are odd in number."""
+    xm = d.mask_of(x)
+    return frozenset(
+        y
+        for y in range(1 << d.n)
+        if sum(1 for z in d.family if y & ~z == 0 and z & ~(y | xm) == 0) & 1
+    )
+
+
+def _equicardinal_min_criterion(d: dm.SetSystem) -> bool:
+    """Oracle: proper, and min(F pivoted by X) is equicardinal for every X."""
+    return d.is_proper and all(
+        d.pivot(d.labels_of(x)).min_sys().is_equicardinal for x in range(1 << d.n)
+    )
+
+
+def _exchange_by_pairs(d: dm.SetSystem) -> bool:
+    """Oracle: the symmetric exchange axiom, tried on every pair of members."""
+    fam = d.family
+    for x in fam:
+        for y in fam:
+            diff = x ^ y
+            for u in range(d.n):
+                ub = 1 << u
+                if not diff & ub or (x ^ ub) in fam:
+                    continue
+                rest = diff & ~ub
+                if not any((rest >> v) & 1 and (x ^ ub ^ (1 << v)) in fam for v in range(d.n)):
+                    return False
+    return True
+
+
 def _delta_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
     d = dm.from_graph(g)
     mg = adjacency_matroid(g)
@@ -624,6 +667,7 @@ def _delta_general_checks(rec: Recorder, trials: int, rand_n: int, seed: int) ->
         flipped = power.dual_pivot(list("abc"))
         assert flipped.family == frozenset({0, 7})
         assert not dm.is_delta_matroid(flipped)
+        assert not _equicardinal_min_criterion(flipped)
 
     for t in range(max(trials, 200)):
         n = rng.randrange(1, rand_n + 1)
@@ -642,6 +686,8 @@ def _delta_general_checks(rec: Recorder, trials: int, rand_n: int, seed: int) ->
             assert d.dual_pivot(x_labels).dual_pivot(x_labels) == d
             assert d.loop_complement(x_labels) == d.loop_complement_sequential(x_labels)
             assert d.dual_pivot(x_labels) == d.dual_pivot_sequential(x_labels)
+            assert d.loop_complement(x_labels).family == _loop_complement_by_counting(d, x_labels)
+            assert d.dual_pivot(x_labels).family == _dual_pivot_by_counting(d, x_labels)
             assert (
                 d.dual_pivot(x_labels)
                 == d.loop_complement(x_labels).pivot(x_labels).loop_complement(x_labels)
@@ -691,6 +737,10 @@ def _delta_general_checks(rec: Recorder, trials: int, rand_n: int, seed: int) ->
             assert dm.is_delta_matroid(d)
             deleted = d.delete([v])
             assert dm.is_delta_matroid(deleted) == deleted.is_proper
+            dropped = dm.SetSystem(d.ground, d.family - {max(d.family)})
+            for system in (d, deleted, dropped):
+                assert dm.satisfies_exchange_axiom(system) == _exchange_by_pairs(system)
+                assert dm.is_delta_matroid(system) == _equicardinal_min_criterion(system)
 
         with rec.check("max-commutes-with-deletion-for-exchange-systems", witness):
             if not d.max_sys().is_coloop(v):

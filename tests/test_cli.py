@@ -1,9 +1,14 @@
 """Command line behavior: formats, exit codes, pipelines, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import adjmatroid
 from adjmatroid.cli import main
 from adjmatroid.graph import MultiGraph, as_multigraph, graph_isomorphism
 from adjmatroid.graphtext import graph_from_json, parse_graph
@@ -192,3 +197,17 @@ def test_verify_small_run(capsys):
 def test_verify_rejects_unknown_suite(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--suite", "nope"])
+
+
+def test_python_dash_m_runs_verify():
+    src = str(Path(adjmatroid.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "adjmatroid", "verify", "--suite", "fourreg", "--max-n", "1",
+         "--trials", "1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "ok   circuit-nullity-formula" in proc.stdout
+    assert "FAIL" not in proc.stdout

@@ -1,10 +1,18 @@
 """Set system algebra, the exchange axiom, and the graph encoding."""
 
+import random
+
 import pytest
 
 from adjmatroid import delta_matroid as dm
 from adjmatroid.adjacency_matroid import adjacency_matroid
-from adjmatroid.graph import LoopedSimpleGraph, all_looped_simple_graphs
+from adjmatroid.graph import LoopedSimpleGraph, all_looped_simple_graphs, random_looped_simple_graph
+from adjmatroid.verify import (
+    _dual_pivot_by_counting,
+    _equicardinal_min_criterion,
+    _exchange_by_pairs,
+    _loop_complement_by_counting,
+)
 
 K3 = LoopedSimpleGraph.build("abc", [("a", "b"), ("b", "c"), ("a", "c")])
 K3L = K3.loop_complement("a")
@@ -42,9 +50,25 @@ def test_loop_complement_tracks_graphs():
 
 def test_multi_element_flips_match_sequential():
     d = sets("abc", ["a"], ["b", "c"], ["a", "b", "c"])
-    for x in ([], ["a"], ["a", "b"], ["a", "b", "c"]):
+    # a repeated element flips once: every form treats X as a set
+    for x in ([], ["a"], ["a", "b"], ["a", "b", "c"], ["a", "a"], ["b", "a", "b"]):
         assert d.loop_complement(x) == d.loop_complement_sequential(x)
         assert d.dual_pivot(x) == d.dual_pivot_sequential(x)
+    e = sets("ab", [], ["a"])
+    assert e.loop_complement_sequential(["a", "a"]).member_sets() == ((),)
+    assert e.dual_pivot_sequential(["a", "a"]).member_sets() == (("a",),)
+
+
+def test_word_flips_match_counting_rules():
+    rng = random.Random(3)
+    for n in range(7):
+        ground = tuple(f"v{i}" for i in range(n))
+        for _ in range(30):
+            d = dm.random_set_system(rng, ground, rng.choice([0.1, 0.3, 0.6]))
+            x = [v for v in ground if rng.random() < 0.5]
+            assert d.loop_complement(x).family == _loop_complement_by_counting(d, x)
+            assert d.dual_pivot(x).family == _dual_pivot_by_counting(d, x)
+            assert d.pivot(x).family == {m ^ d.mask_of(x) for m in d.family}
 
 
 def test_dual_pivot_examples():
@@ -115,6 +139,26 @@ def test_is_delta_matroid():
     assert not dm.is_delta_matroid(dm.SetSystem("ab", frozenset()))
 
 
+def test_exchange_check_matches_pairs_on_every_small_family():
+    for n in range(4):
+        ground = tuple(f"v{i}" for i in range(n))
+        for packed in range(1 << (1 << n)):
+            family = frozenset(m for m in range(1 << n) if (packed >> m) & 1)
+            d = dm.SetSystem(ground, family)
+            assert dm.satisfies_exchange_axiom(d) == _exchange_by_pairs(d)
+            assert dm.is_delta_matroid(d) == _equicardinal_min_criterion(d)
+
+
+def test_exchange_check_matches_pairs_on_pivoted_graph_encodings():
+    rng = random.Random(7)
+    for _ in range(60):
+        g = random_looped_simple_graph(rng, rng.randrange(1, 8))
+        d = dm.from_graph(g).pivot([v for v in g.labels if rng.random() < 0.5])
+        assert dm.satisfies_exchange_axiom(d) and _exchange_by_pairs(d)
+        dropped = dm.SetSystem(d.ground, d.family - {rng.choice(sorted(d.family))})
+        assert dm.satisfies_exchange_axiom(dropped) == _exchange_by_pairs(dropped)
+
+
 def test_delta_matroid_type_validates():
     with pytest.raises(ValueError):
         dm.DeltaMatroid("abc", frozenset({0, 0b111}))
@@ -135,7 +179,7 @@ def test_graph_encoding_examples():
 
 
 def test_graph_decoding_round_trip():
-    for g in all_looped_simple_graphs(3):
+    for g in [*all_looped_simple_graphs(3), random_looped_simple_graph(random.Random(12), 12)]:
         assert dm.to_graph(dm.from_graph(g)) == g
     with pytest.raises(ValueError):
         dm.to_graph(sets("abc", [], ["a", "b", "c"]))
