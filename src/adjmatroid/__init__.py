@@ -30,7 +30,7 @@ from .four_regular import (
     touch_graph,
     transition_type,
 )
-from .gf2 import BitMatrix, BitVector, Subspace
+from .gf2 import BitMatrix, Subspace
 from .graph import LoopedSimpleGraph, MultiGraph
 from .polynomials import (
     BivariatePolynomial,
@@ -45,7 +45,6 @@ from .polynomials import (
 __all__ = [
     "BinaryMatroid",
     "BitMatrix",
-    "BitVector",
     "BivariatePolynomial",
     "CircuitPartition",
     "DeltaMatroid",

@@ -130,7 +130,7 @@ def trio(g: LoopedSimpleGraph, v: str) -> TrioResult:
     shared = matroids[pair[0]].cycle_space
     bigger = matroids[odd].cycle_space
     if bigger.dim != shared.dim + 1 or not all(
-        bigger.contains(m) for m in shared.basis_masks()
+        bigger.contains(m) for m in shared.basis
     ):
         raise AssertionError("odd cycle space does not extend the shared one by 1")
     return TrioResult(pair, odd, shared.dim)

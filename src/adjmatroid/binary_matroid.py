@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .gf2 import (
+    ENUM_GATE,
     BitMatrix,
     Subspace,
     lowest_bit,
@@ -22,7 +23,6 @@ from .gf2 import (
 from .graph import MultiGraph
 
 ISOMORPHISM_GATE = 8
-ENUM_GATE = 20
 
 
 def _drop_bit(mask: int, i: int) -> int:
@@ -93,7 +93,7 @@ class BinaryMatroid:
         for new, old in enumerate(order):
             position[old] = new
         canonical = self.cycle_space.permuted(position)
-        return hash((tuple(sorted(self.ground)), canonical.basis_masks()))
+        return hash((tuple(sorted(self.ground)), canonical.basis))
 
     def __repr__(self) -> str:
         return f"BinaryMatroid(ground={self.ground!r}, nullity={self.nullity})"
@@ -138,7 +138,7 @@ class BinaryMatroid:
 
     def is_coloop(self, v: str) -> bool:
         i = self.index(v)
-        return all(not (m >> i) & 1 for m in self.cycle_space.basis_masks())
+        return all(not (m >> i) & 1 for m in self.cycle_space.basis)
 
     def dual(self) -> "BinaryMatroid":
         return BinaryMatroid(self.ground, orthogonal_complement(self.cycle_space))
@@ -147,13 +147,13 @@ class BinaryMatroid:
         i = self.index(v)
         keep = ((1 << self.size) - 1) & ~(1 << i)
         inside = self.cycle_space.restricted_to(keep)
-        masks = [_drop_bit(m, i) for m in inside.basis_masks()]
+        masks = [_drop_bit(m, i) for m in inside.basis]
         ground = tuple(u for u in self.ground if u != v)
         return BinaryMatroid(ground, Subspace.span(self.size - 1, masks))
 
     def contract(self, v: str) -> "BinaryMatroid":
         i = self.index(v)
-        masks = [_drop_bit(m, i) for m in self.cycle_space.basis_masks()]
+        masks = [_drop_bit(m, i) for m in self.cycle_space.basis]
         ground = tuple(u for u in self.ground if u != v)
         return BinaryMatroid(ground, Subspace.span(self.size - 1, masks))
 
@@ -161,8 +161,8 @@ class BinaryMatroid:
         if set(self.ground) & set(other.ground):
             raise ValueError("direct sum needs disjoint ground labels")
         shift = self.size
-        masks = list(self.cycle_space.basis_masks())
-        masks += [m << shift for m in other.cycle_space.basis_masks()]
+        masks = list(self.cycle_space.basis)
+        masks += [m << shift for m in other.cycle_space.basis]
         return BinaryMatroid(
             self.ground + other.ground, Subspace.span(self.size + other.size, masks)
         )
@@ -245,15 +245,3 @@ def polygon_matroid(g: MultiGraph) -> BinaryMatroid:
     """The matroid of the edge set whose circuits are the graph's cycles."""
     return BinaryMatroid.from_matrix(g.incidence_matrix(), g.edge_labels)
 
-
-def circuit_space(circuits: Iterable[Iterable[str]], labels: Sequence[str]) -> BinaryMatroid:
-    """Matroid spanned by explicit circuits given as label collections."""
-    labels = tuple(labels)
-    index = {v: i for i, v in enumerate(labels)}
-    masks = []
-    for c in circuits:
-        mask = 0
-        for v in c:
-            mask |= 1 << index[v]
-        masks.append(mask)
-    return BinaryMatroid(labels, Subspace.span(len(labels), masks))

@@ -1,8 +1,9 @@
 """Bit-packed linear algebra over GF(2).
 
 Vectors are Python ints used as bitmasks (bit i = coordinate i); matrices
-are tuples of row masks.  Subspaces are kept in a canonical reduced
-row-echelon form so that equality of subspaces is plain ``==``.
+are tuples of row masks.  A subspace keeps its basis as a tuple of row
+masks in canonical reduced row-echelon form, so that equality of subspaces
+is plain ``==``.
 """
 
 from __future__ import annotations
@@ -62,59 +63,6 @@ def reduce_mask(v: int, basis: Sequence[int]) -> int:
 
 
 @dataclass(frozen=True)
-class BitVector:
-    """A GF(2) vector of fixed length packed into an int."""
-
-    length: int
-    bits: int
-
-    def __post_init__(self) -> None:
-        if self.length < 0:
-            raise ValueError("negative length")
-        if not 0 <= self.bits < (1 << self.length):
-            raise ValueError("bits outside declared length")
-
-    @classmethod
-    def from_support(cls, length: int, support: Iterable[int]) -> "BitVector":
-        bits = 0
-        for i in support:
-            if not 0 <= i < length:
-                raise ValueError(f"coordinate {i} out of range")
-            bits |= 1 << i
-        return cls(length, bits)
-
-    @classmethod
-    def from_entries(cls, entries: Sequence[int]) -> "BitVector":
-        bits = 0
-        for i, e in enumerate(entries):
-            if e & 1:
-                bits |= 1 << i
-        return cls(len(entries), bits)
-
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        if self.length != other.length:
-            raise ValueError("length mismatch")
-        return BitVector(self.length, self.bits ^ other.bits)
-
-    def get(self, i: int) -> int:
-        return (self.bits >> i) & 1
-
-    def dot(self, other: "BitVector") -> int:
-        return parity(self.bits & other.bits)
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.length) if (self.bits >> i) & 1)
-
-    @property
-    def weight(self) -> int:
-        return popcount(self.bits)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-
-@dataclass(frozen=True)
 class BitMatrix:
     """A rows x cols matrix over GF(2), rows packed as int masks."""
 
@@ -148,14 +96,11 @@ class BitMatrix:
         for row in entries:
             if len(row) != cols:
                 raise ValueError("ragged rows")
-            masks.append(BitVector.from_entries(row).bits)
+            masks.append(sum((e & 1) << j for j, e in enumerate(row)))
         return cls(len(entries), cols, tuple(masks))
 
     def entry(self, i: int, j: int) -> int:
         return (self.data[i] >> j) & 1
-
-    def row(self, i: int) -> BitVector:
-        return BitVector(self.cols, self.data[i])
 
     def column_mask(self, j: int) -> int:
         mask = 0
@@ -179,9 +124,6 @@ class BitMatrix:
                 out |= 1 << i
         return out
 
-    def row_entries(self, i: int) -> tuple[int, ...]:
-        return tuple((self.data[i] >> j) & 1 for j in range(self.cols))
-
 
 def rank(m: BitMatrix) -> int:
     """GF(2) rank (row rank = column rank)."""
@@ -203,40 +145,36 @@ def is_nonsingular(m: BitMatrix) -> bool:
 class Subspace:
     """A subspace of GF(2)^ambient_dim in canonical RREF basis form.
 
-    Basis rows are nonzero with strictly increasing pivot (lowest set bit)
+    ``basis`` is a tuple of int row masks.  The rows are nonzero, lie inside
+    the ambient space, have strictly increasing pivot (lowest set bit)
     positions, and each pivot column carries a single 1.  Two subspaces are
     equal as sets of vectors iff their fields compare equal.
     """
 
     ambient_dim: int
-    basis: tuple[BitVector, ...]
+    basis: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        prev = -1
+        limit = 1 << self.ambient_dim
+        prev = pivots = 0
         for v in self.basis:
-            if v.length != self.ambient_dim:
-                raise ValueError("basis vector length mismatch")
-            if v.is_zero:
-                raise ValueError("zero vector in basis")
-            p = lowest_bit(v.bits)
-            if p <= prev:
+            if not 0 < v < limit:
+                raise ValueError(f"basis row {v} is zero or outside GF(2)^{self.ambient_dim}")
+            low = v & -v
+            if low <= prev:
                 raise ValueError("pivots not strictly increasing")
-            prev = p
-        masks = self.basis_masks()
-        for i, v in enumerate(masks):
-            p = lowest_bit(v)
-            for j, w in enumerate(masks):
-                if i != j and (w >> p) & 1:
-                    raise ValueError("pivot column not reduced")
+            prev = low
+            pivots |= low
+        # with ascending distinct pivots, a row's only pivot bit must be its own
+        for v in self.basis:
+            if v & pivots != v & -v:
+                raise ValueError("pivot column not reduced")
 
     @classmethod
-    def span(cls, ambient_dim: int, vectors: Iterable[int | BitVector]) -> "Subspace":
-        masks = [v.bits if isinstance(v, BitVector) else v for v in vectors]
-        for v in masks:
-            if not 0 <= v < (1 << ambient_dim):
-                raise ValueError("vector outside ambient space")
-        rows = rref_masks(masks)
-        return cls(ambient_dim, tuple(BitVector(ambient_dim, r) for r in rows))
+    def span(cls, ambient_dim: int, vectors: Iterable[int]) -> "Subspace":
+        """The span of the given masks; any mask outside the ambient space
+        leaves a basis row outside it, which construction rejects."""
+        return cls(ambient_dim, rref_masks(vectors))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -250,17 +188,13 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def basis_masks(self) -> tuple[int, ...]:
-        return tuple(v.bits for v in self.basis)
-
-    def contains(self, v: int | BitVector) -> bool:
-        mask = v.bits if isinstance(v, BitVector) else v
-        return reduce_mask(mask, self.basis_masks()) == 0
+    def contains(self, v: int) -> bool:
+        return reduce_mask(v, self.basis) == 0
 
     def vectors(self) -> Iterator[int]:
         """All 2^dim member masks, ascending as integers."""
         _check_enum_gate(self.dim, "subspace enumeration")
-        masks = self.basis_masks()
+        masks = self.basis
         out = []
         for combo in range(1 << self.dim):
             v = 0
@@ -274,17 +208,12 @@ class Subspace:
             out.append(v)
         return iter(sorted(out))
 
-    def sum_with(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        return Subspace.span(self.ambient_dim, self.basis_masks() + other.basis_masks())
-
     def restricted_to(self, mask: int) -> "Subspace":
         """The subspace of members supported inside the coordinate mask."""
         outside_pivots: dict[int, int] = {}
         inside: list[int] = []
         out_mask = ((1 << self.ambient_dim) - 1) & ~mask
-        for v in self.basis_masks():
+        for v in self.basis:
             while v & out_mask:
                 p = lowest_bit(v & out_mask)
                 if p in outside_pivots:
@@ -301,7 +230,7 @@ class Subspace:
         if sorted(new_position) != list(range(self.ambient_dim)):
             raise ValueError("not a permutation of the coordinates")
         moved = []
-        for v in self.basis_masks():
+        for v in self.basis:
             w = 0
             for i in range(self.ambient_dim):
                 if (v >> i) & 1:
@@ -328,7 +257,7 @@ def nullspace(m: BitMatrix) -> Subspace:
 
 def orthogonal_complement(w: Subspace) -> Subspace:
     """All vectors with even intersection against every member of w."""
-    m = BitMatrix(w.dim, w.ambient_dim, w.basis_masks())
+    m = BitMatrix(w.dim, w.ambient_dim, w.basis)
     return nullspace(m)
 
 
@@ -419,4 +348,4 @@ def all_subspaces(ambient_dim: int) -> Iterator[Subspace]:
                             row |= 1 << j
                         pos += 1
                     rows.append(row)
-                yield Subspace(n, tuple(BitVector(n, r) for r in rows))
+                yield Subspace(n, tuple(rows))

@@ -197,7 +197,7 @@ def tutte_recursive(m: BinaryMatroid) -> BivariatePolynomial:
     def rec(mm: BinaryMatroid) -> BivariatePolynomial:
         if not mm.ground:
             return ONE
-        key = (mm.ground, mm.cycle_space.basis_masks())
+        key = (mm.ground, mm.cycle_space.basis)
         hit = memo.get(key)
         if hit is not None:
             return hit

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import itertools
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from . import delta_matroid as dm
 from .adjacency_matroid import (
@@ -102,24 +104,16 @@ class Recorder:
         if not ok and len(r.failures) < MAX_FAILURES_KEPT:
             r.failures.append(witness)
 
-    def check(self, name: str, witness: str):
-        """Record exceptions from a block as failures of the named check."""
-        recorder = self
-
-        class _Ctx:
-            def __enter__(self) -> None:
-                return None
-
-            def __exit__(self, exc_type, exc, tb) -> bool:
-                if exc_type is None:
-                    recorder.record(name, True, witness)
-                    return True
-                if issubclass(exc_type, AssertionError):
-                    recorder.record(name, False, f"{witness}: {exc}")
-                    return True
-                return False
-
-        return _Ctx()
+    @contextmanager
+    def check(self, name: str, witness: str) -> Iterator[None]:
+        """Record an AssertionError from the block as a failure of the named
+        check and a clean exit as a pass; other exceptions propagate."""
+        try:
+            yield
+        except AssertionError as exc:
+            self.record(name, False, f"{witness}: {exc}")
+        else:
+            self.record(name, True, witness)
 
     def report(self) -> list[CheckResult]:
         return [self.results[k] for k in self.results]
@@ -171,7 +165,7 @@ def _matroid_kernel_checks(rec: Recorder, max_n: int, trials: int, seed: int) ->
     for n in range(min(max_n, 5) + 1):
         for w in all_subspaces(n):
             m = BinaryMatroid.from_subspace(w, tuple(f"v{i}" for i in range(n)))
-            witness = f"subspace dim {w.dim} of 2^{n}: {w.basis_masks()}"
+            witness = f"subspace dim {w.dim} of 2^{n}: {w.basis}"
             with rec.check("subspace-matroid-round-trip", witness):
                 assert BinaryMatroid.from_subspace(m.cycle_space, m.ground) == m
                 assert m.cycle_space == w
@@ -188,15 +182,15 @@ def _matroid_kernel_checks(rec: Recorder, max_n: int, trials: int, seed: int) ->
             assert rank(a) + nullity(a) == a.cols
             assert rank(a) == rank(a.transpose())
         with rec.check("nullspace-annihilates", witness):
-            for v in nullspace(a).basis_masks():
+            for v in nullspace(a).basis:
                 assert a.mul_mask(v) == 0
         with rec.check("orthogonal-complement-involution", witness):
             w = nullspace(a)
             comp = orthogonal_complement(w)
             assert comp.dim + w.dim == a.cols
             assert orthogonal_complement(comp) == w
-            for x in w.basis_masks():
-                for y in comp.basis_masks():
+            for x in w.basis:
+                for y in comp.basis:
                     assert popcount(x & y) % 2 == 0
         with rec.check("symmetric-representation-of-nullspace", witness):
             b = symmetrize_nullspace(a)
@@ -342,7 +336,7 @@ def _matroid_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
             assert iso.is_coloop(v)
             assert plain.is_coloop(v) or loop.is_coloop(v)
             criterion = plain.cycle_space == loop.cycle_space and all(
-                iso.cycle_space.contains(x) for x in plain.cycle_space.basis_masks()
+                iso.cycle_space.contains(x) for x in plain.cycle_space.basis
             ) and iso.cycle_space != plain.cycle_space
             assert criterion == is_triple_coloop(g, v)
 
@@ -415,7 +409,7 @@ def _check_tripartition_case(g: LoopedSimpleGraph, v: str, gv: LoopedSimpleGraph
         assert mine["plain"].nullity == mine["loop"].nullity + 1
         assert all(
             mine["plain"].cycle_space.contains(x)
-            for x in mine["loop"].cycle_space.basis_masks()
+            for x in mine["loop"].cycle_space.basis
         )
     else:
         if case == "case1":

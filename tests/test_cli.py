@@ -12,6 +12,7 @@ import adjmatroid
 from adjmatroid.cli import main
 from adjmatroid.graph import MultiGraph, as_multigraph, graph_isomorphism
 from adjmatroid.graphtext import graph_from_json, parse_graph
+from adjmatroid.verify import MAX_FAILURES_KEPT, Recorder
 
 K3_TEXT = "vertices a b c\nedge a b\nedge b c\nedge a c\n"
 K3L_TEXT = K3_TEXT + "loop a\n"
@@ -197,6 +198,28 @@ def test_verify_small_run(capsys):
 def test_verify_rejects_unknown_suite(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--suite", "nope"])
+
+
+def test_recorder_check_paths():
+    rec = Recorder()
+    with rec.check("clean", "w0"):
+        pass
+    for i in range(MAX_FAILURES_KEPT + 2):
+        with rec.check("failing", f"w{i}"):
+            raise AssertionError(f"case {i}")
+    with pytest.raises(KeyError):
+        with rec.check("crashing", "w"):
+            raise KeyError("not an assertion")
+    clean, failing = rec.report()
+    assert (clean.name, clean.instances, clean.failures) == ("clean", 1, [])
+    assert failing.instances == MAX_FAILURES_KEPT + 2
+    assert failing.failures == [f"w{i}: case {i}" for i in range(MAX_FAILURES_KEPT)]
+    assert "crashing" not in rec.results
+
+
+def test_public_names_resolve():
+    for name in adjmatroid.__all__:
+        assert getattr(adjmatroid, name) is not None, name
 
 
 def test_python_dash_m_runs_verify():

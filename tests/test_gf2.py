@@ -4,13 +4,13 @@ Derived expectations are computed by brute-force enumeration oracles kept
 in this file, independent of the packed-row elimination they check.
 """
 
+import itertools
 import random
 
 import pytest
 
 from adjmatroid.gf2 import (
     BitMatrix,
-    BitVector,
     Subspace,
     all_subspaces,
     is_nonsingular,
@@ -20,6 +20,7 @@ from adjmatroid.gf2 import (
     popcount,
     principal_submatrix,
     rank,
+    rref_masks,
     symmetrize_nullspace,
 )
 
@@ -59,9 +60,9 @@ def test_nullspace_examples():
     assert nullspace(BitMatrix.identity(2)).basis == ()
     k3_kernel = nullspace(A_K3)
     assert span_of(k3_kernel) == brute_nullspace(A_K3) == {0, 0b111}
-    assert k3_kernel.basis_masks() == (0b111,)
+    assert k3_kernel.basis == (0b111,)
     single = nullspace(BitMatrix.from_rows([[1, 1]]))
-    assert single.basis_masks() == (0b11,)
+    assert single.basis == (0b11,)
 
 
 def test_orthogonal_complement_examples():
@@ -69,7 +70,7 @@ def test_orthogonal_complement_examples():
     comp = orthogonal_complement(Subspace.span(3, [0b111]))
     assert span_of(comp) == brute_orthogonal({0b111}, 3)
     # canonical form: pivots 0 and 1, each pivot column holding a single 1
-    assert comp.basis_masks() == (0b101, 0b110)
+    assert comp.basis == (0b101, 0b110)
 
 
 def test_orthogonal_complement_involution():
@@ -122,16 +123,16 @@ def test_rank_nullity_additivity():
         a = BitMatrix(rows, cols, tuple(rng.randrange(1 << cols) for _ in range(rows)))
         assert rank(a) + nullity(a) == cols
         assert rank(a) == rank(a.transpose())
-        for v in nullspace(a).basis_masks():
+        for v in nullspace(a).basis:
             assert a.mul_mask(v) == 0
 
 
 def test_subspace_canonical_invariants():
     w = Subspace.span(4, [0b1010, 0b0110, 0b1100])
-    pivots = [m & -m for m in w.basis_masks()]
+    pivots = [m & -m for m in w.basis]
     assert pivots == sorted(pivots)
-    for i, m in enumerate(w.basis_masks()):
-        for j, other in enumerate(w.basis_masks()):
+    for i, m in enumerate(w.basis):
+        for j, other in enumerate(w.basis):
             if i != j:
                 assert other & (m & -m) == 0
     # same span, any generating order
@@ -140,11 +141,27 @@ def test_subspace_canonical_invariants():
 
 def test_subspace_validation_errors():
     with pytest.raises(ValueError):
-        Subspace(2, (BitVector(2, 0),))
+        Subspace(2, (0,))
     with pytest.raises(ValueError):
-        Subspace(2, (BitVector(2, 0b11), BitVector(2, 0b01)))
+        Subspace(2, (0b11, 0b01))
     with pytest.raises(ValueError):
         Subspace.span(2, [0b100])
+
+
+def test_subspace_check_matches_rref_on_every_small_basis():
+    # the O(dim) construction check accepts exactly the canonical RREF bases
+    accepted = 0
+    for k in range(4):
+        for basis in itertools.product(range(-1, 9), repeat=k):
+            canonical = all(0 <= v < 8 for v in basis) and rref_masks(basis) == basis
+            if canonical:
+                assert Subspace(3, basis).basis == basis
+                accepted += 1
+            else:
+                with pytest.raises(ValueError):
+                    Subspace(3, basis)
+    # one canonical basis for each of the 16 subspaces of GF(2)^3
+    assert accepted == 16
 
 
 def test_subspace_enumeration_gate():
@@ -158,17 +175,6 @@ def test_restricted_to():
     assert set(inside.vectors()) == {0, 0b0011}
     assert w.restricted_to(0b1111) == w
     assert w.restricted_to(0).dim == 0
-
-
-def test_bitvector_basics():
-    v = BitVector.from_support(4, [0, 2])
-    assert v.support() == (0, 2)
-    assert v.weight == 2
-    assert (v ^ BitVector(4, 0b0110)).bits == 0b0011
-    assert v.dot(BitVector(4, 0b0101)) == 0
-    assert BitVector.from_entries([1, 0, 1]).bits == 0b101
-    with pytest.raises(ValueError):
-        BitVector(2, 4)
 
 
 def test_all_subspaces_counts():

@@ -208,6 +208,26 @@ def test_json_round_trip():
         assert graph_to_json(back) == data
 
 
+@pytest.mark.parametrize(
+    "data, named",
+    [
+        ({"vertices": ["x y"]}, "'x y'"),
+        ({"vertices": ["a", ""]}, "''"),
+        ({"vertices": ["a", 1]}, "1"),
+        ({"vertices": "ab"}, "'ab'"),
+        ({"vertices": ["a"], "loops": ["a\t"]}, "'a\\t'"),
+        ({"vertices": ["a", "b"], "edges": [["a", "b c"]]}, "'b c'"),
+        ({"vertices": ["a", "b"], "edges": [["a"]]}, "['a']"),
+        ({"vertices": ["a", "b"], "edges": [["a", "b", "a"]]}, "['a', 'b', 'a']"),
+    ],
+)
+def test_json_rejects_labels_that_are_not_single_tokens(data, named):
+    with pytest.raises(ValueError) as info:
+        graph_from_json(data)
+    assert named in str(info.value)
+    assert not isinstance(info.value, GraphParseError)
+
+
 def test_zero_vertex_graph():
     empty = LoopedSimpleGraph((), BitMatrix.zero(0, 0))
     assert empty.n == 0
