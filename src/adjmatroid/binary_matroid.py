@@ -12,13 +12,12 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .gf2 import (
-    ENUM_GATE,
     BitMatrix,
     Subspace,
-    lowest_bit,
     nullspace,
     orthogonal_complement,
     popcount,
+    subset_nullities,
 )
 from .graph import MultiGraph
 
@@ -116,8 +115,6 @@ class BinaryMatroid:
 
     def circuit_masks(self) -> tuple[int, ...]:
         """Minimal nonempty supports in the cycle space, by weight then value."""
-        if self.nullity > ENUM_GATE:
-            raise ValueError(f"circuit enumeration gated at dimension {ENUM_GATE}")
         members = [v for v in self.cycle_space.vectors() if v]
         members.sort(key=lambda v: (popcount(v), v))
         minimal: list[int] = []
@@ -168,13 +165,8 @@ class BinaryMatroid:
         )
 
     def independent_masks(self) -> tuple[int, ...]:
-        if self.size > ENUM_GATE:
-            raise ValueError(f"independent set enumeration gated at {ENUM_GATE} elements")
-        out = []
-        for mask in range(1 << self.size):
-            if self.cycle_space.restricted_to(mask).dim == 0:
-                out.append(mask)
-        return tuple(out)
+        nullities = subset_nullities(self.cycle_space)
+        return tuple(s for s, nu in enumerate(nullities) if nu == 0)
 
     def independent_sets(self) -> frozenset[frozenset[str]]:
         return frozenset(self._labels_of(m) for m in self.independent_masks())

@@ -15,12 +15,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-from .gf2 import popcount, rref_masks
+from .gf2 import popcount, principal_nullities
 from .graph import LoopedSimpleGraph
 
 GROUND_GATE = 16
 
 FlipOp = str  # "pivot" | "dual_pivot" | "loop_complement"
+
+
+def _check_ground_gate(n: int) -> None:
+    if n > GROUND_GATE:
+        raise ValueError(f"set systems are gated at {GROUND_GATE} ground elements")
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,8 +48,7 @@ class SetSystem:
         object.__setattr__(self, "ground", tuple(self.ground))
         if len(set(self.ground)) != len(self.ground):
             raise ValueError("duplicate ground labels")
-        if len(self.ground) > GROUND_GATE:
-            raise ValueError(f"set systems are gated at {GROUND_GATE} ground elements")
+        _check_ground_gate(len(self.ground))
         limit = 1 << len(self.ground)
         for m in self.family:
             if not 0 <= m < limit:
@@ -300,12 +304,9 @@ class DeltaMatroid(SetSystem):
 
 def from_graph(g: LoopedSimpleGraph) -> DeltaMatroid:
     """Subsets of V(g) whose induced adjacency submatrix is nonsingular."""
-    family = set()
-    for mask in range(1 << g.n):
-        rows = [g.adj.data[i] & mask for i in range(g.n) if (mask >> i) & 1]
-        if len(rref_masks(rows)) == len(rows):  # principal submatrix, columns in place
-            family.add(mask)
-    return DeltaMatroid(g.labels, frozenset(family))
+    _check_ground_gate(g.n)
+    nullities = principal_nullities(g.adj)
+    return DeltaMatroid(g.labels, frozenset(s for s, nu in enumerate(nullities) if nu == 0))
 
 
 def to_graph(d: SetSystem) -> LoopedSimpleGraph:

@@ -18,7 +18,7 @@ ENUM_GATE = 20
 
 
 def popcount(x: int) -> int:
-    return bin(x).count("1")
+    return x.bit_count()
 
 
 def parity(x: int) -> int:
@@ -30,7 +30,7 @@ def lowest_bit(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-def _check_enum_gate(n: int, what: str) -> None:
+def check_enum_gate(n: int, what: str) -> None:
     if n > ENUM_GATE:
         raise ValueError(f"{what} is gated at {ENUM_GATE} coordinates, got {n}")
 
@@ -134,13 +134,6 @@ def nullity(m: BitMatrix) -> int:
     return m.cols - rank(m)
 
 
-def is_nonsingular(m: BitMatrix) -> bool:
-    """Square matrix of full rank; the 0x0 matrix counts as nonsingular."""
-    if m.rows != m.cols:
-        raise ValueError("nonsingularity is defined for square matrices")
-    return rank(m) == m.cols
-
-
 @dataclass(frozen=True)
 class Subspace:
     """A subspace of GF(2)^ambient_dim in canonical RREF basis form.
@@ -193,19 +186,10 @@ class Subspace:
 
     def vectors(self) -> Iterator[int]:
         """All 2^dim member masks, ascending as integers."""
-        _check_enum_gate(self.dim, "subspace enumeration")
-        masks = self.basis
-        out = []
-        for combo in range(1 << self.dim):
-            v = 0
-            c = combo
-            i = 0
-            while c:
-                if c & 1:
-                    v ^= masks[i]
-                c >>= 1
-                i += 1
-            out.append(v)
+        check_enum_gate(self.dim, "subspace enumeration")
+        out = [0]
+        for b in self.basis:
+            out += [v ^ b for v in out]
         return iter(sorted(out))
 
     def restricted_to(self, mask: int) -> "Subspace":
@@ -277,6 +261,37 @@ def principal_submatrix(a: BitMatrix, s: Iterable[int]) -> BitMatrix:
                 row |= 1 << k
         out.append(row)
     return BitMatrix(len(idx), len(idx), tuple(out))
+
+
+def principal_nullities(a: BitMatrix) -> list[int]:
+    """The nullity of a[S, S] for every coordinate mask S, indexed by S; each
+    principal submatrix is eliminated with its columns left in place."""
+    if a.rows != a.cols:
+        raise ValueError("principal submatrices need a square matrix")
+    n = a.cols
+    check_enum_gate(n, "principal nullity scan")
+    out = []
+    for mask in range(1 << n):
+        rows = [a.data[i] & mask for i in range(n) if (mask >> i) & 1]
+        out.append(len(rows) - len(rref_masks(rows)))
+    return out
+
+
+def subset_nullities(w: Subspace) -> list[int]:
+    """The dimension of w restricted to S for every coordinate mask S, indexed
+    by S: mark the members of w, then sum over subsets one coordinate at a
+    time (n 2^(n-1) additions), so that entry S counts the members inside S."""
+    n = w.ambient_dim
+    check_enum_gate(n, "subset nullity scan")
+    counts = [0] * (1 << n)
+    for v in w.vectors():
+        counts[v] = 1
+    for i in range(n):
+        b = 1 << i
+        for s in range(1 << n):
+            if s & b:
+                counts[s] += counts[s ^ b]
+    return [c.bit_length() - 1 for c in counts]
 
 
 def symmetrize_nullspace(a: BitMatrix) -> BitMatrix:

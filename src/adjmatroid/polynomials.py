@@ -1,22 +1,23 @@
 """Exact integer bivariate polynomials and the nullity-weighted graph and
 matroid polynomial evaluators.
 
-All evaluators expand (x-1)^a (y-1)^b terms by binomial convolution; the
-recursive evaluators must agree with the subset expansions exactly.
+A subset expansion is a sum of (x-1)^a (y-1)^b terms, one per subset.  The
+(a, b) pairs are tallied first and each distinct pair is expanded once by
+binomial convolution, weighted by its count; the recursive evaluators must
+agree with the subset expansions exactly.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .adjacency_matroid import adjacency_matroid
 from .binary_matroid import BinaryMatroid
-from .gf2 import nullity, principal_submatrix
+from .gf2 import check_enum_gate, popcount, principal_nullities, subset_nullities
 from .graph import LoopedSimpleGraph
-
-SUBSET_GATE = 24
 
 
 @dataclass(frozen=True)
@@ -114,29 +115,26 @@ Y = BivariatePolynomial.monomial(0, 1)
 
 def shifted_power_term(a: int, b: int) -> BivariatePolynomial:
     """(x-1)^a (y-1)^b expanded over the integers."""
+    return _expand([(a, b)])
+
+
+def _expand(pairs: Iterable[tuple[int, int]]) -> BivariatePolynomial:
+    """Sum of (x-1)^a (y-1)^b over the (a, b) pairs: the pairs are tallied and
+    each distinct pair is expanded once, weighted by its count."""
     out: dict[tuple[int, int], int] = {}
-    for i in range(a + 1):
-        ci = comb(a, i) * (-1) ** (a - i)
-        for j in range(b + 1):
-            out[(i, j)] = out.get((i, j), 0) + ci * comb(b, j) * (-1) ** (b - j)
+    for (a, b), count in Counter(pairs).items():
+        for i in range(a + 1):
+            ci = count * comb(a, i) * (-1) ** (a - i)
+            for j in range(b + 1):
+                out[(i, j)] = out.get((i, j), 0) + ci * comb(b, j) * (-1) ** (b - j)
     return BivariatePolynomial.from_dict(out)
-
-
-def _subset_gate(n: int) -> None:
-    if n > SUBSET_GATE:
-        raise ValueError(f"subset expansion gated at {SUBSET_GATE} elements")
 
 
 def interlace_subset(g: LoopedSimpleGraph) -> BivariatePolynomial:
     """Sum over vertex subsets of (x-1)^(|S|-nu) (y-1)^nu, nu the nullity of
     the induced adjacency submatrix."""
-    _subset_gate(g.n)
-    total = BivariatePolynomial.zero()
-    for mask in range(1 << g.n):
-        idx = [i for i in range(g.n) if (mask >> i) & 1]
-        nu = nullity(principal_submatrix(g.adj, idx))
-        total = total + shifted_power_term(len(idx) - nu, nu)
-    return total
+    nullities = principal_nullities(g.adj)
+    return _expand((popcount(s) - nu, nu) for s, nu in enumerate(nullities))
 
 
 def interlace_recursive(g: LoopedSimpleGraph) -> BivariatePolynomial:
@@ -146,7 +144,7 @@ def interlace_recursive(g: LoopedSimpleGraph) -> BivariatePolynomial:
     unlooped neighbors v, w splits through the three-step complement at
     v, w, v; a graph of isolated unlooped vertices contributes y^n.
     """
-    _subset_gate(g.n)
+    check_enum_gate(g.n, "interlace recursion")
     memo: dict[tuple[tuple[str, ...], tuple[int, ...]], BivariatePolynomial] = {}
     xm1 = shifted_power_term(1, 0)
     xm1_sq_m1 = xm1 * xm1 - ONE
@@ -178,20 +176,16 @@ def interlace_recursive(g: LoopedSimpleGraph) -> BivariatePolynomial:
 
 
 def tutte_subset(m: BinaryMatroid) -> BivariatePolynomial:
-    """Rank generating subset expansion of the Tutte polynomial."""
-    _subset_gate(m.size)
+    """Rank generating subset expansion of the Tutte polynomial, with
+    r(S) = |S| - nu(S) read from the cycle space met with each GF(2)^S."""
     full_rank = m.rank
-    total = BivariatePolynomial.zero()
-    for mask in range(1 << m.size):
-        s = [m.ground[i] for i in range(m.size) if (mask >> i) & 1]
-        r = m.rank_of(s)
-        total = total + shifted_power_term(full_rank - r, len(s) - r)
-    return total
+    nullities = subset_nullities(m.cycle_space)
+    return _expand((full_rank - popcount(s) + nu, nu) for s, nu in enumerate(nullities))
 
 
 def tutte_recursive(m: BinaryMatroid) -> BivariatePolynomial:
     """Deletion/contraction with loop and coloop factors, memoized."""
-    _subset_gate(m.size)
+    check_enum_gate(m.size, "Tutte recursion")
     memo: dict[tuple[tuple[str, ...], tuple[int, ...]], BivariatePolynomial] = {}
 
     def rec(mm: BinaryMatroid) -> BivariatePolynomial:
@@ -219,29 +213,23 @@ def lambda_leading(m: BinaryMatroid) -> BivariatePolynomial:
     return shifted_power_term(0, m.nullity)
 
 
+def _induced_pairs(g: LoopedSimpleGraph, required: int) -> Iterator[tuple[int, int]]:
+    """(|S|-nu, nu) for every vertex mask S containing the mask required,
+    nu read from the leading Tutte term of the induced subgraph's matroid."""
+    check_enum_gate(g.n, "induced subgraph expansion")
+    for mask in range(1 << g.n):
+        if mask & required == required:
+            s = [g.labels[i] for i in range(g.n) if (mask >> i) & 1]
+            nu = lambda_leading(adjacency_matroid(g.induced(s))).degree_y()
+            yield len(s) - nu, nu
+
+
 def q_from_lambda(g: LoopedSimpleGraph) -> BivariatePolynomial:
     """Interlace polynomial assembled from the leading Tutte terms of the
     induced subgraph matroids, each contributing (x-1)^(|S|-nu) (y-1)^nu."""
-    _subset_gate(g.n)
-    total = BivariatePolynomial.zero()
-    for mask in range(1 << g.n):
-        s = [g.labels[i] for i in range(g.n) if (mask >> i) & 1]
-        sub = adjacency_matroid(g.induced(s))
-        nu = lambda_leading(sub).degree_y()
-        total = total + shifted_power_term(len(s) - nu, nu)
-    return total
+    return _expand(_induced_pairs(g, 0))
 
 
 def interlace_vertex_terms(g: LoopedSimpleGraph, v: str) -> BivariatePolynomial:
     """The part of the subset expansion ranging over subsets containing v."""
-    _subset_gate(g.n)
-    iv = g.index(v)
-    total = BivariatePolynomial.zero()
-    for mask in range(1 << g.n):
-        if not (mask >> iv) & 1:
-            continue
-        s = [g.labels[i] for i in range(g.n) if (mask >> i) & 1]
-        sub = adjacency_matroid(g.induced(s))
-        nu = lambda_leading(sub).degree_y()
-        total = total + shifted_power_term(len(s) - nu, nu)
-    return total
+    return _expand(_induced_pairs(g, 1 << g.index(v)))

@@ -59,7 +59,6 @@ from .graph import (
     LoopedSimpleGraph,
     MultiGraph,
     all_looped_simple_graphs,
-    as_multigraph,
     graph_isomorphism,
     nullity_oracle_of,
     random_looped_simple_graph,

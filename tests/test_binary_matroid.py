@@ -15,7 +15,7 @@ from adjmatroid.binary_matroid import (
     single_loop,
     triple_circuit,
 )
-from adjmatroid.gf2 import BitMatrix, Subspace, popcount
+from adjmatroid.gf2 import BitMatrix, Subspace
 from adjmatroid.graph import LoopedSimpleGraph, MultiGraph
 
 A_K3 = BitMatrix.from_rows([[0, 1, 1], [1, 0, 1], [1, 1, 0]])

@@ -10,7 +10,7 @@ import pytest
 
 import adjmatroid
 from adjmatroid.cli import main
-from adjmatroid.graph import MultiGraph, as_multigraph, graph_isomorphism
+from adjmatroid.graph import as_multigraph, graph_isomorphism
 from adjmatroid.graphtext import graph_from_json, parse_graph
 from adjmatroid.verify import MAX_FAILURES_KEPT, Recorder
 

@@ -217,3 +217,12 @@ def test_max_deletion_counterexample_family():
 def test_ground_gate():
     with pytest.raises(ValueError):
         dm.SetSystem(tuple(f"v{i}" for i in range(17)), frozenset())
+
+
+def test_from_graph_checks_the_gate_before_scanning(monkeypatch):
+    def scan(_):
+        raise AssertionError("from_graph scanned a graph over the ground gate")
+
+    monkeypatch.setattr(dm, "principal_nullities", scan)
+    with pytest.raises(ValueError):
+        dm.from_graph(LoopedSimpleGraph.build(tuple(f"v{i}" for i in range(17))))

@@ -1,6 +1,5 @@
 """Euler systems, transitions, touch-graphs and the realization build."""
 
-import itertools
 import random
 
 import pytest

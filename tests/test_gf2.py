@@ -13,16 +13,18 @@ from adjmatroid.gf2 import (
     BitMatrix,
     Subspace,
     all_subspaces,
-    is_nonsingular,
     nullity,
     nullspace,
     orthogonal_complement,
     popcount,
+    principal_nullities,
     principal_submatrix,
     rank,
     rref_masks,
+    subset_nullities,
     symmetrize_nullspace,
 )
+from adjmatroid.graph import all_looped_simple_graphs, random_looped_simple_graph
 
 A_K3 = BitMatrix.from_rows([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
 A_K3L = BitMatrix.from_rows([[1, 1, 1], [1, 0, 1], [1, 1, 0]])
@@ -108,12 +110,44 @@ def test_principal_submatrix():
     assert principal_submatrix(A_K3, [0, 1, 2]) == A_K3
     empty = principal_submatrix(A_K3, [])
     assert empty.rows == empty.cols == 0
-    assert is_nonsingular(empty)
+    assert nullity(empty) == 0
     assert principal_submatrix(A_K3L, [0]) == BitMatrix.from_rows([[1]])
     with pytest.raises(ValueError):
         principal_submatrix(A_K3, [3])
     with pytest.raises(ValueError):
         principal_submatrix(BitMatrix.zero(2, 3), [0])
+
+
+def test_principal_nullities_match_submatrix_nullity():
+    rng = random.Random(5)
+    graphs = [g for n in range(4) for g in all_looped_simple_graphs(n)]
+    graphs += [random_looped_simple_graph(rng, n) for n in (6, 7, 8) for _ in range(3)]
+    assert len(graphs) == 75 + 9
+    for g in graphs:
+        nullities = principal_nullities(g.adj)
+        assert len(nullities) == 1 << g.n
+        for mask, nu in enumerate(nullities):
+            idx = [i for i in range(g.n) if (mask >> i) & 1]
+            assert nu == nullity(principal_submatrix(g.adj, idx))
+
+
+def test_subset_nullities_match_restriction():
+    checked = 0
+    for n in range(5):
+        for w in all_subspaces(n):
+            nullities = subset_nullities(w)
+            assert nullities == [w.restricted_to(mask).dim for mask in range(1 << n)]
+            checked += 1
+    assert checked == 1 + 2 + 5 + 16 + 67
+
+
+def test_subset_kernels_refuse_above_the_gate():
+    with pytest.raises(ValueError):
+        principal_nullities(BitMatrix.zero(21, 21))
+    with pytest.raises(ValueError):
+        subset_nullities(Subspace.zero(21))
+    with pytest.raises(ValueError):
+        principal_nullities(BitMatrix.zero(2, 3))
 
 
 def test_rank_nullity_additivity():

@@ -132,3 +132,7 @@ def test_size_gate():
         interlace_subset(big)
     with pytest.raises(ValueError):
         tutte_subset(free_matroid(tuple(f"v{i}" for i in range(25))))
+    # 21 isolated vertices recurse in linear time, but the gate is one for
+    # every evaluator
+    with pytest.raises(ValueError):
+        interlace_recursive(LoopedSimpleGraph.build(tuple(f"v{i}" for i in range(21))))
