@@ -14,10 +14,12 @@ from typing import Iterable, Sequence
 from .gf2 import (
     BitMatrix,
     Subspace,
+    column_masked_planes,
     nullspace,
     orthogonal_complement,
     popcount,
-    subset_nullities,
+    set_bits,
+    size_masks,
 )
 from .graph import MultiGraph
 
@@ -62,10 +64,7 @@ class BinaryMatroid:
             raise ValueError(f"unknown element {v!r}") from None
 
     def _mask_of(self, s: Iterable[str]) -> int:
-        mask = 0
-        for v in s:
-            mask |= 1 << self.index(v)
-        return mask
+        return sum(1 << i for i in {self.index(v) for v in s})
 
     def _labels_of(self, mask: int) -> frozenset[str]:
         return frozenset(self.ground[i] for i in range(self.size) if (mask >> i) & 1)
@@ -87,12 +86,9 @@ class BinaryMatroid:
         return aligned is not None and aligned == self.cycle_space
 
     def __hash__(self) -> int:
-        order = sorted(range(self.size), key=lambda i: self.ground[i])
-        position = [0] * self.size
-        for new, old in enumerate(order):
-            position[old] = new
-        canonical = self.cycle_space.permuted(position)
-        return hash((tuple(sorted(self.ground)), canonical.basis))
+        ordered = sorted(self.ground)
+        canonical = self.cycle_space.permuted([ordered.index(v) for v in self.ground])
+        return hash((tuple(ordered), canonical.basis))
 
     def __repr__(self) -> str:
         return f"BinaryMatroid(ground={self.ground!r}, nullity={self.nullity})"
@@ -164,21 +160,24 @@ class BinaryMatroid:
             self.ground + other.ground, Subspace.span(self.size + other.size, masks)
         )
 
+    def _independent_bits(self) -> int:
+        """The independent family as a 2^size-bit int: S is independent iff no
+        cycle lies inside S, i.e. every column-masked plane is set at S."""
+        bits = (1 << (1 << self.size)) - 1
+        for plane in column_masked_planes(self.cycle_space):
+            bits &= plane
+        return bits
+
     def independent_masks(self) -> tuple[int, ...]:
-        nullities = subset_nullities(self.cycle_space)
-        return tuple(s for s, nu in enumerate(nullities) if nu == 0)
+        return tuple(set_bits(self._independent_bits()))
 
     def independent_sets(self) -> frozenset[frozenset[str]]:
         return frozenset(self._labels_of(m) for m in self.independent_masks())
 
     def bases(self) -> frozenset[frozenset[str]]:
-        independent = self.independent_masks()
-        top = max(popcount(m) for m in independent)
-        if top != self.rank:
-            raise AssertionError("maximal independent size disagrees with rank")
-        return frozenset(
-            self._labels_of(m) for m in independent if popcount(m) == top
-        )
+        """The independent sets of size rank."""
+        bits = self._independent_bits() & size_masks(self.size)[self.rank]
+        return frozenset(self._labels_of(m) for m in set_bits(bits))
 
     def isomorphism(self, other: "BinaryMatroid") -> dict[str, str] | None:
         """Search for a bijection carrying one cycle space onto the other."""

@@ -19,7 +19,7 @@ from .four_regular import (
 )
 from .gf2 import BitMatrix, symmetrize_nullspace
 from .graph import LoopedSimpleGraph, MultiGraph, as_multigraph
-from .graphtext import GraphParseError, graph_to_json, parse_graph, render_graph
+from .graphtext import graph_to_json, parse_graph, render_graph
 from .polynomials import (
     interlace_subset,
     lambda_leading,
@@ -218,6 +218,9 @@ def cmd_symmetrize(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    for flag, value in (("--max-n", args.max_n), ("--trials", args.trials)):
+        if value is not None and value < 0:
+            raise ValueError(f"{flag} must be at least 0, got {value}")
     results = run_suites(args.suite, args.max_n, args.trials, args.seed)
     failed = False
     if args.format == "json":
@@ -285,10 +288,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GraphParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # GraphParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,17 +5,17 @@ check work on the family as a 2^n-bit int (bit m set iff mask m is a member):
 in coordinate v, pivot swaps the bit blocks of the subsets without and with v,
 loop complement and dual pivot are the GF(2) subset and superset zeta
 transforms.  Graphs embed as the family of vertex subsets inducing a
-nonsingular adjacency submatrix.
+nonsingular adjacency submatrix: S is a member iff every vertex of S owns a
+pivot plane of the bit-sliced elimination at S.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-from .gf2 import popcount, principal_nullities
+from .gf2 import coord_masks, gather, popcount, principal_planes, set_bits
 from .graph import LoopedSimpleGraph
 
 GROUND_GATE = 16
@@ -58,17 +58,8 @@ class SetSystem:
     def from_sets(
         cls, ground: Sequence[str], sets: Iterable[Iterable[str]]
     ) -> "SetSystem":
-        ground = tuple(ground)
-        index = {v: i for i, v in enumerate(ground)}
-        masks = set()
-        for s in sets:
-            mask = 0
-            for v in s:
-                if v not in index:
-                    raise ValueError(f"unknown element {v!r}")
-                mask |= 1 << index[v]
-            masks.add(mask)
-        return cls(ground, frozenset(masks))
+        empty = SetSystem(tuple(ground), frozenset())
+        return cls(empty.ground, frozenset(empty.mask_of(s) for s in sets))
 
     @property
     def n(self) -> int:
@@ -121,11 +112,10 @@ class SetSystem:
         """Apply a one-coordinate word operation once per distinct element of x."""
         xm = self.mask_of(x)
         bits = sum(1 << m for m in self.family)
-        for i, (zero, _) in enumerate(_coord_masks(self.n)):
+        for i, (zero, _) in enumerate(coord_masks(self.n)):
             if (xm >> i) & 1:
                 bits = step(bits, zero, 1 << i)
-        members = bin(bits)[:1:-1]
-        return SetSystem(self.ground, frozenset(m for m, c in enumerate(members) if c == "1"))
+        return SetSystem(self.ground, frozenset(set_bits(bits)))
 
     def pivot(self, x: Iterable[str]) -> "SetSystem":
         """Symmetric difference of every member with x."""
@@ -176,18 +166,14 @@ class SetSystem:
     def min_sys(self) -> "SetSystem":
         if not self.is_proper:
             raise ValueError("min needs a proper set system")
-        keep = frozenset(
-            m for m in self.family if not any(z != m and z & ~m == 0 for z in self.family)
-        )
-        return SetSystem(self.ground, keep)
+        keep = (m for m in self.family if not any(z != m and z & ~m == 0 for z in self.family))
+        return SetSystem(self.ground, frozenset(keep))
 
     def max_sys(self) -> "SetSystem":
         if not self.is_proper:
             raise ValueError("max needs a proper set system")
-        keep = frozenset(
-            m for m in self.family if not any(z != m and m & ~z == 0 for z in self.family)
-        )
-        return SetSystem(self.ground, keep)
+        keep = (m for m in self.family if not any(z != m and m & ~z == 0 for z in self.family))
+        return SetSystem(self.ground, frozenset(keep))
 
     @property
     def is_equicardinal(self) -> bool:
@@ -201,19 +187,9 @@ class SetSystem:
         wanted = set(keep)
         keep_list = [v for v in self.ground if v in wanted]
         positions = [self.index(v) for v in keep_list]
-        keep_mask = 0
-        for i in positions:
-            keep_mask |= 1 << i
-        out = set()
-        for m in self.family:
-            if m & ~keep_mask:
-                continue
-            packed = 0
-            for k, i in enumerate(positions):
-                if (m >> i) & 1:
-                    packed |= 1 << k
-            out.add(packed)
-        return SetSystem(tuple(keep_list), frozenset(out))
+        keep_mask = sum(1 << i for i in positions)
+        out = frozenset(gather(m, positions) for m in self.family if not m & ~keep_mask)
+        return SetSystem(tuple(keep_list), out)
 
     def delete(self, x: Iterable[str]) -> "SetSystem":
         """Restriction to the complement; possibly improper, never an error."""
@@ -252,15 +228,6 @@ def vertex_flip_sequence(
     return d
 
 
-@lru_cache(maxsize=None)
-def _coord_masks(n: int) -> tuple[tuple[int, int], ...]:
-    """(ZERO_i, ONE_i) for i < n: the 2^n-bit family masks of the subsets
-    avoiding i and of those containing i."""
-    full = (1 << (1 << n)) - 1
-    zeros = [full // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1) for i in range(n)]
-    return tuple((zero, full ^ zero) for zero in zeros)
-
-
 def satisfies_exchange_axiom(d: SetSystem) -> bool:
     """The symmetric exchange axiom, exactly, in O(|F| n^2) word operations.
 
@@ -269,7 +236,7 @@ def satisfies_exchange_axiom(d: SetSystem) -> bool:
     agrees with x on T."""
     fam = d.family
     bits = sum(1 << m for m in fam)
-    masks = _coord_masks(d.n)
+    masks = coord_masks(d.n)
     for x in fam:
         for u, (zero_u, one_u) in enumerate(masks):
             xu = x ^ (1 << u)
@@ -305,8 +272,10 @@ class DeltaMatroid(SetSystem):
 def from_graph(g: LoopedSimpleGraph) -> DeltaMatroid:
     """Subsets of V(g) whose induced adjacency submatrix is nonsingular."""
     _check_ground_gate(g.n)
-    nullities = principal_nullities(g.adj)
-    return DeltaMatroid(g.labels, frozenset(s for s, nu in enumerate(nullities) if nu == 0))
+    bits = (1 << (1 << g.n)) - 1
+    for plane, (zero, _) in zip(principal_planes(g.adj), coord_masks(g.n)):
+        bits &= plane | zero
+    return DeltaMatroid(g.labels, frozenset(set_bits(bits)))
 
 
 def to_graph(d: SetSystem) -> LoopedSimpleGraph:

@@ -4,12 +4,18 @@ Vectors are Python ints used as bitmasks (bit i = coordinate i); matrices
 are tuples of row masks.  A subspace keeps its basis as a tuple of row
 masks in canonical reduced row-echelon form, so that equality of subspaces
 is plain ``==``.
+
+Every scan over the 2^n subsets S of n coordinates is one bit-sliced
+elimination: each matrix entry is a 2^n-bit int with bit S the entry of
+matrix S, and the result is one pivot plane per row, set at S iff that row
+is a pivot row of matrix S.  rank(S) is the number of planes set at S.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 # Exhaustive enumerations (all vectors of a space / subspace) refuse to run
@@ -54,6 +60,20 @@ def rref_masks(vectors: Iterable[int]) -> tuple[int, ...]:
     return tuple(by_pivot[p] for p in sorted(by_pivot))
 
 
+def gather(v: int, positions: Sequence[int]) -> int:
+    """Bit k of the result is bit positions[k] of v."""
+    out = 0
+    for k, p in enumerate(positions):
+        if (v >> p) & 1:
+            out |= 1 << k
+    return out
+
+
+def scatter(v: int, positions: Sequence[int]) -> int:
+    """Bit positions[k] of the result is bit k of v."""
+    return sum(((v >> k) & 1) << p for k, p in enumerate(positions))
+
+
 def reduce_mask(v: int, basis: Sequence[int]) -> int:
     """Reduce v against RREF basis rows; zero iff v is in their span."""
     for b in basis:
@@ -92,11 +112,9 @@ class BitMatrix:
     def from_rows(cls, entries: Sequence[Sequence[int]], cols: int | None = None) -> "BitMatrix":
         if cols is None:
             cols = len(entries[0]) if entries else 0
-        masks = []
-        for row in entries:
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            masks.append(sum((e & 1) << j for j, e in enumerate(row)))
+        if any(len(row) != cols for row in entries):
+            raise ValueError("ragged rows")
+        masks = (sum((e & 1) << j for j, e in enumerate(row)) for row in entries)
         return cls(len(entries), cols, tuple(masks))
 
     def entry(self, i: int, j: int) -> int:
@@ -213,14 +231,7 @@ class Subspace:
         """Rename coordinates: old coordinate i becomes new_position[i]."""
         if sorted(new_position) != list(range(self.ambient_dim)):
             raise ValueError("not a permutation of the coordinates")
-        moved = []
-        for v in self.basis:
-            w = 0
-            for i in range(self.ambient_dim):
-                if (v >> i) & 1:
-                    w |= 1 << new_position[i]
-            moved.append(w)
-        return Subspace.span(self.ambient_dim, moved)
+        return Subspace.span(self.ambient_dim, (scatter(v, new_position) for v in self.basis))
 
 
 def nullspace(m: BitMatrix) -> Subspace:
@@ -253,45 +264,104 @@ def principal_submatrix(a: BitMatrix, s: Iterable[int]) -> BitMatrix:
     for i in idx:
         if not 0 <= i < a.cols:
             raise ValueError(f"index {i} out of range")
-    out = []
-    for i in idx:
-        row = 0
-        for k, j in enumerate(idx):
-            if (a.data[i] >> j) & 1:
-                row |= 1 << k
-        out.append(row)
-    return BitMatrix(len(idx), len(idx), tuple(out))
+    return BitMatrix(len(idx), len(idx), tuple(gather(a.data[i], idx) for i in idx))
 
 
-def principal_nullities(a: BitMatrix) -> list[int]:
-    """The nullity of a[S, S] for every coordinate mask S, indexed by S; each
-    principal submatrix is eliminated with its columns left in place."""
-    if a.rows != a.cols:
-        raise ValueError("principal submatrices need a square matrix")
-    n = a.cols
-    check_enum_gate(n, "principal nullity scan")
-    out = []
-    for mask in range(1 << n):
-        rows = [a.data[i] & mask for i in range(n) if (mask >> i) & 1]
-        out.append(len(rows) - len(rref_masks(rows)))
+@lru_cache(maxsize=None)
+def coord_masks(n: int) -> tuple[tuple[int, int], ...]:
+    """(ZERO_i, ONE_i) for i < n: the 2^n-bit masks of the subsets avoiding i
+    and of those containing i."""
+    full = (1 << (1 << n)) - 1
+    zeros = [full // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1) for i in range(n)]
+    return tuple((zero, full ^ zero) for zero in zeros)
+
+
+def set_bits(x: int) -> list[int]:
+    """The positions of the set bits of x, ascending: a family's members."""
+    return [i for i, c in enumerate(bin(x)[:1:-1]) if c == "1"]
+
+
+def count_masks(planes: Sequence[int], n: int) -> list[int]:
+    """Entry c has bit S set iff exactly c of the 2^n-bit planes are set at S:
+    a bit-sliced counter holding one 2^n-bit mask per count."""
+    out = [(1 << (1 << n)) - 1]
+    for p in planes:
+        out = [(x & ~p) | (y & p) for x, y in zip(out + [0], [0] + out)]
     return out
 
 
-def subset_nullities(w: Subspace) -> list[int]:
-    """The dimension of w restricted to S for every coordinate mask S, indexed
-    by S: mark the members of w, then sum over subsets one coordinate at a
-    time (n 2^(n-1) additions), so that entry S counts the members inside S."""
-    n = w.ambient_dim
-    check_enum_gate(n, "subset nullity scan")
-    counts = [0] * (1 << n)
-    for v in w.vectors():
-        counts[v] = 1
-    for i in range(n):
-        b = 1 << i
-        for s in range(1 << n):
-            if s & b:
-                counts[s] += counts[s ^ b]
-    return [c.bit_length() - 1 for c in counts]
+@lru_cache(maxsize=None)
+def size_masks(n: int) -> tuple[int, ...]:
+    """Entry c is the 2^n-bit mask of the subsets of size c."""
+    return tuple(count_masks([one for _, one in coord_masks(n)], n))
+
+
+def tally_planes(planes: Sequence[int], n: int) -> dict[tuple[int, int], int]:
+    """The number of subsets S with |S| = size at which exactly c planes are
+    set, keyed by (size, c), for the nonzero numbers."""
+    at_count = count_masks(planes, n)
+    return {
+        (s, c): k
+        for s, at_s in enumerate(size_masks(n))
+        for c, at_c in enumerate(at_count)
+        if (k := popcount(at_s & at_c))
+    }
+
+
+def subset_pivot_planes(rows: list[list[int]], n: int) -> list[int]:
+    """Gaussian elimination of 2^n matrices at once, one bit per subset S:
+    rows[i][k] holds entry (i, k) of every matrix as a 2^n-bit int.  Returns
+    one pivot plane per row, set at S iff the row is a pivot row of matrix S,
+    so rank(S) is the number of planes set at S.  Per column, each S picks
+    its first free row with a 1 there; columns are eliminated last first and
+    popped once eliminated, so rows is consumed."""
+    full = (1 << (1 << n)) - 1
+    free = [full] * len(rows)
+    while rows and rows[0]:
+        col = [row.pop() for row in rows]
+        pivot = [0] * len(rows[0])
+        unseen = full
+        for i, e in enumerate(col):
+            pick = e & free[i] & unseen
+            if pick:
+                unseen ^= pick
+                free[i] ^= pick
+                for j, x in enumerate(rows[i]):
+                    if x:
+                        pivot[j] ^= pick & x
+        for i, e in enumerate(col):
+            rest = e & free[i]
+            if rest:
+                row = rows[i]
+                for j, p in enumerate(pivot):
+                    if p:
+                        row[j] ^= rest & p
+    return [full ^ f for f in free]
+
+
+def principal_planes(a: BitMatrix) -> list[int]:
+    """Pivot planes of every principal submatrix a[S, S]: entry (i, k) is
+    ONE_i & ONE_k where a has a 1."""
+    if a.rows != a.cols:
+        raise ValueError("principal submatrices need a square matrix")
+    check_enum_gate(a.cols, "principal submatrix scan")
+    masks = coord_masks(a.cols)
+    return subset_pivot_planes([
+        [one_i & one_k if (r >> k) & 1 else 0 for k, (_, one_k) in enumerate(masks)]
+        for r, (_, one_i) in zip(a.data, masks)
+    ], a.cols)
+
+
+def column_masked_planes(w: Subspace) -> list[int]:
+    """Pivot planes of w's basis on the columns outside S, for every S: entry
+    (i, k) is ZERO_k where basis row i has bit k.  So w meets GF(2)^S in
+    dimension w.dim minus the number of planes set at S."""
+    check_enum_gate(w.ambient_dim, "column-masked subset scan")
+    masks = coord_masks(w.ambient_dim)
+    return subset_pivot_planes([
+        [zero_k if (v >> k) & 1 else 0 for k, (zero_k, _) in enumerate(masks)]
+        for v in w.basis
+    ], w.ambient_dim)
 
 
 def symmetrize_nullspace(a: BitMatrix) -> BitMatrix:
@@ -313,31 +383,16 @@ def symmetrize_nullspace(a: BitMatrix) -> BitMatrix:
     free = [j for j in range(n) if j not in set(pivots)]
     order = pivots + free  # column j of the permuted matrix is column order[j] of a
     # C'' as r rows over the free columns
-    cpp = []
-    for v in rows:
-        row = 0
-        for k, j in enumerate(free):
-            if (v >> j) & 1:
-                row |= 1 << k
-        cpp.append(row)
-    f = len(free)
-    cpp_t = [sum(((cpp[i] >> k) & 1) << i for i in range(r)) for k in range(f)]
+    cpp = [gather(v, free) for v in rows]
+    cpp_t = [sum(((c >> k) & 1) << i for i, c in enumerate(cpp)) for k in range(len(free))]
     # B' = [[I_r, C''], [C''^T, C''^T C'']] in permuted coordinates
-    bp = []
-    for i in range(r):
-        bp.append((1 << i) | (cpp[i] << r))
-    for k in range(f):
-        prod = 0
-        for kk in range(f):
-            if parity(cpp_t[k] & cpp_t[kk]):
-                prod |= 1 << kk
-        bp.append(cpp_t[k] | (prod << r))
+    bp = [(1 << i) | (c << r) for i, c in enumerate(cpp)]
+    for c in cpp_t:
+        bp.append(c | (sum(parity(c & d) << k for k, d in enumerate(cpp_t)) << r))
     # undo the permutation: entry (order[i], order[j]) of B is entry (i, j) of B'
     out = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if (bp[i] >> j) & 1:
-                out[order[i]] |= 1 << order[j]
+    for i, row in enumerate(bp):
+        out[order[i]] = scatter(row, order)
     return BitMatrix(n, n, tuple(out))
 
 
@@ -354,13 +409,8 @@ def all_subspaces(ambient_dim: int) -> Iterator[Subspace]:
             ]
             total = sum(len(s) for s in free_slots)
             for fill in range(1 << total):
-                rows = []
-                pos = 0
+                rows, rest = [], fill
                 for p, slots in zip(pivots, free_slots):
-                    row = 1 << p
-                    for j in slots:
-                        if (fill >> pos) & 1:
-                            row |= 1 << j
-                        pos += 1
-                    rows.append(row)
+                    rows.append((1 << p) | scatter(rest, slots))
+                    rest >>= len(slots)
                 yield Subspace(n, tuple(rows))

@@ -90,12 +90,10 @@ class LoopedSimpleGraph:
 
     def edge_pairs(self) -> tuple[tuple[str, str], ...]:
         """Non-loop edges as label pairs, in index order."""
-        out = []
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if self.adj.entry(i, j):
-                    out.append((self.labels[i], self.labels[j]))
-        return tuple(out)
+        n, labels = self.n, self.labels
+        return tuple(
+            (labels[i], labels[j]) for i in range(n) for j in range(i + 1, n) if self.adj.entry(i, j)
+        )
 
     def local_complement(self, v: str) -> "LoopedSimpleGraph":
         """Toggle loops of v's neighbors and adjacency between distinct neighbors."""
@@ -242,14 +240,8 @@ class MultiGraph:
 def as_multigraph(g: LoopedSimpleGraph | MultiGraph) -> MultiGraph:
     if isinstance(g, MultiGraph):
         return g
-    edges: list[tuple[int, int]] = []
-    for i in range(g.n):
-        if g.adj.entry(i, i):
-            edges.append((i, i))
-        for j in range(i + 1, g.n):
-            if g.adj.entry(i, j):
-                edges.append((i, j))
-    return MultiGraph(g.labels, tuple(edges))
+    edges = tuple((i, j) for i in range(g.n) for j in range(i, g.n) if g.adj.entry(i, j))
+    return MultiGraph(g.labels, edges)
 
 
 def reconstruct_from_nullity_oracle(
@@ -350,14 +342,10 @@ def graph_isomorphism(
     if profile(g) != profile(h):
         return None
     for perm in itertools.permutations(range(h.n)):
-        ok = True
-        for i in range(g.n):
-            for j in range(i, g.n):
-                if g.adj.entry(i, j) != h.adj.entry(perm[i], perm[j]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if all(
+            g.adj.entry(i, j) == h.adj.entry(perm[i], perm[j])
+            for i in range(g.n)
+            for j in range(i, g.n)
+        ):
             return {g.labels[i]: h.labels[perm[i]] for i in range(g.n)}
     return None

@@ -2,9 +2,11 @@
 matroid polynomial evaluators.
 
 A subset expansion is a sum of (x-1)^a (y-1)^b terms, one per subset.  The
-(a, b) pairs are tallied first and each distinct pair is expanded once by
-binomial convolution, weighted by its count; the recursive evaluators must
-agree with the subset expansions exactly.
+subset expansions read the ranks from the pivot planes of one bit-sliced
+elimination over all subsets and count each (|S|, rank) pair with one
+popcount; each distinct (a, b) pair is then expanded once by binomial
+convolution, weighted by its count.  The recursive evaluators and the
+induced-matroid route never touch the planes, and must agree exactly.
 """
 
 from __future__ import annotations
@@ -12,11 +14,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .adjacency_matroid import adjacency_matroid
 from .binary_matroid import BinaryMatroid
-from .gf2 import check_enum_gate, popcount, principal_nullities, subset_nullities
+from .gf2 import check_enum_gate, column_masked_planes, principal_planes, tally_planes
 from .graph import LoopedSimpleGraph
 
 
@@ -54,10 +56,7 @@ class BivariatePolynomial:
         return cls.from_dict({(i, j): c})
 
     def coefficient(self, i: int, j: int) -> int:
-        for a, b, c in self.terms:
-            if (a, b) == (i, j):
-                return c
-        return 0
+        return next((c for a, b, c in self.terms if (a, b) == (i, j)), 0)
 
     def __add__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
         out: dict[tuple[int, int], int] = {}
@@ -115,14 +114,14 @@ Y = BivariatePolynomial.monomial(0, 1)
 
 def shifted_power_term(a: int, b: int) -> BivariatePolynomial:
     """(x-1)^a (y-1)^b expanded over the integers."""
-    return _expand([(a, b)])
+    return _expand({(a, b): 1})
 
 
-def _expand(pairs: Iterable[tuple[int, int]]) -> BivariatePolynomial:
-    """Sum of (x-1)^a (y-1)^b over the (a, b) pairs: the pairs are tallied and
-    each distinct pair is expanded once, weighted by its count."""
+def _expand(counts: Mapping[tuple[int, int], int]) -> BivariatePolynomial:
+    """Sum of count (x-1)^a (y-1)^b over the tallied (a, b) pairs: each
+    distinct pair is expanded once, weighted by its count."""
     out: dict[tuple[int, int], int] = {}
-    for (a, b), count in Counter(pairs).items():
+    for (a, b), count in counts.items():
         for i in range(a + 1):
             ci = count * comb(a, i) * (-1) ** (a - i)
             for j in range(b + 1):
@@ -131,10 +130,10 @@ def _expand(pairs: Iterable[tuple[int, int]]) -> BivariatePolynomial:
 
 
 def interlace_subset(g: LoopedSimpleGraph) -> BivariatePolynomial:
-    """Sum over vertex subsets of (x-1)^(|S|-nu) (y-1)^nu, nu the nullity of
-    the induced adjacency submatrix."""
-    nullities = principal_nullities(g.adj)
-    return _expand((popcount(s) - nu, nu) for s, nu in enumerate(nullities))
+    """Sum over vertex subsets of (x-1)^r (y-1)^(|S|-r), r the rank of the
+    induced adjacency submatrix: the number of principal planes set at S."""
+    tally = tally_planes(principal_planes(g.adj), g.n)
+    return _expand({(r, size - r): k for (size, r), k in tally.items()})
 
 
 def interlace_recursive(g: LoopedSimpleGraph) -> BivariatePolynomial:
@@ -177,10 +176,11 @@ def interlace_recursive(g: LoopedSimpleGraph) -> BivariatePolynomial:
 
 def tutte_subset(m: BinaryMatroid) -> BivariatePolynomial:
     """Rank generating subset expansion of the Tutte polynomial, with
-    r(S) = |S| - nu(S) read from the cycle space met with each GF(2)^S."""
-    full_rank = m.rank
-    nullities = subset_nullities(m.cycle_space)
-    return _expand((full_rank - popcount(s) + nu, nu) for s, nu in enumerate(nullities))
+    r(S) = |S| - nu(S) and nu(S) = nullity - c, c the number of column-masked
+    cycle-space planes set at S."""
+    tally = tally_planes(column_masked_planes(m.cycle_space), m.size)
+    d = m.nullity
+    return _expand({(m.rank - size + d - c, d - c): k for (size, c), k in tally.items()})
 
 
 def tutte_recursive(m: BinaryMatroid) -> BivariatePolynomial:
@@ -227,9 +227,9 @@ def _induced_pairs(g: LoopedSimpleGraph, required: int) -> Iterator[tuple[int, i
 def q_from_lambda(g: LoopedSimpleGraph) -> BivariatePolynomial:
     """Interlace polynomial assembled from the leading Tutte terms of the
     induced subgraph matroids, each contributing (x-1)^(|S|-nu) (y-1)^nu."""
-    return _expand(_induced_pairs(g, 0))
+    return _expand(Counter(_induced_pairs(g, 0)))
 
 
 def interlace_vertex_terms(g: LoopedSimpleGraph, v: str) -> BivariatePolynomial:
     """The part of the subset expansion ranging over subsets containing v."""
-    return _expand(_induced_pairs(g, 1 << g.index(v)))
+    return _expand(Counter(_induced_pairs(g, 1 << g.index(v))))

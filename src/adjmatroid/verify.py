@@ -206,13 +206,7 @@ def _matroid_kernel_checks(rec: Recorder, max_n: int, trials: int, seed: int) ->
 
     for t in range(max(trials, 200)):
         n = rng.randrange(8)
-        rows = [0] * n
-        for i in range(n):
-            for j in range(i, n):
-                if rng.random() < 0.5:
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-        a = BitMatrix(n, n, tuple(rows))
+        a = random_looped_simple_graph(rng, n).adj
         r = rank(a)
         witness = f"symmetric {n}x{n} rows={a.data}"
         with rec.check("principal-minor-rank-criterion", witness):

@@ -15,7 +15,7 @@ from adjmatroid.binary_matroid import (
     single_loop,
     triple_circuit,
 )
-from adjmatroid.gf2 import BitMatrix, Subspace
+from adjmatroid.gf2 import BitMatrix, Subspace, all_subspaces
 from adjmatroid.graph import LoopedSimpleGraph, MultiGraph
 
 A_K3 = BitMatrix.from_rows([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
@@ -225,6 +225,20 @@ def test_bases_equicardinal_with_rank():
         m = BinaryMatroid.from_subspace(w, tuple(f"v{i}" for i in range(n)))
         for b in m.bases():
             assert len(b) == m.rank
+
+
+def test_bases_and_independent_sets_on_every_small_subspace():
+    checked = 0
+    for n in range(5):
+        for w in all_subspaces(n):
+            m = BinaryMatroid.from_subspace(w, tuple(f"v{i}" for i in range(n)))
+            independent = [s for s in range(1 << n) if w.restricted_to(s).dim == 0]
+            assert list(m.independent_masks()) == independent
+            bases = m.bases()
+            assert bases and all(len(b) == m.rank for b in bases)
+            assert bases == {b for b in m.independent_sets() if len(b) == m.rank}
+            checked += 1
+    assert checked == 91
 
 
 def test_minor_duality_exchange():

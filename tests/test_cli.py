@@ -195,6 +195,15 @@ def test_verify_small_run(capsys):
     assert all(r["failures"] == [] for r in data)
 
 
+def test_verify_rejects_negative_sizes(capsys):
+    for flag in ("--max-n", "--trials"):
+        code, out, err = run(capsys, "verify", "--suite", "poly", flag, "-1")
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith(f"error: {flag} must be at least 0")
+    code, _, _ = run(capsys, "verify", "--suite", "poly", "--max-n", "0", "--trials", "0")
+    assert code == 0
+
+
 def test_verify_rejects_unknown_suite(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--suite", "nope"])

@@ -223,6 +223,6 @@ def test_from_graph_checks_the_gate_before_scanning(monkeypatch):
     def scan(_):
         raise AssertionError("from_graph scanned a graph over the ground gate")
 
-    monkeypatch.setattr(dm, "principal_nullities", scan)
+    monkeypatch.setattr(dm, "principal_planes", scan)
     with pytest.raises(ValueError):
         dm.from_graph(LoopedSimpleGraph.build(tuple(f"v{i}" for i in range(17))))

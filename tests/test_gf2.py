@@ -13,17 +13,22 @@ from adjmatroid.gf2 import (
     BitMatrix,
     Subspace,
     all_subspaces,
+    column_masked_planes,
+    count_masks,
+    gather,
     nullity,
     nullspace,
     orthogonal_complement,
     popcount,
-    principal_nullities,
+    principal_planes,
     principal_submatrix,
     rank,
     rref_masks,
-    subset_nullities,
+    scatter,
+    set_bits,
     symmetrize_nullspace,
 )
+from adjmatroid import gf2
 from adjmatroid.graph import all_looped_simple_graphs, random_looped_simple_graph
 
 A_K3 = BitMatrix.from_rows([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
@@ -118,36 +123,77 @@ def test_principal_submatrix():
         principal_submatrix(BitMatrix.zero(2, 3), [0])
 
 
+def planes_at(planes, mask):
+    """The number of planes set at subset mask."""
+    return sum((p >> mask) & 1 for p in planes)
+
+
 def test_principal_nullities_match_submatrix_nullity():
     rng = random.Random(5)
-    graphs = [g for n in range(4) for g in all_looped_simple_graphs(n)]
-    graphs += [random_looped_simple_graph(rng, n) for n in (6, 7, 8) for _ in range(3)]
-    assert len(graphs) == 75 + 9
+    graphs = [g for n in range(5) for g in all_looped_simple_graphs(n)]
+    graphs += [random_looped_simple_graph(rng, n) for n in range(5, 11) for _ in range(3)]
+    assert len(graphs) == 75 + 1024 + 18
     for g in graphs:
-        nullities = principal_nullities(g.adj)
-        assert len(nullities) == 1 << g.n
-        for mask, nu in enumerate(nullities):
+        planes = principal_planes(g.adj)
+        assert len(planes) == g.n
+        # row i can only be a pivot row of the subsets containing i
+        assert all((s >> i) & 1 for i, p in enumerate(planes) for s in set_bits(p))
+        for mask in range(1 << g.n):
             idx = [i for i in range(g.n) if (mask >> i) & 1]
-            assert nu == nullity(principal_submatrix(g.adj, idx))
+            assert len(idx) - planes_at(planes, mask) == nullity(principal_submatrix(g.adj, idx))
 
 
 def test_subset_nullities_match_restriction():
-    checked = 0
-    for n in range(5):
-        for w in all_subspaces(n):
-            nullities = subset_nullities(w)
-            assert nullities == [w.restricted_to(mask).dim for mask in range(1 << n)]
-            checked += 1
-    assert checked == 1 + 2 + 5 + 16 + 67
+    rng = random.Random(6)
+    spaces = [w for n in range(5) for w in all_subspaces(n)]
+    assert len(spaces) == 1 + 2 + 5 + 16 + 67
+    for n in range(5, 11):
+        for k in range(n + 1):
+            spaces.append(Subspace.span(n, [rng.randrange(1 << n) for _ in range(k)]))
+    for w in spaces:
+        planes = column_masked_planes(w)
+        assert len(planes) == w.dim
+        for mask in range(1 << w.ambient_dim):
+            assert w.dim - planes_at(planes, mask) == w.restricted_to(mask).dim
 
 
-def test_subset_kernels_refuse_above_the_gate():
+def test_count_masks_and_set_bits():
+    rng = random.Random(8)
+    for n in range(6):
+        for k in range(9):
+            planes = [rng.randrange(1 << (1 << n)) for _ in range(k)]
+            at_count = count_masks(planes, n)
+            for mask in range(1 << n):
+                expected = [int(c == planes_at(planes, mask)) for c in range(k + 1)]
+                assert [(m >> mask) & 1 for m in at_count] == expected
+    assert set_bits(0) == []
+    assert set_bits(0b101001) == [0, 3, 5]
+
+
+def test_gather_and_scatter():
+    assert gather(0b101100, [5, 2, 0, 3]) == 0b1011
+    assert scatter(0b1011, [5, 2, 0, 3]) == 0b101100
+    rng = random.Random(9)
+    for _ in range(100):
+        positions = rng.sample(range(10), rng.randrange(11))
+        v = rng.randrange(1 << len(positions))
+        assert gather(scatter(v, positions), positions) == v
+
+
+def test_subset_kernels_refuse_above_the_gate(monkeypatch):
+    # the gate comes before any 2^n-bit mask is built
+    def masks(_):
+        raise AssertionError("a subset kernel built masks above the gate")
+
+    monkeypatch.setattr(gf2, "coord_masks", masks)
+    for w in (Subspace.zero(21), Subspace.full(21)):
+        with pytest.raises(ValueError):
+            column_masked_planes(w)
+    for a in (BitMatrix.zero(21, 21), BitMatrix.identity(21)):
+        with pytest.raises(ValueError):
+            principal_planes(a)
     with pytest.raises(ValueError):
-        principal_nullities(BitMatrix.zero(21, 21))
-    with pytest.raises(ValueError):
-        subset_nullities(Subspace.zero(21))
-    with pytest.raises(ValueError):
-        principal_nullities(BitMatrix.zero(2, 3))
+        principal_planes(BitMatrix.zero(2, 3))
 
 
 def test_rank_nullity_additivity():

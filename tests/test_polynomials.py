@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from adjmatroid import gf2
 from adjmatroid.adjacency_matroid import adjacency_matroid
 from adjmatroid.binary_matroid import (
     all_loops_matroid,
@@ -111,6 +112,40 @@ def test_evaluators_agree_random_medium():
         g = random_looped_simple_graph(rng, rng.randrange(5, 8))
         q = interlace_subset(g)
         assert q == interlace_recursive(g) == q_from_lambda(g)
+
+
+def test_oracle_routes_never_call_the_subset_kernel(monkeypatch):
+    rng = random.Random(37)
+    graphs = [random_looped_simple_graph(rng, n) for n in range(1, 7)]
+    expected = [(interlace_subset(g), tutte_subset(adjacency_matroid(g))) for g in graphs]
+
+    def kernel(*_):
+        raise AssertionError("the subset kernel was called")
+
+    monkeypatch.setattr(gf2, "subset_pivot_planes", kernel)
+    with pytest.raises(AssertionError):
+        interlace_subset(K3)
+    with pytest.raises(AssertionError):
+        tutte_subset(adjacency_matroid(K3))
+    for g, (q, t) in zip(graphs, expected):
+        assert q_from_lambda(g) == interlace_recursive(g) == q
+        v = g.labels[0]
+        assert interlace_vertex_terms(g, v) == q - interlace_recursive(g.minus(v))
+        assert tutte_recursive(adjacency_matroid(g)) == t
+
+
+def test_subset_expansions_match_recursions_seeded():
+    rng = random.Random(41)
+    for n in range(5, 11):
+        labels = tuple(f"v{i}" for i in range(n))
+        looped = LoopedSimpleGraph.build(labels, loops=labels)
+        for g in (random_looped_simple_graph(rng, n), looped):
+            assert interlace_subset(g) == interlace_recursive(g)
+            m = adjacency_matroid(g)
+            assert tutte_subset(m) == tutte_recursive(m)
+        assert adjacency_matroid(looped).nullity == 0
+        for m in (free_matroid(labels), all_loops_matroid(labels)):
+            assert tutte_subset(m) == tutte_recursive(m)
 
 
 def test_vertex_terms_identity():
