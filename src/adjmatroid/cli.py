@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .adjacency_matroid import adjacency_matroid, contract_via_lc, trio, tripartition_report
 from .binary_matroid import BinaryMatroid
@@ -241,8 +242,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 2 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one error line and exit 1, like every other error."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="adjmatroid",
         description=(
             "Looped graphs, their adjacency matroids, delta-matroids, "
@@ -287,7 +295,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout: stop quietly, and point stdout at devnull
+        # so the interpreter's final flush does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:  # GraphParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1

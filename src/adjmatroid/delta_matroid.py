@@ -1,21 +1,24 @@
 """Set systems and delta-matroids over small ground sets.
 
-Families are frozensets of bitmasks.  The vertex flips and the exchange
-check work on the family as a 2^n-bit int (bit m set iff mask m is a member):
-in coordinate v, pivot swaps the bit blocks of the subsets without and with v,
-loop complement and dual pivot are the GF(2) subset and superset zeta
-transforms.  Graphs embed as the family of vertex subsets inducing a
-nonsingular adjacency submatrix: S is a member iff every vertex of S owns a
-pivot plane of the bit-sliced elimination at S.
+A family is one 2^n-bit int (bit m set iff mask m is a member), and each
+transform is a few word operations on it.  In coordinate v, pivot swaps the
+bit blocks of the subsets without and with v, loop complement and dual pivot
+are the GF(2) subset and superset zeta transforms, and min (max) drops what
+the family reaches by shifting up (down) one coordinate at a time.  Graphs
+embed as the subsets S inducing a nonsingular adjacency submatrix: every
+vertex of S owns a pivot plane of the bit-sliced elimination at S.  Bouchet
+("Representability of delta-matroids", 1987) proved that this family meets
+the exchange axiom, so from_graph does not check it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
-from .gf2 import coord_masks, gather, popcount, principal_planes, set_bits
+from .gf2 import coord_masks, gather, principal_planes, set_bits, size_masks
 from .graph import LoopedSimpleGraph
 
 GROUND_GATE = 16
@@ -30,36 +33,39 @@ def _check_ground_gate(n: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class SetSystem:
-    """A ground set plus a family of subsets stored as bitmasks."""
+    """A ground set plus a family of subsets, bit m of bits set iff mask m is a member."""
 
     ground: tuple[str, ...]
-    family: frozenset[int]
+    bits: int
 
     def __eq__(self, other: object) -> bool:
         # structural equality, shared across subclasses
         if not isinstance(other, SetSystem):
             return NotImplemented
-        return self.ground == other.ground and self.family == other.family
+        return self.ground == other.ground and self.bits == other.bits
 
     def __hash__(self) -> int:
-        return hash((self.ground, self.family))
+        return hash((self.ground, self.bits))
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ground", tuple(self.ground))
         if len(set(self.ground)) != len(self.ground):
             raise ValueError("duplicate ground labels")
         _check_ground_gate(len(self.ground))
-        limit = 1 << len(self.ground)
-        for m in self.family:
-            if not 0 <= m < limit:
-                raise ValueError("family member outside the ground set")
+        if self.bits < 0 or self.bits.bit_length() > 1 << len(self.ground):
+            raise ValueError("family member outside the ground set")
 
     @classmethod
     def from_sets(
         cls, ground: Sequence[str], sets: Iterable[Iterable[str]]
     ) -> "SetSystem":
-        empty = SetSystem(tuple(ground), frozenset())
-        return cls(empty.ground, frozenset(empty.mask_of(s) for s in sets))
+        empty = SetSystem(tuple(ground), 0)
+        return cls(empty.ground, sum({1 << empty.mask_of(s) for s in sets}))
+
+    @cached_property
+    def family(self) -> frozenset[int]:
+        """The members as bitmasks: a read-only view of bits."""
+        return frozenset(set_bits(self.bits))
 
     @property
     def n(self) -> int:
@@ -67,11 +73,11 @@ class SetSystem:
 
     @property
     def is_proper(self) -> bool:
-        return bool(self.family)
+        return self.bits != 0
 
     @property
     def is_normal(self) -> bool:
-        return 0 in self.family
+        return bool(self.bits & 1)
 
     def index(self, v: str) -> int:
         try:
@@ -94,28 +100,26 @@ class SetSystem:
         return tuple(sorted(sets, key=lambda s: (len(s), s)))
 
     def contains(self, s: Iterable[str]) -> bool:
-        return self.mask_of(s) in self.family
+        return bool((self.bits >> self.mask_of(s)) & 1)
 
     def is_coloop(self, v: str) -> bool:
         """v belongs to every member."""
-        i = self.index(v)
-        return all((m >> i) & 1 for m in self.family)
+        return not self.bits & coord_masks(self.n)[self.index(v)][0]
 
     def is_loop(self, v: str) -> bool:
         """v belongs to no member."""
-        i = self.index(v)
-        return not any((m >> i) & 1 for m in self.family)
+        return not self.bits & coord_masks(self.n)[self.index(v)][1]
 
     # vertex flips
 
     def _flip(self, x: Iterable[str], step: Callable[[int, int, int], int]) -> "SetSystem":
         """Apply a one-coordinate word operation once per distinct element of x."""
         xm = self.mask_of(x)
-        bits = sum(1 << m for m in self.family)
+        bits = self.bits
         for i, (zero, _) in enumerate(coord_masks(self.n)):
             if (xm >> i) & 1:
                 bits = step(bits, zero, 1 << i)
-        return SetSystem(self.ground, frozenset(set_bits(bits)))
+        return SetSystem(self.ground, bits)
 
     def pivot(self, x: Iterable[str]) -> "SetSystem":
         """Symmetric difference of every member with x."""
@@ -138,13 +142,10 @@ class SetSystem:
         """
         d = self
         for v in dict.fromkeys(x):
-            i = d.index(v)
-            vb = 1 << i
-            out = {m for m in d.family if not m & vb}
-            for w in range(1 << d.n):
-                if w & vb and ((w in d.family) != ((w & ~vb) in d.family)):
-                    out.add(w)
-            d = SetSystem(d.ground, frozenset(out))
+            vb = 1 << d.index(v)
+            fam = d.family
+            keep = (w for w in range(1 << d.n) if (w in fam) != (bool(w & vb) and (w ^ vb) in fam))
+            d = SetSystem(d.ground, sum(1 << w for w in keep))
         return d
 
     def dual_pivot_sequential(self, x: Iterable[str]) -> "SetSystem":
@@ -158,27 +159,32 @@ class SetSystem:
     # distance, min and max
 
     def distance(self, x: Iterable[str]) -> int:
+        """The least |m ^ x| over members m: the least member size after pivot(x)."""
         if not self.is_proper:
             raise ValueError("distance needs a proper set system")
-        xm = self.mask_of(x)
-        return min(popcount(m ^ xm) for m in self.family)
+        moved = self.pivot(x).bits
+        return next(c for c, at_c in enumerate(size_masks(self.n)) if moved & at_c)
+
+    def _extremal(self, which: str) -> "SetSystem":
+        """The members with no other member below them (min) or above them (max)."""
+        if not self.is_proper:
+            raise ValueError(f"{which} needs a proper set system")
+        closure, beyond = self.bits, 0
+        for i, (zero, one) in enumerate(coord_masks(self.n)):
+            step = (closure & zero) << (1 << i) if which == "min" else (closure & one) >> (1 << i)
+            beyond |= step
+            closure |= step
+        return SetSystem(self.ground, self.bits & ~beyond)
 
     def min_sys(self) -> "SetSystem":
-        if not self.is_proper:
-            raise ValueError("min needs a proper set system")
-        keep = (m for m in self.family if not any(z != m and z & ~m == 0 for z in self.family))
-        return SetSystem(self.ground, frozenset(keep))
+        return self._extremal("min")
 
     def max_sys(self) -> "SetSystem":
-        if not self.is_proper:
-            raise ValueError("max needs a proper set system")
-        keep = (m for m in self.family if not any(z != m and m & ~z == 0 for z in self.family))
-        return SetSystem(self.ground, frozenset(keep))
+        return self._extremal("max")
 
     @property
     def is_equicardinal(self) -> bool:
-        sizes = {popcount(m) for m in self.family}
-        return len(sizes) <= 1
+        return sum(1 for at_c in size_masks(self.n) if self.bits & at_c) <= 1
 
     # deletion and contraction
 
@@ -188,7 +194,7 @@ class SetSystem:
         keep_list = [v for v in self.ground if v in wanted]
         positions = [self.index(v) for v in keep_list]
         keep_mask = sum(1 << i for i in positions)
-        out = frozenset(gather(m, positions) for m in self.family if not m & ~keep_mask)
+        out = sum(1 << gather(m, positions) for m in set_bits(self.bits) if not m & ~keep_mask)
         return SetSystem(tuple(keep_list), out)
 
     def delete(self, x: Iterable[str]) -> "SetSystem":
@@ -203,13 +209,11 @@ class SetSystem:
 
     def tilde_minus(self, v: str) -> "SetSystem":
         """Members avoiding v, ground set unchanged."""
-        i = self.index(v)
-        return SetSystem(self.ground, frozenset(m for m in self.family if not (m >> i) & 1))
+        return SetSystem(self.ground, self.bits & coord_masks(self.n)[self.index(v)][0])
 
     def tilde_contract(self, v: str) -> "SetSystem":
         """Members containing v, ground set unchanged."""
-        i = self.index(v)
-        return SetSystem(self.ground, frozenset(m for m in self.family if (m >> i) & 1))
+        return SetSystem(self.ground, self.bits & coord_masks(self.n)[self.index(v)][1])
 
 
 def vertex_flip_sequence(
@@ -234,8 +238,7 @@ def satisfies_exchange_axiom(d: SetSystem) -> bool:
     With T the v != u such that x^{u, v} is in F, the axiom fails at x in F
     and u with x^{u} outside F iff some y in F differs from x at u and
     agrees with x on T."""
-    fam = d.family
-    bits = sum(1 << m for m in fam)
+    fam, bits = d.family, d.bits
     masks = coord_masks(d.n)
     for x in fam:
         for u, (zero_u, one_u) in enumerate(masks):
@@ -275,7 +278,11 @@ def from_graph(g: LoopedSimpleGraph) -> DeltaMatroid:
     bits = (1 << (1 << g.n)) - 1
     for plane, (zero, _) in zip(principal_planes(g.adj), coord_masks(g.n)):
         bits &= plane | zero
-    return DeltaMatroid(g.labels, frozenset(set_bits(bits)))
+    # Bouchet's theorem gives the exchange axiom: skip DeltaMatroid.__post_init__
+    d = object.__new__(DeltaMatroid)
+    object.__setattr__(d, "ground", g.labels)
+    object.__setattr__(d, "bits", bits)
+    return d
 
 
 def to_graph(d: SetSystem) -> LoopedSimpleGraph:
@@ -295,7 +302,7 @@ def to_graph(d: SetSystem) -> LoopedSimpleGraph:
             if d.contains([u, v]) != single:
                 edges.append((u, v))
     g = LoopedSimpleGraph.build(d.ground, edges, loops)
-    if frozenset(from_graph(g).family) != d.family:
+    if from_graph(g).bits != d.bits:
         raise ValueError("set system is not the encoding of any looped simple graph")
     return g
 
@@ -309,6 +316,5 @@ def max_as_matroid(d: SetSystem) -> frozenset[frozenset[str]]:
 
 
 def random_set_system(rng: random.Random, ground: Sequence[str], density: float = 0.3) -> SetSystem:
-    ground = tuple(ground)
-    family = {m for m in range(1 << len(ground)) if rng.random() < density}
-    return SetSystem(ground, frozenset(family))
+    bits = sum(1 << m for m in range(1 << len(ground)) if rng.random() < density)
+    return SetSystem(tuple(ground), bits)

@@ -26,11 +26,9 @@ class HalfEdgeGraph:
     graph: MultiGraph
 
     def __post_init__(self) -> None:
-        for i in range(self.graph.n):
-            if self.graph.degree(i) != 4:
-                raise ValueError(
-                    f"vertex {self.graph.labels[i]!r} has degree {self.graph.degree(i)}, need 4"
-                )
+        for i, d in enumerate(self.graph.degrees()):
+            if d != 4:
+                raise ValueError(f"vertex {self.graph.labels[i]!r} has degree {d}, need 4")
 
     @property
     def n(self) -> int:
@@ -374,8 +372,8 @@ def realize_touch_graph(g: LoopedSimpleGraph | MultiGraph) -> Realization:
     cannot be reached by any circuit and are rejected.
     """
     mg = as_multigraph(g)
-    for i in range(mg.n):
-        if mg.degree(i) == 0:
+    for i, d in enumerate(mg.degrees()):
+        if d == 0:
             raise ValueError(
                 f"vertex {mg.labels[i]!r} is isolated and unlooped, not realizable"
             )

@@ -132,7 +132,15 @@ class BitMatrix:
 
     @property
     def is_symmetric(self) -> bool:
-        return self.rows == self.cols and self.data == self.transpose().data
+        """Each set entry (i, j) has its mirror (j, i): one test per set entry."""
+        if self.rows != self.cols:
+            return False
+        for i, r in enumerate(self.data):
+            while r:
+                if not (self.data[(r & -r).bit_length() - 1] >> i) & 1:
+                    return False
+                r &= r - 1
+        return True
 
     def mul_mask(self, v: int) -> int:
         """Matrix-vector product; v and the result are bitmasks."""

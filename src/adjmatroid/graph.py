@@ -15,7 +15,6 @@ from typing import Callable, Iterable, Iterator, Literal, Sequence
 from .gf2 import BitMatrix, nullity, popcount, principal_submatrix
 
 VariantKind = Literal["plain", "loop", "loop_isolate"]
-PivotKind = Literal["pivot", "dual_pivot"]
 
 
 @dataclass(frozen=True)
@@ -136,18 +135,6 @@ class LoopedSimpleGraph:
             raise ValueError(f"unknown variant kind {kind!r}")
         return LoopedSimpleGraph(self.labels, BitMatrix(self.n, self.n, tuple(rows)))
 
-    def pivot_ops(self, v: str, kind: PivotKind) -> "LoopedSimpleGraph":
-        """Local complement restricted by loop status: pivot needs a looped v,
-        dual pivot an unlooped v."""
-        looped = self.is_looped(v)
-        if kind == "pivot" and not looped:
-            raise ValueError(f"pivot needs a looped vertex, {v!r} is unlooped")
-        if kind == "dual_pivot" and looped:
-            raise ValueError(f"dual pivot needs an unlooped vertex, {v!r} is looped")
-        if kind not in ("pivot", "dual_pivot"):
-            raise ValueError(f"unknown pivot kind {kind!r}")
-        return self.local_complement(v)
-
 
 @dataclass(frozen=True)
 class MultiGraph:
@@ -193,12 +180,13 @@ class MultiGraph:
     def n(self) -> int:
         return len(self.labels)
 
-    def degree(self, i: int) -> int:
-        """Incidences at vertex i; a loop counts twice."""
-        d = 0
+    def degrees(self) -> list[int]:
+        """Incidences at each vertex, in one pass; a loop counts twice."""
+        out = [0] * self.n
         for u, v in self.edges:
-            d += (u == i) + (v == i)
-        return d
+            out[u] += 1
+            out[v] += 1
+        return out
 
     def adjacency(self) -> BitMatrix:
         rows = [0] * self.n

@@ -209,6 +209,20 @@ def test_verify_rejects_unknown_suite(capsys):
         main(["verify", "--suite", "nope"])
 
 
+def test_usage_errors_print_one_line_and_exit_1(tmp_path, capsys):
+    path = write(tmp_path, "g", K3_TEXT)
+    for argv, words in (
+        (["info", "--input", path, "--bogus"], "unrecognized arguments: --bogus"),
+        (["verify", "--suite", "nope"], "invalid choice: 'nope'"),
+        ([], "required: command"),
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        out = capsys.readouterr()
+        assert exit_info.value.code == 1 and out.out == ""
+        assert out.err.count("\n") == 1 and out.err.startswith("error: ") and words in out.err
+
+
 def test_recorder_check_paths():
     rec = Recorder()
     with rec.check("clean", "w0"):
@@ -231,15 +245,34 @@ def test_public_names_resolve():
         assert getattr(adjmatroid, name) is not None, name
 
 
-def test_python_dash_m_runs_verify():
+def module_env():
+    """The environment for running this checkout as python -m adjmatroid."""
     src = str(Path(adjmatroid.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_python_dash_m_runs_verify():
     proc = subprocess.run(
         [sys.executable, "-m", "adjmatroid", "verify", "--suite", "fourreg", "--max-n", "1",
          "--trials", "1"],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=module_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert "ok   circuit-nullity-formula" in proc.stdout
     assert "FAIL" not in proc.stdout
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    # 14 looped isolated vertices: all 2^14 subsets are members, ~0.5 MB of
+    # output, far more than a pipe buffer holds
+    labels = [f"v{i}" for i in range(14)]
+    text = "vertices " + " ".join(labels) + "\n" + "".join(f"loop {v}\n" for v in labels)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "adjmatroid", "delta", "--input", write(tmp_path, "g", text)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=module_env(),
+    )
+    assert proc.stdout.readline() == b"{}\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1 and err == b""

@@ -6,6 +6,7 @@ import pytest
 
 from adjmatroid import delta_matroid as dm
 from adjmatroid.adjacency_matroid import adjacency_matroid
+from adjmatroid.gf2 import nullity, popcount, principal_submatrix
 from adjmatroid.graph import LoopedSimpleGraph, all_looped_simple_graphs, random_looped_simple_graph
 from adjmatroid.verify import (
     _dual_pivot_by_counting,
@@ -74,7 +75,7 @@ def test_word_flips_match_counting_rules():
 def test_dual_pivot_examples():
     d = sets("abc", ["a"], ["b"])
     assert d.dual_pivot([]) == d
-    power = dm.SetSystem("abc", frozenset(range(1, 8)))
+    power = dm.SetSystem("abc", 0b11111110)
     assert power.dual_pivot(list("abc")) == sets("abc", [], ["a", "b", "c"])
     # unlooped vertices complement through the dual pivot
     for v in K3.labels:
@@ -90,12 +91,10 @@ def test_distance_and_minmax():
     bases = dm.SetSystem.from_sets("abc", adjacency_matroid(K3).bases())
     assert bases.max_sys() == bases
     with pytest.raises(ValueError):
-        dm.SetSystem("ab", frozenset()).distance([])
+        dm.SetSystem("ab", 0).distance([])
 
 
 def test_distance_is_induced_nullity():
-    from adjmatroid.gf2 import nullity, principal_submatrix
-
     for g in all_looped_simple_graphs(3):
         d = dm.from_graph(g)
         for mask in range(1 << g.n):
@@ -136,15 +135,14 @@ def test_is_delta_matroid():
     assert not dm.is_delta_matroid(sets("abc", [], ["a", "b", "c"]))
     bases = dm.SetSystem.from_sets("abc", adjacency_matroid(K3L).bases())
     assert dm.is_delta_matroid(bases)
-    assert not dm.is_delta_matroid(dm.SetSystem("ab", frozenset()))
+    assert not dm.is_delta_matroid(dm.SetSystem("ab", 0))
 
 
 def test_exchange_check_matches_pairs_on_every_small_family():
     for n in range(4):
         ground = tuple(f"v{i}" for i in range(n))
         for packed in range(1 << (1 << n)):
-            family = frozenset(m for m in range(1 << n) if (packed >> m) & 1)
-            d = dm.SetSystem(ground, family)
+            d = dm.SetSystem(ground, packed)
             assert dm.satisfies_exchange_axiom(d) == _exchange_by_pairs(d)
             assert dm.is_delta_matroid(d) == _equicardinal_min_criterion(d)
 
@@ -155,16 +153,107 @@ def test_exchange_check_matches_pairs_on_pivoted_graph_encodings():
         g = random_looped_simple_graph(rng, rng.randrange(1, 8))
         d = dm.from_graph(g).pivot([v for v in g.labels if rng.random() < 0.5])
         assert dm.satisfies_exchange_axiom(d) and _exchange_by_pairs(d)
-        dropped = dm.SetSystem(d.ground, d.family - {rng.choice(sorted(d.family))})
+        dropped = dm.SetSystem(d.ground, d.bits ^ (1 << rng.choice(sorted(d.family))))
         assert dm.satisfies_exchange_axiom(dropped) == _exchange_by_pairs(dropped)
+
+
+def small_and_seeded_graphs(seed):
+    """Every looped simple graph with n <= 4, then seeded ones with n = 5-10."""
+    for n in range(5):
+        yield from all_looped_simple_graphs(n)
+    rng = random.Random(seed)
+    for n in range(5, 11):
+        for _ in range(3):
+            yield random_looped_simple_graph(rng, n)
+
+
+def test_exchange_axiom_holds_on_graph_encodings():
+    # Bouchet's theorem, which lets from_graph skip the check
+    for g in small_and_seeded_graphs(5):
+        assert dm.satisfies_exchange_axiom(dm.from_graph(g)), g
+
+
+def test_from_graph_never_runs_the_exchange_check(monkeypatch):
+    graphs = list(small_and_seeded_graphs(6))
+    encoded = [dm.from_graph(g) for g in graphs]
+
+    def check(_):
+        raise AssertionError("exchange check ran")
+
+    monkeypatch.setattr(dm, "satisfies_exchange_axiom", check)
+    for g, before in zip(graphs, encoded):
+        d = dm.from_graph(g)
+        assert type(d) is dm.DeltaMatroid and d == before
+        subsets = ([i for i in range(g.n) if (mask >> i) & 1] for mask in range(1 << g.n))
+        nonsingular = [nullity(principal_submatrix(g.adj, s)) == 0 for s in subsets]
+        assert d.bits == sum(1 << mask for mask, ok in enumerate(nonsingular) if ok)
+    with pytest.raises(AssertionError, match="exchange check ran"):
+        dm.DeltaMatroid("ab", 0b1111)
+
+
+def check_word_forms(d):
+    """Each word operation against its per-member or pairwise rule."""
+    fam, n = d.family, d.n
+    assert fam == {m for m in range(1 << n) if (d.bits >> m) & 1}
+    assert d.is_proper == bool(fam) and d.is_normal == (0 in fam)
+    assert d.is_equicardinal == (len({popcount(m) for m in fam}) <= 1)
+    if fam:
+        assert d.min_sys().family == {
+            m for m in fam if not any(z != m and z & ~m == 0 for z in fam)
+        }
+        assert d.max_sys().family == {
+            m for m in fam if not any(z != m and m & ~z == 0 for z in fam)
+        }
+    for x in range(1 << n):
+        labels = d.labels_of(x)
+        assert d.contains(labels) == (x in fam)
+        if fam:
+            assert d.distance(labels) == min(popcount(m ^ x) for m in fam)
+        positions = [i for i in range(n) if (x >> i) & 1]
+        kept = d.restrict(labels)
+        assert kept.ground == tuple(d.ground[i] for i in positions)
+        assert kept.family == {
+            sum(((m >> p) & 1) << k for k, p in enumerate(positions)) for m in fam if not m & ~x
+        }
+    for i, v in enumerate(d.ground):
+        assert d.is_loop(v) == (not any((m >> i) & 1 for m in fam))
+        assert d.is_coloop(v) == all((m >> i) & 1 for m in fam)
+        assert d.tilde_minus(v).family == {m for m in fam if not (m >> i) & 1}
+        assert d.tilde_contract(v).family == {m for m in fam if (m >> i) & 1}
+
+
+def test_word_forms_match_member_rules():
+    for n in range(4):
+        ground = tuple(f"v{i}" for i in range(n))
+        for packed in range(1 << (1 << n)):
+            check_word_forms(dm.SetSystem(ground, packed))
+    rng = random.Random(11)
+    for n in range(4, 7):
+        ground = tuple(f"v{i}" for i in range(n))
+        for _ in range(12):
+            check_word_forms(dm.random_set_system(rng, ground, rng.choice([0.05, 0.3, 0.7])))
+        for _ in range(4):
+            g = random_looped_simple_graph(rng, n)
+            check_word_forms(dm.from_graph(g).pivot(rng.sample(g.labels, rng.randrange(n))))
+
+
+def test_family_is_checked_and_read_only():
+    assert dm.SetSystem("ab", 0b1111).family == {0, 1, 2, 3}
+    for bits in (-1, 1 << 4):
+        with pytest.raises(ValueError):
+            dm.SetSystem("ab", bits)
+    d = dm.SetSystem("", 1)
+    assert d.member_sets() == ((),)
+    with pytest.raises(AttributeError):
+        d.family = frozenset()
 
 
 def test_delta_matroid_type_validates():
     with pytest.raises(ValueError):
-        dm.DeltaMatroid("abc", frozenset({0, 0b111}))
+        dm.DeltaMatroid("abc", 1 << 0 | 1 << 0b111)
     with pytest.raises(ValueError):
-        dm.DeltaMatroid("ab", frozenset())
-    ok = dm.DeltaMatroid("ab", frozenset({0, 0b01, 0b10, 0b11}))
+        dm.DeltaMatroid("ab", 0)
+    ok = dm.DeltaMatroid("ab", 0b1111)
     assert ok.is_normal
 
 
@@ -216,7 +305,7 @@ def test_max_deletion_counterexample_family():
 
 def test_ground_gate():
     with pytest.raises(ValueError):
-        dm.SetSystem(tuple(f"v{i}" for i in range(17)), frozenset())
+        dm.SetSystem(tuple(f"v{i}" for i in range(17)), 0)
 
 
 def test_from_graph_checks_the_gate_before_scanning(monkeypatch):

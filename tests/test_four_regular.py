@@ -88,8 +88,11 @@ def test_hierholzer_examples():
 
 
 def test_rejects_non_four_regular():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^vertex 'a' has degree 1, need 4$"):
         HalfEdgeGraph(MultiGraph.build("ab", [("a", "b")]))
+    # loops count twice; the first vertex off degree 4 is named
+    with pytest.raises(ValueError, match="^vertex 'b' has degree 2, need 4$"):
+        HalfEdgeGraph(MultiGraph.build("abc", [("a", "a"), ("a", "a"), ("b", "b")]))
 
 
 def test_interlacement_examples():
@@ -261,7 +264,7 @@ def test_random_four_regular_is_four_regular():
         mg = random_four_regular(rng, rng.randrange(1, 7))
         f = HalfEdgeGraph(mg)
         assert f.component_count() == 1
-        assert all(mg.degree(v) == 4 for v in range(mg.n))
+        assert mg.degrees() == [4] * mg.n
 
 
 def test_transition_system_validation():

@@ -207,6 +207,24 @@ def test_rank_nullity_additivity():
             assert a.mul_mask(v) == 0
 
 
+def test_is_symmetric_matches_the_transpose():
+    square = [
+        BitMatrix(n, n, tuple((packed >> (n * i)) & ((1 << n) - 1) for i in range(n)))
+        for n in range(4)
+        for packed in range(1 << (n * n))
+    ]
+    rng = random.Random(4)
+    for n in range(4, 9):
+        g = random_looped_simple_graph(rng, n)
+        i, j = rng.sample(range(n), 2)
+        square += [g.adj, BitMatrix(n, n, tuple(r ^ (1 << j) if k == i else r
+                                                for k, r in enumerate(g.adj.data)))]
+    for a in square:
+        assert a.is_symmetric == (a.data == a.transpose().data)
+    assert sum(a.is_symmetric for a in square) == 1 + 2 + 8 + 64 + 5
+    assert not BitMatrix(2, 3, (0b010, 0b001)).is_symmetric
+
+
 def test_subspace_canonical_invariants():
     w = Subspace.span(4, [0b1010, 0b0110, 0b1100])
     pivots = [m & -m for m in w.basis]

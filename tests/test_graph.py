@@ -111,13 +111,9 @@ def test_variants():
         K3.variant("a", "weird")
 
 
-def test_pivot_ops():
-    assert K3L.pivot_ops("a", "pivot") == K3L.local_complement("a")
-    assert K3.pivot_ops("a", "dual_pivot") == P3LL
-    with pytest.raises(ValueError):
-        K3.pivot_ops("a", "pivot")
-    with pytest.raises(ValueError):
-        K3L.pivot_ops("a", "dual_pivot")
+def test_asymmetric_adjacency_is_rejected():
+    with pytest.raises(ValueError, match="symmetric"):
+        LoopedSimpleGraph(("a", "b", "c"), BitMatrix(3, 3, (0b110, 0b001, 0b000)))
 
 
 def test_reconstruction_decision_table():
@@ -147,8 +143,7 @@ def test_reconstruction_rejects_inconsistent_oracle():
 
 def test_multigraph_structure():
     mg = MultiGraph.build("ab", [("a", "a"), ("a", "b")])
-    assert mg.degree(0) == 3
-    assert mg.degree(1) == 1
+    assert mg.degrees() == [3, 1]
     assert mg.component_count() == 1
     split = MultiGraph.build("ab", [("a", "a"), ("b", "b")])
     assert split.component_count() == 2
