@@ -1,17 +1,24 @@
 """4-regular multigraphs, Euler systems, circuit partitions and touch-graphs.
 
 Edge i of the underlying multigraph owns half-edges 2i and 2i+1 (sibling
-h ^ 1), listed at each vertex in edge-insertion order.  A transition system
-pairs the four half-edges at every vertex; following pairings across edges
-splits the edge set into closed trails.
+h ^ 1).  A transition system pairs the four half-edges at every vertex;
+following pairings across edges splits the edge set into closed trails.
+
+Every incidence question about one vertex is a lookup in a table built once
+per object: `HalfEdgeGraph.ends` (the vertex of each half-edge) and
+`HalfEdgeGraph.halves` (the four half-edges at each vertex, in
+edge-insertion order) in one pass over the edges, and
+`CircuitPartition.passages` (each vertex's two visits) in one pass over the
+circuits.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 from .graph import LoopedSimpleGraph, MultiGraph, as_multigraph
 
@@ -24,11 +31,21 @@ class HalfEdgeGraph:
     """A 4-regular multigraph with the half-edge order at every vertex."""
 
     graph: MultiGraph
+    ends: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    halves: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        for i, d in enumerate(self.graph.degrees()):
-            if d != 4:
-                raise ValueError(f"vertex {self.graph.labels[i]!r} has degree {d}, need 4")
+        ends: list[int] = []
+        halves: list[list[int]] = [[] for _ in range(self.graph.n)]
+        for i, (u, v) in enumerate(self.graph.edges):
+            ends += (u, v)
+            halves[u].append(2 * i)
+            halves[v].append(2 * i + 1)
+        for v, at in enumerate(halves):
+            if len(at) != 4:
+                raise ValueError(f"vertex {self.graph.labels[v]!r} has degree {len(at)}, need 4")
+        object.__setattr__(self, "ends", tuple(ends))
+        object.__setattr__(self, "halves", tuple(map(tuple, halves)))
 
     @property
     def n(self) -> int:
@@ -42,21 +59,21 @@ class HalfEdgeGraph:
     def half_count(self) -> int:
         return 2 * len(self.graph.edges)
 
-    def vertex_of_half(self, h: int) -> int:
-        u, v = self.graph.edges[h >> 1]
-        return u if h & 1 == 0 else v
-
-    def vertex_halves(self, v: int) -> tuple[int, ...]:
-        out = []
-        for i, (a, b) in enumerate(self.graph.edges):
-            if a == v:
-                out.append(2 * i)
-            if b == v:
-                out.append(2 * i + 1)
-        return tuple(out)
-
+    @cached_property
     def component_count(self) -> int:
         return self.graph.component_count()
+
+    def check_vertex(self, v: int) -> None:
+        """Reject v unless it indexes a vertex; a negative v would otherwise
+        read the tables from the end."""
+        if not 0 <= v < self.n:
+            raise ValueError(f"unknown vertex index {v}")
+
+    def transitions_at(self, v: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The three pairings of the half-edges at v, file order first."""
+        self.check_vertex(v)
+        a, b, c, d = self.halves[v]
+        return (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c)))
 
 
 @dataclass(frozen=True)
@@ -65,41 +82,42 @@ class TransitionSystem:
 
     pairing: tuple[int, ...]
 
-    def partner(self, h: int) -> int:
-        return self.pairing[h]
-
     def validate(self, f: HalfEdgeGraph) -> None:
         if len(self.pairing) != f.half_count:
             raise ValueError("pairing length mismatch")
         for h, k in enumerate(self.pairing):
             if k == h or self.pairing[k] != h:
                 raise ValueError("pairing is not a fixed-point-free involution")
-            if f.vertex_of_half(h) != f.vertex_of_half(k):
+            if f.ends[h] != f.ends[k]:
                 raise ValueError("pairing crosses vertices")
 
-    def pairing_at(self, f: HalfEdgeGraph, v: int) -> Pairing:
-        halves = f.vertex_halves(v)
-        return frozenset(frozenset((h, self.pairing[h])) for h in halves)
-
-    @classmethod
-    def from_pairs(cls, f: HalfEdgeGraph, pairs: Sequence[tuple[int, int]]) -> "TransitionSystem":
-        pairing = [-1] * f.half_count
+    def rewired(self, pairs: Iterable[Iterable[int]]) -> "TransitionSystem":
+        """This system with each of the given pairs of half-edges joined."""
+        pairing = list(self.pairing)
         for a, b in pairs:
             pairing[a] = b
             pairing[b] = a
-        t = cls(tuple(pairing))
+        return TransitionSystem(tuple(pairing))
+
+    @classmethod
+    def from_pairs(cls, f: HalfEdgeGraph, pairs: Iterable[Iterable[int]]) -> "TransitionSystem":
+        t = cls((-1,) * f.half_count).rewired(pairs)
         t.validate(f)
         return t
+
+    @classmethod
+    def from_circuits(
+        cls, f: HalfEdgeGraph, circuits: Iterable[Sequence[int]]
+    ) -> "TransitionSystem":
+        """The system that joins each arriving half to the next departing one."""
+        return cls.from_pairs(
+            f, ((c[i - 1] ^ 1, dep) for c in circuits for i, dep in enumerate(c))
+        )
 
 
 def all_transition_systems(f: HalfEdgeGraph) -> Iterator[TransitionSystem]:
     """All 3^n systems of pairing choices."""
-    options = []
-    for v in range(f.n):
-        a, b, c, d = f.vertex_halves(v)
-        options.append(
-            (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c)))
-        )
+    options = [f.transitions_at(v) for v in range(f.n)]
     for choice in itertools.product(*options):
         pairs = [p for vertex_pairs in choice for p in vertex_pairs]
         yield TransitionSystem.from_pairs(f, pairs)
@@ -126,26 +144,25 @@ class CircuitPartition:
         return frozenset(frozenset(h >> 1 for h in c) for c in self.circuits)
 
     def pairing_at(self, v: int) -> Pairing:
-        return self.transitions.pairing_at(self.f, v)
+        self.f.check_vertex(v)
+        pairing = self.transitions.pairing
+        return frozenset(frozenset((h, pairing[h])) for h in self.f.halves[v])
 
-    def passages_at(self, v: int) -> tuple[tuple[int, int, int], ...]:
-        """(circuit index, arriving half, departing half) per visit of v."""
-        out = []
+    @cached_property
+    def passages(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """Per vertex, (circuit index, arriving half, departing half) for each
+        visit, in order of circuit index and then position in the circuit."""
+        out: list[list[tuple[int, int, int]]] = [[] for _ in range(self.f.n)]
         for ci, circuit in enumerate(self.circuits):
-            k = len(circuit)
-            for i in range(k):
-                dep = circuit[i]
-                arr = circuit[i - 1] ^ 1
-                if self.f.vertex_of_half(dep) == v:
-                    out.append((ci, arr, dep))
-        return tuple(out)
+            for i, dep in enumerate(circuit):
+                out[self.f.ends[dep]].append((ci, circuit[i - 1] ^ 1, dep))
+        return tuple(map(tuple, out))
 
     def circuits_through(self, v: int) -> tuple[int, int]:
         """Indices of the circuits at the two passages of v."""
-        passages = self.passages_at(v)
-        if len(passages) != 2:
-            raise AssertionError("a 4-regular vertex has exactly two passages")
-        return (passages[0][0], passages[1][0])
+        self.f.check_vertex(v)
+        (ci, _, _), (cj, _, _) = self.passages[v]
+        return (ci, cj)
 
 
 def partition_from_transitions(f: HalfEdgeGraph, t: TransitionSystem) -> CircuitPartition:
@@ -162,7 +179,7 @@ def partition_from_transitions(f: HalfEdgeGraph, t: TransitionSystem) -> Circuit
             orbit.append(h)
             visited[h] = True
             visited[h ^ 1] = True
-            h = t.partner(h ^ 1)
+            h = t.pairing[h ^ 1]
             if h == h0:
                 break
         circuits.append(tuple(orbit))
@@ -181,7 +198,7 @@ class EulerSystem:
     partition: CircuitPartition
 
     def __post_init__(self) -> None:
-        if self.partition.size != self.f.component_count():
+        if self.partition.size != self.f.component_count:
             raise ValueError("not one circuit per connected component")
 
     @property
@@ -197,8 +214,8 @@ class EulerSystem:
         return self.partition.transitions
 
     def _in_out(self, v: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        passages = self.partition.passages_at(v)
-        (_, arr_a, dep_a), (_, arr_b, dep_b) = passages
+        self.f.check_vertex(v)
+        (_, arr_a, dep_a), (_, arr_b, dep_b) = self.partition.passages[v]
         return (arr_a, arr_b), (dep_a, dep_b)
 
     def phi_pairing(self, v: int) -> Pairing:
@@ -217,18 +234,17 @@ class EulerSystem:
 def euler_system(f: HalfEdgeGraph) -> EulerSystem:
     """Hierholzer splicing; deterministic in the half-edge order."""
     used = [False] * f.edge_count
-    halves_at = [list(f.vertex_halves(v)) for v in range(f.n)]
 
     def walk(v0: int) -> list[int]:
         seq = []
         v = v0
         while True:
-            dep = next((h for h in halves_at[v] if not used[h >> 1]), None)
+            dep = next((h for h in f.halves[v] if not used[h >> 1]), None)
             if dep is None:
                 break
             used[dep >> 1] = True
             seq.append(dep)
-            v = f.vertex_of_half(dep ^ 1)
+            v = f.ends[dep ^ 1]
         if seq and v != v0:
             raise AssertionError("open trail in an even-degree graph")
         return seq
@@ -240,21 +256,14 @@ def euler_system(f: HalfEdgeGraph) -> EulerSystem:
             continue
         i = 0
         while i < len(circuit):
-            sub = walk(f.vertex_of_half(circuit[i]))
+            sub = walk(f.ends[circuit[i]])
             if sub:
                 circuit[i:i] = sub
             else:
                 i += 1
         circuits.append(tuple(circuit))
 
-    pairing = [-1] * f.half_count
-    for circuit in circuits:
-        for i, dep in enumerate(circuit):
-            arr = circuit[i - 1] ^ 1
-            pairing[arr] = dep
-            pairing[dep] = arr
-    t = TransitionSystem(tuple(pairing))
-    t.validate(f)
+    t = TransitionSystem.from_circuits(f, circuits)
     return EulerSystem(CircuitPartition(f, t, tuple(circuits)))
 
 
@@ -274,14 +283,14 @@ def transition_type(c: EulerSystem, p: CircuitPartition, v: int) -> TransitionTy
     raise AssertionError("pairing matches no transition of the Euler system")
 
 
-def interlacement(c: EulerSystem) -> LoopedSimpleGraph:
-    """Unlooped graph on V(F); an edge where two vertices alternate v..w..v..w
-    along a common circuit."""
+def interlacement(c: EulerSystem, loops: Iterable[str] = ()) -> LoopedSimpleGraph:
+    """Graph on V(F) with loops at `loops`; an edge where two vertices
+    alternate v..w..v..w along a common circuit."""
     f = c.f
     labels = f.graph.labels
     edges = []
     for circuit in c.circuits:
-        seq = [f.vertex_of_half(h) for h in circuit]
+        seq = [f.ends[h] for h in circuit]
         positions: dict[int, list[int]] = {}
         for i, v in enumerate(seq):
             positions.setdefault(v, []).append(i)
@@ -291,25 +300,15 @@ def interlacement(c: EulerSystem) -> LoopedSimpleGraph:
             j1, j2 = positions[b]
             if (i1 < j1 < i2) != (i1 < j2 < i2):
                 edges.append((labels[a], labels[b]))
-    return LoopedSimpleGraph.build(labels, edges)
+    return LoopedSimpleGraph.build(labels, edges, loops)
 
 
 def relative_interlacement(c: EulerSystem, p: CircuitPartition) -> LoopedSimpleGraph:
     """Interlacement of c with phi vertices dropped and psi vertices looped."""
-    base = interlacement(c)
-    keep = []
-    loops = []
-    for v in range(c.f.n):
-        kind = transition_type(c, p, v)
-        if kind == "phi":
-            continue
-        keep.append(base.labels[v])
-        if kind == "psi":
-            loops.append(base.labels[v])
-    g = base.induced(keep)
-    for v in loops:
-        g = g.variant(v, "loop")
-    return g
+    labels = c.f.graph.labels
+    kinds = [transition_type(c, p, v) for v in range(c.f.n)]
+    looped = interlacement(c, (x for x, kind in zip(labels, kinds) if kind == "psi"))
+    return looped.induced(x for x, kind in zip(labels, kinds) if kind != "phi")
 
 
 def touch_graph(p: CircuitPartition) -> MultiGraph:
@@ -327,15 +326,8 @@ def touch_graph(p: CircuitPartition) -> MultiGraph:
 
 def kappa(c: EulerSystem, v: int) -> EulerSystem:
     """Rewire the Euler system at v with its orientation-inconsistent pairing."""
-    if not 0 <= v < c.f.n:
-        raise ValueError(f"unknown vertex index {v}")
-    pairing = list(c.transitions.pairing)
-    for pair in c.psi_pairing(v):
-        a, b = tuple(pair)
-        pairing[a] = b
-        pairing[b] = a
-    part = partition_from_transitions(c.f, TransitionSystem(tuple(pairing)))
-    return EulerSystem(part)
+    t = c.transitions.rewired(c.psi_pairing(v))
+    return EulerSystem(partition_from_transitions(c.f, t))
 
 
 def compatible_euler_system(f: HalfEdgeGraph, p: CircuitPartition) -> EulerSystem:
@@ -394,8 +386,11 @@ def realize_touch_graph(g: LoopedSimpleGraph | MultiGraph) -> Realization:
         next_id += 1
         return next_id - 1
 
-    for u in range(mg.n):
-        incident = [e for e in nonloop if u in mg.edges[e]]
+    incident_at: list[list[int]] = [[] for _ in range(mg.n)]
+    for e in nonloop:
+        for u in mg.edges[e]:
+            incident_at[u].append(e)
+    for u, incident in enumerate(incident_at):
         if not incident:
             continue
         circ = []
@@ -441,19 +436,10 @@ def realize_touch_graph(g: LoopedSimpleGraph | MultiGraph) -> Realization:
     def departing_half(eid: int, direction: int) -> int:
         return 2 * position[eid] + direction
 
-    pairing = [-1] * f.half_count
-    circuits = []
-    for u in sorted(circuit_of):
-        circ = circuit_of[u]
-        halves = [departing_half(eid, d) for eid, d in circ]
-        for i, dep in enumerate(halves):
-            arr = halves[i - 1] ^ 1
-            pairing[arr] = dep
-            pairing[dep] = arr
-        circuits.append(tuple(halves))
-    t = TransitionSystem(tuple(pairing))
-    t.validate(f)
-    derived = partition_from_transitions(f, t)
+    circuits = [
+        tuple(departing_half(eid, d) for eid, d in circuit_of[u]) for u in sorted(circuit_of)
+    ]
+    derived = partition_from_transitions(f, TransitionSystem.from_circuits(f, circuits))
     if derived.edge_sets() != frozenset(
         frozenset(h >> 1 for h in c) for c in circuits
     ):
@@ -464,10 +450,7 @@ def realize_touch_graph(g: LoopedSimpleGraph | MultiGraph) -> Realization:
 def file_order_partition(f: HalfEdgeGraph) -> CircuitPartition:
     """The partition pairing each vertex's first two and last two half-edges
     in edge-insertion order; this is how a plain edge list encodes one."""
-    pairs = []
-    for v in range(f.n):
-        a, b, c, d = f.vertex_halves(v)
-        pairs += [(a, b), (c, d)]
+    pairs = [pair for v in range(f.n) for pair in f.transitions_at(v)[0]]
     return partition_from_transitions(f, TransitionSystem.from_pairs(f, pairs))
 
 

@@ -776,7 +776,7 @@ def delta_suite(max_n: int = 4, trials: int = 200, seed: int = 0) -> list[CheckR
 def _fourreg_partition_checks(
     rec: Recorder, f: HalfEdgeGraph, c: EulerSystem, p: CircuitPartition, witness: str
 ) -> None:
-    comp = f.component_count()
+    comp = f.component_count
     with rec.check("circuit-nullity-formula", witness):
         rel = relative_interlacement(c, p)
         assert nullity(rel.adj) == p.size - comp
@@ -817,12 +817,7 @@ def _fourreg_compatible_checks(
                 assert all(transition_type(cv, p, w) != "phi" for w in range(f.n))
                 assert relative_interlacement(cv, p) == rel.local_complement(label)
             else:
-                pairing = list(p.transitions.pairing)
-                for pair in c.phi_pairing(v):
-                    x, y = tuple(pair)
-                    pairing[x] = y
-                    pairing[y] = x
-                p_prime = partition_from_transitions(f, TransitionSystem(tuple(pairing)))
+                p_prime = partition_from_transitions(f, p.transitions.rewired(c.phi_pairing(v)))
                 assert relative_interlacement(cv, p_prime) == rel.local_complement(label)
                 ci, cj = p.circuits_through(v)
                 pi, pj = p_prime.circuits_through(v)
@@ -852,13 +847,10 @@ def _fourreg_compatible_checks(
                     kept = [x for x in rel.labels if x not in set(labels)]
                     cond2 = rank(rel.induced(kept).adj) == base_rank
                     sizes_ok = True
-                    pairing = list(p.transitions.pairing)
+                    t = p.transitions
                     for i, v in enumerate(combo, start=1):
-                        for pair in c.phi_pairing(v):
-                            x, y = tuple(pair)
-                            pairing[x] = y
-                            pairing[y] = x
-                        p_i = partition_from_transitions(f, TransitionSystem(tuple(pairing)))
+                        t = t.rewired(c.phi_pairing(v))
+                        p_i = partition_from_transitions(f, t)
                         if p_i.size != p.size - i:
                             sizes_ok = False
                             break
@@ -874,7 +866,7 @@ def fourreg_suite(max_n: int = 5, trials: int = 60, seed: int = 0) -> list[Check
         c = euler_system(f)
         witness = graph_witness(mg)
         with rec.check("euler-system-covers-components", witness):
-            assert c.partition.size == f.component_count()
+            assert c.partition.size == f.component_count
             seen = sorted(h >> 1 for circ in c.circuits for h in circ)
             assert seen == list(range(f.edge_count))
             base = interlacement(c)
@@ -888,11 +880,7 @@ def fourreg_suite(max_n: int = 5, trials: int = 60, seed: int = 0) -> list[Check
         mg = random_four_regular(rng, n, connected=bool(rng.randrange(2)))
         f = HalfEdgeGraph(mg)
         c = euler_system(f)
-        pairs = []
-        for v in range(f.n):
-            a, b, cc, d = f.vertex_halves(v)
-            choice = rng.choice([((a, b), (cc, d)), ((a, cc), (b, d)), ((a, d), (b, cc))])
-            pairs += list(choice)
+        pairs = [pair for v in range(f.n) for pair in rng.choice(f.transitions_at(v))]
         t = TransitionSystem.from_pairs(f, pairs)
         p = partition_from_transitions(f, t)
         witness = graph_witness(mg, f"pairing {t.pairing}")

@@ -109,7 +109,7 @@ def test_interlacement_examples():
 
 def test_partition_sizes():
     c = euler_system(FIG8)
-    assert c.partition.size == FIG8.component_count() == 1
+    assert c.partition.size == FIG8.component_count == 1
     sizes = sorted(
         partition_from_transitions(FIG8, t).size for t in all_transition_systems(FIG8)
     )
@@ -174,7 +174,7 @@ def test_circuit_nullity_formula_small():
         c = euler_system(f)
         for t in all_transition_systems(f):
             p = partition_from_transitions(f, t)
-            assert nullity(relative_interlacement(c, p).adj) == p.size - f.component_count()
+            assert nullity(relative_interlacement(c, p).adj) == p.size - f.component_count
 
 
 def test_touch_graph_shapes():
@@ -198,7 +198,7 @@ def test_touch_graph_shapes():
             tch = touch_graph(p)
             assert tch.n == p.size
             assert len(tch.edges) == f.n
-            assert tch.component_count() == f.component_count()
+            assert tch.component_count() == f.component_count
 
 
 def test_realize_single_looped_vertex():
@@ -263,7 +263,7 @@ def test_random_four_regular_is_four_regular():
     for _ in range(10):
         mg = random_four_regular(rng, rng.randrange(1, 7))
         f = HalfEdgeGraph(mg)
-        assert f.component_count() == 1
+        assert f.component_count == 1
         assert mg.degrees() == [4] * mg.n
 
 
@@ -273,3 +273,129 @@ def test_transition_system_validation():
     bad = TransitionSystem(tuple(range(PARALLEL4.half_count)))
     with pytest.raises(ValueError):
         bad.validate(PARALLEL4)  # fixed points
+
+
+def scan_ends(mg: MultiGraph) -> list[int]:
+    """The vertex of each half-edge, read from the edge list one half at a time."""
+    return [mg.edges[h >> 1][h & 1] for h in range(2 * len(mg.edges))]
+
+
+def scan_halves(mg: MultiGraph, v: int) -> tuple[int, ...]:
+    """The half-edges at v, by a scan of every edge."""
+    out = []
+    for i, (a, b) in enumerate(mg.edges):
+        if a == v:
+            out.append(2 * i)
+        if b == v:
+            out.append(2 * i + 1)
+    return tuple(out)
+
+
+def scan_passages(p, v: int) -> tuple[tuple[int, int, int], ...]:
+    """(circuit, arriving, departing) per visit of v, by a scan of every circuit."""
+    ends = scan_ends(p.f.graph)
+    return tuple(
+        (ci, circuit[i - 1] ^ 1, dep)
+        for ci, circuit in enumerate(p.circuits)
+        for i, dep in enumerate(circuit)
+        if ends[dep] == v
+    )
+
+
+def table_cases() -> list[HalfEdgeGraph]:
+    """Every corpus graph and seeded random ones with n <= 40, connected and
+    not; the disconnected ones interleave the edges of their components."""
+    rng = random.Random(8)
+    graphs = list(small_four_regular_corpus())
+    for n in (1, 2, 3, 7, 12, 25, 40):
+        graphs.append(random_four_regular(rng, n))
+        a, b = random_four_regular(rng, n // 2 + 1), random_four_regular(rng, (n + 1) // 2)
+        edges = list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges]
+        rng.shuffle(edges)
+        labels = tuple(f"v{i}" for i in range(a.n + b.n))
+        graphs.append(MultiGraph(labels, tuple(edges)))
+    return [HalfEdgeGraph(mg) for mg in graphs]
+
+
+def test_incidence_tables_match_the_edge_scans():
+    cases = table_cases()
+    assert sum(f.component_count > 1 for f in cases) >= 7
+    rng = random.Random(9)
+    for f in cases:
+        mg = f.graph
+        assert list(f.ends) == scan_ends(mg)
+        assert f.halves == tuple(scan_halves(mg, v) for v in range(f.n))
+        for v in range(f.n):
+            a, b, c, d = scan_halves(mg, v)
+            assert f.transitions_at(v)[0] == ((a, b), (c, d))
+        t = TransitionSystem.from_pairs(
+            f, [pair for v in range(f.n) for pair in rng.choice(f.transitions_at(v))]
+        )
+        for p in (
+            euler_system(f).partition, file_order_partition(f), partition_from_transitions(f, t)
+        ):
+            assert p.passages == tuple(scan_passages(p, v) for v in range(f.n))
+
+
+def test_vertex_index_is_checked():
+    f = HalfEdgeGraph(random_four_regular(random.Random(5), 4))
+    c = euler_system(f)
+    p = file_order_partition(f)
+    per_vertex = [
+        f.transitions_at,
+        p.pairing_at,
+        p.circuits_through,
+        lambda v: transition_type(c, p, v),
+        c.phi_pairing,
+        c.chi_pairing,
+        c.psi_pairing,
+        lambda v: kappa(c, v),
+    ]
+    for v in (-1, f.n):
+        for call in per_vertex:
+            with pytest.raises(ValueError, match=f"^unknown vertex index {v}$"):
+                call(v)
+
+
+def reference_relative_interlacement(c, p) -> LoopedSimpleGraph:
+    """Drop phi vertices from the interlacement, then loop each psi vertex."""
+    labels = c.f.graph.labels
+    kinds = [transition_type(c, p, v) for v in range(c.f.n)]
+    g = interlacement(c).induced(x for x, kind in zip(labels, kinds) if kind != "phi")
+    for x, kind in zip(labels, kinds):
+        if kind == "psi":
+            g = g.variant(x, "loop")
+    return g
+
+
+def test_relative_interlacement_builds_a_fixed_number_of_graphs(monkeypatch):
+    builds = []
+    check = LoopedSimpleGraph.__post_init__
+
+    def counted(self):
+        builds.append(self)
+        check(self)
+
+    monkeypatch.setattr(LoopedSimpleGraph, "__post_init__", counted)
+    psi_counts = set()
+    for f in table_cases()[:20]:
+        c = euler_system(f)
+        p0 = file_order_partition(f)
+        for p in (p0, compatible_euler_system(f, p0).partition):
+            expect = reference_relative_interlacement(c, p)
+            builds.clear()
+            assert relative_interlacement(c, p) == expect
+            assert len(builds) == 2
+            psi_counts.add(len(expect.loop_labels()))
+    assert max(psi_counts) >= 3
+
+
+def test_component_count_runs_once_per_graph(monkeypatch):
+    f = table_cases()[-1]
+    calls = []
+    count = MultiGraph.component_count
+    monkeypatch.setattr(MultiGraph, "component_count", lambda mg: calls.append(mg) or count(mg))
+    c = compatible_euler_system(f, file_order_partition(f))
+    for v in range(f.n):
+        kappa(c, v)
+    assert len(calls) == 1

@@ -1,10 +1,15 @@
-"""Every imported name in the package and its tests is used."""
+"""Every imported name in the package and its tests is used, and every
+definition in the package is referenced."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-FILES = sorted((ROOT / "src" / "adjmatroid").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+SOURCES = sorted((ROOT / "src" / "adjmatroid").glob("*.py"))
+FILES = SOURCES + sorted((ROOT / "tests").glob("*.py"))
+REFERRERS = FILES + sorted((ROOT / "bench").rglob("*.py"))
+# argparse calls ArgumentParser.error on a usage error; no code names it.
+CALLED_BY_LIBRARIES = frozenset({"_Parser.error"})
 
 
 def unused_imports(source: str) -> list[str]:
@@ -50,5 +55,66 @@ def test_no_unused_imports():
         str(path.relative_to(ROOT)): names
         for path in FILES
         if (names := unused_imports(path.read_text()))
+    }
+    assert found == {}
+
+
+def references(source: str) -> set[str]:
+    """Every name the source reads, bare or as an attribute."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+    return out
+
+
+def unused_definitions(source: str, used: set[str]) -> list[str]:
+    """Functions, methods and classes, by qualified name, whose name is not in
+    `used`; dunder methods are called by Python and exempt."""
+    found = []
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                dunder = child.name.startswith("__") and child.name.endswith("__")
+                if not dunder and child.name not in used and name not in CALLED_BY_LIBRARIES:
+                    found.append(f"line {child.lineno}: {name}")
+                visit(child, name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_checker_flags_only_unused_definitions():
+    source = (
+        "class Used:\n"
+        "    def method(self): ...\n"
+        "    def __repr__(self): ...\n"
+        "    def orphan(self):\n"
+        "        def inner(): ...\n"
+        "        return inner()\n"
+        "class _Parser:\n"
+        "    def error(self): ...\n"
+        "def helper(): ...\n"
+        "def unused(): ...\n"
+        "unused = helper\n"
+        "print(Used().method, _Parser)\n"
+    )
+    assert unused_definitions(source, references(source)) == [
+        "line 4: Used.orphan", "line 10: unused",
+    ]
+
+
+def test_every_definition_is_referenced():
+    used = set().union(*(references(path.read_text()) for path in REFERRERS))
+    found = {
+        str(path.relative_to(ROOT)): names
+        for path in SOURCES
+        if (names := unused_definitions(path.read_text(), used))
     }
     assert found == {}
