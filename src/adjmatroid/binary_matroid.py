@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .gf2 import (
@@ -160,23 +161,25 @@ class BinaryMatroid:
             self.ground + other.ground, Subspace.span(self.size + other.size, masks)
         )
 
+    @cached_property
     def _independent_bits(self) -> int:
         """The independent family as a 2^size-bit int: S is independent iff no
-        cycle lies inside S, i.e. every column-masked plane is set at S."""
+        cycle lies inside S, i.e. every column-masked plane is set at S.
+        The matroid is frozen, so the kernel runs once per matroid."""
         bits = (1 << (1 << self.size)) - 1
         for plane in column_masked_planes(self.cycle_space):
             bits &= plane
         return bits
 
     def independent_masks(self) -> tuple[int, ...]:
-        return tuple(set_bits(self._independent_bits()))
+        return tuple(set_bits(self._independent_bits))
 
     def independent_sets(self) -> frozenset[frozenset[str]]:
         return frozenset(self._labels_of(m) for m in self.independent_masks())
 
     def bases(self) -> frozenset[frozenset[str]]:
         """The independent sets of size rank."""
-        bits = self._independent_bits() & size_masks(self.size)[self.rank]
+        bits = self._independent_bits & size_masks(self.size)[self.rank]
         return frozenset(self._labels_of(m) for m in set_bits(bits))
 
     def isomorphism(self, other: "BinaryMatroid") -> dict[str, str] | None:

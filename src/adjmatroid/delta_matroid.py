@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
-from .gf2 import coord_masks, gather, principal_planes, set_bits, size_masks
+from .gf2 import coord_masks, principal_planes, set_bits, size_masks
 from .graph import LoopedSimpleGraph
 
 GROUND_GATE = 16
@@ -189,13 +189,24 @@ class SetSystem:
     # deletion and contraction
 
     def restrict(self, keep: Iterable[str]) -> "SetSystem":
-        """Members inside the kept labels, on the shrunken ground set."""
+        """Members inside the kept labels, on the shrunken ground set.
+
+        Each dropped coordinate i, highest first, keeps the members avoiding
+        i, then closes the gap: for each coordinate j above i, the block of
+        members containing j moves down by 2^(j-1), onto bit j-1 of their
+        mask, which is clear."""
         wanted = set(keep)
-        keep_list = [v for v in self.ground if v in wanted]
-        positions = [self.index(v) for v in keep_list]
-        keep_mask = sum(1 << i for i in positions)
-        out = sum(1 << gather(m, positions) for m in set_bits(self.bits) if not m & ~keep_mask)
-        return SetSystem(tuple(keep_list), out)
+        masks = coord_masks(self.n)
+        bits, top = self.bits, self.n
+        for i in reversed(range(self.n)):
+            if self.ground[i] in wanted:
+                continue
+            bits &= masks[i][0]
+            for j in range(i + 1, top):
+                zero, one = masks[j]
+                bits = (bits & zero) | ((bits & one) >> (1 << (j - 1)))
+            top -= 1
+        return SetSystem(tuple(v for v in self.ground if v in wanted), bits)
 
     def delete(self, x: Iterable[str]) -> "SetSystem":
         """Restriction to the complement; possibly improper, never an error."""

@@ -10,16 +10,26 @@ per object: `HalfEdgeGraph.ends` (the vertex of each half-edge) and
 edge-insertion order) in one pass over the edges, and
 `CircuitPartition.passages` (each vertex's two visits) in one pass over the
 circuits.
+
+The per-vertex steps of the pipeline are single passes.  Interlacement rows
+come from one walk of each circuit with a running XOR of the vertex bits
+seen so far: XOR-ing it into v's row at both of v's passages leaves exactly
+the vertices met once in between.  The relative interlacement gives phi
+vertices no bit and keeps each psi vertex's own bit as its loop, so it is
+one graph.  The compatible Euler system applies each rewire in place, by
+reversing the stretch of a circuit between v's two passages.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
+from .gf2 import BitMatrix
 from .graph import LoopedSimpleGraph, MultiGraph, as_multigraph
 
 Pairing = frozenset[frozenset[int]]
@@ -269,46 +279,56 @@ def euler_system(f: HalfEdgeGraph) -> EulerSystem:
 
 def transition_type(c: EulerSystem, p: CircuitPartition, v: int) -> TransitionType:
     """How p crosses v relative to c: follows it (phi), crosses consistently
-    with the orientation (chi), or pairs the two in-directed halves (psi)."""
-    part = p.pairing_at(v)
-    phi, chi, psi = c.phi_pairing(v), c.chi_pairing(v), c.psi_pairing(v)
-    if len({phi, chi, psi}) != 3:
-        raise AssertionError("degenerate transition pairings")
-    if part == phi:
+    with the orientation (chi), or pairs the two in-directed halves (psi).
+    Read off p's partner of the half on which c first arrives at v."""
+    c.f.check_vertex(v)
+    (_, arr_a, dep_a), (_, arr_b, dep_b) = c.partition.passages[v]
+    partner = p.transitions.pairing[arr_a]
+    if partner == dep_a:
         return "phi"
-    if part == psi:
+    if partner == arr_b:
         return "psi"
-    if part == chi:
+    if partner == dep_b:
         return "chi"
     raise AssertionError("pairing matches no transition of the Euler system")
 
 
-def interlacement(c: EulerSystem, loops: Iterable[str] = ()) -> LoopedSimpleGraph:
-    """Graph on V(F) with loops at `loops`; an edge where two vertices
-    alternate v..w..v..w along a common circuit."""
-    f = c.f
-    labels = f.graph.labels
-    edges = []
+def _interlacement_rows(c: EulerSystem, bit: Sequence[int]) -> list[int]:
+    """Per vertex v, the XOR of bit[w] over the visits w from v's first
+    passage up to its second: bit[v] plus the bits of the vertices met once
+    in between.  One walk of each circuit with a running prefix XOR."""
+    ends = c.f.ends
+    rows = [0] * c.f.n
     for circuit in c.circuits:
-        seq = [f.ends[h] for h in circuit]
-        positions: dict[int, list[int]] = {}
-        for i, v in enumerate(seq):
-            positions.setdefault(v, []).append(i)
-        verts = sorted(positions)
-        for a, b in itertools.combinations(verts, 2):
-            i1, i2 = positions[a]
-            j1, j2 = positions[b]
-            if (i1 < j1 < i2) != (i1 < j2 < i2):
-                edges.append((labels[a], labels[b]))
-    return LoopedSimpleGraph.build(labels, edges, loops)
+        prefix = 0
+        for dep in circuit:
+            v = ends[dep]
+            rows[v] ^= prefix
+            prefix ^= bit[v]
+    return rows
+
+
+def interlacement(c: EulerSystem) -> LoopedSimpleGraph:
+    """Graph on V(F) with an edge where two vertices alternate v..w..v..w
+    along a common circuit."""
+    n = c.f.n
+    rows = _interlacement_rows(c, [1 << v for v in range(n)])
+    rows = [row ^ (1 << v) for v, row in enumerate(rows)]
+    return LoopedSimpleGraph(c.f.graph.labels, BitMatrix(n, n, tuple(rows)))
 
 
 def relative_interlacement(c: EulerSystem, p: CircuitPartition) -> LoopedSimpleGraph:
     """Interlacement of c with phi vertices dropped and psi vertices looped."""
-    labels = c.f.graph.labels
     kinds = [transition_type(c, p, v) for v in range(c.f.n)]
-    looped = interlacement(c, (x for x, kind in zip(labels, kinds) if kind == "psi"))
-    return looped.induced(x for x, kind in zip(labels, kinds) if kind != "phi")
+    kept = [v for v, kind in enumerate(kinds) if kind != "phi"]
+    bit = [0] * c.f.n
+    for i, v in enumerate(kept):
+        bit[v] = 1 << i
+    rows = _interlacement_rows(c, bit)
+    # each kept row holds its own bit once: keep it as the loop of a psi vertex
+    data = tuple(rows[v] ^ (0 if kinds[v] == "psi" else bit[v]) for v in kept)
+    labels = tuple(c.f.graph.labels[v] for v in kept)
+    return LoopedSimpleGraph(labels, BitMatrix(len(kept), len(kept), data))
 
 
 def touch_graph(p: CircuitPartition) -> MultiGraph:
@@ -333,13 +353,40 @@ def kappa(c: EulerSystem, v: int) -> EulerSystem:
 def compatible_euler_system(f: HalfEdgeGraph, p: CircuitPartition) -> EulerSystem:
     """An Euler system that disagrees with p at every vertex.
 
-    Rewiring at a vertex never re-creates agreement elsewhere, so one pass
-    over the vertices suffices.
+    Starting from `euler_system(f)`, each vertex where the system follows p
+    is rewired with kappa, in place: the stretch of v's circuit from v's
+    first passage up to its second is reversed, each departing half turned
+    into its sibling, so v pairs its in-directed halves and its out-directed
+    halves and every other vertex keeps its pairing.  An edge -> position
+    table finds v's passages.  Rewiring at a vertex never re-creates
+    agreement elsewhere, so one pass over the vertices suffices; the
+    circuits are traced once, at the end.
     """
     c = euler_system(f)
+    circuits = [list(circuit) for circuit in c.circuits]
+    where = [(0, 0)] * f.edge_count  # edge -> (circuit index, position)
+    for ci, circuit in enumerate(circuits):
+        for i, dep in enumerate(circuit):
+            where[dep >> 1] = (ci, i)
+    pairing = p.transitions.pairing
+    rewired = False
     for v in range(f.n):
-        if c.phi_pairing(v) == p.pairing_at(v):
-            c = kappa(c, v)
+        departures = []
+        for h in f.halves[v]:
+            ci, i = where[h >> 1]
+            if circuits[ci][i] == h:
+                departures.append((ci, i))
+        (ci, i), (_, j) = sorted(departures)  # both in the component's one circuit
+        circuit = circuits[ci]
+        if pairing[circuit[i]] != circuit[i - 1] ^ 1:
+            continue
+        circuit[i:j] = [h ^ 1 for h in reversed(circuit[i:j])]
+        for k in range(i, j):
+            where[circuit[k] >> 1] = (ci, k)
+        rewired = True
+    if rewired:
+        t = TransitionSystem.from_circuits(f, circuits)
+        c = EulerSystem(partition_from_transitions(f, t))
     for v in range(f.n):
         if transition_type(c, p, v) == "phi":
             raise AssertionError("agreement survived the sweep")
@@ -377,7 +424,8 @@ def realize_touch_graph(g: LoopedSimpleGraph | MultiGraph) -> Realization:
 
     edge_order: list[int] = []  # edge ids in file order
     ends: dict[int, tuple[int, int]] = {}
-    circuit_of: dict[int, list[tuple[int, int]]] = {}  # g-vertex -> [(edge id, dir)]
+    circuit_of: dict[int, list[int]] = {}  # g-vertex -> edge ids in traversal order
+    oldest: dict[int, deque[int]] = {}  # g-vertex -> the same ids in creation order
     next_id = 0
 
     def new_edge(a: int, b: int) -> int:
@@ -397,48 +445,36 @@ def realize_touch_graph(g: LoopedSimpleGraph | MultiGraph) -> Realization:
         for i in range(len(incident)):
             a = f_vertex[incident[i]]
             b = f_vertex[incident[(i + 1) % len(incident)]]
-            eid = new_edge(a, b)
-            edge_order.append(eid)
-            circ.append((eid, 0))
+            circ.append(new_edge(a, b))
+        edge_order += circ
         circuit_of[u] = circ
+        oldest[u] = deque(circ)
 
     for e in loops:
         u = mg.edges[e][0]
+        y = len(f_labels)
+        f_labels.append(mg.edge_labels[e])
         if u not in circuit_of:
-            y = len(f_labels)
-            f_labels.append(mg.edge_labels[e])
-            first = new_edge(y, y)
-            second = new_edge(y, y)
-            edge_order += [first, second]
-            circuit_of[u] = [(first, 0), (second, 0)]
+            circ = [new_edge(y, y), new_edge(y, y)]
+            edge_order += circ
+            circuit_of[u] = circ
+            oldest[u] = deque(circ)
         else:
-            circ = circuit_of[u]
-            pos = min(range(len(circ)), key=lambda k: circ[k][0])
-            eid, direction = circ[pos]
-            a, b = ends[eid]
-            head, tail = (a, b) if direction == 0 else (b, a)
-            y = len(f_labels)
-            f_labels.append(mg.edge_labels[e])
-            enter = new_edge(head, y)
-            mid = new_edge(y, y)
-            leave = new_edge(y, tail)
-            where = edge_order.index(eid)
-            edge_order[where:where + 1] = [enter, mid, leave]
-            del ends[eid]
-            circ[pos:pos + 1] = [(enter, 0), (mid, 0), (leave, 0)]
+            # edge ids only grow, so the oldest edge of a circuit is its lowest
+            eid = oldest[u].popleft()
+            head, tail = ends.pop(eid)
+            split = [new_edge(head, y), new_edge(y, y), new_edge(y, tail)]
+            oldest[u] += split
+            for seq in (edge_order, circuit_of[u]):
+                k = seq.index(eid)
+                seq[k:k + 1] = split
 
     position = {eid: i for i, eid in enumerate(edge_order)}
     f_graph = MultiGraph(
         tuple(f_labels), tuple(ends[eid] for eid in edge_order)
     )
     f = HalfEdgeGraph(f_graph)
-
-    def departing_half(eid: int, direction: int) -> int:
-        return 2 * position[eid] + direction
-
-    circuits = [
-        tuple(departing_half(eid, d) for eid, d in circuit_of[u]) for u in sorted(circuit_of)
-    ]
+    circuits = [tuple(2 * position[eid] for eid in circuit_of[u]) for u in sorted(circuit_of)]
     derived = partition_from_transitions(f, TransitionSystem.from_circuits(f, circuits))
     if derived.edge_sets() != frozenset(
         frozenset(h >> 1 for h in c) for c in circuits

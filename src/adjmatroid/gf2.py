@@ -152,8 +152,17 @@ class BitMatrix:
 
 
 def rank(m: BitMatrix) -> int:
-    """GF(2) rank (row rank = column rank)."""
-    return len(rref_masks(m.data))
+    """GF(2) rank (row rank = column rank): the pivots of a forward
+    elimination keyed by lowest set bit, with no back-substitution."""
+    pivots: dict[int, int] = {}
+    for v in m.data:
+        while v:
+            low = v & -v
+            if low not in pivots:
+                pivots[low] = v
+                break
+            v ^= pivots[low]
+    return len(pivots)
 
 
 def nullity(m: BitMatrix) -> int:

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from adjmatroid import binary_matroid
 from adjmatroid.binary_matroid import (
     BinaryMatroid,
     all_loops_matroid,
@@ -239,6 +240,25 @@ def test_bases_and_independent_sets_on_every_small_subspace():
             assert bases == {b for b in m.independent_sets() if len(b) == m.rank}
             checked += 1
     assert checked == 91
+
+
+def test_independent_family_is_computed_once_per_matroid(monkeypatch):
+    runs = []
+    planes = binary_matroid.column_masked_planes
+    monkeypatch.setattr(
+        binary_matroid, "column_masked_planes", lambda w: runs.append(w) or planes(w)
+    )
+    rng = random.Random(29)
+    for n in range(1, 7):
+        w = Subspace.span(n, [rng.randrange(1 << n) for _ in range(rng.randrange(3))])
+        m = BinaryMatroid.from_subspace(w, tuple(f"v{i}" for i in range(n)))
+        runs.clear()
+        first = (m.bases(), m.independent_masks(), m.independent_sets())
+        for _ in range(3):
+            assert (m.bases(), m.independent_masks(), m.independent_sets()) == first
+        assert len(runs) == 1
+        BinaryMatroid.from_subspace(w, m.ground).bases()
+        assert len(runs) == 2  # an equal matroid runs its own kernel
 
 
 def test_minor_duality_exchange():

@@ -235,6 +235,11 @@ def test_word_forms_match_member_rules():
         for _ in range(4):
             g = random_looped_simple_graph(rng, n)
             check_word_forms(dm.from_graph(g).pivot(rng.sample(g.labels, rng.randrange(n))))
+    for n in range(7, 11):
+        ground = tuple(f"v{i}" for i in range(n))
+        check_word_forms(dm.random_set_system(rng, ground, rng.choice([0.05, 0.3])))
+        g = random_looped_simple_graph(rng, n)
+        check_word_forms(dm.from_graph(g).pivot(rng.sample(g.labels, rng.randrange(n))))
 
 
 def test_family_is_checked_and_read_only():

@@ -1,9 +1,12 @@
 """Euler systems, transitions, touch-graphs and the realization build."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from adjmatroid import four_regular
 from adjmatroid.four_regular import (
     HalfEdgeGraph,
     TransitionSystem,
@@ -249,6 +252,22 @@ def test_realize_random_graphs():
         assert graph_isomorphism(tch.simplify(), g) is not None
 
 
+def test_realize_splits_the_lowest_edge_of_each_circuit():
+    # a's circuit starts as w -> x -> w; loop y splits its edge w -> x, loop s
+    # then splits the older x -> w, and loop t the oldest piece left, w -> y
+    g = MultiGraph.build(
+        "ab", [("a", "b"), ("a", "b"), ("a", "a"), ("b", "b"), ("a", "a"), ("a", "a")], "wxyzst"
+    )
+    r = realize_touch_graph(g)
+    w, x, y, z, s, t = range(6)
+    assert r.f.graph.labels == tuple("wxyzst")
+    assert r.f.graph.edges == (
+        (w, t), (t, t), (t, y), (y, y), (y, x), (x, s), (s, s), (s, w),
+        (w, z), (z, z), (z, x), (x, w),
+    )
+    assert r.partition.circuits == (tuple(range(0, 16, 2)), tuple(range(16, 24, 2)))
+
+
 def test_realize_encodes_partition_in_file_order():
     # without isolated looped vertices the emitted edge order carries the
     # distinguished partition
@@ -302,19 +321,31 @@ def scan_passages(p, v: int) -> tuple[tuple[int, int, int], ...]:
     )
 
 
+def sample_graph(rng: random.Random, n: int, connected: bool) -> MultiGraph:
+    """A random 4-regular graph on n vertices, or one with two components
+    (n + 1 vertices when n is even) whose edges interleave."""
+    if connected:
+        return random_four_regular(rng, n)
+    a, b = random_four_regular(rng, n // 2 + 1), random_four_regular(rng, (n + 1) // 2)
+    edges = list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges]
+    rng.shuffle(edges)
+    labels = tuple(f"v{i}" for i in range(a.n + b.n))
+    return MultiGraph(labels, tuple(edges))
+
+
 def table_cases() -> list[HalfEdgeGraph]:
     """Every corpus graph and seeded random ones with n <= 40, connected and
     not; the disconnected ones interleave the edges of their components."""
     rng = random.Random(8)
     graphs = list(small_four_regular_corpus())
     for n in (1, 2, 3, 7, 12, 25, 40):
-        graphs.append(random_four_regular(rng, n))
-        a, b = random_four_regular(rng, n // 2 + 1), random_four_regular(rng, (n + 1) // 2)
-        edges = list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges]
-        rng.shuffle(edges)
-        labels = tuple(f"v{i}" for i in range(a.n + b.n))
-        graphs.append(MultiGraph(labels, tuple(edges)))
+        graphs += [sample_graph(rng, n, True), sample_graph(rng, n, False)]
     return [HalfEdgeGraph(mg) for mg in graphs]
+
+
+def random_partition(rng: random.Random, f: HalfEdgeGraph):
+    pairs = [pair for v in range(f.n) for pair in rng.choice(f.transitions_at(v))]
+    return partition_from_transitions(f, TransitionSystem.from_pairs(f, pairs))
 
 
 def test_incidence_tables_match_the_edge_scans():
@@ -328,12 +359,7 @@ def test_incidence_tables_match_the_edge_scans():
         for v in range(f.n):
             a, b, c, d = scan_halves(mg, v)
             assert f.transitions_at(v)[0] == ((a, b), (c, d))
-        t = TransitionSystem.from_pairs(
-            f, [pair for v in range(f.n) for pair in rng.choice(f.transitions_at(v))]
-        )
-        for p in (
-            euler_system(f).partition, file_order_partition(f), partition_from_transitions(f, t)
-        ):
+        for p in (euler_system(f).partition, file_order_partition(f), random_partition(rng, f)):
             assert p.passages == tuple(scan_passages(p, v) for v in range(f.n))
 
 
@@ -357,15 +383,115 @@ def test_vertex_index_is_checked():
                 call(v)
 
 
+def pairwise_interlacement(c) -> LoopedSimpleGraph:
+    """Reference: test every vertex pair of every circuit for alternation."""
+    f = c.f
+    labels = f.graph.labels
+    edges = []
+    for circuit in c.circuits:
+        positions: dict[int, list[int]] = {}
+        for i, h in enumerate(circuit):
+            positions.setdefault(f.ends[h], []).append(i)
+        for a, b in itertools.combinations(sorted(positions), 2):
+            i1, i2 = positions[a]
+            j1, j2 = positions[b]
+            if (i1 < j1 < i2) != (i1 < j2 < i2):
+                edges.append((labels[a], labels[b]))
+    return LoopedSimpleGraph.build(labels, edges)
+
+
+def pairing_transition_type(c, p, v: int) -> str:
+    """Reference: match p's pairing at v against c's three pairings as sets."""
+    part = p.pairing_at(v)
+    phi, chi, psi = c.phi_pairing(v), c.chi_pairing(v), c.psi_pairing(v)
+    assert len({phi, chi, psi}) == 3
+    return {phi: "phi", chi: "chi", psi: "psi"}[part]
+
+
+def kappa_chain_compatible_euler_system(f, p):
+    """Reference: a retracing kappa at each vertex where the system follows
+    p; also returns the number of rewires."""
+    c = euler_system(f)
+    rewires = 0
+    for v in range(f.n):
+        if c.phi_pairing(v) == p.pairing_at(v):
+            c = kappa(c, v)
+            rewires += 1
+    return c, rewires
+
+
 def reference_relative_interlacement(c, p) -> LoopedSimpleGraph:
     """Drop phi vertices from the interlacement, then loop each psi vertex."""
     labels = c.f.graph.labels
-    kinds = [transition_type(c, p, v) for v in range(c.f.n)]
-    g = interlacement(c).induced(x for x, kind in zip(labels, kinds) if kind != "phi")
+    kinds = [pairing_transition_type(c, p, v) for v in range(c.f.n)]
+    g = pairwise_interlacement(c).induced(x for x, kind in zip(labels, kinds) if kind != "phi")
     for x, kind in zip(labels, kinds):
         if kind == "psi":
             g = g.variant(x, "loop")
     return g
+
+
+def check_fast_routes(f: HalfEdgeGraph, p) -> None:
+    """The prefix-XOR interlacement, the O(1) transition type and the
+    in-place kappa sweep against their references."""
+    c = euler_system(f)
+    assert interlacement(c) == pairwise_interlacement(c)
+    expect, _ = kappa_chain_compatible_euler_system(f, p)
+    comp = compatible_euler_system(f, p)
+    assert comp.transitions == expect.transitions
+    assert comp.circuits == expect.circuits
+    for system in (c, comp):
+        kinds = [transition_type(system, p, v) for v in range(f.n)]
+        assert kinds == [pairing_transition_type(system, p, v) for v in range(f.n)]
+        assert relative_interlacement(system, p) == reference_relative_interlacement(system, p)
+
+
+def test_fast_routes_match_references_on_every_small_partition():
+    checked = 0
+    for mg in small_four_regular_corpus(4):
+        f = HalfEdgeGraph(mg)
+        for t in all_transition_systems(f):
+            check_fast_routes(f, partition_from_transitions(f, t))
+            checked += 1
+    assert checked == 3 + 2 * 3**2 + 3 * 3**3 + 3 * 3**4
+
+
+def test_fast_routes_match_references_on_seeded_graphs():
+    rng = random.Random(10)
+    for n in (5, 9, 17, 33, 60, 100, 150):
+        for connected in (True, False):
+            f = HalfEdgeGraph(sample_graph(rng, n, connected))
+            assert (f.component_count == 1) == connected
+            for p in (file_order_partition(f), random_partition(rng, f)):
+                check_fast_routes(f, p)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.integers(1, 60), st.integers(0, 2**32 - 1), st.booleans())
+def test_fast_routes_match_references_property(n, seed, connected):
+    rng = random.Random(seed)
+    f = HalfEdgeGraph(sample_graph(rng, n, connected))
+    check_fast_routes(f, random_partition(rng, f))
+
+
+def test_compatible_euler_system_traces_once(monkeypatch):
+    rng = random.Random(12)
+    cases = [(f, p) for f in table_cases() for p in (file_order_partition(f), random_partition(rng, f))]
+    rewires = [kappa_chain_compatible_euler_system(f, p)[1] for f, p in cases]
+    assert max(rewires) >= 2 and 0 in rewires
+    traced = []
+    trace = four_regular.partition_from_transitions
+    monkeypatch.setattr(
+        four_regular, "partition_from_transitions", lambda f, t: traced.append(t) or trace(f, t)
+    )
+    for (f, p), count in zip(cases, rewires):
+        traced.clear()
+        c = euler_system(f)
+        assert traced == []
+        comp = compatible_euler_system(f, p)
+        assert len(traced) == min(count, 1)
+        if not count:
+            assert comp == c
 
 
 def test_relative_interlacement_builds_a_fixed_number_of_graphs(monkeypatch):
@@ -385,7 +511,7 @@ def test_relative_interlacement_builds_a_fixed_number_of_graphs(monkeypatch):
             expect = reference_relative_interlacement(c, p)
             builds.clear()
             assert relative_interlacement(c, p) == expect
-            assert len(builds) == 2
+            assert len(builds) == 1
             psi_counts.add(len(expect.loop_labels()))
     assert max(psi_counts) >= 3
 

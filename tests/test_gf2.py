@@ -57,6 +57,24 @@ def test_rank_examples():
     assert rank(A_K3) == 2
 
 
+def test_rank_counts_the_rref_rows():
+    """The forward elimination against the canonical RREF, on every square
+    matrix with n <= 3 and on seeded ones up to n = 150."""
+    for n in range(4):
+        for rows in itertools.product(range(1 << n), repeat=n):
+            assert rank(BitMatrix(n, n, rows)) == len(rref_masks(rows))
+    rng = random.Random(4)
+    for n in (5, 9, 20, 64, 150):
+        for density in (0.05, 0.5):
+            rows = tuple(
+                sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)
+            )
+            assert rank(BitMatrix(n, n, rows)) == len(rref_masks(rows))
+        low = [rng.randrange(1 << n) for _ in range(n // 2)]
+        rows = tuple(low[rng.randrange(len(low))] ^ low[rng.randrange(len(low))] for _ in range(n))
+        assert rank(BitMatrix(n, n, rows)) == len(rref_masks(rows))
+
+
 def test_nullity_examples():
     assert nullity(BitMatrix.zero(3, 3)) == 3
     assert nullity(A_K3) == 1
