@@ -426,6 +426,7 @@ def realize_touch_graph(g: LoopedSimpleGraph | MultiGraph) -> Realization:
     ends: dict[int, tuple[int, int]] = {}
     circuit_of: dict[int, list[int]] = {}  # g-vertex -> edge ids in traversal order
     oldest: dict[int, deque[int]] = {}  # g-vertex -> the same ids in creation order
+    splits: dict[int, tuple[int, int, int]] = {}  # split edge id -> its three parts
     next_id = 0
 
     def new_edge(a: int, b: int) -> int:
@@ -463,12 +464,26 @@ def realize_touch_graph(g: LoopedSimpleGraph | MultiGraph) -> Realization:
             # edge ids only grow, so the oldest edge of a circuit is its lowest
             eid = oldest[u].popleft()
             head, tail = ends.pop(eid)
-            split = [new_edge(head, y), new_edge(y, y), new_edge(y, tail)]
+            split = (new_edge(head, y), new_edge(y, y), new_edge(y, tail))
             oldest[u] += split
-            for seq in (edge_order, circuit_of[u]):
-                k = seq.index(eid)
-                seq[k:k + 1] = split
+            splits[eid] = split
 
+    def expand(seq: list[int]) -> list[int]:
+        """seq with each split edge replaced, at its position and
+        recursively, by its three parts: one pass, however many loops a
+        circuit carries."""
+        out = []
+        stack = seq[::-1]
+        while stack:
+            eid = stack.pop()
+            if eid in splits:
+                stack += reversed(splits[eid])
+            else:
+                out.append(eid)
+        return out
+
+    edge_order = expand(edge_order)
+    circuit_of = {u: expand(circ) for u, circ in circuit_of.items()}
     position = {eid: i for i, eid in enumerate(edge_order)}
     f_graph = MultiGraph(
         tuple(f_labels), tuple(ends[eid] for eid in edge_order)

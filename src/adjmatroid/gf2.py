@@ -252,19 +252,37 @@ class Subspace:
 
 
 def nullspace(m: BitMatrix) -> Subspace:
-    """Canonical right nullspace {x : m x = 0}."""
-    rows = rref_masks(m.data)
-    pivots = [lowest_bit(r) for r in rows]
-    pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    kernel = []
-    for f in free:
-        v = 1 << f
-        for r, p in zip(rows, pivots):
-            if (r >> f) & 1:
-                v |= 1 << p
-        kernel.append(v)
-    return Subspace.span(m.cols, kernel)
+    """Canonical right nullspace {x : m x = 0}, from one elimination.
+
+    The rows are fully reduced with each row keyed by its highest set bit,
+    so a reduced row is its pivot plus free columns below it.  The kernel
+    vector of free column f is f plus the pivots of the rows holding f, all
+    above f: the vectors, in ascending f, are already the canonical basis.
+    """
+    by_top: dict[int, int] = {}  # pivot bit (highest set bit) -> row
+    for v in m.data:
+        for top, b in by_top.items():
+            if v & top:
+                v ^= b
+        if v:
+            top = 1 << (v.bit_length() - 1)
+            for p, b in by_top.items():
+                if b & top:
+                    by_top[p] = b ^ v
+            by_top[top] = v
+    kernel: dict[int, int] = {}
+    free = ((1 << m.cols) - 1) ^ sum(by_top)
+    while free:
+        low = free & -free
+        kernel[low] = low
+        free ^= low
+    for top, r in by_top.items():
+        r ^= top
+        while r:
+            low = r & -r
+            kernel[low] |= top
+            r ^= low
+    return Subspace(m.cols, tuple(kernel.values()))
 
 
 def orthogonal_complement(w: Subspace) -> Subspace:

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .adjacency_matroid import adjacency_matroid
 from .binary_matroid import BinaryMatroid
@@ -112,8 +113,10 @@ X = BivariatePolynomial.monomial(1, 0)
 Y = BivariatePolynomial.monomial(0, 1)
 
 
+@lru_cache(maxsize=None)
 def shifted_power_term(a: int, b: int) -> BivariatePolynomial:
-    """(x-1)^a (y-1)^b expanded over the integers."""
+    """(x-1)^a (y-1)^b expanded over the integers; polynomials are frozen,
+    so each exponent pair is expanded once."""
     return _expand({(a, b): 1})
 
 
@@ -213,23 +216,32 @@ def lambda_leading(m: BinaryMatroid) -> BivariatePolynomial:
     return shifted_power_term(0, m.nullity)
 
 
-def _induced_pairs(g: LoopedSimpleGraph, required: int) -> Iterator[tuple[int, int]]:
-    """(|S|-nu, nu) for every vertex mask S containing the mask required,
-    nu read from the leading Tutte term of the induced subgraph's matroid."""
+def _induced_nullities(g: LoopedSimpleGraph) -> list[int]:
+    """nu(G[S]) for every vertex mask S, read from the leading Tutte term of
+    the induced subgraph's matroid: one matroid per subset."""
     check_enum_gate(g.n, "induced subgraph expansion")
+    table = []
     for mask in range(1 << g.n):
-        if mask & required == required:
-            s = [g.labels[i] for i in range(g.n) if (mask >> i) & 1]
-            nu = lambda_leading(adjacency_matroid(g.induced(s))).degree_y()
-            yield len(s) - nu, nu
+        s = [g.labels[i] for i in range(g.n) if (mask >> i) & 1]
+        table.append(lambda_leading(adjacency_matroid(g.induced(s))).degree_y())
+    return table
 
 
 def q_from_lambda(g: LoopedSimpleGraph) -> BivariatePolynomial:
     """Interlace polynomial assembled from the leading Tutte terms of the
     induced subgraph matroids, each contributing (x-1)^(|S|-nu) (y-1)^nu."""
-    return _expand(Counter(_induced_pairs(g, 0)))
+    return _expand(Counter(
+        (mask.bit_count() - nu, nu) for mask, nu in enumerate(_induced_nullities(g))
+    ))
 
 
-def interlace_vertex_terms(g: LoopedSimpleGraph, v: str) -> BivariatePolynomial:
-    """The part of the subset expansion ranging over subsets containing v."""
-    return _expand(Counter(_induced_pairs(g, 1 << g.index(v))))
+def interlace_vertex_terms(g: LoopedSimpleGraph) -> dict[str, BivariatePolynomial]:
+    """For each vertex v, the part of the subset expansion ranging over the
+    subsets containing v; every vertex reads one induced-nullity table."""
+    counts: list[Counter[tuple[int, int]]] = [Counter() for _ in range(g.n)]
+    for mask, nu in enumerate(_induced_nullities(g)):
+        pair = (mask.bit_count() - nu, nu)
+        for i in range(g.n):
+            if (mask >> i) & 1:
+                counts[i][pair] += 1
+    return {v: _expand(c) for v, c in zip(g.labels, counts)}

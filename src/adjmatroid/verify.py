@@ -254,14 +254,27 @@ def _random_multigraph(rng: random.Random, n: int, m: int) -> MultiGraph:
     return MultiGraph(labels, edges)
 
 
+def _variants(h: LoopedSimpleGraph, v: str) -> dict[str, BinaryMatroid]:
+    return {k: variant_matroid(h, v, k) for k in ("plain", "loop", "loop_isolate")}
+
+
 def _matroid_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
     mg = adjacency_matroid(g)
     for v in g.labels:
         witness = graph_witness(g, f"vertex {v}")
         gv = g.local_complement(v)
+        # the six variant matroids the checks below compare, built once;
+        # the library routes under test still build their own
+        mine = _variants(g, v)
+        theirs = _variants(gv, v)
+        # complementing at v keeps v's loop, so gv is its own variant of
+        # that kind, and toggling v's loop in g gives the other kind
+        own, other = ("loop", "plain") if g.is_looped(v) else ("plain", "loop")
         m_g = mg
-        m_gv = adjacency_matroid(gv)
+        m_gv = theirs[own]
         m_minus = adjacency_matroid(g.minus(v))
+        deleted = m_g.delete(v)
+        triple = is_triple_coloop(g, v)  # the route under test, asked once
 
         with rec.check("contract-matches-complement-witness", witness):
             derivation = contract_via_lc(g, v)
@@ -273,15 +286,15 @@ def _matroid_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
 
         with rec.check("delete-matches-subgraph-for-noncoloops", witness):
             if not m_g.is_coloop(v):
-                assert m_g.delete(v) == m_minus
+                assert deleted == m_minus
 
         with rec.check("delete-matches-subgraph-off-triple-coloops", witness):
-            if not is_triple_coloop(g, v):
-                assert m_g.delete(v) == m_minus
-            assert delete_via_subgraph(g, v) == m_g.delete(v)
+            if not triple:
+                assert deleted == m_minus
+            assert delete_via_subgraph(g, v) == deleted
 
         with rec.check("deletion-ignores-local-complement", witness):
-            assert m_g.delete(v) == m_gv.delete(v)
+            assert deleted == m_gv.delete(v)
 
         with rec.check("local-complement-matroid-relation", witness):
             if not g.is_looped(v):
@@ -292,14 +305,13 @@ def _matroid_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
                 assert c_here or c_there, "coloop of neither"
                 if c_here and c_there:
                     assert m_gv == m_g
-                    assert not is_triple_coloop(g, v)
+                    assert not triple
                     assert not is_triple_coloop(gv, v)
                 else:
                     m1, m2 = (m_gv, m_g) if c_here else (m_g, m_gv)
-                    graph2 = g if c_here else gv
                     assert m2 == m1.delete(v).direct_sum(single_coloop(v))
                     assert m2.nullity == m1.nullity - 1, "equal nullities"
-                    assert is_triple_coloop(graph2, v)
+                    assert triple if c_here else is_triple_coloop(gv, v)
 
         with rec.check("three-variants-two-agree", witness):
             t = trio(g, v)
@@ -312,29 +324,27 @@ def _matroid_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
             assert t.equal_pair == expected_pair, f"{t.equal_pair} vs case {tag}"
 
         with rec.check("loop-isolate-splits-off-coloop", witness):
-            iso = variant_matroid(g, v, "loop_isolate")
+            iso = mine["loop_isolate"]
             assert iso.is_coloop(v)
             assert iso == m_minus.direct_sum(single_coloop(v))
-            gv_loop = adjacency_matroid(gv.variant(v, "loop"))
+            gv_loop = theirs["loop"]
             assert iso.nullity == m_minus.nullity == gv_loop.contract(v).nullity == gv_loop.nullity
 
         with rec.check("coloop-of-graph-or-loop-complement", witness):
-            toggled = adjacency_matroid(g.loop_complement(v))
+            toggled = mine[other]
             assert m_g.is_coloop(v) or toggled.is_coloop(v)
 
         with rec.check("triple-coloop-cycle-space-criterion", witness):
-            plain = variant_matroid(g, v, "plain")
-            loop = variant_matroid(g, v, "loop")
-            iso = variant_matroid(g, v, "loop_isolate")
+            plain, loop, iso = mine["plain"], mine["loop"], mine["loop_isolate"]
             assert iso.is_coloop(v)
             assert plain.is_coloop(v) or loop.is_coloop(v)
             criterion = plain.cycle_space == loop.cycle_space and all(
                 iso.cycle_space.contains(x) for x in plain.cycle_space.basis
             ) and iso.cycle_space != plain.cycle_space
-            assert criterion == is_triple_coloop(g, v)
+            assert criterion == triple
 
         with rec.check("tripartition-case-details", witness):
-            _check_tripartition_case(g, v, gv)
+            _check_tripartition_case(g, v, gv, mine, theirs)
 
     with rec.check("rank-function-shape", graph_witness(g)):
         table = {}
@@ -383,16 +393,17 @@ def _matroid_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
             assert gv.local_complement(v) == g
 
 
-def _check_tripartition_case(g: LoopedSimpleGraph, v: str, gv: LoopedSimpleGraph) -> None:
+def _check_tripartition_case(
+    g: LoopedSimpleGraph,
+    v: str,
+    gv: LoopedSimpleGraph,
+    mine: dict[str, BinaryMatroid],
+    theirs: dict[str, BinaryMatroid],
+) -> None:
+    """mine and theirs are the variant matroids at v of g and of gv."""
     case = classify_vertex(g, v).tag
     back = classify_vertex(gv, v).tag
     u11 = single_coloop(v)
-
-    def variants(h: LoopedSimpleGraph) -> dict[str, BinaryMatroid]:
-        return {k: variant_matroid(h, v, k) for k in ("plain", "loop", "loop_isolate")}
-
-    mine = variants(g)
-    theirs = variants(gv)
     if case == "case3":
         assert back == "case3", "case 3 must persist under local complementation"
         assert theirs["plain"] == mine["plain"]
@@ -534,11 +545,15 @@ def _delta_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
 
     for v in g.labels:
         wv = graph_witness(g, f"vertex {v}")
+        gv = g.local_complement(v)
+        m_gv = adjacency_matroid(gv)
+        contracted = mg.contract(v)
+        pivoted = d.pivot([v])
         with rec.check("flips-match-graph-complements", wv):
             if g.is_looped(v):
-                assert d.pivot([v]) == dm.from_graph(g.local_complement(v))
+                assert pivoted == dm.from_graph(gv)
             else:
-                assert d.dual_pivot([v]) == dm.from_graph(g.local_complement(v))
+                assert d.dual_pivot([v]) == dm.from_graph(gv)
             assert d.loop_complement([v]) == dm.from_graph(g.loop_complement(v))
             assert d.delete([v]) == dm.from_graph(g.minus(v))
 
@@ -546,40 +561,45 @@ def _delta_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
             if not mg.is_coloop(v):
                 assert mg.delete(v).bases() == dm.max_as_matroid(d.delete([v]))
             if g.is_looped(v):
-                assert mg.contract(v).bases() == dm.max_as_matroid(d.pivot([v]).delete([v]))
+                assert contracted.bases() == dm.max_as_matroid(pivoted.delete([v]))
             elif g.neighbors(v):
-                assert mg.contract(v).bases() == dm.max_as_matroid(d.pivot([v]).delete([v]))
+                assert contracted.bases() == dm.max_as_matroid(pivoted.delete([v]))
                 w = g.neighbors(v)[0]
                 seq = d.dual_pivot([w]) if not g.is_looped(w) else d.dual_pivot([v]).dual_pivot([w])
-                assert dm.max_as_matroid(seq.pivot([v]).delete([v])) == mg.contract(v).bases()
-            gv_m = adjacency_matroid(g.local_complement(v))
+                assert dm.max_as_matroid(seq.pivot([v]).delete([v])) == contracted.bases()
             if not g.is_looped(v):
-                assert dm.max_as_matroid(d.dual_pivot([v])) == gv_m.bases() == mg.bases()
+                assert dm.max_as_matroid(d.dual_pivot([v])) == m_gv.bases() == mg.bases()
 
         with rec.check("two-of-three-max-transforms-agree", wv):
-            _check_two_of_three(d, v, g)
+            _check_two_of_three(d, v, pivoted)
 
         with rec.check("max-after-pinning", wv):
             tilde = d.tilde_minus(v)
             if tilde.is_proper:
                 left = tilde.loop_complement([v]).max_sys()
-                right = d.pivot([v]).max_sys().tilde_contract(v)
+                right = pivoted.max_sys().tilde_contract(v)
                 assert left.family == right.family
 
         with rec.check("loop-isolate-via-max-filter", wv):
             if g.is_looped(v):
-                gv = g.local_complement(v)
                 m_iso = variant_matroid(g, v, "loop_isolate")
-                m_gv = adjacency_matroid(gv)
                 assert m_iso.nullity == m_gv.nullity
                 assert m_iso.bases() == {b for b in m_gv.bases() if v in b}
                 assert m_iso == m_gv.contract(v).direct_sum(single_coloop(v))
                 assert (m_iso == m_gv) == (mg.nullity >= m_gv.nullity)
 
-    for mask in range(1 << g.n):
-        s = [g.labels[i] for i in range(g.n) if (mask >> i) & 1]
-        ws = graph_witness(g, f"subset {{{' '.join(s)}}}")
-        sub = adjacency_matroid(g.induced(s))
+    _delta_subset_checks(rec, g, d)
+
+
+def _delta_subset_checks(rec: Recorder, g: LoopedSimpleGraph, d: dm.SetSystem) -> None:
+    """The induced-subgraph checks, over one matroid per vertex subset."""
+    witness = graph_witness(g)
+    subsets = [[g.labels[i] for i in range(g.n) if (mask >> i) & 1] for mask in range(1 << g.n)]
+    induced = [g.induced(s) for s in subsets]
+    subs = [adjacency_matroid(h) for h in induced]
+    sub_bases = [sub.bases() for sub in subs]
+    for mask, (s, sub) in enumerate(zip(subsets, subs)):
+        ws = f"{witness} subset {{{' '.join(s)}}}"
         with rec.check("bases-are-maximal-encoded-subsets", ws):
             inside = [m for m in d.family if m & ~mask == 0]
             maximal = {
@@ -587,7 +607,7 @@ def _delta_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
                 for m in inside
                 if not any(z != m and m & ~z == 0 for z in inside)
             }
-            assert maximal == sub.bases()
+            assert maximal == sub_bases[mask]
         with rec.check("independents-extend-to-encoded-sets", ws):
             independents = {
                 frozenset(i_labels)
@@ -603,18 +623,17 @@ def _delta_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
         with rec.check("restriction-collects-subgraph-bases", ws):
             collected = set()
             for t_mask in range(1 << g.n):
-                if t_mask & ~mask:
-                    continue
-                t = [g.labels[i] for i in range(g.n) if (t_mask >> i) & 1]
-                collected |= adjacency_matroid(g.induced(t)).bases()
-            restricted = dm.from_graph(g.induced(s))
+                if not t_mask & ~mask:
+                    collected |= sub_bases[t_mask]
+            restricted = dm.from_graph(induced[mask])
             assert {restricted.labels_of(m) for m in restricted.family} == collected
 
 
-def _check_two_of_three(d: dm.SetSystem, v: str, g: LoopedSimpleGraph) -> None:
+def _check_two_of_three(d: dm.SetSystem, v: str, pivoted: dm.SetSystem) -> None:
+    """pivoted is d pivoted at v."""
     candidates = {
         "plain": d.max_sys(),
-        "pivot": d.pivot([v]).max_sys(),
+        "pivot": pivoted.max_sys(),
         "loop": d.loop_complement([v]).max_sys(),
     }
     families = {k: frozenset(c.family) for k, c in candidates.items()}
@@ -956,8 +975,9 @@ def _poly_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
                 assert lambda_leading(mg) == lambda_leading(adjacency_matroid(gv.minus(v)))
 
     with rec.check("vertex-terms-make-the-difference", witness):
+        terms = interlace_vertex_terms(g)
         for v in g.labels:
-            assert q - interlace_subset(g.minus(v)) == interlace_vertex_terms(g, v)
+            assert q - interlace_subset(g.minus(v)) == terms[v]
 
 
 def _poly_polygon_checks(rec: Recorder, trials: int, seed: int) -> None:

@@ -268,6 +268,24 @@ def test_realize_splits_the_lowest_edge_of_each_circuit():
     assert r.partition.circuits == (tuple(range(0, 16, 2)), tuple(range(16, 24, 2)))
 
 
+def test_realize_many_loops_on_one_circuit():
+    # 2,000 loops split edges of one circuit, pieces of earlier splits included
+    loops = [f"l{i}" for i in range(2000)]
+    g = MultiGraph.build(
+        "ab", [("a", "b"), ("a", "b")] + [("a", "a")] * len(loops), ["p", "q", *loops]
+    )
+    r = realize_touch_graph(g)
+    assert r.f.n == len(loops) + 2
+    assert r.f.graph.degrees() == [4] * r.f.n
+    tch = touch_graph(r.partition)
+    assert tch.n == 2
+    ends = {label: tch.edges[e] for e, label in enumerate(tch.edge_labels)}
+    assert sorted(ends) == sorted(g.edge_labels)
+    (home, _), (c, d) = ends["l0"], ends["p"]
+    assert c != d and ends["q"] in ((c, d), (d, c))
+    assert all(ends[label] == (home, home) for label in loops)
+
+
 def test_realize_encodes_partition_in_file_order():
     # without isolated looped vertices the emitted edge order carries the
     # distinguished partition

@@ -90,6 +90,23 @@ def test_nullspace_examples():
     assert single.basis == (0b11,)
 
 
+def test_nullspace_is_the_canonical_span_of_the_brute_force_kernel():
+    def expected(a: BitMatrix) -> Subspace:
+        return Subspace.span(a.cols, sorted(brute_nullspace(a)))
+
+    for rows in range(4):
+        for cols in range(4):
+            for entries in range(1 << (rows * cols)):
+                data = tuple((entries >> (cols * i)) & ((1 << cols) - 1) for i in range(rows))
+                a = BitMatrix(rows, cols, data)
+                assert nullspace(a) == expected(a), a
+    rng = random.Random(43)
+    for _ in range(2000):
+        rows, cols = rng.randrange(9), rng.randrange(9)
+        a = BitMatrix(rows, cols, tuple(rng.randrange(1 << cols) for _ in range(rows)))
+        assert nullspace(a) == expected(a), a
+
+
 def test_orthogonal_complement_examples():
     assert orthogonal_complement(Subspace.zero(3)) == Subspace.full(3)
     comp = orthogonal_complement(Subspace.span(3, [0b111]))

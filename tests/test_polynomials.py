@@ -130,7 +130,7 @@ def test_oracle_routes_never_call_the_subset_kernel(monkeypatch):
     for g, (q, t) in zip(graphs, expected):
         assert q_from_lambda(g) == interlace_recursive(g) == q
         v = g.labels[0]
-        assert interlace_vertex_terms(g, v) == q - interlace_recursive(g.minus(v))
+        assert interlace_vertex_terms(g)[v] == q - interlace_recursive(g.minus(v))
         assert tutte_recursive(adjacency_matroid(g)) == t
 
 
@@ -151,8 +151,10 @@ def test_subset_expansions_match_recursions_seeded():
 def test_vertex_terms_identity():
     for g in all_looped_simple_graphs(3):
         q = interlace_subset(g)
+        terms = interlace_vertex_terms(g)
+        assert set(terms) == set(g.labels)
         for v in g.labels:
-            assert q - interlace_subset(g.minus(v)) == interlace_vertex_terms(g, v)
+            assert q - interlace_subset(g.minus(v)) == terms[v]
 
 
 def test_tutte_duality_swap():
