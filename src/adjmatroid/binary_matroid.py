@@ -7,7 +7,6 @@ it on demand.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -23,8 +22,6 @@ from .gf2 import (
     size_masks,
 )
 from .graph import MultiGraph
-
-ISOMORPHISM_GATE = 8
 
 
 def _drop_bit(mask: int, i: int) -> int:
@@ -140,10 +137,12 @@ class BinaryMatroid:
     def delete(self, v: str) -> "BinaryMatroid":
         i = self.index(v)
         keep = ((1 << self.size) - 1) & ~(1 << i)
+        # restricted_to's basis is canonical and free of bit i, and dropping
+        # that bit keeps it canonical, so it needs no second span
         inside = self.cycle_space.restricted_to(keep)
-        masks = [_drop_bit(m, i) for m in inside.basis]
+        masks = tuple(_drop_bit(m, i) for m in inside.basis)
         ground = tuple(u for u in self.ground if u != v)
-        return BinaryMatroid(ground, Subspace.span(self.size - 1, masks))
+        return BinaryMatroid(ground, Subspace(self.size - 1, masks))
 
     def contract(self, v: str) -> "BinaryMatroid":
         i = self.index(v)
@@ -182,57 +181,15 @@ class BinaryMatroid:
         bits = self._independent_bits & size_masks(self.size)[self.rank]
         return frozenset(self._labels_of(m) for m in set_bits(bits))
 
-    def isomorphism(self, other: "BinaryMatroid") -> dict[str, str] | None:
-        """Search for a bijection carrying one cycle space onto the other."""
-        if self.size > ISOMORPHISM_GATE or other.size > ISOMORPHISM_GATE:
-            raise ValueError(f"isomorphism search gated at {ISOMORPHISM_GATE} elements")
-        if self.size != other.size or self.rank != other.rank:
-            return None
-        mine = sorted(popcount(c) for c in self.circuit_masks())
-        theirs = sorted(popcount(c) for c in other.circuit_masks())
-        if mine != theirs:
-            return None
-        target = other.cycle_space
-        for perm in itertools.permutations(range(self.size)):
-            if self.cycle_space.permuted(perm) == target:
-                return {self.ground[i]: other.ground[perm[i]] for i in range(self.size)}
-        return None
-
 
 def free_matroid(labels: Sequence[str]) -> BinaryMatroid:
     """No circuits at all (U_{n,n})."""
     return BinaryMatroid(tuple(labels), Subspace.zero(len(labels)))
 
 
-def all_loops_matroid(labels: Sequence[str]) -> BinaryMatroid:
-    """Every element a loop; the dual of the free matroid."""
-    return BinaryMatroid(tuple(labels), Subspace.full(len(labels)))
-
-
-def single_loop(label: str) -> BinaryMatroid:
-    """U_{1,0} on one element."""
-    return all_loops_matroid((label,))
-
-
 def single_coloop(label: str) -> BinaryMatroid:
     """U_{1,1} on one element."""
     return free_matroid((label,))
-
-
-def pair_circuit(labels: Sequence[str]) -> BinaryMatroid:
-    """U_{2,1}: two parallel elements."""
-    labels = tuple(labels)
-    if len(labels) != 2:
-        raise ValueError("pair circuit needs two labels")
-    return BinaryMatroid(labels, Subspace.span(2, [0b11]))
-
-
-def triple_circuit(labels: Sequence[str]) -> BinaryMatroid:
-    """U_{3,2}: one circuit through all three elements."""
-    labels = tuple(labels)
-    if len(labels) != 3:
-        raise ValueError("triple circuit needs three labels")
-    return BinaryMatroid(labels, Subspace.span(3, [0b111]))
 
 
 def polygon_matroid(g: MultiGraph) -> BinaryMatroid:

@@ -68,22 +68,23 @@ def _circuit_text(circuits: list[list[str]]) -> str:
 def cmd_info(args: argparse.Namespace) -> int:
     g = _load_simple_graph(args)
     m = adjacency_matroid(g)
+    loops, edges, circuits = g.loop_labels(), g.edge_pairs(), len(m.circuit_masks())
     payload = {
         "vertices": list(g.labels),
-        "loops": list(g.loop_labels()),
-        "edges": [[u, v] for u, v in g.edge_pairs()],
+        "loops": list(loops),
+        "edges": [[u, v] for u, v in edges],
         "rank": m.rank,
         "nullity": m.nullity,
-        "circuits": len(m.circuits()),
+        "circuits": circuits,
     }
     text = "\n".join(
         [
             f"vertices: {len(g.labels)} ({' '.join(g.labels) or 'none'})",
-            f"loops: {' '.join(g.loop_labels()) or '(none)'}",
-            f"edges: {len(g.edge_pairs())}",
+            f"loops: {' '.join(loops) or '(none)'}",
+            f"edges: {len(edges)}",
             f"matroid rank: {m.rank}",
             f"matroid nullity: {m.nullity}",
-            f"matroid circuits: {len(m.circuits())}",
+            f"matroid circuits: {circuits}",
         ]
     )
     _emit(args, text, payload)
@@ -183,19 +184,15 @@ def cmd_realize(args: argparse.Namespace) -> int:
     g = parse_graph(_read_input(args.input))
     realization = realize_touch_graph(g)
     f_graph = realization.f.graph
-    if args.format == "json":
-        payload = graph_to_json(f_graph)
-        payload["circuits"] = [
-            sorted(f_graph.edge_labels[h >> 1] for h in circuit)
-            for circuit in realization.partition.circuits
-        ]
-        print(json.dumps(payload, sort_keys=True))
-        return 0
+    circuits = [
+        [f_graph.edge_labels[h >> 1] for h in circuit]
+        for circuit in realization.partition.circuits
+    ]
+    payload = graph_to_json(f_graph)
+    payload["circuits"] = [sorted(c) for c in circuits]
     lines = [render_graph(f_graph).rstrip()]
-    for circuit in realization.partition.circuits:
-        labels = " ".join(f_graph.edge_labels[h >> 1] for h in circuit)
-        lines.append(f"# circuit: {labels}")
-    print("\n".join(lines))
+    lines += [f"# circuit: {' '.join(c)}" for c in circuits]
+    _emit(args, "\n".join(lines), payload)
     return 0
 
 
@@ -223,23 +220,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if value is not None and value < 0:
             raise ValueError(f"{flag} must be at least 0, got {value}")
     results = run_suites(args.suite, args.max_n, args.trials, args.seed)
-    failed = False
     if args.format == "json":
         payload = [
             {"name": r.name, "instances": r.instances, "failures": r.failures}
             for r in results
         ]
         print(json.dumps(payload, sort_keys=True))
-        failed = any(r.failures for r in results)
     else:
         for r in results:
             mark = "ok  " if r.ok else "FAIL"
             print(f"{mark} {r.name} instances={r.instances}")
             for f in r.failures:
-                failed = True
                 print(f"     reproduce: {f}")
-        failed = failed or any(not r.ok for r in results)
-    return 2 if failed else 0
+    return 2 if any(r.failures for r in results) else 0
 
 
 class _Parser(argparse.ArgumentParser):

@@ -111,9 +111,9 @@ class TransitionSystem:
 
     @classmethod
     def from_pairs(cls, f: HalfEdgeGraph, pairs: Iterable[Iterable[int]]) -> "TransitionSystem":
-        t = cls((-1,) * f.half_count).rewired(pairs)
-        t.validate(f)
-        return t
+        """The system joining each given pair; unchecked until
+        `partition_from_transitions` validates it."""
+        return cls((-1,) * f.half_count).rewired(pairs)
 
     @classmethod
     def from_circuits(
@@ -223,26 +223,20 @@ class EulerSystem:
     def transitions(self) -> TransitionSystem:
         return self.partition.transitions
 
-    def _in_out(self, v: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        self.f.check_vertex(v)
-        (_, arr_a, dep_a), (_, arr_b, dep_b) = self.partition.passages[v]
-        return (arr_a, arr_b), (dep_a, dep_b)
-
     def phi_pairing(self, v: int) -> Pairing:
         return self.partition.pairing_at(v)
 
     def psi_pairing(self, v: int) -> Pairing:
         """The orientation-inconsistent pairing: ins together, outs together."""
-        ins, outs = self._in_out(v)
-        return frozenset((frozenset(ins), frozenset(outs)))
-
-    def chi_pairing(self, v: int) -> Pairing:
-        (arr_a, arr_b), (dep_a, dep_b) = self._in_out(v)
-        return frozenset((frozenset((arr_a, dep_b)), frozenset((arr_b, dep_a))))
+        self.f.check_vertex(v)
+        (_, arr_a, dep_a), (_, arr_b, dep_b) = self.partition.passages[v]
+        return frozenset((frozenset((arr_a, arr_b)), frozenset((dep_a, dep_b))))
 
 
 def euler_system(f: HalfEdgeGraph) -> EulerSystem:
-    """Hierholzer splicing; deterministic in the half-edge order."""
+    """Hierholzer splicing; deterministic in the half-edge order.  The
+    circuits use every half-edge once, so their transition system is valid
+    by construction and is not validated again."""
     used = [False] * f.edge_count
 
     def walk(v0: int) -> list[int]:

@@ -208,10 +208,6 @@ class Subspace:
     def zero(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim, ())
 
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return cls.span(ambient_dim, (1 << i for i in range(ambient_dim)))
-
     @property
     def dim(self) -> int:
         return len(self.basis)

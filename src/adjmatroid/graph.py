@@ -39,22 +39,9 @@ class LoopedSimpleGraph:
         edges: Iterable[tuple[str, str]] = (),
         loops: Iterable[str] = (),
     ) -> "LoopedSimpleGraph":
-        labels = tuple(labels)
-        index = {v: i for i, v in enumerate(labels)}
-        rows = [0] * len(labels)
-        for u, v in edges:
-            if u not in index or v not in index:
-                raise ValueError(f"unknown vertex in edge {u} {v}")
-            if u == v:
-                rows[index[u]] |= 1 << index[u]
-            else:
-                rows[index[u]] |= 1 << index[v]
-                rows[index[v]] |= 1 << index[u]
-        for v in loops:
-            if v not in index:
-                raise ValueError(f"unknown vertex in loop {v}")
-            rows[index[v]] |= 1 << index[v]
-        return cls(labels, BitMatrix(len(labels), len(labels), tuple(rows)))
+        """The graph with the given edges and loops; repeats collapse, as
+        in the text format."""
+        return MultiGraph.build(labels, [*edges, *((v, v) for v in loops)]).simplify()
 
     @property
     def n(self) -> int:

@@ -1,4 +1,4 @@
-"""The line-oriented graph format and its JSON twin.
+"""The line-oriented graph format, and the JSON form the CLI writes.
 
 Grammar: `# comment`, `vertices <name>+`, `loop <name>`, `edge <name> <name>`.
 Names are non-whitespace tokens.  Duplicate edge or loop lines make the
@@ -92,31 +92,3 @@ def graph_to_json(g: LoopedSimpleGraph | MultiGraph) -> dict[str, Any]:
     edges = [[mg.labels[u], mg.labels[v]] for u, v in mg.edges if u != v]
     return {"vertices": list(mg.labels), "loops": loops, "edges": edges}
 
-
-def _json_list(data: dict[str, Any], key: str) -> list[Any] | tuple[Any, ...]:
-    entries = data.get(key, [])
-    if not isinstance(entries, (list, tuple)):
-        raise ValueError(f"{key!r} must be a list, got {entries!r}")
-    return entries
-
-
-def _json_label(label: Any, what: str) -> str:
-    if not isinstance(label, str) or label.split() != [label]:
-        raise ValueError(f"{what} {label!r} is not a single non-whitespace token")
-    return label
-
-
-def graph_from_json(data: dict[str, Any]) -> LoopedSimpleGraph | MultiGraph:
-    """Inverse of graph_to_json; every label must be one text-format token."""
-    lines = []
-    vertices = [_json_label(v, "vertex") for v in _json_list(data, "vertices")]
-    if vertices:
-        lines.append("vertices " + " ".join(vertices))
-    for v in _json_list(data, "loops"):
-        lines.append(f"loop {_json_label(v, 'loop')}")
-    for e in _json_list(data, "edges"):
-        if not isinstance(e, (list, tuple)) or len(e) != 2:
-            raise ValueError(f"edge {e!r} needs exactly two ends")
-        u, v = (_json_label(w, "edge end") for w in e)
-        lines.append(f"edge {u} {v}")
-    return parse_graph("\n".join(lines))

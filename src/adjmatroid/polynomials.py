@@ -56,9 +56,6 @@ class BivariatePolynomial:
     def monomial(cls, i: int, j: int, c: int = 1) -> "BivariatePolynomial":
         return cls.from_dict({(i, j): c})
 
-    def coefficient(self, i: int, j: int) -> int:
-        return next((c for a, b, c in self.terms if (a, b) == (i, j)), 0)
-
     def __add__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
         out: dict[tuple[int, int], int] = {}
         for i, j, c in self.terms + other.terms:

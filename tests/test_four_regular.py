@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adjmatroid import four_regular
+from adjmatroid import four_regular, verify
 from adjmatroid.four_regular import (
     HalfEdgeGraph,
     TransitionSystem,
@@ -310,6 +310,16 @@ def test_transition_system_validation():
     bad = TransitionSystem(tuple(range(PARALLEL4.half_count)))
     with pytest.raises(ValueError):
         bad.validate(PARALLEL4)  # fixed points
+    # from_pairs does not check; partition_from_transitions rejects its
+    # malformed results
+    two = HalfEdgeGraph(MultiGraph.build("ab", [("a", "a"), ("a", "b"), ("a", "b"), ("b", "b")]))
+    for pairs, message in (
+        ([(0, 1), (2, 4)], "involution"),  # b's half-edges left unpaired
+        ([(0, 3), (1, 2), (4, 5), (6, 7)], "crosses vertices"),  # 0 is at a, 3 at b
+        ([(0, 1), (2, 4), (3, 5), (6, 7), (0, 2)], "involution"),  # 0 joined twice
+    ):
+        with pytest.raises(ValueError, match=message):
+            partition_from_transitions(two, TransitionSystem.from_pairs(two, pairs))
 
 
 def scan_ends(mg: MultiGraph) -> list[int]:
@@ -391,7 +401,6 @@ def test_vertex_index_is_checked():
         p.circuits_through,
         lambda v: transition_type(c, p, v),
         c.phi_pairing,
-        c.chi_pairing,
         c.psi_pairing,
         lambda v: kappa(c, v),
     ]
@@ -418,10 +427,17 @@ def pairwise_interlacement(c) -> LoopedSimpleGraph:
     return LoopedSimpleGraph.build(labels, edges)
 
 
+def chi_pairing(c, v: int):
+    """The orientation-consistent pairing at v that c does not follow: each
+    arriving half with the departing half of the other passage."""
+    (_, arr_a, dep_a), (_, arr_b, dep_b) = c.partition.passages[v]
+    return frozenset((frozenset((arr_a, dep_b)), frozenset((arr_b, dep_a))))
+
+
 def pairing_transition_type(c, p, v: int) -> str:
     """Reference: match p's pairing at v against c's three pairings as sets."""
     part = p.pairing_at(v)
-    phi, chi, psi = c.phi_pairing(v), c.chi_pairing(v), c.psi_pairing(v)
+    phi, chi, psi = c.phi_pairing(v), chi_pairing(c, v), c.psi_pairing(v)
     assert len({phi, chi, psi}) == 3
     return {phi: "phi", chi: "chi", psi: "psi"}[part]
 
@@ -510,6 +526,25 @@ def test_compatible_euler_system_traces_once(monkeypatch):
         assert len(traced) == min(count, 1)
         if not count:
             assert comp == c
+
+
+def test_fourreg_suite_validates_each_system_once(monkeypatch):
+    """Only partition_from_transitions validates: one check per partition."""
+    validated, traced = [], []
+    check = TransitionSystem.validate
+    monkeypatch.setattr(TransitionSystem, "validate", lambda t, f: validated.append(t) or check(t, f))
+    trace = four_regular.partition_from_transitions
+
+    def counted(f, t):
+        traced.append(t)
+        return trace(f, t)
+
+    monkeypatch.setattr(four_regular, "partition_from_transitions", counted)
+    monkeypatch.setattr(verify, "partition_from_transitions", counted)
+    results = verify.fourreg_suite()
+    assert all(r.ok for r in results)
+    assert len(traced) == 3897
+    assert validated == traced
 
 
 def test_relative_interlacement_builds_a_fixed_number_of_graphs(monkeypatch):

@@ -47,6 +47,11 @@ def brute_orthogonal(vectors: set[int], dim: int) -> set[int]:
     }
 
 
+def full(ambient_dim: int) -> Subspace:
+    """All of GF(2)^ambient_dim, in canonical form."""
+    return Subspace(ambient_dim, tuple(1 << i for i in range(ambient_dim)))
+
+
 def span_of(subspace: Subspace) -> set[int]:
     return set(subspace.vectors())
 
@@ -108,7 +113,7 @@ def test_nullspace_is_the_canonical_span_of_the_brute_force_kernel():
 
 
 def test_orthogonal_complement_examples():
-    assert orthogonal_complement(Subspace.zero(3)) == Subspace.full(3)
+    assert orthogonal_complement(Subspace.zero(3)) == full(3)
     comp = orthogonal_complement(Subspace.span(3, [0b111]))
     assert span_of(comp) == brute_orthogonal({0b111}, 3)
     # canonical form: pivots 0 and 1, each pivot column holding a single 1
@@ -221,7 +226,7 @@ def test_subset_kernels_refuse_above_the_gate(monkeypatch):
         raise AssertionError("a subset kernel built masks above the gate")
 
     monkeypatch.setattr(gf2, "coord_masks", masks)
-    for w in (Subspace.zero(21), Subspace.full(21)):
+    for w in (Subspace.zero(21), full(21)):
         with pytest.raises(ValueError):
             column_masked_planes(w)
     for a in (BitMatrix.zero(21, 21), BitMatrix.identity(21)):
@@ -299,7 +304,7 @@ def test_subspace_check_matches_rref_on_every_small_basis():
 
 def test_subspace_enumeration_gate():
     with pytest.raises(ValueError):
-        list(Subspace.full(21).vectors())
+        list(full(21).vectors())
 
 
 def test_restricted_to():

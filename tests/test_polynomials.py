@@ -6,13 +6,7 @@ import pytest
 
 from adjmatroid import gf2
 from adjmatroid.adjacency_matroid import adjacency_matroid
-from adjmatroid.binary_matroid import (
-    all_loops_matroid,
-    free_matroid,
-    single_coloop,
-    single_loop,
-    triple_circuit,
-)
+from adjmatroid.binary_matroid import BinaryMatroid, free_matroid, single_coloop
 from adjmatroid.graph import LoopedSimpleGraph, all_looped_simple_graphs, random_looped_simple_graph
 from adjmatroid.polynomials import (
     ONE,
@@ -32,12 +26,16 @@ from adjmatroid.polynomials import (
 K3 = LoopedSimpleGraph.build("abc", [("a", "b"), ("b", "c"), ("a", "c")])
 
 
+def all_loops(labels) -> BinaryMatroid:
+    """Every element a loop (U_{n,0})."""
+    n = len(labels)
+    return BinaryMatroid(tuple(labels), gf2.Subspace(n, tuple(1 << i for i in range(n))))
+
+
 def test_arithmetic():
     p = (X + Y) * (X - Y)
     assert p == X * X - Y * Y
-    assert p.coefficient(2, 0) == 1
-    assert p.coefficient(0, 2) == -1
-    assert p.coefficient(1, 1) == 0
+    assert p.terms == ((0, 2, -1), (2, 0, 1))  # (x-degree, y-degree, coefficient)
     assert p.evaluate(3, 2) == 5
     assert p.swap_variables() == Y * Y - X * X
     assert BivariatePolynomial.zero() + ONE == ONE
@@ -85,15 +83,16 @@ def test_interlace_examples():
 
 def test_tutte_examples():
     assert tutte_subset(single_coloop("v")) == X
-    assert tutte_subset(single_loop("v")) == Y
-    assert tutte_subset(triple_circuit("abc")).to_text() == "x^2 + x + y"
+    assert tutte_subset(all_loops("v")) == Y
+    u32 = BinaryMatroid(tuple("abc"), gf2.Subspace(3, (0b111,)))
+    assert tutte_subset(u32).to_text() == "x^2 + x + y"
     assert tutte_recursive(free_matroid("abc")) == X * X * X
-    assert tutte_recursive(all_loops_matroid("ab")) == Y * Y
+    assert tutte_recursive(all_loops("ab")) == Y * Y
 
 
 def test_lambda_examples():
     assert lambda_leading(free_matroid("abc")) == ONE
-    assert lambda_leading(single_loop("v")) == Y - ONE
+    assert lambda_leading(all_loops("v")) == Y - ONE
     assert lambda_leading(adjacency_matroid(K3)) == Y - ONE
 
 
@@ -144,7 +143,7 @@ def test_subset_expansions_match_recursions_seeded():
             m = adjacency_matroid(g)
             assert tutte_subset(m) == tutte_recursive(m)
         assert adjacency_matroid(looped).nullity == 0
-        for m in (free_matroid(labels), all_loops_matroid(labels)):
+        for m in (free_matroid(labels), all_loops(labels)):
             assert tutte_subset(m) == tutte_recursive(m)
 
 
