@@ -4,6 +4,11 @@ Minors of these matroids can be produced by deleting a vertex from a graph
 reachable through local complementation; this module implements those
 derivations, coloop and triple-coloop analysis, the three-variant
 comparison at a vertex, and the resulting three-way vertex classification.
+
+The classification builds no matroid: v is a coloop of M(A') iff column v
+lies outside the span of the other columns, which v's loop leaves alone, so
+one elimination and two reductions give both variants' evidence.  `trio`
+and `variant_matroid` keep the variant matroids.
 """
 
 from __future__ import annotations
@@ -87,12 +92,28 @@ def contract_via_lc(g: LoopedSimpleGraph, v: str) -> MinorDerivation:
     return MinorDerivation(adjacency_matroid(witness.minus(v)), witness, seq)
 
 
+def _coloop_evidence(g: LoopedSimpleGraph, v: str) -> tuple[bool, bool]:
+    """Whether v is a coloop with its loop removed, and with it attached:
+    whether column v of each variant is outside the other columns' span."""
+    i = g.index(v)
+    data = g.adj.data
+    pivots: dict[int, int] = {}  # lowest set bit -> forward-eliminated row
+    for row in data[:i] + data[i + 1:]:
+        while (low := row & -row) in pivots:
+            row ^= pivots[low]
+        if row:
+            pivots[low] = row
+    evidence = []
+    for col in (data[i] & ~(1 << i), data[i] | (1 << i)):
+        while (low := col & -col) in pivots:
+            col ^= pivots[low]
+        evidence.append(col != 0)
+    return evidence[0], evidence[1]
+
+
 def is_triple_coloop(g: LoopedSimpleGraph, v: str) -> bool:
-    """True iff v is a coloop in all three vertex-variant matroids."""
-    return all(
-        variant_matroid(g, v, kind).is_coloop(v)
-        for kind in ("plain", "loop", "loop_isolate")
-    )
+    """True iff v is a coloop in all three vertex-variant matroids (always in loop-isolate)."""
+    return all(_coloop_evidence(g, v))
 
 
 def delete_via_subgraph(g: LoopedSimpleGraph, v: str) -> BinaryMatroid:
@@ -138,8 +159,7 @@ def trio(g: LoopedSimpleGraph, v: str) -> TrioResult:
 
 def classify_vertex(g: LoopedSimpleGraph, v: str) -> TripartitionCase:
     """Classify v by which vertex variants leave it a coloop."""
-    coloop_plain = variant_matroid(g, v, "plain").is_coloop(v)
-    coloop_loop = variant_matroid(g, v, "loop").is_coloop(v)
+    coloop_plain, coloop_loop = _coloop_evidence(g, v)
     if coloop_plain and coloop_loop:
         tag: CaseTag = "case1"
     elif coloop_plain:

@@ -10,9 +10,10 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Literal, Sequence
 
-from .gf2 import BitMatrix, nullity, popcount, principal_submatrix
+from .gf2 import BitMatrix, gather, nullity, popcount, principal_submatrix
 
 VariantKind = Literal["plain", "loop", "loop_isolate"]
 
@@ -25,7 +26,7 @@ class LoopedSimpleGraph:
     adj: BitMatrix
 
     def __post_init__(self) -> None:
-        if len(set(self.labels)) != len(self.labels):
+        if len(self._position) != len(self.labels):
             raise ValueError("duplicate vertex labels")
         if self.adj.rows != len(self.labels) or self.adj.cols != len(self.labels):
             raise ValueError("adjacency matrix size mismatch")
@@ -43,14 +44,25 @@ class LoopedSimpleGraph:
         in the text format."""
         return MultiGraph.build(labels, [*edges, *((v, v) for v in loops)]).simplify()
 
+    @classmethod
+    def _derived(cls, labels: tuple[str, ...], rows: Sequence[int]) -> "LoopedSimpleGraph":
+        """A graph derived from a valid one, symmetric by construction: unchecked."""
+        g = object.__new__(cls)
+        g.__dict__.update(labels=labels, adj=BitMatrix(len(rows), len(rows), tuple(rows)))
+        return g
+
     @property
     def n(self) -> int:
         return len(self.labels)
 
+    @cached_property
+    def _position(self) -> dict[str, int]:
+        return {v: i for i, v in enumerate(self.labels)}
+
     def index(self, v: str) -> int:
         try:
-            return self.labels.index(v)
-        except ValueError:
+            return self._position[v]
+        except KeyError:
             raise ValueError(f"unknown vertex {v!r}") from None
 
     def is_looped(self, v: str) -> bool:
@@ -88,18 +100,18 @@ class LoopedSimpleGraph:
         for i in range(self.n):
             if (mask >> i) & 1:
                 rows[i] ^= mask
-        return LoopedSimpleGraph(self.labels, BitMatrix(self.n, self.n, tuple(rows)))
+        return LoopedSimpleGraph._derived(self.labels, rows)
 
     def loop_complement(self, v: str) -> "LoopedSimpleGraph":
         i = self.index(v)
         rows = list(self.adj.data)
         rows[i] ^= 1 << i
-        return LoopedSimpleGraph(self.labels, BitMatrix(self.n, self.n, tuple(rows)))
+        return LoopedSimpleGraph._derived(self.labels, rows)
 
     def induced(self, s: Iterable[str]) -> "LoopedSimpleGraph":
-        idx = sorted(self.index(v) for v in set(s))
-        labels = tuple(self.labels[i] for i in idx)
-        return LoopedSimpleGraph(labels, principal_submatrix(self.adj, idx))
+        idx = sorted({self.index(v) for v in s})
+        rows = [gather(self.adj.data[i], idx) for i in idx]
+        return LoopedSimpleGraph._derived(tuple(self.labels[i] for i in idx), rows)
 
     def minus(self, v: str) -> "LoopedSimpleGraph":
         self.index(v)
@@ -120,7 +132,7 @@ class LoopedSimpleGraph:
             rows[i] = 1 << i
         else:
             raise ValueError(f"unknown variant kind {kind!r}")
-        return LoopedSimpleGraph(self.labels, BitMatrix(self.n, self.n, tuple(rows)))
+        return LoopedSimpleGraph._derived(self.labels, rows)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ matroid polynomial evaluators.
 A subset expansion is a sum of (x-1)^a (y-1)^b terms, one per subset.  The
 subset expansions read the ranks from the pivot planes of one bit-sliced
 elimination over all subsets and count each (|S|, rank) pair with one
-popcount; each distinct (a, b) pair is then expanded once by binomial
-convolution, weighted by its count.  The recursive evaluators and the
+popcount; the counts fill an (a, b) grid that a Taylor shift in each
+variable moves to x-1 and y-1.  The recursive evaluators and the
 induced-matroid route never touch the planes, and must agree exactly.
 """
 
@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 from typing import Mapping
 
 from .adjacency_matroid import adjacency_matroid
@@ -117,16 +116,25 @@ def shifted_power_term(a: int, b: int) -> BivariatePolynomial:
     return _expand({(a, b): 1})
 
 
+def _shifted(c: list[int]) -> list[int]:
+    """p(t) -> p(t-1) on the coefficients, in place: repeated adjacent subtraction."""
+    for i in range(len(c) - 1):
+        for k in range(len(c) - 2, i - 1, -1):
+            c[k] -= c[k + 1]
+    return c
+
+
 def _expand(counts: Mapping[tuple[int, int], int]) -> BivariatePolynomial:
-    """Sum of count (x-1)^a (y-1)^b over the tallied (a, b) pairs: each
-    distinct pair is expanded once, weighted by its count."""
-    out: dict[tuple[int, int], int] = {}
+    """Sum of count (x-1)^a (y-1)^b over the tallied (a, b) pairs: the counts
+    fill an (a, b) grid whose rows are shifted to y-1, then its columns to x-1."""
+    nb = 1 + max((b for _, b in counts), default=-1)
+    grid = [[0] * nb for _ in range(1 + max((a for a, _ in counts), default=-1))]
     for (a, b), count in counts.items():
-        for i in range(a + 1):
-            ci = count * comb(a, i) * (-1) ** (a - i)
-            for j in range(b + 1):
-                out[(i, j)] = out.get((i, j), 0) + ci * comb(b, j) * (-1) ** (b - j)
-    return BivariatePolynomial.from_dict(out)
+        grid[a][b] = count
+    cols = [_shifted(list(col)) for col in zip(*map(_shifted, grid))]
+    return BivariatePolynomial.from_dict(
+        {(a, b): c for b, col in enumerate(cols) for a, c in enumerate(col)}
+    )
 
 
 def interlace_subset(g: LoopedSimpleGraph) -> BivariatePolynomial:

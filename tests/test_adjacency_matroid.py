@@ -1,8 +1,11 @@
 """Minor derivations, triple coloops, trio comparison and the tripartition,
 pinned to the three worked three-vertex examples."""
 
+import random
+
 import pytest
 
+from adjmatroid import binary_matroid, gf2
 from adjmatroid.adjacency_matroid import (
     adjacency_matroid,
     classify_vertex,
@@ -15,7 +18,7 @@ from adjmatroid.adjacency_matroid import (
 )
 from adjmatroid.binary_matroid import BinaryMatroid, free_matroid, single_coloop
 from adjmatroid.gf2 import Subspace
-from adjmatroid.graph import LoopedSimpleGraph
+from adjmatroid.graph import LoopedSimpleGraph, all_looped_simple_graphs, random_looped_simple_graph
 
 K3 = LoopedSimpleGraph.build("abc", [("a", "b"), ("b", "c"), ("a", "c")])
 K3L = K3.loop_complement("a")  # loop on a
@@ -163,3 +166,61 @@ def test_loop_isolate_direct_sum_identity():
             iso = variant_matroid(g, v, "loop_isolate")
             expected = adjacency_matroid(g.minus(v)).direct_sum(single_coloop(v))
             assert iso == expected
+
+
+def oracle_graphs():
+    """All 1,099 labelled looped graphs with n <= 4, then seeded n = 5-12."""
+    for n in range(5):
+        yield from all_looped_simple_graphs(n)
+    rng = random.Random(1107)
+    for n in range(5, 13):
+        for _ in range(4):
+            yield random_looped_simple_graph(rng, n)
+
+
+def test_coloop_evidence_matches_the_variant_matroids():
+    count = 0
+    for g in oracle_graphs():
+        report = tripartition_report(g)
+        for v in g.labels:
+            plain, loop, isolate = (
+                variant_matroid(g, v, kind).is_coloop(v)
+                for kind in ("plain", "loop", "loop_isolate")
+            )
+            case = classify_vertex(g, v)
+            assert case.evidence == (plain, loop)
+            assert report[v] == case
+            assert report[v].tag == {
+                (True, True): "case1", (True, False): "case2", (False, True): "case3"
+            }[(plain, loop)]
+            assert is_triple_coloop(g, v) == (plain and loop and isolate)
+        count += 1
+    assert count == 1099 + 8 * 4
+
+
+def count_calls(monkeypatch, owner, name: str, counts: dict[str, int]) -> None:
+    """Wrap owner.name so that each call adds one to counts[name]."""
+    inner = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_tripartition_and_complements_build_and_check_nothing(monkeypatch):
+    g = random_looped_simple_graph(random.Random(9), 9)
+    counts = {"__post_init__": 0, "nullspace": 0}
+    count_calls(monkeypatch, LoopedSimpleGraph, "__post_init__", counts)
+    for owner in (gf2, binary_matroid):  # binary_matroid binds its own name
+        count_calls(monkeypatch, owner, "nullspace", counts)
+    assert len(tripartition_report(g)) == 9
+    for v in g.labels:
+        g.local_complement(v)
+    assert counts == {"__post_init__": 0, "nullspace": 0}
+    # the counters see the matroid route that the tripartition avoids
+    variant_matroid(g, "v0", "plain")
+    assert counts == {"__post_init__": 0, "nullspace": 1}
+    LoopedSimpleGraph(g.labels, g.adj)
+    assert counts["__post_init__"] == 1

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from adjmatroid.gf2 import BitMatrix
+from adjmatroid.gf2 import BitMatrix, principal_submatrix
 from adjmatroid.graph import (
     LoopedSimpleGraph,
     MultiGraph,
@@ -108,6 +108,36 @@ def test_variants():
     assert iso.edge_pairs() == (("b", "c"),)
     with pytest.raises(ValueError):
         K3.variant("a", "weird")
+
+
+def guard_graphs():
+    """All graphs with n <= 4, then seeded graphs with n = 5-10."""
+    for n in range(5):
+        yield from all_looped_simple_graphs(n)
+    rng = random.Random(5493)
+    for n in range(5, 11):
+        for _ in range(5):
+            yield random_looped_simple_graph(rng, n)
+
+
+def test_derived_graphs_pass_the_constructor_checks():
+    rng = random.Random(11)
+    for g in guard_graphs():
+        derived = []
+        for v in g.labels:
+            derived += [g.local_complement(v), g.loop_complement(v), g.minus(v)]
+            derived += [g.variant(v, kind) for kind in ("plain", "loop", "loop_isolate")]
+        for _ in range(3):
+            s = rng.choices(g.labels, k=rng.randint(0, g.n + 2) if g.n else 0)  # shuffled, repeated
+            h = g.induced(s)
+            idx = {g.index(v) for v in s}
+            assert h.labels == tuple(v for v in g.labels if v in s)
+            assert h.adj == principal_submatrix(g.adj, idx)
+            derived.append(h)
+        for h in derived:
+            assert LoopedSimpleGraph(h.labels, BitMatrix(h.n, h.n, h.adj.data)) == h
+        with pytest.raises(ValueError, match="unknown vertex 'z'"):
+            g.induced([*g.labels[:1], "z"])
 
 
 def test_asymmetric_adjacency_is_rejected():

@@ -1,6 +1,7 @@
 """Polynomial arithmetic and the evaluator identities."""
 
 import random
+from math import comb
 
 import pytest
 
@@ -13,6 +14,7 @@ from adjmatroid.polynomials import (
     X,
     Y,
     BivariatePolynomial,
+    _expand,
     interlace_recursive,
     interlace_subset,
     interlace_vertex_terms,
@@ -61,6 +63,31 @@ def test_shifted_power_term_matches_repeated_multiplication():
             for _ in range(b):
                 expected = expected * ym1
             assert shifted_power_term(a, b) == expected
+
+
+def binomial_expand(counts) -> BivariatePolynomial:
+    """Reference: each (a, b) pair expanded by the binomial theorem."""
+    out: dict[tuple[int, int], int] = {}
+    for (a, b), count in counts.items():
+        for i in range(a + 1):
+            ci = count * comb(a, i) * (-1) ** (a - i)
+            for j in range(b + 1):
+                out[(i, j)] = out.get((i, j), 0) + ci * comb(b, j) * (-1) ** (b - j)
+    return BivariatePolynomial.from_dict(out)
+
+
+def test_shift_expansion_matches_binomial_expansion():
+    assert _expand({}) == BivariatePolynomial.zero() == binomial_expand({})
+    for a in range(13):
+        for b in range(13):
+            assert _expand({(a, b): 1}) == binomial_expand({(a, b): 1})
+    rng = random.Random(5493)
+    for _ in range(200):
+        counts = {
+            (rng.randrange(10), rng.randrange(10)): rng.randint(-40, 40)
+            for _ in range(rng.randint(1, 30))
+        }
+        assert _expand(counts) == binomial_expand(counts)
 
 
 def test_text_rendering():
