@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .binary_matroid import BinaryMatroid
+from .gf2 import forward_pivots
 from .graph import LoopedSimpleGraph, VariantKind
 
 CaseTag = Literal["case1", "case2", "case3"]
@@ -97,12 +98,7 @@ def _coloop_evidence(g: LoopedSimpleGraph, v: str) -> tuple[bool, bool]:
     whether column v of each variant is outside the other columns' span."""
     i = g.index(v)
     data = g.adj.data
-    pivots: dict[int, int] = {}  # lowest set bit -> forward-eliminated row
-    for row in data[:i] + data[i + 1:]:
-        while (low := row & -row) in pivots:
-            row ^= pivots[low]
-        if row:
-            pivots[low] = row
+    pivots = forward_pivots(data[:i] + data[i + 1:])
     evidence = []
     for col in (data[i] & ~(1 << i), data[i] | (1 << i)):
         while (low := col & -col) in pivots:

@@ -17,9 +17,10 @@ from .gf2 import (
     column_masked_planes,
     nullspace,
     orthogonal_complement,
-    popcount,
+    rref_masks,
     set_bits,
     size_masks,
+    unchecked,
 )
 from .graph import MultiGraph
 
@@ -99,18 +100,12 @@ class BinaryMatroid:
             raise ValueError("label count must match column count")
         return cls(tuple(labels), nullspace(a))
 
-    @classmethod
-    def from_subspace(cls, w: Subspace, labels: Sequence[str]) -> "BinaryMatroid":
-        if w.ambient_dim != len(labels):
-            raise ValueError("label count must match ambient dimension")
-        return cls(tuple(labels), w)
-
     # derived structure
 
     def circuit_masks(self) -> tuple[int, ...]:
         """Minimal nonempty supports in the cycle space, by weight then value."""
         members = [v for v in self.cycle_space.vectors() if v]
-        members.sort(key=lambda v: (popcount(v), v))
+        members.sort(key=lambda v: (v.bit_count(), v))
         minimal: list[int] = []
         for v in members:
             if not any(c & v == c for c in minimal):
@@ -122,7 +117,7 @@ class BinaryMatroid:
 
     def rank_of(self, s: Iterable[str]) -> int:
         mask = self._mask_of(s)
-        return popcount(mask) - self.cycle_space.restricted_to(mask).dim
+        return mask.bit_count() - self.cycle_space.restricted_to(mask).dim
 
     def is_loop(self, v: str) -> bool:
         return self.cycle_space.contains(1 << self.index(v))
@@ -132,7 +127,8 @@ class BinaryMatroid:
         return all(not (m >> i) & 1 for m in self.cycle_space.basis)
 
     def dual(self) -> "BinaryMatroid":
-        return BinaryMatroid(self.ground, orthogonal_complement(self.cycle_space))
+        w = orthogonal_complement(self.cycle_space)
+        return unchecked(BinaryMatroid, ground=self.ground, cycle_space=w)
 
     def delete(self, v: str) -> "BinaryMatroid":
         i = self.index(v)
@@ -140,25 +136,25 @@ class BinaryMatroid:
         # restricted_to's basis is canonical and free of bit i, and dropping
         # that bit keeps it canonical, so it needs no second span
         inside = self.cycle_space.restricted_to(keep)
-        masks = tuple(_drop_bit(m, i) for m in inside.basis)
-        ground = tuple(u for u in self.ground if u != v)
-        return BinaryMatroid(ground, Subspace(self.size - 1, masks))
+        return self._minor(v, tuple(_drop_bit(m, i) for m in inside.basis))
 
     def contract(self, v: str) -> "BinaryMatroid":
         i = self.index(v)
-        masks = [_drop_bit(m, i) for m in self.cycle_space.basis]
+        return self._minor(v, rref_masks(_drop_bit(m, i) for m in self.cycle_space.basis))
+
+    def _minor(self, v: str, basis: tuple[int, ...]) -> "BinaryMatroid":
+        """The matroid on the ground set minus v with this canonical basis,
+        valid by construction and so built unchecked, as dual is."""
         ground = tuple(u for u in self.ground if u != v)
-        return BinaryMatroid(ground, Subspace.span(self.size - 1, masks))
+        w = unchecked(Subspace, ambient_dim=self.size - 1, basis=basis)
+        return unchecked(BinaryMatroid, ground=ground, cycle_space=w)
 
     def direct_sum(self, other: "BinaryMatroid") -> "BinaryMatroid":
         if set(self.ground) & set(other.ground):
             raise ValueError("direct sum needs disjoint ground labels")
-        shift = self.size
-        masks = list(self.cycle_space.basis)
-        masks += [m << shift for m in other.cycle_space.basis]
-        return BinaryMatroid(
-            self.ground + other.ground, Subspace.span(self.size + other.size, masks)
-        )
+        masks = [*self.cycle_space.basis, *(m << self.size for m in other.cycle_space.basis)]
+        w = Subspace.span(self.size + other.size, masks)
+        return BinaryMatroid(self.ground + other.ground, w)
 
     @cached_property
     def _independent_bits(self) -> int:

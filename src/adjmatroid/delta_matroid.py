@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
-from .gf2 import coord_masks, principal_planes, set_bits, size_masks
+from .gf2 import coord_masks, principal_planes, set_bits, size_masks, unchecked
 from .graph import LoopedSimpleGraph
 
 GROUND_GATE = 16
@@ -110,6 +110,10 @@ class SetSystem:
         """v belongs to no member."""
         return not self.bits & coord_masks(self.n)[self.index(v)][1]
 
+    def _derived(self, bits: int) -> "SetSystem":
+        """A family on this ground set, from a word operation: unchecked."""
+        return unchecked(SetSystem, ground=self.ground, bits=bits)
+
     # vertex flips
 
     def _flip(self, x: Iterable[str], step: Callable[[int, int, int], int]) -> "SetSystem":
@@ -119,7 +123,7 @@ class SetSystem:
         for i, (zero, _) in enumerate(coord_masks(self.n)):
             if (xm >> i) & 1:
                 bits = step(bits, zero, 1 << i)
-        return SetSystem(self.ground, bits)
+        return self._derived(bits)
 
     def pivot(self, x: Iterable[str]) -> "SetSystem":
         """Symmetric difference of every member with x."""
@@ -174,7 +178,7 @@ class SetSystem:
             step = (closure & zero) << (1 << i) if which == "min" else (closure & one) >> (1 << i)
             beyond |= step
             closure |= step
-        return SetSystem(self.ground, self.bits & ~beyond)
+        return self._derived(self.bits & ~beyond)
 
     def min_sys(self) -> "SetSystem":
         return self._extremal("min")
@@ -206,7 +210,7 @@ class SetSystem:
                 zero, one = masks[j]
                 bits = (bits & zero) | ((bits & one) >> (1 << (j - 1)))
             top -= 1
-        return SetSystem(tuple(v for v in self.ground if v in wanted), bits)
+        return unchecked(SetSystem, ground=tuple(v for v in self.ground if v in wanted), bits=bits)
 
     def delete(self, x: Iterable[str]) -> "SetSystem":
         """Restriction to the complement; possibly improper, never an error."""
@@ -220,11 +224,11 @@ class SetSystem:
 
     def tilde_minus(self, v: str) -> "SetSystem":
         """Members avoiding v, ground set unchanged."""
-        return SetSystem(self.ground, self.bits & coord_masks(self.n)[self.index(v)][0])
+        return self._derived(self.bits & coord_masks(self.n)[self.index(v)][0])
 
     def tilde_contract(self, v: str) -> "SetSystem":
         """Members containing v, ground set unchanged."""
-        return SetSystem(self.ground, self.bits & coord_masks(self.n)[self.index(v)][1])
+        return self._derived(self.bits & coord_masks(self.n)[self.index(v)][1])
 
 
 def vertex_flip_sequence(
@@ -290,10 +294,7 @@ def from_graph(g: LoopedSimpleGraph) -> DeltaMatroid:
     for plane, (zero, _) in zip(principal_planes(g.adj), coord_masks(g.n)):
         bits &= plane | zero
     # Bouchet's theorem gives the exchange axiom: skip DeltaMatroid.__post_init__
-    d = object.__new__(DeltaMatroid)
-    object.__setattr__(d, "ground", g.labels)
-    object.__setattr__(d, "bits", bits)
-    return d
+    return unchecked(DeltaMatroid, ground=g.labels, bits=bits)
 
 
 def to_graph(d: SetSystem) -> LoopedSimpleGraph:

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .gf2 import BitMatrix
 from .graph import LoopedSimpleGraph, MultiGraph, as_multigraph
 
 Pairing = frozenset[frozenset[int]]
@@ -308,7 +307,8 @@ def interlacement(c: EulerSystem) -> LoopedSimpleGraph:
     n = c.f.n
     rows = _interlacement_rows(c, [1 << v for v in range(n)])
     rows = [row ^ (1 << v) for v, row in enumerate(rows)]
-    return LoopedSimpleGraph(c.f.graph.labels, BitMatrix(n, n, tuple(rows)))
+    # alternation is a symmetric relation, so the matrix is symmetric
+    return LoopedSimpleGraph._derived(c.f.graph.labels, rows)
 
 
 def relative_interlacement(c: EulerSystem, p: CircuitPartition) -> LoopedSimpleGraph:
@@ -322,7 +322,7 @@ def relative_interlacement(c: EulerSystem, p: CircuitPartition) -> LoopedSimpleG
     # each kept row holds its own bit once: keep it as the loop of a psi vertex
     data = tuple(rows[v] ^ (0 if kinds[v] == "psi" else bit[v]) for v in kept)
     labels = tuple(c.f.graph.labels[v] for v in kept)
-    return LoopedSimpleGraph(labels, BitMatrix(len(kept), len(kept), data))
+    return LoopedSimpleGraph._derived(labels, data)
 
 
 def touch_graph(p: CircuitPartition) -> MultiGraph:

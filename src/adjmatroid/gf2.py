@@ -16,19 +16,25 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence, TypeVar
+
+T = TypeVar("T")
 
 # Exhaustive enumerations (all vectors of a space / subspace) refuse to run
 # above this many coordinates.
 ENUM_GATE = 20
 
 
-def popcount(x: int) -> int:
-    return x.bit_count()
-
-
-def parity(x: int) -> int:
-    return popcount(x) & 1
+def unchecked(cls: type[T], **fields: Any) -> T:
+    """A frozen-dataclass instance built without its __post_init__ checks,
+    for a value derived from valid ones and valid by construction.  The
+    checks run once, at the boundary: the text parser, LoopedSimpleGraph(...),
+    BitMatrix(...) and from_rows, Subspace(...) and span, BinaryMatroid(...),
+    from_matrix and direct_sum, SetSystem(...) and from_sets, DeltaMatroid(...),
+    and BivariatePolynomial(...), from_dict and monomial."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def lowest_bit(x: int) -> int:
@@ -146,23 +152,26 @@ class BitMatrix:
         """Matrix-vector product; v and the result are bitmasks."""
         out = 0
         for i, r in enumerate(self.data):
-            if parity(r & v):
+            if (r & v).bit_count() & 1:
                 out |= 1 << i
         return out
 
 
-def rank(m: BitMatrix) -> int:
-    """GF(2) rank (row rank = column rank): the pivots of a forward
-    elimination keyed by lowest set bit, with no back-substitution."""
+def forward_pivots(rows: Iterable[int]) -> dict[int, int]:
+    """Forward elimination keyed by lowest set bit, with no back-substitution:
+    pivot bit -> the reduced row that owns it, one entry per independent row."""
     pivots: dict[int, int] = {}
-    for v in m.data:
-        while v:
-            low = v & -v
-            if low not in pivots:
-                pivots[low] = v
-                break
+    for v in rows:
+        while (low := v & -v) in pivots:
             v ^= pivots[low]
-    return len(pivots)
+        if v:
+            pivots[low] = v
+    return pivots
+
+
+def rank(m: BitMatrix) -> int:
+    """GF(2) rank (row rank = column rank): the number of forward pivots."""
+    return len(forward_pivots(m.data))
 
 
 def nullity(m: BitMatrix) -> int:
@@ -238,7 +247,7 @@ class Subspace:
                     v = 0
             if v:
                 inside.append(v)
-        return Subspace.span(self.ambient_dim, inside)
+        return unchecked(Subspace, ambient_dim=self.ambient_dim, basis=rref_masks(inside))
 
     def permuted(self, new_position: Sequence[int]) -> "Subspace":
         """Rename coordinates: old coordinate i becomes new_position[i]."""
@@ -278,13 +287,12 @@ def nullspace(m: BitMatrix) -> Subspace:
             low = r & -r
             kernel[low] |= top
             r ^= low
-    return Subspace(m.cols, tuple(kernel.values()))
+    return unchecked(Subspace, ambient_dim=m.cols, basis=tuple(kernel.values()))
 
 
 def orthogonal_complement(w: Subspace) -> Subspace:
     """All vectors with even intersection against every member of w."""
-    m = BitMatrix(w.dim, w.ambient_dim, w.basis)
-    return nullspace(m)
+    return nullspace(unchecked(BitMatrix, rows=w.dim, cols=w.ambient_dim, data=w.basis))
 
 
 def principal_submatrix(a: BitMatrix, s: Iterable[int]) -> BitMatrix:
@@ -335,7 +343,7 @@ def tally_planes(planes: Sequence[int], n: int) -> dict[tuple[int, int], int]:
         (s, c): k
         for s, at_s in enumerate(size_masks(n))
         for c, at_c in enumerate(at_count)
-        if (k := popcount(at_s & at_c))
+        if (k := (at_s & at_c).bit_count())
     }
 
 
@@ -419,7 +427,8 @@ def symmetrize_nullspace(a: BitMatrix) -> BitMatrix:
     # B' = [[I_r, C''], [C''^T, C''^T C'']] in permuted coordinates
     bp = [(1 << i) | (c << r) for i, c in enumerate(cpp)]
     for c in cpp_t:
-        bp.append(c | (sum(parity(c & d) << k for k, d in enumerate(cpp_t)) << r))
+        parities = sum(((c & d).bit_count() & 1) << k for k, d in enumerate(cpp_t))
+        bp.append(c | (parities << r))
     # undo the permutation: entry (order[i], order[j]) of B is entry (i, j) of B'
     out = [0] * n
     for i, row in enumerate(bp):

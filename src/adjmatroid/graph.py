@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Literal, Sequence
 
-from .gf2 import BitMatrix, gather, nullity, popcount, principal_submatrix
+from .gf2 import BitMatrix, gather, nullity, set_bits, unchecked
 
 VariantKind = Literal["plain", "loop", "loop_isolate"]
 
@@ -47,9 +47,8 @@ class LoopedSimpleGraph:
     @classmethod
     def _derived(cls, labels: tuple[str, ...], rows: Sequence[int]) -> "LoopedSimpleGraph":
         """A graph derived from a valid one, symmetric by construction: unchecked."""
-        g = object.__new__(cls)
-        g.__dict__.update(labels=labels, adj=BitMatrix(len(rows), len(rows), tuple(rows)))
-        return g
+        adj = unchecked(BitMatrix, rows=len(rows), cols=len(rows), data=tuple(rows))
+        return unchecked(cls, labels=labels, adj=adj)
 
     @property
     def n(self) -> int:
@@ -96,10 +95,7 @@ class LoopedSimpleGraph:
     def local_complement(self, v: str) -> "LoopedSimpleGraph":
         """Toggle loops of v's neighbors and adjacency between distinct neighbors."""
         mask = self.neighbor_mask(v)
-        rows = list(self.adj.data)
-        for i in range(self.n):
-            if (mask >> i) & 1:
-                rows[i] ^= mask
+        rows = [r ^ mask if (mask >> i) & 1 else r for i, r in enumerate(self.adj.data)]
         return LoopedSimpleGraph._derived(self.labels, rows)
 
     def loop_complement(self, v: str) -> "LoopedSimpleGraph":
@@ -109,13 +105,18 @@ class LoopedSimpleGraph:
         return LoopedSimpleGraph._derived(self.labels, rows)
 
     def induced(self, s: Iterable[str]) -> "LoopedSimpleGraph":
-        idx = sorted({self.index(v) for v in s})
+        return self.induced_mask(sum(1 << i for i in {self.index(v) for v in s}))
+
+    def induced_mask(self, mask: int) -> "LoopedSimpleGraph":
+        """The subgraph induced by the vertices whose bits are set in mask."""
+        if not 0 <= mask < 1 << self.n:
+            raise ValueError(f"vertex mask {mask} outside {self.n} vertices")
+        idx = set_bits(mask)
         rows = [gather(self.adj.data[i], idx) for i in idx]
         return LoopedSimpleGraph._derived(tuple(self.labels[i] for i in idx), rows)
 
     def minus(self, v: str) -> "LoopedSimpleGraph":
-        self.index(v)
-        return self.induced(u for u in self.labels if u != v)
+        return self.induced_mask(((1 << self.n) - 1) ^ (1 << self.index(v)))
 
     def variant(self, v: str, kind: VariantKind) -> "LoopedSimpleGraph":
         """The vertex variants: unloop v, loop v, or loop and isolate v."""
@@ -126,9 +127,7 @@ class LoopedSimpleGraph:
         elif kind == "loop":
             rows[i] |= 1 << i
         elif kind == "loop_isolate":
-            for j in range(self.n):
-                if j != i:
-                    rows[j] &= ~(1 << i)
+            rows = [r & ~(1 << i) for r in rows]
             rows[i] = 1 << i
         else:
             raise ValueError(f"unknown variant kind {kind!r}")
@@ -273,8 +272,7 @@ def nullity_oracle_of(g: LoopedSimpleGraph) -> Callable[[frozenset[str]], int]:
     """The induced-subgraph nullity oracle of a concrete graph."""
 
     def oracle(s: frozenset[str]) -> int:
-        idx = [g.index(v) for v in s]
-        return nullity(principal_submatrix(g.adj, idx))
+        return nullity(g.induced(s).adj)
 
     return oracle
 
@@ -322,7 +320,7 @@ def graph_isomorphism(
 
     def profile(x: LoopedSimpleGraph) -> list[tuple[int, int]]:
         return sorted(
-            (x.adj.entry(i, i), popcount(x.adj.data[i] & ~(1 << i)))
+            (x.adj.entry(i, i), (x.adj.data[i] & ~(1 << i)).bit_count())
             for i in range(x.n)
         )
 

@@ -18,7 +18,7 @@ from typing import Mapping
 
 from .adjacency_matroid import adjacency_matroid
 from .binary_matroid import BinaryMatroid
-from .gf2 import check_enum_gate, column_masked_planes, principal_planes, tally_planes
+from .gf2 import check_enum_gate, column_masked_planes, principal_planes, tally_planes, unchecked
 from .graph import LoopedSimpleGraph
 
 
@@ -41,7 +41,7 @@ class BivariatePolynomial:
 
     @classmethod
     def from_dict(cls, coeffs: Mapping[tuple[int, int], int]) -> "BivariatePolynomial":
-        return cls(tuple(sorted((i, j, c) for (i, j), c in coeffs.items() if c)))
+        return cls(_collected(coeffs).terms)
 
     @classmethod
     def zero(cls) -> "BivariatePolynomial":
@@ -59,13 +59,13 @@ class BivariatePolynomial:
         out: dict[tuple[int, int], int] = {}
         for i, j, c in self.terms + other.terms:
             out[(i, j)] = out.get((i, j), 0) + c
-        return BivariatePolynomial.from_dict(out)
+        return _collected(out)
 
     def __sub__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
         return self + other.scale(-1)
 
     def scale(self, c: int) -> "BivariatePolynomial":
-        return BivariatePolynomial.from_dict({(i, j): c * k for i, j, k in self.terms})
+        return _collected({(i, j): c * k for i, j, k in self.terms})
 
     def __mul__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
         out: dict[tuple[int, int], int] = {}
@@ -73,10 +73,10 @@ class BivariatePolynomial:
             for a, b, d in other.terms:
                 key = (i + a, j + b)
                 out[key] = out.get(key, 0) + c * d
-        return BivariatePolynomial.from_dict(out)
+        return _collected(out)
 
     def swap_variables(self) -> "BivariatePolynomial":
-        return BivariatePolynomial.from_dict({(j, i): c for i, j, c in self.terms})
+        return _collected({(j, i): c for i, j, c in self.terms})
 
     def evaluate(self, x: int, y: int) -> int:
         return sum(c * x**i * y**j for i, j, c in self.terms)
@@ -102,6 +102,12 @@ class BivariatePolynomial:
 
     def to_json_terms(self) -> list[list[int]]:
         return [[i, j, c] for i, j, c in sorted(self.terms, reverse=True)]
+
+
+def _collected(coeffs: Mapping[tuple[int, int], int]) -> BivariatePolynomial:
+    """from_dict unchecked: arithmetic on valid polynomials keeps them valid."""
+    terms = tuple(sorted((i, j, c) for (i, j), c in coeffs.items() if c))
+    return unchecked(BivariatePolynomial, terms=terms)
 
 
 ONE = BivariatePolynomial.constant(1)
@@ -132,9 +138,7 @@ def _expand(counts: Mapping[tuple[int, int], int]) -> BivariatePolynomial:
     for (a, b), count in counts.items():
         grid[a][b] = count
     cols = [_shifted(list(col)) for col in zip(*map(_shifted, grid))]
-    return BivariatePolynomial.from_dict(
-        {(a, b): c for b, col in enumerate(cols) for a, c in enumerate(col)}
-    )
+    return _collected({(a, b): c for b, col in enumerate(cols) for a, c in enumerate(col)})
 
 
 def interlace_subset(g: LoopedSimpleGraph) -> BivariatePolynomial:
@@ -225,11 +229,10 @@ def _induced_nullities(g: LoopedSimpleGraph) -> list[int]:
     """nu(G[S]) for every vertex mask S, read from the leading Tutte term of
     the induced subgraph's matroid: one matroid per subset."""
     check_enum_gate(g.n, "induced subgraph expansion")
-    table = []
-    for mask in range(1 << g.n):
-        s = [g.labels[i] for i in range(g.n) if (mask >> i) & 1]
-        table.append(lambda_leading(adjacency_matroid(g.induced(s))).degree_y())
-    return table
+    return [
+        lambda_leading(adjacency_matroid(g.induced_mask(mask))).degree_y()
+        for mask in range(1 << g.n)
+    ]
 
 
 def q_from_lambda(g: LoopedSimpleGraph) -> BivariatePolynomial:

@@ -50,7 +50,6 @@ from .gf2 import (
     nullity,
     nullspace,
     orthogonal_complement,
-    popcount,
     principal_submatrix,
     rank,
     symmetrize_nullspace,
@@ -163,10 +162,10 @@ def _matroid_kernel_checks(rec: Recorder, max_n: int, trials: int, seed: int) ->
 
     for n in range(min(max_n, 5) + 1):
         for w in all_subspaces(n):
-            m = BinaryMatroid.from_subspace(w, tuple(f"v{i}" for i in range(n)))
+            m = BinaryMatroid(tuple(f"v{i}" for i in range(n)), w)
             witness = f"subspace dim {w.dim} of 2^{n}: {w.basis}"
             with rec.check("subspace-matroid-round-trip", witness):
-                assert BinaryMatroid.from_subspace(m.cycle_space, m.ground) == m
+                assert BinaryMatroid(m.ground, m.cycle_space) == m
                 assert m.cycle_space == w
                 span = Subspace.span(n, m.circuit_masks())
                 assert span == w, "circuits do not span the cycle space"
@@ -190,7 +189,7 @@ def _matroid_kernel_checks(rec: Recorder, max_n: int, trials: int, seed: int) ->
             assert orthogonal_complement(comp) == w
             for x in w.basis:
                 for y in comp.basis:
-                    assert popcount(x & y) % 2 == 0
+                    assert (x & y).bit_count() % 2 == 0
         with rec.check("symmetric-representation-of-nullspace", witness):
             b = symmetrize_nullspace(a)
             assert b.is_symmetric and b.rows == a.cols
@@ -536,9 +535,8 @@ def _delta_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
 
     with rec.check("distance-equals-induced-nullity", witness):
         for mask in range(1 << g.n):
-            idx = [i for i in range(g.n) if (mask >> i) & 1]
-            s = [g.labels[i] for i in idx]
-            assert d.distance(s) == nullity(principal_submatrix(g.adj, idx))
+            h = g.induced_mask(mask)
+            assert d.distance(h.labels) == nullity(h.adj)
 
     with rec.check("max-members-are-matroid-bases", witness):
         assert dm.max_as_matroid(d) == mg.bases()
@@ -594,12 +592,11 @@ def _delta_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
 def _delta_subset_checks(rec: Recorder, g: LoopedSimpleGraph, d: dm.SetSystem) -> None:
     """The induced-subgraph checks, over one matroid per vertex subset."""
     witness = graph_witness(g)
-    subsets = [[g.labels[i] for i in range(g.n) if (mask >> i) & 1] for mask in range(1 << g.n)]
-    induced = [g.induced(s) for s in subsets]
+    induced = [g.induced_mask(mask) for mask in range(1 << g.n)]
     subs = [adjacency_matroid(h) for h in induced]
     sub_bases = [sub.bases() for sub in subs]
-    for mask, (s, sub) in enumerate(zip(subsets, subs)):
-        ws = f"{witness} subset {{{' '.join(s)}}}"
+    for mask, (h, sub) in enumerate(zip(induced, subs)):
+        ws = f"{witness} subset {{{' '.join(h.labels)}}}"
         with rec.check("bases-are-maximal-encoded-subsets", ws):
             inside = [m for m in d.family if m & ~mask == 0]
             maximal = {
@@ -652,8 +649,8 @@ def _check_two_of_three(d: dm.SetSystem, v: str, pivoted: dm.SetSystem) -> None:
     stripped = frozenset(m for m in d2 if not m & vb)
     assert {m | vb for m in stripped} == set(rebuilt)
     assert rebuilt == d1, "pinned third maximum differs from the shared one"
-    size1 = popcount(next(iter(d1)))
-    size2 = popcount(next(iter(d2)))
+    size1 = next(iter(d1)).bit_count()
+    size2 = next(iter(d2)).bit_count()
     assert (d.n - size2) == (d.n - size1) + 1, "nullity step is not one"
 
 

@@ -57,15 +57,17 @@ def test_from_matrix_examples():
         BinaryMatroid.from_matrix(A_K3, "ab")
 
 
-def test_from_subspace_round_trip():
-    zero = BinaryMatroid.from_subspace(Subspace.zero(3), "abc")
+def test_subspace_round_trip():
+    zero = BinaryMatroid(tuple("abc"), Subspace.zero(3))
     assert zero == free_matroid("abc")
-    u32 = BinaryMatroid.from_subspace(Subspace.span(3, [0b111]), "abc")
+    u32 = BinaryMatroid(tuple("abc"), Subspace.span(3, [0b111]))
     oracle = minimal_supports(set(Subspace.span(3, [0b111]).vectors()))
     assert set(u32.circuit_masks()) == oracle == {0b111}
-    u10 = BinaryMatroid.from_subspace(Subspace.span(1, [1]), "v")
+    u10 = BinaryMatroid(("v",), Subspace.span(1, [1]))
     assert u10 == all_loops("v")
-    assert BinaryMatroid.from_subspace(u32.cycle_space, u32.ground) == u32
+    assert BinaryMatroid(u32.ground, u32.cycle_space) == u32
+    with pytest.raises(ValueError, match="cycle space dimension mismatch"):
+        BinaryMatroid(tuple("ab"), Subspace.zero(3))
 
 
 def test_circuits_examples():
@@ -81,7 +83,7 @@ def test_circuits_match_minimal_support_oracle():
     for _ in range(60):
         n = rng.randrange(6)
         w = Subspace.span(n, [rng.randrange(1 << n) for _ in range(rng.randrange(4))])
-        m = BinaryMatroid.from_subspace(w, tuple(f"v{i}" for i in range(n)))
+        m = BinaryMatroid(tuple(f"v{i}" for i in range(n)), w)
         assert set(m.circuit_masks()) == minimal_supports(set(w.vectors()))
 
 
@@ -251,7 +253,7 @@ def test_bases_equicardinal_with_rank():
     for _ in range(30):
         n = rng.randrange(1, 6)
         w = Subspace.span(n, [rng.randrange(1 << n) for _ in range(rng.randrange(3))])
-        m = BinaryMatroid.from_subspace(w, tuple(f"v{i}" for i in range(n)))
+        m = BinaryMatroid(tuple(f"v{i}" for i in range(n)), w)
         for b in m.bases():
             assert len(b) == m.rank
 
@@ -260,7 +262,7 @@ def test_bases_and_independent_sets_on_every_small_subspace():
     checked = 0
     for n in range(5):
         for w in all_subspaces(n):
-            m = BinaryMatroid.from_subspace(w, tuple(f"v{i}" for i in range(n)))
+            m = BinaryMatroid(tuple(f"v{i}" for i in range(n)), w)
             independent = [s for s in range(1 << n) if w.restricted_to(s).dim == 0]
             assert list(m.independent_masks()) == independent
             bases = m.bases()
@@ -279,13 +281,13 @@ def test_independent_family_is_computed_once_per_matroid(monkeypatch):
     rng = random.Random(29)
     for n in range(1, 7):
         w = Subspace.span(n, [rng.randrange(1 << n) for _ in range(rng.randrange(3))])
-        m = BinaryMatroid.from_subspace(w, tuple(f"v{i}" for i in range(n)))
+        m = BinaryMatroid(tuple(f"v{i}" for i in range(n)), w)
         runs.clear()
         first = (m.bases(), m.independent_masks(), m.independent_sets())
         for _ in range(3):
             assert (m.bases(), m.independent_masks(), m.independent_sets()) == first
         assert len(runs) == 1
-        BinaryMatroid.from_subspace(w, m.ground).bases()
+        BinaryMatroid(m.ground, w).bases()
         assert len(runs) == 2  # an equal matroid runs its own kernel
 
 
@@ -294,7 +296,7 @@ def test_minor_duality_exchange():
     for _ in range(30):
         n = rng.randrange(1, 6)
         w = Subspace.span(n, [rng.randrange(1 << n) for _ in range(rng.randrange(3))])
-        m = BinaryMatroid.from_subspace(w, tuple(f"v{i}" for i in range(n)))
+        m = BinaryMatroid(tuple(f"v{i}" for i in range(n)), w)
         assert m.dual().dual() == m
         for v in m.ground:
             assert m.delete(v).dual() == m.dual().contract(v)
@@ -305,7 +307,7 @@ def test_circuit_axioms_on_random_instances():
     for _ in range(40):
         n = rng.randrange(1, 6)
         w = Subspace.span(n, [rng.randrange(1 << n) for _ in range(rng.randrange(4))])
-        m = BinaryMatroid.from_subspace(w, tuple(f"v{i}" for i in range(n)))
+        m = BinaryMatroid(tuple(f"v{i}" for i in range(n)), w)
         circuits = m.circuit_masks()
         assert 0 not in circuits
         for c1, c2 in itertools.combinations(circuits, 2):

@@ -19,7 +19,6 @@ from adjmatroid.gf2 import (
     nullity,
     nullspace,
     orthogonal_complement,
-    popcount,
     principal_planes,
     principal_submatrix,
     rank,
@@ -43,7 +42,7 @@ def brute_orthogonal(vectors: set[int], dim: int) -> set[int]:
     return {
         w
         for w in range(1 << dim)
-        if all(popcount(w & v) % 2 == 0 for v in vectors)
+        if all((w & v).bit_count() % 2 == 0 for v in vectors)
     }
 
 

@@ -1,10 +1,21 @@
 """Graph operations: complements, variants, reconstruction, text format."""
 
 import random
+from dataclasses import fields
 
 import pytest
 
-from adjmatroid.gf2 import BitMatrix, principal_submatrix
+from adjmatroid.adjacency_matroid import adjacency_matroid
+from adjmatroid.binary_matroid import BinaryMatroid
+from adjmatroid.delta_matroid import SetSystem, from_graph
+from adjmatroid.four_regular import (
+    compatible_euler_system,
+    euler_system,
+    interlacement,
+    realize_touch_graph,
+    relative_interlacement,
+)
+from adjmatroid.gf2 import BitMatrix, Subspace, principal_submatrix
 from adjmatroid.graph import (
     LoopedSimpleGraph,
     MultiGraph,
@@ -21,6 +32,7 @@ from adjmatroid.graphtext import (
     parse_graph,
     render_graph,
 )
+from adjmatroid.polynomials import BivariatePolynomial, interlace_subset, tutte_subset
 
 K3 = LoopedSimpleGraph.build("abc", [("a", "b"), ("b", "c"), ("a", "c")])
 K3L = K3.loop_complement("a")
@@ -120,24 +132,79 @@ def guard_graphs():
             yield random_looped_simple_graph(rng, n)
 
 
-def test_derived_graphs_pass_the_constructor_checks():
+def rebuilt(x):
+    """x rebuilt field by field through its type's validating constructor."""
+    if isinstance(x, LoopedSimpleGraph):
+        return LoopedSimpleGraph(x.labels, rebuilt(x.adj))
+    if isinstance(x, BitMatrix):
+        return BitMatrix(x.rows, x.cols, x.data)
+    if isinstance(x, Subspace):
+        return Subspace(x.ambient_dim, x.basis)
+    if isinstance(x, BinaryMatroid):
+        return BinaryMatroid(x.ground, rebuilt(x.cycle_space))
+    if isinstance(x, SetSystem):
+        return type(x)(x.ground, x.bits)  # a DeltaMatroid re-runs the exchange check
+    return BivariatePolynomial(x.terms)
+
+
+def unchecked_outputs(g: LoopedSimpleGraph, rng: random.Random) -> list:
+    """The output of every route that builds through gf2.unchecked, run on g."""
+    out = []
+    for v in g.labels:
+        out += [g.local_complement(v), g.loop_complement(v), g.minus(v)]
+        out += [g.variant(v, kind) for kind in ("plain", "loop", "loop_isolate")]
+    for _ in range(3):
+        s = rng.choices(g.labels, k=rng.randint(0, g.n + 2) if g.n else 0)  # shuffled, repeated
+        h = g.induced(s)
+        idx = {g.index(v) for v in s}
+        assert h.labels == tuple(v for v in g.labels if v in s)
+        assert h.adj == principal_submatrix(g.adj, idx)
+        assert g.induced_mask(sum(1 << i for i in idx)) == h
+        out.append(h)
+    m = adjacency_matroid(g)  # its cycle space is nullspace's
+    out += [m, m.dual(), m.cycle_space.restricted_to(rng.randrange(1 << g.n))]
+    out += [minor for v in g.labels for minor in (m.delete(v), m.contract(v))]
+    d = from_graph(g)
+    x = rng.sample(g.labels, rng.randint(0, g.n))
+    out += [d, d.pivot(x), d.loop_complement(x), d.dual_pivot(x), d.min_sys(), d.max_sys()]
+    for v in g.labels:
+        out += [d.delete([v]), d.contract(v), d.tilde_minus(v), d.tilde_contract(v)]
+    p, q = interlace_subset(g), tutte_subset(m)
+    out += [p, q, p + q, p - q, p * q, p.scale(-3), q.swap_variables()]
+    if all(g.adj.data):  # no isolated unlooped vertex: g is a touch-graph
+        r = realize_touch_graph(g)
+        c = euler_system(r.f)
+        out += [interlacement(c), relative_interlacement(c, r.partition)]
+        out.append(relative_interlacement(compatible_euler_system(r.f, r.partition), r.partition))
+    return out
+
+
+def test_unchecked_routes_pass_the_constructor_checks():
+    """Each unchecked output, rebuilt through the validating constructor, is
+    accepted and equal field by field, hash included."""
     rng = random.Random(11)
+    kinds = set()
     for g in guard_graphs():
-        derived = []
-        for v in g.labels:
-            derived += [g.local_complement(v), g.loop_complement(v), g.minus(v)]
-            derived += [g.variant(v, kind) for kind in ("plain", "loop", "loop_isolate")]
-        for _ in range(3):
-            s = rng.choices(g.labels, k=rng.randint(0, g.n + 2) if g.n else 0)  # shuffled, repeated
-            h = g.induced(s)
-            idx = {g.index(v) for v in s}
-            assert h.labels == tuple(v for v in g.labels if v in s)
-            assert h.adj == principal_submatrix(g.adj, idx)
-            derived.append(h)
-        for h in derived:
-            assert LoopedSimpleGraph(h.labels, BitMatrix(h.n, h.n, h.adj.data)) == h
+        for x in unchecked_outputs(g, rng):
+            y = rebuilt(x)
+            names = [f.name for f in fields(x)]
+            assert type(y) is type(x)
+            assert [getattr(y, k) for k in names] == [getattr(x, k) for k in names]
+            assert hash(y) == hash(x)
+            kinds.add(type(x).__name__)
         with pytest.raises(ValueError, match="unknown vertex 'z'"):
             g.induced([*g.labels[:1], "z"])
+    assert kinds == {
+        "LoopedSimpleGraph", "Subspace", "BinaryMatroid", "SetSystem", "DeltaMatroid",
+        "BivariatePolynomial",
+    }
+
+
+def test_induced_mask_rejects_masks_outside_the_vertices():
+    for mask in (-1, 1 << K3.n):
+        with pytest.raises(ValueError, match="outside 3 vertices"):
+            K3.induced_mask(mask)
+    assert K3.induced_mask(0b101) == K3.induced("ac")
 
 
 def test_asymmetric_adjacency_is_rejected():

@@ -119,3 +119,43 @@ def test_every_definition_is_referenced():
         if (names := unused_definitions(path.read_text(), used))
     }
     assert found == {}
+
+
+def object_new_sites(source: str) -> list[str]:
+    """Where the source reads object.__new__: the qualified name of the
+    innermost enclosing definition, or <module>."""
+    sites = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if (
+                isinstance(child, ast.Attribute) and child.attr == "__new__"
+                and isinstance(child.value, ast.Name) and child.value.id == "object"
+            ):
+                sites.append(scope or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return sites
+
+
+def test_checker_finds_every_object_new():
+    source = (
+        "x = object.__new__(int)\n"
+        "class A:\n"
+        "    def f(self):\n"
+        "        return [object.__new__(A), A.__new__(A), super().__new__(A)]\n"
+    )
+    assert object_new_sites(source) == ["<module>", "A.f"]
+
+
+def test_only_gf2_unchecked_skips_the_constructor_checks():
+    found = {
+        str(path.relative_to(ROOT)): sites
+        for path in SOURCES
+        if (sites := object_new_sites(path.read_text()))
+    }
+    assert found == {"src/adjmatroid/gf2.py": ["unchecked"]}

@@ -108,7 +108,7 @@ def test_interlace_oracles_build_one_table_each(monkeypatch):
     calls = count_matroid_builds(monkeypatch)
     q = q_from_lambda(g)
     terms = interlace_vertex_terms(g)
-    assert len(calls) <= 2 * (1 << g.n)
+    assert len(calls) == 2 * (1 << g.n)  # one matroid per subset in each oracle
     assert q == interlace_subset(g)
     assert set(terms) == set(g.labels)
 
