@@ -205,10 +205,7 @@ def cmd_symmetrize(args: argparse.Namespace) -> int:
         if set(line) - {"0", "1"}:
             raise ValueError(f"line {line_no}: matrix rows are strings of 0 and 1")
         rows.append([int(c) for c in line])
-    if rows and any(len(r) != len(rows[0]) for r in rows):
-        raise ValueError("matrix rows must have equal length")
-    a = BitMatrix.from_rows(rows) if rows else BitMatrix.zero(0, 0)
-    b = symmetrize_nullspace(a)
+    b = symmetrize_nullspace(BitMatrix.from_rows(rows))
     labels = tuple(f"v{i}" for i in range(b.rows))
     g = LoopedSimpleGraph(labels, b)
     _emit(args, render_graph(g).rstrip(), graph_to_json(g))

@@ -499,12 +499,13 @@ def file_order_partition(f: HalfEdgeGraph) -> CircuitPartition:
     return partition_from_transitions(f, TransitionSystem.from_pairs(f, pairs))
 
 
-def random_four_regular(
-    rng: random.Random, n: int, connected: bool = True, max_tries: int = 200
-) -> MultiGraph:
+SAMPLE_TRIES = 200  # configuration-model draws before giving up on connectivity
+
+
+def random_four_regular(rng: random.Random, n: int, connected: bool = True) -> MultiGraph:
     """Configuration-model 4-regular multigraph on n vertices."""
     labels = tuple(f"v{i}" for i in range(n))
-    for _ in range(max_tries):
+    for _ in range(SAMPLE_TRIES):
         stubs = [v for v in range(n) for _ in range(4)]
         rng.shuffle(stubs)
         edges = [(stubs[2 * i], stubs[2 * i + 1]) for i in range(2 * n)]

@@ -5,10 +5,15 @@ are tuples of row masks.  A subspace keeps its basis as a tuple of row
 masks in canonical reduced row-echelon form, so that equality of subspaces
 is plain ``==``.
 
-Every scan over the 2^n subsets S of n coordinates is one bit-sliced
-elimination: each matrix entry is a 2^n-bit int with bit S the entry of
-matrix S, and the result is one pivot plane per row, set at S iff that row
-is a pivot row of matrix S.  rank(S) is the number of planes set at S.
+There are four eliminations, one per shape of problem.  ``forward_pivots``
+keys rows by lowest set bit and does not back-substitute; it is behind
+``rank``, ``rref_masks`` and the matroid coloop evidence.  ``nullspace`` keys
+rows by highest set bit and reduces fully in one pass.
+``Subspace.restricted_to`` eliminates on the out-of-mask bits only (a
+forward-pivot form that shifts the inside bits up measured 1.3-1.5x slower).
+``subset_pivot_planes`` eliminates all 2^n subset matrices S at once: each
+entry is a 2^n-bit int with bit S the entry of matrix S, and the result is
+one pivot plane per row, set at S iff that row is a pivot row of matrix S.
 """
 
 from __future__ import annotations
@@ -47,23 +52,34 @@ def check_enum_gate(n: int, what: str) -> None:
         raise ValueError(f"{what} is gated at {ENUM_GATE} coordinates, got {n}")
 
 
-def rref_masks(vectors: Iterable[int]) -> tuple[int, ...]:
-    """Reduce the given row masks to canonical RREF, pivots ascending.
-
-    Each returned row has a pivot (lowest set bit) that no other row uses.
-    """
-    by_pivot: dict[int, int] = {}
-    for v in vectors:
-        for p, b in by_pivot.items():
-            if (v >> p) & 1:
-                v ^= b
+def forward_pivots(rows: Iterable[int]) -> dict[int, int]:
+    """Forward elimination keyed by lowest set bit, with no back-substitution:
+    pivot bit -> the reduced row that owns it, one entry per independent row."""
+    pivots: dict[int, int] = {}
+    for v in rows:
+        while (low := v & -v) in pivots:
+            v ^= pivots[low]
         if v:
-            q = lowest_bit(v)
-            for p in list(by_pivot):
-                if (by_pivot[p] >> q) & 1:
-                    by_pivot[p] ^= v
-            by_pivot[q] = v
-    return tuple(by_pivot[p] for p in sorted(by_pivot))
+            pivots[low] = v
+    return pivots
+
+
+def rref_masks(vectors: Iterable[int]) -> tuple[int, ...]:
+    """Canonical RREF of the given row masks, pivots (lowest set bits)
+    ascending: the forward pivots, back-substituted highest pivot first.  A
+    row holds no bit below its pivot, so the rows it is reduced by are final."""
+    pivots = forward_pivots(vectors)
+    pivot_bits = sum(pivots)
+    order = sorted(pivots)
+    for low in reversed(order):
+        v = pivots[low]
+        hits = (v ^ low) & pivot_bits
+        while hits:
+            h = hits & -hits
+            v ^= pivots[h]
+            hits ^= h
+        pivots[low] = v
+    return tuple(pivots[p] for p in order)
 
 
 def gather(v: int, positions: Sequence[int]) -> int:
@@ -115,11 +131,10 @@ class BitMatrix:
         return cls(n, n, tuple(1 << i for i in range(n)))
 
     @classmethod
-    def from_rows(cls, entries: Sequence[Sequence[int]], cols: int | None = None) -> "BitMatrix":
-        if cols is None:
-            cols = len(entries[0]) if entries else 0
+    def from_rows(cls, entries: Sequence[Sequence[int]]) -> "BitMatrix":
+        cols = len(entries[0]) if entries else 0
         if any(len(row) != cols for row in entries):
-            raise ValueError("ragged rows")
+            raise ValueError("matrix rows must have equal length")
         masks = (sum((e & 1) << j for j, e in enumerate(row)) for row in entries)
         return cls(len(entries), cols, tuple(masks))
 
@@ -155,18 +170,6 @@ class BitMatrix:
             if (r & v).bit_count() & 1:
                 out |= 1 << i
         return out
-
-
-def forward_pivots(rows: Iterable[int]) -> dict[int, int]:
-    """Forward elimination keyed by lowest set bit, with no back-substitution:
-    pivot bit -> the reduced row that owns it, one entry per independent row."""
-    pivots: dict[int, int] = {}
-    for v in rows:
-        while (low := v & -v) in pivots:
-            v ^= pivots[low]
-        if v:
-            pivots[low] = v
-    return pivots
 
 
 def rank(m: BitMatrix) -> int:

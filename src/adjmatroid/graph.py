@@ -186,6 +186,16 @@ class MultiGraph:
             out[v] += 1
         return out
 
+    def incidences(self) -> list[tuple[str, ...]]:
+        """Each vertex's incident edge labels, sorted, a loop listed once; the
+        list sorted.  Two multigraphs give equal lists iff renaming vertices
+        turns one into the other with every edge label kept."""
+        out: list[set[str]] = [set() for _ in range(self.n)]
+        for (u, v), label in zip(self.edges, self.edge_labels):
+            out[u].add(label)
+            out[v].add(label)
+        return sorted(tuple(sorted(labels)) for labels in out)
+
     def adjacency(self) -> BitMatrix:
         rows = [0] * self.n
         for u, v in self.edges:
@@ -305,32 +315,3 @@ def random_looped_simple_graph(
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     return LoopedSimpleGraph(labels, BitMatrix(n, n, tuple(rows)))
-
-
-def graph_isomorphism(
-    g: LoopedSimpleGraph, h: LoopedSimpleGraph
-) -> dict[str, str] | None:
-    """Brute-force isomorphism of looped simple graphs; None if there is none."""
-    if g.n != h.n:
-        return None
-    g_loops = sum(g.adj.entry(i, i) for i in range(g.n))
-    h_loops = sum(h.adj.entry(i, i) for i in range(h.n))
-    if g_loops != h_loops:
-        return None
-
-    def profile(x: LoopedSimpleGraph) -> list[tuple[int, int]]:
-        return sorted(
-            (x.adj.entry(i, i), (x.adj.data[i] & ~(1 << i)).bit_count())
-            for i in range(x.n)
-        )
-
-    if profile(g) != profile(h):
-        return None
-    for perm in itertools.permutations(range(h.n)):
-        if all(
-            g.adj.entry(i, j) == h.adj.entry(perm[i], perm[j])
-            for i in range(g.n)
-            for j in range(i, g.n)
-        ):
-            return {g.labels[i]: h.labels[perm[i]] for i in range(g.n)}
-    return None

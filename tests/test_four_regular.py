@@ -24,7 +24,12 @@ from adjmatroid.four_regular import (
     touch_graph,
     transition_type,
 )
-from adjmatroid.graph import LoopedSimpleGraph, MultiGraph, graph_isomorphism
+from adjmatroid.graph import (
+    LoopedSimpleGraph,
+    MultiGraph,
+    all_looped_simple_graphs,
+    as_multigraph,
+)
 
 FIG8 = HalfEdgeGraph(MultiGraph.build("a", [("a", "a"), ("a", "a")]))
 PARALLEL4 = HalfEdgeGraph(MultiGraph.build("uv", [("u", "v")] * 4))
@@ -204,14 +209,19 @@ def test_touch_graph_shapes():
             assert tch.component_count() == f.component_count
 
 
+def reproduces(g: LoopedSimpleGraph | MultiGraph, r) -> bool:
+    """The touch-graph of the realization r is g itself: each circuit touches
+    the vertices of F named by one vertex's edges, loops included."""
+    return touch_graph(r.partition).incidences() == as_multigraph(g).incidences()
+
+
 def test_realize_single_looped_vertex():
     g = LoopedSimpleGraph.build("v", loops="v")
     r = realize_touch_graph(g)
     assert r.f.n == 1
     assert len(r.f.graph.edges) == 2
     assert r.partition.size == 1
-    tch = touch_graph(r.partition)
-    assert graph_isomorphism(tch.simplify(), g) is not None
+    assert reproduces(g, r)
 
 
 def test_realize_single_edge():
@@ -219,8 +229,7 @@ def test_realize_single_edge():
     r = realize_touch_graph(g)
     assert r.f.n == 1  # one vertex carrying both distinguished loops
     assert r.partition.size == 2
-    tch = touch_graph(r.partition)
-    assert graph_isomorphism(tch.simplify(), g) is not None
+    assert reproduces(g, r)
 
 
 def test_realize_rejects_isolated_unlooped():
@@ -228,6 +237,17 @@ def test_realize_rejects_isolated_unlooped():
         realize_touch_graph(LoopedSimpleGraph.build("a"))
     with pytest.raises(ValueError):
         realize_touch_graph(LoopedSimpleGraph.build("abc", [("a", "b")], loops="a"))
+
+
+def test_realize_every_small_graph():
+    realized = 0
+    for n in range(5):
+        for g in all_looped_simple_graphs(n):
+            if all(g.adj.data):
+                assert reproduces(g, realize_touch_graph(g))
+                realized += 1
+    # looped graphs on n <= 4 labelled vertices with no isolated unlooped one
+    assert realized == 1 + 1 + 5 + 45 + 809
 
 
 def test_realize_random_graphs():
@@ -248,8 +268,20 @@ def test_realize_random_graphs():
         if any(g.adj.data[i] == 0 for i in range(g.n)):
             continue
         done += 1
-        tch = touch_graph(realize_touch_graph(g).partition)
-        assert graph_isomorphism(tch.simplify(), g) is not None
+        assert reproduces(g, realize_touch_graph(g))
+
+
+def test_realize_random_multigraphs():
+    # parallel edges and repeated loops, with edge labels out of order
+    rng = random.Random(6)
+    for _ in range(40):
+        n = rng.randrange(1, 6)
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(n, 3 * n))]
+        edges += [(v, v) for v in range(n) if rng.random() < 0.5 or all(v not in e for e in edges)]
+        names = [f"x{k}" for k in range(len(edges))]
+        rng.shuffle(names)
+        g = MultiGraph(tuple(f"v{i}" for i in range(n)), tuple(edges), tuple(names))
+        assert reproduces(g, realize_touch_graph(g))
 
 
 def test_realize_splits_the_lowest_edge_of_each_circuit():

@@ -79,6 +79,38 @@ def test_rank_counts_the_rref_rows():
         assert rank(BitMatrix(n, n, rows)) == len(rref_masks(rows))
 
 
+def reduce_as_you_go(vectors) -> tuple[int, ...]:
+    """RREF by the other order of work: each new row is reduced against the
+    pivot rows so far, then clears its own pivot from all of them."""
+    by_pivot: dict[int, int] = {}
+    for v in vectors:
+        for p, b in by_pivot.items():
+            if (v >> p) & 1:
+                v ^= b
+        if v:
+            q = (v & -v).bit_length() - 1
+            for p in list(by_pivot):
+                if (by_pivot[p] >> q) & 1:
+                    by_pivot[p] ^= v
+            by_pivot[q] = v
+    return tuple(by_pivot[p] for p in sorted(by_pivot))
+
+
+def test_rref_masks_matches_reduce_as_you_go():
+    """On every list of up to 3 vectors in GF(2)^4 and on 2,000 seeded lists
+    with 1-64 columns; every result is a canonical basis."""
+    small = [rows for k in range(4) for rows in itertools.product(range(16), repeat=k)]
+    rng = random.Random(7)
+    seeded = []
+    for _ in range(2000):
+        cols = rng.randrange(1, 65)
+        seeded.append((cols, [rng.getrandbits(cols) for _ in range(rng.randrange(cols + 3))]))
+    for cols, rows in [(4, rows) for rows in small] + seeded:
+        basis = rref_masks(rows)
+        assert basis == reduce_as_you_go(rows)
+        assert Subspace(cols, basis).basis == basis
+
+
 def test_nullity_examples():
     assert nullity(BitMatrix.zero(3, 3)) == 3
     assert nullity(A_K3) == 1

@@ -21,7 +21,6 @@ from adjmatroid.graph import (
     MultiGraph,
     all_looped_simple_graphs,
     as_multigraph,
-    graph_isomorphism,
     nullity_oracle_of,
     random_looped_simple_graph,
     reconstruct_from_nullity_oracle,
@@ -253,11 +252,17 @@ def test_as_multigraph_round_trip():
     assert mg.simplify() == K3L
 
 
-def test_graph_isomorphism():
-    relabeled = LoopedSimpleGraph.build("xyz", [("x", "y"), ("y", "z"), ("x", "z")])
-    assert graph_isomorphism(K3, relabeled) is not None
-    assert graph_isomorphism(K3, K3L) is None
-    assert graph_isomorphism(P3LL, K3L) is None
+def test_incidences_keep_edge_labels_up_to_vertex_renaming():
+    mg = MultiGraph.build("abcd", [("a", "b"), ("b", "c"), ("c", "c"), ("a", "b")], "xyzw")
+    # the loop z is listed once; d is isolated
+    assert mg.incidences() == [(), ("w", "x"), ("w", "x", "y"), ("y", "z")]
+    renamed = MultiGraph.build("pqrs", [("r", "q"), ("q", "p"), ("p", "p"), ("q", "r")], "xyzw")
+    assert renamed.incidences() == mg.incidences()
+    # swapping the labels of edges x and y keeps the plain graph, not the labels
+    swapped = MultiGraph.build("abcd", [("a", "b"), ("b", "c"), ("c", "c"), ("a", "b")], "yxzw")
+    assert swapped.simplify() == mg.simplify()
+    assert swapped.incidences() != mg.incidences()
+    assert MultiGraph.build("a", [("a", "a")], "z").incidences() == [("z",)]
 
 
 def test_parse_simple_and_multigraph():
