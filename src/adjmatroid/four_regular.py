@@ -11,13 +11,20 @@ edge-insertion order) in one pass over the edges, and
 `CircuitPartition.passages` (each vertex's two visits) in one pass over the
 circuits.
 
+Each graph builds its Euler system once, as the cached
+`HalfEdgeGraph.euler_system`: `euler_system`, `compatible_euler_system` and
+every caller holding the same graph share it.  The Hierholzer walk keeps a
+cursor into each vertex's four halves that only moves past used edges, so
+the build is linear in the edge count.
+
 The per-vertex steps of the pipeline are single passes.  Interlacement rows
 come from one walk of each circuit with a running XOR of the vertex bits
 seen so far: XOR-ing it into v's row at both of v's passages leaves exactly
 the vertices met once in between.  The relative interlacement gives phi
 vertices no bit and keeps each psi vertex's own bit as its loop, so it is
 one graph.  The compatible Euler system applies each rewire in place, by
-reversing the stretch of a circuit between v's two passages.
+reversing the stretch of a circuit between v's two passages: a rewire moves
+O(stretch) entries.
 """
 
 from __future__ import annotations
@@ -72,6 +79,55 @@ class HalfEdgeGraph:
     def component_count(self) -> int:
         return self.graph.component_count()
 
+    @cached_property
+    def euler_system(self) -> EulerSystem:
+        """Hierholzer splicing; deterministic in the half-edge order.  A
+        walk takes its vertex's first half-edge on an unused edge until it
+        is stuck back at its start; before a departure is kept, the walk
+        from its vertex, if any, is spliced in front of it.  The circuits
+        use every half-edge once, so their transition system is valid by
+        construction and is not validated again."""
+        ends, halves = self.ends, self.halves
+        used = [False] * self.edge_count
+        cursor = [0] * self.n
+
+        def walk(v0: int) -> list[int]:
+            seq = []
+            v = v0
+            while True:
+                at, k = halves[v], cursor[v]
+                while k < 4 and used[at[k] >> 1]:
+                    k += 1
+                cursor[v] = k
+                if k == 4:
+                    break
+                dep = at[k]
+                used[dep >> 1] = True
+                seq.append(dep)
+                v = ends[dep ^ 1]
+            if seq and v != v0:
+                raise AssertionError("open trail in an even-degree graph")
+            return seq
+
+        circuits = []
+        for v0 in range(self.n):
+            pending = walk(v0)[::-1]  # departures still to splice, next one last
+            if not pending:
+                continue
+            circuit = []
+            while pending:
+                dep = pending.pop()
+                sub = walk(ends[dep])
+                if sub:
+                    pending.append(dep)
+                    pending += reversed(sub)
+                else:
+                    circuit.append(dep)
+            circuits.append(tuple(circuit))
+
+        t = TransitionSystem.from_circuits(self, circuits)
+        return EulerSystem(CircuitPartition(self, t, tuple(circuits)))
+
     def check_vertex(self, v: int) -> None:
         """Reject v unless it indexes a vertex; a negative v would otherwise
         read the tables from the end."""
@@ -95,6 +151,11 @@ class TransitionSystem:
         if len(self.pairing) != f.half_count:
             raise ValueError("pairing length mismatch")
         for h, k in enumerate(self.pairing):
+            if not 0 <= k < len(self.pairing):
+                raise ValueError(
+                    "pairing is not a fixed-point-free involution: "
+                    f"partner {k} of half-edge {h} is out of range"
+                )
             if k == h or self.pairing[k] != h:
                 raise ValueError("pairing is not a fixed-point-free involution")
             if f.ends[h] != f.ends[k]:
@@ -233,41 +294,10 @@ class EulerSystem:
 
 
 def euler_system(f: HalfEdgeGraph) -> EulerSystem:
-    """Hierholzer splicing; deterministic in the half-edge order.  The
-    circuits use every half-edge once, so their transition system is valid
-    by construction and is not validated again."""
-    used = [False] * f.edge_count
-
-    def walk(v0: int) -> list[int]:
-        seq = []
-        v = v0
-        while True:
-            dep = next((h for h in f.halves[v] if not used[h >> 1]), None)
-            if dep is None:
-                break
-            used[dep >> 1] = True
-            seq.append(dep)
-            v = f.ends[dep ^ 1]
-        if seq and v != v0:
-            raise AssertionError("open trail in an even-degree graph")
-        return seq
-
-    circuits = []
-    for v0 in range(f.n):
-        circuit = walk(v0)
-        if not circuit:
-            continue
-        i = 0
-        while i < len(circuit):
-            sub = walk(f.ends[circuit[i]])
-            if sub:
-                circuit[i:i] = sub
-            else:
-                i += 1
-        circuits.append(tuple(circuit))
-
-    t = TransitionSystem.from_circuits(f, circuits)
-    return EulerSystem(CircuitPartition(f, t, tuple(circuits)))
+    """The Euler system of f: built on the first call for this graph object,
+    in time linear in its edge count, and the same object on every later
+    call.  An equal graph built separately builds its own."""
+    return f.euler_system
 
 
 def transition_type(c: EulerSystem, p: CircuitPartition, v: int) -> TransitionType:
@@ -347,36 +377,36 @@ def kappa(c: EulerSystem, v: int) -> EulerSystem:
 def compatible_euler_system(f: HalfEdgeGraph, p: CircuitPartition) -> EulerSystem:
     """An Euler system that disagrees with p at every vertex.
 
-    Starting from `euler_system(f)`, each vertex where the system follows p
-    is rewired with kappa, in place: the stretch of v's circuit from v's
-    first passage up to its second is reversed, each departing half turned
-    into its sibling, so v pairs its in-directed halves and its out-directed
-    halves and every other vertex keeps its pairing.  An edge -> position
-    table finds v's passages.  Rewiring at a vertex never re-creates
-    agreement elsewhere, so one pass over the vertices suffices; the
-    circuits are traced once, at the end.
+    Starting from `euler_system(f)`, the system f stores, each vertex where
+    the system follows p is rewired with kappa, in place: the stretch of
+    v's circuit from v's first passage up to its second is reversed, each
+    departing half turned into its sibling, so v pairs its in-directed
+    halves and its out-directed halves and every other vertex keeps its
+    pairing.  Two flat edge tables find v's passages: each edge's circuit,
+    which a reversal never changes, and its position, which a rewire
+    updates only across its stretch, O(stretch) entries.
+    Rewiring at a vertex never re-creates agreement elsewhere, so one pass
+    over the vertices suffices; the circuits are traced once, at the end.
     """
     c = euler_system(f)
     circuits = [list(circuit) for circuit in c.circuits]
-    where = [(0, 0)] * f.edge_count  # edge -> (circuit index, position)
+    circuit_of = [0] * f.edge_count  # edge -> circuit index; a reversal keeps it
+    position = [0] * f.edge_count  # edge -> position in its circuit
     for ci, circuit in enumerate(circuits):
         for i, dep in enumerate(circuit):
-            where[dep >> 1] = (ci, i)
+            circuit_of[dep >> 1] = ci
+            position[dep >> 1] = i
     pairing = p.transitions.pairing
     rewired = False
     for v in range(f.n):
-        departures = []
-        for h in f.halves[v]:
-            ci, i = where[h >> 1]
-            if circuits[ci][i] == h:
-                departures.append((ci, i))
-        (ci, i), (_, j) = sorted(departures)  # both in the component's one circuit
-        circuit = circuits[ci]
+        at = f.halves[v]
+        circuit = circuits[circuit_of[at[0] >> 1]]  # the component's one circuit
+        i, j = sorted(position[h >> 1] for h in at if circuit[position[h >> 1]] == h)
         if pairing[circuit[i]] != circuit[i - 1] ^ 1:
             continue
         circuit[i:j] = [h ^ 1 for h in reversed(circuit[i:j])]
         for k in range(i, j):
-            where[circuit[k] >> 1] = (ci, k)
+            position[circuit[k] >> 1] = k
         rewired = True
     if rewired:
         t = TransitionSystem.from_circuits(f, circuits)
@@ -416,9 +446,9 @@ def realize_touch_graph(g: LoopedSimpleGraph | MultiGraph) -> Realization:
     f_labels = [mg.edge_labels[e] for e in nonloop]
     f_vertex = {e: i for i, e in enumerate(nonloop)}
 
-    edge_order: list[int] = []  # edge ids in file order
     ends: dict[int, tuple[int, int]] = {}
-    circuit_of: dict[int, list[int]] = {}  # g-vertex -> edge ids in traversal order
+    # g-vertex -> edge ids in traversal order; creation order is file order
+    circuit_of: dict[int, list[int]] = {}
     oldest: dict[int, deque[int]] = {}  # g-vertex -> the same ids in creation order
     splits: dict[int, tuple[int, int, int]] = {}  # split edge id -> its three parts
     next_id = 0
@@ -441,7 +471,6 @@ def realize_touch_graph(g: LoopedSimpleGraph | MultiGraph) -> Realization:
             a = f_vertex[incident[i]]
             b = f_vertex[incident[(i + 1) % len(incident)]]
             circ.append(new_edge(a, b))
-        edge_order += circ
         circuit_of[u] = circ
         oldest[u] = deque(circ)
 
@@ -451,7 +480,6 @@ def realize_touch_graph(g: LoopedSimpleGraph | MultiGraph) -> Realization:
         f_labels.append(mg.edge_labels[e])
         if u not in circuit_of:
             circ = [new_edge(y, y), new_edge(y, y)]
-            edge_order += circ
             circuit_of[u] = circ
             oldest[u] = deque(circ)
         else:
@@ -476,8 +504,8 @@ def realize_touch_graph(g: LoopedSimpleGraph | MultiGraph) -> Realization:
                 out.append(eid)
         return out
 
-    edge_order = expand(edge_order)
     circuit_of = {u: expand(circ) for u, circ in circuit_of.items()}
+    edge_order = [eid for circ in circuit_of.values() for eid in circ]
     position = {eid: i for i, eid in enumerate(edge_order)}
     f_graph = MultiGraph(
         tuple(f_labels), tuple(ends[eid] for eid in edge_order)

@@ -93,6 +93,10 @@ def test_hierholzer_examples():
     )
     c = euler_system(both)
     assert len(c.circuits) == 2  # one per component
+    corpus = small_four_regular_corpus(5)
+    assert len(corpus) == 12
+    for mg in corpus:
+        assert_rescan_walk(euler_system(HalfEdgeGraph(mg)))
 
 
 def test_rejects_non_four_regular():
@@ -354,6 +358,15 @@ def test_transition_system_validation():
             partition_from_transitions(two, TransitionSystem.from_pairs(two, pairs))
 
 
+def test_transition_system_rejects_out_of_range_partners():
+    """A partner outside the half-edges is rejected before it indexes the
+    pairing: a too-large one would raise IndexError, a negative one would
+    read the pairing from the end."""
+    for pairing, partner in (((1, 0, 7, 2), 7), ((1, 0, -1, 2), -1)):
+        with pytest.raises(ValueError, match=f"partner {partner} of half-edge 2 is out of range$"):
+            partition_from_transitions(FIG8, TransitionSystem(pairing))
+
+
 def scan_ends(mg: MultiGraph) -> list[int]:
     """The vertex of each half-edge, read from the edge list one half at a time."""
     return [mg.edges[h >> 1][h & 1] for h in range(2 * len(mg.edges))]
@@ -474,6 +487,45 @@ def pairing_transition_type(c, p, v: int) -> str:
     return {phi: "phi", chi: "chi", psi: "psi"}[part]
 
 
+def rescan_euler_circuits(f: HalfEdgeGraph) -> tuple[tuple[int, ...], ...]:
+    """Reference Hierholzer walk: every step rescans the vertex's four halves
+    for the first unused edge, and each sub-walk is inserted into the list
+    in front of the departure it starts at."""
+    used = [False] * f.edge_count
+
+    def walk(v0: int) -> list[int]:
+        seq = []
+        v = v0
+        while True:
+            dep = next((h for h in f.halves[v] if not used[h >> 1]), None)
+            if dep is None:
+                return seq
+            used[dep >> 1] = True
+            seq.append(dep)
+            v = f.ends[dep ^ 1]
+
+    circuits = []
+    for v0 in range(f.n):
+        circuit = walk(v0)
+        if not circuit:
+            continue
+        i = 0
+        while i < len(circuit):
+            sub = walk(f.ends[circuit[i]])
+            if sub:
+                circuit[i:i] = sub
+            else:
+                i += 1
+        circuits.append(tuple(circuit))
+    return tuple(circuits)
+
+
+def assert_rescan_walk(c) -> None:
+    expect = rescan_euler_circuits(c.f)
+    assert c.circuits == expect
+    assert c.transitions == TransitionSystem.from_circuits(c.f, expect)
+
+
 def kappa_chain_compatible_euler_system(f, p):
     """Reference: a retracing kappa at each vertex where the system follows
     p; also returns the number of rewires."""
@@ -501,6 +553,7 @@ def check_fast_routes(f: HalfEdgeGraph, p) -> None:
     """The prefix-XOR interlacement, the O(1) transition type and the
     in-place kappa sweep against their references."""
     c = euler_system(f)
+    assert_rescan_walk(c)
     assert interlacement(c) == pairwise_interlacement(c)
     expect, _ = kappa_chain_compatible_euler_system(f, p)
     comp = compatible_euler_system(f, p)
@@ -610,3 +663,22 @@ def test_component_count_runs_once_per_graph(monkeypatch):
     for v in range(f.n):
         kappa(c, v)
     assert len(calls) == 1
+
+
+def test_euler_system_is_built_once_per_graph(monkeypatch):
+    prop = HalfEdgeGraph.__dict__["euler_system"]
+    builds = []
+    build = prop.func
+    monkeypatch.setattr(prop, "func", lambda f: builds.append(f) or build(f))
+    f = table_cases()[-1]
+    c = euler_system(f)
+    assert euler_system(f) is c
+    for p in (file_order_partition(f), c.partition):
+        assert compatible_euler_system(f, p) != c
+    for v in range(f.n):
+        kappa(c, v)
+    assert builds == [f]
+    fresh = HalfEdgeGraph(f.graph)
+    again = euler_system(fresh)
+    assert len(builds) == 2 and builds[1] is fresh
+    assert again == c and again is not c
