@@ -12,19 +12,18 @@ edge-insertion order) in one pass over the edges, and
 circuits.
 
 Each graph builds its Euler system once, as the cached
-`HalfEdgeGraph.euler_system`: `euler_system`, `compatible_euler_system` and
-every caller holding the same graph share it.  The Hierholzer walk keeps a
-cursor into each vertex's four halves that only moves past used edges, so
-the build is linear in the edge count.
+`HalfEdgeGraph.euler_system`, shared by every caller holding the same graph.
+The Hierholzer walk keeps a cursor into each vertex's four halves that only
+moves past used edges, so the build is linear in the edge count.
 
 The per-vertex steps of the pipeline are single passes.  Interlacement rows
 come from one walk of each circuit with a running XOR of the vertex bits
 seen so far: XOR-ing it into v's row at both of v's passages leaves exactly
 the vertices met once in between.  The relative interlacement gives phi
 vertices no bit and keeps each psi vertex's own bit as its loop, so it is
-one graph.  The compatible Euler system applies each rewire in place, by
-reversing the stretch of a circuit between v's two passages: a rewire moves
-O(stretch) entries.
+one graph.  The compatible Euler system is Kotzig's merge: chi with respect
+to the partition everywhere, then psi wherever a vertex joins two circuits
+of different union-find classes: near-linear, plus two traces.
 """
 
 from __future__ import annotations
@@ -375,45 +374,45 @@ def kappa(c: EulerSystem, v: int) -> EulerSystem:
 
 
 def compatible_euler_system(f: HalfEdgeGraph, p: CircuitPartition) -> EulerSystem:
-    """An Euler system that disagrees with p at every vertex.
+    """An Euler system that disagrees with p at every vertex, by Kotzig's
+    merge (A. Kotzig, "Eulerian lines in finite 4-valent graphs and their
+    transformations", 1968).
 
-    Starting from `euler_system(f)`, the system f stores, each vertex where
-    the system follows p is rewired with kappa, in place: the stretch of
-    v's circuit from v's first passage up to its second is reversed, each
-    departing half turned into its sibling, so v pairs its in-directed
-    halves and its out-directed halves and every other vertex keeps its
-    pairing.  Two flat edge tables find v's passages: each edge's circuit,
-    which a reversal never changes, and its position, which a rewire
-    updates only across its stretch, O(stretch) entries.
-    Rewiring at a vertex never re-creates agreement elsewhere, so one pass
-    over the vertices suffices; the circuits are traced once, at the end.
+    With p's passages a1 -> d1 and a2 -> d2 at each vertex, start from chi
+    with respect to p (a1-d2, a2-d1) and trace its circuits once, naming each
+    by its least edge.  Then, in one pass with a union-find over the circuits,
+    switch each vertex whose two passages lie in different classes to psi
+    (a1-a2, d1-d2) and union the classes.  A switch merges the two circuits
+    through v and keeps every other pairing, so a class stays one circuit;
+    after the pass each vertex has its four edges in one class, so each
+    component is one circuit.  Chi and psi both differ from p everywhere.
     """
-    c = euler_system(f)
-    circuits = [list(circuit) for circuit in c.circuits]
-    circuit_of = [0] * f.edge_count  # edge -> circuit index; a reversal keeps it
-    position = [0] * f.edge_count  # edge -> position in its circuit
-    for ci, circuit in enumerate(circuits):
-        for i, dep in enumerate(circuit):
-            circuit_of[dep >> 1] = ci
-            position[dep >> 1] = i
-    pairing = p.transitions.pairing
-    rewired = False
-    for v in range(f.n):
-        at = f.halves[v]
-        circuit = circuits[circuit_of[at[0] >> 1]]  # the component's one circuit
-        i, j = sorted(position[h >> 1] for h in at if circuit[position[h >> 1]] == h)
-        if pairing[circuit[i]] != circuit[i - 1] ^ 1:
-            continue
-        circuit[i:j] = [h ^ 1 for h in reversed(circuit[i:j])]
-        for k in range(i, j):
-            position[circuit[k] >> 1] = k
-        rewired = True
-    if rewired:
-        t = TransitionSystem.from_circuits(f, circuits)
-        c = EulerSystem(partition_from_transitions(f, t))
-    for v in range(f.n):
-        if transition_type(c, p, v) == "phi":
-            raise AssertionError("agreement survived the sweep")
+    pairing = [0] * f.half_count
+    for (_, a1, d1), (_, a2, d2) in p.passages:
+        pairing[a1], pairing[d2], pairing[a2], pairing[d1] = d2, a1, d1, a2
+    circuit_of = [-1] * f.edge_count
+    for e in range(f.edge_count):  # chi is valid by construction: trace raw
+        h = 2 * e
+        while circuit_of[h >> 1] < 0:
+            circuit_of[h >> 1] = e
+            h = pairing[h ^ 1]
+    parent = list(range(f.edge_count))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for (_, a1, d1), (_, a2, d2) in p.passages:
+        x, y = find(circuit_of[a1 >> 1]), find(circuit_of[a2 >> 1])
+        if x != y:
+            pairing[a1], pairing[a2], pairing[d1], pairing[d2] = a2, a1, d2, d1
+            parent[x] = y
+    c = EulerSystem(partition_from_transitions(f, TransitionSystem(tuple(pairing))))
+    # two distinct pairings of one vertex's four halves share no pair
+    if any(x == y for x, y in zip(pairing, p.transitions.pairing)):
+        raise AssertionError("the compatible system follows p somewhere")
     return c
 
 

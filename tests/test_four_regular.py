@@ -2,7 +2,9 @@
 
 import itertools
 import random
+from collections import Counter
 
+import networkx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -526,16 +528,17 @@ def assert_rescan_walk(c) -> None:
     assert c.transitions == TransitionSystem.from_circuits(c.f, expect)
 
 
-def kappa_chain_compatible_euler_system(f, p):
-    """Reference: a retracing kappa at each vertex where the system follows
-    p; also returns the number of rewires."""
-    c = euler_system(f)
-    rewires = 0
-    for v in range(f.n):
-        if c.phi_pairing(v) == p.pairing_at(v):
-            c = kappa(c, v)
-            rewires += 1
-    return c, rewires
+def assert_compatible(f: HalfEdgeGraph, p, comp) -> None:
+    """comp is a valid system with one circuit per component that shares no
+    pair with p at any half-edge, read by routes other than the one
+    compatible_euler_system checks itself; the relative interlacement of
+    comp against p keeps every vertex."""
+    comp.transitions.validate(f)
+    assert partition_from_transitions(f, comp.transitions) == comp.partition
+    assert comp.partition.size == f.component_count
+    assert all(x != y for x, y in zip(comp.transitions.pairing, p.transitions.pairing))
+    assert all(comp.partition.pairing_at(v) != p.pairing_at(v) for v in range(f.n))
+    assert sorted(relative_interlacement(comp, p).labels) == sorted(f.graph.labels)
 
 
 def reference_relative_interlacement(c, p) -> LoopedSimpleGraph:
@@ -551,14 +554,13 @@ def reference_relative_interlacement(c, p) -> LoopedSimpleGraph:
 
 def check_fast_routes(f: HalfEdgeGraph, p) -> None:
     """The prefix-XOR interlacement, the O(1) transition type and the
-    in-place kappa sweep against their references."""
+    relative interlacement against their references, on the Euler system and
+    on the compatible one."""
     c = euler_system(f)
     assert_rescan_walk(c)
     assert interlacement(c) == pairwise_interlacement(c)
-    expect, _ = kappa_chain_compatible_euler_system(f, p)
     comp = compatible_euler_system(f, p)
-    assert comp.transitions == expect.transitions
-    assert comp.circuits == expect.circuits
+    assert_compatible(f, p, comp)
     for system in (c, comp):
         kinds = [transition_type(system, p, v) for v in range(f.n)]
         assert kinds == [pairing_transition_type(system, p, v) for v in range(f.n)]
@@ -596,21 +598,87 @@ def test_fast_routes_match_references_property(n, seed, connected):
 def test_compatible_euler_system_traces_once(monkeypatch):
     rng = random.Random(12)
     cases = [(f, p) for f in table_cases() for p in (file_order_partition(f), random_partition(rng, f))]
-    rewires = [kappa_chain_compatible_euler_system(f, p)[1] for f, p in cases]
-    assert max(rewires) >= 2 and 0 in rewires
     traced = []
     trace = four_regular.partition_from_transitions
     monkeypatch.setattr(
         four_regular, "partition_from_transitions", lambda f, t: traced.append(t) or trace(f, t)
     )
-    for (f, p), count in zip(cases, rewires):
+    for f, p in cases:
         traced.clear()
-        c = euler_system(f)
-        assert traced == []
         comp = compatible_euler_system(f, p)
-        assert len(traced) == min(count, 1)
-        if not count:
-            assert comp == c
+        assert traced == [comp.transitions]
+
+
+def test_compatible_euler_system_on_every_small_partition():
+    checked = 0
+    for mg in small_four_regular_corpus(5):
+        f = HalfEdgeGraph(mg)
+        for t in all_transition_systems(f):
+            p = partition_from_transitions(f, t)
+            assert_compatible(f, p, compatible_euler_system(f, p))
+            checked += 1
+    assert checked == 3 + 2 * 3**2 + 3 * 3**3 + 3 * 3**4 + 3 * 3**5
+
+
+def test_compatible_euler_system_on_seeded_graphs():
+    rng = random.Random(13)
+    for n in (1, 2, 6, 11, 24, 50, 97, 150):
+        for connected in (True, False):
+            f = HalfEdgeGraph(sample_graph(rng, n, connected))
+            assert (f.component_count == 1) == connected
+            for p in (file_order_partition(f), random_partition(rng, f), euler_system(f).partition):
+                assert_compatible(f, p, compatible_euler_system(f, p))
+
+
+def test_compatible_euler_system_builds_no_euler_system(monkeypatch):
+    prop = HalfEdgeGraph.__dict__["euler_system"]
+    builds = []
+    build = prop.func
+    monkeypatch.setattr(prop, "func", lambda f: builds.append(f) or build(f))
+    rng = random.Random(14)
+    for connected in (True, False):
+        f = HalfEdgeGraph(sample_graph(rng, 30, connected))
+        for p in (file_order_partition(f), random_partition(rng, f)):
+            compatible_euler_system(f, p)
+    assert builds == []
+
+
+def nx_edge_keyed(mg: MultiGraph) -> networkx.MultiGraph:
+    """mg as a networkx multigraph whose edge keys are mg's edge indices."""
+    out = networkx.MultiGraph()
+    out.add_nodes_from(range(mg.n))
+    out.add_edges_from((u, v, e) for e, (u, v) in enumerate(mg.edges))
+    return out
+
+
+def assert_networkx_euler_system(c) -> None:
+    """Each circuit is a closed trail using its component's edges once each,
+    and networkx finds that component Eulerian."""
+    mg = c.f.graph
+    g = nx_edge_keyed(mg)
+    components = list(networkx.connected_components(g))
+    assert len(c.circuits) == len(components)
+    for circuit in c.circuits:
+        edges = [h >> 1 for h in circuit]
+        # each departing half leaves the vertex the previous edge arrived at
+        for i, h in enumerate(circuit):
+            prev = circuit[i - 1]
+            assert mg.edges[h >> 1][h & 1] == mg.edges[prev >> 1][1 - (prev & 1)]
+        (component,) = (x for x in components if mg.edges[edges[0]][0] in x)
+        sub = g.subgraph(component)
+        assert networkx.is_eulerian(sub)
+        assert Counter(edges) == Counter(key for _, _, key in sub.edges(keys=True))
+
+
+def test_euler_systems_match_networkx():
+    rng = random.Random(15)
+    for n in (1, 3, 8, 20, 45, 90):
+        for connected in (True, False):
+            f = HalfEdgeGraph(sample_graph(rng, n, connected))
+            assert f.component_count == networkx.number_connected_components(nx_edge_keyed(f.graph))
+            assert_networkx_euler_system(euler_system(f))
+            for p in (file_order_partition(f), random_partition(rng, f)):
+                assert_networkx_euler_system(compatible_euler_system(f, p))
 
 
 def test_fourreg_suite_validates_each_system_once(monkeypatch):
@@ -628,7 +696,7 @@ def test_fourreg_suite_validates_each_system_once(monkeypatch):
     monkeypatch.setattr(verify, "partition_from_transitions", counted)
     results = verify.fourreg_suite()
     assert all(r.ok for r in results)
-    assert len(traced) == 3897
+    assert len(traced) == 3909
     assert validated == traced
 
 
