@@ -6,9 +6,10 @@ bit blocks of the subsets without and with v, loop complement and dual pivot
 are the GF(2) subset and superset zeta transforms, and min (max) drops what
 the family reaches by shifting up (down) one coordinate at a time.  Graphs
 embed as the subsets S inducing a nonsingular adjacency submatrix: every
-vertex of S owns a pivot plane of the bit-sliced elimination at S.  Bouchet
-("Representability of delta-matroids", 1987) proved that this family meets
-the exchange axiom, so from_graph does not check it.
+vertex of S owns a pivot plane of the bit-sliced elimination at S, which
+from_graph reads from the graph's memo, the one scan polynomials shares.
+Bouchet ("Representability of delta-matroids", 1987) proved that this
+family meets the exchange axiom, so from_graph does not check it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
-from .gf2 import coord_masks, principal_planes, set_bits, size_masks, unchecked
+from .gf2 import coord_masks, set_bits, size_masks, unchecked
 from .graph import LoopedSimpleGraph
 
 GROUND_GATE = 16
@@ -288,10 +289,11 @@ class DeltaMatroid(SetSystem):
 
 
 def from_graph(g: LoopedSimpleGraph) -> DeltaMatroid:
-    """Subsets of V(g) whose induced adjacency submatrix is nonsingular."""
+    """Subsets of V(g) whose induced adjacency submatrix is nonsingular, read
+    off g's memoized principal planes."""
     _check_ground_gate(g.n)
     bits = (1 << (1 << g.n)) - 1
-    for plane, (zero, _) in zip(principal_planes(g.adj), coord_masks(g.n)):
+    for plane, (zero, _) in zip(g.principal_planes, coord_masks(g.n)):
         bits &= plane | zero
     # Bouchet's theorem gives the exchange axiom: skip DeltaMatroid.__post_init__
     return unchecked(DeltaMatroid, ground=g.labels, bits=bits)

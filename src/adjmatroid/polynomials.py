@@ -2,11 +2,12 @@
 matroid polynomial evaluators.
 
 A subset expansion is a sum of (x-1)^a (y-1)^b terms, one per subset.  The
-subset expansions read the ranks from the pivot planes of one bit-sliced
-elimination over all subsets and count each (|S|, rank) pair with one
-popcount; the counts fill an (a, b) grid that a Taylor shift in each
-variable moves to x-1 and y-1.  The recursive evaluators and the
-induced-matroid route never touch the planes, and must agree exactly.
+subset expansions read the ranks from pivot planes, a graph's memoized
+principal scan (shared with delta_matroid.from_graph) or one column-masked
+elimination of a matroid, and count each (|S|, rank) pair with one popcount;
+the counts fill an (a, b) grid that a Taylor shift in each variable moves to
+x-1 and y-1.  The recursive evaluators and the induced-matroid route never
+touch the planes, and must agree exactly.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Mapping
 
 from .adjacency_matroid import adjacency_matroid
 from .binary_matroid import BinaryMatroid
-from .gf2 import check_enum_gate, column_masked_planes, principal_planes, tally_planes, unchecked
+from .gf2 import check_enum_gate, column_masked_planes, tally_planes, unchecked
 from .graph import LoopedSimpleGraph
 
 
@@ -143,8 +144,9 @@ def _expand(counts: Mapping[tuple[int, int], int]) -> BivariatePolynomial:
 
 def interlace_subset(g: LoopedSimpleGraph) -> BivariatePolynomial:
     """Sum over vertex subsets of (x-1)^r (y-1)^(|S|-r), r the rank of the
-    induced adjacency submatrix: the number of principal planes set at S."""
-    tally = tally_planes(principal_planes(g.adj), g.n)
+    induced adjacency submatrix: the number of g's memoized principal planes
+    set at S."""
+    tally = tally_planes(g.principal_planes, g.n)
     return _expand({(r, size - r): k for (size, r), k in tally.items()})
 
 

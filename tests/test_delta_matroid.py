@@ -317,6 +317,6 @@ def test_from_graph_checks_the_gate_before_scanning(monkeypatch):
     def scan(_):
         raise AssertionError("from_graph scanned a graph over the ground gate")
 
-    monkeypatch.setattr(dm, "principal_planes", scan)
+    monkeypatch.setattr(LoopedSimpleGraph.__dict__["principal_planes"], "func", scan)
     with pytest.raises(ValueError):
         dm.from_graph(LoopedSimpleGraph.build(tuple(f"v{i}" for i in range(17))))

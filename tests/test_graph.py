@@ -5,9 +5,10 @@ from dataclasses import fields
 
 import pytest
 
+from adjmatroid import gf2
 from adjmatroid.adjacency_matroid import adjacency_matroid
 from adjmatroid.binary_matroid import BinaryMatroid
-from adjmatroid.delta_matroid import SetSystem, from_graph
+from adjmatroid.delta_matroid import SetSystem, from_graph, to_graph
 from adjmatroid.four_regular import (
     compatible_euler_system,
     euler_system,
@@ -31,7 +32,12 @@ from adjmatroid.graphtext import (
     parse_graph,
     render_graph,
 )
-from adjmatroid.polynomials import BivariatePolynomial, interlace_subset, tutte_subset
+from adjmatroid.polynomials import (
+    BivariatePolynomial,
+    interlace_recursive,
+    interlace_subset,
+    tutte_subset,
+)
 
 K3 = LoopedSimpleGraph.build("abc", [("a", "b"), ("b", "c"), ("a", "c")])
 K3L = K3.loop_complement("a")
@@ -197,6 +203,48 @@ def test_unchecked_routes_pass_the_constructor_checks():
         "LoopedSimpleGraph", "Subspace", "BinaryMatroid", "SetSystem", "DeltaMatroid",
         "BivariatePolynomial",
     }
+
+
+def test_principal_planes_scanned_once_per_graph(monkeypatch):
+    prop = LoopedSimpleGraph.__dict__["principal_planes"]
+    scans = []
+    scan = prop.func
+    monkeypatch.setattr(prop, "func", lambda g: scans.append(g) or scan(g))
+    g = random_looped_simple_graph(random.Random(17), 6)
+    q = interlace_subset(g)
+    d = from_graph(g)
+    assert interlace_subset(g) == q
+    assert len(scans) == 1 and scans[0] is g
+    assert type(g.principal_planes) is tuple
+    assert g.principal_planes == tuple(gf2.principal_planes(g.adj))
+    fresh = LoopedSimpleGraph(g.labels, g.adj)
+    assert "principal_planes" not in vars(fresh)
+    assert fresh == g and hash(fresh) == hash(g)  # the memo is not a field
+    assert from_graph(fresh) == d and interlace_subset(fresh) == q
+    assert len(scans) == 2 and scans[1] is fresh
+    v = g.labels[0]
+    derived = [g.local_complement(v), g.induced_mask(0b101101), g.minus(v), g.loop_complement(v)]
+    derived += [g.variant(v, kind) for kind in ("plain", "loop", "loop_isolate")]
+    for h in derived:
+        assert "principal_planes" not in vars(h)
+        assert interlace_subset(h) == interlace_subset(h)
+        from_graph(h)
+    assert len(scans) == 2 + len(derived)
+    assert all(a is b for a, b in zip(scans[2:], derived))
+
+
+def test_memoized_scan_matches_the_references():
+    """from_graph and interlace_subset agree whichever reads the memo first,
+    and with the recursion and the decode."""
+    for g in guard_graphs():
+        d, q = from_graph(rebuilt(g)), interlace_subset(rebuilt(g))
+        q_first = rebuilt(g)
+        assert interlace_subset(q_first) == q and from_graph(q_first) == d
+        d_first = rebuilt(g)
+        assert from_graph(d_first) == d and interlace_subset(d_first) == q
+        assert q == interlace_recursive(g)
+        assert len(d.family) == q.evaluate(2, 1)  # the subsets of nullity 0
+        assert to_graph(d) == g
 
 
 def test_induced_mask_rejects_masks_outside_the_vertices():

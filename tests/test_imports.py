@@ -1,8 +1,10 @@
-"""Every imported name in the package and its tests is used, and every
-definition in the package is referenced from the package or the benchmark."""
+"""Every imported name in the package and its tests is used, every
+definition in the package is referenced from the package or the benchmark,
+and object.__new__ and the principal scan each have one site."""
 
 import ast
 from pathlib import Path
+from typing import Callable
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "adjmatroid").glob("*.py"))
@@ -121,25 +123,47 @@ def test_every_definition_is_referenced():
     assert found == {}
 
 
-def object_new_sites(source: str) -> list[str]:
-    """Where the source reads object.__new__: the qualified name of the
-    innermost enclosing definition, or <module>."""
-    sites = []
+def sites(source: str, hit: Callable[[ast.AST], bool]) -> list[str]:
+    """Where the source has a node that hit accepts: the qualified name of
+    the innermost enclosing definition, or <module>."""
+    found = []
 
     def visit(node: ast.AST, scope: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}" if scope else child.name)
                 continue
-            if (
-                isinstance(child, ast.Attribute) and child.attr == "__new__"
-                and isinstance(child.value, ast.Name) and child.value.id == "object"
-            ):
-                sites.append(scope or "<module>")
+            if hit(child):
+                found.append(scope or "<module>")
             visit(child, scope)
 
     visit(ast.parse(source), "")
-    return sites
+    return found
+
+
+def reads_object_new(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Attribute) and node.attr == "__new__"
+        and isinstance(node.value, ast.Name) and node.value.id == "object"
+    )
+
+
+def calls_principal_planes(node: ast.AST) -> bool:
+    """A call of principal_planes, bare or as an attribute: a 2^n subset scan."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (isinstance(func, ast.Name) and func.id == "principal_planes") or (
+        isinstance(func, ast.Attribute) and func.attr == "principal_planes"
+    )
+
+
+def sites_in_sources(hit: Callable[[ast.AST], bool]) -> dict[str, list[str]]:
+    return {
+        str(path.relative_to(ROOT)): found
+        for path in SOURCES
+        if (found := sites(path.read_text(), hit))
+    }
 
 
 def test_checker_finds_every_object_new():
@@ -149,13 +173,27 @@ def test_checker_finds_every_object_new():
         "    def f(self):\n"
         "        return [object.__new__(A), A.__new__(A), super().__new__(A)]\n"
     )
-    assert object_new_sites(source) == ["<module>", "A.f"]
+    assert sites(source, reads_object_new) == ["<module>", "A.f"]
 
 
 def test_only_gf2_unchecked_skips_the_constructor_checks():
-    found = {
-        str(path.relative_to(ROOT)): sites
-        for path in SOURCES
-        if (sites := object_new_sites(path.read_text()))
+    assert sites_in_sources(reads_object_new) == {"src/adjmatroid/gf2.py": ["unchecked"]}
+
+
+def test_checker_finds_every_principal_scan():
+    source = (
+        "x = principal_planes(a)\n"
+        "class G:\n"
+        "    @cached_property\n"
+        "    def principal_planes(self):\n"
+        "        return tuple(principal_planes(self.adj))\n"
+        "def f(g):\n"
+        "    return g.principal_planes, gf2.principal_planes(g.adj)\n"
+    )
+    assert sites(source, calls_principal_planes) == ["<module>", "G.principal_planes", "f"]
+
+
+def test_only_the_graph_memo_scans_principal_submatrices():
+    assert sites_in_sources(calls_principal_planes) == {
+        "src/adjmatroid/graph.py": ["LoopedSimpleGraph.principal_planes"]
     }
-    assert found == {"src/adjmatroid/gf2.py": ["unchecked"]}

@@ -199,3 +199,15 @@ def test_size_gate():
     # every evaluator
     with pytest.raises(ValueError):
         interlace_recursive(LoopedSimpleGraph.build(tuple(f"v{i}" for i in range(21))))
+
+
+def test_interlace_subset_checks_the_gate_before_scanning(monkeypatch):
+    def build(*_):
+        raise AssertionError("a plane was built for a graph over the enumeration gate")
+
+    monkeypatch.setattr(gf2, "coord_masks", build)
+    monkeypatch.setattr(gf2, "subset_pivot_planes", build)
+    g = LoopedSimpleGraph.build(tuple(f"v{i}" for i in range(gf2.ENUM_GATE + 1)))
+    with pytest.raises(ValueError):
+        interlace_subset(g)
+    assert "principal_planes" not in vars(g)
