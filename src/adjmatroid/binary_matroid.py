@@ -15,6 +15,7 @@ from .gf2 import (
     BitMatrix,
     Subspace,
     column_masked_planes,
+    drop_bit,
     nullspace,
     orthogonal_complement,
     rref_masks,
@@ -23,12 +24,6 @@ from .gf2 import (
     unchecked,
 )
 from .graph import MultiGraph
-
-
-def _drop_bit(mask: int, i: int) -> int:
-    low = mask & ((1 << i) - 1)
-    high = mask >> (i + 1)
-    return low | (high << i)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,11 +131,11 @@ class BinaryMatroid:
         # restricted_to's basis is canonical and free of bit i, and dropping
         # that bit keeps it canonical, so it needs no second span
         inside = self.cycle_space.restricted_to(keep)
-        return self._minor(v, tuple(_drop_bit(m, i) for m in inside.basis))
+        return self._minor(v, tuple(drop_bit(m, i) for m in inside.basis))
 
     def contract(self, v: str) -> "BinaryMatroid":
         i = self.index(v)
-        return self._minor(v, rref_masks(_drop_bit(m, i) for m in self.cycle_space.basis))
+        return self._minor(v, rref_masks(drop_bit(m, i) for m in self.cycle_space.basis))
 
     def _minor(self, v: str, basis: tuple[int, ...]) -> "BinaryMatroid":
         """The matroid on the ground set minus v with this canonical basis,
@@ -168,9 +163,6 @@ class BinaryMatroid:
 
     def independent_masks(self) -> tuple[int, ...]:
         return tuple(set_bits(self._independent_bits))
-
-    def independent_sets(self) -> frozenset[frozenset[str]]:
-        return frozenset(self._labels_of(m) for m in self.independent_masks())
 
     def bases(self) -> frozenset[frozenset[str]]:
         """The independent sets of size rank."""

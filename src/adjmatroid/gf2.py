@@ -91,6 +91,11 @@ def gather(v: int, positions: Sequence[int]) -> int:
     return out
 
 
+def drop_bit(v: int, i: int) -> int:
+    """v with bit i removed and the bits above it shifted down by one."""
+    return (v & ((1 << i) - 1)) | ((v >> (i + 1)) << i)
+
+
 def scatter(v: int, positions: Sequence[int]) -> int:
     """Bit positions[k] of the result is bit k of v."""
     return sum(((v >> k) & 1) << p for k, p in enumerate(positions))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Literal, Sequence
 
-from .gf2 import BitMatrix, gather, nullity, principal_planes, set_bits, unchecked
+from .gf2 import BitMatrix, drop_bit, gather, nullity, principal_planes, set_bits, unchecked
 
 VariantKind = Literal["plain", "loop", "loop_isolate"]
 
@@ -122,7 +122,9 @@ class LoopedSimpleGraph:
         return LoopedSimpleGraph._derived(tuple(self.labels[i] for i in idx), rows)
 
     def minus(self, v: str) -> "LoopedSimpleGraph":
-        return self.induced_mask(((1 << self.n) - 1) ^ (1 << self.index(v)))
+        i = self.index(v)
+        rows = [drop_bit(r, i) for k, r in enumerate(self.adj.data) if k != i]
+        return LoopedSimpleGraph._derived(self.labels[:i] + self.labels[i + 1:], rows)
 
     def variant(self, v: str, kind: VariantKind) -> "LoopedSimpleGraph":
         """The vertex variants: unloop v, loop v, or loop and isolate v."""

@@ -2,8 +2,11 @@
 
 Each check runs over exhaustively enumerated small instances plus seeded
 random ones, and reports instance counts and minimal reproducing inputs for
-any failure.  The command line `verify` subcommand and the acceptance tests
-both drive these suites.
+any failure.  A witness is rendered only for a failure that is kept.  The
+kernel and induced-subset oracles (_zero_set, _down_closure, _union_below)
+are word operations on 2^n-bit families; tests/test_verify.py keeps the set
+loops they replaced as references.  The `verify` subcommand and the tests
+drive these suites.
 """
 
 from __future__ import annotations
@@ -11,9 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from . import delta_matroid as dm
 from .adjacency_matroid import (
@@ -48,11 +49,13 @@ from .gf2 import (
     BitMatrix,
     Subspace,
     all_subspaces,
+    coord_masks,
     nullity,
     nullspace,
     orthogonal_complement,
     principal_submatrix,
     rank,
+    set_bits,
     symmetrize_nullspace,
 )
 from .graph import (
@@ -91,34 +94,50 @@ class CheckResult:
         return not self.failures
 
 
+class Witness(functools.partial):
+    """Failure text, rendered only by str(): the call of this partial."""
+
+    __str__ = functools.partial.__call__
+
+
 class Recorder:
     """Accumulates per-check instance counts and failure witnesses."""
 
     def __init__(self) -> None:
         self.results: dict[str, CheckResult] = {}
 
-    def record(self, name: str, ok: bool, witness: str) -> None:
-        r = self.results.setdefault(name, CheckResult(name))
+    def record(self, name: str, ok: bool, witness: object) -> None:
+        r = self.results.get(name) or self.results.setdefault(name, CheckResult(name))
         r.instances += 1
         if not ok and len(r.failures) < MAX_FAILURES_KEPT:
-            r.failures.append(witness)
+            r.failures.append(str(witness))
 
-    @contextmanager
-    def check(self, name: str, witness: str) -> Iterator[None]:
-        """Record an AssertionError from the block as a failure of the named
-        check and a clean exit as a pass; other exceptions propagate."""
-        try:
-            yield
-        except AssertionError as exc:
-            self.record(name, False, f"{witness}: {exc}")
-        else:
-            self.record(name, True, witness)
+    def check(self, name: str, witness: object) -> "_Check":
+        """Record a clean exit from the block as a pass and an AssertionError as a
+        failure, rendered as f"{witness}: {exc}" only if kept; others propagate."""
+        return _Check(self, name, witness)
 
     def report(self) -> list[CheckResult]:
         return [self.results[k] for k in self.results]
 
 
-def graph_witness(g: LoopedSimpleGraph | MultiGraph, extra: str = "") -> str:
+class _Check:
+    __slots__ = ("rec", "name", "witness")
+
+    def __init__(self, rec: Recorder, name: str, witness: object) -> None:
+        self.rec, self.name, self.witness = rec, name, witness
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind: type[BaseException] | None, exc: object, tb: object) -> bool:
+        if kind is not None and not issubclass(kind, AssertionError):
+            return False
+        self.rec.record(self.name, not kind, kind and Witness("{}: {}".format, self.witness, exc))
+        return True
+
+
+def graph_witness(g: LoopedSimpleGraph | MultiGraph, extra: object = "") -> str:
     text = render_graph(g).strip().replace("\n", "; ")
     return f"[{text}]" + (f" {extra}" if extra else "")
 
@@ -194,10 +213,9 @@ def _matroid_kernel_checks(rec: Recorder, max_n: int, trials: int, seed: int) ->
         with rec.check("symmetric-representation-of-nullspace", witness):
             b = symmetrize_nullspace(a)
             assert b.is_symmetric and b.rows == a.cols
-            assert nullspace(b) == nullspace(a)
             kernel = nullspace(a)
-            for v in range(1 << a.cols):
-                assert (b.mul_mask(v) == 0) == kernel.contains(v)
+            assert nullspace(b) == kernel
+            assert _zero_set(b) == sum(1 << v for v in kernel.vectors())
         with rec.check("symmetric-representation-same-matroid", witness):
             labels = tuple(f"v{i}" for i in range(a.cols))
             assert BinaryMatroid.from_matrix(symmetrize_nullspace(a), labels) == (
@@ -215,6 +233,16 @@ def _matroid_kernel_checks(rec: Recorder, max_n: int, trials: int, seed: int) ->
                 independent = len(Subspace.span(n, cols).basis) == r
                 principal_ok = rank(principal_submatrix(a, s)) == r
                 assert independent == principal_ok
+
+
+def _zero_set(b: BitMatrix) -> int:
+    """The v with b v = 0, as a 2^cols-bit indicator: off the union of the
+    rows' parity planes, each the XOR of ONE_j over the row's bits j."""
+    masks = coord_masks(b.cols)
+    odd = 0
+    for row in b.data:
+        odd |= functools.reduce(int.__xor__, (masks[j][1] for j in set_bits(row)), 0)
+    return ((1 << (1 << b.cols)) - 1) & ~odd
 
 
 def _cycle_edge_sets(mg: MultiGraph) -> set[frozenset[str]]:
@@ -261,7 +289,7 @@ def _matroid_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
     mg = m(g)
     kinds = ("plain", "loop", "loop_isolate")
     for v in g.labels:
-        witness = graph_witness(g, f"vertex {v}")
+        witness = Witness(graph_witness, g, f"vertex {v}")
         gv = g.local_complement(v)
         mine = {k: m(g.variant(v, k)) for k in kinds}
         theirs = {k: m(gv.variant(v, k)) for k in kinds}
@@ -340,7 +368,7 @@ def _matroid_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
         with rec.check("tripartition-case-details", witness):
             _check_tripartition_case(g, v, gv, mine, theirs)
 
-    with rec.check("rank-function-shape", graph_witness(g)):
+    with rec.check("rank-function-shape", Witness(graph_witness, g)):
         table = {}
         for mask in range(1 << g.n):
             s = [g.labels[i] for i in range(g.n) if (mask >> i) & 1]
@@ -357,16 +385,16 @@ def _matroid_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
                 assert table[a | b] + table[a & b] <= table[a] + table[b], "not submodular"
         assert table[full] == mg.rank
 
-    with rec.check("duality-and-minor-exchange", graph_witness(g)):
+    with rec.check("duality-and-minor-exchange", Witness(graph_witness, g)):
         assert mg.dual().dual() == mg
         for v in g.labels:
             assert mg.delete(v).dual() == mg.dual().contract(v)
             assert mg.contract(v).dual() == mg.dual().delete(v)
 
-    with rec.check("graph-reconstruction-from-nullities", graph_witness(g)):
+    with rec.check("graph-reconstruction-from-nullities", Witness(graph_witness, g)):
         assert reconstruct_from_nullity_oracle(g.labels, nullity_oracle_of(g)) == g
 
-    with rec.check("local-complement-case-description", graph_witness(g)):
+    with rec.check("local-complement-case-description", Witness(graph_witness, g)):
         for v in g.labels:
             gv = g.local_complement(v)
             neighbors = set(g.neighbors(v))
@@ -449,7 +477,7 @@ def _polygon_checks(rec: Recorder, trials: int, seed: int) -> None:
         for _ in range(max(trials, 100))
     ]
     for mg in samples:
-        witness = graph_witness(mg)
+        witness = Witness(graph_witness, mg)
         with rec.check("polygon-circuits-are-graph-cycles", witness):
             assert polygon_matroid(mg).circuits() == _cycle_edge_sets(mg)
 
@@ -469,7 +497,7 @@ def matroid_suite(max_n: int = 4, trials: int = 200, seed: int = 0) -> list[Chec
 # reproofs of the minor identities.
 
 
-def _sets_witness(d: dm.SetSystem, extra: str = "") -> str:
+def _sets_witness(d: dm.SetSystem, extra: object = "") -> str:
     members = ",".join("{" + " ".join(s) + "}" for s in d.member_sets())
     return f"[ground {' '.join(d.ground)}; family {members}]" + (f" {extra}" if extra else "")
 
@@ -520,7 +548,7 @@ def _exchange_by_pairs(d: dm.SetSystem) -> bool:
 def _delta_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
     d = dm.from_graph(g)
     mg = adjacency_matroid(g)
-    witness = graph_witness(g)
+    witness = Witness(graph_witness, g)
 
     with rec.check("graph-encoding-is-normal-delta-matroid", witness):
         assert d.is_normal
@@ -537,7 +565,7 @@ def _delta_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
         assert dm.max_as_matroid(d) == mg.bases()
 
     for v in g.labels:
-        wv = graph_witness(g, f"vertex {v}")
+        wv = Witness(graph_witness, g, f"vertex {v}")
         gv = g.local_complement(v)
         m_gv = adjacency_matroid(gv)
         contracted = mg.contract(v)
@@ -586,39 +614,40 @@ def _delta_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
 
 def _delta_subset_checks(rec: Recorder, g: LoopedSimpleGraph, d: dm.SetSystem) -> None:
     """The induced-subgraph checks, over one matroid per vertex subset."""
-    witness = graph_witness(g)
+    witness = Witness(graph_witness, g)
     induced = [g.induced_mask(mask) for mask in range(1 << g.n)]
     subs = [adjacency_matroid(h) for h in induced]
     sub_bases = [sub.bases() for sub in subs]
+    collected = _union_below([sum({1 << d.mask_of(b) for b in bs}) for bs in sub_bases], g.n)
     for mask, (h, sub) in enumerate(zip(induced, subs)):
-        ws = f"{witness} subset {{{' '.join(h.labels)}}}"
+        ws = Witness("{} subset {{{}}}".format, witness, Witness(" ".join, h.labels))
+        inside = d.restrict(h.labels)
         with rec.check("bases-are-maximal-encoded-subsets", ws):
-            inside = [m for m in d.family if m & ~mask == 0]
-            maximal = {
-                d.labels_of(m)
-                for m in inside
-                if not any(z != m and m & ~z == 0 for z in inside)
-            }
-            assert maximal == sub_bases[mask]
+            assert inside.is_proper
+            assert {inside.labels_of(m) for m in inside.max_sys().family} == sub_bases[mask]
         with rec.check("independents-extend-to-encoded-sets", ws):
-            independents = {
-                frozenset(i_labels)
-                for i_labels in sub.independent_sets()
-            }
-            via_d = set()
-            for i_mask in range(1 << g.n):
-                if i_mask & ~mask:
-                    continue
-                if any(i_mask & ~x == 0 and x & ~mask == 0 for x in d.family):
-                    via_d.add(d.labels_of(i_mask))
-            assert via_d == independents
+            assert inside.ground == sub.ground  # so masks name the same labels
+            assert set_bits(_down_closure(inside)) == list(sub.independent_masks())
         with rec.check("restriction-collects-subgraph-bases", ws):
-            collected = set()
-            for t_mask in range(1 << g.n):
-                if not t_mask & ~mask:
-                    collected |= sub_bases[t_mask]
-            restricted = dm.from_graph(induced[mask])
-            assert {restricted.labels_of(m) for m in restricted.family} == collected
+            restricted = dm.from_graph(h)
+            assert dm.SetSystem(d.ground, collected[mask]).restrict(h.labels) == restricted
+
+
+def _down_closure(d: dm.SetSystem) -> int:
+    """Every subset of a member of d: each coordinate shifts its members down."""
+    bits = d.bits
+    for i, (_, one) in enumerate(coord_masks(d.n)):
+        bits |= (bits & one) >> (1 << i)
+    return bits
+
+
+def _union_below(families: list[int], n: int) -> list[int]:
+    """In place, entry S becomes the OR of families[T] over T inside S (zeta)."""
+    for bit in (1 << i for i in range(n)):
+        for s in range(1 << n):
+            if s & bit:
+                families[s] |= families[s ^ bit]
+    return families
 
 
 def _check_two_of_three(d: dm.SetSystem, v: str, pivoted: dm.SetSystem) -> None:
@@ -653,7 +682,7 @@ def _delta_general_checks(rec: Recorder, trials: int, rand_n: int, seed: int) ->
     rng = random.Random(seed + 3)
 
     fixed = dm.SetSystem.from_sets("uvw", [["u"], ["v"], ["v", "w"]])
-    with rec.check("max-deletion-counterexample", _sets_witness(fixed)):
+    with rec.check("max-deletion-counterexample", Witness(_sets_witness, fixed)):
         top = fixed.max_sys()
         assert not top.is_coloop("w")
         assert top.delete(["w"]).family != fixed.delete(["w"]).max_sys().family
@@ -661,7 +690,7 @@ def _delta_general_checks(rec: Recorder, trials: int, rand_n: int, seed: int) ->
         assert fixed.delete(["w"]).max_sys().member_sets() == (("u",), ("v",))
 
     power = dm.SetSystem("abc", 0b11111110)
-    with rec.check("dual-pivot-can-break-exchange", _sets_witness(power)):
+    with rec.check("dual-pivot-can-break-exchange", Witness(_sets_witness, power)):
         flipped = power.dual_pivot(list("abc"))
         assert flipped.family == frozenset({0, 7})
         assert not dm.is_delta_matroid(flipped)
@@ -673,7 +702,7 @@ def _delta_general_checks(rec: Recorder, trials: int, rand_n: int, seed: int) ->
         d = dm.random_set_system(rng, ground)
         if not d.is_proper:
             continue
-        witness = _sets_witness(d)
+        witness = Witness(_sets_witness, d)
         x_labels = [v for v in ground if rng.random() < 0.5]
         v = ground[rng.randrange(n)]
         w = ground[rng.randrange(n)]
@@ -729,7 +758,7 @@ def _delta_general_checks(rec: Recorder, trials: int, rand_n: int, seed: int) ->
         x_labels = [v for v in g.labels if rng.random() < 0.5]
         d = d.pivot(x_labels)
         v = g.labels[rng.randrange(n)]
-        witness = _sets_witness(d, f"element {v}")
+        witness = Witness(_sets_witness, d, f"element {v}")
 
         with rec.check("pivots-preserve-exchange", witness):
             assert dm.is_delta_matroid(d)
@@ -875,7 +904,7 @@ def fourreg_suite(max_n: int = 5, trials: int = 60, seed: int = 0) -> list[Check
     for mg in small_four_regular_corpus(max_n):
         f = HalfEdgeGraph(mg)
         c = euler_system(f)
-        witness = graph_witness(mg)
+        witness = Witness(graph_witness, mg)
         with rec.check("euler-system-covers-components", witness):
             assert c.partition.size == f.component_count
             seen = sorted(h >> 1 for circ in c.circuits for h in circ)
@@ -884,7 +913,8 @@ def fourreg_suite(max_n: int = 5, trials: int = 60, seed: int = 0) -> list[Check
             assert not base.loop_labels()
         for t in all_transition_systems(f):
             p = partition_from_transitions(f, t)
-            _fourreg_partition_checks(rec, f, c, p, graph_witness(mg, f"pairing {t.pairing}"))
+            witness = Witness(graph_witness, mg, Witness("pairing {}".format, t.pairing))
+            _fourreg_partition_checks(rec, f, c, p, witness)
 
     for i in range(max(trials, 20)):
         n = rng.randrange(1, 6) if i % 2 else rng.randrange(4, 9)
@@ -894,7 +924,7 @@ def fourreg_suite(max_n: int = 5, trials: int = 60, seed: int = 0) -> list[Check
         pairs = [pair for v in range(f.n) for pair in rng.choice(f.transitions_at(v))]
         t = TransitionSystem.from_pairs(f, pairs)
         p = partition_from_transitions(f, t)
-        witness = graph_witness(mg, f"pairing {t.pairing}")
+        witness = Witness(graph_witness, mg, Witness("pairing {}".format, t.pairing))
         _fourreg_partition_checks(rec, f, c, p, witness)
         _fourreg_compatible_checks(rec, f, p, witness)
 
@@ -902,7 +932,8 @@ def fourreg_suite(max_n: int = 5, trials: int = 60, seed: int = 0) -> list[Check
         f = HalfEdgeGraph(mg)
         for t in all_transition_systems(f):
             p = partition_from_transitions(f, t)
-            _fourreg_compatible_checks(rec, f, p, graph_witness(mg, f"pairing {t.pairing}"))
+            witness = Witness(graph_witness, mg, Witness("pairing {}".format, t.pairing))
+            _fourreg_compatible_checks(rec, f, p, witness)
 
     count = 0
     attempts = 0
@@ -913,7 +944,7 @@ def fourreg_suite(max_n: int = 5, trials: int = 60, seed: int = 0) -> list[Check
         if any(g.adj.data[i] == 0 for i in range(g.n)):
             continue
         count += 1
-        witness = graph_witness(g)
+        witness = Witness(graph_witness, g)
         with rec.check("realization-reproduces-touch-graph", witness):
             r = realize_touch_graph(g)
             assert touch_graph(r.partition).incidences() == as_multigraph(g).incidences()
@@ -925,7 +956,7 @@ def fourreg_suite(max_n: int = 5, trials: int = 60, seed: int = 0) -> list[Check
 
 
 def _poly_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
-    witness = graph_witness(g)
+    witness = Witness(graph_witness, g)
     q = interlace_subset(g)
     with rec.check("interlace-evaluators-agree", witness):
         assert q == interlace_recursive(g)
@@ -976,7 +1007,7 @@ def _poly_polygon_checks(rec: Recorder, trials: int, seed: int) -> None:
     for _ in range(max(trials // 4, 25)):
         mg = _random_multigraph(rng, rng.randrange(1, 5), rng.randrange(6))
         m = polygon_matroid(mg)
-        with rec.check("tutte-evaluators-agree-on-polygon-matroids", graph_witness(mg)):
+        with rec.check("tutte-evaluators-agree-on-polygon-matroids", Witness(graph_witness, mg)):
             assert tutte_subset(m) == tutte_recursive(m)
 
 

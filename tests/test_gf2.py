@@ -15,6 +15,7 @@ from adjmatroid.gf2 import (
     all_subspaces,
     column_masked_planes,
     count_masks,
+    drop_bit,
     gather,
     nullity,
     nullspace,
@@ -249,6 +250,14 @@ def test_gather_and_scatter():
         positions = rng.sample(range(10), rng.randrange(11))
         v = rng.randrange(1 << len(positions))
         assert gather(scatter(v, positions), positions) == v
+
+
+def test_drop_bit_gathers_every_other_bit():
+    for n in range(1, 7):
+        for i in range(n):
+            rest = [k for k in range(n) if k != i]
+            for v in range(1 << n):
+                assert drop_bit(v, i) == gather(v, rest)
 
 
 def test_subset_kernels_refuse_above_the_gate(monkeypatch):

@@ -117,6 +117,20 @@ def test_induced_and_minus():
         K3.induced(["a", "z"])
 
 
+def test_minus_matches_the_induced_subgraph():
+    rng = random.Random(37)
+    graphs = [g for n in range(5) for g in all_looped_simple_graphs(n)]
+    graphs += [random_looped_simple_graph(rng, n) for n in range(5, 13) for _ in range(3)]
+    for g in graphs:
+        for i, v in enumerate(g.labels):
+            h = g.minus(v)
+            assert h == g.induced_mask(((1 << g.n) - 1) ^ (1 << i))
+            assert h.labels == tuple(u for u in g.labels if u != v)
+        with pytest.raises(ValueError):
+            g.minus("z")
+    assert len(graphs) == 1099 + 24
+
+
 def test_variants():
     assert K3L.variant("a", "plain") == K3
     assert K3.variant("a", "loop") == K3L

@@ -1,10 +1,26 @@
-"""The `verify` runner's contract: every check name and instance count, and
-the number of matroids the shared oracle tables build."""
+"""The `verify` runner's contract: every check name and instance count, the
+number of matroids the shared oracle tables build, when witnesses render,
+and the set loops that the word-form oracles replaced, kept as references."""
+
+import itertools
+import random
 
 from adjmatroid import verify
 from adjmatroid import delta_matroid as dm
+from adjmatroid.adjacency_matroid import adjacency_matroid
 from adjmatroid.binary_matroid import BinaryMatroid
-from adjmatroid.graph import LoopedSimpleGraph
+from adjmatroid.four_regular import (
+    HalfEdgeGraph,
+    all_transition_systems,
+    small_four_regular_corpus,
+)
+from adjmatroid.gf2 import BitMatrix, nullspace, set_bits, symmetrize_nullspace
+from adjmatroid.graph import (
+    LoopedSimpleGraph,
+    all_looped_simple_graphs,
+    random_looped_simple_graph,
+)
+from adjmatroid.graphtext import render_graph
 from adjmatroid.polynomials import interlace_subset, interlace_vertex_terms, q_from_lambda
 
 # Instance counts of every check at max_n=2, trials=5, seed=0.  Sharing work
@@ -121,3 +137,228 @@ def test_delta_subset_checks_build_one_matroid_per_subset(monkeypatch):
     verify._delta_subset_checks(rec, g, d)
     assert len(calls) == 1 << g.n
     assert all(r.ok and r.instances == 1 << g.n for r in rec.report())
+
+
+# ---------------------------------------------------------------------------
+# The recorder renders a witness only for a failure it keeps.
+
+
+class CountingWitness:
+    """A witness that counts its renders."""
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.renders = 0
+
+    def __str__(self) -> str:
+        self.renders += 1
+        return self.text
+
+
+def unrenderable() -> str:
+    raise AssertionError("a passing check rendered its witness")
+
+
+def test_passing_checks_never_render_their_witness():
+    rec = verify.Recorder()
+    w = CountingWitness("w")
+    for _ in range(3):
+        with rec.check("clean", w):
+            pass
+    with rec.check("lazy", verify.Witness(unrenderable)):
+        pass
+    assert w.renders == 0
+    assert [(r.name, r.instances, r.failures) for r in rec.report()] == [
+        ("clean", 3, []),
+        ("lazy", 1, []),
+    ]
+
+
+def test_kept_failures_render_once_and_the_rest_never():
+    rec = verify.Recorder()
+    witnesses = [CountingWitness(f"w{i}") for i in range(verify.MAX_FAILURES_KEPT + 3)]
+    for i, w in enumerate(witnesses):
+        with rec.check("failing", w):
+            raise AssertionError(f"case {i}")
+    kept = verify.MAX_FAILURES_KEPT
+    assert [w.renders for w in witnesses] == [1] * kept + [0] * 3
+    (failing,) = rec.report()
+    assert failing.instances == kept + 3
+    assert failing.failures == [f"w{i}: case {i}" for i in range(kept)]
+    assert all(type(f) is str for f in failing.failures)
+
+
+def test_a_check_result_is_built_once_per_name(monkeypatch):
+    built = []
+    result = verify.CheckResult
+
+    def counted(name):
+        built.append(name)
+        return result(name)
+
+    monkeypatch.setattr(verify, "CheckResult", counted)
+    rec = verify.Recorder()
+    for i in range(4):
+        with rec.check("a", "w"):
+            pass
+        with rec.check("b", "w"):
+            assert i % 2
+    assert built == ["a", "b"]
+    assert [(r.name, r.instances, len(r.failures)) for r in rec.report()] == [
+        ("a", 4, 0),
+        ("b", 4, 2),
+    ]
+
+
+def test_a_clean_run_renders_no_graph(monkeypatch):
+    renders = []
+    render = verify.render_graph
+
+    def counted(g):
+        renders.append(g)
+        return render(g)
+
+    monkeypatch.setattr(verify, "render_graph", counted)
+    results = verify.run_suites("all", max_n=2, trials=5, seed=0)
+    assert all(r.ok for r in results)
+    assert sum(r.instances for r in results) == 6115
+    assert renders == []
+
+
+def eager_graph_text(g) -> str:
+    """The witness text of a graph as verify printed it before witnesses were lazy."""
+    return "[" + render_graph(g).strip().replace("\n", "; ") + "]"
+
+
+def drop_top_member(monkeypatch) -> None:
+    """Break SetSystem.restrict: drop the largest member whenever the empty
+    set is a member too."""
+    restrict = dm.SetSystem.restrict
+
+    def broken(self, keep):
+        r = restrict(self, keep)
+        top = r.bits.bit_length() - 1
+        bits = r.bits & ~(1 << top) if top > 0 and r.bits & 1 else r.bits
+        return dm.SetSystem(r.ground, bits)
+
+    monkeypatch.setattr(dm.SetSystem, "restrict", broken)
+
+
+def test_subset_failures_print_the_eager_witness_text(monkeypatch):
+    drop_top_member(monkeypatch)
+    failed = 0
+    for g in [C5_LOOPED, *all_looped_simple_graphs(2)]:
+        rec = verify.Recorder()
+        verify._delta_subset_checks(rec, g, dm.from_graph(g))
+        texts = [
+            f"{eager_graph_text(g)} subset {{{' '.join(g.induced_mask(mask).labels)}}}: "
+            for mask in range(1 << g.n)
+        ]
+        for r in rec.report():
+            assert r.instances == 1 << g.n
+            positions = [texts.index(f) for f in r.failures]
+            assert positions == sorted(set(positions))
+            failed += len(r.failures)
+    assert failed
+
+
+def test_pairing_and_set_system_failures_print_the_eager_witness_text(monkeypatch):
+    monkeypatch.setattr(verify, "nullity", lambda a: -1)
+    monkeypatch.setattr(verify, "_equicardinal_min_criterion", lambda d: True)
+    (circuit,) = [r for r in verify.fourreg_suite(max_n=2, trials=0) if r.name == "circuit-nullity-formula"]
+    expected = [
+        f"{eager_graph_text(mg)} pairing {t.pairing}: "
+        for mg in small_four_regular_corpus(2)
+        for t in all_transition_systems(HalfEdgeGraph(mg))
+    ]
+    assert circuit.failures == expected[: verify.MAX_FAILURES_KEPT]
+    (broken,) = [
+        r for r in verify.delta_suite(max_n=1, trials=0) if r.name == "dual-pivot-can-break-exchange"
+    ]
+    assert broken.failures == ["[ground a b c; family {a},{b},{c},{a b},{a c},{b c},{a b c}]: "]
+
+
+# ---------------------------------------------------------------------------
+# The set loops the word-form oracles replaced, kept as references.
+
+
+def maximal_inside_by_loops(d: dm.SetSystem, mask: int) -> set[frozenset[str]]:
+    inside = [m for m in d.family if m & ~mask == 0]
+    return {d.labels_of(m) for m in inside if not any(z != m and m & ~z == 0 for z in inside)}
+
+
+def extensible_by_loops(d: dm.SetSystem, mask: int) -> set[frozenset[str]]:
+    return {
+        d.labels_of(i_mask)
+        for i_mask in range(1 << d.n)
+        if not i_mask & ~mask and any(i_mask & ~x == 0 and x & ~mask == 0 for x in d.family)
+    }
+
+
+def collected_by_loops(sub_bases: list, mask: int) -> set[frozenset[str]]:
+    collected = set()
+    for t_mask in range(len(sub_bases)):
+        if not t_mask & ~mask:
+            collected |= sub_bases[t_mask]
+    return collected
+
+
+def subset_oracle_graphs():
+    for n in range(5):
+        yield from all_looped_simple_graphs(n)
+    rng = random.Random(41)
+    for n in (5, 5, 5, 6, 6, 6):
+        yield random_looped_simple_graph(rng, n)
+
+
+def test_word_form_subset_oracles_match_the_set_loops():
+    checked = 0
+    for g in subset_oracle_graphs():
+        d = dm.from_graph(g)
+        subs = [g.induced_mask(mask) for mask in range(1 << g.n)]
+        sub_bases = [adjacency_matroid(h).bases() for h in subs]
+        families = [sum({1 << d.mask_of(b) for b in bs}) for bs in sub_bases]
+        collected = verify._union_below(families, g.n)
+        for mask, h in enumerate(subs):
+            inside = d.restrict(h.labels)
+            maximal = {inside.labels_of(m) for m in inside.max_sys().family}
+            assert maximal == maximal_inside_by_loops(d, mask)
+            closure = {inside.labels_of(m) for m in set_bits(verify._down_closure(inside))}
+            assert closure == extensible_by_loops(d, mask)
+            assert {d.labels_of(m) for m in set_bits(collected[mask])} == (
+                collected_by_loops(sub_bases, mask)
+            )
+        checked += 1
+    assert checked == 1099 + 6
+
+
+def zero_set_by_loops(b: BitMatrix) -> int:
+    return sum(1 << v for v in range(1 << b.cols) if b.mul_mask(v) == 0)
+
+
+def kernel_check_by_loops(a: BitMatrix, b: BitMatrix) -> bool:
+    kernel = nullspace(a)
+    return all((b.mul_mask(v) == 0) == kernel.contains(v) for v in range(1 << a.cols))
+
+
+def oracle_matrices():
+    for rows, cols in itertools.product(range(4), range(1, 4)):
+        for data in itertools.product(range(1 << cols), repeat=rows):
+            yield BitMatrix(rows, cols, data)
+    rng = random.Random(43)
+    for _ in range(200):
+        rows, cols = rng.randrange(1, 9), rng.randrange(1, 9)
+        yield BitMatrix(rows, cols, tuple(rng.randrange(1 << cols) for _ in range(rows)))
+
+
+def test_word_form_kernel_oracle_matches_the_vector_loop():
+    checked = 0
+    for a in oracle_matrices():
+        b = symmetrize_nullspace(a)
+        for m in (a, b):
+            assert verify._zero_set(m) == zero_set_by_loops(m)
+        kernel = sum(1 << v for v in nullspace(a).vectors())
+        assert (verify._zero_set(b) == kernel) == kernel_check_by_loops(a, b)
+        assert verify._zero_set(a) == kernel
+        checked += 1
+    assert checked == 1 + 2 + 4 + 8 + 1 + 4 + 16 + 64 + 1 + 8 + 64 + 512 + 200
