@@ -7,8 +7,9 @@ comparison at a vertex, and the resulting three-way vertex classification.
 
 The classification builds no matroid: v is a coloop of M(A') iff column v
 lies outside the span of the other columns, which v's loop leaves alone, so
-one elimination and two reductions give both variants' evidence.  `trio`
-and `variant_matroid` keep the variant matroids.
+one elimination and two reductions give both variants' evidence, and a
+`TripartitionCase` keeps only the tag it decides.  `trio` and
+`variant_matroid` keep the variant matroids.
 """
 
 from __future__ import annotations
@@ -25,14 +26,10 @@ CaseTag = Literal["case1", "case2", "case3"]
 
 @dataclass(frozen=True)
 class TripartitionCase:
-    """Vertex class, with the coloop evidence that determined it.
-
-    evidence is (v coloop with the loop removed, v coloop with the loop
-    attached); (False, False) cannot occur.
-    """
+    """Vertex class: which of v unlooped and v looped leave v a coloop
+    (case1 both, case2 unlooped only, case3 looped only)."""
 
     tag: CaseTag
-    evidence: tuple[bool, bool]
 
 
 @dataclass(frozen=True)
@@ -164,7 +161,7 @@ def classify_vertex(g: LoopedSimpleGraph, v: str) -> TripartitionCase:
         tag = "case3"
     else:
         raise AssertionError("vertex is a coloop of neither variant")
-    return TripartitionCase(tag, (coloop_plain, coloop_loop))
+    return TripartitionCase(tag)
 
 
 def tripartition_report(g: LoopedSimpleGraph) -> dict[str, TripartitionCase]:

@@ -156,8 +156,9 @@ class BinaryMatroid:
         """The independent family as a 2^size-bit int: S is independent iff no
         cycle lies inside S, i.e. every column-masked plane is set at S.
         The matroid is frozen, so the kernel runs once per matroid."""
+        planes = column_masked_planes(self.cycle_space)  # gated before the 2^size-bit mask
         bits = (1 << (1 << self.size)) - 1
-        for plane in column_masked_planes(self.cycle_space):
+        for plane in planes:
             bits &= plane
         return bits
 

@@ -19,7 +19,7 @@ from .four_regular import (
     touch_graph,
 )
 from .gf2 import BitMatrix, symmetrize_nullspace
-from .graph import LoopedSimpleGraph, MultiGraph, as_multigraph
+from .graph import LoopedSimpleGraph, MultiGraph, as_multigraph, default_labels
 from .graphtext import graph_to_json, parse_graph, render_graph
 from .polynomials import (
     interlace_subset,
@@ -206,8 +206,7 @@ def cmd_symmetrize(args: argparse.Namespace) -> int:
             raise ValueError(f"line {line_no}: matrix rows are strings of 0 and 1")
         rows.append([int(c) for c in line])
     b = symmetrize_nullspace(BitMatrix.from_rows(rows))
-    labels = tuple(f"v{i}" for i in range(b.rows))
-    g = LoopedSimpleGraph(labels, b)
+    g = LoopedSimpleGraph(default_labels(b.rows), b)
     _emit(args, render_graph(g).rstrip(), graph_to_json(g))
     return 0
 

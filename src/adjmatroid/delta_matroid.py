@@ -330,5 +330,6 @@ def max_as_matroid(d: SetSystem) -> frozenset[frozenset[str]]:
 
 
 def random_set_system(rng: random.Random, ground: Sequence[str], density: float = 0.3) -> SetSystem:
+    _check_ground_gate(len(ground))  # before the 2^n draws
     bits = sum(1 << m for m in range(1 << len(ground)) if rng.random() < density)
     return SetSystem(tuple(ground), bits)

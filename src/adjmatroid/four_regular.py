@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .graph import LoopedSimpleGraph, MultiGraph, as_multigraph
+from .graph import LoopedSimpleGraph, MultiGraph, as_multigraph, default_labels, find_root
 
 Pairing = frozenset[frozenset[int]]
 TransitionType = str  # "phi" | "chi" | "psi"
@@ -397,15 +397,8 @@ def compatible_euler_system(f: HalfEdgeGraph, p: CircuitPartition) -> EulerSyste
             circuit_of[h >> 1] = e
             h = pairing[h ^ 1]
     parent = list(range(f.edge_count))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for (_, a1, d1), (_, a2, d2) in p.passages:
-        x, y = find(circuit_of[a1 >> 1]), find(circuit_of[a2 >> 1])
+        x, y = find_root(parent, circuit_of[a1 >> 1]), find_root(parent, circuit_of[a2 >> 1])
         if x != y:
             pairing[a1], pairing[a2], pairing[d1], pairing[d2] = a2, a1, d2, d1
             parent[x] = y
@@ -531,7 +524,7 @@ SAMPLE_TRIES = 200  # configuration-model draws before giving up on connectivity
 
 def random_four_regular(rng: random.Random, n: int, connected: bool = True) -> MultiGraph:
     """Configuration-model 4-regular multigraph on n vertices."""
-    labels = tuple(f"v{i}" for i in range(n))
+    labels = default_labels(n)
     for _ in range(SAMPLE_TRIES):
         stubs = [v for v in range(n) for _ in range(4)]
         rng.shuffle(stubs)

@@ -3,6 +3,9 @@
 A looped simple graph is stored as a symmetric GF(2) adjacency matrix whose
 diagonal marks loops.  Multigraphs keep an explicit edge list (loops and
 parallel edges allowed) and collapse to looped simple graphs via simplify.
+
+`find_root` is the package's one union-find step, and `default_labels` the
+one place that names vertices v0..v{n-1}.
 """
 
 from __future__ import annotations
@@ -229,16 +232,17 @@ class MultiGraph:
 
     def component_count(self) -> int:
         parent = list(range(self.n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for u, v in self.edges:
-            parent[find(u)] = find(v)
-        return len({find(i) for i in range(self.n)})
+            parent[find_root(parent, u)] = find_root(parent, v)
+        return len({find_root(parent, i) for i in range(self.n)})
+
+
+def find_root(parent: list[int], x: int) -> int:
+    """The root of x in the union-find forest parent, halving the path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def as_multigraph(g: LoopedSimpleGraph | MultiGraph) -> MultiGraph:
@@ -296,30 +300,30 @@ def nullity_oracle_of(g: LoopedSimpleGraph) -> Callable[[frozenset[str]], int]:
 
 
 def default_labels(n: int) -> tuple[str, ...]:
+    """v0..v{n-1}: the labels of every generated graph and matrix."""
     return tuple(f"v{i}" for i in range(n))
 
 
-def all_looped_simple_graphs(n: int, labels: Sequence[str] = ()) -> Iterator[LoopedSimpleGraph]:
-    """Every looped simple graph on n labeled vertices (2^(n(n+1)/2) graphs)."""
-    labels = tuple(labels) or default_labels(n)
-    cells = [(i, j) for i in range(n) for j in range(i, n)]
-    for bits in range(1 << len(cells)):
-        rows = [0] * n
-        for k, (i, j) in enumerate(cells):
-            if (bits >> k) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-        yield LoopedSimpleGraph(labels, BitMatrix(n, n, tuple(rows)))
-
-
-def random_looped_simple_graph(
-    rng: random.Random, n: int, labels: Sequence[str] = ()
-) -> LoopedSimpleGraph:
-    labels = tuple(labels) or default_labels(n)
+def _from_cells(labels: tuple[str, ...], bits: Iterable[object]) -> LoopedSimpleGraph:
+    """The graph with cell (i, j >= i) set for each true bit, taken in row order."""
+    n = len(labels)
     rows = [0] * n
-    for i in range(n):
-        for j in range(i, n):
-            if rng.random() < 0.5:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
+    cells = ((i, j) for i in range(n) for j in range(i, n))
+    for (i, j), bit in zip(cells, bits):
+        if bit:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
     return LoopedSimpleGraph(labels, BitMatrix(n, n, tuple(rows)))
+
+
+def all_looped_simple_graphs(n: int) -> Iterator[LoopedSimpleGraph]:
+    """Every looped simple graph on n labeled vertices (2^(n(n+1)/2) graphs)."""
+    labels, cells = default_labels(n), n * (n + 1) // 2
+    for bits in range(1 << cells):
+        yield _from_cells(labels, ((bits >> k) & 1 for k in range(cells)))
+
+
+def random_looped_simple_graph(rng: random.Random, n: int) -> LoopedSimpleGraph:
+    """One rng.random() draw per cell, in row order: each cell set with p = 1/2."""
+    draws = (rng.random() < 0.5 for _ in range(n * (n + 1) // 2))
+    return _from_cells(default_labels(n), draws)

@@ -22,8 +22,6 @@ def parse_graph(text: str) -> LoopedSimpleGraph | MultiGraph:
     labels: list[str] = []
     seen: set[str] = set()
     edges: list[tuple[str, str]] = []
-    simple = True
-    edge_seen: set[tuple[str, str]] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -44,9 +42,6 @@ def parse_graph(text: str) -> LoopedSimpleGraph | MultiGraph:
             (v,) = args
             if v not in seen:
                 raise GraphParseError(line_no, f"unknown vertex {v!r}")
-            if (v, v) in edge_seen:
-                simple = False
-            edge_seen.add((v, v))
             edges.append((v, v))
         elif keyword == "edge":
             if len(args) != 2:
@@ -55,14 +50,11 @@ def parse_graph(text: str) -> LoopedSimpleGraph | MultiGraph:
             for w in (u, v):
                 if w not in seen:
                     raise GraphParseError(line_no, f"unknown vertex {w!r}")
-            key = (min(u, v), max(u, v))
-            if key in edge_seen:
-                simple = False
-            edge_seen.add(key)
             edges.append((u, v))
         else:
             raise GraphParseError(line_no, f"unknown directive {keyword!r}")
     mg = MultiGraph.build(tuple(labels), edges)
+    simple = len({(min(e), max(e)) for e in mg.edges}) == len(mg.edges)
     return mg.simplify() if simple else mg
 
 

@@ -45,10 +45,6 @@ class BivariatePolynomial:
         return cls(_collected(coeffs).terms)
 
     @classmethod
-    def zero(cls) -> "BivariatePolynomial":
-        return cls(())
-
-    @classmethod
     def constant(cls, c: int) -> "BivariatePolynomial":
         return cls.from_dict({(0, 0): c})
 

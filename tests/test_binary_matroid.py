@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -294,6 +295,19 @@ def test_independent_family_is_computed_once_per_matroid(monkeypatch):
         assert len(runs) == 1
         BinaryMatroid(m.ground, w).bases()
         assert len(runs) == 2  # an equal matroid runs its own kernel
+
+
+def test_bases_check_the_gate_before_building_the_full_mask():
+    with pytest.raises(ValueError, match="gated"):
+        free_matroid(tuple(f"v{i}" for i in range(64))).bases()
+    m = free_matroid(tuple(f"v{i}" for i in range(24)))  # a 2 MB full mask
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="gated"):
+            m.independent_masks()
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_minor_duality_exchange():

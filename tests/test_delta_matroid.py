@@ -320,3 +320,12 @@ def test_from_graph_checks_the_gate_before_scanning(monkeypatch):
     monkeypatch.setattr(LoopedSimpleGraph.__dict__["principal_planes"], "func", scan)
     with pytest.raises(ValueError):
         dm.from_graph(LoopedSimpleGraph.build(tuple(f"v{i}" for i in range(17))))
+
+
+def test_random_set_system_checks_the_gate_before_drawing():
+    class NoDraws(random.Random):
+        def random(self):
+            raise AssertionError("random_set_system drew for a ground over the gate")
+
+    with pytest.raises(ValueError, match="gated"):
+        dm.random_set_system(NoDraws(0), tuple(f"v{i}" for i in range(dm.GROUND_GATE + 1)))

@@ -1,6 +1,8 @@
 """Graph operations: complements, variants, reconstruction, text format."""
 
+import itertools
 import random
+from collections import Counter
 from dataclasses import fields
 
 import pytest
@@ -22,6 +24,7 @@ from adjmatroid.graph import (
     MultiGraph,
     all_looped_simple_graphs,
     as_multigraph,
+    default_labels,
     nullity_oracle_of,
     random_looped_simple_graph,
     reconstruct_from_nullity_oracle,
@@ -397,3 +400,120 @@ def test_zero_vertex_graph():
     empty = LoopedSimpleGraph((), BitMatrix.zero(0, 0))
     assert empty.n == 0
     assert parse_graph("") == MultiGraph((), ()).simplify()
+
+
+def all_graphs_as_before(n: int):
+    """all_looped_simple_graphs as it was, with its own cell loop."""
+    labels = default_labels(n)
+    cells = [(i, j) for i in range(n) for j in range(i, n)]
+    for bits in range(1 << len(cells)):
+        rows = [0] * n
+        for k, (i, j) in enumerate(cells):
+            if (bits >> k) & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+        yield LoopedSimpleGraph(labels, BitMatrix(n, n, tuple(rows)))
+
+
+def random_graph_as_before(rng: random.Random, n: int) -> LoopedSimpleGraph:
+    """random_looped_simple_graph as it was, with its own cell loop."""
+    rows = [0] * n
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() < 0.5:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return LoopedSimpleGraph(default_labels(n), BitMatrix(n, n, tuple(rows)))
+
+
+def test_generators_share_one_cell_builder_and_keep_their_graphs():
+    for n in range(4):
+        assert list(all_looped_simple_graphs(n)) == list(all_graphs_as_before(n))
+    new, old = random.Random(59), random.Random(59)
+    for k in range(200):
+        n = k % 9
+        assert random_looped_simple_graph(new, n) == random_graph_as_before(old, n)
+    assert new.getstate() == old.getstate()  # the same draws, so every seeded stream
+
+
+def parse_graph_as_before(text: str) -> LoopedSimpleGraph | MultiGraph:
+    """parse_graph as it was, tracking repeated edges beside the edge list."""
+    labels: list[str] = []
+    seen: set[str] = set()
+    edges: list[tuple[str, str]] = []
+    simple = True
+    edge_seen: set[tuple[str, str]] = set()
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        keyword, args = parts[0], parts[1:]
+        if keyword == "vertices":
+            if not args:
+                raise GraphParseError(line_no, "vertices needs at least one name")
+            for v in args:
+                if v in seen:
+                    raise GraphParseError(line_no, f"vertex {v!r} declared twice")
+                seen.add(v)
+                labels.append(v)
+        elif keyword == "loop":
+            if len(args) != 1:
+                raise GraphParseError(line_no, "loop needs exactly one vertex")
+            (v,) = args
+            if v not in seen:
+                raise GraphParseError(line_no, f"unknown vertex {v!r}")
+            if (v, v) in edge_seen:
+                simple = False
+            edge_seen.add((v, v))
+            edges.append((v, v))
+        elif keyword == "edge":
+            if len(args) != 2:
+                raise GraphParseError(line_no, "edge needs exactly two vertices")
+            u, v = args
+            for w in (u, v):
+                if w not in seen:
+                    raise GraphParseError(line_no, f"unknown vertex {w!r}")
+            key = (min(u, v), max(u, v))
+            if key in edge_seen:
+                simple = False
+            edge_seen.add(key)
+            edges.append((u, v))
+        else:
+            raise GraphParseError(line_no, f"unknown directive {keyword!r}")
+    mg = MultiGraph.build(tuple(labels), edges)
+    return mg.simplify() if simple else mg
+
+
+def parse_outcome(parse, text: str) -> tuple[type, object]:
+    try:
+        g = parse(text)
+    except GraphParseError as exc:
+        return GraphParseError, str(exc)
+    return type(g), g
+
+
+def test_parser_reads_repeats_off_the_built_multigraph():
+    """Every text of up to three loop or edge lines on two vertices declared
+    in either order, then repeated names and errors after repeats."""
+    lines = ["loop a", "loop b", "edge a b", "edge b a", "edge a a", "edge b b"]
+    texts = [
+        "\n".join([header, *body])
+        for header in ("vertices a b", "vertices b a")
+        for k in range(4)
+        for body in itertools.product(lines, repeat=k)
+    ]
+    texts += [
+        "",
+        "vertices a b\nvertices b",
+        "vertices a a",
+        "vertices a\nloop a\nloop a\nvertices a",
+        "vertices a b\nedge a b\nedge b a\nedge a c",
+        "vertices x y z\nedge x y\nedge y z\nedge z y\nloop x",
+    ]
+    kinds = Counter()
+    for text in texts:
+        outcome = parse_outcome(parse_graph, text)
+        assert outcome == parse_outcome(parse_graph_as_before, text), text
+        kinds[outcome[0]] += 1
+    assert kinds == {LoopedSimpleGraph: 159, MultiGraph: 361, GraphParseError: 4}

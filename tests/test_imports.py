@@ -1,6 +1,7 @@
 """Every imported name in the package and its tests is used, every
-definition in the package is referenced from the package or the benchmark,
-and object.__new__ and the principal scan each have one site."""
+definition in the package is referenced from the package or the benchmark
+(a class or static method through its own class), and object.__new__ and
+the principal scan each have one site."""
 
 import ast
 from pathlib import Path
@@ -119,6 +120,80 @@ def test_every_definition_is_referenced():
         str(path.relative_to(ROOT)): names
         for path in SOURCES
         if (names := unused_definitions(path.read_text(), used))
+    }
+    assert found == {}
+
+
+def class_references(source: str) -> set[tuple[str, str]]:
+    """(Class, name) for every read of Class.name or module.Class.name, and
+    of cls.name inside the body of class Class."""
+    out = set()
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                base = child.value
+                if isinstance(base, ast.Name):
+                    out.add((owner if base.id == "cls" else base.id, child.attr))
+                elif isinstance(base, ast.Attribute):
+                    out.add((base.attr, child.attr))
+            visit(child, owner)
+
+    visit(ast.parse(source), "")
+    return out
+
+
+def unreferenced_class_methods(source: str, used: set[tuple[str, str]]) -> list[str]:
+    """Class and static methods that `used` never names through their class,
+    so a method of the same name elsewhere cannot hide them."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            decorators = getattr(item, "decorator_list", ())
+            bound = {d.id for d in decorators if isinstance(d, ast.Name)}
+            if bound & {"classmethod", "staticmethod"} and (node.name, item.name) not in used:
+                found.append(f"line {item.lineno}: {node.name}.{item.name}")
+    return found
+
+
+def test_checker_flags_class_methods_reached_only_through_other_classes():
+    source = (
+        "class A:\n"
+        "    @classmethod\n"
+        "    def build(cls): return cls.make()\n"
+        "    @classmethod\n"
+        "    def make(cls): ...\n"
+        "    @staticmethod\n"
+        "    def helper(): ...\n"
+        "    @classmethod\n"
+        "    def zero(cls): ...\n"
+        "    @staticmethod\n"
+        "    def orphan(): ...\n"
+        "    def method(self): return self.zero, self.orphan()\n"
+        "class B:\n"
+        "    @classmethod\n"
+        "    def zero(cls): ...\n"
+        "    @classmethod\n"
+        "    def other(cls): return cls.orphan\n"
+        "zero = 0\n"
+        "print(A.build(), mod.A.helper, B.zero, B.other, zero, A().method)\n"
+    )
+    assert unreferenced_class_methods(source, class_references(source)) == [
+        "line 9: A.zero", "line 11: A.orphan",
+    ]
+
+
+def test_every_class_method_is_referenced_through_its_class():
+    used = set().union(*(class_references(path.read_text()) for path in REFERRERS))
+    found = {
+        str(path.relative_to(ROOT)): names
+        for path in SOURCES
+        if (names := unreferenced_class_methods(path.read_text(), used))
     }
     assert found == {}
 

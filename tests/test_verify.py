@@ -17,7 +17,9 @@ from adjmatroid.four_regular import (
 from adjmatroid.gf2 import BitMatrix, nullspace, set_bits, symmetrize_nullspace
 from adjmatroid.graph import (
     LoopedSimpleGraph,
+    MultiGraph,
     all_looped_simple_graphs,
+    default_labels,
     random_looped_simple_graph,
 )
 from adjmatroid.graphtext import render_graph
@@ -116,6 +118,7 @@ def test_small_run_keeps_every_check_and_instance():
     counts = {r.name: r.instances for r in results}
     assert len(counts) == len(results) == 64
     assert counts == EXPECTED_COUNTS
+    assert list(counts) == list(EXPECTED_COUNTS)  # the order verify prints
     assert sum(counts.values()) == 6115
 
 
@@ -244,6 +247,20 @@ def drop_top_member(monkeypatch) -> None:
     monkeypatch.setattr(dm.SetSystem, "restrict", broken)
 
 
+def test_a_route_value_error_is_a_fail_line(monkeypatch):
+    rec = verify.Recorder()
+    with rec.check("raising", "w"):
+        raise ValueError("not a matroid")
+    assert [(r.name, r.instances, r.failures) for r in rec.report()] == [
+        ("raising", 1, ["w: not a matroid"])
+    ]
+    clean = verify.run_suites("delta", max_n=2, trials=5, seed=0)
+    drop_top_member(monkeypatch)  # some maxima stop being equicardinal
+    broken = verify.run_suites("delta", max_n=2, trials=5, seed=0)
+    assert [(r.name, r.instances) for r in broken] == [(r.name, r.instances) for r in clean]
+    assert any(r.failures for r in broken)
+
+
 def test_subset_failures_print_the_eager_witness_text(monkeypatch):
     drop_top_member(monkeypatch)
     failed = 0
@@ -362,3 +379,113 @@ def test_word_form_kernel_oracle_matches_the_vector_loop():
         assert verify._zero_set(a) == kernel
         checked += 1
     assert checked == 1 + 2 + 4 + 8 + 1 + 4 + 16 + 64 + 1 + 8 + 64 + 512 + 200
+
+
+def two_of_three_by_sets(d: dm.SetSystem, v: str, pivoted: dm.SetSystem) -> None:
+    """verify._check_two_of_three as it was, on frozensets of member masks."""
+    candidates = {
+        "plain": d.max_sys(),
+        "pivot": pivoted.max_sys(),
+        "loop": d.loop_complement([v]).max_sys(),
+    }
+    families = {k: frozenset(c.family) for k, c in candidates.items()}
+    groups: dict[frozenset[int], list[str]] = {}
+    for k, fam in families.items():
+        groups.setdefault(fam, []).append(k)
+    assert len(groups) == 2, f"expected exactly two distinct maxima, got {len(groups)}"
+    (fam1, keys1), (fam2, keys2) = groups.items()
+    if len(keys1) == 2:
+        d1, d2 = fam1, fam2
+    else:
+        d1, d2 = fam2, fam1
+    i = d.index(v)
+    vb = 1 << i
+    rebuilt = frozenset((m | vb) for m in d2 if not m & vb)
+    stripped = frozenset(m for m in d2 if not m & vb)
+    assert {m | vb for m in stripped} == set(rebuilt)
+    assert rebuilt == d1, "pinned third maximum differs from the shared one"
+    size1 = next(iter(d1)).bit_count()
+    size2 = next(iter(d2)).bit_count()
+    assert (d.n - size2) == (d.n - size1) + 1, "nullity step is not one"
+
+
+def verdict(check, *args) -> tuple[type, str] | None:
+    """The exception type and message line, or None for a pass; pytest
+    appends its own explanation to failed asserts in this module."""
+    try:
+        check(*args)
+    except (AssertionError, ValueError) as exc:
+        return type(exc), str(exc).split("\n")[0]
+    return None
+
+
+def test_word_form_two_of_three_matches_the_set_form():
+    """Same verdict and message on every vertex, with the right pivot and
+    with corrupted ones: no pivot, or the pivot at another vertex."""
+    checked = failed = 0
+    for g in subset_oracle_graphs():
+        d = dm.from_graph(g)
+        for v in g.labels:
+            pivots = [d.pivot([v]), d, *(d.pivot([w]) for w in g.labels if w != v)]
+            for k, pivoted in enumerate(pivots):
+                expected = verdict(two_of_three_by_sets, d, v, pivoted)
+                assert verdict(verify._check_two_of_three, d, v, pivoted) == expected
+                assert expected is None or k > 0
+                failed += expected is not None
+        checked += 1
+    assert checked == 1099 + 6
+    assert failed > 1000
+
+
+def cycle_edge_sets_by_search(mg: MultiGraph) -> set[frozenset[str]]:
+    """verify._cycle_edge_sets as it was: connectivity by a search from one vertex."""
+    out = set()
+    m = len(mg.edges)
+    for mask in range(1, 1 << m):
+        chosen = [e for e in range(m) if (mask >> e) & 1]
+        degree: dict[int, int] = {}
+        for e in chosen:
+            u, v = mg.edges[e]
+            degree[u] = degree.get(u, 0) + 1
+            degree[v] = degree.get(v, 0) + 1
+        if any(d != 2 for d in degree.values()):
+            continue
+        verts = sorted(degree)
+        reach = {verts[0]}
+        frontier = [verts[0]]
+        while frontier:
+            x = frontier.pop()
+            for e in chosen:
+                u, v = mg.edges[e]
+                if u == x and v not in reach:
+                    reach.add(v)
+                    frontier.append(v)
+                if v == x and u not in reach:
+                    reach.add(u)
+                    frontier.append(u)
+        if len(reach) == len(verts):
+            out.add(frozenset(mg.edge_labels[e] for e in chosen))
+    return out
+
+
+def small_multigraphs():
+    """Every multigraph with at most 3 vertices and 4 edges, then seeded ones."""
+    for n in range(4):
+        pairs = [(u, v) for u in range(n) for v in range(u, n)]
+        for m in range(5):
+            for edges in itertools.combinations_with_replacement(pairs, m):
+                yield MultiGraph(default_labels(n), edges)
+    rng = random.Random(47)
+    for _ in range(100):
+        yield verify._random_multigraph(rng, rng.randrange(1, 6), rng.randrange(9))
+
+
+def test_union_find_cycle_sets_match_the_search():
+    checked = cycles = 0
+    for mg in small_multigraphs():
+        found = verify._cycle_edge_sets(mg)
+        assert found == cycle_edge_sets_by_search(mg)
+        checked += 1
+        cycles += len(found)
+    assert checked == 1 + 5 + 35 + 210 + 100
+    assert cycles > 500
