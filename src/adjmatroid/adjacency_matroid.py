@@ -5,11 +5,16 @@ reachable through local complementation; this module implements those
 derivations, coloop and triple-coloop analysis, the three-variant
 comparison at a vertex, and the resulting three-way vertex classification.
 
-The classification builds no matroid: v is a coloop of M(A') iff column v
-lies outside the span of the other columns, which v's loop leaves alone, so
-one elimination and two reductions give both variants' evidence, and a
-`TripartitionCase` keeps only the tag it decides.  `trio` and
-`variant_matroid` keep the variant matroids.
+The classification builds no matroid.  Every vertex's evidence comes from
+one reduced echelon form of the rows [A_i | e_i], kept by the graph
+(`LoopedSimpleGraph.coloop_masks`).  v is a coloop of M(A) iff e_v is in the
+row space of A, i.e. iff an echelon row has A part exactly e_v; its
+combination part x solves x^T A = e_v.  Toggling v's loop changes column v
+only.  If v is not a coloop, a cycle z through v gives (A + E_vv) z = e_v, so
+the toggle makes v a coloop; if it is, x^T (A + E_vv) = (1 + x_v) e_v, so the
+toggle keeps v a coloop iff x_v = 0.  A `TripartitionCase` keeps only the tag
+the evidence decides.  `trio` and `variant_matroid` keep the variant
+matroids.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .binary_matroid import BinaryMatroid
-from .gf2 import forward_pivots
 from .graph import LoopedSimpleGraph, VariantKind
 
 CaseTag = Literal["case1", "case2", "case3"]
@@ -91,17 +95,11 @@ def contract_via_lc(g: LoopedSimpleGraph, v: str) -> MinorDerivation:
 
 
 def _coloop_evidence(g: LoopedSimpleGraph, v: str) -> tuple[bool, bool]:
-    """Whether v is a coloop with its loop removed, and with it attached:
-    whether column v of each variant is outside the other columns' span."""
-    i = g.index(v)
-    data = g.adj.data
-    pivots = forward_pivots(data[:i] + data[i + 1:])
-    evidence = []
-    for col in (data[i] & ~(1 << i), data[i] | (1 << i)):
-        while (low := col & -col) in pivots:
-            col ^= pivots[low]
-        evidence.append(col != 0)
-    return evidence[0], evidence[1]
+    """Whether v is a coloop with its loop removed, and with it attached,
+    read from the graph's kept coloop masks."""
+    bit = 1 << g.index(v)
+    plain, loop = g.coloop_masks
+    return bool(plain & bit), bool(loop & bit)
 
 
 def is_triple_coloop(g: LoopedSimpleGraph, v: str) -> bool:

@@ -7,8 +7,9 @@ is plain ``==``.
 
 There are four eliminations, one per shape of problem.  ``forward_pivots``
 keys rows by lowest set bit and does not back-substitute; it is behind
-``rank``, ``rref_masks`` and the matroid coloop evidence.  ``nullspace`` keys
-rows by highest set bit and reduces fully in one pass.
+``rank`` and ``rref_masks``, and so behind ``coloop_masks``, which reads
+every vertex's coloop evidence off one RREF.  ``nullspace`` keys rows by
+highest set bit and reduces fully in one pass.
 ``Subspace.restricted_to`` eliminates on the out-of-mask bits only (a
 forward-pivot form that shifts the inside bits up measured 1.3-1.5x slower).
 ``subset_pivot_planes`` eliminates all 2^n subset matrices S at once: each
@@ -80,6 +81,38 @@ def rref_masks(vectors: Iterable[int]) -> tuple[int, ...]:
             hits ^= h
         pivots[low] = v
     return tuple(pivots[p] for p in order)
+
+
+def coloop_masks(a: BitMatrix) -> tuple[int, int]:
+    """For a symmetric matrix a, the masks of the columns v that lie outside
+    the span of the other columns (the coloops of a's column matroid) once
+    entry (v, v) is cleared, and once it is set: one RREF of the rows
+    [a_i | e_i] for every v at once.
+
+    v is a coloop iff e_v is in the row space, which is the orthogonal
+    complement of the cycle space {z : a z = 0}.  A row-space vector is the
+    sum of the RREF rows whose pivots it holds, so v is a coloop iff some row
+    has a-part exactly e_v, and that row's combination part x solves
+    x^T a = e_v.  Toggling (v, v) changes column v only.  If v is not a coloop, a cycle z with
+    z_v = 1 gives (a + E_vv) z = e_v, so the toggle makes v one.  If it is,
+    x^T (a + E_vv) = (1 + x_v) e_v: v stays a coloop iff x_v = 0, and
+    otherwise x is a cycle of the toggle through v (x_v is the same for
+    every solution, as they differ by cycles, which miss v).
+    """
+    n = a.cols
+    full = (1 << n) - 1
+    here = kept = diagonal = 0
+    for i, r in enumerate(a.data):
+        diagonal |= r & (1 << i)
+    for row in rref_masks(r | 1 << (n + i) for i, r in enumerate(a.data)):
+        part = row & full
+        if part and not part & (part - 1):
+            here |= part
+            if not (row >> n) & part:
+                kept |= part
+    toggled = (full ^ here) | kept
+    swap = diagonal & (here ^ toggled)  # where (v, v) is set, a itself is that variant
+    return here ^ swap, toggled ^ swap
 
 
 def gather(v: int, positions: Sequence[int]) -> int:

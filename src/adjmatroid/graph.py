@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Literal, Sequence
 
-from .gf2 import BitMatrix, drop_bit, gather, nullity, principal_planes, set_bits, unchecked
+from .gf2 import (
+    BitMatrix, coloop_masks, drop_bit, gather, nullity, principal_planes, set_bits, unchecked,
+)
 
 VariantKind = Literal["plain", "loop", "loop_isolate"]
 
@@ -66,6 +68,13 @@ class LoopedSimpleGraph:
         """The pivot planes of every principal submatrix, scanned once per
         graph object and kept: n planes of 2^n bits (2.6 MB at n = 20)."""
         return tuple(principal_planes(self.adj))
+
+    @cached_property
+    def coloop_masks(self) -> tuple[int, int]:
+        """The vertices that are coloops of the adjacency matroid with their
+        loop removed, and with it attached: two masks from one echelon form
+        per graph object, kept."""
+        return coloop_masks(self.adj)
 
     def index(self, v: str) -> int:
         try:

@@ -2,13 +2,15 @@
 
 Grammar: `# comment`, `vertices <name>+`, `loop <name>`, `edge <name> <name>`.
 Names are non-whitespace tokens.  Duplicate edge or loop lines make the
-result a multigraph; otherwise a looped simple graph is returned.
+result a multigraph; otherwise a looped simple graph is returned, its
+adjacency rows built as the lines are read.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
+from .gf2 import BitMatrix
 from .graph import LoopedSimpleGraph, MultiGraph, as_multigraph
 
 
@@ -19,9 +21,10 @@ class GraphParseError(ValueError):
 
 
 def parse_graph(text: str) -> LoopedSimpleGraph | MultiGraph:
-    labels: list[str] = []
-    seen: set[str] = set()
-    edges: list[tuple[str, str]] = []
+    index: dict[str, int] = {}  # in declaration order: the labels
+    pairs: list[tuple[int, int]] = []
+    rows: list[int] = []
+    simple = True
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -32,30 +35,28 @@ def parse_graph(text: str) -> LoopedSimpleGraph | MultiGraph:
             if not args:
                 raise GraphParseError(line_no, "vertices needs at least one name")
             for v in args:
-                if v in seen:
+                if v in index:
                     raise GraphParseError(line_no, f"vertex {v!r} declared twice")
-                seen.add(v)
-                labels.append(v)
-        elif keyword == "loop":
-            if len(args) != 1:
+                index[v] = len(rows)
+                rows.append(0)
+        elif keyword in ("loop", "edge"):
+            if keyword == "loop" and len(args) != 1:
                 raise GraphParseError(line_no, "loop needs exactly one vertex")
-            (v,) = args
-            if v not in seen:
-                raise GraphParseError(line_no, f"unknown vertex {v!r}")
-            edges.append((v, v))
-        elif keyword == "edge":
-            if len(args) != 2:
+            if keyword == "edge" and len(args) != 2:
                 raise GraphParseError(line_no, "edge needs exactly two vertices")
-            u, v = args
-            for w in (u, v):
-                if w not in seen:
+            for w in args:
+                if w not in index:
                     raise GraphParseError(line_no, f"unknown vertex {w!r}")
-            edges.append((u, v))
+            u, v = index[args[0]], index[args[-1]]
+            simple = simple and not (rows[u] >> v) & 1  # a repeated pair
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+            pairs.append((u, v))
         else:
             raise GraphParseError(line_no, f"unknown directive {keyword!r}")
-    mg = MultiGraph.build(tuple(labels), edges)
-    simple = len({(min(e), max(e)) for e in mg.edges}) == len(mg.edges)
-    return mg.simplify() if simple else mg
+    if simple:
+        return LoopedSimpleGraph(tuple(index), BitMatrix(len(rows), len(rows), tuple(rows)))
+    return MultiGraph(tuple(index), tuple(pairs))
 
 
 def render_graph(g: LoopedSimpleGraph | MultiGraph) -> str:

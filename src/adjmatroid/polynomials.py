@@ -6,8 +6,9 @@ subset expansions read the ranks from pivot planes, a graph's memoized
 principal scan (shared with delta_matroid.from_graph) or one column-masked
 elimination of a matroid, and count each (|S|, rank) pair with one popcount;
 the counts fill an (a, b) grid that a Taylor shift in each variable moves to
-x-1 and y-1.  The recursive evaluators and the induced-matroid route never
-touch the planes, and must agree exactly.
+x-1 and y-1, each row and column shifted up to its degree only.  The
+recursive evaluators and the induced-matroid route never touch the planes,
+and must agree exactly.
 """
 
 from __future__ import annotations
@@ -120,9 +121,13 @@ def shifted_power_term(a: int, b: int) -> BivariatePolynomial:
 
 
 def _shifted(c: list[int]) -> list[int]:
-    """p(t) -> p(t-1) on the coefficients, in place: repeated adjacent subtraction."""
-    for i in range(len(c) - 1):
-        for k in range(len(c) - 2, i - 1, -1):
+    """p(t) -> p(t-1) on the coefficients, in place: repeated adjacent
+    subtraction up to the degree d, as the zeros above d stay zero."""
+    d = len(c) - 1
+    while d > 0 and not c[d]:
+        d -= 1
+    for i in range(d):
+        for k in range(d - 1, i - 1, -1):
             c[k] -= c[k + 1]
     return c
 

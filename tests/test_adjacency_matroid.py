@@ -7,6 +7,7 @@ import pytest
 
 from adjmatroid import binary_matroid, gf2
 from adjmatroid.adjacency_matroid import (
+    _coloop_evidence,
     adjacency_matroid,
     classify_vertex,
     contract_via_lc,
@@ -195,6 +196,62 @@ def test_coloop_evidence_matches_the_variant_matroids():
             assert is_triple_coloop(g, v) == (plain and loop and isolate)
         count += 1
     assert count == 1099 + 8 * 4
+
+
+def per_vertex_coloop_evidence(g: LoopedSimpleGraph, v: str) -> tuple[bool, bool]:
+    """Reference: one elimination of the other rows per vertex, then whether
+    column v, with v's loop removed and attached, reduces to nonzero."""
+    i = g.index(v)
+    data = g.adj.data
+    pivots = gf2.forward_pivots(data[:i] + data[i + 1:])
+    evidence = []
+    for col in (data[i] & ~(1 << i), data[i] | (1 << i)):
+        while (low := col & -col) in pivots:
+            col ^= pivots[low]
+        evidence.append(col != 0)
+    return evidence[0], evidence[1]
+
+
+def test_coloop_masks_match_the_per_vertex_elimination():
+    """All 1,099 graphs with n <= 4, then seeded graphs with n = 5-16."""
+    graphs = [g for n in range(5) for g in all_looped_simple_graphs(n)]
+    rng = random.Random(5493)
+    graphs += [random_looped_simple_graph(rng, n) for n in range(5, 17) for _ in range(25)]
+    kinds = set()
+    for g in graphs:
+        for v in g.labels:
+            evidence = _coloop_evidence(g, v)
+            assert evidence == per_vertex_coloop_evidence(g, v), (g, v)
+            kinds.add((g.is_looped(v), evidence))
+    assert len(graphs) == 1099 + 12 * 25
+    assert len(kinds) == 6  # every case, at looped and unlooped vertices
+
+
+def test_coloop_masks_computed_once_per_graph(monkeypatch):
+    prop = LoopedSimpleGraph.__dict__["coloop_masks"]
+    passes = []
+    compute = prop.func
+    monkeypatch.setattr(prop, "func", lambda g: passes.append(g) or compute(g))
+    g = random_looped_simple_graph(random.Random(23), 8)
+    report = tripartition_report(g)
+    for v in g.labels:
+        assert classify_vertex(g, v) == report[v]
+        is_triple_coloop(g, v)
+    assert len(passes) == 1 and passes[0] is g
+    assert g.coloop_masks == gf2.coloop_masks(g.adj)
+    fresh = LoopedSimpleGraph(g.labels, g.adj)
+    assert "coloop_masks" not in vars(fresh)
+    assert fresh == g and hash(fresh) == hash(g)  # the memo is not a field
+    assert tripartition_report(fresh) == report
+    assert len(passes) == 2 and passes[1] is fresh
+    v = g.labels[0]
+    derived = [g.local_complement(v), g.minus(v), g.induced_mask(0b101101), g.loop_complement(v)]
+    derived += [g.variant(v, kind) for kind in ("plain", "loop", "loop_isolate")]
+    for h in derived:
+        assert "coloop_masks" not in vars(h)
+        assert tripartition_report(h) == tripartition_report(h)
+    assert len(passes) == 2 + len(derived)
+    assert all(a is b for a, b in zip(passes[2:], derived))
 
 
 def count_calls(monkeypatch, owner, name: str, counts: dict[str, int]) -> None:

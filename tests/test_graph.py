@@ -517,3 +517,22 @@ def test_parser_reads_repeats_off_the_built_multigraph():
         assert outcome == parse_outcome(parse_graph_as_before, text), text
         kinds[outcome[0]] += 1
     assert kinds == {LoopedSimpleGraph: 159, MultiGraph: 361, GraphParseError: 4}
+
+
+def test_parser_builds_a_multigraph_only_for_repeats(monkeypatch):
+    """A text with no repeated pair builds its adjacency rows directly,
+    through both validating constructors; a repeat builds one multigraph."""
+    built = Counter()
+    for cls in (LoopedSimpleGraph, MultiGraph, BitMatrix):
+        check = cls.__post_init__
+        monkeypatch.setattr(
+            cls, "__post_init__",
+            lambda self, check=check, name=cls.__name__: built.update([name]) or check(self),
+        )
+    text = render_graph(random_looped_simple_graph(random.Random(9), 9))
+    built.clear()
+    assert isinstance(parse_graph(text), LoopedSimpleGraph)
+    assert built == {"LoopedSimpleGraph": 1, "BitMatrix": 1}
+    built.clear()
+    assert isinstance(parse_graph(text + "edge v0 v0\n" + "loop v0\n"), MultiGraph)
+    assert built == {"MultiGraph": 1}

@@ -1,7 +1,7 @@
 """Every imported name in the package and its tests is used, every
 definition in the package is referenced from the package or the benchmark
-(a class or static method through its own class), and object.__new__ and
-the principal scan each have one site."""
+(a class or static method through its own class), and object.__new__, the
+principal scan and the coloop pass each have one site."""
 
 import ast
 from pathlib import Path
@@ -223,14 +223,22 @@ def reads_object_new(node: ast.AST) -> bool:
     )
 
 
-def calls_principal_planes(node: ast.AST) -> bool:
-    """A call of principal_planes, bare or as an attribute: a 2^n subset scan."""
-    if not isinstance(node, ast.Call):
-        return False
-    func = node.func
-    return (isinstance(func, ast.Name) and func.id == "principal_planes") or (
-        isinstance(func, ast.Attribute) and func.attr == "principal_planes"
-    )
+def calls(name: str) -> Callable[[ast.AST], bool]:
+    """Accepts a call of name, bare or as an attribute."""
+
+    def hit(node: ast.AST) -> bool:
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return (isinstance(func, ast.Name) and func.id == name) or (
+            isinstance(func, ast.Attribute) and func.attr == name
+        )
+
+    return hit
+
+
+calls_principal_planes = calls("principal_planes")  # a 2^n subset scan
+calls_coloop_masks = calls("coloop_masks")  # an echelon form of every vertex's evidence
 
 
 def sites_in_sources(hit: Callable[[ast.AST], bool]) -> dict[str, list[str]]:
@@ -272,3 +280,31 @@ def test_only_the_graph_memo_scans_principal_submatrices():
     assert sites_in_sources(calls_principal_planes) == {
         "src/adjmatroid/graph.py": ["LoopedSimpleGraph.principal_planes"]
     }
+
+
+def test_checker_finds_every_coloop_pass_and_elimination():
+    source = (
+        "class G:\n"
+        "    @cached_property\n"
+        "    def coloop_masks(self):\n"
+        "        return coloop_masks(self.adj)\n"
+        "def classify(g, v):\n"
+        "    return g.coloop_masks, gf2.coloop_masks(g.adj)\n"
+        "def evidence(g):\n"
+        "    return forward_pivots(g.adj.data), g.coloop_masks\n"
+    )
+    assert sites(source, calls_coloop_masks) == ["G.coloop_masks", "classify"]
+    assert sites(source, calls("forward_pivots")) == ["evidence"]
+    package = ROOT / "src" / "adjmatroid"
+    planted = (package / "graph.py").read_text() + "def f(g):\n    return coloop_masks(g.adj)\n"
+    assert sites(planted, calls_coloop_masks) == ["LoopedSimpleGraph.coloop_masks", "f"]
+    planted = (package / "adjacency_matroid.py").read_text() + "x = forward_pivots(())\n"
+    assert sites(planted, calls("forward_pivots")) == ["<module>"]
+
+
+def test_only_the_graph_memo_computes_coloop_evidence():
+    assert sites_in_sources(calls_coloop_masks) == {
+        "src/adjmatroid/graph.py": ["LoopedSimpleGraph.coloop_masks"]
+    }
+    matroids = (ROOT / "src" / "adjmatroid" / "adjacency_matroid.py").read_text()
+    assert sites(matroids, calls("forward_pivots")) == []

@@ -90,6 +90,44 @@ def test_shift_expansion_matches_binomial_expansion():
         assert _expand(counts) == binomial_expand(counts)
 
 
+def untrimmed_expand(counts) -> BivariatePolynomial:
+    """Reference: _expand with every row and column shifted over its full
+    length, zeros above the degree included."""
+
+    def shifted(c: list[int]) -> list[int]:
+        for i in range(len(c) - 1):
+            for k in range(len(c) - 2, i - 1, -1):
+                c[k] -= c[k + 1]
+        return c
+
+    nb = 1 + max((b for _, b in counts), default=-1)
+    grid = [[0] * nb for _ in range(1 + max((a for a, _ in counts), default=-1))]
+    for (a, b), count in counts.items():
+        grid[a][b] = count
+    cols = [shifted(list(col)) for col in zip(*map(shifted, grid))]
+    return BivariatePolynomial.from_dict(
+        {(a, b): c for b, col in enumerate(cols) for a, c in enumerate(col)}
+    )
+
+
+def test_trimmed_shift_matches_the_untrimmed_one_on_real_tallies():
+    """The interlace and Tutte tallies of all 1,099 graphs with n <= 4, then
+    of seeded graphs with n = 5-12."""
+    graphs = [g for n in range(5) for g in all_looped_simple_graphs(n)]
+    rng = random.Random(1107)
+    graphs += [random_looped_simple_graph(rng, n) for n in range(5, 13) for _ in range(5)]
+    for g in graphs:
+        tally = gf2.tally_planes(g.principal_planes, g.n)
+        interlace = {(r, size - r): k for (size, r), k in tally.items()}
+        m = adjacency_matroid(g)
+        tally = gf2.tally_planes(gf2.column_masked_planes(m.cycle_space), m.size)
+        d = m.nullity
+        tutte = {(m.rank - size + d - c, d - c): k for (size, c), k in tally.items()}
+        for counts in (interlace, tutte):
+            assert _expand(counts) == untrimmed_expand(counts)
+    assert len(graphs) == 1099 + 8 * 5
+
+
 def test_text_rendering():
     assert BivariatePolynomial(()).to_text() == "0"
     assert ONE.to_text() == "1"
