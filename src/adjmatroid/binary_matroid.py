@@ -98,12 +98,24 @@ class BinaryMatroid:
     # derived structure
 
     def circuit_masks(self) -> tuple[int, ...]:
-        """Minimal nonempty supports in the cycle space, by weight then value."""
+        """Minimal nonempty supports in the cycle space, by weight then value.
+        Bit k of hits[i] is set iff circuit k holds element i, so v is minimal
+        iff the elements outside v hit every circuit found so far."""
         members = [v for v in self.cycle_space.vectors() if v]
         members.sort(key=lambda v: (v.bit_count(), v))
+        full, found = (1 << self.size) - 1, 0
         minimal: list[int] = []
+        hits = [0] * self.size
         for v in members:
-            if not any(c & v == c for c in minimal):
+            outside = 0
+            for i in set_bits(full & ~v):
+                outside |= hits[i]
+                if outside == found:
+                    break
+            if outside == found:
+                for i in set_bits(v):
+                    hits[i] |= found + 1  # the new circuit's bit
+                found = 2 * found + 1
                 minimal.append(v)
         return tuple(minimal)
 

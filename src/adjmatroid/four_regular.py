@@ -24,6 +24,14 @@ vertices no bit and keeps each psi vertex's own bit as its loop, so it is
 one graph.  The compatible Euler system is Kotzig's merge: chi with respect
 to the partition everywhere, then psi wherever a vertex joins two circuits
 of different union-find classes: near-linear, plus two traces.
+
+Validation happens at the boundary, once.  `partition_from_transitions`
+validates a caller's pairing before it traces it, and MultiGraph(...) and
+build, HalfEdgeGraph(...) and EulerSystem(...) check what they are given.
+The Euler systems, touch-graphs and realizations this module derives are
+valid by construction: they are built through `gf2.unchecked`, and no
+pairing they build is validated.  `kappa`, a `verify` reference, keeps the
+validating route.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
+from .gf2 import unchecked
 from .graph import LoopedSimpleGraph, MultiGraph, as_multigraph, default_labels, find_root
 
 Pairing = frozenset[frozenset[int]]
@@ -125,7 +134,7 @@ class HalfEdgeGraph:
             circuits.append(tuple(circuit))
 
         t = TransitionSystem.from_circuits(self, circuits)
-        return EulerSystem(CircuitPartition(self, t, tuple(circuits)))
+        return unchecked(EulerSystem, partition=CircuitPartition(self, t, tuple(circuits)))
 
     def check_vertex(self, v: int) -> None:
         """Reject v unless it indexes a vertex; a negative v would otherwise
@@ -209,9 +218,6 @@ class CircuitPartition:
     def size(self) -> int:
         return len(self.circuits)
 
-    def edge_sets(self) -> frozenset[frozenset[int]]:
-        return frozenset(frozenset(h >> 1 for h in c) for c in self.circuits)
-
     def pairing_at(self, v: int) -> Pairing:
         self.f.check_vertex(v)
         pairing = self.transitions.pairing
@@ -237,6 +243,11 @@ class CircuitPartition:
 def partition_from_transitions(f: HalfEdgeGraph, t: TransitionSystem) -> CircuitPartition:
     """Follow the pairings; circuits come out in order of least half-edge."""
     t.validate(f)
+    return _traced(f, t)
+
+
+def _traced(f: HalfEdgeGraph, t: TransitionSystem) -> CircuitPartition:
+    """The partition of a system already known to be valid."""
     visited = [False] * f.half_count
     circuits = []
     for h0 in range(f.half_count):
@@ -357,14 +368,9 @@ def relative_interlacement(c: EulerSystem, p: CircuitPartition) -> LoopedSimpleG
 def touch_graph(p: CircuitPartition) -> MultiGraph:
     """One vertex per circuit; one edge per vertex of F joining the circuits
     passing it (a loop when both passages belong to the same circuit)."""
-    labels = tuple(f"c{i}" for i in range(p.size))
-    edges = []
-    edge_labels = []
-    for v in range(p.f.n):
-        ci, cj = p.circuits_through(v)
-        edges.append((labels[ci], labels[cj]))
-        edge_labels.append(p.f.graph.labels[v])
-    return MultiGraph.build(labels, edges, tuple(edge_labels))
+    edges = tuple((ci, cj) for (ci, _, _), (cj, _, _) in p.passages)
+    labels = default_labels(p.size, "c")
+    return unchecked(MultiGraph, labels=labels, edges=edges, edge_labels=p.f.graph.labels)
 
 
 def kappa(c: EulerSystem, v: int) -> EulerSystem:
@@ -402,7 +408,7 @@ def compatible_euler_system(f: HalfEdgeGraph, p: CircuitPartition) -> EulerSyste
         if x != y:
             pairing[a1], pairing[a2], pairing[d1], pairing[d2] = a2, a1, d2, d1
             parent[x] = y
-    c = EulerSystem(partition_from_transitions(f, TransitionSystem(tuple(pairing))))
+    c = unchecked(EulerSystem, partition=_traced(f, TransitionSystem(tuple(pairing))))
     # two distinct pairings of one vertex's four halves share no pair
     if any(x == y for x, y in zip(pairing, p.transitions.pairing)):
         raise AssertionError("the compatible system follows p somewhere")
@@ -497,19 +503,19 @@ def realize_touch_graph(g: LoopedSimpleGraph | MultiGraph) -> Realization:
         return out
 
     circuit_of = {u: expand(circ) for u, circ in circuit_of.items()}
-    edge_order = [eid for circ in circuit_of.values() for eid in circ]
-    position = {eid: i for i, eid in enumerate(edge_order)}
-    f_graph = MultiGraph(
-        tuple(f_labels), tuple(ends[eid] for eid in edge_order)
-    )
-    f = HalfEdgeGraph(f_graph)
-    circuits = [tuple(2 * position[eid] for eid in circuit_of[u]) for u in sorted(circuit_of)]
-    derived = partition_from_transitions(f, TransitionSystem.from_circuits(f, circuits))
-    if derived.edge_sets() != frozenset(
-        frozenset(h >> 1 for h in c) for c in circuits
-    ):
-        raise AssertionError("derived partition disagrees with the construction")
-    return Realization(f, derived)
+    # F's edges are the circuits' runs, each taken forwards: a circuit starts
+    # at its least half-edge and the circuits come in order of it, as traced
+    edge_order: list[int] = []
+    circuits = []
+    for circ in circuit_of.values():
+        circuits.append(tuple(range(2 * len(edge_order), 2 * (len(edge_order) + len(circ)), 2)))
+        edge_order += circ
+    f = HalfEdgeGraph(unchecked(
+        MultiGraph, labels=tuple(f_labels), edges=tuple(ends[eid] for eid in edge_order),
+        edge_labels=default_labels(len(edge_order), "e"),
+    ))
+    t = TransitionSystem.from_circuits(f, circuits)
+    return Realization(f, CircuitPartition(f, t, tuple(circuits)))
 
 
 def file_order_partition(f: HalfEdgeGraph) -> CircuitPartition:

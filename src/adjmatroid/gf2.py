@@ -37,7 +37,9 @@ def unchecked(cls: type[T], **fields: Any) -> T:
     checks run once, at the boundary: the text parser, LoopedSimpleGraph(...),
     BitMatrix(...) and from_rows, Subspace(...) and span, BinaryMatroid(...),
     from_matrix and direct_sum, SetSystem(...) and from_sets, DeltaMatroid(...),
-    and BivariatePolynomial(...), from_dict and monomial."""
+    BivariatePolynomial(...), from_dict and monomial, MultiGraph(...) and
+    build, HalfEdgeGraph(...), EulerSystem(...), and partition_from_transitions
+    for a caller's pairing."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj

@@ -170,9 +170,7 @@ class MultiGraph:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError("edge endpoint out of range")
         if not self.edge_labels:
-            object.__setattr__(
-                self, "edge_labels", tuple(f"e{i}" for i in range(len(self.edges)))
-            )
+            object.__setattr__(self, "edge_labels", default_labels(len(self.edges), "e"))
         if len(self.edge_labels) != len(self.edges):
             raise ValueError("edge label count mismatch")
         if len(set(self.edge_labels)) != len(self.edge_labels):
@@ -308,9 +306,10 @@ def nullity_oracle_of(g: LoopedSimpleGraph) -> Callable[[frozenset[str]], int]:
     return oracle
 
 
-def default_labels(n: int) -> tuple[str, ...]:
-    """v0..v{n-1}: the labels of every generated graph and matrix."""
-    return tuple(f"v{i}" for i in range(n))
+def default_labels(n: int, prefix: str = "v") -> tuple[str, ...]:
+    """v0..v{n-1}: the labels of every generated graph and matrix; e0.. name
+    edges and c0.. circuits."""
+    return tuple(f"{prefix}{i}" for i in range(n))
 
 
 def _from_cells(labels: tuple[str, ...], bits: Iterable[object]) -> LoopedSimpleGraph:

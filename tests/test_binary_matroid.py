@@ -88,6 +88,34 @@ def test_circuits_match_minimal_support_oracle():
         assert set(m.circuit_masks()) == minimal_supports(set(w.vectors()))
 
 
+def pairwise_circuit_masks(m: BinaryMatroid) -> tuple[int, ...]:
+    """Reference: the cycle vectors by weight then value, each kept unless a
+    circuit kept before it lies inside it, tested one circuit at a time."""
+    members = sorted((v for v in m.cycle_space.vectors() if v), key=lambda v: (v.bit_count(), v))
+    minimal: list[int] = []
+    for v in members:
+        if not any(c & v == c for c in minimal):
+            minimal.append(v)
+    return tuple(minimal)
+
+
+def test_circuit_masks_match_the_pairwise_scan():
+    checked = 0
+    for n in range(5):
+        for w in all_subspaces(n):
+            m = BinaryMatroid(tuple(f"v{i}" for i in range(n)), w)
+            assert m.circuit_masks() == pairwise_circuit_masks(m)
+            checked += 1
+    assert checked == 91
+    rng = random.Random(31)
+    for d in range(1, 13):
+        n = rng.randrange(d, 2 * d + 1)
+        w = Subspace.span(n, [rng.randrange(1 << n) for _ in range(d)])
+        m = BinaryMatroid(tuple(f"v{i}" for i in range(n)), w)
+        assert m.circuit_masks() == pairwise_circuit_masks(m)
+    assert (n, w.dim) == (24, 12)
+
+
 def test_rank_of():
     assert free_matroid("abc").rank_of("abc") == 3
     u32 = one_circuit("abc")

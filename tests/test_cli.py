@@ -283,3 +283,50 @@ def test_closed_stdout_exits_quietly(tmp_path):
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 1 and err == b""
+
+
+ABC_TEXT = "vertices a b c\nloop a\nedge b c\n"
+# Each realization lists its circuits in order of least half-edge: b's, c's,
+# then a's, whose loop alone needs a fresh vertex.
+PINNED = {
+    ("realize", ABC_TEXT, "text"): (
+        "vertices e1 e0\nloop e1\nloop e1\nloop e0\nloop e0\n"
+        "# circuit: e0\n# circuit: e1\n# circuit: e2 e3\n"
+    ),
+    ("realize", ABC_TEXT, "json"): (
+        '{"circuits": [["e0"], ["e1"], ["e2", "e3"]], "edges": [], '
+        '"loops": ["e1", "e1", "e0", "e0"], "vertices": ["e1", "e0"]}\n'
+    ),
+    ("realize", K3L_TEXT, "text"): (
+        "vertices e1 e2 e3 e0\nedge e1 e0\nloop e0\nedge e0 e2\nedge e2 e1\n"
+        "edge e1 e3\nedge e3 e1\nedge e2 e3\nedge e3 e2\n"
+        "# circuit: e0 e1 e2 e3\n# circuit: e4 e5\n# circuit: e6 e7\n"
+    ),
+    ("realize", K3L_TEXT, "json"): (
+        '{"circuits": [["e0", "e1", "e2", "e3"], ["e4", "e5"], ["e6", "e7"]], '
+        '"edges": [["e1", "e0"], ["e0", "e2"], ["e2", "e1"], ["e1", "e3"], ["e3", "e1"], '
+        '["e2", "e3"], ["e3", "e2"]], "loops": ["e0"], "vertices": ["e1", "e2", "e3", "e0"]}\n'
+    ),
+    ("touchgraph", ABC_TEXT, "text"): "vertices c0 c1 c2 c3\nedge c0 c1\nedge c2 c3\n",
+    ("touchgraph", ABC_TEXT, "json"): (
+        '{"edges": [["c0", "c1"], ["c2", "c3"]], "loops": [], "vertices": ["c0", "c1", "c2", "c3"]}\n'
+    ),
+    ("touchgraph", K3L_TEXT, "text"): (
+        "vertices c0 c1 c2\nedge c0 c1\nedge c0 c2\nedge c1 c2\nloop c0\n"
+    ),
+    ("touchgraph", K3L_TEXT, "json"): (
+        '{"edges": [["c0", "c1"], ["c0", "c2"], ["c1", "c2"]], "loops": ["c0"], '
+        '"vertices": ["c0", "c1", "c2"]}\n'
+    ),
+}
+
+
+def test_realize_and_touchgraph_output_is_pinned(tmp_path, capsys):
+    """touchgraph reads the realized graph, comment lines included."""
+    for (command, graph, fmt), expect in PINNED.items():
+        source = write(tmp_path, "g", graph)
+        if command == "touchgraph":
+            code, realized, _ = run(capsys, "realize", "--input", source)
+            source = write(tmp_path, "f", realized)
+        code, out, err = run(capsys, command, "--format", fmt, "--input", source)
+        assert (code, out, err) == (0, expect, "")

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from adjmatroid import four_regular, verify
 from adjmatroid.four_regular import (
+    EulerSystem,
     HalfEdgeGraph,
     TransitionSystem,
     all_transition_systems,
@@ -35,6 +36,11 @@ from adjmatroid.graph import (
 
 FIG8 = HalfEdgeGraph(MultiGraph.build("a", [("a", "a"), ("a", "a")]))
 PARALLEL4 = HalfEdgeGraph(MultiGraph.build("uv", [("u", "v")] * 4))
+
+
+def edge_sets(p) -> frozenset[frozenset[int]]:
+    """The edge set of each circuit of p."""
+    return frozenset(frozenset(h >> 1 for h in c) for c in p.circuits)
 
 
 def connected_even_subsets(mg: MultiGraph) -> set[frozenset[int]]:
@@ -134,7 +140,7 @@ def test_partitions_match_brute_force_enumeration():
     for mg in small_four_regular_corpus(3):
         f = HalfEdgeGraph(mg)
         seen = {
-            frozenset(partition_from_transitions(f, t).edge_sets())
+            edge_sets(partition_from_transitions(f, t))
             for t in all_transition_systems(f)
         }
         assert seen == brute_circuit_partitions(mg)
@@ -215,9 +221,19 @@ def test_touch_graph_shapes():
             assert tch.component_count() == f.component_count
 
 
+def assert_realization_matches_the_boundary(r) -> None:
+    """r's graph and partition equal those the validating constructors build
+    from the same data: the partition is the one its pairing traces, circuit
+    order included, so it has the edge sets it was built from."""
+    g = r.f.graph
+    assert r.f == HalfEdgeGraph(MultiGraph(g.labels, g.edges))
+    assert r.partition == partition_from_transitions(r.f, r.partition.transitions)
+
+
 def reproduces(g: LoopedSimpleGraph | MultiGraph, r) -> bool:
     """The touch-graph of the realization r is g itself: each circuit touches
     the vertices of F named by one vertex's edges, loops included."""
+    assert_realization_matches_the_boundary(r)
     return touch_graph(r.partition).incidences() == as_multigraph(g).incidences()
 
 
@@ -330,7 +346,57 @@ def test_realize_encodes_partition_in_file_order():
     g = LoopedSimpleGraph.build("abc", [("a", "b"), ("b", "c")], loops="b")
     r = realize_touch_graph(g)
     again = file_order_partition(r.f)
-    assert again.edge_sets() == r.partition.edge_sets()
+    assert edge_sets(again) == edge_sets(r.partition)
+
+
+def assert_derived_objects_match_the_boundary(f: HalfEdgeGraph, p) -> None:
+    """Each object the pipeline builds unchecked from f and p equals the one
+    rebuilt from its own data through the validating boundary: the Euler
+    systems' pairings validate and trace to one circuit per component, the
+    touch-graph is the one MultiGraph.build makes from circuit labels, and
+    the realization of that touch-graph reproduces it.  Hierholzer's
+    circuits start where the walk did, so only their edge sets match the
+    traced ones."""
+    c = euler_system(f)
+    assert EulerSystem(c.partition) == c
+    assert edge_sets(partition_from_transitions(f, c.transitions)) == edge_sets(c.partition)
+    comp = compatible_euler_system(f, p)
+    assert comp == EulerSystem(partition_from_transitions(f, comp.transitions))
+    labels = tuple(f"c{i}" for i in range(p.size))
+    passing = [p.circuits_through(v) for v in range(f.n)]
+    tch = touch_graph(p)
+    assert tch == MultiGraph.build(labels, [(labels[i], labels[j]) for i, j in passing], f.graph.labels)
+    assert reproduces(tch, realize_touch_graph(tch))
+
+
+def test_derived_objects_match_the_boundary_on_every_small_partition():
+    checked = 0
+    for mg in small_four_regular_corpus():
+        f = HalfEdgeGraph(mg)
+        for t in all_transition_systems(f):
+            assert_derived_objects_match_the_boundary(f, partition_from_transitions(f, t))
+            checked += 1
+    assert checked == 3 + 2 * 3**2 + 3 * 3**3 + 3 * 3**4 + 3 * 3**5
+
+
+def test_derived_objects_match_the_boundary_on_large_seeded_graphs():
+    rng = random.Random(16)
+    for n in (150, 2400):
+        for connected in (True, False):
+            f = HalfEdgeGraph(sample_graph(rng, n, connected))
+            assert (f.component_count == 1) == connected
+            for p in (file_order_partition(f), random_partition(rng, f)):
+                assert_derived_objects_match_the_boundary(f, p)
+
+
+def test_euler_system_rejects_the_wrong_circuit_count():
+    two = HalfEdgeGraph(MultiGraph.build("ab", [("a", "a"), ("a", "a"), ("b", "b"), ("b", "b")]))
+    for f, size in ((FIG8, 2), (two, 3), (two, 4)):
+        partitions = (partition_from_transitions(f, t) for t in all_transition_systems(f))
+        p = next(p for p in partitions if p.size == size)
+        with pytest.raises(ValueError, match="^not one circuit per connected component$"):
+            EulerSystem(p)
+    assert EulerSystem(euler_system(two).partition) == euler_system(two)
 
 
 def test_random_four_regular_is_four_regular():
@@ -596,17 +662,20 @@ def test_fast_routes_match_references_property(n, seed, connected):
 
 
 def test_compatible_euler_system_traces_once(monkeypatch):
+    """One trace of the final pairing, and no validation: it is valid by
+    construction."""
     rng = random.Random(12)
     cases = [(f, p) for f in table_cases() for p in (file_order_partition(f), random_partition(rng, f))]
-    traced = []
-    trace = four_regular.partition_from_transitions
-    monkeypatch.setattr(
-        four_regular, "partition_from_transitions", lambda f, t: traced.append(t) or trace(f, t)
-    )
+    traced, validated = [], []
+    trace = four_regular._traced
+    monkeypatch.setattr(four_regular, "_traced", lambda f, t: traced.append(t) or trace(f, t))
+    check = TransitionSystem.validate
+    monkeypatch.setattr(TransitionSystem, "validate", lambda t, f: validated.append(t) or check(t, f))
     for f, p in cases:
         traced.clear()
         comp = compatible_euler_system(f, p)
         assert traced == [comp.transitions]
+    assert validated == []
 
 
 def test_compatible_euler_system_on_every_small_partition():
@@ -682,11 +751,14 @@ def test_euler_systems_match_networkx():
 
 
 def test_fourreg_suite_validates_each_system_once(monkeypatch):
-    """Only partition_from_transitions validates: one check per partition."""
-    validated, traced = [], []
+    """Only partition_from_transitions validates: one check per partition it
+    traces.  The compatible systems are traced unchecked, once each, and the
+    realizations are not traced at all."""
+    validated, traced, raw = [], [], []
     check = TransitionSystem.validate
     monkeypatch.setattr(TransitionSystem, "validate", lambda t, f: validated.append(t) or check(t, f))
     trace = four_regular.partition_from_transitions
+    trace_raw = four_regular._traced
 
     def counted(f, t):
         traced.append(t)
@@ -694,10 +766,13 @@ def test_fourreg_suite_validates_each_system_once(monkeypatch):
 
     monkeypatch.setattr(four_regular, "partition_from_transitions", counted)
     monkeypatch.setattr(verify, "partition_from_transitions", counted)
+    monkeypatch.setattr(four_regular, "_traced", lambda f, t: raw.append(t) or trace_raw(f, t))
     results = verify.fourreg_suite()
     assert all(r.ok for r in results)
-    assert len(traced) == 3807  # each n <= 3 corpus system traced once, not twice
+    assert len(traced) == 3585  # the systems the suite asks for, each validated once
     assert validated == traced
+    compatible = 3 + 2 * 3**2 + 3 * 3**3 + 60  # corpus systems with n <= 3, random ones
+    assert len(raw) == len(traced) + compatible
 
 
 def test_relative_interlacement_builds_a_fixed_number_of_graphs(monkeypatch):
@@ -723,11 +798,14 @@ def test_relative_interlacement_builds_a_fixed_number_of_graphs(monkeypatch):
 
 
 def test_component_count_runs_once_per_graph(monkeypatch):
+    """The derived Euler systems count no components; kappa, which goes
+    through the public constructor, counts them once per graph."""
     f = table_cases()[-1]
     calls = []
     count = MultiGraph.component_count
     monkeypatch.setattr(MultiGraph, "component_count", lambda mg: calls.append(mg) or count(mg))
     c = compatible_euler_system(f, file_order_partition(f))
+    assert euler_system(f) != c and calls == []
     for v in range(f.n):
         kappa(c, v)
     assert len(calls) == 1

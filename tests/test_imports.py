@@ -1,7 +1,8 @@
 """Every imported name in the package and its tests is used, every
 definition in the package is referenced from the package or the benchmark
-(a class or static method through its own class), and object.__new__, the
-principal scan and the coloop pass each have one site."""
+(a class or static method through its own class), object.__new__, the
+principal scan, the coloop pass and pairing validation each have one site,
+and the 4-regular builders take no validating route."""
 
 import ast
 from pathlib import Path
@@ -308,3 +309,77 @@ def test_only_the_graph_memo_computes_coloop_evidence():
     }
     matroids = (ROOT / "src" / "adjmatroid" / "adjacency_matroid.py").read_text()
     assert sites(matroids, calls("forward_pivots")) == []
+
+
+def calls_method(owner: str, name: str) -> Callable[[ast.AST], bool]:
+    """Accepts a call of owner.name."""
+
+    def hit(node: ast.AST) -> bool:
+        func = getattr(node, "func", None)
+        return (
+            isinstance(node, ast.Call) and isinstance(func, ast.Attribute) and func.attr == name
+            and isinstance(func.value, ast.Name) and func.value.id == owner
+        )
+
+    return hit
+
+
+# The 4-regular builders whose results are valid by construction, and the
+# validating routes they must not take.
+FOUR_REGULAR = ROOT / "src" / "adjmatroid" / "four_regular.py"
+DERIVED_BUILDERS = (
+    "HalfEdgeGraph.euler_system", "compatible_euler_system", "touch_graph", "realize_touch_graph",
+)
+VALIDATING_ROUTES = {
+    "partition_from_transitions": calls("partition_from_transitions"),
+    "EulerSystem(...)": calls("EulerSystem"),
+    "MultiGraph(...)": calls("MultiGraph"),
+    "MultiGraph.build": calls_method("MultiGraph", "build"),
+}
+
+
+def validating_builders(source: str) -> dict[str, list[str]]:
+    """Per validating route, the derived builders (or functions nested in
+    them) that take it."""
+    found = {}
+    for route, hit in VALIDATING_ROUTES.items():
+        scopes = [
+            scope for scope in sites(source, hit)
+            if any(scope == b or scope.startswith(b + ".") for b in DERIVED_BUILDERS)
+        ]
+        if scopes:
+            found[route] = scopes
+    return found
+
+
+def test_checker_finds_validating_routes_in_derived_builders():
+    source = (
+        "class HalfEdgeGraph:\n"
+        "    def euler_system(self):\n"
+        "        return EulerSystem(p), unchecked(EulerSystem, partition=p)\n"
+        "def touch_graph(p):\n"
+        "    return MultiGraph.build(l, e), graph.MultiGraph(l, e), g.build(l)\n"
+        "def realize_touch_graph(g):\n"
+        "    def inner():\n"
+        "        return four_regular.partition_from_transitions(f, t)\n"
+        "def kappa(c, v):\n"
+        "    return EulerSystem(partition_from_transitions(c.f, t))\n"
+    )
+    assert validating_builders(source) == {
+        "partition_from_transitions": ["realize_touch_graph.inner"],
+        "EulerSystem(...)": ["HalfEdgeGraph.euler_system"],
+        "MultiGraph(...)": ["touch_graph"],
+        "MultiGraph.build": ["touch_graph"],
+    }
+    planted = FOUR_REGULAR.read_text() + "def compatible_euler_system(f, p):\n    p.transitions.validate(f)\n"
+    assert sites(planted, calls("validate")) == ["partition_from_transitions", "compatible_euler_system"]
+
+
+def test_only_partition_from_transitions_validates_a_pairing():
+    assert sites_in_sources(calls("validate")) == {
+        "src/adjmatroid/four_regular.py": ["partition_from_transitions"]
+    }
+
+
+def test_derived_four_regular_objects_skip_the_validating_routes():
+    assert validating_builders(FOUR_REGULAR.read_text()) == {}
