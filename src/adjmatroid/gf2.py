@@ -5,11 +5,14 @@ are tuples of row masks.  A subspace keeps its basis as a tuple of row
 masks in canonical reduced row-echelon form, so that equality of subspaces
 is plain ``==``.
 
-There are four eliminations, one per shape of problem.  ``forward_pivots``
-keys rows by lowest set bit and does not back-substitute; it is behind
-``rank`` and ``rref_masks``, and so behind ``coloop_masks``, which reads
-every vertex's coloop evidence off one RREF.  ``nullspace`` keys rows by
-highest set bit and reduces fully in one pass.
+There are four eliminations, one per shape of problem.  ``echelon`` keys
+rows by highest set bit in a list of slots indexed by ``bit_length``, with
+no back-substitution; it is behind ``rank``, ``nullity`` and ``nullspace``,
+which reads the canonical kernel off it by triangular solves.
+``forward_pivots`` keys rows by lowest set bit; it is behind ``rref_masks``
+and so behind ``Subspace.span`` and ``coloop_masks``.  It stays because the
+canonical basis of a ``Subspace`` has lowest-bit pivots, which every printed
+basis and every ``==`` of subspaces depends on.
 ``Subspace.restricted_to`` eliminates on the out-of-mask bits only (a
 forward-pivot form that shifts the inside bits up measured 1.3-1.5x slower).
 ``subset_pivot_planes`` eliminates all 2^n subset matrices S at once: each
@@ -53,6 +56,19 @@ def lowest_bit(x: int) -> int:
 def check_enum_gate(n: int, what: str) -> None:
     if n > ENUM_GATE:
         raise ValueError(f"{what} is gated at {ENUM_GATE} coordinates, got {n}")
+
+
+def echelon(rows: Iterable[int], width: int) -> list[int]:
+    """Forward elimination keyed by highest set bit, with no back-substitution,
+    of rows inside GF(2)^width: slot t holds the reduced row whose highest set
+    bit is t - 1, or 0; slot 0 is always 0."""
+    piv = [0] * (width + 1)
+    for v in rows:
+        while v and (p := piv[t := v.bit_length()]):
+            v ^= p
+        if v:
+            piv[t] = v
+    return piv
 
 
 def forward_pivots(rows: Iterable[int]) -> dict[int, int]:
@@ -213,8 +229,8 @@ class BitMatrix:
 
 
 def rank(m: BitMatrix) -> int:
-    """GF(2) rank (row rank = column rank): the number of forward pivots."""
-    return len(forward_pivots(m.data))
+    """GF(2) rank (row rank = column rank): the number of echelon rows."""
+    return m.cols + 1 - echelon(m.data, m.cols).count(0)
 
 
 def nullity(m: BitMatrix) -> int:
@@ -300,37 +316,27 @@ class Subspace:
 
 
 def nullspace(m: BitMatrix) -> Subspace:
-    """Canonical right nullspace {x : m x = 0}, from one elimination.
+    """Canonical right nullspace {x : m x = 0}, by one triangular solve per
+    free column of the echelon form.
 
-    The rows are fully reduced with each row keyed by its highest set bit,
-    so a reduced row is its pivot plus free columns below it.  The kernel
-    vector of free column f is f plus the pivots of the rows holding f, all
-    above f: the vectors, in ascending f, are already the canonical basis.
+    For free column f start from x = e_f and walk the echelon rows, pivots
+    ascending, setting a row's pivot bit in x whenever the row meets x in an
+    odd number of bits.  That makes the row meet x evenly, and a row holds no
+    bit above its pivot, so later steps leave the earlier rows satisfied.
+    Rows with pivot below f never fire, so x is f plus pivots above f: in
+    ascending f, these vectors are the canonical (lowest-bit pivot) basis.
     """
-    by_top: dict[int, int] = {}  # pivot bit (highest set bit) -> row
-    for v in m.data:
-        for top, b in by_top.items():
-            if v & top:
-                v ^= b
-        if v:
-            top = 1 << (v.bit_length() - 1)
-            for p, b in by_top.items():
-                if b & top:
-                    by_top[p] = b ^ v
-            by_top[top] = v
-    kernel: dict[int, int] = {}
-    free = ((1 << m.cols) - 1) ^ sum(by_top)
-    while free:
-        low = free & -free
-        kernel[low] = low
-        free ^= low
-    for top, r in by_top.items():
-        r ^= top
-        while r:
-            low = r & -r
-            kernel[low] |= top
-            r ^= low
-    return unchecked(Subspace, ambient_dim=m.cols, basis=tuple(kernel.values()))
+    piv = echelon(m.data, m.cols)
+    pivots = [(1 << (t - 1), r) for t, r in enumerate(piv) if r]
+    kernel = []
+    for f, r in enumerate(piv[1:]):
+        if not r:
+            x = 1 << f
+            for bit, row in pivots:
+                if (row & x).bit_count() & 1:
+                    x |= bit
+            kernel.append(x)
+    return unchecked(Subspace, ambient_dim=m.cols, basis=tuple(kernel))
 
 
 def orthogonal_complement(w: Subspace) -> Subspace:

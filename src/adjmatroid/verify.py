@@ -818,6 +818,7 @@ def _fourreg_compatible_checks(
 ) -> None:
     c = compatible_euler_system(f, p)
     rel = relative_interlacement(c, p)
+    base_rank = rank(rel.adj)
     tch = touch_graph(p)
     poly = polygon_matroid(tch)
     with rec.check("compatible-system-covers-all-vertices", witness):
@@ -859,12 +860,11 @@ def _fourreg_compatible_checks(
             if label not in rel.labels:
                 continue
             ci, cj = p.circuits_through(v)
-            same_rank = rank(rel.adj) == rank(rel.minus(label).adj)
+            same_rank = base_rank == rank(rel.minus(label).adj)
             assert (ci != cj) == same_rank
 
     with rec.check("independent-sets-drop-circuit-counts", witness):
         if f.n <= 4:
-            base_rank = rank(rel.adj)
             for size in range(1, f.n + 1):
                 for combo in itertools.combinations(range(f.n), size):
                     labels = [f.graph.labels[v] for v in combo]

@@ -596,9 +596,9 @@ def assert_rescan_walk(c) -> None:
 
 def assert_compatible(f: HalfEdgeGraph, p, comp) -> None:
     """comp is a valid system with one circuit per component that shares no
-    pair with p at any half-edge, read by routes other than the one
-    compatible_euler_system checks itself; the relative interlacement of
-    comp against p keeps every vertex."""
+    pair with p at any half-edge, read both off the pairings and off the
+    traced circuits; the relative interlacement of comp against p keeps
+    every vertex."""
     comp.transitions.validate(f)
     assert partition_from_transitions(f, comp.transitions) == comp.partition
     assert comp.partition.size == f.component_count

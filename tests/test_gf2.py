@@ -1,7 +1,9 @@
 """Kernel tests: rank, nullspace, complements, the symmetric construction.
 
 Derived expectations are computed by brute-force enumeration oracles kept
-in this file, independent of the packed-row elimination they check.
+in this file, independent of the packed-row elimination they check, and by
+reference eliminations of another design: a dict keyed by lowest set bit
+for rank, and Gauss-Jordan keyed by highest set bit for the nullspace.
 """
 
 import itertools
@@ -29,6 +31,14 @@ from adjmatroid.gf2 import (
     symmetrize_nullspace,
 )
 from adjmatroid import gf2
+from adjmatroid.four_regular import (
+    HalfEdgeGraph,
+    TransitionSystem,
+    file_order_partition,
+    partition_from_transitions,
+    random_four_regular,
+    relative_interlacement,
+)
 from adjmatroid.graph import all_looped_simple_graphs, random_looped_simple_graph
 
 A_K3 = BitMatrix.from_rows([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
@@ -142,6 +152,80 @@ def test_nullspace_is_the_canonical_span_of_the_brute_force_kernel():
         rows, cols = rng.randrange(9), rng.randrange(9)
         a = BitMatrix(rows, cols, tuple(rng.randrange(1 << cols) for _ in range(rows)))
         assert nullspace(a) == expected(a), a
+
+
+def reference_rank(m: BitMatrix) -> int:
+    """Rank by forward elimination keyed by lowest set bit in a dict."""
+    pivots: dict[int, int] = {}
+    for v in m.data:
+        while (low := v & -v) in pivots:
+            v ^= pivots[low]
+        if v:
+            pivots[low] = v
+    return len(pivots)
+
+
+def reference_nullspace(m: BitMatrix) -> tuple[int, ...]:
+    """The canonical kernel basis by Gauss-Jordan keyed by highest set bit:
+    a fully reduced row is its pivot plus free columns below it, so the
+    kernel vector of free column f is f plus the pivots of the rows
+    holding f."""
+    by_top: dict[int, int] = {}
+    for v in m.data:
+        for top, b in by_top.items():
+            if v & top:
+                v ^= b
+        if v:
+            top = 1 << (v.bit_length() - 1)
+            for q, b in by_top.items():
+                if b & top:
+                    by_top[q] = b ^ v
+            by_top[top] = v
+    free = ((1 << m.cols) - 1) ^ sum(by_top)
+    kernel = {1 << f: 1 << f for f in set_bits(free)}
+    for top, r in by_top.items():
+        for f in set_bits(r ^ top):
+            kernel[1 << f] |= top
+    return tuple(kernel[k] for k in sorted(kernel))
+
+
+def kernel_cases() -> list[BitMatrix]:
+    """Every matrix of every shape up to 3 x 3, seeded symmetric and dense
+    square ones at n = 64, 150 and 400, wide and tall seeded ones, and the
+    relative interlacements of seeded 4-regular graphs at n = 150 and 600,
+    against a seeded partition and the file-order one."""
+    cases = [
+        BitMatrix(rows, cols, tuple((entries >> (cols * i)) & ((1 << cols) - 1) for i in range(rows)))
+        for rows in range(4)
+        for cols in range(4)
+        for entries in range(1 << (rows * cols))
+    ]
+    rng = random.Random(22)
+    for n in (64, 150, 400):
+        rows = [0] * n
+        for i, j in itertools.combinations_with_replacement(range(n), 2):
+            if rng.random() < 0.5:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+        cases.append(BitMatrix(n, n, tuple(rows)))
+        cases.append(BitMatrix(n, n, tuple(rng.getrandbits(n) for _ in range(n))))
+    for rows, cols in ((2, 9), (5, 64), (150, 600), (9, 4), (100, 30)):
+        cases.append(BitMatrix(rows, cols, tuple(rng.getrandbits(cols) for _ in range(rows))))
+    for n in (150, 600):
+        f = HalfEdgeGraph(random_four_regular(rng, n))
+        pairs = [pair for v in range(f.n) for pair in rng.choice(f.transitions_at(v))]
+        seeded = partition_from_transitions(f, TransitionSystem.from_pairs(f, pairs))
+        for p in (seeded, file_order_partition(f)):
+            cases.append(relative_interlacement(f.euler_system, p).adj)
+    return cases
+
+
+def test_echelon_kernels_match_the_dict_eliminations():
+    """rank and nullspace on the highest-bit echelon form against the
+    lowest-bit dict rank and the Gauss-Jordan nullspace."""
+    for a in kernel_cases():
+        assert rank(a) == reference_rank(a), a
+        assert nullspace(a).basis == reference_nullspace(a), a
 
 
 def test_orthogonal_complement_examples():

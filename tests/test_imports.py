@@ -2,7 +2,8 @@
 definition in the package is referenced from the package or the benchmark
 (a class or static method through its own class), object.__new__, the
 principal scan, the coloop pass and pairing validation each have one site,
-and the 4-regular builders take no validating route."""
+the two row eliminations run only inside gf2, and the 4-regular builders
+take no validating route."""
 
 import ast
 from pathlib import Path
@@ -309,6 +310,33 @@ def test_only_the_graph_memo_computes_coloop_evidence():
     }
     matroids = (ROOT / "src" / "adjmatroid" / "adjacency_matroid.py").read_text()
     assert sites(matroids, calls("forward_pivots")) == []
+
+
+def test_checker_finds_every_echelon_and_forward_pivot_call():
+    source = (
+        "def rank(m):\n"
+        "    return len(echelon(m.data, m.cols))\n"
+        "class Subspace:\n"
+        "    def span(self, vectors):\n"
+        "        return gf2.forward_pivots(vectors), self.echelon\n"
+        "def nullspace(m):\n"
+        "    def solve():\n"
+        "        return gf2.echelon(m.data, m.cols)\n"
+    )
+    assert sites(source, calls("echelon")) == ["rank", "nullspace.solve"]
+    assert sites(source, calls("forward_pivots")) == ["Subspace.span"]
+    planted = (ROOT / "src" / "adjmatroid" / "verify.py").read_text() + (
+        "def f(a):\n    return echelon(a.data, a.cols), forward_pivots(a.data)\n"
+    )
+    assert sites(planted, calls("echelon")) == sites(planted, calls("forward_pivots")) == ["f"]
+
+
+def test_only_gf2_kernels_eliminate():
+    """The highest-bit echelon form is behind rank and nullspace, the
+    lowest-bit forward pivots behind the canonical RREF only."""
+    gf2 = "src/adjmatroid/gf2.py"
+    assert sites_in_sources(calls("echelon")) == {gf2: ["rank", "nullspace"]}
+    assert sites_in_sources(calls("forward_pivots")) == {gf2: ["rref_masks"]}
 
 
 def calls_method(owner: str, name: str) -> Callable[[ast.AST], bool]:
