@@ -159,9 +159,11 @@ class BinaryMatroid:
     def direct_sum(self, other: "BinaryMatroid") -> "BinaryMatroid":
         if set(self.ground) & set(other.ground):
             raise ValueError("direct sum needs disjoint ground labels")
-        masks = [*self.cycle_space.basis, *(m << self.size for m in other.cycle_space.basis)]
-        w = Subspace.span(self.size + other.size, masks)
-        return BinaryMatroid(self.ground + other.ground, w)
+        # each canonical basis is reduced, and self's bits lie below self.size
+        # and other's shifted ones above it, so the concatenation is canonical
+        basis = self.cycle_space.basis + tuple(m << self.size for m in other.cycle_space.basis)
+        w = unchecked(Subspace, ambient_dim=self.size + other.size, basis=basis)
+        return unchecked(BinaryMatroid, ground=self.ground + other.ground, cycle_space=w)
 
     @cached_property
     def _independent_bits(self) -> int:

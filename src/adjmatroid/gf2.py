@@ -38,8 +38,8 @@ def unchecked(cls: type[T], **fields: Any) -> T:
     """A frozen-dataclass instance built without its __post_init__ checks,
     for a value derived from valid ones and valid by construction.  The
     checks run once, at the boundary: the text parser, LoopedSimpleGraph(...),
-    BitMatrix(...) and from_rows, Subspace(...) and span, BinaryMatroid(...),
-    from_matrix and direct_sum, SetSystem(...) and from_sets, DeltaMatroid(...),
+    BitMatrix(...) and from_rows, Subspace(...) and span, BinaryMatroid(...)
+    and from_matrix, SetSystem(...) and from_sets, DeltaMatroid(...),
     BivariatePolynomial(...), from_dict and monomial, MultiGraph(...) and
     build, HalfEdgeGraph(...), EulerSystem(...), and partition_from_transitions
     for a caller's pairing."""

@@ -25,7 +25,6 @@ from .adjacency_matroid import (
     delete_via_subgraph,
     is_triple_coloop,
     trio,
-    variant_matroid,
 )
 from .binary_matroid import BinaryMatroid, polygon_matroid, single_coloop
 from .four_regular import (
@@ -331,13 +330,12 @@ def _matroid_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
 
         with rec.check("three-variants-two-agree", witness):
             t = trio(g, v)
-            tag = classify_vertex(g, v).tag
-            expected_pair = {
-                "case1": ("plain", "loop"),
-                "case2": ("plain", "loop_isolate"),
-                "case3": ("loop", "loop_isolate"),
-            }[tag]
-            assert t.equal_pair == expected_pair, f"{t.equal_pair} vs case {tag}"
+            equal = [(a, b) for a, b in itertools.combinations(kinds, 2) if mine[a] == mine[b]]
+            assert equal == [t.equal_pair], f"{t.equal_pair} vs {equal}"
+            assert {t.odd_one, *t.equal_pair} == set(kinds), f"odd {t.odd_one}"
+            shared, bigger = mine[t.equal_pair[0]].cycle_space, mine[t.odd_one].cycle_space
+            assert t.nullity == shared.dim, f"nullity {t.nullity} vs {shared.dim}"
+            assert bigger.dim == shared.dim + 1 and all(bigger.contains(x) for x in shared.basis)
 
         with rec.check("loop-isolate-splits-off-coloop", witness):
             iso = mine["loop_isolate"]
@@ -593,7 +591,7 @@ def _delta_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
 
         with rec.check("loop-isolate-via-max-filter", wv):
             if g.is_looped(v):
-                m_iso = variant_matroid(g, v, "loop_isolate")
+                m_iso = adjacency_matroid(g.variant(v, "loop_isolate"))
                 assert m_iso.nullity == m_gv.nullity
                 assert m_iso.bases() == {b for b in m_gv.bases() if v in b}
                 assert m_iso == m_gv.contract(v).direct_sum(single_coloop(v))

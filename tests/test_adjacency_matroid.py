@@ -1,12 +1,14 @@
 """Minor derivations, triple coloops, trio comparison and the tripartition,
 pinned to the three worked three-vertex examples."""
 
+import itertools
 import random
 
 import pytest
 
 from adjmatroid import binary_matroid, gf2
 from adjmatroid.adjacency_matroid import (
+    TrioResult,
     _coloop_evidence,
     adjacency_matroid,
     classify_vertex,
@@ -15,7 +17,6 @@ from adjmatroid.adjacency_matroid import (
     is_triple_coloop,
     trio,
     tripartition_report,
-    variant_matroid,
 )
 from adjmatroid.binary_matroid import BinaryMatroid, free_matroid, single_coloop
 from adjmatroid.gf2 import Subspace
@@ -95,7 +96,7 @@ def test_deletion_at_triple_coloop_uses_contraction():
 
 def test_triple_coloop_examples():
     assert not any(
-        variant_matroid(K3, v, "plain").is_coloop(v) for v in K3.labels
+        adjacency_matroid(K3.variant(v, "plain")).is_coloop(v) for v in K3.labels
     )
     k3l_b = K3L.local_complement("b")
     assert is_triple_coloop(k3l_b, "b")
@@ -107,10 +108,10 @@ def test_trio_worked_examples():
     t = trio(K3, "a")
     assert t.equal_pair == ("loop", "loop_isolate")
     assert t.odd_one == "plain"
-    assert variant_matroid(K3, "a", "loop") == free_matroid("abc")
+    assert adjacency_matroid(K3.variant("a", "loop")) == free_matroid("abc")
     t2 = trio(K3L, "b")
     assert t2.equal_pair == ("plain", "loop_isolate")
-    assert variant_matroid(K3L, "b", "loop_isolate") == adjacency_matroid(K3L)
+    assert adjacency_matroid(K3L.variant("b", "loop_isolate")) == adjacency_matroid(K3L)
 
 
 def test_trio_single_vertex():
@@ -119,7 +120,7 @@ def test_trio_single_vertex():
     assert t.equal_pair == ("loop", "loop_isolate")
     assert t.odd_one == "plain"
     assert t.nullity == 0
-    assert variant_matroid(lone, "v", "plain").nullity == 1
+    assert adjacency_matroid(lone.variant("v", "plain")).nullity == 1
 
 
 def test_classification_worked_examples():
@@ -164,7 +165,7 @@ def test_case1_example_exists():
 def test_loop_isolate_direct_sum_identity():
     for g in (K3, K3L, P3LL):
         for v in g.labels:
-            iso = variant_matroid(g, v, "loop_isolate")
+            iso = adjacency_matroid(g.variant(v, "loop_isolate"))
             expected = adjacency_matroid(g.minus(v)).direct_sum(single_coloop(v))
             assert iso == expected
 
@@ -185,7 +186,7 @@ def test_coloop_evidence_matches_the_variant_matroids():
         report = tripartition_report(g)
         for v in g.labels:
             plain, loop, isolate = (
-                variant_matroid(g, v, kind).is_coloop(v)
+                adjacency_matroid(g.variant(v, kind)).is_coloop(v)
                 for kind in ("plain", "loop", "loop_isolate")
             )
             case = classify_vertex(g, v)
@@ -196,6 +197,37 @@ def test_coloop_evidence_matches_the_variant_matroids():
             assert is_triple_coloop(g, v) == (plain and loop and isolate)
         count += 1
     assert count == 1099 + 8 * 4
+
+
+KINDS = ("plain", "loop", "loop_isolate")
+
+
+def trio_by_matroids(g: LoopedSimpleGraph, v: str) -> TrioResult:
+    """Reference: build the three variant matroids, find the one equal pair,
+    and check that the odd cycle space extends the shared one by one."""
+    matroids = {kind: adjacency_matroid(g.variant(v, kind)) for kind in KINDS}
+    equal_pairs = [(a, b) for a, b in itertools.combinations(KINDS, 2) if matroids[a] == matroids[b]]
+    assert len(equal_pairs) == 1, (g, v, equal_pairs)
+    pair = equal_pairs[0]
+    odd = next(k for k in KINDS if k not in pair)
+    shared, bigger = matroids[pair[0]].cycle_space, matroids[odd].cycle_space
+    assert bigger.dim == shared.dim + 1 and all(bigger.contains(m) for m in shared.basis)
+    return TrioResult(pair, odd, shared.dim)
+
+
+def test_trio_matches_the_three_variant_matroids():
+    """All 1,099 graphs with n <= 4, then 300 seeded graphs with n = 5-9."""
+    graphs = [g for n in range(5) for g in all_looped_simple_graphs(n)]
+    rng = random.Random(2311)
+    graphs += [random_looped_simple_graph(rng, n) for n in range(5, 10) for _ in range(60)]
+    seen = set()
+    for g in graphs:
+        for v in g.labels:
+            t = trio(g, v)
+            assert t == trio_by_matroids(g, v), (g, v)
+            seen.add(t.equal_pair)
+    assert len(graphs) == 1099 + 300
+    assert len(seen) == 3
 
 
 def per_vertex_coloop_evidence(g: LoopedSimpleGraph, v: str) -> tuple[bool, bool]:
@@ -274,9 +306,10 @@ def test_tripartition_and_complements_build_and_check_nothing(monkeypatch):
     assert len(tripartition_report(g)) == 9
     for v in g.labels:
         g.local_complement(v)
+        trio(g, v)
     assert counts == {"__post_init__": 0, "nullspace": 0}
     # the counters see the matroid route that the tripartition avoids
-    variant_matroid(g, "v0", "plain")
+    adjacency_matroid(g.variant("v0", "plain"))
     assert counts == {"__post_init__": 0, "nullspace": 1}
     LoopedSimpleGraph(g.labels, g.adj)
     assert counts["__post_init__"] == 1

@@ -177,6 +177,37 @@ def test_direct_sum_loop_coloop_adjunction():
         base.direct_sum(all_loops("a"))
 
 
+def direct_sum_by_span(m1: BinaryMatroid, m2: BinaryMatroid) -> BinaryMatroid:
+    """Reference: span the two bases side by side and validate the result."""
+    masks = [*m1.cycle_space.basis, *(b << m1.size for b in m2.cycle_space.basis)]
+    return BinaryMatroid(m1.ground + m2.ground, Subspace.span(m1.size + m2.size, masks))
+
+
+def test_direct_sum_concatenates_canonical_bases():
+    """Every pair of subspaces with summed ambient dimension <= 4, then
+    seeded pairs with ambient dimensions up to 24."""
+    pairs = [
+        (w1, w2)
+        for n1 in range(5) for n2 in range(5 - n1)
+        for w1 in all_subspaces(n1) for w2 in all_subspaces(n2)
+    ]
+    assert len(pairs) == 294
+    rng = random.Random(1107)
+    for _ in range(200):
+        n1, n2 = rng.randrange(25), rng.randrange(25)
+        pairs.append(tuple(
+            Subspace.span(n, [rng.getrandbits(n) for _ in range(rng.randrange(n + 1))])
+            for n in (n1, n2)
+        ))
+    for w1, w2 in pairs:
+        m1 = BinaryMatroid(tuple(f"x{i}" for i in range(w1.ambient_dim)), w1)
+        m2 = BinaryMatroid(tuple(f"y{i}" for i in range(w2.ambient_dim)), w2)
+        summed = m1.direct_sum(m2)
+        expected = direct_sum_by_span(m1, m2)
+        assert summed.ground == expected.ground
+        assert summed.cycle_space == expected.cycle_space  # the same canonical basis
+
+
 def test_loop_coloop_detection():
     lonely = LoopedSimpleGraph.build("ab", [("a", "b")])
     iso = LoopedSimpleGraph.build("abc", [("a", "b")])

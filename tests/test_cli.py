@@ -99,13 +99,38 @@ def test_polynomial_commands(tmp_path, capsys):
     assert code == 0 and out.strip() == "y + -1"
 
 
+# a is in case 2, b in case 1, c in case 3; the isolated d makes every
+# shared nullity 1
+TRIO_TEXT = "vertices a b c d\nedge a b\nedge b c\nloop c\n"
+TRIO_PINNED = {
+    "b": ("equal: plain loop\nodd: loop_isolate\nshared nullity: 1\n",
+          '{"equal": ["plain", "loop"], "nullity": 1, "odd": "loop_isolate"}\n'),
+    "a": ("equal: plain loop_isolate\nodd: loop\nshared nullity: 1\n",
+          '{"equal": ["plain", "loop_isolate"], "nullity": 1, "odd": "loop"}\n'),
+    "c": ("equal: loop loop_isolate\nodd: plain\nshared nullity: 1\n",
+          '{"equal": ["loop", "loop_isolate"], "nullity": 1, "odd": "plain"}\n'),
+}
+
+
 def test_trio_command(tmp_path, capsys):
-    code, out, _ = run(
-        capsys, "trio", "--vertex", "a", "--input", write(tmp_path, "g", K3_TEXT)
-    )
-    assert code == 0
-    assert "equal: loop loop_isolate" in out
-    assert "odd: plain" in out
+    """The text and JSON output at one vertex of each class."""
+    path = write(tmp_path, "g", TRIO_TEXT)
+    code, out, _ = run(capsys, "tripartition", "--input", path)
+    assert out.splitlines() == ["a: case2", "b: case1", "c: case3", "d: case3"]
+    for v, (text, payload) in TRIO_PINNED.items():
+        assert run(capsys, "trio", "--vertex", v, "--input", path) == (0, text, "")
+        assert run(capsys, "trio", "--format", "json", "--vertex", v, "--input", path) == (
+            0, payload, ""
+        )
+
+
+def test_trio_without_a_known_vertex_prints_one_line_and_exits_1(tmp_path, capsys):
+    path = write(tmp_path, "g", TRIO_TEXT)
+    for argv, err in (
+        (["trio", "--input", path], "error: trio needs --vertex\n"),
+        (["trio", "--vertex", "z", "--input", path], "error: unknown vertex 'z'\n"),
+    ):
+        assert run(capsys, *argv) == (1, "", err)
 
 
 def test_delta_command(tmp_path, capsys):

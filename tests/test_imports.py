@@ -2,8 +2,9 @@
 definition in the package is referenced from the package or the benchmark
 (a class or static method through its own class), object.__new__, the
 principal scan, the coloop pass and pairing validation each have one site,
-the two row eliminations run only inside gf2, and the 4-regular builders
-take no validating route."""
+the two row eliminations run only inside gf2, only the minor routes build
+an adjacency matroid, and the 4-regular builders take no validating
+route."""
 
 import ast
 from pathlib import Path
@@ -337,6 +338,42 @@ def test_only_gf2_kernels_eliminate():
     gf2 = "src/adjmatroid/gf2.py"
     assert sites_in_sources(calls("echelon")) == {gf2: ["rank", "nullspace"]}
     assert sites_in_sources(calls("forward_pivots")) == {gf2: ["rref_masks"]}
+
+
+def builds_matroid(node: ast.AST) -> bool:
+    """Accepts a call of adjacency_matroid, bare or as an attribute, or of
+    BinaryMatroid.from_matrix."""
+    owner = getattr(getattr(node, "func", None), "value", None)
+    return calls("adjacency_matroid")(node) or (
+        calls("from_matrix")(node)
+        and "BinaryMatroid" in (getattr(owner, "id", ""), getattr(owner, "attr", ""))
+    )
+
+
+ADJACENCY = ROOT / "src" / "adjmatroid" / "adjacency_matroid.py"
+MATROID_BUILDERS = ["adjacency_matroid", "contract_via_lc", "delete_via_subgraph"]
+
+
+def test_checker_finds_every_matroid_build():
+    source = (
+        "def adjacency_matroid(g):\n"
+        "    return BinaryMatroid.from_matrix(g.adj, g.labels)\n"
+        "def trio(g, v):\n"
+        "    return [adjacency_matroid(g.variant(v, k)) for k in KINDS]\n"
+        "def other(g):\n"
+        "    return binary_matroid.BinaryMatroid.from_matrix(a, l), m.from_matrix(a, l)\n"
+        "def classify(g):\n"
+        "    return g.coloop_masks, adjacency_matroid\n"
+    )
+    assert sites(source, builds_matroid) == ["adjacency_matroid", "trio", "other"]
+    planted = ADJACENCY.read_text() + "def f(g, v):\n    return am.adjacency_matroid(g.variant(v, 'loop'))\n"
+    assert sites(planted, builds_matroid) == MATROID_BUILDERS + ["f"]
+
+
+def test_only_the_minor_routes_build_adjacency_matroids():
+    """Every vertex question reads the coloop evidence; verify's matroid
+    suite keeps the matroid comparison."""
+    assert sites(ADJACENCY.read_text(), builds_matroid) == MATROID_BUILDERS
 
 
 def calls_method(owner: str, name: str) -> Callable[[ast.AST], bool]:

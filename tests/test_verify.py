@@ -4,10 +4,11 @@ and the set loops that the word-form oracles replaced, kept as references."""
 
 import itertools
 import random
+import re
 
 from adjmatroid import verify
 from adjmatroid import delta_matroid as dm
-from adjmatroid.adjacency_matroid import adjacency_matroid
+from adjmatroid.adjacency_matroid import TrioResult, adjacency_matroid, trio
 from adjmatroid.binary_matroid import BinaryMatroid
 from adjmatroid.four_regular import (
     HalfEdgeGraph,
@@ -94,6 +95,8 @@ EXPECTED_COUNTS = {
     "tutte-evaluators-agree-on-polygon-matroids": 25,
 }
 
+KINDS = ("plain", "loop", "loop_isolate")
+
 C5_LOOPED = LoopedSimpleGraph.build(
     "abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a"), ("a", "c")], loops="bd"
 )
@@ -120,6 +123,14 @@ def test_small_run_keeps_every_check_and_instance():
     assert counts == EXPECTED_COUNTS
     assert list(counts) == list(EXPECTED_COUNTS)  # the order verify prints
     assert sum(counts.values()) == 6115
+
+
+def test_the_matroid_suite_builds_only_its_oracle_matroids(monkeypatch):
+    """trio and subgraph deletion build no matroids of their own, so every
+    build is one that the checks compare."""
+    calls = count_matroid_builds(monkeypatch)
+    verify.matroid_suite(max_n=2, trials=5, seed=0)
+    assert len(calls) == 786
 
 
 def test_interlace_oracles_build_one_table_each(monkeypatch):
@@ -259,6 +270,47 @@ def test_a_route_value_error_is_a_fail_line(monkeypatch):
     broken = verify.run_suites("delta", max_n=2, trials=5, seed=0)
     assert [(r.name, r.instances) for r in broken] == [(r.name, r.instances) for r in clean]
     assert any(r.failures for r in broken)
+
+
+def failing_checks(results) -> dict[str, list[str]]:
+    return {r.name: r.failures for r in results if r.failures}
+
+
+def assert_graph_vertex_witnesses(failures: list[str]) -> None:
+    """Each failure names a graph and one of its vertices."""
+    assert failures
+    assert all(re.fullmatch(r"\[vertices [^]]*\] vertex \w+: .*", f) for f in failures), failures
+
+
+def test_a_trio_with_a_wrong_pair_or_nullity_is_a_fail_line(monkeypatch):
+    """trio checks nothing itself: the matroid suite's comparison with the
+    three variant matroids is what finds a wrong pair or nullity."""
+    clean = verify.matroid_suite(max_n=2, trials=5, seed=0)
+    assert failing_checks(clean) == {}
+    faults = [
+        # the odd variant swapped into the equal pair
+        lambda t: TrioResult(
+            tuple(sorted((t.equal_pair[1], t.odd_one), key=KINDS.index)), t.equal_pair[0], t.nullity
+        ),
+        lambda t: TrioResult(t.equal_pair, t.odd_one, t.nullity + 1),
+    ]
+    for fault in faults:
+        monkeypatch.setattr(verify, "trio", lambda g, v, fault=fault: fault(trio(g, v)))
+        broken = verify.matroid_suite(max_n=2, trials=5, seed=0)
+        assert [(r.name, r.instances) for r in broken] == [(r.name, r.instances) for r in clean]
+        failures = failing_checks(broken)
+        assert list(failures) == ["three-variants-two-agree"]
+        assert_graph_vertex_witnesses(failures["three-variants-two-agree"])
+
+
+def test_subgraph_deletion_at_a_triple_coloop_is_a_fail_line(monkeypatch):
+    """Without the contraction route at triple coloops, subgraph deletion
+    disagrees with matroid deletion, and the matroid suite says so."""
+    monkeypatch.setattr(verify, "delete_via_subgraph", lambda g, v: adjacency_matroid(g.minus(v)))
+    failures = failing_checks(verify.matroid_suite(max_n=2, trials=5, seed=0))
+    assert list(failures) == ["delete-matches-subgraph-off-triple-coloops"]
+    assert_graph_vertex_witnesses(failures["delete-matches-subgraph-off-triple-coloops"])
+    assert "[vertices v0 v1; edge v0 v1] vertex v0: " in failures["delete-matches-subgraph-off-triple-coloops"]
 
 
 def test_subset_failures_print_the_eager_witness_text(monkeypatch):
