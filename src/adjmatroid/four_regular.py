@@ -9,25 +9,36 @@ per object: `HalfEdgeGraph.ends` (the vertex of each half-edge) and
 `HalfEdgeGraph.halves` (the four half-edges at each vertex, in
 edge-insertion order) in one pass over the edges, and
 `CircuitPartition.passages` (each vertex's two visits) in one pass over the
-circuits.
+circuits.  Each derived table is built in one pass with no function call per
+element: the passages and `TransitionSystem.from_circuits` carry the
+previous arriving half along each circuit instead of indexing back into it.
 
 Each graph builds its Euler system once, as the cached
 `HalfEdgeGraph.euler_system`, shared by every caller holding the same graph.
 The Hierholzer walk keeps a cursor into each vertex's four halves that only
-moves past used edges, so the build is linear in the edge count.
+moves past used edges, so the build is linear in the edge count.  The splice
+loop advances the cursor of each departure's vertex inline and starts a
+sub-walk only where an unused edge is left, and the start vertices are
+scanned only until every edge lies on a circuit.
 
 The per-vertex steps of the pipeline are single passes.  Interlacement rows
 come from one walk of each circuit with a running XOR of the vertex bits
 seen so far: XOR-ing it into v's row at both of v's passages leaves exactly
-the vertices met once in between.  The relative interlacement gives phi
-vertices no bit and keeps each psi vertex's own bit as its loop, so it is
-one graph.  The compatible Euler system is Kotzig's merge: chi with respect
-to the partition everywhere, then psi wherever a vertex joins two circuits
-of different union-find classes: near-linear, plus two traces.
+the vertices met once in between.  The relative interlacement reads every
+vertex's transition kind in one pass over the passages, by the rule
+`transition_type` uses for one vertex; it gives phi vertices no bit and
+keeps each psi vertex's own bit as its loop, so it is one graph.  The
+compatible Euler system is Kotzig's merge: chi with respect to the
+partition everywhere, then psi wherever a vertex joins two circuits of
+different union-find classes: near-linear, plus two traces.  The
+realization keeps its edge ends and splits in lists indexed by edge id.
 
 Validation happens at the boundary, once.  `partition_from_transitions`
 validates a caller's pairing before it traces it, and MultiGraph(...) and
 build, HalfEdgeGraph(...) and EulerSystem(...) check what they are given.
+`transition_type`, `relative_interlacement` and `compatible_euler_system`
+reject a partition traced on another graph (`HalfEdgeGraph.check_partition`,
+O(1) when both hold the same graph object).
 The Euler systems, touch-graphs and realizations this module derives are
 valid by construction: they are built through `gf2.unchecked`, and no
 pairing they build is validated.  `kappa`, a `verify` reference, keeps the
@@ -91,10 +102,14 @@ class HalfEdgeGraph:
     def euler_system(self) -> EulerSystem:
         """Hierholzer splicing; deterministic in the half-edge order.  A
         walk takes its vertex's first half-edge on an unused edge until it
-        is stuck back at its start; before a departure is kept, the walk
-        from its vertex, if any, is spliced in front of it.  The circuits
-        use every half-edge once, so their transition system is valid by
-        construction and is not validated again."""
+        is stuck back at its start.  The splice loop pops the departures of
+        a walk in order; it advances the cursor of a departure's vertex in
+        place, keeps the departure when the vertex has no unused edge left,
+        and otherwise splices the walk from that vertex in front of it.
+        Once every edge lies on a circuit the remaining start vertices are
+        not visited.  The circuits use every half-edge once, so their
+        transition system is valid by construction and is not validated
+        again."""
         ends, halves = self.ends, self.halves
         used = [False] * self.edge_count
         cursor = [0] * self.n
@@ -118,20 +133,28 @@ class HalfEdgeGraph:
             return seq
 
         circuits = []
+        left = self.edge_count  # edges on no circuit yet
         for v0 in range(self.n):
+            if not left:
+                break
             pending = walk(v0)[::-1]  # departures still to splice, next one last
             if not pending:
                 continue
             circuit = []
             while pending:
                 dep = pending.pop()
-                sub = walk(ends[dep])
-                if sub:
-                    pending.append(dep)
-                    pending += reversed(sub)
-                else:
+                v = ends[dep]
+                at, k = halves[v], cursor[v]
+                while k < 4 and used[at[k] >> 1]:
+                    k += 1
+                cursor[v] = k
+                if k == 4:
                     circuit.append(dep)
+                else:
+                    pending.append(dep)
+                    pending += reversed(walk(v))
             circuits.append(tuple(circuit))
+            left -= len(circuit)
 
         t = TransitionSystem.from_circuits(self, circuits)
         return unchecked(EulerSystem, partition=CircuitPartition(self, t, tuple(circuits)))
@@ -141,6 +164,12 @@ class HalfEdgeGraph:
         read the tables from the end."""
         if not 0 <= v < self.n:
             raise ValueError(f"unknown vertex index {v}")
+
+    def check_partition(self, p: CircuitPartition) -> None:
+        """Reject p unless it is traced on this graph, so that its half-edges
+        index this graph's tables; O(1) when p holds this very object."""
+        if p.f != self:
+            raise ValueError("the partition is traced on another graph")
 
     def transitions_at(self, v: int) -> tuple[tuple[tuple[int, int], ...], ...]:
         """The three pairings of the half-edges at v, file order first."""
@@ -187,10 +216,16 @@ class TransitionSystem:
     def from_circuits(
         cls, f: HalfEdgeGraph, circuits: Iterable[Sequence[int]]
     ) -> "TransitionSystem":
-        """The system that joins each arriving half to the next departing one."""
-        return cls.from_pairs(
-            f, ((c[i - 1] ^ 1, dep) for c in circuits for i, dep in enumerate(c))
-        )
+        """The system that joins each arriving half to the next departing one,
+        written in one pass that carries the arriving half along each circuit."""
+        pairing = [-1] * f.half_count
+        for circuit in circuits:
+            arr = circuit[-1] ^ 1
+            for dep in circuit:
+                pairing[arr] = dep
+                pairing[dep] = arr
+                arr = dep ^ 1
+        return cls(tuple(pairing))
 
 
 def all_transition_systems(f: HalfEdgeGraph) -> Iterator[TransitionSystem]:
@@ -227,10 +262,13 @@ class CircuitPartition:
     def passages(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
         """Per vertex, (circuit index, arriving half, departing half) for each
         visit, in order of circuit index and then position in the circuit."""
+        ends = self.f.ends
         out: list[list[tuple[int, int, int]]] = [[] for _ in range(self.f.n)]
         for ci, circuit in enumerate(self.circuits):
-            for i, dep in enumerate(circuit):
-                out[self.f.ends[dep]].append((ci, circuit[i - 1] ^ 1, dep))
+            arr = circuit[-1] ^ 1
+            for dep in circuit:
+                out[ends[dep]].append((ci, arr, dep))
+                arr = dep ^ 1
         return tuple(map(tuple, out))
 
     def circuits_through(self, v: int) -> tuple[int, int]:
@@ -312,18 +350,24 @@ def euler_system(f: HalfEdgeGraph) -> EulerSystem:
 
 def transition_type(c: EulerSystem, p: CircuitPartition, v: int) -> TransitionType:
     """How p crosses v relative to c: follows it (phi), crosses consistently
-    with the orientation (chi), or pairs the two in-directed halves (psi).
-    Read off p's partner of the half on which c first arrives at v."""
+    with the orientation (chi), or pairs the two in-directed halves (psi)."""
     c.f.check_vertex(v)
-    (_, arr_a, dep_a), (_, arr_b, dep_b) = c.partition.passages[v]
-    partner = p.transitions.pairing[arr_a]
-    if partner == dep_a:
-        return "phi"
-    if partner == arr_b:
-        return "psi"
-    if partner == dep_b:
-        return "chi"
-    raise AssertionError("pairing matches no transition of the Euler system")
+    c.f.check_partition(p)
+    return _kinds((c.partition.passages[v],), p.transitions.pairing)[0]
+
+
+def _kinds(
+    passages: Iterable[tuple[tuple[int, int, int], ...]], pairing: Sequence[int]
+) -> list[TransitionType]:
+    """The transition kind at each vertex, given its pair of passages of an
+    Euler system and the pairing of a partition of the same graph.  It is
+    read off the partner of the half on which the system first arrives: the
+    system's next departure (phi), its other arriving half (psi), or else
+    its other departure (chi), the only half left at the vertex."""
+    return [
+        "phi" if (partner := pairing[arr_a]) == dep_a else "psi" if partner == arr_b else "chi"
+        for (_, arr_a, dep_a), (_, arr_b, _) in passages
+    ]
 
 
 def _interlacement_rows(c: EulerSystem, bit: Sequence[int]) -> list[int]:
@@ -353,7 +397,8 @@ def interlacement(c: EulerSystem) -> LoopedSimpleGraph:
 
 def relative_interlacement(c: EulerSystem, p: CircuitPartition) -> LoopedSimpleGraph:
     """Interlacement of c with phi vertices dropped and psi vertices looped."""
-    kinds = [transition_type(c, p, v) for v in range(c.f.n)]
+    c.f.check_partition(p)
+    kinds = _kinds(c.partition.passages, p.transitions.pairing)
     kept = [v for v, kind in enumerate(kinds) if kind != "phi"]
     bit = [0] * c.f.n
     for i, v in enumerate(kept):
@@ -393,6 +438,7 @@ def compatible_euler_system(f: HalfEdgeGraph, p: CircuitPartition) -> EulerSyste
     after the pass each vertex has its four edges in one class, so each
     component is one circuit.  Chi and psi both differ from p everywhere.
     """
+    f.check_partition(p)
     pairing = [0] * f.half_count
     for (_, a1, d1), (_, a2, d2) in p.passages:
         pairing[a1], pairing[d2], pairing[a2], pairing[d1] = d2, a1, d1, a2
@@ -436,53 +482,45 @@ def realize_touch_graph(g: LoopedSimpleGraph | MultiGraph) -> Realization:
             )
     nonloop = [e for e, (a, b) in enumerate(mg.edges) if a != b]
     loops = [e for e, (a, b) in enumerate(mg.edges) if a == b]
-
     f_labels = [mg.edge_labels[e] for e in nonloop]
-    f_vertex = {e: i for i, e in enumerate(nonloop)}
 
-    ends: dict[int, tuple[int, int]] = {}
+    # edge id -> its two F vertices, and the three parts of a split edge;
+    # a split edge keeps its slot but no circuit lists it after expansion
+    ends: list[tuple[int, int]] = []
+    splits: list[tuple[int, int, int] | None] = [None] * (2 * len(nonloop) + 3 * len(loops))
     # g-vertex -> edge ids in traversal order; creation order is file order
     circuit_of: dict[int, list[int]] = {}
     oldest: dict[int, deque[int]] = {}  # g-vertex -> the same ids in creation order
-    splits: dict[int, tuple[int, int, int]] = {}  # split edge id -> its three parts
-    next_id = 0
 
-    def new_edge(a: int, b: int) -> int:
-        nonlocal next_id
-        ends[next_id] = (a, b)
-        next_id += 1
-        return next_id - 1
-
-    incident_at: list[list[int]] = [[] for _ in range(mg.n)]
-    for e in nonloop:
-        for u in mg.edges[e]:
-            incident_at[u].append(e)
+    incident_at: list[list[int]] = [[] for _ in range(mg.n)]  # F vertices per g-vertex
+    for y, e in enumerate(nonloop):
+        a, b = mg.edges[e]
+        incident_at[a].append(y)
+        incident_at[b].append(y)
     for u, incident in enumerate(incident_at):
         if not incident:
             continue
-        circ = []
-        for i in range(len(incident)):
-            a = f_vertex[incident[i]]
-            b = f_vertex[incident[(i + 1) % len(incident)]]
-            circ.append(new_edge(a, b))
-        circuit_of[u] = circ
-        oldest[u] = deque(circ)
+        first = len(ends)
+        ends += zip(incident, incident[1:] + incident[:1])
+        circuit_of[u] = list(range(first, len(ends)))
+        oldest[u] = deque(circuit_of[u])
 
     for e in loops:
         u = mg.edges[e][0]
         y = len(f_labels)
         f_labels.append(mg.edge_labels[e])
+        first = len(ends)
         if u not in circuit_of:
-            circ = [new_edge(y, y), new_edge(y, y)]
-            circuit_of[u] = circ
-            oldest[u] = deque(circ)
+            ends += ((y, y), (y, y))
+            circuit_of[u] = [first, first + 1]
+            oldest[u] = deque(circuit_of[u])
         else:
             # edge ids only grow, so the oldest edge of a circuit is its lowest
             eid = oldest[u].popleft()
-            head, tail = ends.pop(eid)
-            split = (new_edge(head, y), new_edge(y, y), new_edge(y, tail))
+            head, tail = ends[eid]
+            ends += ((head, y), (y, y), (y, tail))
+            splits[eid] = split = (first, first + 1, first + 2)
             oldest[u] += split
-            splits[eid] = split
 
     def expand(seq: list[int]) -> list[int]:
         """seq with each split edge replaced, at its position and
@@ -492,22 +530,23 @@ def realize_touch_graph(g: LoopedSimpleGraph | MultiGraph) -> Realization:
         stack = seq[::-1]
         while stack:
             eid = stack.pop()
-            if eid in splits:
-                stack += reversed(splits[eid])
+            split = splits[eid]
+            if split:
+                stack += split[::-1]
             else:
                 out.append(eid)
         return out
 
-    circuit_of = {u: expand(circ) for u, circ in circuit_of.items()}
     # F's edges are the circuits' runs, each taken forwards: a circuit starts
     # at its least half-edge and the circuits come in order of it, as traced
     edge_order: list[int] = []
     circuits = []
     for circ in circuit_of.values():
+        circ = expand(circ)
         circuits.append(tuple(range(2 * len(edge_order), 2 * (len(edge_order) + len(circ)), 2)))
         edge_order += circ
     f = HalfEdgeGraph(unchecked(
-        MultiGraph, labels=tuple(f_labels), edges=tuple(ends[eid] for eid in edge_order),
+        MultiGraph, labels=tuple(f_labels), edges=tuple(map(ends.__getitem__, edge_order)),
         edge_labels=default_labels(len(edge_order), "e"),
     ))
     t = TransitionSystem.from_circuits(f, circuits)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Literal, Sequence
 
 from .gf2 import (
@@ -306,9 +306,13 @@ def nullity_oracle_of(g: LoopedSimpleGraph) -> Callable[[frozenset[str]], int]:
     return oracle
 
 
+@lru_cache(maxsize=256)
 def default_labels(n: int, prefix: str = "v") -> tuple[str, ...]:
     """v0..v{n-1}: the labels of every generated graph and matrix; e0.. name
-    edges and c0.. circuits."""
+    edges and c0.. circuits.  Memoized per (n, prefix): the result is an
+    immutable tuple, so every caller can share it.  The cache is bounded, so
+    a process that labels graphs of ever new sizes keeps only the recent
+    tuples."""
     return tuple(f"{prefix}{i}" for i in range(n))
 
 

@@ -224,10 +224,12 @@ def test_touch_graph_shapes():
 def assert_realization_matches_the_boundary(r) -> None:
     """r's graph and partition equal those the validating constructors build
     from the same data: the partition is the one its pairing traces, circuit
-    order included, so it has the edge sets it was built from."""
+    order included, so it has the edge sets it was built from.  Its pairing
+    and passages match the per-pair and index-back references."""
     g = r.f.graph
     assert r.f == HalfEdgeGraph(MultiGraph(g.labels, g.edges))
     assert r.partition == partition_from_transitions(r.f, r.partition.transitions)
+    assert_one_pass_tables(r.partition)
 
 
 def reproduces(g: LoopedSimpleGraph | MultiGraph, r) -> bool:
@@ -329,6 +331,7 @@ def test_realize_many_loops_on_one_circuit():
         "ab", [("a", "b"), ("a", "b")] + [("a", "a")] * len(loops), ["p", "q", *loops]
     )
     r = realize_touch_graph(g)
+    assert_one_pass_tables(r.partition)
     assert r.f.n == len(loops) + 2
     assert r.f.graph.degrees() == [4] * r.f.n
     tch = touch_graph(r.partition)
@@ -409,20 +412,23 @@ def test_random_four_regular_is_four_regular():
 
 
 def test_transition_system_validation():
-    with pytest.raises(ValueError):
-        TransitionSystem((1, 0, 3, 2)).validate(PARALLEL4)  # wrong length
-    bad = TransitionSystem(tuple(range(PARALLEL4.half_count)))
-    with pytest.raises(ValueError):
-        bad.validate(PARALLEL4)  # fixed points
+    involution = "pairing is not a fixed-point-free involution"
+    for pairing, message in (
+        ((1, 0, 3, 2), "pairing length mismatch"),
+        (tuple(range(PARALLEL4.half_count)), involution),  # fixed points
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            partition_from_transitions(PARALLEL4, TransitionSystem(pairing))
     # from_pairs does not check; partition_from_transitions rejects its
     # malformed results
     two = HalfEdgeGraph(MultiGraph.build("ab", [("a", "a"), ("a", "b"), ("a", "b"), ("b", "b")]))
     for pairs, message in (
-        ([(0, 1), (2, 4)], "involution"),  # b's half-edges left unpaired
-        ([(0, 3), (1, 2), (4, 5), (6, 7)], "crosses vertices"),  # 0 is at a, 3 at b
-        ([(0, 1), (2, 4), (3, 5), (6, 7), (0, 2)], "involution"),  # 0 joined twice
+        # b's half-edges left unpaired
+        ([(0, 1), (2, 4)], f"{involution}: partner -1 of half-edge 3 is out of range"),
+        ([(0, 3), (1, 2), (4, 5), (6, 7)], "pairing crosses vertices"),  # 0 is at a, 3 at b
+        ([(0, 1), (2, 4), (3, 5), (6, 7), (0, 2)], involution),  # 0 joined twice
     ):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             partition_from_transitions(two, TransitionSystem.from_pairs(two, pairs))
 
 
@@ -591,7 +597,87 @@ def rescan_euler_circuits(f: HalfEdgeGraph) -> tuple[tuple[int, ...], ...]:
 def assert_rescan_walk(c) -> None:
     expect = rescan_euler_circuits(c.f)
     assert c.circuits == expect
-    assert c.transitions == TransitionSystem.from_circuits(c.f, expect)
+    assert c.transitions == pairs_from_circuits(c.f, expect)
+
+
+def pairs_from_circuits(f: HalfEdgeGraph, circuits) -> TransitionSystem:
+    """Reference: join each arriving half to the next departing one, one
+    pair at a time through from_pairs."""
+    return TransitionSystem.from_pairs(
+        f, ((c[i - 1] ^ 1, dep) for c in circuits for i, dep in enumerate(c))
+    )
+
+
+def indexed_passages(p) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """Reference: each passage's arriving half read back from the circuit
+    at the position before its departure."""
+    out = [[] for _ in range(p.f.n)]
+    for ci, circuit in enumerate(p.circuits):
+        for i, dep in enumerate(circuit):
+            out[p.f.ends[dep]].append((ci, circuit[i - 1] ^ 1, dep))
+    return tuple(map(tuple, out))
+
+
+def assert_one_pass_tables(p) -> None:
+    """from_circuits and the passages of p against their per-pair and
+    index-back references; the circuits of a valid partition give back its
+    own pairing.  Every realization test checks its partition here too."""
+    assert TransitionSystem.from_circuits(p.f, p.circuits) == pairs_from_circuits(p.f, p.circuits)
+    assert TransitionSystem.from_circuits(p.f, p.circuits) == p.transitions
+    assert p.passages == indexed_passages(p)
+
+
+def test_one_pass_tables_on_every_small_partition():
+    checked = 0
+    for mg in small_four_regular_corpus():
+        f = HalfEdgeGraph(mg)
+        assert_one_pass_tables(euler_system(f).partition)
+        for t in all_transition_systems(f):
+            p = partition_from_transitions(f, t)
+            assert_one_pass_tables(p)
+            assert_one_pass_tables(compatible_euler_system(f, p).partition)
+            checked += 1
+    assert checked == 3 + 2 * 3**2 + 3 * 3**3 + 3 * 3**4 + 3 * 3**5
+
+
+def test_one_pass_tables_on_seeded_graphs():
+    rng = random.Random(24)
+    for n in (1, 2, 7, 40, 150, 2400):
+        for connected in (True, False):
+            f = HalfEdgeGraph(sample_graph(rng, n, connected))
+            assert (f.component_count == 1) == connected
+            assert_one_pass_tables(euler_system(f).partition)
+            for p in (file_order_partition(f), random_partition(rng, f)):
+                assert_one_pass_tables(p)
+                assert_one_pass_tables(compatible_euler_system(f, p).partition)
+
+
+def test_a_partition_traced_on_another_graph_is_rejected():
+    """Seeded pairs of unequal 4-regular graphs of one order: each route that
+    reads a partition's half-edges through another graph's tables rejects
+    it, before it builds anything."""
+    rng = random.Random(2)
+    checked = 0
+    while checked < 300:
+        n = rng.randrange(2, 7)
+        f = HalfEdgeGraph(random_four_regular(rng, n, rng.random() < 0.5))
+        g = HalfEdgeGraph(random_four_regular(rng, n, rng.random() < 0.5))
+        if f == g:
+            continue
+        p, c = random_partition(rng, g), euler_system(f)
+        for call in (
+            lambda: compatible_euler_system(f, p),
+            lambda: relative_interlacement(c, p),
+            lambda: transition_type(c, p, rng.randrange(n)),
+        ):
+            with pytest.raises(ValueError, match="^the partition is traced on another graph$"):
+                call()
+        checked += 1
+    # an equal graph built separately numbers its half-edges the same way
+    twin = HalfEdgeGraph(MultiGraph(f.graph.labels, f.graph.edges, f.graph.edge_labels))
+    p = random_partition(rng, twin)
+    assert relative_interlacement(c, p) == relative_interlacement(euler_system(twin), p)
+    assert compatible_euler_system(f, p) == compatible_euler_system(twin, p)
 
 
 def assert_compatible(f: HalfEdgeGraph, p, comp) -> None:

@@ -402,6 +402,15 @@ def test_zero_vertex_graph():
     assert parse_graph("") == MultiGraph((), ()).simplify()
 
 
+def test_default_labels_are_one_shared_tuple_per_size_and_prefix():
+    for n, prefix in ((0, "v"), (3, "v"), (300, "e"), (4, "c")):
+        labels = default_labels(n, prefix)
+        assert labels == tuple(f"{prefix}{i}" for i in range(n))
+        assert default_labels(n, prefix) is labels
+    mg = MultiGraph(("a",), ((0, 0), (0, 0)))
+    assert mg.edge_labels is default_labels(2, "e") == ("e0", "e1")
+
+
 def all_graphs_as_before(n: int):
     """all_looped_simple_graphs as it was, with its own cell loop."""
     labels = default_labels(n)
