@@ -15,11 +15,12 @@ previous arriving half along each circuit instead of indexing back into it.
 
 Each graph builds its Euler system once, as the cached
 `HalfEdgeGraph.euler_system`, shared by every caller holding the same graph.
-The Hierholzer walk keeps a cursor into each vertex's four halves that only
-moves past used edges, so the build is linear in the edge count.  The splice
-loop advances the cursor of each departure's vertex inline and starts a
-sub-walk only where an unused edge is left, and the start vertices are
-scanned only until every edge lies on a circuit.
+Both Euler systems come from one kernel, Kotzig's merge (`_merged`): trace a
+start system once, then in one union-find pass re-pair each vertex whose two
+pairs lie on different circuits, which joins those circuits.  The graph's own
+system starts from the file-order pairing; the system compatible with a
+partition starts from chi with respect to it and re-pairs to psi.  Either is
+near-linear in the edge count, plus one trace of the result.
 
 The per-vertex steps of the pipeline are single passes.  Interlacement rows
 come from one walk of each circuit with a running XOR of the vertex bits
@@ -28,9 +29,6 @@ the vertices met once in between.  The relative interlacement reads every
 vertex's transition kind in one pass over the passages, by the rule
 `transition_type` uses for one vertex; it gives phi vertices no bit and
 keeps each psi vertex's own bit as its loop, so it is one graph.  The
-compatible Euler system is Kotzig's merge: chi with respect to the
-partition everywhere, then psi wherever a vertex joins two circuits of
-different union-find classes: near-linear, plus two traces.  The
 realization keeps its edge ends and splits in lists indexed by edge id.
 
 Validation happens at the boundary, once.  `partition_from_transitions`
@@ -100,64 +98,11 @@ class HalfEdgeGraph:
 
     @cached_property
     def euler_system(self) -> EulerSystem:
-        """Hierholzer splicing; deterministic in the half-edge order.  A
-        walk takes its vertex's first half-edge on an unused edge until it
-        is stuck back at its start.  The splice loop pops the departures of
-        a walk in order; it advances the cursor of a departure's vertex in
-        place, keeps the departure when the vertex has no unused edge left,
-        and otherwise splices the walk from that vertex in front of it.
-        Once every edge lies on a circuit the remaining start vertices are
-        not visited.  The circuits use every half-edge once, so their
-        transition system is valid by construction and is not validated
-        again."""
-        ends, halves = self.ends, self.halves
-        used = [False] * self.edge_count
-        cursor = [0] * self.n
-
-        def walk(v0: int) -> list[int]:
-            seq = []
-            v = v0
-            while True:
-                at, k = halves[v], cursor[v]
-                while k < 4 and used[at[k] >> 1]:
-                    k += 1
-                cursor[v] = k
-                if k == 4:
-                    break
-                dep = at[k]
-                used[dep >> 1] = True
-                seq.append(dep)
-                v = ends[dep ^ 1]
-            if seq and v != v0:
-                raise AssertionError("open trail in an even-degree graph")
-            return seq
-
-        circuits = []
-        left = self.edge_count  # edges on no circuit yet
-        for v0 in range(self.n):
-            if not left:
-                break
-            pending = walk(v0)[::-1]  # departures still to splice, next one last
-            if not pending:
-                continue
-            circuit = []
-            while pending:
-                dep = pending.pop()
-                v = ends[dep]
-                at, k = halves[v], cursor[v]
-                while k < 4 and used[at[k] >> 1]:
-                    k += 1
-                cursor[v] = k
-                if k == 4:
-                    circuit.append(dep)
-                else:
-                    pending.append(dep)
-                    pending += reversed(walk(v))
-            circuits.append(tuple(circuit))
-            left -= len(circuit)
-
-        t = TransitionSystem.from_circuits(self, circuits)
-        return unchecked(EulerSystem, partition=CircuitPartition(self, t, tuple(circuits)))
+        """Kotzig's merge of the file-order system: each vertex's first two
+        and last two half-edges paired (a-b, c-d), re-paired a-c, b-d
+        wherever those pairs lie on different circuits; deterministic in the
+        half-edge order."""
+        return _merged(self, self.halves)
 
     def check_vertex(self, v: int) -> None:
         """Reject v unless it indexes a vertex; a negative v would otherwise
@@ -342,9 +287,10 @@ class EulerSystem:
 
 
 def euler_system(f: HalfEdgeGraph) -> EulerSystem:
-    """The Euler system of f: built on the first call for this graph object,
-    in time linear in its edge count, and the same object on every later
-    call.  An equal graph built separately builds its own."""
+    """The Euler system of f, Kotzig's merge of its file-order pairing:
+    built on the first call for this graph object, in near-linear time, and
+    the same object on every later call.  An equal graph built separately
+    builds its own."""
     return f.euler_system
 
 
@@ -425,35 +371,43 @@ def kappa(c: EulerSystem, v: int) -> EulerSystem:
 
 
 def compatible_euler_system(f: HalfEdgeGraph, p: CircuitPartition) -> EulerSystem:
-    """An Euler system that disagrees with p at every vertex, by Kotzig's
-    merge (A. Kotzig, "Eulerian lines in finite 4-valent graphs and their
-    transformations", 1968).
-
-    With p's passages a1 -> d1 and a2 -> d2 at each vertex, start from chi
-    with respect to p (a1-d2, a2-d1) and trace its circuits once, naming each
-    by its least edge.  Then, in one pass with a union-find over the circuits,
-    switch each vertex whose two passages lie in different classes to psi
-    (a1-a2, d1-d2) and union the classes.  A switch merges the two circuits
-    through v and keeps every other pairing, so a class stays one circuit;
-    after the pass each vertex has its four edges in one class, so each
-    component is one circuit.  Chi and psi both differ from p everywhere.
-    """
+    """An Euler system that disagrees with p at every vertex: with p's
+    passages a1 -> d1 and a2 -> d2 at each vertex, Kotzig's merge of chi
+    with respect to p (a1-d2, a2-d1) into psi (a1-a2, d1-d2).  Chi and psi
+    both differ from p everywhere."""
     f.check_partition(p)
+    return _merged(f, [(a1, d2, a2, d1) for (_, a1, d1), (_, a2, d2) in p.passages])
+
+
+def _merged(f: HalfEdgeGraph, quads: Sequence[tuple[int, ...]]) -> EulerSystem:
+    """Kotzig's merge (A. Kotzig, "Eulerian lines in finite 4-valent graphs
+    and their transformations", 1968) of the start system that pairs x1-y1
+    and x2-y2 at each vertex, given as quads[v] = (x1, y1, x2, y2).
+
+    Trace the start system once, naming each circuit by its least edge.
+    Then, in one pass with a union-find over the circuits, re-pair each
+    vertex whose two pairs lie in different classes to x1-x2, y1-y2 and
+    union the classes.  A switch merges the two circuits through v and
+    keeps every other pairing, so a class stays one circuit; after the pass
+    each vertex has its four edges in one class, so each component is one
+    circuit.  Near-linear, plus one trace of the result.
+    """
     pairing = [0] * f.half_count
-    for (_, a1, d1), (_, a2, d2) in p.passages:
-        pairing[a1], pairing[d2], pairing[a2], pairing[d1] = d2, a1, d1, a2
+    for x1, y1, x2, y2 in quads:
+        pairing[x1], pairing[y1], pairing[x2], pairing[y2] = y1, x1, y2, x2
     circuit_of = [-1] * f.edge_count
-    for e in range(f.edge_count):  # chi is valid by construction: trace raw
+    for e in range(f.edge_count):  # the start system is valid by construction: trace raw
         h = 2 * e
         while circuit_of[h >> 1] < 0:
             circuit_of[h >> 1] = e
             h = pairing[h ^ 1]
     parent = list(range(f.edge_count))
-    for (_, a1, d1), (_, a2, d2) in p.passages:
-        x, y = find_root(parent, circuit_of[a1 >> 1]), find_root(parent, circuit_of[a2 >> 1])
-        if x != y:
-            pairing[a1], pairing[a2], pairing[d1], pairing[d2] = a2, a1, d2, d1
-            parent[x] = y
+    for x1, y1, x2, y2 in quads:
+        # pairs on one start circuit share a class without a lookup
+        c1, c2 = circuit_of[x1 >> 1], circuit_of[x2 >> 1]
+        if c1 != c2 and (r1 := find_root(parent, c1)) != (r2 := find_root(parent, c2)):
+            pairing[x1], pairing[x2], pairing[y1], pairing[y2] = x2, x1, y2, y1
+            parent[r1] = r2
     return unchecked(EulerSystem, partition=_traced(f, TransitionSystem(tuple(pairing))))
 
 

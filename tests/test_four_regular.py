@@ -32,6 +32,7 @@ from adjmatroid.graph import (
     MultiGraph,
     all_looped_simple_graphs,
     as_multigraph,
+    find_root,
 )
 
 FIG8 = HalfEdgeGraph(MultiGraph.build("a", [("a", "a"), ("a", "a")]))
@@ -91,7 +92,7 @@ def brute_circuit_partitions(mg: MultiGraph) -> set[frozenset[frozenset[int]]]:
     return found
 
 
-def test_hierholzer_examples():
+def test_euler_system_examples():
     c8 = euler_system(FIG8)
     assert len(c8.circuits) == 1 and len(c8.circuits[0]) == 2
     c4 = euler_system(PARALLEL4)
@@ -101,10 +102,6 @@ def test_hierholzer_examples():
     )
     c = euler_system(both)
     assert len(c.circuits) == 2  # one per component
-    corpus = small_four_regular_corpus(5)
-    assert len(corpus) == 12
-    for mg in corpus:
-        assert_rescan_walk(euler_system(HalfEdgeGraph(mg)))
 
 
 def test_rejects_non_four_regular():
@@ -357,12 +354,14 @@ def assert_derived_objects_match_the_boundary(f: HalfEdgeGraph, p) -> None:
     rebuilt from its own data through the validating boundary: the Euler
     systems' pairings validate and trace to one circuit per component, the
     touch-graph is the one MultiGraph.build makes from circuit labels, and
-    the realization of that touch-graph reproduces it.  Hierholzer's
-    circuits start where the walk did, so only their edge sets match the
-    traced ones."""
+    the realization of that touch-graph reproduces it.  The Euler system
+    differs from the file-order partition it merges at one vertex per
+    circuit it joins."""
     c = euler_system(f)
-    assert EulerSystem(c.partition) == c
-    assert edge_sets(partition_from_transitions(f, c.transitions)) == edge_sets(c.partition)
+    assert c == EulerSystem(partition_from_transitions(f, c.transitions))
+    start = file_order_partition(f)
+    switched = sum(c.partition.pairing_at(v) != start.pairing_at(v) for v in range(f.n))
+    assert switched == start.size - f.component_count
     comp = compatible_euler_system(f, p)
     assert comp == EulerSystem(partition_from_transitions(f, comp.transitions))
     labels = tuple(f"c{i}" for i in range(p.size))
@@ -561,43 +560,77 @@ def pairing_transition_type(c, p, v: int) -> str:
     return {phi: "phi", chi: "chi", psi: "psi"}[part]
 
 
-def rescan_euler_circuits(f: HalfEdgeGraph) -> tuple[tuple[int, ...], ...]:
-    """Reference Hierholzer walk: every step rescans the vertex's four halves
-    for the first unused edge, and each sub-walk is inserted into the list
-    in front of the departure it starts at."""
-    used = [False] * f.edge_count
+def slow_kotzig(f: HalfEdgeGraph, quads) -> EulerSystem:
+    """Reference Kotzig merge of the system pairing x1-y1 and x2-y2 at each
+    vertex, quads[v] = (x1, y1, x2, y2): vertex by vertex, switch to x1-x2,
+    y1-y2 where the two pairs lie on different circuits of the current
+    partition, and trace the switched system through the validating
+    boundary.  Each switch joins two circuits into one."""
+    def circuit_of(p) -> dict[int, int]:
+        return {h >> 1: ci for ci, circuit in enumerate(p.circuits) for h in circuit}
 
-    def walk(v0: int) -> list[int]:
-        seq = []
-        v = v0
-        while True:
-            dep = next((h for h in f.halves[v] if not used[h >> 1]), None)
-            if dep is None:
-                return seq
-            used[dep >> 1] = True
-            seq.append(dep)
-            v = f.ends[dep ^ 1]
-
-    circuits = []
-    for v0 in range(f.n):
-        circuit = walk(v0)
-        if not circuit:
-            continue
-        i = 0
-        while i < len(circuit):
-            sub = walk(f.ends[circuit[i]])
-            if sub:
-                circuit[i:i] = sub
-            else:
-                i += 1
-        circuits.append(tuple(circuit))
-    return tuple(circuits)
+    pairs = [pair for x1, y1, x2, y2 in quads for pair in ((x1, y1), (x2, y2))]
+    p = partition_from_transitions(f, TransitionSystem.from_pairs(f, pairs))
+    on = circuit_of(p)
+    for x1, y1, x2, y2 in quads:
+        if on[x1 >> 1] != on[x2 >> 1]:
+            switched = partition_from_transitions(f, p.transitions.rewired(((x1, x2), (y1, y2))))
+            assert switched.size == p.size - 1
+            p, on = switched, circuit_of(switched)
+    return EulerSystem(p)
 
 
-def assert_rescan_walk(c) -> None:
-    expect = rescan_euler_circuits(c.f)
-    assert c.circuits == expect
-    assert c.transitions == pairs_from_circuits(c.f, expect)
+def parent_compatible_pairing(f: HalfEdgeGraph, p) -> tuple[int, ...]:
+    """Reference: the compatible system's pairing written out over p's
+    passages with its own union-find pass, chi with respect to p merged into
+    psi, so that the shared kernel keeps it bit for bit."""
+    pairing = [0] * f.half_count
+    for (_, a1, d1), (_, a2, d2) in p.passages:
+        pairing[a1], pairing[d2], pairing[a2], pairing[d1] = d2, a1, d1, a2
+    circuit_of = [-1] * f.edge_count
+    for e in range(f.edge_count):
+        h = 2 * e
+        while circuit_of[h >> 1] < 0:
+            circuit_of[h >> 1] = e
+            h = pairing[h ^ 1]
+    parent = list(range(f.edge_count))
+    for (_, a1, d1), (_, a2, d2) in p.passages:
+        x, y = find_root(parent, circuit_of[a1 >> 1]), find_root(parent, circuit_of[a2 >> 1])
+        if x != y:
+            pairing[a1], pairing[a2], pairing[d1], pairing[d2] = a2, a1, d2, d1
+            parent[x] = y
+    return tuple(pairing)
+
+
+def assert_kotzig_references(f: HalfEdgeGraph, p) -> None:
+    """Both builders equal the slow Kotzig merge of their start systems, the
+    file order and chi with respect to p; the compatible one also equals its
+    written-out pairing."""
+    assert euler_system(f) == slow_kotzig(f, f.halves)
+    comp = compatible_euler_system(f, p)
+    chi = [(a1, d2, a2, d1) for (_, a1, d1), (_, a2, d2) in p.passages]
+    assert comp == slow_kotzig(f, chi)
+    assert comp.transitions.pairing == parent_compatible_pairing(f, p)
+
+
+def test_kotzig_references_on_every_small_partition():
+    checked = 0
+    for mg in small_four_regular_corpus():
+        f = HalfEdgeGraph(mg)
+        for t in all_transition_systems(f):
+            assert_kotzig_references(f, partition_from_transitions(f, t))
+            checked += 1
+    assert checked == 3 + 2 * 3**2 + 3 * 3**3 + 3 * 3**4 + 3 * 3**5
+
+
+def test_kotzig_references_on_seeded_graphs():
+    rng = random.Random(25)
+    for n in (1, 2, 3, 7, 40, 150, 2400):
+        for connected in (True, False):
+            f = HalfEdgeGraph(sample_graph(rng, n, connected))
+            assert (f.component_count == 1) == connected
+            for p in (file_order_partition(f), random_partition(rng, f), euler_system(f).partition):
+                assert_kotzig_references(f, p)
 
 
 def pairs_from_circuits(f: HalfEdgeGraph, circuits) -> TransitionSystem:
@@ -705,11 +738,12 @@ def reference_relative_interlacement(c, p) -> LoopedSimpleGraph:
 
 
 def check_fast_routes(f: HalfEdgeGraph, p) -> None:
-    """The prefix-XOR interlacement, the O(1) transition type and the
-    relative interlacement against their references, on the Euler system and
-    on the compatible one."""
+    """Both Euler systems against the slow Kotzig merge, and the prefix-XOR
+    interlacement, the O(1) transition type and the relative interlacement
+    against their references, on the Euler system and on the compatible
+    one."""
+    assert_kotzig_references(f, p)
     c = euler_system(f)
-    assert_rescan_walk(c)
     assert interlacement(c) == pairwise_interlacement(c)
     comp = compatible_euler_system(f, p)
     assert_compatible(f, p, comp)
@@ -838,8 +872,9 @@ def test_euler_systems_match_networkx():
 
 def test_fourreg_suite_validates_each_system_once(monkeypatch):
     """Only partition_from_transitions validates: one check per partition it
-    traces.  The compatible systems are traced unchecked, once each, and the
-    realizations are not traced at all."""
+    traces.  The Euler systems, one per graph, and the compatible systems are
+    traced unchecked, once each, and the realizations are not traced at
+    all."""
     validated, traced, raw = [], [], []
     check = TransitionSystem.validate
     monkeypatch.setattr(TransitionSystem, "validate", lambda t, f: validated.append(t) or check(t, f))
@@ -857,8 +892,10 @@ def test_fourreg_suite_validates_each_system_once(monkeypatch):
     assert all(r.ok for r in results)
     assert len(traced) == 3585  # the systems the suite asks for, each validated once
     assert validated == traced
-    compatible = 3 + 2 * 3**2 + 3 * 3**3 + 60  # corpus systems with n <= 3, random ones
-    assert len(raw) == len(traced) + compatible
+    random_graphs = 60  # the suite's default trials
+    euler = len(small_four_regular_corpus()) + random_graphs  # one system per graph
+    compatible = 3 + 2 * 3**2 + 3 * 3**3 + random_graphs  # corpus systems with n <= 3, random ones
+    assert len(raw) == len(traced) + euler + compatible
 
 
 def test_relative_interlacement_builds_a_fixed_number_of_graphs(monkeypatch):

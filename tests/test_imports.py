@@ -3,8 +3,8 @@ definition in the package is referenced from the package or the benchmark
 (a class or static method through its own class), object.__new__, the
 principal scan, the coloop pass and pairing validation each have one site,
 the two row eliminations run only inside gf2, only the minor routes build
-an adjacency matroid, and the 4-regular builders take no validating
-route."""
+an adjacency matroid, the 4-regular builders take no validating route, and
+only the Kotzig merge builds an Euler system unchecked."""
 
 import ast
 from pathlib import Path
@@ -393,7 +393,8 @@ def calls_method(owner: str, name: str) -> Callable[[ast.AST], bool]:
 # validating routes they must not take.
 FOUR_REGULAR = ROOT / "src" / "adjmatroid" / "four_regular.py"
 DERIVED_BUILDERS = (
-    "HalfEdgeGraph.euler_system", "compatible_euler_system", "touch_graph", "realize_touch_graph",
+    "HalfEdgeGraph.euler_system", "compatible_euler_system", "_merged", "touch_graph",
+    "realize_touch_graph",
 )
 VALIDATING_ROUTES = {
     "partition_from_transitions": calls("partition_from_transitions"),
@@ -448,3 +449,38 @@ def test_only_partition_from_transitions_validates_a_pairing():
 
 def test_derived_four_regular_objects_skip_the_validating_routes():
     assert validating_builders(FOUR_REGULAR.read_text()) == {}
+
+
+def builds_unchecked(cls: str) -> Callable[[ast.AST], bool]:
+    """Accepts a call of unchecked, bare or as an attribute, whose first
+    argument is the name cls."""
+
+    def hit(node: ast.AST) -> bool:
+        return (
+            calls("unchecked")(node) and bool(node.args)
+            and isinstance(node.args[0], ast.Name) and node.args[0].id == cls
+        )
+
+    return hit
+
+
+def test_checker_finds_every_unchecked_euler_system():
+    source = (
+        "def _merged(f, quads):\n"
+        "    return unchecked(EulerSystem, partition=p)\n"
+        "class HalfEdgeGraph:\n"
+        "    def euler_system(self):\n"
+        "        return gf2.unchecked(EulerSystem, partition=p), EulerSystem(p)\n"
+        "def touch_graph(p):\n"
+        "    return unchecked(MultiGraph, labels=l), unchecked(cls=EulerSystem)\n"
+    )
+    assert sites(source, builds_unchecked("EulerSystem")) == ["_merged", "HalfEdgeGraph.euler_system"]
+    planted = FOUR_REGULAR.read_text() + "def f(p):\n    return unchecked(EulerSystem, partition=p)\n"
+    assert sites(planted, builds_unchecked("EulerSystem")) == ["_merged", "f"]
+
+
+def test_only_the_kotzig_merge_builds_an_euler_system_unchecked():
+    """Both Euler-system builders go through the one merge kernel."""
+    assert sites_in_sources(builds_unchecked("EulerSystem")) == {
+        "src/adjmatroid/four_regular.py": ["_merged"]
+    }
