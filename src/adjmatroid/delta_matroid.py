@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .gf2 import coord_masks, set_bits, size_masks, unchecked
-from .graph import LoopedSimpleGraph
+from .graph import LoopedSimpleGraph, pair_is_edge
 
 GROUND_GATE = 16
 
@@ -302,19 +302,17 @@ def from_graph(g: LoopedSimpleGraph) -> DeltaMatroid:
 def to_graph(d: SetSystem) -> LoopedSimpleGraph:
     """Decode a graphic normal set system back to its looped simple graph.
 
-    A vertex is looped iff its singleton belongs to d; a pair is an edge iff
-    pair membership differs from the conjunction of the singleton
-    memberships.  The decode is verified by re-encoding.
+    A vertex is looped iff its singleton belongs to d; a pair is decoded by
+    `graph.pair_is_edge`, nonsingular iff it belongs to d.  The decode is
+    verified by re-encoding.
     """
     if not d.is_normal:
         raise ValueError("a graphic set system contains the empty set")
     loops = [v for v in d.ground if d.contains([v])]
-    edges = []
-    for i, u in enumerate(d.ground):
-        for v in d.ground[i + 1:]:
-            single = d.contains([u]) and d.contains([v])
-            if d.contains([u, v]) != single:
-                edges.append((u, v))
+    edges = [
+        (u, v) for i, u in enumerate(d.ground) for v in d.ground[i + 1:]
+        if pair_is_edge(d.contains([u, v]), d.contains([u]), d.contains([v]))
+    ]
     g = LoopedSimpleGraph.build(d.ground, edges, loops)
     if from_graph(g).bits != d.bits:
         raise ValueError("set system is not the encoding of any looped simple graph")

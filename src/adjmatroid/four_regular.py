@@ -29,7 +29,9 @@ the vertices met once in between.  The relative interlacement reads every
 vertex's transition kind in one pass over the passages, by the rule
 `transition_type` uses for one vertex; it gives phi vertices no bit and
 keeps each psi vertex's own bit as its loop, so it is one graph.  The
-realization keeps its edge ends and splits in lists indexed by edge id.
+realization splits edges first in, first out, so index arithmetic places each
+loop: with k start edges, element q of a circuit's queue splits into elements
+k+3q, k+3q+1 and k+3q+2, and its j-th loop splits element j.
 
 Validation happens at the boundary, once.  `partition_from_transitions`
 validates a caller's pairing before it traces it, and MultiGraph(...) and
@@ -47,7 +49,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -424,9 +425,15 @@ def realize_touch_graph(g: LoopedSimpleGraph | MultiGraph) -> Realization:
 
     One circuit per vertex of g: non-loop edges become 4-regular vertices
     strung on their endpoints' circuits; each loop adds a looped vertex in
-    the middle of the lowest edge of its circuit, or a fresh double-loop
-    vertex when its circuit does not exist yet.  Isolated unlooped vertices
-    cannot be reached by any circuit and are rejected.
+    the middle of the oldest unsplit edge of its circuit, or a fresh
+    double-loop vertex when its circuit does not exist yet.  Isolated
+    unlooped vertices cannot be reached by any circuit and are rejected.
+
+    Oldest first makes each split index arithmetic.  A circuit starts as k
+    edges y_q -> y_(q+1 mod k) through its non-loop F vertices y_0..y_(k-1),
+    or as its first loop's two edges y -> y.  As a queue, its start edges are
+    elements 0..k-1, the parts head -> y, y -> y, y -> tail of element q are
+    elements k+3q, k+3q+1, k+3q+2, and its j-th splitting loop splits element j.
     """
     mg = as_multigraph(g)
     for i, d in enumerate(mg.degrees()):
@@ -436,72 +443,38 @@ def realize_touch_graph(g: LoopedSimpleGraph | MultiGraph) -> Realization:
             )
     nonloop = [e for e, (a, b) in enumerate(mg.edges) if a != b]
     loops = [e for e, (a, b) in enumerate(mg.edges) if a == b]
-    f_labels = [mg.edge_labels[e] for e in nonloop]
-
-    # edge id -> its two F vertices, and the three parts of a split edge;
-    # a split edge keeps its slot but no circuit lists it after expansion
-    ends: list[tuple[int, int]] = []
-    splits: list[tuple[int, int, int] | None] = [None] * (2 * len(nonloop) + 3 * len(loops))
-    # g-vertex -> edge ids in traversal order; creation order is file order
-    circuit_of: dict[int, list[int]] = {}
-    oldest: dict[int, deque[int]] = {}  # g-vertex -> the same ids in creation order
-
     incident_at: list[list[int]] = [[] for _ in range(mg.n)]  # F vertices per g-vertex
     for y, e in enumerate(nonloop):
         a, b = mg.edges[e]
         incident_at[a].append(y)
         incident_at[b].append(y)
-    for u, incident in enumerate(incident_at):
-        if not incident:
-            continue
-        first = len(ends)
-        ends += zip(incident, incident[1:] + incident[:1])
-        circuit_of[u] = list(range(first, len(ends)))
-        oldest[u] = deque(circuit_of[u])
-
-    for e in loops:
-        u = mg.edges[e][0]
-        y = len(f_labels)
-        f_labels.append(mg.edge_labels[e])
-        first = len(ends)
-        if u not in circuit_of:
-            ends += ((y, y), (y, y))
-            circuit_of[u] = [first, first + 1]
-            oldest[u] = deque(circuit_of[u])
-        else:
-            # edge ids only grow, so the oldest edge of a circuit is its lowest
-            eid = oldest[u].popleft()
-            head, tail = ends[eid]
-            ends += ((head, y), (y, y), (y, tail))
-            splits[eid] = split = (first, first + 1, first + 2)
-            oldest[u] += split
-
-    def expand(seq: list[int]) -> list[int]:
-        """seq with each split edge replaced, at its position and
-        recursively, by its three parts: one pass, however many loops a
-        circuit carries."""
-        out = []
-        stack = seq[::-1]
-        while stack:
-            eid = stack.pop()
-            split = splits[eid]
-            if split:
-                stack += split[::-1]
-            else:
-                out.append(eid)
-        return out
+    looped_at: list[list[int]] = [[] for _ in range(mg.n)]  # loop F vertices, file order
+    for y, e in enumerate(loops, len(nonloop)):
+        looped_at[mg.edges[e][0]].append(y)
+    # (start cycle, splitting loops) per circuit, in traced order: those with
+    # non-loop edges by g-vertex, then the rest (each has a loop, as none is
+    # isolated) by their first loop
+    starts = [(ys, looped_at[u]) for u, ys in enumerate(incident_at) if ys]
+    starts += sorted(([ys[0]] * 2, ys[1:]) for ys, inc in zip(looped_at, incident_at) if not inc)
 
     # F's edges are the circuits' runs, each taken forwards: a circuit starts
     # at its least half-edge and the circuits come in order of it, as traced
-    edge_order: list[int] = []
+    edges: list[tuple[int, int]] = []
     circuits = []
-    for circ in circuit_of.values():
-        circ = expand(circ)
-        circuits.append(tuple(range(2 * len(edge_order), 2 * (len(edge_order) + len(circ)), 2)))
-        edge_order += circ
+    for ys, splitters in starts:
+        k, first = len(ys), len(edges)
+        stack = [(q, ys[q], ys[(q + 1) % k]) for q in reversed(range(k))]
+        while stack:
+            q, head, tail = stack.pop()
+            if q < len(splitters):
+                y, r = splitters[q], k + 3 * q
+                stack += ((r + 2, y, tail), (r + 1, y, y), (r, head, y))
+            else:
+                edges.append((head, tail))
+        circuits.append(tuple(range(2 * first, 2 * len(edges), 2)))
     f = HalfEdgeGraph(unchecked(
-        MultiGraph, labels=tuple(f_labels), edges=tuple(map(ends.__getitem__, edge_order)),
-        edge_labels=default_labels(len(edge_order), "e"),
+        MultiGraph, labels=tuple(mg.edge_labels[e] for e in nonloop + loops), edges=tuple(edges),
+        edge_labels=default_labels(len(edges), "e"),
     ))
     t = TransitionSystem.from_circuits(f, circuits)
     return Realization(f, CircuitPartition(f, t, tuple(circuits)))

@@ -259,40 +259,39 @@ def as_multigraph(g: LoopedSimpleGraph | MultiGraph) -> MultiGraph:
     return MultiGraph(g.labels, edges)
 
 
+def pair_is_edge(nonsingular: bool, looped_u: bool, looped_v: bool) -> bool:
+    """The decoding rule for a pair {u, v}: the 2x2 submatrix on it has
+    determinant l_u l_v + a_uv over GF(2), so u-v is an edge iff "{u, v} is
+    nonsingular" differs from "u and v are both looped"."""
+    return nonsingular != (looped_u and looped_v)
+
+
 def reconstruct_from_nullity_oracle(
     labels: Sequence[str], oracle: Callable[[frozenset[str]], int]
 ) -> LoopedSimpleGraph:
     """Rebuild the unique looped simple graph matching an induced-subgraph
     nullity oracle on all vertex subsets of size at most 2.
 
-    A vertex is looped iff its singleton nullity is 0; adjacency of a pair is
-    decided by the pair nullity according to the loop statuses.
+    A vertex is looped iff its singleton nullity is 0; a pair, nonsingular
+    iff its nullity is 0, is decoded by `pair_is_edge`.  A nullity no graph
+    gives is rejected (a singular pair has nullity 2 iff neither is looped).
     """
     labels = tuple(labels)
     looped: dict[str, bool] = {}
     for v in labels:
         nu = oracle(frozenset({v}))
-        if nu == 0:
-            looped[v] = True
-        elif nu == 1:
-            looped[v] = False
-        else:
+        if nu not in (0, 1):
             raise ValueError(f"inconsistent oracle: nullity {nu} on a single vertex")
+        looped[v] = nu == 0
     edges = []
     for u, v in itertools.combinations(labels, 2):
         nu = oracle(frozenset({u, v}))
         lu, lv = looped[u], looped[v]
-        if lu and lv:
-            table = {1: True, 0: False}
-        elif lu or lv:
-            table = {0: True, 1: False}
-        else:
-            table = {0: True, 2: False}
-        if nu not in table:
+        if nu not in (0, 1 if lu or lv else 2):
             raise ValueError(
                 f"inconsistent oracle: nullity {nu} on pair with loop pattern {(lu, lv)}"
             )
-        if table[nu]:
+        if pair_is_edge(nu == 0, lu, lv):
             edges.append((u, v))
     return LoopedSimpleGraph.build(labels, edges, (v for v in labels if looped[v]))
 

@@ -456,7 +456,7 @@ def _check_tripartition_case(
         ), "a looped vertex must survive off v"
 
 
-def _polygon_checks(rec: Recorder, trials: int, seed: int) -> None:
+def _polygon_checks(rec: Recorder, seed: int) -> None:
     rng = random.Random(seed + 2)
     fixed = [
         MultiGraph.build("abc", [("a", "b"), ("b", "c"), ("c", "a")]),
@@ -465,8 +465,7 @@ def _polygon_checks(rec: Recorder, trials: int, seed: int) -> None:
         MultiGraph.build("abcd", [("a", "b"), ("b", "c"), ("c", "d")]),
     ]
     samples = fixed + [
-        _random_multigraph(rng, rng.randrange(1, 5), rng.randrange(7))
-        for _ in range(max(trials, 100))
+        _random_multigraph(rng, rng.randrange(1, 5), rng.randrange(7)) for _ in range(100)
     ]
     for mg in samples:
         witness = Witness(graph_witness, mg)
@@ -477,7 +476,7 @@ def _polygon_checks(rec: Recorder, trials: int, seed: int) -> None:
 def matroid_suite(max_n: int = 4, trials: int = 200, seed: int = 0) -> list[CheckResult]:
     rec = Recorder()
     _matroid_kernel_checks(rec, max_n, trials, seed)
-    _polygon_checks(rec, min(trials, 100), seed)
+    _polygon_checks(rec, seed)
     rand_n = max_n + 3
     for g in _graph_stream(max_n, trials, rand_n, seed):
         _matroid_graph_checks(rec, g)
@@ -949,11 +948,10 @@ def _poly_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
         assert t.swap_variables() == tutte_subset(mg.dual())
 
     with rec.check("leading-term-recursion", witness):
+        lam, step = lambda_leading(mg), shifted_power_term(0, 1)
         for v in g.labels:
-            lam = lambda_leading(mg)
             lam_del = lambda_leading(mg.delete(v))
             lam_con = lambda_leading(mg.contract(v))
-            step = shifted_power_term(0, 1)
             if mg.is_loop(v):
                 assert lam == step * lam_del == step * lam_con
             elif mg.is_coloop(v):
@@ -962,17 +960,15 @@ def _poly_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
                 assert lam == step * lam_del == lam_con
 
     with rec.check("leading-term-complement-rules", witness):
-        step = shifted_power_term(0, 1)
+        lam, step = lambda_leading(mg), shifted_power_term(0, 1)
         for v in g.labels:
             gv = g.local_complement(v)
             if not g.is_looped(v):
-                assert lambda_leading(mg) == lambda_leading(adjacency_matroid(gv))
+                assert lam == lambda_leading(adjacency_matroid(gv))
                 if not g.neighbors(v):
-                    assert lambda_leading(mg) == step * lambda_leading(
-                        adjacency_matroid(g.minus(v))
-                    )
+                    assert lam == step * lambda_leading(adjacency_matroid(g.minus(v)))
             else:
-                assert lambda_leading(mg) == lambda_leading(adjacency_matroid(gv.minus(v)))
+                assert lam == lambda_leading(adjacency_matroid(gv.minus(v)))
 
     with rec.check("vertex-terms-make-the-difference", witness):
         terms = interlace_vertex_terms(g)

@@ -2,7 +2,8 @@
 
 import itertools
 import random
-from collections import Counter
+import re
+from collections import Counter, deque
 
 import networkx
 import pytest
@@ -347,6 +348,133 @@ def test_realize_encodes_partition_in_file_order():
     r = realize_touch_graph(g)
     again = file_order_partition(r.f)
     assert edge_sets(again) == edge_sets(r.partition)
+
+
+def split_table_realization(g: LoopedSimpleGraph | MultiGraph) -> four_regular.Realization:
+    """Reference: the realization replayed through an edge-id table, with
+    each loop popping the oldest edge id of its circuit from a deque and
+    recording the split, then each circuit's ids expanded recursively."""
+    mg = as_multigraph(g)
+    for i, d in enumerate(mg.degrees()):
+        if d == 0:
+            raise ValueError(f"vertex {mg.labels[i]!r} is isolated and unlooped, not realizable")
+    nonloop = [e for e, (a, b) in enumerate(mg.edges) if a != b]
+    loops = [e for e, (a, b) in enumerate(mg.edges) if a == b]
+    f_labels = [mg.edge_labels[e] for e in nonloop]
+    ends: list[tuple[int, int]] = []
+    splits: list[tuple[int, int, int] | None] = [None] * (2 * len(nonloop) + 3 * len(loops))
+    circuit_of: dict[int, list[int]] = {}
+    oldest: dict[int, deque[int]] = {}
+    incident_at: list[list[int]] = [[] for _ in range(mg.n)]
+    for y, e in enumerate(nonloop):
+        a, b = mg.edges[e]
+        incident_at[a].append(y)
+        incident_at[b].append(y)
+    for u, incident in enumerate(incident_at):
+        if incident:
+            first = len(ends)
+            ends += zip(incident, incident[1:] + incident[:1])
+            circuit_of[u] = list(range(first, len(ends)))
+            oldest[u] = deque(circuit_of[u])
+    for e in loops:
+        u = mg.edges[e][0]
+        y = len(f_labels)
+        f_labels.append(mg.edge_labels[e])
+        first = len(ends)
+        if u not in circuit_of:
+            ends += ((y, y), (y, y))
+            circuit_of[u] = [first, first + 1]
+            oldest[u] = deque(circuit_of[u])
+        else:
+            eid = oldest[u].popleft()
+            head, tail = ends[eid]
+            ends += ((head, y), (y, y), (y, tail))
+            splits[eid] = split = (first, first + 1, first + 2)
+            oldest[u] += split
+
+    def expand(seq: list[int]) -> list[int]:
+        out = []
+        stack = seq[::-1]
+        while stack:
+            eid = stack.pop()
+            split = splits[eid]
+            if split:
+                stack += split[::-1]
+            else:
+                out.append(eid)
+        return out
+
+    edge_order: list[int] = []
+    circuits = []
+    for circ in circuit_of.values():
+        circ = expand(circ)
+        circuits.append(tuple(range(2 * len(edge_order), 2 * (len(edge_order) + len(circ)), 2)))
+        edge_order += circ
+    f = HalfEdgeGraph(MultiGraph(tuple(f_labels), tuple(ends[e] for e in edge_order)))
+    t = TransitionSystem.from_circuits(f, circuits)
+    return four_regular.Realization(f, four_regular.CircuitPartition(f, t, tuple(circuits)))
+
+
+def assert_realizes_as_the_split_table(g: LoopedSimpleGraph | MultiGraph) -> None:
+    """realize_touch_graph gives the reference's F, edge labels included, and
+    its circuits and transitions, or raises the reference's error."""
+    try:
+        ref = split_table_realization(g)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+            realize_touch_graph(g)
+        return
+    r = realize_touch_graph(g)
+    assert r.f.graph == ref.f.graph
+    assert r.partition.circuits == ref.partition.circuits
+    assert r.partition.transitions == ref.partition.transitions
+
+
+def test_realization_matches_the_split_table_on_every_small_graph():
+    graphs = [g for n in range(5) for g in all_looped_simple_graphs(n)]
+    assert len(graphs) == 1 + 2 + 2**3 + 2**6 + 2**10
+    for g in graphs:
+        assert_realizes_as_the_split_table(g)
+
+
+def test_realization_matches_the_split_table_on_seeded_multigraphs():
+    """Loop-heavy multigraphs with shuffled edge labels: loop-only circuits,
+    circuits with more loops than start edges, so that loops split pieces of
+    earlier splits, and isolated vertices."""
+    rng = random.Random(26)
+    loop_only = pieces_of_pieces = isolated = 0
+    for _ in range(1500):
+        n = rng.randrange(1, 9)
+        edges = [
+            (v, v) if rng.random() < 0.6 else (v, rng.randrange(n))
+            for v in (rng.randrange(n) for _ in range(rng.randrange(25)))
+        ]
+        names = [f"x{k}" for k in range(len(edges))]
+        rng.shuffle(names)
+        g = MultiGraph(tuple(f"v{i}" for i in range(n)), tuple(edges), tuple(names))
+        assert_realizes_as_the_split_table(g)
+        start = Counter(v for a, b in edges if a != b for v in (a, b))
+        loop_counts = Counter(a for a, b in edges if a == b)
+        loop_only += any(not start[v] for v in loop_counts)
+        # a loop-only circuit starts with its first loop's two edges
+        pieces_of_pieces += any(
+            m > start[v] if start[v] else m - 1 > 2 for v, m in loop_counts.items()
+        )
+        isolated += any(not start[v] and not loop_counts[v] for v in range(n))
+    assert loop_only >= 500 and pieces_of_pieces >= 500 and isolated >= 100
+
+
+def test_realization_matches_the_split_table_on_large_touch_graphs():
+    loops = [f"l{i}" for i in range(2000)]
+    assert_realizes_as_the_split_table(MultiGraph.build(
+        "ab", [("a", "b"), ("a", "b")] + [("a", "a")] * len(loops), ["p", "q", *loops]
+    ))
+    rng = random.Random(27)
+    for n in (150, 2400):
+        for connected in (True, False):
+            f = HalfEdgeGraph(sample_graph(rng, n, connected))
+            for p in (file_order_partition(f), random_partition(rng, f)):
+                assert_realizes_as_the_split_table(touch_graph(p))
 
 
 def assert_derived_objects_match_the_boundary(f: HalfEdgeGraph, p) -> None:

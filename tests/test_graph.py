@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from collections import Counter
 from dataclasses import fields
 
@@ -291,14 +292,20 @@ def test_reconstruction_exhaustive_small():
 
 
 def test_reconstruction_rejects_inconsistent_oracle():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^inconsistent oracle: nullity 2 on a single vertex$"):
         reconstruct_from_nullity_oracle("ab", lambda s: 2)
-    # both looped but pair nullity 2 is impossible
-    def bad(s):
-        return 0 if len(s) == 1 else 2
-
-    with pytest.raises(ValueError):
-        reconstruct_from_nullity_oracle("ab", bad)
+    # per pair: the singleton nullities (a looped iff 0) and an impossible
+    # pair nullity; a singular pair has nullity 2 only when neither is looped
+    cases = [
+        ((0, 0), 2, "(True, True)"),
+        ((0, 1), 2, "(True, False)"),
+        ((1, 1), 1, "(False, False)"),
+    ]
+    for (na, nb), pair, pattern in cases:
+        nullities = {frozenset("a"): na, frozenset("b"): nb, frozenset("ab"): pair}
+        message = f"inconsistent oracle: nullity {pair} on pair with loop pattern {pattern}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            reconstruct_from_nullity_oracle("ab", nullities.__getitem__)
 
 
 def test_multigraph_structure():
