@@ -24,7 +24,6 @@ from .four_regular import (
     compatible_euler_system,
     euler_system,
     interlacement,
-    kappa,
     realize_touch_graph,
     relative_interlacement,
     touch_graph,
@@ -37,7 +36,6 @@ from .polynomials import (
     interlace_recursive,
     interlace_subset,
     lambda_leading,
-    q_from_lambda,
     tutte_recursive,
     tutte_subset,
 )
@@ -69,10 +67,8 @@ __all__ = [
     "interlace_subset",
     "interlacement",
     "is_triple_coloop",
-    "kappa",
     "lambda_leading",
     "polygon_matroid",
-    "q_from_lambda",
     "realize_touch_graph",
     "relative_interlacement",
     "to_graph",

@@ -5,17 +5,13 @@ reachable through local complementation; this module implements those
 derivations, coloop and triple-coloop analysis, the three-variant
 comparison at a vertex, and the resulting three-way vertex classification.
 
-Every vertex question reads one piece of evidence and builds no matroid.
-The evidence comes from one reduced echelon form of the rows [A_i | e_i],
-kept by the graph (`LoopedSimpleGraph.coloop_masks`).  v is a coloop of M(A)
-iff e_v is in the row space of A, i.e. iff an echelon row has A part exactly
-e_v; its combination part x solves x^T A = e_v.  Toggling v's loop changes
-column v only.  If v is not a coloop, a cycle z through v gives
-(A + E_vv) z = e_v, so the toggle makes v a coloop; if it is,
-x^T (A + E_vv) = (1 + x_v) e_v, so the toggle keeps v a coloop iff x_v = 0.
-A `TripartitionCase` keeps only the tag the evidence decides, and `trio`
-reads its equal pair off that tag.  verify's three-variants-two-agree check
-builds the three variant matroids and is the oracle for `trio`.
+Every vertex question reads one piece of evidence and builds no matroid:
+whether v is a coloop with its loop removed and with it attached, for every
+v at once, kept by the graph (`LoopedSimpleGraph.coloop_masks`).
+`gf2.coloop_masks` computes it and proves it right.  A `TripartitionCase`
+keeps only the tag the evidence decides, and `trio` reads its equal pair
+off that tag.  verify's three-variants-two-agree check builds the three
+variant matroids and is the oracle for `trio`.
 """
 
 from __future__ import annotations

@@ -103,6 +103,7 @@ def cmd_minor(args: argparse.Namespace) -> int:
     if (args.delete is None) == (args.contract is None):
         raise ValueError("minor needs exactly one of --delete or --contract")
     if args.delete is not None:
+        g.index(args.delete)  # the graph names an unknown vertex, as for --contract
         result = adjacency_matroid(g).delete(args.delete)
         circuits = _sorted_circuits(result)
         _emit(args, _circuit_text(circuits), {"circuits": circuits})

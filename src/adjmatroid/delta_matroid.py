@@ -10,6 +10,10 @@ vertex of S owns a pivot plane of the bit-sliced elimination at S, which
 from_graph reads from the graph's memo, the one scan polynomials shares.
 Bouchet ("Representability of delta-matroids", 1987) proved that this
 family meets the exchange axiom, so from_graph does not check it.
+
+A slow reference lives beside its checks in `verify` unless the CLI or the
+benchmark needs it: bench/workloads.py checks the flips against the two
+`_sequential` forms, so they stay here.
 """
 
 from __future__ import annotations
@@ -194,31 +198,32 @@ class SetSystem:
     # deletion and contraction
 
     def restrict(self, keep: Iterable[str]) -> "SetSystem":
-        """Members inside the kept labels, on the shrunken ground set.
+        """Members inside the kept labels, on the shrunken ground set."""
+        return self._restricted(self.mask_of(keep))
+
+    def delete(self, x: Iterable[str]) -> "SetSystem":
+        """Restriction to the complement; possibly improper."""
+        return self._restricted(~self.mask_of(x))
+
+    def _restricted(self, keep: int) -> "SetSystem":
+        """Members inside the kept mask, on the shrunken ground set.
 
         Each dropped coordinate i, highest first, keeps the members avoiding
         i, then closes the gap: for each coordinate j above i, the block of
         members containing j moves down by 2^(j-1), onto bit j-1 of their
         mask, which is clear."""
-        wanted = set(keep)
         masks = coord_masks(self.n)
         bits, top = self.bits, self.n
         for i in reversed(range(self.n)):
-            if self.ground[i] in wanted:
+            if (keep >> i) & 1:
                 continue
             bits &= masks[i][0]
             for j in range(i + 1, top):
                 zero, one = masks[j]
                 bits = (bits & zero) | ((bits & one) >> (1 << (j - 1)))
             top -= 1
-        return unchecked(SetSystem, ground=tuple(v for v in self.ground if v in wanted), bits=bits)
-
-    def delete(self, x: Iterable[str]) -> "SetSystem":
-        """Restriction to the complement; possibly improper, never an error."""
-        drop = set(x)
-        for v in drop:
-            self.index(v)
-        return self.restrict(v for v in self.ground if v not in drop)
+        ground = tuple(v for i, v in enumerate(self.ground) if (keep >> i) & 1)
+        return unchecked(SetSystem, ground=ground, bits=bits)
 
     def contract(self, v: str) -> "SetSystem":
         return self.pivot([v]).delete([v])

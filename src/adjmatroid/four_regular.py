@@ -41,8 +41,10 @@ reject a partition traced on another graph (`HalfEdgeGraph.check_partition`,
 O(1) when both hold the same graph object).
 The Euler systems, touch-graphs and realizations this module derives are
 valid by construction: they are built through `gf2.unchecked`, and no
-pairing they build is validated.  `kappa`, a `verify` reference, keeps the
-validating route.
+pairing they build is validated.
+
+A slow reference lives beside its checks in `verify` unless the CLI or the
+benchmark needs it, so the validating rewiring kappa is `verify`'s.
 """
 
 from __future__ import annotations
@@ -277,15 +279,6 @@ class EulerSystem:
     def transitions(self) -> TransitionSystem:
         return self.partition.transitions
 
-    def phi_pairing(self, v: int) -> Pairing:
-        return self.partition.pairing_at(v)
-
-    def psi_pairing(self, v: int) -> Pairing:
-        """The orientation-inconsistent pairing: ins together, outs together."""
-        self.f.check_vertex(v)
-        (_, arr_a, dep_a), (_, arr_b, dep_b) = self.partition.passages[v]
-        return frozenset((frozenset((arr_a, arr_b)), frozenset((dep_a, dep_b))))
-
 
 def euler_system(f: HalfEdgeGraph) -> EulerSystem:
     """The Euler system of f, Kotzig's merge of its file-order pairing:
@@ -363,12 +356,6 @@ def touch_graph(p: CircuitPartition) -> MultiGraph:
     edges = tuple((ci, cj) for (ci, _, _), (cj, _, _) in p.passages)
     labels = default_labels(p.size, "c")
     return unchecked(MultiGraph, labels=labels, edges=edges, edge_labels=p.f.graph.labels)
-
-
-def kappa(c: EulerSystem, v: int) -> EulerSystem:
-    """Rewire the Euler system at v with its orientation-inconsistent pairing."""
-    t = c.transitions.rewired(c.psi_pairing(v))
-    return EulerSystem(partition_from_transitions(c.f, t))
 
 
 def compatible_euler_system(f: HalfEdgeGraph, p: CircuitPartition) -> EulerSystem:

@@ -18,11 +18,13 @@ forward-pivot form that shifts the inside bits up measured 1.3-1.5x slower).
 ``subset_pivot_planes`` eliminates all 2^n subset matrices S at once: each
 entry is a 2^n-bit int with bit S the entry of matrix S, and the result is
 one pivot plane per row, set at S iff that row is a pivot row of matrix S.
+
+A slow reference lives beside its checks in `verify` unless the CLI or the
+benchmark needs it, so the enumeration of all small subspaces is `verify`'s.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Iterable, Iterator, Sequence, TypeVar
@@ -484,22 +486,3 @@ def symmetrize_nullspace(a: BitMatrix) -> BitMatrix:
         out[order[i]] = scatter(row, order)
     return BitMatrix(n, n, tuple(out))
 
-
-def all_subspaces(ambient_dim: int) -> Iterator[Subspace]:
-    """Every subspace of GF(2)^ambient_dim, via canonical RREF bases."""
-    n = ambient_dim
-    if n > 6:
-        raise ValueError("subspace enumeration is intended for ambient_dim <= 6")
-    for k in range(n + 1):
-        for pivots in itertools.combinations(range(n), k):
-            pivot_set = set(pivots)
-            free_slots = [
-                [j for j in range(n) if j > p and j not in pivot_set] for p in pivots
-            ]
-            total = sum(len(s) for s in free_slots)
-            for fill in range(1 << total):
-                rows, rest = [], fill
-                for p, slots in zip(pivots, free_slots):
-                    rows.append((1 << p) | scatter(rest, slots))
-                    rest >>= len(slots)
-                yield Subspace(n, tuple(rows))

@@ -7,18 +7,19 @@ principal scan (shared with delta_matroid.from_graph) or one column-masked
 elimination of a matroid, and count each (|S|, rank) pair with one popcount;
 the counts fill an (a, b) grid that a Taylor shift in each variable moves to
 x-1 and y-1, each row and column shifted up to its degree only.  The
-recursive evaluators and the induced-matroid route never touch the planes,
-and must agree exactly.
+recursive evaluators never touch the planes, and must agree exactly.
+
+A slow reference lives beside its checks in `verify` unless the CLI or the
+benchmark needs it: bench/workloads.py checks the subset expansions against
+`interlace_recursive` and `tutte_recursive`, so they stay here.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
-from .adjacency_matroid import adjacency_matroid
 from .binary_matroid import BinaryMatroid
 from .gf2 import check_enum_gate, column_masked_planes, tally_planes, unchecked
 from .graph import LoopedSimpleGraph
@@ -227,32 +228,3 @@ def lambda_leading(m: BinaryMatroid) -> BivariatePolynomial:
     """(y-1) to the nullity: the full-ground-set term of the Tutte polynomial."""
     return shifted_power_term(0, m.nullity)
 
-
-def _induced_nullities(g: LoopedSimpleGraph) -> list[int]:
-    """nu(G[S]) for every vertex mask S, read from the leading Tutte term of
-    the induced subgraph's matroid: one matroid per subset."""
-    check_enum_gate(g.n, "induced subgraph expansion")
-    return [
-        lambda_leading(adjacency_matroid(g.induced_mask(mask))).degree_y()
-        for mask in range(1 << g.n)
-    ]
-
-
-def q_from_lambda(g: LoopedSimpleGraph) -> BivariatePolynomial:
-    """Interlace polynomial assembled from the leading Tutte terms of the
-    induced subgraph matroids, each contributing (x-1)^(|S|-nu) (y-1)^nu."""
-    return _expand(Counter(
-        (mask.bit_count() - nu, nu) for mask, nu in enumerate(_induced_nullities(g))
-    ))
-
-
-def interlace_vertex_terms(g: LoopedSimpleGraph) -> dict[str, BivariatePolynomial]:
-    """For each vertex v, the part of the subset expansion ranging over the
-    subsets containing v; every vertex reads one induced-nullity table."""
-    counts: list[Counter[tuple[int, int]]] = [Counter() for _ in range(g.n)]
-    for mask, nu in enumerate(_induced_nullities(g)):
-        pair = (mask.bit_count() - nu, nu)
-        for i in range(g.n):
-            if (mask >> i) & 1:
-                counts[i][pair] += 1
-    return {v: _expand(c) for v, c in zip(g.labels, counts)}

@@ -8,6 +8,13 @@ and the two-of-three maxima check are word operations on 2^n-bit families;
 tests/test_verify.py keeps the set loops they replaced as references.  The
 fourreg suite walks each corpus graph's transition systems once.  The
 `verify` subcommand and the tests drive these suites.
+
+A slow reference lives beside its checks, here, unless the CLI or the
+benchmark needs it: _all_subspaces, _kappa, and the interlace routes
+_q_from_lambda and _interlace_vertex_terms over one _induced_nullities table
+per graph.  bench/workloads.py checks outputs with four that stay in the
+library: polynomials.interlace_recursive and tutte_recursive, and
+SetSystem.loop_complement_sequential and dual_pivot_sequential.
 """
 
 from __future__ import annotations
@@ -15,7 +22,9 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from . import delta_matroid as dm
 from .adjacency_matroid import (
@@ -36,7 +45,6 @@ from .four_regular import (
     compatible_euler_system,
     euler_system,
     interlacement,
-    kappa,
     partition_from_transitions,
     random_four_regular,
     realize_touch_graph,
@@ -48,13 +56,13 @@ from .four_regular import (
 from .gf2 import (
     BitMatrix,
     Subspace,
-    all_subspaces,
     coord_masks,
     nullity,
     nullspace,
     orthogonal_complement,
     principal_submatrix,
     rank,
+    scatter,
     set_bits,
     symmetrize_nullspace,
 )
@@ -71,17 +79,15 @@ from .graph import (
 )
 from .graphtext import render_graph
 from .polynomials import (
+    BivariatePolynomial,
     interlace_recursive,
     interlace_subset,
-    interlace_vertex_terms,
     lambda_leading,
-    q_from_lambda,
     shifted_power_term,
     tutte_recursive,
     tutte_subset,
 )
 
-SUITE_NAMES = ("matroid", "delta", "fourreg", "poly")
 MAX_FAILURES_KEPT = 5
 
 
@@ -121,7 +127,7 @@ class Recorder:
         return _Check(self, name, witness)
 
     def report(self) -> list[CheckResult]:
-        return [self.results[k] for k in self.results]
+        return list(self.results.values())
 
 
 class _Check:
@@ -184,7 +190,7 @@ def _matroid_kernel_checks(rec: Recorder, max_n: int, trials: int, seed: int) ->
     rng = random.Random(seed + 1)
 
     for n in range(min(max_n, 5) + 1):
-        for w in all_subspaces(n):
+        for w in _all_subspaces(n):
             m = BinaryMatroid(default_labels(n), w)
             witness = f"subspace dim {w.dim} of 2^{n}: {w.basis}"
             with rec.check("subspace-matroid-round-trip", witness):
@@ -236,6 +242,20 @@ def _matroid_kernel_checks(rec: Recorder, max_n: int, trials: int, seed: int) ->
                 independent = len(Subspace.span(n, cols).basis) == r
                 principal_ok = rank(principal_submatrix(a, s)) == r
                 assert independent == principal_ok
+
+
+def _all_subspaces(n: int) -> Iterator[Subspace]:
+    """Every subspace of GF(2)^n, via canonical RREF bases."""
+    for k in range(n + 1):
+        for pivots in itertools.combinations(range(n), k):
+            free_slots = [[j for j in range(p + 1, n) if j not in pivots] for p in pivots]
+            total = sum(len(s) for s in free_slots)
+            for fill in range(1 << total):
+                rows, rest = [], fill
+                for p, slots in zip(pivots, free_slots):
+                    rows.append((1 << p) | scatter(rest, slots))
+                    rest >>= len(slots)
+                yield Subspace(n, tuple(rows))
 
 
 def _zero_set(b: BitMatrix) -> int:
@@ -795,6 +815,15 @@ def delta_suite(max_n: int = 4, trials: int = 200, seed: int = 0) -> list[CheckR
 # the realization construction.
 
 
+def _kappa(c: EulerSystem, v: int) -> EulerSystem:
+    """Rewire the Euler system at v with its orientation-inconsistent pairing
+    (ins together, outs together), through the validating constructors."""
+    c.f.check_vertex(v)
+    (_, arr_a, dep_a), (_, arr_b, dep_b) = c.partition.passages[v]
+    t = c.transitions.rewired(((arr_a, arr_b), (dep_a, dep_b)))
+    return EulerSystem(partition_from_transitions(c.f, t))
+
+
 def _fourreg_partition_checks(
     rec: Recorder, f: HalfEdgeGraph, c: EulerSystem, p: CircuitPartition, witness: str
 ) -> None:
@@ -834,13 +863,14 @@ def _fourreg_compatible_checks(
         for v in range(f.n):
             label = f.graph.labels[v]
             kind = transition_type(c, p, v)
-            cv = kappa(c, v)
-            assert kappa(cv, v).transitions == c.transitions
+            cv = _kappa(c, v)
+            assert _kappa(cv, v).transitions == c.transitions
             if kind == "chi":
                 assert all(transition_type(cv, p, w) != "phi" for w in range(f.n))
                 assert relative_interlacement(cv, p) == rel.local_complement(label)
             else:
-                p_prime = partition_from_transitions(f, p.transitions.rewired(c.phi_pairing(v)))
+                phi = c.partition.pairing_at(v)
+                p_prime = partition_from_transitions(f, p.transitions.rewired(phi))
                 assert relative_interlacement(cv, p_prime) == rel.local_complement(label)
                 ci, cj = p.circuits_through(v)
                 pi, pj = p_prime.circuits_through(v)
@@ -871,7 +901,7 @@ def _fourreg_compatible_checks(
                     sizes_ok = True
                     t = p.transitions
                     for i, v in enumerate(combo, start=1):
-                        t = t.rewired(c.phi_pairing(v))
+                        t = t.rewired(c.partition.pairing_at(v))
                         p_i = partition_from_transitions(f, t)
                         if p_i.size != p.size - i:
                             sizes_ok = False
@@ -932,12 +962,41 @@ def fourreg_suite(max_n: int = 5, trials: int = 60, seed: int = 0) -> list[Check
 # poly suite: evaluator agreement and the leading-term recursions.
 
 
+def _induced_nullities(g: LoopedSimpleGraph) -> list[int]:
+    """nu(G[S]) for every vertex mask S, read from the leading Tutte term of
+    the induced subgraph's matroid: one matroid per subset."""
+    return [
+        lambda_leading(adjacency_matroid(g.induced_mask(mask))).degree_y()
+        for mask in range(1 << g.n)
+    ]
+
+
+def _q_from_lambda(nullities: list[int], bit: int = 0) -> BivariatePolynomial:
+    """The interlace polynomial from the induced nullity table, term by term:
+    (x-1)^(|S|-nu) (y-1)^nu summed over the vertex masks S holding bit
+    (every S when bit is 0)."""
+    counts = Counter((m.bit_count() - nu, nu) for m, nu in enumerate(nullities) if m & bit == bit)
+    coeffs: dict[tuple[int, int], int] = {}
+    for (a, b), count in counts.items():
+        for i, j, c in shifted_power_term(a, b).terms:
+            coeffs[i, j] = coeffs.get((i, j), 0) + count * c
+    return BivariatePolynomial.from_dict(coeffs)
+
+
+def _interlace_vertex_terms(
+    g: LoopedSimpleGraph, nullities: list[int]
+) -> dict[str, BivariatePolynomial]:
+    """For each vertex v, the part of the subset expansion over the subsets holding v."""
+    return {v: _q_from_lambda(nullities, 1 << i) for i, v in enumerate(g.labels)}
+
+
 def _poly_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
     witness = Witness(graph_witness, g)
     q = interlace_subset(g)
+    nullities = _induced_nullities(g)  # one table for both induced-matroid oracles
     with rec.check("interlace-evaluators-agree", witness):
         assert q == interlace_recursive(g)
-        assert q == q_from_lambda(g)
+        assert q == _q_from_lambda(nullities)
 
     mg = adjacency_matroid(g)
     t = tutte_subset(mg)
@@ -971,7 +1030,7 @@ def _poly_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
                 assert lam == lambda_leading(adjacency_matroid(gv.minus(v)))
 
     with rec.check("vertex-terms-make-the-difference", witness):
-        terms = interlace_vertex_terms(g)
+        terms = _interlace_vertex_terms(g, nullities)
         for v in g.labels:
             assert q - interlace_subset(g.minus(v)) == terms[v]
 
@@ -1000,20 +1059,17 @@ SUITES = {
     "fourreg": fourreg_suite,
     "poly": poly_suite,
 }
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suites(
     suite: str, max_n: int | None = None, trials: int | None = None, seed: int = 0
 ) -> list[CheckResult]:
     names = SUITE_NAMES if suite == "all" else (suite,)
+    kwargs = {k: v for k, v in (("max_n", max_n), ("trials", trials)) if v is not None}
     results: list[CheckResult] = []
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
-        kwargs = {}
-        if max_n is not None:
-            kwargs["max_n"] = max_n
-        if trials is not None:
-            kwargs["trials"] = trials
         results.extend(SUITES[name](seed=seed, **kwargs))
     return results

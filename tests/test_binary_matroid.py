@@ -13,8 +13,9 @@ from adjmatroid.binary_matroid import (
     polygon_matroid,
     single_coloop,
 )
-from adjmatroid.gf2 import BitMatrix, Subspace, all_subspaces, set_bits
+from adjmatroid.gf2 import BitMatrix, Subspace, set_bits
 from adjmatroid.graph import LoopedSimpleGraph, MultiGraph
+from adjmatroid.verify import _all_subspaces
 
 A_K3 = BitMatrix.from_rows([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
 
@@ -102,7 +103,7 @@ def pairwise_circuit_masks(m: BinaryMatroid) -> tuple[int, ...]:
 def test_circuit_masks_match_the_pairwise_scan():
     checked = 0
     for n in range(5):
-        for w in all_subspaces(n):
+        for w in _all_subspaces(n):
             m = BinaryMatroid(tuple(f"v{i}" for i in range(n)), w)
             assert m.circuit_masks() == pairwise_circuit_masks(m)
             checked += 1
@@ -154,7 +155,7 @@ def test_delete_matches_the_spanned_restriction():
     pairs = 0
     for n in range(1, 6):
         labels = tuple(f"e{i}" for i in range(n))
-        for w in all_subspaces(n):
+        for w in _all_subspaces(n):
             m = BinaryMatroid(labels, w)
             for i, v in enumerate(labels):
                 inside = w.restricted_to(((1 << n) - 1) & ~(1 << i))
@@ -189,7 +190,7 @@ def test_direct_sum_concatenates_canonical_bases():
     pairs = [
         (w1, w2)
         for n1 in range(5) for n2 in range(5 - n1)
-        for w1 in all_subspaces(n1) for w2 in all_subspaces(n2)
+        for w1 in _all_subspaces(n1) for w2 in _all_subspaces(n2)
     ]
     assert len(pairs) == 294
     rng = random.Random(1107)
@@ -326,7 +327,7 @@ def test_bases_equicardinal_with_rank():
 def test_bases_and_independent_sets_on_every_small_subspace():
     checked = 0
     for n in range(5):
-        for w in all_subspaces(n):
+        for w in _all_subspaces(n):
             m = BinaryMatroid(tuple(f"v{i}" for i in range(n)), w)
             independent = [s for s in range(1 << n) if w.restricted_to(s).dim == 0]
             assert list(m.independent_masks()) == independent

@@ -129,6 +129,8 @@ def test_trio_without_a_known_vertex_prints_one_line_and_exits_1(tmp_path, capsy
     for argv, err in (
         (["trio", "--input", path], "error: trio needs --vertex\n"),
         (["trio", "--vertex", "z", "--input", path], "error: unknown vertex 'z'\n"),
+        (["minor", "--delete", "z", "--input", path], "error: unknown vertex 'z'\n"),
+        (["minor", "--contract", "z", "--input", path], "error: unknown vertex 'z'\n"),
     ):
         assert run(capsys, *argv) == (1, "", err)
 

@@ -117,6 +117,15 @@ def test_deletion_and_tilde_operations():
     assert not coloopy.delete(["a"]).is_proper
 
 
+def test_unknown_labels_are_rejected_alike():
+    d = sets("ab", [], ["a"])
+    for call in (d.restrict, d.delete, d.pivot):
+        with pytest.raises(ValueError, match=r"^unknown element 'zz'$"):
+            call(["zz"])
+    assert d.restrict(["b", "a"]) == d.delete([]) == d
+    assert d.restrict([]) == d.delete(["a", "b", "a"]) == sets("", [])
+
+
 def test_deletion_tracks_graphs():
     for g in all_looped_simple_graphs(3):
         for v in g.labels:

@@ -19,7 +19,6 @@ from adjmatroid.four_regular import (
     euler_system,
     file_order_partition,
     interlacement,
-    kappa,
     partition_from_transitions,
     random_four_regular,
     realize_touch_graph,
@@ -162,13 +161,13 @@ def test_kappa_is_transition_involution():
         f = HalfEdgeGraph(mg)
         c = euler_system(f)
         for v in range(f.n):
-            again = kappa(kappa(c, v), v)
+            again = verify._kappa(verify._kappa(c, v), v)
             assert again.transitions == c.transitions
 
 
 def test_kappa_on_figure_eight():
     c = euler_system(FIG8)
-    cv = kappa(c, 0)
+    cv = verify._kappa(c, 0)
     assert len(cv.circuits) == 1 and len(cv.circuits[0]) == 2
     assert transition_type(c, cv.partition, 0) == "psi"
 
@@ -646,9 +645,7 @@ def test_vertex_index_is_checked():
         p.pairing_at,
         p.circuits_through,
         lambda v: transition_type(c, p, v),
-        c.phi_pairing,
-        c.psi_pairing,
-        lambda v: kappa(c, v),
+        lambda v: verify._kappa(c, v),
     ]
     for v in (-1, f.n):
         for call in per_vertex:
@@ -680,10 +677,16 @@ def chi_pairing(c, v: int):
     return frozenset((frozenset((arr_a, dep_b)), frozenset((arr_b, dep_a))))
 
 
+def psi_pairing(c, v: int):
+    """The orientation-inconsistent pairing at v: ins together, outs together."""
+    (_, arr_a, dep_a), (_, arr_b, dep_b) = c.partition.passages[v]
+    return frozenset((frozenset((arr_a, arr_b)), frozenset((dep_a, dep_b))))
+
+
 def pairing_transition_type(c, p, v: int) -> str:
     """Reference: match p's pairing at v against c's three pairings as sets."""
     part = p.pairing_at(v)
-    phi, chi, psi = c.phi_pairing(v), chi_pairing(c, v), c.psi_pairing(v)
+    phi, chi, psi = c.partition.pairing_at(v), chi_pairing(c, v), psi_pairing(c, v)
     assert len({phi, chi, psi}) == 3
     return {phi: "phi", chi: "chi", psi: "psi"}[part]
 
@@ -1049,8 +1052,8 @@ def test_relative_interlacement_builds_a_fixed_number_of_graphs(monkeypatch):
 
 
 def test_component_count_runs_once_per_graph(monkeypatch):
-    """The derived Euler systems count no components; kappa, which goes
-    through the public constructor, counts them once per graph."""
+    """The derived Euler systems count no components; verify's kappa, which
+    goes through the public constructor, counts them once per graph."""
     f = table_cases()[-1]
     calls = []
     count = MultiGraph.component_count
@@ -1058,7 +1061,7 @@ def test_component_count_runs_once_per_graph(monkeypatch):
     c = compatible_euler_system(f, file_order_partition(f))
     assert euler_system(f) != c and calls == []
     for v in range(f.n):
-        kappa(c, v)
+        verify._kappa(c, v)
     assert len(calls) == 1
 
 
@@ -1073,7 +1076,7 @@ def test_euler_system_is_built_once_per_graph(monkeypatch):
     for p in (file_order_partition(f), c.partition):
         assert compatible_euler_system(f, p) != c
     for v in range(f.n):
-        kappa(c, v)
+        verify._kappa(c, v)
     assert builds == [f]
     fresh = HalfEdgeGraph(f.graph)
     again = euler_system(fresh)

@@ -14,7 +14,6 @@ import pytest
 from adjmatroid.gf2 import (
     BitMatrix,
     Subspace,
-    all_subspaces,
     column_masked_planes,
     count_masks,
     drop_bit,
@@ -40,6 +39,7 @@ from adjmatroid.four_regular import (
     relative_interlacement,
 )
 from adjmatroid.graph import all_looped_simple_graphs, random_looped_simple_graph
+from adjmatroid.verify import _all_subspaces
 
 A_K3 = BitMatrix.from_rows([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
 A_K3L = BitMatrix.from_rows([[1, 1, 1], [1, 0, 1], [1, 1, 0]])
@@ -301,7 +301,7 @@ def test_principal_nullities_match_submatrix_nullity():
 
 def test_subset_nullities_match_restriction():
     rng = random.Random(6)
-    spaces = [w for n in range(5) for w in all_subspaces(n)]
+    spaces = [w for n in range(5) for w in _all_subspaces(n)]
     assert len(spaces) == 1 + 2 + 5 + 16 + 67
     for n in range(5, 11):
         for k in range(n + 1):
@@ -443,6 +443,6 @@ def test_all_subspaces_counts():
     # Galois numbers: total subspaces of GF(2)^n
     expected = {0: 1, 1: 2, 2: 5, 3: 16, 4: 67, 5: 374}
     for n, count in expected.items():
-        seen = list(all_subspaces(n))
+        seen = list(_all_subspaces(n))
         assert len(seen) == count
         assert len(set(seen)) == count

@@ -3,8 +3,9 @@ definition in the package is referenced from the package or the benchmark
 (a class or static method through its own class), object.__new__, the
 principal scan, the coloop pass and pairing validation each have one site,
 the two row eliminations run only inside gf2, only the minor routes build
-an adjacency matroid, the 4-regular builders take no validating route, and
-only the Kotzig merge builds an Euler system unchecked."""
+an adjacency matroid, the 4-regular builders take no validating route,
+only the Kotzig merge builds an Euler system unchecked, and the slow
+references that only verify calls live in verify."""
 
 import ast
 from pathlib import Path
@@ -77,24 +78,31 @@ def references(source: str) -> set[str]:
     return out
 
 
-def unused_definitions(source: str, used: set[str]) -> list[str]:
-    """Functions, methods and classes, by qualified name, whose name is not in
-    `used`; dunder methods are called by Python and exempt."""
+def definitions(source: str) -> list[tuple[str, ast.AST]]:
+    """Every function, method and class, with its qualified name, in source order."""
     found = []
 
     def visit(node: ast.AST, prefix: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                name = prefix + child.name
-                dunder = child.name.startswith("__") and child.name.endswith("__")
-                if not dunder and child.name not in used and name not in CALLED_BY_LIBRARIES:
-                    found.append(f"line {child.lineno}: {name}")
-                visit(child, name + ".")
+                found.append((prefix + child.name, child))
+                visit(child, prefix + child.name + ".")
             else:
                 visit(child, prefix)
 
     visit(ast.parse(source), "")
     return found
+
+
+def unused_definitions(source: str, used: set[str]) -> list[str]:
+    """Functions, methods and classes, by qualified name, whose name is not in
+    `used`; dunder methods are called by Python and exempt."""
+    return [
+        f"line {node.lineno}: {name}"
+        for name, node in definitions(source)
+        if not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in used and name not in CALLED_BY_LIBRARIES
+    ]
 
 
 def test_checker_flags_only_unused_definitions():
@@ -376,6 +384,39 @@ def test_only_the_minor_routes_build_adjacency_matroids():
     assert sites(ADJACENCY.read_text(), builds_matroid) == MATROID_BUILDERS
 
 
+def imported_modules(source: str) -> set[str]:
+    """The last component of every module the source imports, or imports from."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            out.update((node.module or alias.name).rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.Import):
+            out.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    return out
+
+
+POLYNOMIALS = ROOT / "src" / "adjmatroid" / "polynomials.py"
+
+
+def test_checker_finds_every_imported_module_and_polynomial_matroid_build():
+    source = (
+        "from __future__ import annotations\n"
+        "from .adjacency_matroid import adjacency_matroid\n"
+        "from . import gf2 as g\n"
+        "import adjmatroid.graph\n"
+    )
+    assert imported_modules(source) == {"__future__", "adjacency_matroid", "gf2", "graph"}
+    planted = POLYNOMIALS.read_text() + "def q(g):\n    return adjacency_matroid(g.minus('a'))\n"
+    assert sites(planted, builds_matroid) == ["q"]
+
+
+def test_polynomials_build_and_import_no_adjacency_matroid():
+    """The evaluators read planes or take a matroid; the induced-matroid
+    interlace oracle, which builds one matroid per subset, is verify's."""
+    assert "src/adjmatroid/polynomials.py" not in sites_in_sources(builds_matroid)
+    assert "adjacency_matroid" not in imported_modules(POLYNOMIALS.read_text())
+
+
 def calls_method(owner: str, name: str) -> Callable[[ast.AST], bool]:
     """Accepts a call of owner.name."""
 
@@ -451,6 +492,20 @@ def test_derived_four_regular_objects_skip_the_validating_routes():
     assert validating_builders(FOUR_REGULAR.read_text()) == {}
 
 
+def test_checker_finds_a_validating_euler_system_anywhere():
+    planted = FOUR_REGULAR.read_text() + (
+        "def kappa(c, v):\n"
+        "    return EulerSystem(partition_from_transitions(c.f, t))\n"
+    )
+    assert sites(planted, calls("EulerSystem")) == ["kappa"]
+
+
+def test_four_regular_builds_no_validated_euler_system():
+    """Every Euler system the module builds comes from the Kotzig merge; the
+    validating rewiring kappa is verify's."""
+    assert sites(FOUR_REGULAR.read_text(), calls("EulerSystem")) == []
+
+
 def builds_unchecked(cls: str) -> Callable[[ast.AST], bool]:
     """Accepts a call of unchecked, bare or as an attribute, whose first
     argument is the name cls."""
@@ -483,4 +538,43 @@ def test_only_the_kotzig_merge_builds_an_euler_system_unchecked():
     """Both Euler-system builders go through the one merge kernel."""
     assert sites_in_sources(builds_unchecked("EulerSystem")) == {
         "src/adjmatroid/four_regular.py": ["_merged"]
+    }
+
+
+# The slow references that only verify calls, by name less any leading
+# underscores: each lives beside its checks in verify.py, or nowhere.
+VERIFY_REFERENCES = frozenset({
+    "q_from_lambda", "interlace_vertex_terms", "induced_nullities", "kappa", "all_subspaces",
+    "phi_pairing", "psi_pairing",
+})
+
+
+def verify_references(source: str) -> list[str]:
+    return [name for name, node in definitions(source) if node.name.lstrip("_") in VERIFY_REFERENCES]
+
+
+def test_checker_finds_every_verify_reference():
+    source = (
+        "def kappa(c, v): ...\n"
+        "class EulerSystem:\n"
+        "    def phi_pairing(self, v): ...\n"
+        "    def pairing_at(self, v): ...\n"
+        "def _all_subspaces(n): ...\n"
+        "all_subspaces = list\n"
+        "def kappas(): ...\n"
+    )
+    assert verify_references(source) == ["kappa", "EulerSystem.phi_pairing", "_all_subspaces"]
+
+
+def test_verify_references_live_only_in_verify():
+    found = {
+        str(path.relative_to(ROOT)): names
+        for path in SOURCES
+        if (names := verify_references(path.read_text()))
+    }
+    assert found == {
+        "src/adjmatroid/verify.py": [
+            "_all_subspaces", "_kappa", "_induced_nullities", "_q_from_lambda",
+            "_interlace_vertex_terms",
+        ]
     }

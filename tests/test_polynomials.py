@@ -17,15 +17,24 @@ from adjmatroid.polynomials import (
     _expand,
     interlace_recursive,
     interlace_subset,
-    interlace_vertex_terms,
     lambda_leading,
-    q_from_lambda,
     shifted_power_term,
     tutte_recursive,
     tutte_subset,
 )
+from adjmatroid.verify import _induced_nullities, _interlace_vertex_terms, _q_from_lambda
 
 K3 = LoopedSimpleGraph.build("abc", [("a", "b"), ("b", "c"), ("a", "c")])
+
+
+def q_from_lambda(g: LoopedSimpleGraph) -> BivariatePolynomial:
+    """verify's induced-matroid interlace oracle, on a table of its own."""
+    return _q_from_lambda(_induced_nullities(g))
+
+
+def interlace_vertex_terms(g: LoopedSimpleGraph) -> dict[str, BivariatePolynomial]:
+    """verify's per-vertex parts of that oracle, on a table of their own."""
+    return _interlace_vertex_terms(g, _induced_nullities(g))
 
 
 def all_loops(labels) -> BinaryMatroid:

@@ -24,7 +24,7 @@ from adjmatroid.graph import (
     random_looped_simple_graph,
 )
 from adjmatroid.graphtext import render_graph
-from adjmatroid.polynomials import interlace_subset, interlace_vertex_terms, q_from_lambda
+from adjmatroid.polynomials import interlace_subset
 
 # Instance counts of every check at max_n=2, trials=5, seed=0.  Sharing work
 # between checks must never change them.
@@ -136,11 +136,18 @@ def test_the_matroid_suite_builds_only_its_oracle_matroids(monkeypatch):
 def test_interlace_oracles_build_one_table_each(monkeypatch):
     g = C5_LOOPED
     calls = count_matroid_builds(monkeypatch)
-    q = q_from_lambda(g)
-    terms = interlace_vertex_terms(g)
-    assert len(calls) == 2 * (1 << g.n)  # one matroid per subset in each oracle
+    nullities = verify._induced_nullities(g)
+    q = verify._q_from_lambda(nullities)
+    terms = verify._interlace_vertex_terms(g, nullities)
+    assert len(calls) == 1 << g.n  # one matroid per subset, read by both oracles
     assert q == interlace_subset(g)
-    assert set(terms) == set(g.labels)
+    assert {v: q - interlace_subset(g.minus(v)) for v in g.labels} == terms
+    calls.clear()
+    rec = verify.Recorder()
+    verify._poly_graph_checks(rec, g)
+    # the table, g's own matroid, and one per vertex for the complement rules
+    assert len(calls) == (1 << g.n) + 1 + g.n
+    assert all(r.ok for r in rec.report())
 
 
 def test_delta_subset_checks_build_one_matroid_per_subset(monkeypatch):
