@@ -1,8 +1,13 @@
 """Binary matroids stored as canonical GF(2) cycle-space subspaces.
 
-The cycle space is a complete invariant, so equality of matroids reduces to
-subspace comparison; circuits, rank, bases and minors are all derived from
-it on demand.
+The cycle space W is a complete invariant, so equality of matroids reduces
+to subspace comparison; circuits, rank, bases and minors are all derived
+from it on demand.  Rank, deletion and the independent sets rest on one
+restriction identity.  Clearing the coordinates in S is a linear map on W
+whose kernel is W_S, the cycles inside S, so r(S) = |S| - dim W_S =
+|S| - dim W + rank(W's basis with S's columns cleared).  `rank_of` applies
+it to one S, `delete` to the ground minus v, and `column_masked_planes` to
+every S at once.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from .gf2 import (
     drop_bit,
     nullspace,
     orthogonal_complement,
+    rank,
     rref_masks,
     set_bits,
     size_masks,
@@ -123,8 +129,14 @@ class BinaryMatroid:
         return frozenset(self._labels_of(m) for m in self.circuit_masks())
 
     def rank_of(self, s: Iterable[str]) -> int:
+        """r(S) by the restriction identity of the module docstring: the
+        one-subset case of `column_masked_planes`."""
         mask = self._mask_of(s)
-        return mask.bit_count() - self.cycle_space.restricted_to(mask).dim
+        w = self.cycle_space
+        off = unchecked(
+            BitMatrix, rows=w.dim, cols=w.ambient_dim, data=tuple(m & ~mask for m in w.basis)
+        )
+        return mask.bit_count() - self.nullity + rank(off)
 
     def is_loop(self, v: str) -> bool:
         return self.cycle_space.contains(1 << self.index(v))
@@ -138,21 +150,23 @@ class BinaryMatroid:
         return unchecked(BinaryMatroid, ground=self.ground, cycle_space=w)
 
     def delete(self, v: str) -> "BinaryMatroid":
+        """The restriction to the ground minus v, where clearing S leaves bit
+        v: the first basis row through v, XORed into every row through v
+        (itself to zero), spans the kernel.  A coloop has no row through v."""
         i = self.index(v)
-        keep = ((1 << self.size) - 1) & ~(1 << i)
-        # restricted_to's basis is canonical and free of bit i, and dropping
-        # that bit keeps it canonical, so it needs no second span
-        inside = self.cycle_space.restricted_to(keep)
-        return self._minor(v, tuple(drop_bit(m, i) for m in inside.basis))
+        basis = self.cycle_space.basis
+        first = next((m for m in basis if (m >> i) & 1), 0)
+        return self._minor(i, [m ^ first if (m >> i) & 1 else m for m in basis])
 
     def contract(self, v: str) -> "BinaryMatroid":
-        i = self.index(v)
-        return self._minor(v, rref_masks(drop_bit(m, i) for m in self.cycle_space.basis))
+        return self._minor(self.index(v), self.cycle_space.basis)
 
-    def _minor(self, v: str, basis: tuple[int, ...]) -> "BinaryMatroid":
-        """The matroid on the ground set minus v with this canonical basis,
-        valid by construction and so built unchecked, as dual is."""
-        ground = tuple(u for u in self.ground if u != v)
+    def _minor(self, i: int, rows: Iterable[int]) -> "BinaryMatroid":
+        """The matroid on the ground set minus element i whose cycle space is
+        the span of rows with bit i dropped, valid by construction and so
+        built unchecked, as dual is."""
+        ground = self.ground[:i] + self.ground[i + 1:]
+        basis = rref_masks(drop_bit(m, i) for m in rows)
         w = unchecked(Subspace, ambient_dim=self.size - 1, basis=basis)
         return unchecked(BinaryMatroid, ground=ground, cycle_space=w)
 

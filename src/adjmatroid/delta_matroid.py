@@ -33,7 +33,7 @@ FlipOp = str  # "pivot" | "dual_pivot" | "loop_complement"
 
 def _check_ground_gate(n: int) -> None:
     if n > GROUND_GATE:
-        raise ValueError(f"set systems are gated at {GROUND_GATE} ground elements")
+        raise ValueError(f"set systems are gated at {GROUND_GATE} ground elements, got {n}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -156,8 +156,8 @@ class TransitionSystem:
 
     @classmethod
     def from_pairs(cls, f: HalfEdgeGraph, pairs: Iterable[Iterable[int]]) -> "TransitionSystem":
-        """The system joining each given pair; unchecked until
-        `partition_from_transitions` validates it."""
+        """The system joining each given pair, unchecked: a caller's pairs
+        are validated by `partition_from_transitions`."""
         return cls((-1,) * f.half_count).rewired(pairs)
 
     @classmethod
@@ -469,9 +469,10 @@ def realize_touch_graph(g: LoopedSimpleGraph | MultiGraph) -> Realization:
 
 def file_order_partition(f: HalfEdgeGraph) -> CircuitPartition:
     """The partition pairing each vertex's first two and last two half-edges
-    in edge-insertion order; this is how a plain edge list encodes one."""
+    in edge-insertion order; this is how a plain edge list encodes one.  It
+    is valid by construction, so traced unvalidated, as `_merged` traces it."""
     pairs = [pair for v in range(f.n) for pair in f.transitions_at(v)[0]]
-    return partition_from_transitions(f, TransitionSystem.from_pairs(f, pairs))
+    return _traced(f, TransitionSystem.from_pairs(f, pairs))
 
 
 SAMPLE_TRIES = 200  # configuration-model draws before giving up on connectivity

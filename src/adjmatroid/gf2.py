@@ -5,7 +5,7 @@ are tuples of row masks.  A subspace keeps its basis as a tuple of row
 masks in canonical reduced row-echelon form, so that equality of subspaces
 is plain ``==``.
 
-There are four eliminations, one per shape of problem.  ``echelon`` keys
+There are three eliminations, one per shape of problem.  ``echelon`` keys
 rows by highest set bit in a list of slots indexed by ``bit_length``, with
 no back-substitution; it is behind ``rank``, ``nullity`` and ``nullspace``,
 which reads the canonical kernel off it by triangular solves.
@@ -13,8 +13,6 @@ which reads the canonical kernel off it by triangular solves.
 and so behind ``Subspace.span`` and ``coloop_masks``.  It stays because the
 canonical basis of a ``Subspace`` has lowest-bit pivots, which every printed
 basis and every ``==`` of subspaces depends on.
-``Subspace.restricted_to`` eliminates on the out-of-mask bits only (a
-forward-pivot form that shifts the inside bits up measured 1.3-1.5x slower).
 ``subset_pivot_planes`` eliminates all 2^n subset matrices S at once: each
 entry is a 2^n-bit int with bit S the entry of matrix S, and the result is
 one pivot plane per row, set at S iff that row is a pivot row of matrix S.
@@ -293,23 +291,6 @@ class Subspace:
             out += [v ^ b for v in out]
         return iter(sorted(out))
 
-    def restricted_to(self, mask: int) -> "Subspace":
-        """The subspace of members supported inside the coordinate mask."""
-        outside_pivots: dict[int, int] = {}
-        inside: list[int] = []
-        out_mask = ((1 << self.ambient_dim) - 1) & ~mask
-        for v in self.basis:
-            while v & out_mask:
-                p = lowest_bit(v & out_mask)
-                if p in outside_pivots:
-                    v ^= outside_pivots[p]
-                else:
-                    outside_pivots[p] = v
-                    v = 0
-            if v:
-                inside.append(v)
-        return unchecked(Subspace, ambient_dim=self.ambient_dim, basis=rref_masks(inside))
-
     def permuted(self, new_position: Sequence[int]) -> "Subspace":
         """Rename coordinates: old coordinate i becomes new_position[i]."""
         if sorted(new_position) != list(range(self.ambient_dim)):
@@ -445,7 +426,8 @@ def principal_planes(a: BitMatrix) -> list[int]:
 def column_masked_planes(w: Subspace) -> list[int]:
     """Pivot planes of w's basis on the columns outside S, for every S: entry
     (i, k) is ZERO_k where basis row i has bit k.  So w meets GF(2)^S in
-    dimension w.dim minus the number of planes set at S."""
+    dimension w.dim minus the number of planes set at S: the restriction
+    identity of `binary_matroid`, for every S at once."""
     check_enum_gate(w.ambient_dim, "column-masked subset scan")
     masks = coord_masks(w.ambient_dim)
     return subset_pivot_planes([

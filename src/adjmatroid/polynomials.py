@@ -193,7 +193,7 @@ def interlace_recursive(g: LoopedSimpleGraph) -> BivariatePolynomial:
 def tutte_subset(m: BinaryMatroid) -> BivariatePolynomial:
     """Rank generating subset expansion of the Tutte polynomial, with
     r(S) = |S| - nu(S) and nu(S) = nullity - c, c the number of column-masked
-    cycle-space planes set at S."""
+    cycle-space planes set at S: the restriction identity of `binary_matroid`."""
     tally = tally_planes(column_masked_planes(m.cycle_space), m.size)
     d = m.nullity
     return _expand({(m.rank - size + d - c, d - c): k for (size, c), k in tally.items()})

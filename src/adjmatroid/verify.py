@@ -560,6 +560,7 @@ def _delta_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
     d = dm.from_graph(g)
     mg = adjacency_matroid(g)
     witness = Witness(graph_witness, g)
+    induced = [g.induced_mask(mask) for mask in range(1 << g.n)]
 
     with rec.check("graph-encoding-is-normal-delta-matroid", witness):
         assert d.is_normal
@@ -568,8 +569,7 @@ def _delta_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
         assert dm.to_graph(d) == g
 
     with rec.check("distance-equals-induced-nullity", witness):
-        for mask in range(1 << g.n):
-            h = g.induced_mask(mask)
+        for h in induced:
             assert d.distance(h.labels) == nullity(h.adj)
 
     with rec.check("max-members-are-matroid-bases", witness):
@@ -616,13 +616,15 @@ def _delta_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
                 assert m_iso == m_gv.contract(v).direct_sum(single_coloop(v))
                 assert (m_iso == m_gv) == (mg.nullity >= m_gv.nullity)
 
-    _delta_subset_checks(rec, g, d)
+    _delta_subset_checks(rec, g, d, induced)
 
 
-def _delta_subset_checks(rec: Recorder, g: LoopedSimpleGraph, d: dm.SetSystem) -> None:
-    """The induced-subgraph checks, over one matroid per vertex subset."""
+def _delta_subset_checks(
+    rec: Recorder, g: LoopedSimpleGraph, d: dm.SetSystem, induced: list[LoopedSimpleGraph]
+) -> None:
+    """The induced-subgraph checks, over one matroid per vertex subset;
+    induced[mask] is g's subgraph induced on mask."""
     witness = Witness(graph_witness, g)
-    induced = [g.induced_mask(mask) for mask in range(1 << g.n)]
     subs = [adjacency_matroid(h) for h in induced]
     sub_bases = [sub.bases() for sub in subs]
     collected = _union_below([sum({1 << d.mask_of(b) for b in bs}) for bs in sub_bases], g.n)

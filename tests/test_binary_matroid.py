@@ -149,20 +149,41 @@ def test_delete_contract_examples():
         u32.delete("z")
 
 
-def test_delete_matches_the_spanned_restriction():
-    """Reference: drop bit i from the rows of the restriction and span them
-    again, the second elimination that delete skips."""
+def test_delete_matches_the_spanned_restriction(restricted):
+    """The reference restriction to the ground minus v: its canonical rows,
+    with bit v dropped, are delete's basis row for row, and span its space."""
     pairs = 0
     for n in range(1, 6):
         labels = tuple(f"e{i}" for i in range(n))
         for w in _all_subspaces(n):
             m = BinaryMatroid(labels, w)
             for i, v in enumerate(labels):
-                inside = w.restricted_to(((1 << n) - 1) & ~(1 << i))
-                dropped = [(b & ((1 << i) - 1)) | (b >> (i + 1) << i) for b in inside.basis]
-                assert m.delete(v).cycle_space == Subspace.span(n - 1, dropped)
+                inside = restricted(w, ((1 << n) - 1) & ~(1 << i))
+                dropped = tuple((b & ((1 << i) - 1)) | (b >> (i + 1) << i) for b in inside.basis)
+                deleted = m.delete(v).cycle_space
+                assert deleted.basis == dropped
+                assert deleted == Subspace.span(n - 1, dropped)
                 pairs += 1
     assert pairs == 2198
+
+
+def test_rank_of_matches_the_restriction(restricted):
+    """r(S) = |S| - dim of the cycles inside S, at every mask of every
+    subspace with n <= 5 and at seeded masks up to n = 14."""
+    rng = random.Random(12)
+    cases = [(w, range(1 << w.ambient_dim)) for n in range(6) for w in _all_subspaces(n)]
+    for n in range(6, 15):
+        for k in range(0, n + 1, 2):
+            w = Subspace.span(n, [rng.randrange(1 << n) for _ in range(k)])
+            cases.append((w, [rng.randrange(1 << n) for _ in range(40)]))
+    checked = 0
+    for w, masks in cases:
+        m = BinaryMatroid(tuple(f"e{i}" for i in range(w.ambient_dim)), w)
+        for mask in masks:
+            labels = [m.ground[i] for i in set_bits(mask)]
+            assert m.rank_of(labels) == mask.bit_count() - restricted(w, mask).dim
+            checked += 1
+    assert checked == 13_193 + 52 * 40
 
 
 def test_direct_sum_loop_coloop_adjunction():
@@ -324,12 +345,12 @@ def test_bases_equicardinal_with_rank():
             assert len(b) == m.rank
 
 
-def test_bases_and_independent_sets_on_every_small_subspace():
+def test_bases_and_independent_sets_on_every_small_subspace(restricted):
     checked = 0
     for n in range(5):
         for w in _all_subspaces(n):
             m = BinaryMatroid(tuple(f"v{i}" for i in range(n)), w)
-            independent = [s for s in range(1 << n) if w.restricted_to(s).dim == 0]
+            independent = [s for s in range(1 << n) if restricted(w, s).dim == 0]
             assert list(m.independent_masks()) == independent
             bases = m.bases()
             assert bases and all(len(b) == m.rank for b in bases)

@@ -135,6 +135,20 @@ def test_trio_without_a_known_vertex_prints_one_line_and_exits_1(tmp_path, capsy
         assert run(capsys, *argv) == (1, "", err)
 
 
+def test_size_gates_name_the_refused_size(tmp_path, capsys):
+    def empty(n):
+        return write(tmp_path, f"g{n}", "vertices " + " ".join(f"v{i}" for i in range(n)) + "\n")
+
+    for argv, err in (
+        (["delta", "--input", empty(17)], "set systems are gated at 16 ground elements, got 17"),
+        (
+            ["interlace", "--input", empty(21)],
+            "principal submatrix scan is gated at 20 coordinates, got 21",
+        ),
+    ):
+        assert run(capsys, *argv) == (1, "", f"error: {err}\n")
+
+
 def test_delta_command(tmp_path, capsys):
     code, out, _ = run(capsys, "delta", "--input", write(tmp_path, "g", K3_TEXT))
     assert code == 0

@@ -30,6 +30,7 @@ from adjmatroid.gf2 import (
     symmetrize_nullspace,
 )
 from adjmatroid import gf2
+from adjmatroid.binary_matroid import BinaryMatroid
 from adjmatroid.four_regular import (
     HalfEdgeGraph,
     TransitionSystem,
@@ -299,7 +300,7 @@ def test_principal_nullities_match_submatrix_nullity():
             assert len(idx) - planes_at(planes, mask) == nullity(principal_submatrix(g.adj, idx))
 
 
-def test_subset_nullities_match_restriction():
+def test_subset_nullities_match_restriction(restricted):
     rng = random.Random(6)
     spaces = [w for n in range(5) for w in _all_subspaces(n)]
     assert len(spaces) == 1 + 2 + 5 + 16 + 67
@@ -310,7 +311,7 @@ def test_subset_nullities_match_restriction():
         planes = column_masked_planes(w)
         assert len(planes) == w.dim
         for mask in range(1 << w.ambient_dim):
-            assert w.dim - planes_at(planes, mask) == w.restricted_to(mask).dim
+            assert w.dim - planes_at(planes, mask) == restricted(w, mask).dim
 
 
 def test_count_masks_and_set_bits():
@@ -432,11 +433,13 @@ def test_subspace_enumeration_gate():
 
 
 def test_restricted_to():
-    w = Subspace.span(4, [0b0011, 0b1100])
-    inside = w.restricted_to(0b0011)
-    assert set(inside.vectors()) == {0, 0b0011}
-    assert w.restricted_to(0b1111) == w
-    assert w.restricted_to(0).dim == 0
+    """Restriction to a mask, through rank_of and delete: the cycles inside
+    the first two elements, inside all four, and inside none."""
+    m = BinaryMatroid(("a", "b", "c", "d"), Subspace.span(4, [0b0011, 0b1100]))
+    assert m.delete("d").delete("c").cycle_space == Subspace.span(2, [0b11])
+    assert m.rank_of("ab") == 1
+    assert m.rank_of("abcd") == m.rank == 2
+    assert m.rank_of("") == 0
 
 
 def test_all_subspaces_counts():

@@ -185,7 +185,7 @@ def unchecked_outputs(g: LoopedSimpleGraph, rng: random.Random) -> list:
         assert g.induced_mask(sum(1 << i for i in idx)) == h
         out.append(h)
     m = adjacency_matroid(g)  # its cycle space is nullspace's
-    out += [m, m.dual(), m.cycle_space.restricted_to(rng.randrange(1 << g.n))]
+    out += [m, m.dual(), m.cycle_space]
     out += [minor for v in g.labels for minor in (m.delete(v), m.contract(v))]
     d = from_graph(g)
     x = rng.sample(g.labels, rng.randint(0, g.n))

@@ -2,10 +2,10 @@
 definition in the package is referenced from the package or the benchmark
 (a class or static method through its own class), object.__new__, the
 principal scan, the coloop pass and pairing validation each have one site,
-the two row eliminations run only inside gf2, only the minor routes build
-an adjacency matroid, the 4-regular builders take no validating route,
-only the Kotzig merge builds an Euler system unchecked, and the slow
-references that only verify calls live in verify."""
+the two row eliminations run only inside gf2 and gf2 runs three in all,
+only the minor routes build an adjacency matroid, the 4-regular builders
+take no validating route, only the Kotzig merge builds an Euler system
+unchecked, and the slow references that only verify calls live in verify."""
 
 import ast
 from pathlib import Path
@@ -123,6 +123,13 @@ def test_checker_flags_only_unused_definitions():
     assert unused_definitions(source, references(source)) == [
         "line 4: Used.orphan", "line 10: unused",
     ]
+    # a leftover with no caller in the package or the benchmark is flagged
+    gf2 = (ROOT / "src" / "adjmatroid" / "gf2.py").read_text()
+    stub = "    def restricted_to(self, mask):\n        return self\n\n"
+    planted = gf2.replace("    def permuted(", stub + "    def permuted(", 1)
+    used = set().union(*(references(path.read_text()) for path in REFERRERS))
+    flagged = [f.split(": ")[1] for f in unused_definitions(planted, used)]
+    assert flagged == ["Subspace.restricted_to"]
 
 
 def test_every_definition_is_referenced():
@@ -348,6 +355,39 @@ def test_only_gf2_kernels_eliminate():
     assert sites_in_sources(calls("forward_pivots")) == {gf2: ["rref_masks"]}
 
 
+def xors_until_reduced(node: ast.AST) -> bool:
+    """Accepts a while loop that XORs into a row: the shape of a row
+    elimination, which reduces until a pivot condition holds."""
+    return isinstance(node, ast.While) and any(
+        isinstance(n, ast.AugAssign) and isinstance(n.op, ast.BitXor) for n in ast.walk(node)
+    )
+
+
+def test_checker_finds_every_elimination_loop():
+    source = (
+        "class Subspace:\n"
+        "    def restricted_to(self, mask):\n"
+        "        for v in self.basis:\n"
+        "            while v & mask:\n"
+        "                v ^= pivots[v & -v]\n"
+        "def reduce_mask(v, basis):\n"
+        "    for b in basis:\n"
+        "        v ^= b\n"
+        "    while v:\n"
+        "        v &= v - 1\n"
+    )
+    assert sites(source, xors_until_reduced) == ["Subspace.restricted_to"]
+
+
+def test_gf2_runs_three_eliminations():
+    """Highest-bit echelon, lowest-bit forward pivots with the RREF's
+    back-substitution, and the bit-sliced subset elimination."""
+    gf2 = (ROOT / "src" / "adjmatroid" / "gf2.py").read_text()
+    assert sites(gf2, xors_until_reduced) == [
+        "echelon", "forward_pivots", "rref_masks", "subset_pivot_planes",
+    ]
+
+
 def builds_matroid(node: ast.AST) -> bool:
     """Accepts a call of adjacency_matroid, bare or as an attribute, or of
     BinaryMatroid.from_matrix."""
@@ -435,7 +475,7 @@ def calls_method(owner: str, name: str) -> Callable[[ast.AST], bool]:
 FOUR_REGULAR = ROOT / "src" / "adjmatroid" / "four_regular.py"
 DERIVED_BUILDERS = (
     "HalfEdgeGraph.euler_system", "compatible_euler_system", "_merged", "touch_graph",
-    "realize_touch_graph",
+    "realize_touch_graph", "file_order_partition",
 )
 VALIDATING_ROUTES = {
     "partition_from_transitions": calls("partition_from_transitions"),

@@ -102,6 +102,11 @@ C5_LOOPED = LoopedSimpleGraph.build(
 )
 
 
+def induced_subgraphs(g: LoopedSimpleGraph) -> list[LoopedSimpleGraph]:
+    """g's subgraph induced on each vertex mask, indexed by the mask."""
+    return [g.induced_mask(mask) for mask in range(1 << g.n)]
+
+
 def count_matroid_builds(monkeypatch) -> list[None]:
     """Patch BinaryMatroid.from_matrix to log one entry per call."""
     calls: list[None] = []
@@ -155,9 +160,22 @@ def test_delta_subset_checks_build_one_matroid_per_subset(monkeypatch):
     d = dm.from_graph(g)
     rec = verify.Recorder()
     calls = count_matroid_builds(monkeypatch)
-    verify._delta_subset_checks(rec, g, d)
+    verify._delta_subset_checks(rec, g, d, induced_subgraphs(g))
     assert len(calls) == 1 << g.n
     assert all(r.ok and r.instances == 1 << g.n for r in rec.report())
+
+
+def test_delta_graph_checks_build_each_induced_subgraph_once(monkeypatch):
+    g = C5_LOOPED
+    build = LoopedSimpleGraph.induced_mask
+    calls = []
+    monkeypatch.setattr(
+        LoopedSimpleGraph, "induced_mask", lambda h, mask: calls.append(mask) or build(h, mask)
+    )
+    rec = verify.Recorder()
+    verify._delta_graph_checks(rec, g)
+    assert sorted(calls) == list(range(1 << g.n))
+    assert all(r.ok for r in rec.report())
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +343,7 @@ def test_subset_failures_print_the_eager_witness_text(monkeypatch):
     failed = 0
     for g in [C5_LOOPED, *all_looped_simple_graphs(2)]:
         rec = verify.Recorder()
-        verify._delta_subset_checks(rec, g, dm.from_graph(g))
+        verify._delta_subset_checks(rec, g, dm.from_graph(g), induced_subgraphs(g))
         texts = [
             f"{eager_graph_text(g)} subset {{{' '.join(g.induced_mask(mask).labels)}}}: "
             for mask in range(1 << g.n)
