@@ -29,11 +29,11 @@ from .gf2 import (
     size_masks,
     unchecked,
 )
-from .graph import MultiGraph
+from .graph import MultiGraph, _LabelCodec
 
 
 @dataclass(frozen=True, eq=False)
-class BinaryMatroid:
+class BinaryMatroid(_LabelCodec):
     """A binary matroid given by ground labels and its cycle space."""
 
     ground: tuple[str, ...]
@@ -56,18 +56,6 @@ class BinaryMatroid:
     @property
     def rank(self) -> int:
         return self.size - self.nullity
-
-    def index(self, v: str) -> int:
-        try:
-            return self.ground.index(v)
-        except ValueError:
-            raise ValueError(f"unknown element {v!r}") from None
-
-    def _mask_of(self, s: Iterable[str]) -> int:
-        return sum(1 << i for i in {self.index(v) for v in s})
-
-    def _labels_of(self, mask: int) -> frozenset[str]:
-        return frozenset(self.ground[i] for i in range(self.size) if (mask >> i) & 1)
 
     def _aligned_space(self, other: "BinaryMatroid") -> Subspace | None:
         """other's cycle space in self's coordinate order, or None if the
@@ -126,12 +114,12 @@ class BinaryMatroid:
         return tuple(minimal)
 
     def circuits(self) -> frozenset[frozenset[str]]:
-        return frozenset(self._labels_of(m) for m in self.circuit_masks())
+        return frozenset(self.labels_of(m) for m in self.circuit_masks())
 
     def rank_of(self, s: Iterable[str]) -> int:
         """r(S) by the restriction identity of the module docstring: the
         one-subset case of `column_masked_planes`."""
-        mask = self._mask_of(s)
+        mask = self.mask_of(s)
         w = self.cycle_space
         off = unchecked(
             BitMatrix, rows=w.dim, cols=w.ambient_dim, data=tuple(m & ~mask for m in w.basis)
@@ -196,7 +184,7 @@ class BinaryMatroid:
     def bases(self) -> frozenset[frozenset[str]]:
         """The independent sets of size rank."""
         bits = self._independent_bits & size_masks(self.size)[self.rank]
-        return frozenset(self._labels_of(m) for m in set_bits(bits))
+        return frozenset(self.labels_of(m) for m in set_bits(bits))
 
 
 def free_matroid(labels: Sequence[str]) -> BinaryMatroid:

@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .gf2 import coord_masks, set_bits, size_masks, unchecked
-from .graph import LoopedSimpleGraph, pair_is_edge
+from .graph import LoopedSimpleGraph, _LabelCodec, pair_is_edge
 
 GROUND_GATE = 16
 
@@ -37,7 +37,7 @@ def _check_ground_gate(n: int) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class SetSystem:
+class SetSystem(_LabelCodec):
     """A ground set plus a family of subsets, bit m of bits set iff mask m is a member."""
 
     ground: tuple[str, ...]
@@ -83,21 +83,6 @@ class SetSystem:
     @property
     def is_normal(self) -> bool:
         return bool(self.bits & 1)
-
-    def index(self, v: str) -> int:
-        try:
-            return self.ground.index(v)
-        except ValueError:
-            raise ValueError(f"unknown element {v!r}") from None
-
-    def mask_of(self, s: Iterable[str]) -> int:
-        mask = 0
-        for v in s:
-            mask |= 1 << self.index(v)
-        return mask
-
-    def labels_of(self, mask: int) -> frozenset[str]:
-        return frozenset(self.ground[i] for i in range(self.n) if (mask >> i) & 1)
 
     def member_sets(self) -> tuple[tuple[str, ...], ...]:
         """The family as sorted label tuples, deterministic order."""
@@ -332,7 +317,8 @@ def max_as_matroid(d: SetSystem) -> frozenset[frozenset[str]]:
     return frozenset(top.labels_of(m) for m in top.family)
 
 
-def random_set_system(rng: random.Random, ground: Sequence[str], density: float = 0.3) -> SetSystem:
+def random_set_system(rng: random.Random, ground: Sequence[str]) -> SetSystem:
+    """Each subset of the ground a member with probability 0.3."""
     _check_ground_gate(len(ground))  # before the 2^n draws
-    bits = sum(1 << m for m in range(1 << len(ground)) if rng.random() < density)
+    bits = sum(1 << m for m in range(1 << len(ground)) if rng.random() < 0.3)
     return SetSystem(tuple(ground), bits)

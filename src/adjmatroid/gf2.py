@@ -179,19 +179,13 @@ class BitMatrix:
                 raise ValueError("row exceeds column count")
 
     @classmethod
-    def zero(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(rows, cols, (0,) * rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls(n, n, tuple(1 << i for i in range(n)))
-
-    @classmethod
     def from_rows(cls, entries: Sequence[Sequence[int]]) -> "BitMatrix":
         cols = len(entries[0]) if entries else 0
         if any(len(row) != cols for row in entries):
             raise ValueError("matrix rows must have equal length")
-        masks = (sum((e & 1) << j for j, e in enumerate(row)) for row in entries)
+        if any(e not in (0, 1) for row in entries for e in row):
+            raise ValueError("matrix entries must be 0 or 1")
+        masks = (sum(e << j for j, e in enumerate(row)) for row in entries)
         return cls(len(entries), cols, tuple(masks))
 
     def entry(self, i: int, j: int) -> int:
@@ -437,34 +431,15 @@ def column_masked_planes(w: Subspace) -> list[int]:
 
 
 def symmetrize_nullspace(a: BitMatrix) -> BitMatrix:
-    """A symmetric cols x cols matrix with the same right nullspace as a.
-
-    Row-reduce a to [I | C] up to a column permutation, paste C and its
-    transpose around I, fill the remaining block with C^T C, and undo the
-    permutation.  Full and trivial nullspaces give the zero and identity
-    matrices.
+    """A symmetric cols x cols matrix with the same right nullspace as a:
+    B = R^T R for the RREF rows R of a, the construction behind Jaeger's
+    theorem that every binary matroid is the adjacency matroid of a looped
+    graph.  R's rows are independent, so R^T y = 0 only for y = 0, hence
+    B x = 0 iff R x = 0 iff a x = 0.  Row i of B is the XOR of the rows of R
+    that hold bit i; no rows give the zero matrix and R = I gives I.
     """
-    n = a.cols
-    rows = rref_masks(a.data)
-    r = len(rows)
-    if r == 0:
-        return BitMatrix.zero(n, n)
-    if r == n:
-        return BitMatrix.identity(n)
-    pivots = [lowest_bit(v) for v in rows]
-    free = [j for j in range(n) if j not in set(pivots)]
-    order = pivots + free  # column j of the permuted matrix is column order[j] of a
-    # C'' as r rows over the free columns
-    cpp = [gather(v, free) for v in rows]
-    cpp_t = [sum(((c >> k) & 1) << i for i, c in enumerate(cpp)) for k in range(len(free))]
-    # B' = [[I_r, C''], [C''^T, C''^T C'']] in permuted coordinates
-    bp = [(1 << i) | (c << r) for i, c in enumerate(cpp)]
-    for c in cpp_t:
-        parities = sum(((c & d).bit_count() & 1) << k for k, d in enumerate(cpp_t))
-        bp.append(c | (parities << r))
-    # undo the permutation: entry (order[i], order[j]) of B is entry (i, j) of B'
-    out = [0] * n
-    for i, row in enumerate(bp):
-        out[order[i]] = scatter(row, order)
-    return BitMatrix(n, n, tuple(out))
-
+    out = [0] * a.cols
+    for r in rref_masks(a.data):
+        for i in set_bits(r):
+            out[i] ^= r
+    return unchecked(BitMatrix, rows=a.cols, cols=a.cols, data=tuple(out))

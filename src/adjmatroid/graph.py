@@ -4,8 +4,9 @@ A looped simple graph is stored as a symmetric GF(2) adjacency matrix whose
 diagonal marks loops.  Multigraphs keep an explicit edge list (loops and
 parallel edges allowed) and collapse to looped simple graphs via simplify.
 
-`find_root` is the package's one union-find step, and `default_labels` the
-one place that names vertices v0..v{n-1}.
+`find_root` is the package's one union-find step, `default_labels` the one
+place that names vertices v0..v{n-1}, and `_LabelCodec` the one map between
+ground labels and masks, which set systems and binary matroids share.
 """
 
 from __future__ import annotations
@@ -313,6 +314,28 @@ def default_labels(n: int, prefix: str = "v") -> tuple[str, ...]:
     a process that labels graphs of ever new sizes keeps only the recent
     tuples."""
     return tuple(f"{prefix}{i}" for i in range(n))
+
+
+class _LabelCodec:
+    """Ground labels to bit positions and back, for a class whose ground
+    field is a tuple of distinct labels."""
+
+    ground: tuple[str, ...]
+
+    def index(self, v: str) -> int:
+        try:
+            return self.ground.index(v)
+        except ValueError:
+            raise ValueError(f"unknown element {v!r}") from None
+
+    def mask_of(self, s: Iterable[str]) -> int:
+        mask = 0
+        for v in s:
+            mask |= 1 << self.index(v)
+        return mask
+
+    def labels_of(self, mask: int) -> frozenset[str]:
+        return frozenset(self.ground[i] for i in range(len(self.ground)) if (mask >> i) & 1)
 
 
 def _from_cells(labels: tuple[str, ...], bits: Iterable[object]) -> LoopedSimpleGraph:

@@ -51,8 +51,8 @@ class BivariatePolynomial:
         return cls.from_dict({(0, 0): c})
 
     @classmethod
-    def monomial(cls, i: int, j: int, c: int = 1) -> "BivariatePolynomial":
-        return cls.from_dict({(i, j): c})
+    def monomial(cls, i: int, j: int) -> "BivariatePolynomial":
+        return cls.from_dict({(i, j): 1})
 
     def __add__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
         out: dict[tuple[int, int], int] = {}

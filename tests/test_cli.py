@@ -174,6 +174,20 @@ def test_symmetrize(tmp_path, capsys):
     code, out, _ = run(capsys, "symmetrize", "--input", mat)
     assert code == 0
     assert out.splitlines() == ["vertices v0 v1", "loop v0", "loop v1", "edge v0 v1"]
+    # three rows of rank 2, pivots not leading: pinned to the block construction's bytes
+    mat = write(tmp_path, "m3", "01101\n00111\n01010\n")
+    code, out, _ = run(capsys, "symmetrize", "--input", mat)
+    assert code == 0
+    assert out == (
+        "vertices v0 v1 v2 v3 v4\nloop v1\nloop v2\nloop v4\n"
+        "edge v1 v3\nedge v2 v3\nedge v2 v4\nedge v3 v4\n"
+    )
+    code, out, _ = run(capsys, "symmetrize", "--input", mat, "--format", "json")
+    assert code == 0
+    assert out == (
+        '{"edges": [["v1", "v3"], ["v2", "v3"], ["v2", "v4"], ["v3", "v4"]], '
+        '"loops": ["v1", "v2", "v4"], "vertices": ["v0", "v1", "v2", "v3", "v4"]}\n'
+    )
 
 
 def test_stdin_input(tmp_path, capsys, monkeypatch):

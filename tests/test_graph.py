@@ -404,7 +404,7 @@ def test_build_matches_the_parser():
 
 
 def test_zero_vertex_graph():
-    empty = LoopedSimpleGraph((), BitMatrix.zero(0, 0))
+    empty = LoopedSimpleGraph((), BitMatrix(0, 0, ()))
     assert empty.n == 0
     assert parse_graph("") == MultiGraph((), ()).simplify()
 
