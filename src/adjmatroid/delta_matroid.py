@@ -4,7 +4,8 @@ A family is one 2^n-bit int (bit m set iff mask m is a member), and each
 transform is a few word operations on it.  In coordinate v, pivot swaps the
 bit blocks of the subsets without and with v, loop complement and dual pivot
 are the GF(2) subset and superset zeta transforms, and min (max) drops what
-the family reaches by shifting up (down) one coordinate at a time.  Graphs
+the family reaches by shifting up (down) one coordinate at a time: the word
+steps _pivot_step and _dominated, which verify's oracles share.  Graphs
 embed as the subsets S inducing a nonsingular adjacency submatrix: every
 vertex of S owns a pivot plane of the bit-sliced elimination at S, which
 from_graph reads from the graph's memo, the one scan polynomials shares.
@@ -18,6 +19,7 @@ benchmark needs it: bench/workloads.py checks the flips against the two
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -34,6 +36,23 @@ FlipOp = str  # "pivot" | "dual_pivot" | "loop_complement"
 def _check_ground_gate(n: int) -> None:
     if n > GROUND_GATE:
         raise ValueError(f"set systems are gated at {GROUND_GATE} ground elements, got {n}")
+
+
+def _pivot_step(f: int, zero: int, b: int) -> int:
+    """Pivot the word f in coordinate i: b = 2^i, zero the mask of the subsets avoiding i."""
+    return ((f & zero) << b) | ((f >> b) & zero)
+
+
+def _dominated(bits: int, n: int, up: bool) -> int:
+    """The sets strictly above (up) or below some member of the word bits, what
+    min (max) drops: each coordinate in turn moves the closure so far a step."""
+    side, shift = (0, operator.lshift) if up else (1, operator.rshift)
+    closure, beyond = bits, 0
+    for i, pair in enumerate(coord_masks(n)):
+        step = shift(closure & pair[side], 1 << i)
+        beyond |= step
+        closure |= step
+    return beyond
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,16 +127,16 @@ class SetSystem(_LabelCodec):
 
     def _flip(self, x: Iterable[str], step: Callable[[int, int, int], int]) -> "SetSystem":
         """Apply a one-coordinate word operation once per distinct element of x."""
-        xm = self.mask_of(x)
-        bits = self.bits
-        for i, (zero, _) in enumerate(coord_masks(self.n)):
-            if (xm >> i) & 1:
-                bits = step(bits, zero, 1 << i)
+        masks, bits, xm = coord_masks(self.n), self.bits, self.mask_of(x)
+        while xm:
+            i = (xm & -xm).bit_length() - 1
+            bits = step(bits, masks[i][0], 1 << i)
+            xm &= xm - 1
         return self._derived(bits)
 
     def pivot(self, x: Iterable[str]) -> "SetSystem":
         """Symmetric difference of every member with x."""
-        return self._flip(x, lambda f, zero, b: ((f & zero) << b) | ((f >> b) & zero))
+        return self._flip(x, _pivot_step)
 
     def loop_complement(self, x: Iterable[str]) -> "SetSystem":
         """Keep Y iff the members between Y minus x and Y are odd in number."""
@@ -163,12 +182,7 @@ class SetSystem(_LabelCodec):
         """The members with no other member below them (min) or above them (max)."""
         if not self.is_proper:
             raise ValueError(f"{which} needs a proper set system")
-        closure, beyond = self.bits, 0
-        for i, (zero, one) in enumerate(coord_masks(self.n)):
-            step = (closure & zero) << (1 << i) if which == "min" else (closure & one) >> (1 << i)
-            beyond |= step
-            closure |= step
-        return self._derived(self.bits & ~beyond)
+        return self._derived(self.bits & ~_dominated(self.bits, self.n, which == "min"))
 
     def min_sys(self) -> "SetSystem":
         return self._extremal("min")

@@ -331,7 +331,10 @@ class _LabelCodec:
     def mask_of(self, s: Iterable[str]) -> int:
         mask = 0
         for v in s:
-            mask |= 1 << self.index(v)
+            try:
+                mask |= 1 << self.ground.index(v)
+            except ValueError:
+                self.index(v)  # raises the unknown-element error
         return mask
 
     def labels_of(self, mask: int) -> frozenset[str]:

@@ -3,11 +3,11 @@
 Each check runs over exhaustively enumerated small instances plus seeded
 random ones, and reports instance counts and minimal reproducing inputs for
 any failure.  A witness is rendered only for a failure that is kept.  The
-kernel and induced-subset oracles (_zero_set, _down_closure, _union_below)
-and the two-of-three maxima check are word operations on 2^n-bit families;
-tests/test_verify.py keeps the set loops they replaced as references.  The
-fourreg suite walks each corpus graph's transition systems once.  The
-`verify` subcommand and the tests drive these suites.
+kernel and induced-subset oracles (_zero_set, _down_closure, _union_below),
+the min-equicardinal oracle _equicardinal_min_criterion and the two-of-three
+maxima check are word operations on 2^n-bit families; tests keep the set
+loops they replaced as references.  The fourreg suite walks each corpus
+graph's transition systems once; `verify` and the tests drive the suites.
 
 A slow reference lives beside its checks, here, unless the CLI or the
 benchmark needs it: _all_subspaces, _kappa, and the interlace routes
@@ -57,6 +57,7 @@ from .gf2 import (
     BitMatrix,
     Subspace,
     coord_masks,
+    lowest_bit,
     nullity,
     nullspace,
     orthogonal_complement,
@@ -64,6 +65,7 @@ from .gf2 import (
     rank,
     scatter,
     set_bits,
+    size_masks,
     symmetrize_nullspace,
 )
 from .graph import (
@@ -534,10 +536,19 @@ def _dual_pivot_by_counting(d: dm.SetSystem, x: list[str]) -> frozenset[int]:
 
 
 def _equicardinal_min_criterion(d: dm.SetSystem) -> bool:
-    """Oracle: proper, and min(F pivoted by X) is equicardinal for every X."""
-    return d.is_proper and all(
-        d.pivot(d.labels_of(x)).min_sys().is_equicardinal for x in range(1 << d.n)
-    )
+    """Oracle: proper, and for each X the minimal members of F pivoted by X
+    have one size; X walks Gray order, step k pivoting the lowest set bit of k."""
+    if not d.is_proper:
+        return False
+    masks, sizes, word = coord_masks(d.n), size_masks(d.n), d.bits
+    for k in range(1 << d.n):
+        if k:
+            i = lowest_bit(k)
+            word = dm._pivot_step(word, masks[i][0], 1 << i)
+        low = word & ~dm._dominated(word, d.n, up=True)  # the minimal members
+        if low & ~sizes[lowest_bit(low).bit_count()]:  # one off the first one's size
+            return False
+    return True
 
 
 def _exchange_by_pairs(d: dm.SetSystem) -> bool:
@@ -643,11 +654,8 @@ def _delta_subset_checks(
 
 
 def _down_closure(d: dm.SetSystem) -> int:
-    """Every subset of a member of d: each coordinate shifts its members down."""
-    bits = d.bits
-    for i, (_, one) in enumerate(coord_masks(d.n)):
-        bits |= (bits & one) >> (1 << i)
-    return bits
+    """Every subset of a member of d: the members and what lies below them."""
+    return d.bits | dm._dominated(d.bits, d.n, up=False)
 
 
 def _union_below(families: list[int], n: int) -> list[int]:

@@ -6,7 +6,7 @@ import pytest
 
 from adjmatroid import delta_matroid as dm
 from adjmatroid.adjacency_matroid import adjacency_matroid
-from adjmatroid.gf2 import nullity, principal_submatrix
+from adjmatroid.gf2 import coord_masks, nullity, principal_submatrix
 from adjmatroid.graph import LoopedSimpleGraph, all_looped_simple_graphs, random_looped_simple_graph
 from adjmatroid.verify import (
     _dual_pivot_by_counting,
@@ -124,11 +124,97 @@ def test_deletion_and_tilde_operations():
 
 def test_unknown_labels_are_rejected_alike():
     d = sets("ab", [], ["a"])
-    for call in (d.restrict, d.delete, d.pivot):
-        with pytest.raises(ValueError, match=r"^unknown element 'zz'$"):
-            call(["zz"])
+    calls = (d.restrict, d.delete, d.pivot, d.contains, d.loop_complement, d.dual_pivot)
+    for call in calls:
+        for x in (["zz"], ["a", "zz"], (v for v in ("b", "zz"))):
+            with pytest.raises(ValueError, match=r"^unknown element 'zz'$"):
+                call(x)
     assert d.restrict(["b", "a"]) == d.delete([]) == d
     assert d.restrict([]) == d.delete(["a", "b", "a"]) == sets("", [])
+
+
+def every_small_family():
+    """Every family on every ground set of at most 3 elements."""
+    for n in range(4):
+        ground = tuple(f"v{i}" for i in range(n))
+        for packed in range(1 << (1 << n)):
+            yield dm.SetSystem(ground, packed)
+
+
+def flip_by_scan(d, x, step):
+    """Reference: test every coordinate, and step in those of x."""
+    xm = d.mask_of(x)
+    bits = d.bits
+    for i, (zero, _) in enumerate(coord_masks(d.n)):
+        if (xm >> i) & 1:
+            bits = step(bits, zero, 1 << i)
+    return dm.SetSystem(d.ground, bits)
+
+
+SCANNED_FLIPS = {
+    "pivot": lambda f, zero, b: ((f & zero) << b) | ((f >> b) & zero),
+    "loop_complement": lambda f, zero, b: f ^ ((f & zero) << b),
+    "dual_pivot": lambda f, zero, b: f ^ ((f >> b) & zero),
+}
+
+
+def extremal_by_direction(d, which):
+    """Reference: pick the shift direction afresh in every coordinate."""
+    closure, beyond = d.bits, 0
+    for i, (zero, one) in enumerate(coord_masks(d.n)):
+        step = (closure & zero) << (1 << i) if which == "min" else (closure & one) >> (1 << i)
+        beyond |= step
+        closure |= step
+    return dm.SetSystem(d.ground, d.bits & ~beyond)
+
+
+def test_flips_and_extrema_match_the_coordinate_scans():
+    for d in every_small_family():
+        for mask in range(1 << d.n):
+            x = sorted(d.labels_of(mask))
+            for op, step in SCANNED_FLIPS.items():
+                expected = flip_by_scan(d, x, step)
+                assert getattr(d, op)(x) == expected
+                assert getattr(d, op)(x + x[::-1]) == expected  # a repeat flips once
+        if d.is_proper:
+            assert d.min_sys() == extremal_by_direction(d, "min")
+            assert d.max_sys() == extremal_by_direction(d, "max")
+
+
+def test_repeated_labels_count_once():
+    d = sets("abc", ["a"], ["b", "c"])
+    assert d.mask_of(["c", "a", "c", "c"]) == d.mask_of(iter("ac")) == 0b101
+    assert d.pivot(["b", "b"]) == d.pivot(["b"]) != d
+    assert d.contains(["b", "c", "b"]) and not d.contains(["a", "a", "b"])
+
+
+def equicardinal_min_by_labels(d):
+    """Reference: pivot by each X from scratch, through its labels."""
+    return d.is_proper and all(
+        d.pivot(d.labels_of(x)).min_sys().is_equicardinal for x in range(1 << d.n)
+    )
+
+
+def test_min_criterion_matches_the_label_loop_on_every_small_family():
+    for d in every_small_family():
+        assert _equicardinal_min_criterion(d) == equicardinal_min_by_labels(d)
+
+
+def test_min_criterion_matches_the_label_loop_on_exchange_systems():
+    """Built as verify's pivots-preserve-exchange check builds them: pivoted
+    graph encodings, a deletion of each, and each with its largest member
+    dropped."""
+    rng = random.Random(11)
+    outcomes = []
+    while len(outcomes) < 2000:
+        g = random_looped_simple_graph(rng, rng.randrange(4, 7))
+        d = dm.from_graph(g).pivot([v for v in g.labels if rng.random() < 0.5])
+        deleted = d.delete([g.labels[rng.randrange(g.n)]])
+        dropped = dm.SetSystem(d.ground, d.bits ^ (1 << max(d.family)))
+        for system in (d, deleted, dropped):
+            outcomes.append(_equicardinal_min_criterion(system))
+            assert outcomes[-1] == equicardinal_min_by_labels(system), system
+    assert set(outcomes) == {True, False}
 
 
 def test_deletion_tracks_graphs():

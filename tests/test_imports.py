@@ -3,9 +3,11 @@ definition in the package is referenced from the package or the benchmark
 (a class or static method through its own class), object.__new__, the
 principal scan, the coloop pass and pairing validation each have one site,
 the two row eliminations run only inside gf2 and gf2 runs three in all,
-only the minor routes build an adjacency matroid, the 4-regular builders
-take no validating route, only the Kotzig merge builds an Euler system
-unchecked, and the slow references that only verify calls live in verify."""
+the one-coordinate pivot and the min/max closure each have one kernel and
+the min-equicardinal oracle builds no set system, only the minor routes
+build an adjacency matroid, the 4-regular builders take no validating
+route, only the Kotzig merge builds an Euler system unchecked, and the
+slow references that only verify calls live in verify."""
 
 import ast
 from pathlib import Path
@@ -386,6 +388,126 @@ def test_gf2_runs_three_eliminations():
     assert sites(gf2, xors_until_reduced) == [
         "echelon", "forward_pivots", "rref_masks", "subset_pivot_planes",
     ]
+
+
+def shifts(node: ast.AST, op: type) -> bool:
+    """node shifts a word by op; a shifted constant, like 1 << i, is a bit."""
+    return any(
+        isinstance(n, ast.BinOp) and isinstance(n.op, op) and not isinstance(n.left, ast.Constant)
+        for n in ast.walk(node)
+    )
+
+
+def swaps_blocks(node: ast.AST) -> bool:
+    """Accepts an OR of a left-shifted word and a right-shifted word: the
+    shape of the one-coordinate pivot, which swaps two bit blocks."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr)):
+        return False
+    left, right = node.left, node.right
+    return (shifts(left, ast.LShift) and shifts(right, ast.RShift)) or (
+        shifts(left, ast.RShift) and shifts(right, ast.LShift)
+    )
+
+
+def closes_by_shifts(node: ast.AST) -> bool:
+    """Accepts a for loop that ORs into a word and shifts a masked word, by
+    an operator or a function: the shape of a closure that moves a family
+    one coordinate per step."""
+
+    def masked(n: ast.AST) -> bool:
+        return isinstance(n, ast.BinOp) and isinstance(n.op, ast.BitAnd)
+
+    def moves_masked(n: ast.AST) -> bool:
+        if isinstance(n, ast.BinOp) and isinstance(n.op, (ast.LShift, ast.RShift)):
+            return masked(n.left)
+        return isinstance(n, ast.Call) and len(n.args) == 2 and masked(n.args[0])
+
+    inner = list(ast.walk(node)) if isinstance(node, ast.For) else []
+    return any(
+        isinstance(n, ast.AugAssign) and isinstance(n.op, ast.BitOr) for n in inner
+    ) and any(moves_masked(n) for n in inner)
+
+
+def test_checker_finds_every_block_swap_and_closure_loop():
+    source = (
+        "class SetSystem:\n"
+        "    def pivot(self, x):\n"
+        "        return self._flip(x, lambda f, zero, b: ((f & zero) << b) | ((f >> b) & zero))\n"
+        "    def loop_complement(self, x):\n"
+        "        return self._flip(x, lambda f, zero, b: f ^ ((f & zero) << b))\n"
+        "    def _extremal(self, which):\n"
+        "        for i, (zero, one) in enumerate(coord_masks(self.n)):\n"
+        "            step = (closure & zero) << (1 << i) if which else (closure & one) >> (1 << i)\n"
+        "            beyond |= step\n"
+        "    def _restricted(self, keep):\n"
+        "        for j in range(i + 1, top):\n"
+        "            bits = (bits & zero) | ((bits & one) >> (1 << (j - 1)))\n"
+        "def _down_closure(d):\n"
+        "    for i, (_, one) in enumerate(coord_masks(d.n)):\n"
+        "        bits |= (bits & one) >> (1 << i)\n"
+        "def _dominated(bits, n, up):\n"
+        "    for i, pair in enumerate(coord_masks(n)):\n"
+        "        closure |= shift(closure & pair[side], 1 << i)\n"
+        "def drop_bit(v, i):\n"
+        "    return (v & ((1 << i) - 1)) | ((v >> (i + 1)) << i)\n"
+        "def _union_below(families, n):\n"
+        "    for bit in (1 << i for i in range(n)):\n"
+        "        families[s] |= families[s ^ bit]\n"
+    )
+    assert sites(source, swaps_blocks) == ["SetSystem.pivot"]
+    assert sites(source, closes_by_shifts) == ["SetSystem._extremal", "_down_closure", "_dominated"]
+
+
+def test_pivot_step_and_extremal_closure_have_one_kernel():
+    """The flips, the extrema, _down_closure and verify's min-equicardinal
+    oracle share delta_matroid's word steps."""
+    assert sites_in_sources(swaps_blocks) == {"src/adjmatroid/delta_matroid.py": ["_pivot_step"]}
+    assert sites_in_sources(closes_by_shifts) == {
+        "src/adjmatroid/delta_matroid.py": ["_dominated"]
+    }
+
+
+DELTA = ROOT / "src" / "adjmatroid" / "delta_matroid.py"
+VERIFY = ROOT / "src" / "adjmatroid" / "verify.py"
+
+
+def set_system_makers(source: str) -> set[str]:
+    """The class SetSystem, unchecked, the label codec, and every SetSystem
+    method annotated to return a SetSystem."""
+    cls = next(node for name, node in definitions(source) if name == "SetSystem")
+    returns = {
+        f.name for f in cls.body
+        if isinstance(f, ast.FunctionDef) and isinstance(f.returns, ast.Constant)
+        and f.returns.value == "SetSystem"
+    }
+    return returns | {"SetSystem", "unchecked", "labels_of", "mask_of"}
+
+
+def called_in(source: str, function: str, names: set[str]) -> list[str]:
+    """Which of names the function calls, bare or as an attribute, sorted."""
+    func = next(node for name, node in definitions(source) if name == function)
+    return sorted({name for name in names for n in ast.walk(func) if calls(name)(n)})
+
+
+def test_checker_finds_set_system_makers():
+    makers = set_system_makers(DELTA.read_text())
+    assert {"pivot", "min_sys", "_derived", "from_sets", "SetSystem"} <= makers
+    assert not {"contains", "distance", "is_equicardinal"} & makers
+    source = (
+        "def _equicardinal_min_criterion(d):\n"
+        "    return d.is_proper and all(\n"
+        "        d.pivot(d.labels_of(x)).min_sys().is_equicardinal for x in range(1 << d.n)\n"
+        "    )\n"
+    )
+    assert called_in(source, "_equicardinal_min_criterion", makers) == [
+        "labels_of", "min_sys", "pivot",
+    ]
+
+
+def test_min_equicardinal_oracle_builds_no_set_system():
+    """The oracle walks one family word in Gray order."""
+    makers = set_system_makers(DELTA.read_text())
+    assert called_in(VERIFY.read_text(), "_equicardinal_min_criterion", makers) == []
 
 
 def builds_matroid(node: ast.AST) -> bool:
