@@ -6,11 +6,12 @@ bit blocks of the subsets without and with v, loop complement and dual pivot
 are the GF(2) subset and superset zeta transforms, and min (max) drops what
 the family reaches by shifting up (down) one coordinate at a time: the word
 steps _pivot_step and _dominated, which verify's oracles share.  Graphs
-embed as the subsets S inducing a nonsingular adjacency submatrix: every
-vertex of S owns a pivot plane of the bit-sliced elimination at S, which
-from_graph reads from the graph's memo, the one scan polynomials shares.
-Bouchet ("Representability of delta-matroids", 1987) proved that this
-family meets the exchange axiom, so from_graph does not check it.
+embed as the subsets S inducing a nonsingular adjacency submatrix (the
+graph's memoized word: det A[S] is the parity of the covers of S by loops
+and edges).  Bouchet ("Representability of delta-matroids", 1987) proved
+that this family meets the exchange axiom, so from_graph does not check it.
+Its distance d(X) = min |F ^ X| over members F is the nullity of A[X], and
+_distance_layers, which polynomials reads, finds d at every X at once.
 
 A slow reference lives beside its checks in `verify` unless the CLI or the
 benchmark needs it: bench/workloads.py checks the flips against the two
@@ -41,6 +42,19 @@ def _check_ground_gate(n: int) -> None:
 def _pivot_step(f: int, zero: int, b: int) -> int:
     """Pivot the word f in coordinate i: b = 2^i, zero the mask of the subsets avoiding i."""
     return ((f & zero) << b) | ((f >> b) & zero)
+
+
+def _distance_layers(bits: int, n: int) -> list[int]:
+    """Word c holds the X at distance exactly c from the proper family bits:
+    breadth first, each layer the last one pivoted in every coordinate, less what is reached."""
+    layers, reached, full = [bits], bits, (1 << (1 << n)) - 1
+    while layers[-1] and reached != full:
+        step = 0
+        for i, (zero, _) in enumerate(coord_masks(n)):
+            step |= _pivot_step(layers[-1], zero, 1 << i)
+        layers.append(step & ~reached)
+        reached |= step
+    return layers
 
 
 def _dominated(bits: int, n: int, up: bool) -> int:
@@ -293,14 +307,10 @@ class DeltaMatroid(SetSystem):
 
 
 def from_graph(g: LoopedSimpleGraph) -> DeltaMatroid:
-    """Subsets of V(g) whose induced adjacency submatrix is nonsingular, read
-    off g's memoized principal planes."""
+    """The subsets of V(g) inducing a nonsingular adjacency submatrix: g's memoized word."""
     _check_ground_gate(g.n)
-    bits = (1 << (1 << g.n)) - 1
-    for plane, (zero, _) in zip(g.principal_planes, coord_masks(g.n)):
-        bits &= plane | zero
     # Bouchet's theorem gives the exchange axiom: skip DeltaMatroid.__post_init__
-    return unchecked(DeltaMatroid, ground=g.labels, bits=bits)
+    return unchecked(DeltaMatroid, ground=g.labels, bits=g.nonsingular_subsets)
 
 
 def to_graph(d: SetSystem) -> LoopedSimpleGraph:

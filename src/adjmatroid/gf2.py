@@ -16,6 +16,8 @@ basis and every ``==`` of subspaces depends on.
 ``subset_pivot_planes`` eliminates all 2^n subset matrices S at once: each
 entry is a 2^n-bit int with bit S the entry of matrix S, and the result is
 one pivot plane per row, set at S iff that row is a pivot row of matrix S.
+A symmetric matrix needs none for its principal submatrices: det a[S, S] is
+the parity of the covers of S by loops and edges (``nonsingular_subsets``).
 
 A slow reference lives beside its checks in `verify` unless the CLI or the
 benchmark needs it, so the enumeration of all small subspaces is `verify`'s.
@@ -336,9 +338,13 @@ def principal_submatrix(a: BitMatrix, s: Iterable[int]) -> BitMatrix:
 def coord_masks(n: int) -> tuple[tuple[int, int], ...]:
     """(ZERO_i, ONE_i) for i < n: the 2^n-bit masks of the subsets avoiding i
     and of those containing i."""
-    full = (1 << (1 << n)) - 1
-    zeros = [full // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1) for i in range(n)]
-    return tuple((zero, full ^ zero) for zero in zeros)
+    full, out = (1 << (1 << n)) - 1, []
+    for i in range(n):
+        zero = (1 << (1 << i)) - 1  # the first 2^i subsets avoid i, the next 2^i hold it
+        for k in range(i + 1, n):
+            zero |= zero << (1 << k)  # double the pattern up to 2^n bits
+        out.append((zero, full ^ zero))
+    return tuple(out)
 
 
 def set_bits(x: int) -> list[int]:
@@ -404,17 +410,25 @@ def subset_pivot_planes(rows: list[list[int]], n: int) -> list[int]:
     return [full ^ f for f in free]
 
 
-def principal_planes(a: BitMatrix) -> list[int]:
-    """Pivot planes of every principal submatrix a[S, S]: entry (i, k) is
-    ONE_i & ONE_k where a has a 1."""
+def nonsingular_subsets(a: BitMatrix) -> int:
+    """For a symmetric matrix a, the 2^n-bit word with bit S set iff a[S, S]
+    is nonsingular.  A permutation and its inverse give det a[S, S] the same
+    product, so over GF(2) it is the parity of the involutions: the covers of
+    S by loops (entries (v, v)) and edges (entries (v, w)).  Sets join by
+    their greatest element v, lowest v first, the word growing to 2^(v+1)
+    bits: T + {v} is covered by v's loop and a cover of T, or by an edge v-w
+    and a cover of T - w, one masked shift per loop and per edge."""
     if a.rows != a.cols:
         raise ValueError("principal submatrices need a square matrix")
     check_enum_gate(a.cols, "principal submatrix scan")
     masks = coord_masks(a.cols)
-    return subset_pivot_planes([
-        [one_i & one_k if (r >> k) & 1 else 0 for k, (_, one_k) in enumerate(masks)]
-        for r, (_, one_i) in zip(a.data, masks)
-    ], a.cols)
+    word = 1  # the empty set has the empty cover
+    for v, row in enumerate(a.data):
+        covers = word if (row >> v) & 1 else 0
+        for w in set_bits(row & ((1 << v) - 1)):
+            covers ^= (word & masks[w][0]) << (1 << w)
+        word ^= covers << (1 << v)
+    return word
 
 
 def column_masked_planes(w: Subspace) -> list[int]:

@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Literal, Sequence
 
 from .gf2 import (
-    BitMatrix, coloop_masks, drop_bit, gather, nullity, principal_planes, set_bits, unchecked,
+    BitMatrix, coloop_masks, drop_bit, gather, nonsingular_subsets, nullity, set_bits, unchecked,
 )
 
 VariantKind = Literal["plain", "loop", "loop_isolate"]
@@ -65,10 +65,10 @@ class LoopedSimpleGraph:
         return {v: i for i, v in enumerate(self.labels)}
 
     @cached_property
-    def principal_planes(self) -> tuple[int, ...]:
-        """The pivot planes of every principal submatrix, scanned once per
-        graph object and kept: n planes of 2^n bits (2.6 MB at n = 20)."""
-        return tuple(principal_planes(self.adj))
+    def nonsingular_subsets(self) -> int:
+        """The vertex subsets S with A[S] nonsingular by cover parity, one
+        2^n-bit word (128 KB at n = 20) found once per graph object and kept."""
+        return nonsingular_subsets(self.adj)
 
     @cached_property
     def coloop_masks(self) -> tuple[int, int]:

@@ -2,12 +2,13 @@
 matroid polynomial evaluators.
 
 A subset expansion is a sum of (x-1)^a (y-1)^b terms, one per subset.  The
-subset expansions read the ranks from pivot planes, a graph's memoized
-principal scan (shared with delta_matroid.from_graph) or one column-masked
-elimination of a matroid, and count each (|S|, rank) pair with one popcount;
-the counts fill an (a, b) grid that a Taylor shift in each variable moves to
-x-1 and y-1, each row and column shifted up to its degree only.  The
-recursive evaluators never touch the planes, and must agree exactly.
+interlace expansion reads nullities from the set-system side: nu(A[X]) is the
+distance d(X) from X to the graph's delta-matroid (the memoized word
+from_graph shares), so one distance layer per nullity.  The Tutte expansion
+reads ranks from one column-masked elimination of a matroid.  Each popcount
+counts one (|S|, nullity) pair; the counts fill an (a, b) grid that a Taylor
+shift in each variable moves to x-1 and y-1, each row and column shifted up
+to its degree only.  The recursive evaluators must agree exactly.
 
 A slow reference lives beside its checks in `verify` unless the CLI or the
 benchmark needs it: bench/workloads.py checks the subset expansions against
@@ -21,7 +22,8 @@ from functools import lru_cache
 from typing import Mapping
 
 from .binary_matroid import BinaryMatroid
-from .gf2 import check_enum_gate, column_masked_planes, tally_planes, unchecked
+from .delta_matroid import _distance_layers
+from .gf2 import check_enum_gate, column_masked_planes, size_masks, tally_planes, unchecked
 from .graph import LoopedSimpleGraph
 
 
@@ -145,11 +147,14 @@ def _expand(counts: Mapping[tuple[int, int], int]) -> BivariatePolynomial:
 
 
 def interlace_subset(g: LoopedSimpleGraph) -> BivariatePolynomial:
-    """Sum over vertex subsets of (x-1)^r (y-1)^(|S|-r), r the rank of the
-    induced adjacency submatrix: the number of g's memoized principal planes
-    set at S."""
-    tally = tally_planes(g.principal_planes, g.n)
-    return _expand({(r, size - r): k for (size, r), k in tally.items()})
+    """Sum over vertex subsets X of (x-1)^(|X|-d) (y-1)^d, d = d(X) the
+    nullity of the induced adjacency submatrix: X's distance layer."""
+    layers = _distance_layers(g.nonsingular_subsets, g.n)  # the memo is gated
+    sizes = size_masks(g.n)
+    return _expand({
+        (size - d, d): k for d, layer in enumerate(layers)
+        for size in range(d, g.n + 1) if (k := (layer & sizes[size]).bit_count())
+    })
 
 
 def interlace_recursive(g: LoopedSimpleGraph) -> BivariatePolynomial:

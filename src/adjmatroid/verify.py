@@ -553,16 +553,16 @@ def _equicardinal_min_criterion(d: dm.SetSystem) -> bool:
 
 def _exchange_by_pairs(d: dm.SetSystem) -> bool:
     """Oracle: the symmetric exchange axiom, tried on every pair of members."""
-    fam = d.family
+    fam, n = d.family, d.n
     for x in fam:
         for y in fam:
             diff = x ^ y
-            for u in range(d.n):
+            for u in range(n):
                 ub = 1 << u
                 if not diff & ub or (x ^ ub) in fam:
                     continue
                 rest = diff & ~ub
-                if not any((rest >> v) & 1 and (x ^ ub ^ (1 << v)) in fam for v in range(d.n)):
+                if not any((rest >> v) & 1 and (x ^ ub ^ (1 << v)) in fam for v in range(n)):
                     return False
     return True
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from adjmatroid.gf2 import Subspace, lowest_bit
+from adjmatroid.gf2 import BitMatrix, Subspace, coord_masks, lowest_bit, subset_pivot_planes
 
 
 def reference_restriction(w: Subspace, mask: int) -> Subspace:
@@ -29,3 +29,21 @@ def restricted():
     """The reference restriction, for checking rank_of, delete and the
     column-masked planes against an elimination of another design."""
     return reference_restriction
+
+
+def reference_principal_planes(a: BitMatrix) -> list[int]:
+    """The pivot planes of every principal submatrix a[S, S], by the
+    bit-sliced elimination of all 2^n of them: entry (i, k) is ONE_i & ONE_k
+    where a has a 1, so rank a[S, S] is the number of planes set at S."""
+    masks = coord_masks(a.cols)
+    return subset_pivot_planes([
+        [one_i & one_k if (r >> k) & 1 else 0 for k, (_, one_k) in enumerate(masks)]
+        for r, (_, one_i) in zip(a.data, masks)
+    ], a.cols)
+
+
+@pytest.fixture
+def principal_planes():
+    """The elimination reference, for checking the cover-parity word and the
+    distance layers against a route that reads ranks, not determinants."""
+    return reference_principal_planes

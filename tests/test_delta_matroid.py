@@ -417,9 +417,30 @@ def test_from_graph_checks_the_gate_before_scanning(monkeypatch):
     def scan(_):
         raise AssertionError("from_graph scanned a graph over the ground gate")
 
-    monkeypatch.setattr(LoopedSimpleGraph.__dict__["principal_planes"], "func", scan)
+    monkeypatch.setattr(LoopedSimpleGraph.__dict__["nonsingular_subsets"], "func", scan)
     with pytest.raises(ValueError):
         dm.from_graph(LoopedSimpleGraph.build(tuple(f"v{i}" for i in range(17))))
+
+
+def test_distance_layers_match_distance():
+    """Word c of the layers is the X with distance c, on seeded proper set
+    systems with n <= 5 and on the encodings of seeded graphs with n <= 7."""
+    rng = random.Random(1432)
+    systems = []
+    for n in range(6):
+        ground = tuple("abcdef"[:n])
+        for density in (0.05, 0.3, 0.7):
+            systems += [random_system(rng, ground, density) for _ in range(4)]
+        systems.append(dm.SetSystem(ground, 1 << rng.randrange(1 << n)))
+    systems = [d for d in systems if d.is_proper]
+    systems += [dm.from_graph(random_looped_simple_graph(rng, n)) for n in range(8) for _ in range(3)]
+    assert len(systems) > 70
+    for d in systems:
+        layers = dm._distance_layers(d.bits, d.n)
+        assert layers[0] == d.bits and all(layers)
+        for x in range(1 << d.n):
+            assert [(layer >> x) & 1 for layer in layers].index(1) == d.distance(d.labels_of(x))
+        assert sum(layers) == (1 << (1 << d.n)) - 1  # disjoint, and they cover every X
 
 
 def test_random_set_system_checks_the_gate_before_drawing():

@@ -18,10 +18,10 @@ from adjmatroid.gf2 import (
     count_masks,
     drop_bit,
     gather,
+    nonsingular_subsets,
     nullity,
     nullspace,
     orthogonal_complement,
-    principal_planes,
     principal_submatrix,
     rank,
     rref_masks,
@@ -39,7 +39,7 @@ from adjmatroid.four_regular import (
     random_four_regular,
     relative_interlacement,
 )
-from adjmatroid.graph import all_looped_simple_graphs, random_looped_simple_graph
+from adjmatroid.graph import LoopedSimpleGraph, all_looped_simple_graphs, random_looped_simple_graph
 from adjmatroid.verify import _all_subspaces
 
 A_K3 = BitMatrix.from_rows([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
@@ -353,7 +353,7 @@ def planes_at(planes, mask):
     return sum((p >> mask) & 1 for p in planes)
 
 
-def test_principal_nullities_match_submatrix_nullity():
+def test_principal_nullities_match_submatrix_nullity(principal_planes):
     rng = random.Random(5)
     graphs = [g for n in range(5) for g in all_looped_simple_graphs(n)]
     graphs += [random_looped_simple_graph(rng, n) for n in range(5, 11) for _ in range(3)]
@@ -366,6 +366,36 @@ def test_principal_nullities_match_submatrix_nullity():
         for mask in range(1 << g.n):
             idx = [i for i in range(g.n) if (mask >> i) & 1]
             assert len(idx) - planes_at(planes, mask) == nullity(principal_submatrix(g.adj, idx))
+
+
+def test_nonsingular_subsets_match_principal_rank(principal_planes):
+    """Bit S of the cover-parity word is set iff a[S, S] has full rank, on all
+    1,099 graphs with n <= 4, then seeded, edgeless, all-looped and complete
+    ones with n = 5-12; it is also the subsets where every vertex owns a plane."""
+    rng = random.Random(32)
+    graphs = [g for n in range(5) for g in all_looped_simple_graphs(n)]
+    for n in range(5, 13):
+        labels = tuple(f"v{i}" for i in range(n))
+        pairs = list(itertools.combinations(labels, 2))
+        graphs += [random_looped_simple_graph(rng, n) for _ in range(2)]
+        graphs += [
+            LoopedSimpleGraph.build(labels),
+            LoopedSimpleGraph.build(labels, loops=labels),
+            LoopedSimpleGraph.build(labels, pairs),
+            LoopedSimpleGraph.build(labels, pairs, labels),
+        ]
+    assert len(graphs) == 1099 + 8 * 6
+    for g in graphs:
+        word = nonsingular_subsets(g.adj)
+        expected = sum(
+            1 << mask for mask in range(1 << g.n)
+            if rank(principal_submatrix(g.adj, set_bits(mask))) == mask.bit_count()
+        )
+        assert word == expected
+        every_vertex_pivots = (1 << (1 << g.n)) - 1
+        for plane, (zero, _) in zip(principal_planes(g.adj), gf2.coord_masks(g.n)):
+            every_vertex_pivots &= plane | zero
+        assert word == every_vertex_pivots
 
 
 def test_subset_nullities_match_restriction(restricted):
@@ -424,9 +454,9 @@ def test_subset_kernels_refuse_above_the_gate(monkeypatch):
             column_masked_planes(w)
     for a in (BitMatrix(21, 21, (0,) * 21), BitMatrix(21, 21, tuple(1 << i for i in range(21)))):
         with pytest.raises(ValueError):
-            principal_planes(a)
+            nonsingular_subsets(a)
     with pytest.raises(ValueError):
-        principal_planes(BitMatrix(2, 3, (0, 0)))
+        nonsingular_subsets(BitMatrix(2, 3, (0, 0)))
 
 
 def test_rank_nullity_additivity():

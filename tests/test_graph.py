@@ -223,8 +223,8 @@ def test_unchecked_routes_pass_the_constructor_checks():
     }
 
 
-def test_principal_planes_scanned_once_per_graph(monkeypatch):
-    prop = LoopedSimpleGraph.__dict__["principal_planes"]
+def test_nonsingular_subsets_scanned_once_per_graph(monkeypatch):
+    prop = LoopedSimpleGraph.__dict__["nonsingular_subsets"]
     scans = []
     scan = prop.func
     monkeypatch.setattr(prop, "func", lambda g: scans.append(g) or scan(g))
@@ -233,10 +233,9 @@ def test_principal_planes_scanned_once_per_graph(monkeypatch):
     d = from_graph(g)
     assert interlace_subset(g) == q
     assert len(scans) == 1 and scans[0] is g
-    assert type(g.principal_planes) is tuple
-    assert g.principal_planes == tuple(gf2.principal_planes(g.adj))
+    assert g.nonsingular_subsets == gf2.nonsingular_subsets(g.adj) == d.bits
     fresh = LoopedSimpleGraph(g.labels, g.adj)
-    assert "principal_planes" not in vars(fresh)
+    assert "nonsingular_subsets" not in vars(fresh)
     assert fresh == g and hash(fresh) == hash(g)  # the memo is not a field
     assert from_graph(fresh) == d and interlace_subset(fresh) == q
     assert len(scans) == 2 and scans[1] is fresh
@@ -244,7 +243,7 @@ def test_principal_planes_scanned_once_per_graph(monkeypatch):
     derived = [g.local_complement(v), g.induced_mask(0b101101), g.minus(v), g.loop_complement(v)]
     derived += [g.variant(v, kind) for kind in ("plain", "loop", "loop_isolate")]
     for h in derived:
-        assert "principal_planes" not in vars(h)
+        assert "nonsingular_subsets" not in vars(h)
         assert interlace_subset(h) == interlace_subset(h)
         from_graph(h)
     assert len(scans) == 2 + len(derived)

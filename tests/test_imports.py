@@ -257,7 +257,7 @@ def calls(name: str) -> Callable[[ast.AST], bool]:
     return hit
 
 
-calls_principal_planes = calls("principal_planes")  # a 2^n subset scan
+calls_principal_scan = calls("nonsingular_subsets")  # a 2^n subset scan
 calls_coloop_masks = calls("coloop_masks")  # an echelon form of every vertex's evidence
 
 
@@ -285,20 +285,20 @@ def test_only_gf2_unchecked_skips_the_constructor_checks():
 
 def test_checker_finds_every_principal_scan():
     source = (
-        "x = principal_planes(a)\n"
+        "x = nonsingular_subsets(a)\n"
         "class G:\n"
         "    @cached_property\n"
-        "    def principal_planes(self):\n"
-        "        return tuple(principal_planes(self.adj))\n"
+        "    def nonsingular_subsets(self):\n"
+        "        return nonsingular_subsets(self.adj)\n"
         "def f(g):\n"
-        "    return g.principal_planes, gf2.principal_planes(g.adj)\n"
+        "    return g.nonsingular_subsets, gf2.nonsingular_subsets(g.adj)\n"
     )
-    assert sites(source, calls_principal_planes) == ["<module>", "G.principal_planes", "f"]
+    assert sites(source, calls_principal_scan) == ["<module>", "G.nonsingular_subsets", "f"]
 
 
 def test_only_the_graph_memo_scans_principal_submatrices():
-    assert sites_in_sources(calls_principal_planes) == {
-        "src/adjmatroid/graph.py": ["LoopedSimpleGraph.principal_planes"]
+    assert sites_in_sources(calls_principal_scan) == {
+        "src/adjmatroid/graph.py": ["LoopedSimpleGraph.nonsingular_subsets"]
     }
 
 

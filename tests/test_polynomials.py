@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from adjmatroid import gf2
+from adjmatroid import delta_matroid, gf2, graph, polynomials
 from adjmatroid.adjacency_matroid import adjacency_matroid
 from adjmatroid.binary_matroid import BinaryMatroid, free_matroid, single_coloop
 from adjmatroid.graph import LoopedSimpleGraph, all_looped_simple_graphs, random_looped_simple_graph
@@ -119,6 +119,37 @@ def untrimmed_expand(counts) -> BivariatePolynomial:
     )
 
 
+def layer_tally(g: LoopedSimpleGraph) -> dict[tuple[int, int], int]:
+    """The (|X| - d, d) counts of g's distance layers, d the nullity of A[X]."""
+    sizes = gf2.size_masks(g.n)
+    layers = delta_matroid._distance_layers(g.nonsingular_subsets, g.n)
+    return {
+        (size - d, d): k
+        for d, layer in enumerate(layers)
+        for size, at_size in enumerate(sizes)
+        if (k := (layer & at_size).bit_count())
+    }
+
+
+def test_interlace_subset_matches_the_plane_tally(principal_planes):
+    """The layer tally equals the rank tally of the elimination reference on
+    all 1,099 graphs with n <= 4, and interlace_subset equals both that and
+    the recursion on seeded, edgeless and all-looped graphs with n = 5-10."""
+    graphs = [g for n in range(5) for g in all_looped_simple_graphs(n)]
+    rng = random.Random(1432)
+    for n in range(5, 11):
+        labels = tuple(f"v{i}" for i in range(n))
+        graphs += [random_looped_simple_graph(rng, n) for _ in range(2)]
+        graphs += [LoopedSimpleGraph.build(labels), LoopedSimpleGraph.build(labels, loops=labels)]
+    for g in graphs:
+        tally = gf2.tally_planes(principal_planes(g.adj), g.n)
+        by_ranks = {(r, size - r): k for (size, r), k in tally.items()}
+        assert layer_tally(g) == by_ranks
+        if g.n >= 5:
+            assert interlace_subset(g) == _expand(by_ranks) == interlace_recursive(g)
+    assert len(graphs) == 1099 + 6 * 4
+
+
 def test_trimmed_shift_matches_the_untrimmed_one_on_real_tallies():
     """The interlace and Tutte tallies of all 1,099 graphs with n <= 4, then
     of seeded graphs with n = 5-12."""
@@ -126,8 +157,7 @@ def test_trimmed_shift_matches_the_untrimmed_one_on_real_tallies():
     rng = random.Random(1107)
     graphs += [random_looped_simple_graph(rng, n) for n in range(5, 13) for _ in range(5)]
     for g in graphs:
-        tally = gf2.tally_planes(g.principal_planes, g.n)
-        interlace = {(r, size - r): k for (size, r), k in tally.items()}
+        interlace = layer_tally(g)
         m = adjacency_matroid(g)
         tally = gf2.tally_planes(gf2.column_masked_planes(m.cycle_space), m.size)
         d = m.nullity
@@ -196,6 +226,10 @@ def test_oracle_routes_never_call_the_subset_kernel(monkeypatch):
         raise AssertionError("the subset kernel was called")
 
     monkeypatch.setattr(gf2, "subset_pivot_planes", kernel)
+    monkeypatch.setattr(graph, "nonsingular_subsets", kernel)
+    monkeypatch.setattr(polynomials, "_distance_layers", kernel)
+    with pytest.raises(AssertionError):
+        LoopedSimpleGraph(K3.labels, K3.adj).nonsingular_subsets
     with pytest.raises(AssertionError):
         interlace_subset(K3)
     with pytest.raises(AssertionError):
@@ -246,6 +280,20 @@ def test_size_gate():
     # every evaluator
     with pytest.raises(ValueError):
         interlace_recursive(LoopedSimpleGraph.build(tuple(f"v{i}" for i in range(21))))
+
+
+def test_interlace_subset_refuses_before_any_subset_mask(monkeypatch):
+    def build(*_):
+        raise AssertionError("a 2^n-bit mask was built for a graph over the enumeration gate")
+
+    monkeypatch.setattr(gf2, "coord_masks", build)
+    monkeypatch.setattr(polynomials, "size_masks", build)
+    monkeypatch.setattr(polynomials, "_distance_layers", build)
+    for n in (gf2.ENUM_GATE + 1, 25):
+        g = LoopedSimpleGraph.build(tuple(f"v{i}" for i in range(n)))
+        with pytest.raises(ValueError, match="principal submatrix scan is gated"):
+            interlace_subset(g)
+        assert "nonsingular_subsets" not in vars(g)
 
 
 def test_interlace_subset_checks_the_gate_before_scanning(monkeypatch):
