@@ -2,12 +2,13 @@
 
 The cycle space W is a complete invariant, so equality of matroids reduces
 to subspace comparison; circuits, rank, bases and minors are all derived
-from it on demand.  Rank, deletion and the independent sets rest on one
-restriction identity.  Clearing the coordinates in S is a linear map on W
-whose kernel is W_S, the cycles inside S, so r(S) = |S| - dim W_S =
-|S| - dim W + rank(W's basis with S's columns cleared).  `rank_of` applies
-it to one S, `delete` to the ground minus v, and `column_masked_planes` to
-every S at once.
+from it on demand.  Rank and deletion rest on one restriction identity.
+Clearing the coordinates in S is a linear map on W whose kernel is W_S, the
+cycles inside S, so r(S) = |S| - dim W_S = |S| - dim W + rank(W's basis with
+S's columns cleared).  `rank_of` applies it to one S and `delete` to the
+ground minus v.  The independent sets are the S with W_S = 0, for every S
+at once: W as one 2^size-bit word, and the sets that hold none of its
+nonzero members.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from typing import Iterable, Sequence
 from .gf2 import (
     BitMatrix,
     Subspace,
-    column_masked_planes,
+    check_enum_gate,
+    coord_masks,
     drop_bit,
     nullspace,
     orthogonal_complement,
@@ -29,6 +31,7 @@ from .gf2 import (
     size_masks,
     unchecked,
 )
+from .delta_matroid import _dominated, _pivot_step
 from .graph import MultiGraph, _LabelCodec
 
 
@@ -117,8 +120,7 @@ class BinaryMatroid(_LabelCodec):
         return frozenset(self.labels_of(m) for m in self.circuit_masks())
 
     def rank_of(self, s: Iterable[str]) -> int:
-        """r(S) by the restriction identity of the module docstring: the
-        one-subset case of `column_masked_planes`."""
+        """r(S) by the restriction identity of the module docstring."""
         mask = self.mask_of(s)
         w = self.cycle_space
         off = unchecked(
@@ -169,14 +171,22 @@ class BinaryMatroid(_LabelCodec):
 
     @cached_property
     def _independent_bits(self) -> int:
-        """The independent family as a 2^size-bit int: S is independent iff no
-        cycle lies inside S, i.e. every column-masked plane is set at S.
-        The matroid is frozen, so the kernel runs once per matroid."""
-        planes = column_masked_planes(self.cycle_space)  # gated before the 2^size-bit mask
-        bits = (1 << (1 << self.size)) - 1
-        for plane in planes:
-            bits &= plane
-        return bits
+        """The independent family as a 2^size-bit int: S is independent iff
+        no nonzero cycle lies inside S.  The cycle-space word grows from {0}
+        by one translate per basis row b, a pivot step per set bit of b; the
+        dependent sets are its nonzero members and the sets above them.  The
+        matroid is frozen, so the word is built once per matroid."""
+        check_enum_gate(self.size, "independent set scan")  # before any 2^size-bit mask
+        masks = coord_masks(self.size)
+        cycles = 1
+        for b in self.cycle_space.basis:
+            translate = cycles
+            for i in set_bits(b):
+                translate = _pivot_step(translate, masks[i][0], 1 << i)
+            cycles |= translate
+        dependent = cycles ^ 1
+        dependent |= _dominated(dependent, self.size, up=True)
+        return ((1 << (1 << self.size)) - 1) ^ dependent
 
     def independent_masks(self) -> tuple[int, ...]:
         return tuple(set_bits(self._independent_bits))

@@ -5,7 +5,7 @@ are tuples of row masks.  A subspace keeps its basis as a tuple of row
 masks in canonical reduced row-echelon form, so that equality of subspaces
 is plain ``==``.
 
-There are three eliminations, one per shape of problem.  ``echelon`` keys
+There are two eliminations, one per shape of problem.  ``echelon`` keys
 rows by highest set bit in a list of slots indexed by ``bit_length``, with
 no back-substitution; it is behind ``rank``, ``nullity`` and ``nullspace``,
 which reads the canonical kernel off it by triangular solves.
@@ -13,11 +13,11 @@ which reads the canonical kernel off it by triangular solves.
 and so behind ``Subspace.span`` and ``coloop_masks``.  It stays because the
 canonical basis of a ``Subspace`` has lowest-bit pivots, which every printed
 basis and every ``==`` of subspaces depends on.
-``subset_pivot_planes`` eliminates all 2^n subset matrices S at once: each
-entry is a 2^n-bit int with bit S the entry of matrix S, and the result is
-one pivot plane per row, set at S iff that row is a pivot row of matrix S.
-A symmetric matrix needs none for its principal submatrices: det a[S, S] is
-the parity of the covers of S by loops and edges (``nonsingular_subsets``).
+No subset expansion eliminates per subset: the nonsingular principal
+submatrices of a symmetric matrix are one word (det a[S, S] is the parity
+of the covers of S by loops and edges, ``nonsingular_subsets``), and a
+matroid's independent sets are one word built from its cycle space in
+`binary_matroid`; each word's distance layers give the nullities.
 
 A slow reference lives beside its checks in `verify` unless the CLI or the
 benchmark needs it, so the enumeration of all small subspaces is `verify`'s.
@@ -367,49 +367,6 @@ def size_masks(n: int) -> tuple[int, ...]:
     return tuple(count_masks([one for _, one in coord_masks(n)], n))
 
 
-def tally_planes(planes: Sequence[int], n: int) -> dict[tuple[int, int], int]:
-    """The number of subsets S with |S| = size at which exactly c planes are
-    set, keyed by (size, c), for the nonzero numbers."""
-    at_count = count_masks(planes, n)
-    return {
-        (s, c): k
-        for s, at_s in enumerate(size_masks(n))
-        for c, at_c in enumerate(at_count)
-        if (k := (at_s & at_c).bit_count())
-    }
-
-
-def subset_pivot_planes(rows: list[list[int]], n: int) -> list[int]:
-    """Gaussian elimination of 2^n matrices at once, one bit per subset S:
-    rows[i][k] holds entry (i, k) of every matrix as a 2^n-bit int.  Returns
-    one pivot plane per row, set at S iff the row is a pivot row of matrix S,
-    so rank(S) is the number of planes set at S.  Per column, each S picks
-    its first free row with a 1 there; columns are eliminated last first and
-    popped once eliminated, so rows is consumed."""
-    full = (1 << (1 << n)) - 1
-    free = [full] * len(rows)
-    while rows and rows[0]:
-        col = [row.pop() for row in rows]
-        pivot = [0] * len(rows[0])
-        unseen = full
-        for i, e in enumerate(col):
-            pick = e & free[i] & unseen
-            if pick:
-                unseen ^= pick
-                free[i] ^= pick
-                for j, x in enumerate(rows[i]):
-                    if x:
-                        pivot[j] ^= pick & x
-        for i, e in enumerate(col):
-            rest = e & free[i]
-            if rest:
-                row = rows[i]
-                for j, p in enumerate(pivot):
-                    if p:
-                        row[j] ^= rest & p
-    return [full ^ f for f in free]
-
-
 def nonsingular_subsets(a: BitMatrix) -> int:
     """For a symmetric matrix a, the 2^n-bit word with bit S set iff a[S, S]
     is nonsingular.  A permutation and its inverse give det a[S, S] the same
@@ -429,19 +386,6 @@ def nonsingular_subsets(a: BitMatrix) -> int:
             covers ^= (word & masks[w][0]) << (1 << w)
         word ^= covers << (1 << v)
     return word
-
-
-def column_masked_planes(w: Subspace) -> list[int]:
-    """Pivot planes of w's basis on the columns outside S, for every S: entry
-    (i, k) is ZERO_k where basis row i has bit k.  So w meets GF(2)^S in
-    dimension w.dim minus the number of planes set at S: the restriction
-    identity of `binary_matroid`, for every S at once."""
-    check_enum_gate(w.ambient_dim, "column-masked subset scan")
-    masks = coord_masks(w.ambient_dim)
-    return subset_pivot_planes([
-        [zero_k if (v >> k) & 1 else 0 for k, (zero_k, _) in enumerate(masks)]
-        for v in w.basis
-    ], w.ambient_dim)
 
 
 def symmetrize_nullspace(a: BitMatrix) -> BitMatrix:

@@ -1,14 +1,16 @@
 """Exact integer bivariate polynomials and the nullity-weighted graph and
 matroid polynomial evaluators.
 
-A subset expansion is a sum of (x-1)^a (y-1)^b terms, one per subset.  The
-interlace expansion reads nullities from the set-system side: nu(A[X]) is the
-distance d(X) from X to the graph's delta-matroid (the memoized word
-from_graph shares), so one distance layer per nullity.  The Tutte expansion
-reads ranks from one column-masked elimination of a matroid.  Each popcount
-counts one (|S|, nullity) pair; the counts fill an (a, b) grid that a Taylor
-shift in each variable moves to x-1 and y-1, each row and column shifted up
-to its degree only.  The recursive evaluators must agree exactly.
+A subset expansion is a sum of (x-1)^a (y-1)^b terms, one per subset, and
+both read their nullities as distances from a family word.  The interlace
+expansion takes the graph's delta-matroid (the memoized word from_graph
+shares): nu(A[X]) is the distance d(X) from X to it.  The Tutte expansion
+takes the matroid's independent sets: a nearest independent set to S is a
+largest one inside S, so the distance from S is nu(S) = |S| - r(S).  One
+tally counts the (rank, nullity) pairs (|S| - d, d) over the distance
+layers; the counts fill an (a, b) grid that a Taylor shift in each variable
+moves to x-1 and y-1, each row and column shifted up to its degree only.
+The recursive evaluators must agree exactly.
 
 A slow reference lives beside its checks in `verify` unless the CLI or the
 benchmark needs it: bench/workloads.py checks the subset expansions against
@@ -23,7 +25,7 @@ from typing import Mapping
 
 from .binary_matroid import BinaryMatroid
 from .delta_matroid import _distance_layers
-from .gf2 import check_enum_gate, column_masked_planes, size_masks, tally_planes, unchecked
+from .gf2 import check_enum_gate, size_masks, unchecked
 from .graph import LoopedSimpleGraph
 
 
@@ -146,15 +148,22 @@ def _expand(counts: Mapping[tuple[int, int], int]) -> BivariatePolynomial:
     return _collected({(a, b): c for b, col in enumerate(cols) for a, c in enumerate(col)})
 
 
+def _rank_nullity_tally(layers: list[int], n: int) -> dict[tuple[int, int], int]:
+    """(|S| - d, d) -> the number of subsets S in distance layer d, for the
+    nonzero numbers: with d the nullity of S, the key is its rank and
+    nullity.  The empty set is a member, so d <= |S|."""
+    sizes = size_masks(n)
+    return {
+        (size - d, d): k for d, layer in enumerate(layers)
+        for size in range(d, n + 1) if (k := (layer & sizes[size]).bit_count())
+    }
+
+
 def interlace_subset(g: LoopedSimpleGraph) -> BivariatePolynomial:
     """Sum over vertex subsets X of (x-1)^(|X|-d) (y-1)^d, d = d(X) the
     nullity of the induced adjacency submatrix: X's distance layer."""
     layers = _distance_layers(g.nonsingular_subsets, g.n)  # the memo is gated
-    sizes = size_masks(g.n)
-    return _expand({
-        (size - d, d): k for d, layer in enumerate(layers)
-        for size in range(d, g.n + 1) if (k := (layer & sizes[size]).bit_count())
-    })
+    return _expand(_rank_nullity_tally(layers, g.n))
 
 
 def interlace_recursive(g: LoopedSimpleGraph) -> BivariatePolynomial:
@@ -196,12 +205,11 @@ def interlace_recursive(g: LoopedSimpleGraph) -> BivariatePolynomial:
 
 
 def tutte_subset(m: BinaryMatroid) -> BivariatePolynomial:
-    """Rank generating subset expansion of the Tutte polynomial, with
-    r(S) = |S| - nu(S) and nu(S) = nullity - c, c the number of column-masked
-    cycle-space planes set at S: the restriction identity of `binary_matroid`."""
-    tally = tally_planes(column_masked_planes(m.cycle_space), m.size)
-    d = m.nullity
-    return _expand({(m.rank - size + d - c, d - c): k for (size, c), k in tally.items()})
+    """Rank generating subset expansion of the Tutte polynomial: S adds
+    (x-1)^(r - r(S)) (y-1)^nu(S), nu(S) = |S| - r(S) its distance layer."""
+    layers = _distance_layers(m._independent_bits, m.size)  # the word is gated
+    tally = _rank_nullity_tally(layers, m.size)
+    return _expand({(m.rank - r, d): k for (r, d), k in tally.items()})
 
 
 def tutte_recursive(m: BinaryMatroid) -> BivariatePolynomial:

@@ -1,8 +1,13 @@
 """Fixtures shared by the test modules."""
 
+import random
+
 import pytest
 
-from adjmatroid.gf2 import BitMatrix, Subspace, coord_masks, lowest_bit, subset_pivot_planes
+from adjmatroid.binary_matroid import BinaryMatroid, polygon_matroid
+from adjmatroid.gf2 import BitMatrix, Subspace, coord_masks, count_masks, lowest_bit, size_masks
+from adjmatroid.graph import MultiGraph
+from adjmatroid.verify import _all_subspaces
 
 
 def reference_restriction(w: Subspace, mask: int) -> Subspace:
@@ -27,8 +32,91 @@ def reference_restriction(w: Subspace, mask: int) -> Subspace:
 @pytest.fixture
 def restricted():
     """The reference restriction, for checking rank_of, delete and the
-    column-masked planes against an elimination of another design."""
+    independent-set word against an elimination of another design."""
     return reference_restriction
+
+
+def subset_pivot_planes(rows: list[list[int]], n: int) -> list[int]:
+    """Gaussian elimination of 2^n matrices at once, one bit per subset S:
+    rows[i][k] holds entry (i, k) of every matrix as a 2^n-bit int.  Returns
+    one pivot plane per row, set at S iff the row is a pivot row of matrix S,
+    so rank(S) is the number of planes set at S.  Per column, each S picks
+    its first free row with a 1 there; columns are eliminated last first and
+    popped once eliminated, so rows is consumed."""
+    full = (1 << (1 << n)) - 1
+    free = [full] * len(rows)
+    while rows and rows[0]:
+        col = [row.pop() for row in rows]
+        pivot = [0] * len(rows[0])
+        unseen = full
+        for i, e in enumerate(col):
+            pick = e & free[i] & unseen
+            if pick:
+                unseen ^= pick
+                free[i] ^= pick
+                for j, x in enumerate(rows[i]):
+                    if x:
+                        pivot[j] ^= pick & x
+        for i, e in enumerate(col):
+            rest = e & free[i]
+            if rest:
+                row = rows[i]
+                for j, p in enumerate(pivot):
+                    if p:
+                        row[j] ^= rest & p
+    return [full ^ f for f in free]
+
+
+def reference_tally_planes(planes: list[int], n: int) -> dict[tuple[int, int], int]:
+    """The number of subsets S with |S| = size at which exactly c planes are
+    set, keyed by (size, c), for the nonzero numbers."""
+    at_count = count_masks(planes, n)
+    return {
+        (s, c): k
+        for s, at_s in enumerate(size_masks(n))
+        for c, at_c in enumerate(at_count)
+        if (k := (at_s & at_c).bit_count())
+    }
+
+
+@pytest.fixture
+def tally_planes():
+    """The (size, planes set) counter of the elimination references."""
+    return reference_tally_planes
+
+
+def reference_column_masked_planes(w: Subspace) -> list[int]:
+    """Pivot planes of w's basis on the columns outside S, for every S: entry
+    (i, k) is ZERO_k where basis row i has bit k.  So w meets GF(2)^S in
+    dimension w.dim minus the number of planes set at S: the restriction
+    identity of `binary_matroid`, for every S at once."""
+    masks = coord_masks(w.ambient_dim)
+    return subset_pivot_planes([
+        [zero_k if (v >> k) & 1 else 0 for k, (zero_k, _) in enumerate(masks)]
+        for v in w.basis
+    ], w.ambient_dim)
+
+
+@pytest.fixture
+def column_masked_planes():
+    """The elimination reference, for checking the independent-set word and
+    the Tutte tally against a route that reads ranks, not distances."""
+    return reference_column_masked_planes
+
+
+def reference_tutte_tally(m: BinaryMatroid) -> dict[tuple[int, int], int]:
+    """The (r - r(S), nu(S)) counts of the column-masked elimination: c planes
+    set at S leave nu(S) = nullity - c."""
+    tally = reference_tally_planes(reference_column_masked_planes(m.cycle_space), m.size)
+    d = m.nullity
+    return {(m.rank - size + d - c, d - c): k for (size, c), k in tally.items()}
+
+
+@pytest.fixture
+def tutte_tally():
+    """The Tutte tally of the elimination reference, for checking the
+    distance layers of the independent-set word."""
+    return reference_tutte_tally
 
 
 def reference_principal_planes(a: BitMatrix) -> list[int]:
@@ -47,3 +135,27 @@ def principal_planes():
     """The elimination reference, for checking the cover-parity word and the
     distance layers against a route that reads ranks, not determinants."""
     return reference_principal_planes
+
+
+@pytest.fixture(scope="session")
+def reference_matroids() -> list[BinaryMatroid]:
+    """All 465 binary matroids on v0..v{n-1} with n <= 5; for n = 6-14 the
+    free matroid (nullity 0), all loops (nullity n) and three seeded cycle
+    spaces; and 20 seeded polygon matroids of multigraphs with a loop and a
+    parallel pair or more, with 3-6 vertices and 4-12 edges."""
+    rng = random.Random(3305)
+    spaces = [w for n in range(6) for w in _all_subspaces(n)]
+    for n in range(6, 15):
+        spaces += [Subspace.zero(n), Subspace.span(n, (1 << i for i in range(n)))]
+        spaces += [
+            Subspace.span(n, [rng.randrange(1 << n) for _ in range(rng.randrange(1, n))])
+            for _ in range(3)
+        ]
+    out = [BinaryMatroid(tuple(f"v{i}" for i in range(w.ambient_dim)), w) for w in spaces]
+    for _ in range(20):
+        n = rng.randrange(3, 7)
+        u, v = rng.sample(range(n), 2)
+        edges = [(u, u), (u, v), (u, v)]
+        edges += [tuple(rng.randrange(n) for _ in range(2)) for _ in range(rng.randrange(1, 10))]
+        out.append(polygon_matroid(MultiGraph(tuple(f"x{i}" for i in range(n)), tuple(edges))))
+    return out

@@ -345,25 +345,24 @@ def test_bases_equicardinal_with_rank():
             assert len(b) == m.rank
 
 
-def test_bases_and_independent_sets_on_every_small_subspace(restricted):
-    checked = 0
-    for n in range(5):
-        for w in _all_subspaces(n):
-            m = BinaryMatroid(tuple(f"v{i}" for i in range(n)), w)
-            independent = [s for s in range(1 << n) if restricted(w, s).dim == 0]
-            assert list(m.independent_masks()) == independent
-            bases = m.bases()
-            assert bases and all(len(b) == m.rank for b in bases)
-            assert bases == {b for b in independent_sets(m) if len(b) == m.rank}
-            checked += 1
-    assert checked == 91
+def test_bases_and_independent_sets_on_every_small_subspace(restricted, reference_matroids):
+    """S is independent iff no cycle lies inside it, on every matroid with
+    n <= 5, seeded ones up to n = 14 and polygon matroids with loops and
+    parallel edges."""
+    for m in reference_matroids:
+        independent = [s for s in range(1 << m.size) if restricted(m.cycle_space, s).dim == 0]
+        assert list(m.independent_masks()) == independent
+        bases = m.bases()
+        assert bases and all(len(b) == m.rank for b in bases)
+        assert bases == {b for b in independent_sets(m) if len(b) == m.rank}
+    assert len(reference_matroids) == 465 + 9 * 5 + 20
 
 
 def test_independent_family_is_computed_once_per_matroid(monkeypatch):
     runs = []
-    planes = binary_matroid.column_masked_planes
+    dominated = binary_matroid._dominated  # called once per build of the word
     monkeypatch.setattr(
-        binary_matroid, "column_masked_planes", lambda w: runs.append(w) or planes(w)
+        binary_matroid, "_dominated", lambda *a, **k: runs.append(a) or dominated(*a, **k)
     )
     rng = random.Random(29)
     for n in range(1, 7):
@@ -375,7 +374,7 @@ def test_independent_family_is_computed_once_per_matroid(monkeypatch):
             assert (m.bases(), m.independent_masks()) == first
         assert len(runs) == 1
         BinaryMatroid(m.ground, w).bases()
-        assert len(runs) == 2  # an equal matroid runs its own kernel
+        assert len(runs) == 2  # an equal matroid builds its own word
 
 
 def test_bases_check_the_gate_before_building_the_full_mask():

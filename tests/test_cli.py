@@ -145,6 +145,10 @@ def test_size_gates_name_the_refused_size(tmp_path, capsys):
             ["interlace", "--input", empty(21)],
             "principal submatrix scan is gated at 20 coordinates, got 21",
         ),
+        (
+            ["tutte", "--input", empty(21)],
+            "independent set scan is gated at 20 coordinates, got 21",
+        ),
     ):
         assert run(capsys, *argv) == (1, "", f"error: {err}\n")
 

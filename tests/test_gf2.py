@@ -14,7 +14,6 @@ import pytest
 from adjmatroid.gf2 import (
     BitMatrix,
     Subspace,
-    column_masked_planes,
     count_masks,
     drop_bit,
     gather,
@@ -29,7 +28,7 @@ from adjmatroid.gf2 import (
     set_bits,
     symmetrize_nullspace,
 )
-from adjmatroid import gf2
+from adjmatroid import binary_matroid, delta_matroid, gf2
 from adjmatroid.binary_matroid import BinaryMatroid
 from adjmatroid.four_regular import (
     HalfEdgeGraph,
@@ -398,7 +397,7 @@ def test_nonsingular_subsets_match_principal_rank(principal_planes):
         assert word == every_vertex_pivots
 
 
-def test_subset_nullities_match_restriction(restricted):
+def test_subset_nullities_match_restriction(restricted, column_masked_planes):
     rng = random.Random(6)
     spaces = [w for n in range(5) for w in _all_subspaces(n)]
     assert len(spaces) == 1 + 2 + 5 + 16 + 67
@@ -448,10 +447,12 @@ def test_subset_kernels_refuse_above_the_gate(monkeypatch):
     def masks(_):
         raise AssertionError("a subset kernel built masks above the gate")
 
-    monkeypatch.setattr(gf2, "coord_masks", masks)
+    for module in (gf2, binary_matroid, delta_matroid):
+        monkeypatch.setattr(module, "coord_masks", masks)
     for w in (Subspace.zero(21), full(21)):
-        with pytest.raises(ValueError):
-            column_masked_planes(w)
+        m = BinaryMatroid(tuple(f"v{i}" for i in range(21)), w)
+        with pytest.raises(ValueError, match="independent set scan is gated"):
+            m.independent_masks()
     for a in (BitMatrix(21, 21, (0,) * 21), BitMatrix(21, 21, tuple(1 << i for i in range(21)))):
         with pytest.raises(ValueError):
             nonsingular_subsets(a)

@@ -2,12 +2,13 @@
 definition in the package is referenced from the package or the benchmark
 (a class or static method through its own class), object.__new__, the
 principal scan, the coloop pass and pairing validation each have one site,
-the two row eliminations run only inside gf2 and gf2 runs three in all,
-the one-coordinate pivot and the min/max closure each have one kernel and
-the min-equicardinal oracle builds no set system, only the minor routes
-build an adjacency matroid, the 4-regular builders take no validating
-route, only the Kotzig merge builds an Euler system unchecked, and the
-slow references that only verify calls live in verify."""
+the two row eliminations run only inside gf2 and gf2 runs two in all, both
+subset expansions read distance layers, the one-coordinate pivot and the
+min/max closure each have one kernel and the min-equicardinal oracle builds
+no set system, only the minor routes build an adjacency matroid, the
+4-regular builders take no validating route, only the Kotzig merge builds an
+Euler system unchecked, and the slow references that only verify calls live
+in verify."""
 
 import ast
 from pathlib import Path
@@ -381,13 +382,11 @@ def test_checker_finds_every_elimination_loop():
     assert sites(source, xors_until_reduced) == ["Subspace.restricted_to"]
 
 
-def test_gf2_runs_three_eliminations():
-    """Highest-bit echelon, lowest-bit forward pivots with the RREF's
-    back-substitution, and the bit-sliced subset elimination."""
+def test_gf2_runs_two_eliminations():
+    """Highest-bit echelon, and lowest-bit forward pivots with the RREF's
+    back-substitution; no subset expansion eliminates per subset."""
     gf2 = (ROOT / "src" / "adjmatroid" / "gf2.py").read_text()
-    assert sites(gf2, xors_until_reduced) == [
-        "echelon", "forward_pivots", "rref_masks", "subset_pivot_planes",
-    ]
+    assert sites(gf2, xors_until_reduced) == ["echelon", "forward_pivots", "rref_masks"]
 
 
 def shifts(node: ast.AST, op: type) -> bool:
@@ -573,10 +572,28 @@ def test_checker_finds_every_imported_module_and_polynomial_matroid_build():
 
 
 def test_polynomials_build_and_import_no_adjacency_matroid():
-    """The evaluators read planes or take a matroid; the induced-matroid
+    """The evaluators read layers or take a matroid; the induced-matroid
     interlace oracle, which builds one matroid per subset, is verify's."""
     assert "src/adjmatroid/polynomials.py" not in sites_in_sources(builds_matroid)
     assert "adjacency_matroid" not in imported_modules(POLYNOMIALS.read_text())
+
+
+reads_layers = calls("_distance_layers")  # the one subset enumerator of polynomials
+
+
+def test_checker_finds_every_distance_layer_read():
+    planted = POLYNOMIALS.read_text().replace(
+        "layers = _distance_layers(m._independent_bits, m.size)", "layers = planes(m)"
+    )
+    assert sites(planted, reads_layers) == ["interlace_subset"]
+    planted += "def q(g):\n    return [delta_matroid._distance_layers(b, n) for b in g]\n"
+    assert sites(planted, reads_layers) == ["interlace_subset", "q"]
+
+
+def test_both_subset_expansions_read_distance_layers():
+    """interlace_subset from the graph's delta-matroid word and tutte_subset
+    from the independent-set word; no other route enumerates subsets."""
+    assert sites(POLYNOMIALS.read_text(), reads_layers) == ["interlace_subset", "tutte_subset"]
 
 
 def calls_method(owner: str, name: str) -> Callable[[ast.AST], bool]:

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from adjmatroid import delta_matroid, gf2, graph, polynomials
+from adjmatroid import binary_matroid, delta_matroid, gf2, graph, polynomials
 from adjmatroid.adjacency_matroid import adjacency_matroid
 from adjmatroid.binary_matroid import BinaryMatroid, free_matroid, single_coloop
 from adjmatroid.graph import LoopedSimpleGraph, all_looped_simple_graphs, random_looped_simple_graph
@@ -131,7 +131,7 @@ def layer_tally(g: LoopedSimpleGraph) -> dict[tuple[int, int], int]:
     }
 
 
-def test_interlace_subset_matches_the_plane_tally(principal_planes):
+def test_interlace_subset_matches_the_plane_tally(principal_planes, tally_planes):
     """The layer tally equals the rank tally of the elimination reference on
     all 1,099 graphs with n <= 4, and interlace_subset equals both that and
     the recursion on seeded, edgeless and all-looped graphs with n = 5-10."""
@@ -142,7 +142,7 @@ def test_interlace_subset_matches_the_plane_tally(principal_planes):
         graphs += [random_looped_simple_graph(rng, n) for _ in range(2)]
         graphs += [LoopedSimpleGraph.build(labels), LoopedSimpleGraph.build(labels, loops=labels)]
     for g in graphs:
-        tally = gf2.tally_planes(principal_planes(g.adj), g.n)
+        tally = tally_planes(principal_planes(g.adj), g.n)
         by_ranks = {(r, size - r): k for (size, r), k in tally.items()}
         assert layer_tally(g) == by_ranks
         if g.n >= 5:
@@ -150,7 +150,7 @@ def test_interlace_subset_matches_the_plane_tally(principal_planes):
     assert len(graphs) == 1099 + 6 * 4
 
 
-def test_trimmed_shift_matches_the_untrimmed_one_on_real_tallies():
+def test_trimmed_shift_matches_the_untrimmed_one_on_real_tallies(tutte_tally):
     """The interlace and Tutte tallies of all 1,099 graphs with n <= 4, then
     of seeded graphs with n = 5-12."""
     graphs = [g for n in range(5) for g in all_looped_simple_graphs(n)]
@@ -159,12 +159,20 @@ def test_trimmed_shift_matches_the_untrimmed_one_on_real_tallies():
     for g in graphs:
         interlace = layer_tally(g)
         m = adjacency_matroid(g)
-        tally = gf2.tally_planes(gf2.column_masked_planes(m.cycle_space), m.size)
-        d = m.nullity
-        tutte = {(m.rank - size + d - c, d - c): k for (size, c), k in tally.items()}
+        tutte = tutte_tally(m)
         for counts in (interlace, tutte):
             assert _expand(counts) == untrimmed_expand(counts)
     assert len(graphs) == 1099 + 8 * 5
+
+
+def test_tutte_subset_matches_the_column_masked_tally(reference_matroids, tutte_tally):
+    """The layers of the independent-set word give the elimination
+    reference's tally and the recursion's polynomial on every matroid with
+    n <= 5, seeded ones up to n = 14 (nullity 0 and n among them) and polygon
+    matroids with loops and parallel edges."""
+    for m in reference_matroids:
+        expected = _expand(tutte_tally(m))
+        assert tutte_subset(m) == expected == tutte_recursive(m)
 
 
 def test_text_rendering():
@@ -225,7 +233,7 @@ def test_oracle_routes_never_call_the_subset_kernel(monkeypatch):
     def kernel(*_):
         raise AssertionError("the subset kernel was called")
 
-    monkeypatch.setattr(gf2, "subset_pivot_planes", kernel)
+    monkeypatch.setattr(BinaryMatroid, "_independent_bits", property(kernel))
     monkeypatch.setattr(graph, "nonsingular_subsets", kernel)
     monkeypatch.setattr(polynomials, "_distance_layers", kernel)
     with pytest.raises(AssertionError):
@@ -234,6 +242,8 @@ def test_oracle_routes_never_call_the_subset_kernel(monkeypatch):
         interlace_subset(K3)
     with pytest.raises(AssertionError):
         tutte_subset(adjacency_matroid(K3))
+    with pytest.raises(AssertionError):
+        adjacency_matroid(K3).bases()
     for g, (q, t) in zip(graphs, expected):
         assert q_from_lambda(g) == interlace_recursive(g) == q
         v = g.labels[0]
@@ -298,11 +308,28 @@ def test_interlace_subset_refuses_before_any_subset_mask(monkeypatch):
 
 def test_interlace_subset_checks_the_gate_before_scanning(monkeypatch):
     def build(*_):
-        raise AssertionError("a plane was built for a graph over the enumeration gate")
+        raise AssertionError("a word was built for a graph over the enumeration gate")
 
     monkeypatch.setattr(gf2, "coord_masks", build)
-    monkeypatch.setattr(gf2, "subset_pivot_planes", build)
+    monkeypatch.setattr(delta_matroid, "coord_masks", build)
+    monkeypatch.setattr(polynomials, "_distance_layers", build)
     g = LoopedSimpleGraph.build(tuple(f"v{i}" for i in range(gf2.ENUM_GATE + 1)))
     with pytest.raises(ValueError):
         interlace_subset(g)
-    assert "principal_planes" not in vars(g)
+    assert "nonsingular_subsets" not in vars(g)
+
+
+def test_tutte_subset_refuses_before_any_subset_mask(monkeypatch):
+    def build(*_, **__):
+        raise AssertionError("a 2^n-bit mask was built for a matroid over the enumeration gate")
+
+    for name in ("coord_masks", "_pivot_step", "_dominated"):
+        monkeypatch.setattr(binary_matroid, name, build)
+    monkeypatch.setattr(polynomials, "size_masks", build)
+    monkeypatch.setattr(polynomials, "_distance_layers", build)
+    for n in (gf2.ENUM_GATE + 1, 25):
+        labels = tuple(f"v{i}" for i in range(n))
+        for m in (free_matroid(labels), all_loops(labels)):
+            with pytest.raises(ValueError, match="independent set scan is gated"):
+                tutte_subset(m)
+            assert "_independent_bits" not in vars(m)
