@@ -8,7 +8,7 @@ cycles inside S, so r(S) = |S| - dim W_S = |S| - dim W + rank(W's basis with
 S's columns cleared).  `rank_of` applies it to one S and `delete` to the
 ground minus v.  The independent sets are the S with W_S = 0, for every S
 at once: W as one 2^size-bit word, and the sets that hold none of its
-nonzero members.
+nonzero members.  The word steps and the enumeration gate are `gf2`'s.
 """
 
 from __future__ import annotations
@@ -21,17 +21,18 @@ from .gf2 import (
     BitMatrix,
     Subspace,
     check_enum_gate,
-    coord_masks,
+    dominated,
     drop_bit,
+    flip_coordinates,
     nullspace,
     orthogonal_complement,
+    pivot_step,
     rank,
     rref_masks,
     set_bits,
     size_masks,
     unchecked,
 )
-from .delta_matroid import _dominated, _pivot_step
 from .graph import MultiGraph, _LabelCodec
 
 
@@ -43,6 +44,7 @@ class BinaryMatroid(_LabelCodec):
     cycle_space: Subspace
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "ground", tuple(self.ground))
         if len(set(self.ground)) != len(self.ground):
             raise ValueError("duplicate ground labels")
         if self.cycle_space.ambient_dim != len(self.ground):
@@ -177,15 +179,11 @@ class BinaryMatroid(_LabelCodec):
         dependent sets are its nonzero members and the sets above them.  The
         matroid is frozen, so the word is built once per matroid."""
         check_enum_gate(self.size, "independent set scan")  # before any 2^size-bit mask
-        masks = coord_masks(self.size)
         cycles = 1
         for b in self.cycle_space.basis:
-            translate = cycles
-            for i in set_bits(b):
-                translate = _pivot_step(translate, masks[i][0], 1 << i)
-            cycles |= translate
+            cycles |= flip_coordinates(cycles, b, self.size, pivot_step)
         dependent = cycles ^ 1
-        dependent |= _dominated(dependent, self.size, up=True)
+        dependent |= dominated(dependent, self.size, up=True)
         return ((1 << (1 << self.size)) - 1) ^ dependent
 
     def independent_masks(self) -> tuple[int, ...]:

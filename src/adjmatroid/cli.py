@@ -30,8 +30,9 @@ from .verify import SUITE_NAMES, run_suites
 
 
 def _read_input(path: str) -> str:
+    """The text of a graph file or of stdin, decoded as strict UTF-8 either way."""
     if path == "-":
-        return sys.stdin.read()
+        return sys.stdin.buffer.read().decode("utf-8")
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
 

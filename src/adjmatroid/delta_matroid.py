@@ -4,14 +4,14 @@ A family is one 2^n-bit int (bit m set iff mask m is a member), and each
 transform is a few word operations on it.  In coordinate v, pivot swaps the
 bit blocks of the subsets without and with v, loop complement and dual pivot
 are the GF(2) subset and superset zeta transforms, and min (max) drops what
-the family reaches by shifting up (down) one coordinate at a time: the word
-steps _pivot_step and _dominated, which verify's oracles share.  Graphs
-embed as the subsets S inducing a nonsingular adjacency submatrix (the
-graph's memoized word: det A[S] is the parity of the covers of S by loops
-and edges).  Bouchet ("Representability of delta-matroids", 1987) proved
-that this family meets the exchange axiom, so from_graph does not check it.
-Its distance d(X) = min |F ^ X| over members F is the nullity of A[X], and
-_distance_layers, which polynomials reads, finds d at every X at once.
+the family reaches by shifting up (down) one coordinate at a time; the word
+steps and the ground gate are `gf2`'s.  Graphs embed as the subsets S
+inducing a nonsingular adjacency submatrix (the graph's memoized word: det
+A[S] is the parity of the covers of S by loops and edges).  Bouchet
+("Representability of delta-matroids", 1987) proved that this family meets
+the exchange axiom, so from_graph does not check it.  Its distance d(X) =
+min |F ^ X| over members F is the nullity of A[X], and gf2.distance_layers
+finds d at every X at once.
 
 A slow reference lives beside its checks in `verify` unless the CLI or the
 benchmark needs it: bench/workloads.py checks the flips against the two
@@ -20,53 +20,16 @@ benchmark needs it: bench/workloads.py checks the flips against the two
 
 from __future__ import annotations
 
-import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
-from .gf2 import coord_masks, set_bits, size_masks, unchecked
+from .gf2 import (
+    check_ground_gate, coord_masks, dominated, flip_coordinates, pivot_step, set_bits, size_masks,
+    unchecked,
+)
 from .graph import LoopedSimpleGraph, _LabelCodec, pair_is_edge
-
-GROUND_GATE = 16
-
-FlipOp = str  # "pivot" | "dual_pivot" | "loop_complement"
-
-
-def _check_ground_gate(n: int) -> None:
-    if n > GROUND_GATE:
-        raise ValueError(f"set systems are gated at {GROUND_GATE} ground elements, got {n}")
-
-
-def _pivot_step(f: int, zero: int, b: int) -> int:
-    """Pivot the word f in coordinate i: b = 2^i, zero the mask of the subsets avoiding i."""
-    return ((f & zero) << b) | ((f >> b) & zero)
-
-
-def _distance_layers(bits: int, n: int) -> list[int]:
-    """Word c holds the X at distance exactly c from the proper family bits:
-    breadth first, each layer the last one pivoted in every coordinate, less what is reached."""
-    layers, reached, full = [bits], bits, (1 << (1 << n)) - 1
-    while layers[-1] and reached != full:
-        step = 0
-        for i, (zero, _) in enumerate(coord_masks(n)):
-            step |= _pivot_step(layers[-1], zero, 1 << i)
-        layers.append(step & ~reached)
-        reached |= step
-    return layers
-
-
-def _dominated(bits: int, n: int, up: bool) -> int:
-    """The sets strictly above (up) or below some member of the word bits, what
-    min (max) drops: each coordinate in turn moves the closure so far a step."""
-    side, shift = (0, operator.lshift) if up else (1, operator.rshift)
-    closure, beyond = bits, 0
-    for i, pair in enumerate(coord_masks(n)):
-        step = shift(closure & pair[side], 1 << i)
-        beyond |= step
-        closure |= step
-    return beyond
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +52,7 @@ class SetSystem(_LabelCodec):
         object.__setattr__(self, "ground", tuple(self.ground))
         if len(set(self.ground)) != len(self.ground):
             raise ValueError("duplicate ground labels")
-        _check_ground_gate(len(self.ground))
+        check_ground_gate(len(self.ground))
         if self.bits < 0 or self.bits.bit_length() > 1 << len(self.ground):
             raise ValueError("family member outside the ground set")
 
@@ -141,16 +104,11 @@ class SetSystem(_LabelCodec):
 
     def _flip(self, x: Iterable[str], step: Callable[[int, int, int], int]) -> "SetSystem":
         """Apply a one-coordinate word operation once per distinct element of x."""
-        masks, bits, xm = coord_masks(self.n), self.bits, self.mask_of(x)
-        while xm:
-            i = (xm & -xm).bit_length() - 1
-            bits = step(bits, masks[i][0], 1 << i)
-            xm &= xm - 1
-        return self._derived(bits)
+        return self._derived(flip_coordinates(self.bits, self.mask_of(x), self.n, step))
 
     def pivot(self, x: Iterable[str]) -> "SetSystem":
         """Symmetric difference of every member with x."""
-        return self._flip(x, _pivot_step)
+        return self._flip(x, pivot_step)
 
     def loop_complement(self, x: Iterable[str]) -> "SetSystem":
         """Keep Y iff the members between Y minus x and Y are odd in number."""
@@ -183,20 +141,13 @@ class SetSystem(_LabelCodec):
             d = d.loop_complement_sequential([v]).pivot([v]).loop_complement_sequential([v])
         return d
 
-    # distance, min and max
-
-    def distance(self, x: Iterable[str]) -> int:
-        """The least |m ^ x| over members m: the least member size after pivot(x)."""
-        if not self.is_proper:
-            raise ValueError("distance needs a proper set system")
-        moved = self.pivot(x).bits
-        return next(c for c, at_c in enumerate(size_masks(self.n)) if moved & at_c)
+    # min and max
 
     def _extremal(self, which: str) -> "SetSystem":
         """The members with no other member below them (min) or above them (max)."""
         if not self.is_proper:
             raise ValueError(f"{which} needs a proper set system")
-        return self._derived(self.bits & ~_dominated(self.bits, self.n, which == "min"))
+        return self._derived(self.bits & ~dominated(self.bits, self.n, which == "min"))
 
     def min_sys(self) -> "SetSystem":
         return self._extremal("min")
@@ -250,22 +201,6 @@ class SetSystem(_LabelCodec):
         return self._derived(self.bits & coord_masks(self.n)[self.index(v)][1])
 
 
-def vertex_flip_sequence(
-    d: SetSystem, ops: Iterable[tuple[FlipOp, str]]
-) -> SetSystem:
-    """Apply (operation, element) pairs left to right."""
-    for op, v in ops:
-        if op == "pivot":
-            d = d.pivot([v])
-        elif op == "dual_pivot":
-            d = d.dual_pivot([v])
-        elif op == "loop_complement":
-            d = d.loop_complement([v])
-        else:
-            raise ValueError(f"unknown vertex flip {op!r}")
-    return d
-
-
 def satisfies_exchange_axiom(d: SetSystem) -> bool:
     """The symmetric exchange axiom, exactly, in O(|F| n^2) word operations.
 
@@ -308,7 +243,7 @@ class DeltaMatroid(SetSystem):
 
 def from_graph(g: LoopedSimpleGraph) -> DeltaMatroid:
     """The subsets of V(g) inducing a nonsingular adjacency submatrix: g's memoized word."""
-    _check_ground_gate(g.n)
+    check_ground_gate(g.n)
     # Bouchet's theorem gives the exchange axiom: skip DeltaMatroid.__post_init__
     return unchecked(DeltaMatroid, ground=g.labels, bits=g.nonsingular_subsets)
 
@@ -343,6 +278,6 @@ def max_as_matroid(d: SetSystem) -> frozenset[frozenset[str]]:
 
 def random_set_system(rng: random.Random, ground: Sequence[str]) -> SetSystem:
     """Each subset of the ground a member with probability 0.3."""
-    _check_ground_gate(len(ground))  # before the 2^n draws
+    check_ground_gate(len(ground))  # before the 2^n draws
     bits = sum(1 << m for m in range(1 << len(ground)) if rng.random() < 0.3)
     return SetSystem(tuple(ground), bits)

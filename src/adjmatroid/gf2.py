@@ -17,7 +17,9 @@ No subset expansion eliminates per subset: the nonsingular principal
 submatrices of a symmetric matrix are one word (det a[S, S] is the parity
 of the covers of S by loops and edges, ``nonsingular_subsets``), and a
 matroid's independent sets are one word built from its cycle space in
-`binary_matroid`; each word's distance layers give the nullities.
+`binary_matroid`; each word's distance layers give the nullities.  The
+steps on such a word (``pivot_step``, ``flip_coordinates``, ``dominated``,
+``distance_layers``) and both work limits and their checkers live here.
 
 A slow reference lives beside its checks in `verify` unless the CLI or the
 benchmark needs it, so the enumeration of all small subspaces is `verify`'s.
@@ -25,15 +27,17 @@ benchmark needs it, so the enumeration of all small subspaces is `verify`'s.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Iterable, Iterator, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
 
-# Exhaustive enumerations (all vectors of a space / subspace) refuse to run
-# above this many coordinates.
+# The work limits: exhaustive enumerations (of vectors or of subsets) refuse to
+# run above ENUM_GATE coordinates, and set systems above GROUND_GATE elements.
 ENUM_GATE = 20
+GROUND_GATE = 16
 
 
 def unchecked(cls: type[T], **fields: Any) -> T:
@@ -58,6 +62,11 @@ def lowest_bit(x: int) -> int:
 def check_enum_gate(n: int, what: str) -> None:
     if n > ENUM_GATE:
         raise ValueError(f"{what} is gated at {ENUM_GATE} coordinates, got {n}")
+
+
+def check_ground_gate(n: int) -> None:
+    if n > GROUND_GATE:
+        raise ValueError(f"set systems are gated at {GROUND_GATE} ground elements, got {n}")
 
 
 def echelon(rows: Iterable[int], width: int) -> list[int]:
@@ -171,6 +180,7 @@ class BitMatrix:
     data: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "data", tuple(self.data))
         if self.rows < 0 or self.cols < 0:
             raise ValueError("negative dimension")
         if len(self.data) != self.rows:
@@ -247,6 +257,7 @@ class Subspace:
     basis: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "basis", tuple(self.basis))
         limit = 1 << self.ambient_dim
         prev = pivots = 0
         for v in self.basis:
@@ -365,6 +376,50 @@ def count_masks(planes: Sequence[int], n: int) -> list[int]:
 def size_masks(n: int) -> tuple[int, ...]:
     """Entry c is the 2^n-bit mask of the subsets of size c."""
     return tuple(count_masks([one for _, one in coord_masks(n)], n))
+
+
+def pivot_step(f: int, zero: int, b: int) -> int:
+    """Pivot the word f in coordinate i: b = 2^i, zero the mask of the subsets avoiding i."""
+    return ((f & zero) << b) | ((f >> b) & zero)
+
+
+def flip_coordinates(f: int, x: int, n: int, step: Callable[[int, int, int], int]) -> int:
+    """Apply the one-coordinate word step to f once per set bit i of x,
+    lowest first, as step(f, ZERO_i, 2^i)."""
+    masks = coord_masks(n)
+    while x:
+        i = (x & -x).bit_length() - 1
+        f = step(f, masks[i][0], 1 << i)
+        x &= x - 1
+    return f
+
+
+def dominated(bits: int, n: int, up: bool) -> int:
+    """The sets strictly above (up) or below some member of the word bits, what
+    min (max) drops: each coordinate in turn moves the closure so far a step."""
+    side, shift = (0, operator.lshift) if up else (1, operator.rshift)
+    closure, beyond = bits, 0
+    for i, pair in enumerate(coord_masks(n)):
+        step = shift(closure & pair[side], 1 << i)
+        beyond |= step
+        closure |= step
+    return beyond
+
+
+def distance_layers(bits: int, n: int) -> list[int]:
+    """Word c holds the X at distance exactly c from the proper family bits,
+    d(X) = min |F ^ X| over members F: breadth first, each layer the last one
+    pivoted in every coordinate, less what is reached."""
+    if not bits:
+        raise ValueError("distance needs a proper set system")
+    layers, reached, full = [bits], bits, (1 << (1 << n)) - 1
+    while layers[-1] and reached != full:
+        step = 0
+        for i, (zero, _) in enumerate(coord_masks(n)):
+            step |= pivot_step(layers[-1], zero, 1 << i)
+        layers.append(step & ~reached)
+        reached |= step
+    return layers
 
 
 def nonsingular_subsets(a: BitMatrix) -> int:

@@ -32,6 +32,7 @@ class LoopedSimpleGraph:
     adj: BitMatrix
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "labels", tuple(self.labels))
         if len(self._position) != len(self.labels):
             raise ValueError("duplicate vertex labels")
         if self.adj.rows != len(self.labels) or self.adj.cols != len(self.labels):
@@ -164,6 +165,8 @@ class MultiGraph:
     edge_labels: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
+        for name in ("labels", "edges", "edge_labels"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate vertex labels")
         n = len(self.labels)

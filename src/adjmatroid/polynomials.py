@@ -10,7 +10,8 @@ largest one inside S, so the distance from S is nu(S) = |S| - r(S).  One
 tally counts the (rank, nullity) pairs (|S| - d, d) over the distance
 layers; the counts fill an (a, b) grid that a Taylor shift in each variable
 moves to x-1 and y-1, each row and column shifted up to its degree only.
-The recursive evaluators must agree exactly.
+The recursive evaluators must agree exactly.  The distance layers, the
+size masks and the enumeration gate are `gf2`'s.
 
 A slow reference lives beside its checks in `verify` unless the CLI or the
 benchmark needs it: bench/workloads.py checks the subset expansions against
@@ -24,8 +25,7 @@ from functools import lru_cache
 from typing import Mapping
 
 from .binary_matroid import BinaryMatroid
-from .delta_matroid import _distance_layers
-from .gf2 import check_enum_gate, size_masks, unchecked
+from .gf2 import check_enum_gate, distance_layers, size_masks, unchecked
 from .graph import LoopedSimpleGraph
 
 
@@ -162,7 +162,7 @@ def _rank_nullity_tally(layers: list[int], n: int) -> dict[tuple[int, int], int]
 def interlace_subset(g: LoopedSimpleGraph) -> BivariatePolynomial:
     """Sum over vertex subsets X of (x-1)^(|X|-d) (y-1)^d, d = d(X) the
     nullity of the induced adjacency submatrix: X's distance layer."""
-    layers = _distance_layers(g.nonsingular_subsets, g.n)  # the memo is gated
+    layers = distance_layers(g.nonsingular_subsets, g.n)  # the memo is gated
     return _expand(_rank_nullity_tally(layers, g.n))
 
 
@@ -207,7 +207,7 @@ def interlace_recursive(g: LoopedSimpleGraph) -> BivariatePolynomial:
 def tutte_subset(m: BinaryMatroid) -> BivariatePolynomial:
     """Rank generating subset expansion of the Tutte polynomial: S adds
     (x-1)^(r - r(S)) (y-1)^nu(S), nu(S) = |S| - r(S) its distance layer."""
-    layers = _distance_layers(m._independent_bits, m.size)  # the word is gated
+    layers = distance_layers(m._independent_bits, m.size)  # the word is gated
     tally = _rank_nullity_tally(layers, m.size)
     return _expand({(m.rank - r, d): k for (r, d), k in tally.items()})
 

@@ -6,8 +6,10 @@ any failure.  A witness is rendered only for a failure that is kept.  The
 kernel and induced-subset oracles (_zero_set, _down_closure, _union_below),
 the min-equicardinal oracle _equicardinal_min_criterion and the two-of-three
 maxima check are word operations on 2^n-bit families; tests keep the set
-loops they replaced as references.  The fourreg suite walks each corpus
-graph's transition systems once; `verify` and the tests drive the suites.
+loops they replaced as references.  The word steps and the gates are
+`gf2`'s, and the distance checks read gf2.distance_layers, the kernel that
+interlace_subset runs.  The fourreg suite walks each corpus graph's
+transition systems once; `verify` and the tests drive the suites.
 
 A slow reference lives beside its checks, here, unless the CLI or the
 benchmark needs it: _all_subspaces, _kappa, and the interlace routes
@@ -57,10 +59,13 @@ from .gf2 import (
     BitMatrix,
     Subspace,
     coord_masks,
+    distance_layers,
+    dominated,
     lowest_bit,
     nullity,
     nullspace,
     orthogonal_complement,
+    pivot_step,
     principal_submatrix,
     rank,
     scatter,
@@ -544,8 +549,8 @@ def _equicardinal_min_criterion(d: dm.SetSystem) -> bool:
     for k in range(1 << d.n):
         if k:
             i = lowest_bit(k)
-            word = dm._pivot_step(word, masks[i][0], 1 << i)
-        low = word & ~dm._dominated(word, d.n, up=True)  # the minimal members
+            word = pivot_step(word, masks[i][0], 1 << i)
+        low = word & ~dominated(word, d.n, up=True)  # the minimal members
         if low & ~sizes[lowest_bit(low).bit_count()]:  # one off the first one's size
             return False
     return True
@@ -567,6 +572,13 @@ def _exchange_by_pairs(d: dm.SetSystem) -> bool:
     return True
 
 
+def _distance_of(layers: list[int], x: int) -> int:
+    """d(X) read off the distance layers: the one c whose layer holds X, or
+    a ValueError if not exactly one does."""
+    (c,) = [c for c, layer in enumerate(layers) if (layer >> x) & 1]
+    return c
+
+
 def _delta_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
     d = dm.from_graph(g)
     mg = adjacency_matroid(g)
@@ -580,8 +592,9 @@ def _delta_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
         assert dm.to_graph(d) == g
 
     with rec.check("distance-equals-induced-nullity", witness):
-        for h in induced:
-            assert d.distance(h.labels) == nullity(h.adj)
+        layers = distance_layers(d.bits, g.n)
+        for x, h in enumerate(induced):
+            assert _distance_of(layers, x) == nullity(h.adj)
 
     with rec.check("max-members-are-matroid-bases", witness):
         assert dm.max_as_matroid(d) == mg.bases()
@@ -655,7 +668,7 @@ def _delta_subset_checks(
 
 def _down_closure(d: dm.SetSystem) -> int:
     """Every subset of a member of d: the members and what lies below them."""
-    return d.bits | dm._dominated(d.bits, d.n, up=False)
+    return d.bits | dominated(d.bits, d.n, up=False)
 
 
 def _union_below(families: list[int], n: int) -> list[int]:
@@ -743,7 +756,9 @@ def _delta_general_checks(rec: Recorder, trials: int, rand_n: int, seed: int) ->
                 )
 
         with rec.check("pivot-distance-and-minmax-identities", witness):
-            assert d.distance(x_labels) == d.pivot(x_labels).distance([])
+            layers = distance_layers(d.bits, d.n)
+            pivoted = distance_layers(d.pivot(x_labels).bits, d.n)
+            assert _distance_of(layers, d.mask_of(x_labels)) == _distance_of(pivoted, 0)
             assert d.pivot(x_labels).is_normal == d.contains(x_labels)
             full = list(ground)
             assert d.min_sys() == d.pivot(full).max_sys().pivot(full)
@@ -790,11 +805,10 @@ def _delta_general_checks(rec: Recorder, trials: int, rand_n: int, seed: int) ->
                 assert d.min_sys().pivot([v]).delete([v]) == d.pivot([v]).delete([v]).min_sys()
 
         with rec.check("flip-reachable-iff-contains-empty", witness):
-            ops = []
+            moved = dm.from_graph(g)
             for _ in range(rng.randrange(4)):
                 kind = rng.choice(["pivot", "dual_pivot", "loop_complement"])
-                ops.append((kind, g.labels[rng.randrange(n)]))
-            moved = dm.vertex_flip_sequence(dm.from_graph(g), ops)
+                moved = getattr(moved, kind)([g.labels[rng.randrange(n)]])
             if moved.is_normal:
                 decoded = dm.to_graph(moved)
                 assert dm.from_graph(decoded).family == moved.family

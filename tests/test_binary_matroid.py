@@ -360,9 +360,9 @@ def test_bases_and_independent_sets_on_every_small_subspace(restricted, referenc
 
 def test_independent_family_is_computed_once_per_matroid(monkeypatch):
     runs = []
-    dominated = binary_matroid._dominated  # called once per build of the word
+    dominated = binary_matroid.dominated  # called once per build of the word
     monkeypatch.setattr(
-        binary_matroid, "_dominated", lambda *a, **k: runs.append(a) or dominated(*a, **k)
+        binary_matroid, "dominated", lambda *a, **k: runs.append(a) or dominated(*a, **k)
     )
     rng = random.Random(29)
     for n in range(1, 7):

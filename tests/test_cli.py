@@ -1,5 +1,6 @@
 """Command line behavior: formats, exit codes, pipelines, determinism."""
 
+import io
 import json
 import os
 import subprocess
@@ -194,12 +195,27 @@ def test_symmetrize(tmp_path, capsys):
     )
 
 
-def test_stdin_input(tmp_path, capsys, monkeypatch):
-    import io
+def stdin_bytes(data: bytes) -> io.TextIOWrapper:
+    """A text stdin over the given bytes, its buffer holding them undecoded."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
 
-    monkeypatch.setattr("sys.stdin", io.StringIO(K3_TEXT))
+
+def test_stdin_input(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", stdin_bytes(K3_TEXT.encode()))
     code, out, _ = run(capsys, "circuits", "--input", "-")
     assert code == 0 and out.strip() == "{a b c}"
+
+
+def test_stdin_and_file_both_refuse_invalid_utf8(tmp_path, capsys, monkeypatch):
+    """Stdin is decoded as strictly as a file, whatever the locale's error handler."""
+    data = b"vertices a\xff\n"
+    path = tmp_path / "bad"
+    path.write_bytes(data)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), errors="surrogateescape"))
+    for source in ("-", str(path)):
+        code, out, err = run(capsys, "info", "--input", source)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: 'utf-8' codec can't decode byte 0xff") and err.count("\n") == 1
 
 
 def test_realize_touchgraph_pipeline(tmp_path, capsys):

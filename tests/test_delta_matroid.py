@@ -6,7 +6,7 @@ import pytest
 
 from adjmatroid import delta_matroid as dm
 from adjmatroid.adjacency_matroid import adjacency_matroid
-from adjmatroid.gf2 import coord_masks, nullity, principal_submatrix
+from adjmatroid.gf2 import GROUND_GATE, coord_masks, distance_layers, nullity, principal_submatrix
 from adjmatroid.graph import LoopedSimpleGraph, all_looped_simple_graphs, random_looped_simple_graph
 from adjmatroid.verify import (
     _dual_pivot_by_counting,
@@ -21,6 +21,13 @@ K3L = K3.loop_complement("a")
 
 def sets(ground, *members):
     return dm.SetSystem.from_sets(ground, members)
+
+
+def distance(d, labels):
+    """d(X) read off the distance layers: the one layer that holds X."""
+    x = d.mask_of(labels)
+    (found,) = [c for c, layer in enumerate(distance_layers(d.bits, d.n)) if (layer >> x) & 1]
+    return found
 
 
 def random_system(rng, ground, density):
@@ -89,14 +96,15 @@ def test_dual_pivot_examples():
 
 def test_distance_and_minmax():
     d = dm.from_graph(K3)
-    assert d.distance([]) == 0  # normal
-    assert d.distance(["a"]) == 1
+    assert distance(d, []) == 0  # normal
+    assert distance(d, ["a"]) == 1
     assert d.min_sys().member_sets() == ((),)
     assert d.max_sys().member_sets() == (("a", "b"), ("a", "c"), ("b", "c"))
     bases = dm.SetSystem.from_sets("abc", adjacency_matroid(K3).bases())
     assert bases.max_sys() == bases
-    with pytest.raises(ValueError):
-        dm.SetSystem("ab", 0).distance([])
+    for n in range(3):
+        with pytest.raises(ValueError, match="distance needs a proper set system"):
+            distance_layers(0, n)
 
 
 def test_distance_is_induced_nullity():
@@ -104,7 +112,7 @@ def test_distance_is_induced_nullity():
         d = dm.from_graph(g)
         for mask in range(1 << g.n):
             idx = [i for i in range(g.n) if (mask >> i) & 1]
-            assert d.distance([g.labels[i] for i in idx]) == nullity(
+            assert distance(d, [g.labels[i] for i in idx]) == nullity(
                 principal_submatrix(g.adj, idx)
             )
 
@@ -308,7 +316,7 @@ def check_word_forms(d):
         labels = d.labels_of(x)
         assert d.contains(labels) == (x in fam)
         if fam:
-            assert d.distance(labels) == min((m ^ x).bit_count() for m in fam)
+            assert distance(d, labels) == min((m ^ x).bit_count() for m in fam)
         positions = [i for i in range(n) if (x >> i) & 1]
         kept = d.restrict(labels)
         assert kept.ground == tuple(d.ground[i] for i in positions)
@@ -389,17 +397,6 @@ def test_max_as_matroid():
         dm.max_as_matroid(sets("uvw", ["u"], ["v", "w"]))
 
 
-def test_vertex_flip_sequence():
-    d = dm.from_graph(K3L)
-    assert dm.vertex_flip_sequence(d, []) == d
-    assert dm.vertex_flip_sequence(d, [("pivot", "a"), ("pivot", "a")]) == d
-    assert dm.vertex_flip_sequence(d, [("pivot", "a")]) == dm.from_graph(
-        K3L.local_complement("a")
-    )
-    with pytest.raises(ValueError):
-        dm.vertex_flip_sequence(d, [("spin", "a")])
-
-
 def test_max_deletion_counterexample_family():
     d = sets("uvw", ["u"], ["v"], ["v", "w"])
     top = d.max_sys()
@@ -423,8 +420,9 @@ def test_from_graph_checks_the_gate_before_scanning(monkeypatch):
 
 
 def test_distance_layers_match_distance():
-    """Word c of the layers is the X with distance c, on seeded proper set
-    systems with n <= 5 and on the encodings of seeded graphs with n <= 7."""
+    """Word c of the layers is the X with c the least |m ^ x| over members m,
+    on seeded proper set systems with n <= 5 and on the encodings of seeded
+    graphs with n <= 7."""
     rng = random.Random(1432)
     systems = []
     for n in range(6):
@@ -436,10 +434,11 @@ def test_distance_layers_match_distance():
     systems += [dm.from_graph(random_looped_simple_graph(rng, n)) for n in range(8) for _ in range(3)]
     assert len(systems) > 70
     for d in systems:
-        layers = dm._distance_layers(d.bits, d.n)
+        layers = distance_layers(d.bits, d.n)
         assert layers[0] == d.bits and all(layers)
         for x in range(1 << d.n):
-            assert [(layer >> x) & 1 for layer in layers].index(1) == d.distance(d.labels_of(x))
+            nearest = min((m ^ x).bit_count() for m in d.family)
+            assert [(layer >> x) & 1 for layer in layers].index(1) == nearest
         assert sum(layers) == (1 << (1 << d.n)) - 1  # disjoint, and they cover every X
 
 
@@ -449,4 +448,4 @@ def test_random_set_system_checks_the_gate_before_drawing():
             raise AssertionError("random_set_system drew for a ground over the gate")
 
     with pytest.raises(ValueError, match="gated"):
-        dm.random_set_system(NoDraws(0), tuple(f"v{i}" for i in range(dm.GROUND_GATE + 1)))
+        dm.random_set_system(NoDraws(0), tuple(f"v{i}" for i in range(GROUND_GATE + 1)))

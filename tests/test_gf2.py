@@ -28,7 +28,7 @@ from adjmatroid.gf2 import (
     set_bits,
     symmetrize_nullspace,
 )
-from adjmatroid import binary_matroid, delta_matroid, gf2
+from adjmatroid import gf2
 from adjmatroid.binary_matroid import BinaryMatroid
 from adjmatroid.four_regular import (
     HalfEdgeGraph,
@@ -447,8 +447,7 @@ def test_subset_kernels_refuse_above_the_gate(monkeypatch):
     def masks(_):
         raise AssertionError("a subset kernel built masks above the gate")
 
-    for module in (gf2, binary_matroid, delta_matroid):
-        monkeypatch.setattr(module, "coord_masks", masks)
+    monkeypatch.setattr(gf2, "coord_masks", masks)  # every word step builds its masks here
     for w in (Subspace.zero(21), full(21)):
         m = BinaryMatroid(tuple(f"v{i}" for i in range(21)), w)
         with pytest.raises(ValueError, match="independent set scan is gated"):

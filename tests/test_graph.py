@@ -551,3 +551,25 @@ def test_parser_builds_a_multigraph_only_for_repeats(monkeypatch):
     built.clear()
     assert isinstance(parse_graph(text + "edge v0 v0\n" + "loop v0\n"), MultiGraph)
     assert built == {"MultiGraph": 1}
+
+
+def test_public_constructors_store_list_fields_as_tuples():
+    """A list-built object equals, and hashes as, the tuple-built one, and
+    derived objects build on it."""
+    rows = [0b10, 0b01]  # the edge a-b
+    cycle = Subspace(2, (0b11,))
+    built = [
+        (BitMatrix(2, 2, rows), BitMatrix(2, 2, tuple(rows))),
+        (Subspace(2, [0b11]), cycle),
+        (LoopedSimpleGraph(["a", "b"], BitMatrix(2, 2, rows)), LoopedSimpleGraph.build("ab", ["ab"])),
+        (MultiGraph(["a", "b"], [(0, 1)], ["e"]), MultiGraph(("a", "b"), ((0, 1),), ("e",))),
+        (BinaryMatroid(["a", "b"], Subspace(2, [0b11])), BinaryMatroid(("a", "b"), cycle)),
+    ]
+    for listed, tupled in built:
+        assert listed == tupled and hash(listed) == hash(tupled)
+        assert not any(isinstance(getattr(listed, f.name), list) for f in fields(listed))
+    listed, tupled = (from_graph(g) for g in built[2])
+    assert listed == tupled and hash(listed) == hash(tupled)
+    m = built[4][0]
+    loop = BinaryMatroid(["c"], Subspace(1, [1]))
+    assert m.direct_sum(loop) == BinaryMatroid(("a", "b", "c"), Subspace(3, (0b011, 0b100)))

@@ -3,14 +3,17 @@ definition in the package is referenced from the package or the benchmark
 (a class or static method through its own class), object.__new__, the
 principal scan, the coloop pass and pairing validation each have one site,
 the two row eliminations run only inside gf2 and gf2 runs two in all, both
-subset expansions read distance layers, the one-coordinate pivot and the
-min/max closure each have one kernel and the min-equicardinal oracle builds
-no set system, only the minor routes build an adjacency matroid, the
+subset expansions read distance layers, the one-coordinate pivot, the
+per-set-bit walk and the min/max closure each have one kernel, in gf2, and
+the min-equicardinal oracle builds no set system, binary_matroid and
+polynomials import no delta_matroid, both work limits and their checkers
+are defined only in gf2, only the minor routes build an adjacency matroid, the
 4-regular builders take no validating route, only the Kotzig merge builds an
 Euler system unchecked, and the slow references that only verify calls live
 in verify."""
 
 import ast
+import re
 from pathlib import Path
 from typing import Callable
 
@@ -444,7 +447,7 @@ def test_checker_finds_every_block_swap_and_closure_loop():
         "def _down_closure(d):\n"
         "    for i, (_, one) in enumerate(coord_masks(d.n)):\n"
         "        bits |= (bits & one) >> (1 << i)\n"
-        "def _dominated(bits, n, up):\n"
+        "def dominated(bits, n, up):\n"
         "    for i, pair in enumerate(coord_masks(n)):\n"
         "        closure |= shift(closure & pair[side], 1 << i)\n"
         "def drop_bit(v, i):\n"
@@ -454,16 +457,105 @@ def test_checker_finds_every_block_swap_and_closure_loop():
         "        families[s] |= families[s ^ bit]\n"
     )
     assert sites(source, swaps_blocks) == ["SetSystem.pivot"]
-    assert sites(source, closes_by_shifts) == ["SetSystem._extremal", "_down_closure", "_dominated"]
+    assert sites(source, closes_by_shifts) == ["SetSystem._extremal", "_down_closure", "dominated"]
+
+
+def steps_per_set_bit(node: ast.AST) -> bool:
+    """Accepts a loop over the set bits of a mask, a while loop that clears
+    the lowest one or a for loop over set_bits(...), that calls a word step
+    with a bit 1 << i: the shape of one coordinate step per set bit."""
+    if isinstance(node, ast.While):
+        walks = any(
+            isinstance(n, ast.AugAssign) and isinstance(n.op, ast.BitAnd)
+            and isinstance(n.value, ast.BinOp) and isinstance(n.value.op, ast.Sub)
+            for n in ast.walk(node)
+        )
+    else:
+        walks = isinstance(node, ast.For) and calls("set_bits")(node.iter)
+    return walks and any(
+        isinstance(n, ast.Call) and any(
+            isinstance(a, ast.BinOp) and isinstance(a.op, ast.LShift)
+            and isinstance(a.left, ast.Constant) for a in n.args
+        )
+        for n in ast.walk(node)
+    )
+
+
+def test_checker_finds_every_per_set_bit_step_loop():
+    source = (
+        "class SetSystem:\n"
+        "    def _flip(self, x, step):\n"
+        "        while x:\n"
+        "            i = (x & -x).bit_length() - 1\n"
+        "            bits = step(bits, masks[i][0], 1 << i)\n"
+        "            x &= x - 1\n"
+        "def independent(basis):\n"
+        "    for b in basis:\n"
+        "        for i in set_bits(b):\n"
+        "            translate = gf2.pivot_step(translate, masks[i][0], 1 << i)\n"
+        "def is_symmetric(data):\n"
+        "    while r:\n"
+        "        ok = data[(r & -r).bit_length() - 1] >> i\n"
+        "        r &= r - 1\n"
+        "def layers(word, n):\n"
+        "    for i, (zero, _) in enumerate(coord_masks(n)):\n"
+        "        step |= pivot_step(word, zero, 1 << i)\n"
+        "def covers(word, row):\n"
+        "    for w in set_bits(row):\n"
+        "        word ^= (word & masks[w][0]) << (1 << w)\n"
+    )
+    assert sites(source, steps_per_set_bit) == ["SetSystem._flip", "independent"]
 
 
 def test_pivot_step_and_extremal_closure_have_one_kernel():
-    """The flips, the extrema, _down_closure and verify's min-equicardinal
-    oracle share delta_matroid's word steps."""
-    assert sites_in_sources(swaps_blocks) == {"src/adjmatroid/delta_matroid.py": ["_pivot_step"]}
-    assert sites_in_sources(closes_by_shifts) == {
-        "src/adjmatroid/delta_matroid.py": ["_dominated"]
+    """The flips, the independent-set word, the extrema, the distance layers,
+    _down_closure and verify's min-equicardinal oracle share gf2's word
+    steps, and one loop walks a mask's set bits applying a step."""
+    gf2 = "src/adjmatroid/gf2.py"
+    assert sites_in_sources(swaps_blocks) == {gf2: ["pivot_step"]}
+    assert sites_in_sources(closes_by_shifts) == {gf2: ["dominated"]}
+    assert sites_in_sources(steps_per_set_bit) == {gf2: ["flip_coordinates"]}
+
+
+def gate_definitions(source: str) -> list[str]:
+    """The work limits the source defines, sorted: constants named *_GATE and
+    checkers named check_*gate, private or not."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        found += [name for name in names if re.fullmatch(r"_?(\w+_GATE|check_\w*gate)", name)]
+    return sorted(found)
+
+
+def test_checker_finds_every_gate_definition():
+    source = (
+        "GROUND_GATE = 16\n"
+        "def _check_ground_gate(n): ...\n"
+        "class A:\n"
+        "    WORK_GATE: int = 3\n"
+        "    def check_gate(self): return check_enum_gate(3, 'x')\n"
+        "GATE = ENUM_GATE\n"
+    )
+    assert gate_definitions(source) == [
+        "GROUND_GATE", "WORK_GATE", "_check_ground_gate", "check_gate",
+    ]
+
+
+def test_both_gates_and_their_checkers_live_only_in_gf2():
+    found = {
+        str(path.relative_to(ROOT)): names
+        for path in SOURCES
+        if (names := gate_definitions(path.read_text()))
     }
+    gates = ["ENUM_GATE", "GROUND_GATE", "check_enum_gate", "check_ground_gate"]
+    assert found == {"src/adjmatroid/gf2.py": gates}
 
 
 DELTA = ROOT / "src" / "adjmatroid" / "delta_matroid.py"
@@ -578,15 +670,15 @@ def test_polynomials_build_and_import_no_adjacency_matroid():
     assert "adjacency_matroid" not in imported_modules(POLYNOMIALS.read_text())
 
 
-reads_layers = calls("_distance_layers")  # the one subset enumerator of polynomials
+reads_layers = calls("distance_layers")  # the one subset enumerator of polynomials
 
 
 def test_checker_finds_every_distance_layer_read():
     planted = POLYNOMIALS.read_text().replace(
-        "layers = _distance_layers(m._independent_bits, m.size)", "layers = planes(m)"
+        "layers = distance_layers(m._independent_bits, m.size)", "layers = planes(m)"
     )
     assert sites(planted, reads_layers) == ["interlace_subset"]
-    planted += "def q(g):\n    return [delta_matroid._distance_layers(b, n) for b in g]\n"
+    planted += "def q(g):\n    return [gf2.distance_layers(b, n) for b in g]\n"
     assert sites(planted, reads_layers) == ["interlace_subset", "q"]
 
 
@@ -594,6 +686,21 @@ def test_both_subset_expansions_read_distance_layers():
     """interlace_subset from the graph's delta-matroid word and tutte_subset
     from the independent-set word; no other route enumerates subsets."""
     assert sites(POLYNOMIALS.read_text(), reads_layers) == ["interlace_subset", "tutte_subset"]
+
+
+WORD_READERS = [POLYNOMIALS.with_name("binary_matroid.py"), POLYNOMIALS]
+
+
+def test_checker_finds_a_delta_matroid_import():
+    for line in ("from .delta_matroid import _dominated\n", "from . import delta_matroid as dm\n"):
+        for path in WORD_READERS:
+            assert "delta_matroid" in imported_modules(path.read_text() + line)
+
+
+def test_binary_matroid_and_polynomials_import_no_delta_matroid():
+    """The word steps and the layers they read are gf2's."""
+    for path in WORD_READERS:
+        assert "delta_matroid" not in imported_modules(path.read_text())
 
 
 def calls_method(owner: str, name: str) -> Callable[[ast.AST], bool]:

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from adjmatroid import binary_matroid, delta_matroid, gf2, graph, polynomials
+from adjmatroid import binary_matroid, gf2, graph, polynomials
 from adjmatroid.adjacency_matroid import adjacency_matroid
 from adjmatroid.binary_matroid import BinaryMatroid, free_matroid, single_coloop
 from adjmatroid.graph import LoopedSimpleGraph, all_looped_simple_graphs, random_looped_simple_graph
@@ -122,7 +122,7 @@ def untrimmed_expand(counts) -> BivariatePolynomial:
 def layer_tally(g: LoopedSimpleGraph) -> dict[tuple[int, int], int]:
     """The (|X| - d, d) counts of g's distance layers, d the nullity of A[X]."""
     sizes = gf2.size_masks(g.n)
-    layers = delta_matroid._distance_layers(g.nonsingular_subsets, g.n)
+    layers = gf2.distance_layers(g.nonsingular_subsets, g.n)
     return {
         (size - d, d): k
         for d, layer in enumerate(layers)
@@ -235,7 +235,7 @@ def test_oracle_routes_never_call_the_subset_kernel(monkeypatch):
 
     monkeypatch.setattr(BinaryMatroid, "_independent_bits", property(kernel))
     monkeypatch.setattr(graph, "nonsingular_subsets", kernel)
-    monkeypatch.setattr(polynomials, "_distance_layers", kernel)
+    monkeypatch.setattr(polynomials, "distance_layers", kernel)
     with pytest.raises(AssertionError):
         LoopedSimpleGraph(K3.labels, K3.adj).nonsingular_subsets
     with pytest.raises(AssertionError):
@@ -298,7 +298,7 @@ def test_interlace_subset_refuses_before_any_subset_mask(monkeypatch):
 
     monkeypatch.setattr(gf2, "coord_masks", build)
     monkeypatch.setattr(polynomials, "size_masks", build)
-    monkeypatch.setattr(polynomials, "_distance_layers", build)
+    monkeypatch.setattr(polynomials, "distance_layers", build)
     for n in (gf2.ENUM_GATE + 1, 25):
         g = LoopedSimpleGraph.build(tuple(f"v{i}" for i in range(n)))
         with pytest.raises(ValueError, match="principal submatrix scan is gated"):
@@ -310,9 +310,8 @@ def test_interlace_subset_checks_the_gate_before_scanning(monkeypatch):
     def build(*_):
         raise AssertionError("a word was built for a graph over the enumeration gate")
 
-    monkeypatch.setattr(gf2, "coord_masks", build)
-    monkeypatch.setattr(delta_matroid, "coord_masks", build)
-    monkeypatch.setattr(polynomials, "_distance_layers", build)
+    monkeypatch.setattr(gf2, "coord_masks", build)  # the word steps build their masks here
+    monkeypatch.setattr(polynomials, "distance_layers", build)
     g = LoopedSimpleGraph.build(tuple(f"v{i}" for i in range(gf2.ENUM_GATE + 1)))
     with pytest.raises(ValueError):
         interlace_subset(g)
@@ -323,10 +322,11 @@ def test_tutte_subset_refuses_before_any_subset_mask(monkeypatch):
     def build(*_, **__):
         raise AssertionError("a 2^n-bit mask was built for a matroid over the enumeration gate")
 
-    for name in ("coord_masks", "_pivot_step", "_dominated"):
+    monkeypatch.setattr(gf2, "coord_masks", build)
+    for name in ("flip_coordinates", "pivot_step", "dominated"):
         monkeypatch.setattr(binary_matroid, name, build)
     monkeypatch.setattr(polynomials, "size_masks", build)
-    monkeypatch.setattr(polynomials, "_distance_layers", build)
+    monkeypatch.setattr(polynomials, "distance_layers", build)
     for n in (gf2.ENUM_GATE + 1, 25):
         labels = tuple(f"v{i}" for i in range(n))
         for m in (free_matroid(labels), all_loops(labels)):

@@ -178,6 +178,17 @@ def test_delta_graph_checks_build_each_induced_subgraph_once(monkeypatch):
     assert all(r.ok for r in rec.report())
 
 
+def test_distance_checks_read_the_shipped_layers(monkeypatch):
+    """A distance_layers that drops its last layer fails the check that reads
+    it, as recorded failures: an X in no layer never escapes the check."""
+    shipped = verify.distance_layers
+    monkeypatch.setattr(verify, "distance_layers", lambda bits, n: shipped(bits, n)[:-1])
+    results = {r.name: r for r in verify.delta_suite(max_n=2, trials=5, seed=0)}
+    check = results["distance-equals-induced-nullity"]
+    assert check.instances == EXPECTED_COUNTS[check.name]
+    assert check.failures and all("expected 1, got 0" in f for f in check.failures)
+
+
 # ---------------------------------------------------------------------------
 # The recorder renders a witness only for a failure it keeps.
 
