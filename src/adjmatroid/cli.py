@@ -7,7 +7,7 @@ import argparse
 import json
 import os
 import sys
-from typing import NoReturn, Sequence
+from typing import Callable, Iterable, NoReturn, Sequence
 
 from .adjacency_matroid import adjacency_matroid, contract_via_lc, trio, tripartition_report
 from .binary_matroid import BinaryMatroid
@@ -21,11 +21,7 @@ from .four_regular import (
 from .gf2 import BitMatrix, symmetrize_nullspace
 from .graph import LoopedSimpleGraph, MultiGraph, as_multigraph, default_labels
 from .graphtext import graph_to_json, parse_graph, render_graph
-from .polynomials import (
-    interlace_subset,
-    lambda_leading,
-    tutte_subset,
-)
+from .polynomials import BivariatePolynomial, interlace_subset, lambda_leading, tutte_subset
 from .verify import SUITE_NAMES, run_suites
 
 
@@ -60,10 +56,9 @@ def _sorted_circuits(m: BinaryMatroid) -> list[list[str]]:
     return sorted([sorted(c) for c in m.circuits()], key=lambda c: (len(c), c))
 
 
-def _circuit_text(circuits: list[list[str]]) -> str:
-    if not circuits:
-        return "(none)"
-    return "\n".join("{" + " ".join(c) + "}" for c in circuits)
+def _sets_text(sets: Iterable[Sequence[str]], empty: str) -> str:
+    """One {a b} line per set, or the empty text when there is none."""
+    return "\n".join("{" + " ".join(s) + "}" for s in sets) or empty
 
 
 def cmd_info(args: argparse.Namespace) -> int:
@@ -95,7 +90,7 @@ def cmd_info(args: argparse.Namespace) -> int:
 def cmd_circuits(args: argparse.Namespace) -> int:
     g = _load_simple_graph(args)
     circuits = _sorted_circuits(adjacency_matroid(g))
-    _emit(args, _circuit_text(circuits), circuits)
+    _emit(args, _sets_text(circuits, "(none)"), circuits)
     return 0
 
 
@@ -107,7 +102,7 @@ def cmd_minor(args: argparse.Namespace) -> int:
         g.index(args.delete)  # the graph names an unknown vertex, as for --contract
         result = adjacency_matroid(g).delete(args.delete)
         circuits = _sorted_circuits(result)
-        _emit(args, _circuit_text(circuits), {"circuits": circuits})
+        _emit(args, _sets_text(circuits, "(none)"), {"circuits": circuits})
         return 0
     derivation = contract_via_lc(g, args.contract)
     circuits = _sorted_circuits(derivation.result)
@@ -118,7 +113,7 @@ def cmd_minor(args: argparse.Namespace) -> int:
     }
     text = "\n".join(
         [
-            _circuit_text(circuits),
+            _sets_text(circuits, "(none)"),
             "lc sequence: " + (" ".join(derivation.lc_sequence) or "(empty)"),
             "witness graph:",
             render_graph(derivation.witness_graph).rstrip(),
@@ -152,14 +147,10 @@ def cmd_trio(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_polynomial(args: argparse.Namespace, which: str) -> int:
-    g = _load_simple_graph(args)
-    if which == "interlace":
-        poly = interlace_subset(g)
-    elif which == "tutte":
-        poly = tutte_subset(adjacency_matroid(g))
-    else:
-        poly = lambda_leading(adjacency_matroid(g))
+def _cmd_polynomial(
+    args: argparse.Namespace, evaluate: Callable[[LoopedSimpleGraph], BivariatePolynomial]
+) -> int:
+    poly = evaluate(_load_simple_graph(args))
     _emit(args, poly.to_text(), poly.to_json_terms())
     return 0
 
@@ -168,8 +159,7 @@ def cmd_delta(args: argparse.Namespace) -> int:
     g = _load_simple_graph(args)
     d = delta_from_graph(g)
     members = [list(s) for s in d.member_sets()]
-    text = "\n".join("{" + " ".join(s) + "}" for s in d.member_sets()) or "(empty)"
-    _emit(args, text, {"ground": list(d.ground), "family": members})
+    _emit(args, _sets_text(members, "(empty)"), {"ground": list(d.ground), "family": members})
     return 0
 
 
@@ -267,9 +257,17 @@ def build_parser() -> argparse.ArgumentParser:
     add("tripartition", cmd_tripartition, "vertex classification by coloop evidence")
     trio_p = add("trio", cmd_trio, "compare the three vertex variants at a vertex")
     trio_p.add_argument("--vertex", metavar="V")
-    add("interlace", lambda a: _cmd_polynomial(a, "interlace"), "interlace polynomial")
-    add("tutte", lambda a: _cmd_polynomial(a, "tutte"), "Tutte polynomial of the adjacency matroid")
-    add("lambda", lambda a: _cmd_polynomial(a, "lambda"), "leading Tutte term (y-1)^nullity")
+    add("interlace", lambda a: _cmd_polynomial(a, interlace_subset), "interlace polynomial")
+    add(
+        "tutte",
+        lambda a: _cmd_polynomial(a, lambda g: tutte_subset(adjacency_matroid(g))),
+        "Tutte polynomial of the adjacency matroid",
+    )
+    add(
+        "lambda",
+        lambda a: _cmd_polynomial(a, lambda g: lambda_leading(adjacency_matroid(g))),
+        "leading Tutte term (y-1)^nullity",
+    )
     add("delta", cmd_delta, "nonsingular-induced-subgraph set system")
     add("touchgraph", cmd_touchgraph, "touch-graph of the file-order circuit partition")
     add("realize", cmd_realize, "4-regular graph realizing the input as a touch-graph")

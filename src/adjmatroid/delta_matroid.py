@@ -172,20 +172,18 @@ class SetSystem(_LabelCodec):
     def _restricted(self, keep: int) -> "SetSystem":
         """Members inside the kept mask, on the shrunken ground set.
 
-        Each dropped coordinate i, highest first, keeps the members avoiding
-        i, then closes the gap: for each coordinate j above i, the block of
-        members containing j moves down by 2^(j-1), onto bit j-1 of their
-        mask, which is clear."""
-        masks = coord_masks(self.n)
-        bits, top = self.bits, self.n
-        for i in reversed(range(self.n)):
-            if (keep >> i) & 1:
-                continue
-            bits &= masks[i][0]
-            for j in range(i + 1, top):
-                zero, one = masks[j]
-                bits = (bits & zero) | ((bits & one) >> (1 << (j - 1)))
-            top -= 1
+        One ascending pass: a dropped coordinate keeps the members avoiding
+        it, and the t-th kept coordinate j (from 0) moves the block of
+        members containing j down by 2^j - 2^t, from bit j of their mask to
+        bit t, which is clear: the coordinates below j are already packed
+        into bits below t."""
+        bits, t = self.bits, 0
+        for j, (zero, one) in enumerate(coord_masks(self.n)):
+            if (keep >> j) & 1:
+                bits = (bits & zero) | ((bits & one) >> ((1 << j) - (1 << t)))
+                t += 1
+            else:
+                bits &= zero
         ground = tuple(v for i, v in enumerate(self.ground) if (keep >> i) & 1)
         return unchecked(SetSystem, ground=ground, bits=bits)
 

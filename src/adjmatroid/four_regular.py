@@ -132,6 +132,9 @@ class TransitionSystem:
 
     pairing: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "pairing", tuple(self.pairing))
+
     def validate(self, f: HalfEdgeGraph) -> None:
         if len(self.pairing) != f.half_count:
             raise ValueError("pairing length mismatch")
@@ -152,7 +155,7 @@ class TransitionSystem:
         for a, b in pairs:
             pairing[a] = b
             pairing[b] = a
-        return TransitionSystem(tuple(pairing))
+        return TransitionSystem(pairing)
 
     @classmethod
     def from_pairs(cls, f: HalfEdgeGraph, pairs: Iterable[Iterable[int]]) -> "TransitionSystem":
@@ -173,7 +176,7 @@ class TransitionSystem:
                 pairing[arr] = dep
                 pairing[dep] = arr
                 arr = dep ^ 1
-        return cls(tuple(pairing))
+        return cls(pairing)
 
 
 def all_transition_systems(f: HalfEdgeGraph) -> Iterator[TransitionSystem]:
@@ -396,7 +399,7 @@ def _merged(f: HalfEdgeGraph, quads: Sequence[tuple[int, ...]]) -> EulerSystem:
         if c1 != c2 and (r1 := find_root(parent, c1)) != (r2 := find_root(parent, c2)):
             pairing[x1], pairing[x2], pairing[y1], pairing[y2] = x2, x1, y2, y1
             parent[r1] = r2
-    return unchecked(EulerSystem, partition=_traced(f, TransitionSystem(tuple(pairing))))
+    return unchecked(EulerSystem, partition=_traced(f, TransitionSystem(pairing)))
 
 
 @dataclass(frozen=True)

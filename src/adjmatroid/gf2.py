@@ -20,6 +20,8 @@ matroid's independent sets are one word built from its cycle space in
 `binary_matroid`; each word's distance layers give the nullities.  The
 steps on such a word (``pivot_step``, ``flip_coordinates``, ``dominated``,
 ``distance_layers``) and both work limits and their checkers live here.
+Every mask table grows by doubling, one coordinate at a time
+(``coord_masks``, ``size_masks``); there is no bit-sliced counter.
 
 A slow reference lives beside its checks in `verify` unless the CLI or the
 benchmark needs it, so the enumeration of all small subspaces is `verify`'s.
@@ -363,19 +365,15 @@ def set_bits(x: int) -> list[int]:
     return [i for i, c in enumerate(bin(x)[:1:-1]) if c == "1"]
 
 
-def count_masks(planes: Sequence[int], n: int) -> list[int]:
-    """Entry c has bit S set iff exactly c of the 2^n-bit planes are set at S:
-    a bit-sliced counter holding one 2^n-bit mask per count."""
-    out = [(1 << (1 << n)) - 1]
-    for p in planes:
-        out = [(x & ~p) | (y & p) for x, y in zip(out + [0], [0] + out)]
-    return out
-
-
 @lru_cache(maxsize=None)
 def size_masks(n: int) -> tuple[int, ...]:
-    """Entry c is the 2^n-bit mask of the subsets of size c."""
-    return tuple(count_masks([one for _, one in coord_masks(n)], n))
+    """Entry c is the 2^n-bit mask of the subsets of size c.  The table grows
+    one coordinate at a time: the sets holding i are the sets without it,
+    shifted up by 2^i and one size larger."""
+    out = [1]  # the empty set, of size 0
+    for i in range(n):
+        out = [x | (y << (1 << i)) for x, y in zip(out + [0], [0] + out)]
+    return tuple(out)
 
 
 def pivot_step(f: int, zero: int, b: int) -> int:

@@ -165,8 +165,9 @@ class MultiGraph:
     edge_labels: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        for name in ("labels", "edges", "edge_labels"):
+        for name in ("labels", "edge_labels"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate vertex labels")
         n = len(self.labels)

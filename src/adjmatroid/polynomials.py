@@ -36,6 +36,7 @@ class BivariatePolynomial:
     terms: tuple[tuple[int, int, int], ...]  # (x exponent, y exponent, coefficient)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "terms", tuple(map(tuple, self.terms)))
         seen = set()
         for i, j, c in self.terms:
             if c == 0 or i < 0 or j < 0:

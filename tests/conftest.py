@@ -5,7 +5,8 @@ import random
 import pytest
 
 from adjmatroid.binary_matroid import BinaryMatroid, polygon_matroid
-from adjmatroid.gf2 import BitMatrix, Subspace, coord_masks, count_masks, lowest_bit, size_masks
+from adjmatroid.delta_matroid import SetSystem
+from adjmatroid.gf2 import BitMatrix, Subspace, coord_masks, lowest_bit, size_masks
 from adjmatroid.graph import MultiGraph
 from adjmatroid.verify import _all_subspaces
 
@@ -34,6 +35,31 @@ def restricted():
     """The reference restriction, for checking rank_of, delete and the
     independent-set word against an elimination of another design."""
     return reference_restriction
+
+
+def reference_set_restriction(d: SetSystem, keep: int) -> SetSystem:
+    """The members inside the kept mask, on the shrunken ground set: each
+    dropped coordinate i, highest first, keeps the members avoiding i, then
+    for each coordinate j above i moves the block of members containing j
+    down by 2^(j-1), onto bit j-1 of their mask, which is clear."""
+    masks = coord_masks(d.n)
+    bits, top = d.bits, d.n
+    for i in reversed(range(d.n)):
+        if (keep >> i) & 1:
+            continue
+        bits &= masks[i][0]
+        for j in range(i + 1, top):
+            zero, one = masks[j]
+            bits = (bits & zero) | ((bits & one) >> (1 << (j - 1)))
+        top -= 1
+    return SetSystem(tuple(v for i, v in enumerate(d.ground) if (keep >> i) & 1), bits)
+
+
+@pytest.fixture
+def set_restricted():
+    """The per-dropped-coordinate restriction, for checking the one-pass
+    restriction behind restrict, delete and contract."""
+    return reference_set_restriction
 
 
 def subset_pivot_planes(rows: list[list[int]], n: int) -> list[int]:
@@ -67,10 +93,25 @@ def subset_pivot_planes(rows: list[list[int]], n: int) -> list[int]:
     return [full ^ f for f in free]
 
 
+def reference_count_masks(planes: list[int], n: int) -> list[int]:
+    """Entry c has bit S set iff exactly c of the 2^n-bit planes are set at S:
+    a bit-sliced counter holding one 2^n-bit mask per count."""
+    out = [(1 << (1 << n)) - 1]
+    for p in planes:
+        out = [(x & ~p) | (y & p) for x, y in zip(out + [0], [0] + out)]
+    return out
+
+
+@pytest.fixture
+def count_masks():
+    """The bit-sliced counter behind the plane tallies."""
+    return reference_count_masks
+
+
 def reference_tally_planes(planes: list[int], n: int) -> dict[tuple[int, int], int]:
     """The number of subsets S with |S| = size at which exactly c planes are
     set, keyed by (size, c), for the nonzero numbers."""
-    at_count = count_masks(planes, n)
+    at_count = reference_count_masks(planes, n)
     return {
         (s, c): k
         for s, at_s in enumerate(size_masks(n))

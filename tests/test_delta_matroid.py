@@ -189,6 +189,24 @@ def test_flips_and_extrema_match_the_coordinate_scans():
             assert d.max_sys() == extremal_by_direction(d, "max")
 
 
+def test_restriction_matches_the_per_coordinate_reference(set_restricted):
+    """restrict at every keep mask and delete at every mask, on every small
+    family and on seeded families up to 10 elements."""
+    rng = random.Random(35)
+    seeded = [
+        dm.SetSystem(tuple(f"v{i}" for i in range(n)), rng.getrandbits(1 << n))
+        for n in range(4, 11) for _ in range(4)
+    ]
+    for d in [*every_small_family(), *seeded]:
+        masks = range(1 << d.n) if d.n <= 3 else [rng.getrandbits(d.n) for _ in range(24)]
+        for mask in masks:
+            x = d.labels_of(mask)
+            assert d.restrict(x) == set_restricted(d, mask)
+            assert d.delete(x) == set_restricted(d, ~mask)
+        for i, v in enumerate(d.ground):
+            assert d.contract(v) == set_restricted(d.pivot([v]), ~(1 << i))
+
+
 def test_repeated_labels_count_once():
     d = sets("abc", ["a"], ["b", "c"])
     assert d.mask_of(["c", "a", "c", "c"]) == d.mask_of(iter("ac")) == 0b101

@@ -14,7 +14,6 @@ import pytest
 from adjmatroid.gf2 import (
     BitMatrix,
     Subspace,
-    count_masks,
     drop_bit,
     gather,
     nonsingular_subsets,
@@ -411,7 +410,7 @@ def test_subset_nullities_match_restriction(restricted, column_masked_planes):
             assert w.dim - planes_at(planes, mask) == restricted(w, mask).dim
 
 
-def test_count_masks_and_set_bits():
+def test_count_masks_and_set_bits(count_masks):
     rng = random.Random(8)
     for n in range(6):
         for k in range(9):
@@ -422,6 +421,15 @@ def test_count_masks_and_set_bits():
                 assert [(m >> mask) & 1 for m in at_count] == expected
     assert set_bits(0) == []
     assert set_bits(0b101001) == [0, 3, 5]
+
+
+def test_size_masks_match_a_popcount_table():
+    assert gf2.size_masks(0) == (1,)
+    for n in range(13):
+        expected = [0] * (n + 1)
+        for s in range(1 << n):
+            expected[s.bit_count()] |= 1 << s
+        assert gf2.size_masks(n) == tuple(expected)
 
 
 def test_gather_and_scatter():

@@ -13,6 +13,7 @@ from adjmatroid.adjacency_matroid import adjacency_matroid
 from adjmatroid.binary_matroid import BinaryMatroid
 from adjmatroid.delta_matroid import SetSystem, from_graph, to_graph
 from adjmatroid.four_regular import (
+    TransitionSystem,
     compatible_euler_system,
     euler_system,
     interlacement,
@@ -316,6 +317,9 @@ def test_multigraph_structure():
     col = mg.incidence_matrix()
     assert col.column_mask(0) == 0  # loop column vanishes over GF(2)
     assert col.column_mask(1) == 0b11
+    for edge in ([0, 1, 1], [0]):  # an edge that is not a pair
+        with pytest.raises(ValueError):
+            MultiGraph("ab", [edge])
 
 
 def test_as_multigraph_round_trip():
@@ -554,8 +558,8 @@ def test_parser_builds_a_multigraph_only_for_repeats(monkeypatch):
 
 
 def test_public_constructors_store_list_fields_as_tuples():
-    """A list-built object equals, and hashes as, the tuple-built one, and
-    derived objects build on it."""
+    """A list-built object, edge pairs and terms included, equals and hashes
+    as the tuple-built one, and derived objects build on it."""
     rows = [0b10, 0b01]  # the edge a-b
     cycle = Subspace(2, (0b11,))
     built = [
@@ -564,6 +568,10 @@ def test_public_constructors_store_list_fields_as_tuples():
         (LoopedSimpleGraph(["a", "b"], BitMatrix(2, 2, rows)), LoopedSimpleGraph.build("ab", ["ab"])),
         (MultiGraph(["a", "b"], [(0, 1)], ["e"]), MultiGraph(("a", "b"), ((0, 1),), ("e",))),
         (BinaryMatroid(["a", "b"], Subspace(2, [0b11])), BinaryMatroid(("a", "b"), cycle)),
+        (MultiGraph(["a", "b"], [[0, 1], [1, 1]]), MultiGraph(("a", "b"), ((0, 1), (1, 1)))),
+        (TransitionSystem([1, 0, 3, 2]), TransitionSystem((1, 0, 3, 2))),
+        (BivariatePolynomial([(0, 0, 1)]), BivariatePolynomial(((0, 0, 1),))),
+        (BivariatePolynomial(([0, 0, 1],)), BivariatePolynomial(((0, 0, 1),))),
     ]
     for listed, tupled in built:
         assert listed == tupled and hash(listed) == hash(tupled)
