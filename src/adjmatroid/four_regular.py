@@ -488,7 +488,7 @@ def random_four_regular(rng: random.Random, n: int, connected: bool = True) -> M
         stubs = [v for v in range(n) for _ in range(4)]
         rng.shuffle(stubs)
         edges = [(stubs[2 * i], stubs[2 * i + 1]) for i in range(2 * n)]
-        mg = MultiGraph(labels, tuple(edges))
+        mg = MultiGraph(labels, edges)
         if not connected or mg.component_count() == 1:
             return mg
     raise RuntimeError("failed to sample a connected 4-regular graph")

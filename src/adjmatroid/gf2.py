@@ -213,7 +213,7 @@ class BitMatrix:
         return mask
 
     def transpose(self) -> "BitMatrix":
-        return BitMatrix(self.cols, self.rows, tuple(self.column_mask(j) for j in range(self.cols)))
+        return BitMatrix(self.cols, self.rows, (self.column_mask(j) for j in range(self.cols)))
 
     @property
     def is_symmetric(self) -> bool:
@@ -344,7 +344,7 @@ def principal_submatrix(a: BitMatrix, s: Iterable[int]) -> BitMatrix:
     for i in idx:
         if not 0 <= i < a.cols:
             raise ValueError(f"index {i} out of range")
-    return BitMatrix(len(idx), len(idx), tuple(gather(a.data[i], idx) for i in idx))
+    return BitMatrix(len(idx), len(idx), (gather(a.data[i], idx) for i in idx))
 
 
 @lru_cache(maxsize=None)

@@ -227,7 +227,7 @@ class MultiGraph:
             else:
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
-        return BitMatrix(self.n, self.n, tuple(rows))
+        return BitMatrix(self.n, self.n, rows)
 
     def simplify(self) -> LoopedSimpleGraph:
         """Collapse parallels and repeated loops to a looped simple graph."""
@@ -240,7 +240,7 @@ class MultiGraph:
             if u != v:
                 rows[u] |= 1 << j
                 rows[v] |= 1 << j
-        return BitMatrix(self.n, len(self.edges), tuple(rows))
+        return BitMatrix(self.n, len(self.edges), rows)
 
     def component_count(self) -> int:
         parent = list(range(self.n))
@@ -354,7 +354,7 @@ def _from_cells(labels: tuple[str, ...], bits: Iterable[object]) -> LoopedSimple
         if bit:
             rows[i] |= 1 << j
             rows[j] |= 1 << i
-    return LoopedSimpleGraph(labels, BitMatrix(n, n, tuple(rows)))
+    return LoopedSimpleGraph(labels, BitMatrix(n, n, rows))
 
 
 def all_looped_simple_graphs(n: int) -> Iterator[LoopedSimpleGraph]:

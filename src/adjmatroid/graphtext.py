@@ -55,8 +55,8 @@ def parse_graph(text: str) -> LoopedSimpleGraph | MultiGraph:
         else:
             raise GraphParseError(line_no, f"unknown directive {keyword!r}")
     if simple:
-        return LoopedSimpleGraph(tuple(index), BitMatrix(len(rows), len(rows), tuple(rows)))
-    return MultiGraph(tuple(index), tuple(pairs))
+        return LoopedSimpleGraph(tuple(index), BitMatrix(len(rows), len(rows), rows))
+    return MultiGraph(tuple(index), pairs)
 
 
 def render_graph(g: LoopedSimpleGraph | MultiGraph) -> str:

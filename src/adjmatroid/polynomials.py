@@ -1,28 +1,33 @@
 """Exact integer bivariate polynomials and the nullity-weighted graph and
 matroid polynomial evaluators.
 
-A subset expansion is a sum of (x-1)^a (y-1)^b terms, one per subset, and
-both read their nullities as distances from a family word.  The interlace
-expansion takes the graph's delta-matroid (the memoized word from_graph
-shares): nu(A[X]) is the distance d(X) from X to it.  The Tutte expansion
-takes the matroid's independent sets: a nearest independent set to S is a
-largest one inside S, so the distance from S is nu(S) = |S| - r(S).  One
-tally counts the (rank, nullity) pairs (|S| - d, d) over the distance
-layers; the counts fill an (a, b) grid that a Taylor shift in each variable
-moves to x-1 and y-1, each row and column shifted up to its degree only.
-The recursive evaluators must agree exactly.  The distance layers, the
-size masks and the enumeration gate are `gf2`'s.
+Both polynomials sum u^a v^b over subsets, u = x-1 and v = y-1, so every
+evaluator builds one tally of (a, b) counts packed in an int: u^a v^b at
+bit a*U + b*W, W = 2n + 2 and U = W(n + 1).  The subset expansions read
+nullities as distances from a family word: the graph's delta-matroid (the
+memoized word from_graph shares), or the matroid's independent sets, a
+nearest of which to S being a largest one inside S.  The distance layers,
+the size masks and the enumeration gate are `gf2`'s.  The recursions
+memoize tallies, so each rule is shifts and adds.  One conversion reads
+the polynomial in x and y out of a tally at the end: Horner in y-1 over
+its columns, then in x-1 over its rows, signed digits read block by block.
 
-A slow reference lives beside its checks in `verify` unless the CLI or the
-benchmark needs it: bench/workloads.py checks the subset expansions against
-`interlace_recursive` and `tutte_recursive`, so they stay here.
+Slot bound: a count is at most 2^n, an interlace coefficient at most 3^n
+in size (2^n subsets, each adding (x-1)^a (y-1)^b with a + b <= n) and a
+Tutte coefficient in [0, 2^n]; a W-bit slot holds any signed value below
+2^(2n+1) in size.  Packing is a ring map, so negative partial sums in the
+recursions are harmless: only the final tally is read.
+
+The recursions are slow references, which live beside verify's checks unless
+the CLI or the benchmark needs them: bench/workloads.py checks against them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
+from math import comb
+from typing import Callable, Iterator, Mapping
 
 from .binary_matroid import BinaryMatroid
 from .gf2 import check_enum_gate, distance_layers, size_masks, unchecked
@@ -50,10 +55,6 @@ class BivariatePolynomial:
     @classmethod
     def from_dict(cls, coeffs: Mapping[tuple[int, int], int]) -> "BivariatePolynomial":
         return cls(_collected(coeffs).terms)
-
-    @classmethod
-    def constant(cls, c: int) -> "BivariatePolynomial":
-        return cls.from_dict({(0, 0): c})
 
     @classmethod
     def monomial(cls, i: int, j: int) -> "BivariatePolynomial":
@@ -114,57 +115,65 @@ def _collected(coeffs: Mapping[tuple[int, int], int]) -> BivariatePolynomial:
     return unchecked(BivariatePolynomial, terms=terms)
 
 
-ONE = BivariatePolynomial.constant(1)
+ONE = BivariatePolynomial.monomial(0, 0)
 X = BivariatePolynomial.monomial(1, 0)
 Y = BivariatePolynomial.monomial(0, 1)
 
 
 @lru_cache(maxsize=None)
 def shifted_power_term(a: int, b: int) -> BivariatePolynomial:
-    """(x-1)^a (y-1)^b expanded over the integers; polynomials are frozen,
-    so each exponent pair is expanded once."""
-    return _expand({(a, b): 1})
+    """(x-1)^a (y-1)^b by the binomial theorem; polynomials are frozen, so
+    each exponent pair is expanded once."""
+    return _collected({(i, j): (-1) ** (a - i + b - j) * comb(a, i) * comb(b, j)
+                       for i in range(a + 1) for j in range(b + 1)})
 
 
-def _shifted(c: list[int]) -> list[int]:
-    """p(t) -> p(t-1) on the coefficients, in place: repeated adjacent
-    subtraction up to the degree d, as the zeros above d stay zero."""
-    d = len(c) - 1
-    while d > 0 and not c[d]:
-        d -= 1
-    for i in range(d):
-        for k in range(d - 1, i - 1, -1):
-            c[k] -= c[k + 1]
-    return c
+def _shifts(n: int) -> tuple[int, int]:
+    """(W, U): a left shift by W multiplies an n-element tally by v, by U by u."""
+    return 2 * n + 2, (2 * n + 2) * (n + 1)
 
 
-def _expand(counts: Mapping[tuple[int, int], int]) -> BivariatePolynomial:
-    """Sum of count (x-1)^a (y-1)^b over the tallied (a, b) pairs: the counts
-    fill an (a, b) grid whose rows are shifted to y-1, then its columns to x-1."""
-    nb = 1 + max((b for _, b in counts), default=-1)
-    grid = [[0] * nb for _ in range(1 + max((a for a, _ in counts), default=-1))]
-    for (a, b), count in counts.items():
-        grid[a][b] = count
-    cols = [_shifted(list(col)) for col in zip(*map(_shifted, grid))]
-    return _collected({(a, b): c for b, col in enumerate(cols) for a, c in enumerate(col)})
+def _digits(t: int, width: int) -> Iterator[int]:
+    """t's digits in base 2^width, signed and lowest first, to the top nonzero one."""
+    half = 1 << (width - 1)
+    while t:
+        yield (d := ((t + half) & (2 * half - 1)) - half)
+        t = (t - d) >> width
 
 
-def _rank_nullity_tally(layers: list[int], n: int) -> dict[tuple[int, int], int]:
-    """(|S| - d, d) -> the number of subsets S in distance layer d, for the
-    nonzero numbers: with d the nullity of S, the key is its rank and
-    nullity.  The empty set is a member, so d <= |S|."""
+def _from_tally(tally: int, n: int) -> BivariatePolynomial:
+    """The polynomial in x, y whose (u, v) counts are packed in tally: Horner
+    in y-1 over its columns of counts, then in x-1 over its signed rows."""
+    w, u = _shifts(n)
+    columns = sum(((1 << w) - 1) << (a * u) for a in range(n + 1))
+    t = 0
+    for b in range(n, -1, -1):
+        t = (t << w) - t + ((tally >> (b * w)) & columns)
+    q = 0
+    for row in reversed([*_digits(t, u)]):
+        q = (q << u) - q + row
+    rows = enumerate(_digits(q, u))  # read in ascending (a, b), so the terms are sorted
+    terms = tuple((a, b, c) for a, row in rows for b, c in enumerate(_digits(row, w)) if c)
+    return unchecked(BivariatePolynomial, terms=terms)
+
+
+def _layer_tally(layers: list[int], n: int, u_exponent: Callable[[int], int]) -> int:
+    """The packed tally of the distance layers: S in layer d (d <= |S|, as the
+    empty set is a member) has rank |S| - d and adds u^u_exponent(rank) v^d."""
+    w, u = _shifts(n)
     sizes = size_masks(n)
-    return {
-        (size - d, d): k for d, layer in enumerate(layers)
-        for size in range(d, n + 1) if (k := (layer & sizes[size]).bit_count())
-    }
+    return sum(
+        k << (u_exponent(size - d) * u + d * w)
+        for d, layer in enumerate(layers) for size in range(d, n + 1)
+        if (k := (layer & sizes[size]).bit_count())
+    )
 
 
 def interlace_subset(g: LoopedSimpleGraph) -> BivariatePolynomial:
     """Sum over vertex subsets X of (x-1)^(|X|-d) (y-1)^d, d = d(X) the
     nullity of the induced adjacency submatrix: X's distance layer."""
     layers = distance_layers(g.nonsingular_subsets, g.n)  # the memo is gated
-    return _expand(_rank_nullity_tally(layers, g.n))
+    return _from_tally(_layer_tally(layers, g.n, lambda rank: rank), g.n)
 
 
 def interlace_recursive(g: LoopedSimpleGraph) -> BivariatePolynomial:
@@ -175,70 +184,61 @@ def interlace_recursive(g: LoopedSimpleGraph) -> BivariatePolynomial:
     v, w, v; a graph of isolated unlooped vertices contributes y^n.
     """
     check_enum_gate(g.n, "interlace recursion")
-    memo: dict[tuple[tuple[str, ...], tuple[int, ...]], BivariatePolynomial] = {}
-    xm1 = shifted_power_term(1, 0)
-    xm1_sq_m1 = xm1 * xm1 - ONE
+    v_shift, u_shift = _shifts(g.n)
+    memo: dict[tuple[tuple[str, ...], tuple[int, ...]], int] = {}
 
-    def rec(h: LoopedSimpleGraph) -> BivariatePolynomial:
+    def rec(h: LoopedSimpleGraph) -> int:
         key = (h.labels, h.adj.data)
-        hit = memo.get(key)
-        if hit is not None:
+        if (hit := memo.get(key)) is not None:
             return hit
         looped = next((v for v in h.labels if h.is_looped(v)), None)
         if looped is not None:
-            value = rec(h.minus(looped)) + xm1 * rec(h.local_complement(looped).minus(looped))
+            value = rec(h.minus(looped)) + (rec(h.local_complement(looped).minus(looped)) << u_shift)
+        elif (edge := next(iter(h.edge_pairs()), None)) is None:
+            value = ((1 << v_shift) + 1) ** h.n  # y^n
         else:
-            edge = next(iter(h.edge_pairs()), None)
-            if edge is None:
-                value = BivariatePolynomial.monomial(0, h.n) if h.n else ONE
-            else:
-                v, w = edge
-                three = h.local_complement(v).local_complement(w).local_complement(v)
-                value = (
-                    rec(h.minus(v))
-                    + rec(three.minus(v))
-                    + xm1_sq_m1 * rec(three.minus(v).minus(w))
-                )
+            v, w = edge
+            three = h.local_complement(v).local_complement(w).local_complement(v)
+            both = rec(three.minus(v).minus(w))  # times (x-1)^2 - 1 = u^2 - 1
+            value = rec(h.minus(v)) + rec(three.minus(v)) + (both << 2 * u_shift) - both
         memo[key] = value
         return value
 
-    return rec(g)
+    return _from_tally(rec(g), g.n)
 
 
 def tutte_subset(m: BinaryMatroid) -> BivariatePolynomial:
     """Rank generating subset expansion of the Tutte polynomial: S adds
     (x-1)^(r - r(S)) (y-1)^nu(S), nu(S) = |S| - r(S) its distance layer."""
     layers = distance_layers(m._independent_bits, m.size)  # the word is gated
-    tally = _rank_nullity_tally(layers, m.size)
-    return _expand({(m.rank - r, d): k for (r, d), k in tally.items()})
+    return _from_tally(_layer_tally(layers, m.size, lambda rank: m.rank - rank), m.size)
 
 
 def tutte_recursive(m: BinaryMatroid) -> BivariatePolynomial:
     """Deletion/contraction with loop and coloop factors, memoized."""
     check_enum_gate(m.size, "Tutte recursion")
-    memo: dict[tuple[tuple[str, ...], tuple[int, ...]], BivariatePolynomial] = {}
+    v_shift, u_shift = _shifts(m.size)
+    memo: dict[tuple[tuple[str, ...], tuple[int, ...]], int] = {}
 
-    def rec(mm: BinaryMatroid) -> BivariatePolynomial:
+    def rec(mm: BinaryMatroid) -> int:
         if not mm.ground:
-            return ONE
+            return 1
         key = (mm.ground, mm.cycle_space.basis)
-        hit = memo.get(key)
-        if hit is not None:
+        if (hit := memo.get(key)) is not None:
             return hit
         v = mm.ground[0]
         if mm.is_loop(v):
-            value = Y * rec(mm.delete(v))
+            value = rec(mm.delete(v)) * ((1 << v_shift) + 1)  # times y = v + 1
         elif mm.is_coloop(v):
-            value = X * rec(mm.contract(v))
+            value = rec(mm.contract(v)) * ((1 << u_shift) + 1)  # times x = u + 1
         else:
             value = rec(mm.contract(v)) + rec(mm.delete(v))
         memo[key] = value
         return value
 
-    return rec(m)
+    return _from_tally(rec(m), m.size)
 
 
 def lambda_leading(m: BinaryMatroid) -> BivariatePolynomial:
     """(y-1) to the nullity: the full-ground-set term of the Tutte polynomial."""
     return shifted_power_term(0, m.nullity)
-

@@ -210,7 +210,7 @@ def _matroid_kernel_checks(rec: Recorder, max_n: int, trials: int, seed: int) ->
     for t in range(max(trials, 200)):
         rows = rng.randrange(1, 9)
         cols = rng.randrange(1, 9)
-        a = BitMatrix(rows, cols, tuple(rng.randrange(1 << cols) for _ in range(rows)))
+        a = BitMatrix(rows, cols, (rng.randrange(1 << cols) for _ in range(rows)))
         witness = f"matrix {a.rows}x{a.cols} rows={a.data}"
         with rec.check("rank-plus-nullity", witness):
             assert rank(a) + nullity(a) == a.cols
@@ -262,7 +262,7 @@ def _all_subspaces(n: int) -> Iterator[Subspace]:
                 for p, slots in zip(pivots, free_slots):
                     rows.append((1 << p) | scatter(rest, slots))
                     rest >>= len(slots)
-                yield Subspace(n, tuple(rows))
+                yield Subspace(n, rows)
 
 
 def _zero_set(b: BitMatrix) -> int:

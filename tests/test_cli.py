@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import networkx
@@ -98,6 +99,20 @@ def test_polynomial_commands(tmp_path, capsys):
     assert json.loads(out) == [[2, 0, 1], [1, 0, 1], [0, 1, 1]]
     code, out, _ = run(capsys, "lambda", "--input", k3)
     assert code == 0 and out.strip() == "y + -1"
+
+
+def test_lambda_on_a_thousand_isolated_vertices(tmp_path, capsys):
+    """(y-1)^1000 in full: the closed binomial form, with no recursion."""
+    path = write(tmp_path, "g", "vertices " + " ".join(f"v{i}" for i in range(1000)) + "\n")
+    code, out, _ = run(capsys, "lambda", "--input", path)
+    terms = out.strip().split(" + ")
+    assert code == 0 and len(terms) == 1001
+    assert terms[:3] == ["y^1000", "-1000 y^999", "499500 y^998"]
+    assert terms[-2:] == ["-1000 y", "1"]
+    code, out, _ = run(capsys, "lambda", "--format", "json", "--input", path)
+    assert code == 0
+    expected = [[0, j, (-1) ** (1000 - j) * comb(1000, j)] for j in range(1000, -1, -1)]
+    assert json.loads(out) == expected
 
 
 # a is in case 2, b in case 1, c in case 3; the isolated d makes every

@@ -3,7 +3,8 @@ definition in the package is referenced from the package or the benchmark
 (a class or static method through its own class), object.__new__, the
 principal scan, the coloop pass and pairing validation each have one site,
 the two row eliminations run only inside gf2 and gf2 runs two in all, both
-subset expansions read distance layers, the one-coordinate pivot, the
+subset expansions read distance layers, every polynomial evaluator reads
+its polynomial out of one packed tally, the one-coordinate pivot, the
 per-set-bit walk and the min/max closure each have one kernel, in gf2, and
 the min-equicardinal oracle builds no set system, binary_matroid and
 polynomials import no delta_matroid, both work limits and their checkers
@@ -686,6 +687,65 @@ def test_both_subset_expansions_read_distance_layers():
     """interlace_subset from the graph's delta-matroid word and tutte_subset
     from the independent-set word; no other route enumerates subsets."""
     assert sites(POLYNOMIALS.read_text(), reads_layers) == ["interlace_subset", "tutte_subset"]
+
+
+def collects_outside_the_arithmetic(source: str) -> list[str]:
+    """Where the source builds a polynomial's terms unchecked, by _collected
+    or by unchecked(BivariatePolynomial, ...), outside BivariatePolynomial's
+    methods and _collected itself."""
+    hit = builds_unchecked("BivariatePolynomial")
+    return [
+        scope for scope in sites(source, lambda node: calls("_collected")(node) or hit(node))
+        if scope != "_collected" and not scope.startswith("BivariatePolynomial.")
+    ]
+
+
+POLYNOMIAL_NAMES = frozenset({"BivariatePolynomial", "ONE", "X", "Y"})
+
+
+def polynomial_names(source: str, function: str) -> list[str]:
+    """Which polynomial names the body of function reads, bare, as an
+    attribute or as a string annotation, sorted; its signature is exempt."""
+    func = next(node for name, node in definitions(source) if name == function)
+    return sorted({
+        name for stmt in func.body for n in ast.walk(stmt)
+        for name in (getattr(n, "id", None), getattr(n, "attr", None), getattr(n, "value", None))
+        if isinstance(name, str) and name in POLYNOMIAL_NAMES
+    })
+
+
+def test_checker_finds_every_collected_term_list_and_polynomial_in_a_recursion():
+    source = (
+        "class BivariatePolynomial:\n"
+        "    def scale(self, c):\n"
+        "        return _collected({})\n"
+        "def _collected(coeffs):\n"
+        "    return unchecked(BivariatePolynomial, terms=tuple(coeffs))\n"
+        "def _from_tally(t, n):\n"
+        "    return gf2.unchecked(BivariatePolynomial, terms=()), unchecked(Other, terms=())\n"
+        "def _power(a, b):\n"
+        "    return polynomials._collected({})\n"
+        "def q_rec(g) -> BivariatePolynomial:\n"
+        "    memo: dict[int, 'BivariatePolynomial'] = {}\n"
+        "    def rec(h) -> int:\n"
+        "        return polynomials.ONE + X * rec(h)\n"
+        "    return _from_tally(rec(g), g.n)\n"
+    )
+    assert collects_outside_the_arithmetic(source) == ["_from_tally", "_power"]
+    assert polynomial_names(source, "q_rec") == ["BivariatePolynomial", "ONE", "X"]
+    planted = POLYNOMIALS.read_text().replace("            return 1\n", "            return ONE\n")
+    assert polynomial_names(planted, "tutte_recursive") == ["ONE"]
+    planted = POLYNOMIALS.read_text() + "def q(g):\n    return _collected({(0, g.n): 1})\n"
+    assert collects_outside_the_arithmetic(planted) == ["shifted_power_term", "_from_tally", "q"]
+
+
+def test_each_evaluator_builds_its_polynomial_once_from_a_tally():
+    """Outside the arithmetic, only the tally conversion and the closed
+    binomial form collect terms, and the recursions add packed tallies."""
+    source = POLYNOMIALS.read_text()
+    assert collects_outside_the_arithmetic(source) == ["shifted_power_term", "_from_tally"]
+    for recursion in ("interlace_recursive", "tutte_recursive"):
+        assert polynomial_names(source, recursion) == []
 
 
 WORD_READERS = [POLYNOMIALS.with_name("binary_matroid.py"), POLYNOMIALS]

@@ -1,5 +1,6 @@
 """Polynomial arithmetic and the evaluator identities."""
 
+import itertools
 import random
 from math import comb
 
@@ -14,7 +15,7 @@ from adjmatroid.polynomials import (
     X,
     Y,
     BivariatePolynomial,
-    _expand,
+    _from_tally,
     interlace_recursive,
     interlace_subset,
     lambda_leading,
@@ -85,38 +86,41 @@ def binomial_expand(counts) -> BivariatePolynomial:
     return BivariatePolynomial.from_dict(out)
 
 
+def packed(counts, n: int) -> int:
+    """The (a, b) counts of an n-element tally as one int: the count of
+    u^a v^b at bit a*U + b*W, with W = 2n + 2 and U = W(n + 1)."""
+    w = 2 * n + 2
+    return sum(k << (a * w * (n + 1) + b * w) for (a, b), k in counts.items())
+
+
+def converted(counts, n: int) -> BivariatePolynomial:
+    return _from_tally(packed(counts, n), n)
+
+
+def random_tally(rng: random.Random, n: int) -> dict[tuple[int, int], int]:
+    """Each of the 2^n subsets S adds one to a random (a, b) with a + b = |S|."""
+    counts: dict[tuple[int, int], int] = {}
+    for size in range(n + 1):
+        for _ in range(comb(n, size)):
+            b = rng.randint(0, size)
+            counts[(size - b, b)] = counts.get((size - b, b), 0) + 1
+    return counts
+
+
 def test_shift_expansion_matches_binomial_expansion():
-    assert _expand({}) == BivariatePolynomial(()) == binomial_expand({})
-    for a in range(13):
-        for b in range(13):
-            assert _expand({(a, b): 1}) == binomial_expand({(a, b): 1})
+    """Every single (a, b) with a + b <= n at counts 1 and 2^n, then seeded
+    in-range tallies: counts in [0, 2^n] summing to 2^n."""
+    assert converted({}, 0) == BivariatePolynomial(()) == binomial_expand({})
+    n = 12
+    for a in range(n + 1):
+        for b in range(n + 1 - a):
+            for count in (1, 1 << n):
+                assert converted({(a, b): count}, n) == binomial_expand({(a, b): count})
     rng = random.Random(5493)
     for _ in range(200):
-        counts = {
-            (rng.randrange(10), rng.randrange(10)): rng.randint(-40, 40)
-            for _ in range(rng.randint(1, 30))
-        }
-        assert _expand(counts) == binomial_expand(counts)
-
-
-def untrimmed_expand(counts) -> BivariatePolynomial:
-    """Reference: _expand with every row and column shifted over its full
-    length, zeros above the degree included."""
-
-    def shifted(c: list[int]) -> list[int]:
-        for i in range(len(c) - 1):
-            for k in range(len(c) - 2, i - 1, -1):
-                c[k] -= c[k + 1]
-        return c
-
-    nb = 1 + max((b for _, b in counts), default=-1)
-    grid = [[0] * nb for _ in range(1 + max((a for a, _ in counts), default=-1))]
-    for (a, b), count in counts.items():
-        grid[a][b] = count
-    cols = [shifted(list(col)) for col in zip(*map(shifted, grid))]
-    return BivariatePolynomial.from_dict(
-        {(a, b): c for b, col in enumerate(cols) for a, c in enumerate(col)}
-    )
+        n = rng.randrange(9)
+        counts = random_tally(rng, n)
+        assert converted(counts, n) == binomial_expand(counts)
 
 
 def layer_tally(g: LoopedSimpleGraph) -> dict[tuple[int, int], int]:
@@ -146,23 +150,35 @@ def test_interlace_subset_matches_the_plane_tally(principal_planes, tally_planes
         by_ranks = {(r, size - r): k for (size, r), k in tally.items()}
         assert layer_tally(g) == by_ranks
         if g.n >= 5:
-            assert interlace_subset(g) == _expand(by_ranks) == interlace_recursive(g)
+            assert interlace_subset(g) == converted(by_ranks, g.n) == interlace_recursive(g)
     assert len(graphs) == 1099 + 6 * 4
 
 
-def test_trimmed_shift_matches_the_untrimmed_one_on_real_tallies(tutte_tally):
+def test_tally_conversion_matches_the_binomial_expansion_on_real_tallies(tutte_tally):
     """The interlace and Tutte tallies of all 1,099 graphs with n <= 4, then
     of seeded graphs with n = 5-12."""
     graphs = [g for n in range(5) for g in all_looped_simple_graphs(n)]
     rng = random.Random(1107)
     graphs += [random_looped_simple_graph(rng, n) for n in range(5, 13) for _ in range(5)]
     for g in graphs:
-        interlace = layer_tally(g)
-        m = adjacency_matroid(g)
-        tutte = tutte_tally(m)
-        for counts in (interlace, tutte):
-            assert _expand(counts) == untrimmed_expand(counts)
+        for counts in (layer_tally(g), tutte_tally(adjacency_matroid(g))):
+            assert converted(counts, g.n) == binomial_expand(counts)
     assert len(graphs) == 1099 + 8 * 5
+
+
+def test_slot_bound_holds_at_the_enumeration_gate():
+    """At n = ENUM_GATE: the interlace expansion of the edgeless and complete
+    graphs, looped and unlooped, against the binomial expansion of their layer
+    tallies, and x^n and y^n by both Tutte routes."""
+    n = gf2.ENUM_GATE
+    labels = tuple(f"v{i}" for i in range(n))
+    complete = list(itertools.combinations(labels, 2))
+    for edges, loops in itertools.product(([], complete), ((), labels)):
+        g = LoopedSimpleGraph.build(labels, edges, loops=loops)
+        assert interlace_subset(g) == binomial_expand(layer_tally(g))
+    x_n, y_n = BivariatePolynomial.monomial(n, 0), BivariatePolynomial.monomial(0, n)
+    assert tutte_subset(free_matroid(labels)) == tutte_recursive(free_matroid(labels)) == x_n
+    assert tutte_subset(all_loops(labels)) == tutte_recursive(all_loops(labels)) == y_n
 
 
 def test_tutte_subset_matches_the_column_masked_tally(reference_matroids, tutte_tally):
@@ -171,7 +187,7 @@ def test_tutte_subset_matches_the_column_masked_tally(reference_matroids, tutte_
     n <= 5, seeded ones up to n = 14 (nullity 0 and n among them) and polygon
     matroids with loops and parallel edges."""
     for m in reference_matroids:
-        expected = _expand(tutte_tally(m))
+        expected = converted(tutte_tally(m), m.size)
         assert tutte_subset(m) == expected == tutte_recursive(m)
 
 
