@@ -3,20 +3,21 @@ matroid polynomial evaluators.
 
 Both polynomials sum u^a v^b over subsets, u = x-1 and v = y-1, so every
 evaluator builds one tally of (a, b) counts packed in an int: u^a v^b at
-bit a*U + b*W, W = 2n + 2 and U = W(n + 1).  The subset expansions read
-nullities as distances from a family word: the graph's delta-matroid (the
-memoized word from_graph shares), or the matroid's independent sets, a
-nearest of which to S being a largest one inside S.  The distance layers,
-the size masks and the enumeration gate are `gf2`'s.  The recursions
-memoize tallies, so each rule is shifts and adds.  One conversion reads
-the polynomial in x and y out of a tally at the end: Horner in y-1 over
-its columns, then in x-1 over its rows, signed digits read block by block.
+bit a*U + b*W, U = W(n + 1), W a native int width: 32 bits while
+2n + 2 <= 32, else 64.  The subset expansions read nullities as distances
+from a family word: the graph's delta-matroid (the memoized word from_graph
+shares), or the matroid's independent sets, a nearest of which to S being
+a largest one inside S.  The distance layers, the size masks and the
+enumeration gate are `gf2`'s.  The recursions memoize tallies, so each rule
+is shifts and adds.  One conversion reads the polynomial in x and y out of
+a tally: 2^(W-1) added to each slot, each Taylor shift is at most n
+masked whole-int steps, and xor with that bias leaves two's complement.
 
-Slot bound: a count is at most 2^n, an interlace coefficient at most 3^n
-in size (2^n subsets, each adding (x-1)^a (y-1)^b with a + b <= n) and a
-Tutte coefficient in [0, 2^n]; a W-bit slot holds any signed value below
-2^(2n+1) in size.  Packing is a ring map, so negative partial sums in the
-recursions are harmless: only the final tally is read.
+Slot bound: a + b <= n and the counts sum to 2^n, so every partial sum of
+the shifts is at most sum c_ab 2^(a+b) <= 2^(2n) < 2^(W-1) in size: each
+biased slot stays in [0, 2^W), and no borrow crosses a slot.  Packing is a
+ring map, so negative partial sums in the recursions are harmless: their
+final tally is the subset one.
 
 The recursions are slow references, which live beside verify's checks unless
 the CLI or the benchmark needs them: bench/workloads.py checks against them.
@@ -24,13 +25,15 @@ the CLI or the benchmark needs them: bench/workloads.py checks against them.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from math import comb
-from typing import Callable, Iterator, Mapping
+from typing import Mapping
 
 from .binary_matroid import BinaryMatroid
-from .gf2 import check_enum_gate, distance_layers, size_masks, unchecked
+from .gf2 import check_enum_gate, distance_layers, lowest_bit, set_bits, size_masks, unchecked
 from .graph import LoopedSimpleGraph
 
 
@@ -130,88 +133,100 @@ def shifted_power_term(a: int, b: int) -> BivariatePolynomial:
 
 def _shifts(n: int) -> tuple[int, int]:
     """(W, U): a left shift by W multiplies an n-element tally by v, by U by u."""
-    return 2 * n + 2, (2 * n + 2) * (n + 1)
+    w = 32 if 2 * n + 2 <= 32 else 64
+    return w, w * (n + 1)
 
 
-def _digits(t: int, width: int) -> Iterator[int]:
-    """t's digits in base 2^width, signed and lowest first, to the top nonzero one."""
-    half = 1 << (width - 1)
-    while t:
-        yield (d := ((t + half) & (2 * half - 1)) - half)
-        t = (t - d) >> width
-
-
-def _from_tally(tally: int, n: int) -> BivariatePolynomial:
-    """The polynomial in x, y whose (u, v) counts are packed in tally: Horner
-    in y-1 over its columns of counts, then in x-1 over its signed rows."""
+@lru_cache(maxsize=None)
+def _taylor_steps(n: int) -> tuple[int, tuple[tuple[int, int, int], ...], list[int], list[int]]:
+    """The bias 2^(W-1) in each of the (n + 1)^2 slots; the Taylor shift in
+    y, then in x, as n steps (shift, mask, bias under the mask), step k taking
+    off slots b (a) = n-1-k .. n-1 the slot above; the slots' a and b."""
     w, u = _shifts(n)
-    columns = sum(((1 << w) - 1) << (a * u) for a in range(n + 1))
-    t = 0
-    for b in range(n, -1, -1):
-        t = (t << w) - t + ((tally >> (b * w)) & columns)
-    q = 0
-    for row in reversed([*_digits(t, u)]):
-        q = (q << u) - q + row
-    rows = enumerate(_digits(q, u))  # read in ascending (a, b), so the terms are sorted
-    terms = tuple((a, b, c) for a, row in rows for b, c in enumerate(_digits(row, w)) if c)
-    return unchecked(BivariatePolynomial, terms=terms)
+    feet = ((1 << (n + 1) * u) - 1) // ((1 << u) - 1)  # 1 in each slot with b = 0
+    bias = ((1 << (n + 1) * u) - 1) // ((1 << w) - 1) << w - 1
+    masks = [(w, ((1 << (k + 1) * w) - 1 << (n - 1 - k) * w) * feet) for k in range(n)]
+    masks += [(u, (1 << (k + 1) * u) - 1 << (n - 1 - k) * u) for k in range(n)]
+    steps = tuple((s, m, m & bias) for s, m in masks)
+    return bias, steps, [a for a in range(n + 1) for _ in range(n + 1)], [*range(n + 1)] * (n + 1)
 
 
-def _layer_tally(layers: list[int], n: int, u_exponent: Callable[[int], int]) -> int:
+def _from_tally(tally: int, n: int, height: int) -> BivariatePolynomial:
+    """The polynomial in x, y whose nonnegative (u, v) counts, of degree at
+    most height in v, are packed in tally: the Taylor shifts less the steps
+    moving only zeros above the degrees, then the signed slots read in C in
+    ascending (a, b), so the terms come out sorted (big-endian: top first)."""
+    bias, steps, a_exp, b_exp = _taylor_steps(n)
+    w, u = _shifts(n)
+    t = tally + bias
+    for s, mask, lift in steps[n - height : n] + steps[2 * n - (tally.bit_length() - 1) // u :]:
+        t = t - ((t >> s) & mask) + lift
+    data = (t ^ bias).to_bytes(u * (n + 1) // 8, sys.byteorder)
+    slots = memoryview(data).cast("i" if w == 32 else "q")[:: -1 if sys.byteorder == "big" else 1]
+    return unchecked(BivariatePolynomial, terms=tuple(compress(zip(a_exp, b_exp, slots), slots)))
+
+
+def _layer_tally(layers: list[int], n: int, top: int, sign: int) -> int:
     """The packed tally of the distance layers: S in layer d (d <= |S|, as the
-    empty set is a member) has rank |S| - d and adds u^u_exponent(rank) v^d."""
+    empty set is a member) has rank |S| - d and adds u^(top + sign*rank) v^d.
+    The layers cover every subset, so the last counts what the others left."""
     w, u = _shifts(n)
     sizes = size_masks(n)
-    return sum(
-        k << (u_exponent(size - d) * u + d * w)
-        for d, layer in enumerate(layers) for size in range(d, n + 1)
-        if (k := (layer & sizes[size]).bit_count())
-    )
+    left = [comb(n, size) for size in range(n + 1)]
+    last, tally = len(layers) - 1, 0
+    for d, layer in enumerate(layers):
+        row = 0
+        for size in range(d, n + 1):
+            if k := (left[size] if d == last else (layer & sizes[size]).bit_count()):
+                left[size] -= k
+                row += k << (top + sign * (size - d)) * u
+        tally += row << d * w
+    return tally
 
 
 def interlace_subset(g: LoopedSimpleGraph) -> BivariatePolynomial:
     """Sum over vertex subsets X of (x-1)^(|X|-d) (y-1)^d, d = d(X) the
     nullity of the induced adjacency submatrix: X's distance layer."""
     layers = distance_layers(g.nonsingular_subsets, g.n)  # the memo is gated
-    return _from_tally(_layer_tally(layers, g.n, lambda rank: rank), g.n)
+    return _from_tally(_layer_tally(layers, g.n, 0, 1), g.n, len(layers) - 1)
 
 
 def interlace_recursive(g: LoopedSimpleGraph) -> BivariatePolynomial:
-    """Evaluate by vertex reduction and memoization on the matrix form.
-
-    A looped vertex v splits off g-v and the complement at v; a pair of
-    unlooped neighbors v, w splits through the three-step complement at
-    v, w, v; a graph of isolated unlooped vertices contributes y^n.
-    """
+    """Evaluate by vertex reduction and memoization on the matrix form, at
+    the lowest-index vertex v, so each subproblem is a suffix changed near
+    its front: if v or a neighbor is looped, the first such w splits off g-w
+    and the complement at w; else a neighbor w of v splits through the
+    three-step complement at v, w, v; else v is isolated, a factor y."""
     check_enum_gate(g.n, "interlace recursion")
     v_shift, u_shift = _shifts(g.n)
-    memo: dict[tuple[tuple[str, ...], tuple[int, ...]], int] = {}
+    memo: dict[tuple[tuple[str, ...], tuple[int, ...]], int] = {((), ()): 1}  # the empty graph
 
     def rec(h: LoopedSimpleGraph) -> int:
         key = (h.labels, h.adj.data)
         if (hit := memo.get(key)) is not None:
             return hit
-        looped = next((v for v in h.labels if h.is_looped(v)), None)
+        v, row = h.labels[0], h.adj.data[0]  # v's loop bit and its neighbors
+        looped = next((h.labels[i] for i in set_bits(row) if h.adj.entry(i, i)), None)
         if looped is not None:
             value = rec(h.minus(looped)) + (rec(h.local_complement(looped).minus(looped)) << u_shift)
-        elif (edge := next(iter(h.edge_pairs()), None)) is None:
-            value = ((1 << v_shift) + 1) ** h.n  # y^n
+        elif not row:
+            value = (rest := rec(h.minus(v))) + (rest << v_shift)  # times y = v + 1
         else:
-            v, w = edge
+            w = h.labels[lowest_bit(row)]
             three = h.local_complement(v).local_complement(w).local_complement(v)
             both = rec(three.minus(v).minus(w))  # times (x-1)^2 - 1 = u^2 - 1
             value = rec(h.minus(v)) + rec(three.minus(v)) + (both << 2 * u_shift) - both
         memo[key] = value
         return value
 
-    return _from_tally(rec(g), g.n)
+    return _from_tally(rec(g), g.n, g.n)
 
 
 def tutte_subset(m: BinaryMatroid) -> BivariatePolynomial:
     """Rank generating subset expansion of the Tutte polynomial: S adds
     (x-1)^(r - r(S)) (y-1)^nu(S), nu(S) = |S| - r(S) its distance layer."""
     layers = distance_layers(m._independent_bits, m.size)  # the word is gated
-    return _from_tally(_layer_tally(layers, m.size, lambda rank: m.rank - rank), m.size)
+    return _from_tally(_layer_tally(layers, m.size, m.rank, -1), m.size, m.nullity)
 
 
 def tutte_recursive(m: BinaryMatroid) -> BivariatePolynomial:
@@ -236,7 +251,7 @@ def tutte_recursive(m: BinaryMatroid) -> BivariatePolynomial:
         memo[key] = value
         return value
 
-    return _from_tally(rec(m), m.size)
+    return _from_tally(rec(m), m.size, m.nullity)
 
 
 def lambda_leading(m: BinaryMatroid) -> BivariatePolynomial:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from math import comb
 
 import pytest
@@ -16,6 +17,7 @@ from adjmatroid.polynomials import (
     Y,
     BivariatePolynomial,
     _from_tally,
+    _shifts,
     interlace_recursive,
     interlace_subset,
     lambda_leading,
@@ -87,14 +89,14 @@ def binomial_expand(counts) -> BivariatePolynomial:
 
 
 def packed(counts, n: int) -> int:
-    """The (a, b) counts of an n-element tally as one int: the count of
-    u^a v^b at bit a*U + b*W, with W = 2n + 2 and U = W(n + 1)."""
-    w = 2 * n + 2
-    return sum(k << (a * w * (n + 1) + b * w) for (a, b), k in counts.items())
+    """The (a, b) counts of an n-element tally as one int in the module's
+    layout: the count of u^a v^b at bit a*U + b*W, (W, U) = _shifts(n)."""
+    w, u = _shifts(n)
+    return sum(k << (a * u + b * w) for (a, b), k in counts.items())
 
 
 def converted(counts, n: int) -> BivariatePolynomial:
-    return _from_tally(packed(counts, n), n)
+    return _from_tally(packed(counts, n), n, n)
 
 
 def random_tally(rng: random.Random, n: int) -> dict[tuple[int, int], int]:
@@ -179,6 +181,58 @@ def test_slot_bound_holds_at_the_enumeration_gate():
     x_n, y_n = BivariatePolynomial.monomial(n, 0), BivariatePolynomial.monomial(0, n)
     assert tutte_subset(free_matroid(labels)) == tutte_recursive(free_matroid(labels)) == x_n
     assert tutte_subset(all_loops(labels)) == tutte_recursive(all_loops(labels)) == y_n
+
+
+@pytest.mark.parametrize("n, width", [(15, 32), (16, 64)])
+def test_both_slot_widths_convert_like_the_binomial_expansion(n, width):
+    """n = 15 is the last n with 32-bit slots and n = 16 the first with 64-bit
+    ones: every top-degree (a, b) at count 2^n, seeded in-range tallies, and
+    the edgeless and complete graphs, looped and unlooped."""
+    assert _shifts(n)[0] == width
+    for a in range(n + 1):
+        counts = {(a, n - a): 1 << n}
+        assert converted(counts, n) == binomial_expand(counts)
+    rng = random.Random(n)
+    for _ in range(3):
+        counts = random_tally(rng, n)
+        assert converted(counts, n) == binomial_expand(counts)
+    labels = tuple(f"v{i}" for i in range(n))
+    complete = list(itertools.combinations(labels, 2))
+    for edges, loops in itertools.product(([], complete), ((), labels)):
+        g = LoopedSimpleGraph.build(labels, edges, loops=loops)
+        assert interlace_subset(g) == converted(layer_tally(g), n) == binomial_expand(layer_tally(g))
+
+
+def test_last_layer_counts_what_the_others_leave_at_the_enumeration_gate():
+    """At n = ENUM_GATE, where the last layer is the largest: nullity 0 and
+    all loops against the recursion and x^n, y^n; U_{n-1,n} (nullity 1) and
+    U_{1,n} (nullity n - 1) against the recursion and their closed forms."""
+    n = gf2.ENUM_GATE
+    labels = tuple(f"v{i}" for i in range(n))
+    circuit = BinaryMatroid(labels, gf2.Subspace.span(n, [(1 << n) - 1]))
+    parallel = BinaryMatroid(labels, gf2.Subspace.span(n, [1 | 1 << i for i in range(1, n)]))
+    x_powers = [BivariatePolynomial.monomial(i, 0) for i in range(1, n)]
+    y_powers = [BivariatePolynomial.monomial(0, j) for j in range(1, n)]
+    expected = [
+        (free_matroid(labels), BivariatePolynomial.monomial(n, 0)),
+        (all_loops(labels), BivariatePolynomial.monomial(0, n)),
+        (circuit, sum(x_powers, Y)),
+        (parallel, sum(y_powers, X)),
+    ]
+    for m, t in expected:
+        assert tutte_subset(m) == tutte_recursive(m) == t
+
+
+def test_front_first_recursion_is_fast_on_a_long_looped_path():
+    """The recursion splits at the lowest-index vertex, so on the 20-vertex
+    path with a loop on every third vertex its memo holds suffixes of the
+    path, not every way of stripping the loops."""
+    labels = tuple(f"v{i}" for i in range(gf2.ENUM_GATE))
+    g = LoopedSimpleGraph.build(labels, list(zip(labels, labels[1:])), loops=labels[::3])
+    start = time.perf_counter()
+    q = interlace_recursive(g)
+    assert time.perf_counter() - start < 0.2
+    assert q == interlace_subset(g)
 
 
 def test_tutte_subset_matches_the_column_masked_tally(reference_matroids, tutte_tally):
