@@ -10,8 +10,10 @@ whether v is a coloop with its loop removed and with it attached, for every
 v at once, kept by the graph (`LoopedSimpleGraph.coloop_masks`).
 `gf2.coloop_masks` computes it and proves it right.  A `TripartitionCase`
 keeps only the tag the evidence decides, and `trio` reads its equal pair
-off that tag.  verify's three-variants-two-agree check builds the three
-variant matroids and is the oracle for `trio`.
+off that tag.  The three cases are three shared frozen values, picked by
+each vertex's two coloop bits; `tripartition_report` reads the masks once.
+verify's three-variants-two-agree check builds the three variant matroids
+and is the oracle for `trio`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .binary_matroid import BinaryMatroid
-from .gf2 import nullity
+from .gf2 import lowest_bit, nullity, row_bits
 from .graph import LoopedSimpleGraph, VariantKind
 
 CaseTag = Literal["case1", "case2", "case3"]
@@ -32,6 +34,10 @@ class TripartitionCase:
     (case1 both, case2 unlooped only, case3 looped only)."""
 
     tag: CaseTag
+
+
+# The case of a vertex by its coloop bits, unlooped + 2 * looped; frozen, so shared.
+_CASES = {3: TripartitionCase("case1"), 1: TripartitionCase("case2"), 2: TripartitionCase("case3")}
 
 
 @dataclass(frozen=True)
@@ -70,19 +76,16 @@ def contract_via_lc(g: LoopedSimpleGraph, v: str) -> MinorDerivation:
     the first looped neighbor w and complement at v, w, v.  Qualifying
     neighbors are chosen in label order.
     """
-    g.index(v)
-    if g.is_looped(v):
-        seq = (v,)
+    i, rows = g.index(v), g.adj.data
+    neighbors = rows[i] & ~(1 << i)
+    if rows[i] >> i & 1:
+        seq: tuple[str, ...] = (v,)
+    elif not neighbors:
+        seq = ()
+    elif (w := next((w for w in row_bits(neighbors) if not rows[w] >> w & 1), None)) is not None:
+        seq = (g.labels[w], v)
     else:
-        neighbors = g.neighbors(v)
-        if not neighbors:
-            seq = ()
-        else:
-            unlooped = [w for w in neighbors if not g.is_looped(w)]
-            if unlooped:
-                seq = (unlooped[0], v)
-            else:
-                seq = (v, neighbors[0], v)
+        seq = (v, g.labels[lowest_bit(neighbors)], v)
     witness = g
     for w in seq:
         witness = witness.local_complement(w)
@@ -131,17 +134,17 @@ def trio(g: LoopedSimpleGraph, v: str) -> TrioResult:
 
 def classify_vertex(g: LoopedSimpleGraph, v: str) -> TripartitionCase:
     """Classify v by which vertex variants leave it a coloop."""
-    coloop_plain, coloop_loop = _coloop_evidence(g, v)
-    if coloop_plain and coloop_loop:
-        tag: CaseTag = "case1"
-    elif coloop_plain:
-        tag = "case2"
-    elif coloop_loop:
-        tag = "case3"
-    else:
-        raise AssertionError("vertex is a coloop of neither variant")
-    return TripartitionCase(tag)
+    return _case(*g.coloop_masks, g.index(v))
+
+
+def _case(plain: int, loop: int, i: int) -> TripartitionCase:
+    try:
+        return _CASES[(plain >> i & 1) + 2 * (loop >> i & 1)]
+    except KeyError:
+        raise AssertionError("vertex is a coloop of neither variant") from None
 
 
 def tripartition_report(g: LoopedSimpleGraph) -> dict[str, TripartitionCase]:
-    return {v: classify_vertex(g, v) for v in g.labels}
+    """Every vertex's case, from one read of the graph's coloop masks."""
+    plain, loop = g.coloop_masks
+    return {v: _case(plain, loop, i) for i, v in enumerate(g.labels)}

@@ -20,16 +20,17 @@ from .four_regular import (
 )
 from .gf2 import BitMatrix, symmetrize_nullspace
 from .graph import LoopedSimpleGraph, MultiGraph, as_multigraph, default_labels
-from .graphtext import graph_to_json, parse_graph, render_graph
+from .graphtext import graph_to_json, parse_graph, render_graph, text_lines
 from .polynomials import BivariatePolynomial, interlace_subset, lambda_leading, tutte_subset
 from .verify import SUITE_NAMES, run_suites
 
 
 def _read_input(path: str) -> str:
-    """The text of a graph file or of stdin, decoded as strict UTF-8 either way."""
+    """The text of a graph file or of stdin, decoded as strict UTF-8 either
+    way, a leading byte order mark dropped."""
     if path == "-":
-        return sys.stdin.buffer.read().decode("utf-8")
-    with open(path, "r", encoding="utf-8") as fh:
+        return sys.stdin.buffer.read().decode("utf-8-sig")
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return fh.read()
 
 
@@ -190,7 +191,7 @@ def cmd_realize(args: argparse.Namespace) -> int:
 
 def cmd_symmetrize(args: argparse.Namespace) -> int:
     rows = []
-    for line_no, raw in enumerate(_read_input(args.input).splitlines(), start=1):
+    for line_no, raw in enumerate(text_lines(_read_input(args.input)), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -365,6 +365,14 @@ def set_bits(x: int) -> list[int]:
     return [i for i, c in enumerate(bin(x)[:1:-1]) if c == "1"]
 
 
+def row_bits(x: int) -> Iterator[int]:
+    """The positions of the set bits of x, ascending, one step per set bit:
+    a sparse row's walk, where set_bits would read all of its n bits."""
+    while x:
+        yield (x & -x).bit_length() - 1
+        x &= x - 1
+
+
 @lru_cache(maxsize=None)
 def size_masks(n: int) -> tuple[int, ...]:
     """Entry c is the 2^n-bit mask of the subsets of size c.  The table grows

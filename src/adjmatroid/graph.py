@@ -7,6 +7,10 @@ parallel edges allowed) and collapse to looped simple graphs via simplify.
 `find_root` is the package's one union-find step, `default_labels` the one
 place that names vertices v0..v{n-1}, and `_LabelCodec` the one map between
 ground labels and masks, which set systems and binary matroids share.
+
+Edges and neighbors are read off each row's set bits (`gf2.row_bits`), not
+entry by entry.  A graph on its parent's labels (a complement or a variant)
+shares the parent's label index, which is not a field.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Literal, Sequence
 
 from .gf2 import (
-    BitMatrix, coloop_masks, drop_bit, gather, nonsingular_subsets, nullity, set_bits, unchecked,
+    BitMatrix, coloop_masks, drop_bit, gather, nonsingular_subsets, nullity, row_bits, unchecked,
 )
 
 VariantKind = Literal["plain", "loop", "loop_isolate"]
@@ -52,10 +56,16 @@ class LoopedSimpleGraph:
         return MultiGraph.build(labels, [*edges, *((v, v) for v in loops)]).simplify()
 
     @classmethod
-    def _derived(cls, labels: tuple[str, ...], rows: Sequence[int]) -> "LoopedSimpleGraph":
-        """A graph derived from a valid one, symmetric by construction: unchecked."""
+    def _derived(
+        cls, labels: tuple[str, ...], rows: Sequence[int], position: dict[str, int] | None = None
+    ) -> "LoopedSimpleGraph":
+        """A graph derived from a valid one, symmetric by construction: unchecked.
+        A graph on its parent's labels is given the parent's label index."""
         adj = unchecked(BitMatrix, rows=len(rows), cols=len(rows), data=tuple(rows))
-        return unchecked(cls, labels=labels, adj=adj)
+        g = unchecked(cls, labels=labels, adj=adj)
+        if position is not None:
+            g.__dict__["_position"] = position  # what the cached property would build
+        return g
 
     @property
     def n(self) -> int:
@@ -100,29 +110,36 @@ class LoopedSimpleGraph:
 
     def neighbors(self, v: str) -> tuple[str, ...]:
         mask = self.neighbor_mask(v)
-        return tuple(self.labels[i] for i in range(self.n) if (mask >> i) & 1)
+        return tuple(self.labels[i] for i in row_bits(mask))
 
     def loop_labels(self) -> tuple[str, ...]:
-        return tuple(v for i, v in enumerate(self.labels) if self.adj.entry(i, i))
+        return tuple(self.labels[i] for i, r in enumerate(self.adj.data) if r >> i & 1)
 
     def edge_pairs(self) -> tuple[tuple[str, str], ...]:
-        """Non-loop edges as label pairs, in index order."""
-        n, labels = self.n, self.labels
-        return tuple(
-            (labels[i], labels[j]) for i in range(n) for j in range(i + 1, n) if self.adj.entry(i, j)
-        )
+        """Non-loop edges as label pairs, in index order: row set bits above the diagonal."""
+        labels, out = self.labels, []
+        for i, r in enumerate(self.adj.data):
+            r &= -2 << i
+            while r:
+                out.append((labels[i], labels[(r & -r).bit_length() - 1]))
+                r &= r - 1
+        return tuple(out)
 
     def local_complement(self, v: str) -> "LoopedSimpleGraph":
-        """Toggle loops of v's neighbors and adjacency between distinct neighbors."""
-        mask = self.neighbor_mask(v)
-        rows = [r ^ mask if (mask >> i) & 1 else r for i, r in enumerate(self.adj.data)]
-        return LoopedSimpleGraph._derived(self.labels, rows)
+        """Toggle loops of v's neighbors and adjacency between distinct
+        neighbors: each neighbor's row takes an xor with v's neighbor mask."""
+        mask = walk = self.neighbor_mask(v)
+        rows = list(self.adj.data)
+        while walk:
+            rows[(walk & -walk).bit_length() - 1] ^= mask
+            walk &= walk - 1
+        return LoopedSimpleGraph._derived(self.labels, rows, self._position)
 
     def loop_complement(self, v: str) -> "LoopedSimpleGraph":
         i = self.index(v)
         rows = list(self.adj.data)
         rows[i] ^= 1 << i
-        return LoopedSimpleGraph._derived(self.labels, rows)
+        return LoopedSimpleGraph._derived(self.labels, rows, self._position)
 
     def induced(self, s: Iterable[str]) -> "LoopedSimpleGraph":
         return self.induced_mask(sum(1 << i for i in {self.index(v) for v in s}))
@@ -131,7 +148,7 @@ class LoopedSimpleGraph:
         """The subgraph induced by the vertices whose bits are set in mask."""
         if not 0 <= mask < 1 << self.n:
             raise ValueError(f"vertex mask {mask} outside {self.n} vertices")
-        idx = set_bits(mask)
+        idx = list(row_bits(mask))
         rows = [gather(self.adj.data[i], idx) for i in idx]
         return LoopedSimpleGraph._derived(tuple(self.labels[i] for i in idx), rows)
 
@@ -153,7 +170,7 @@ class LoopedSimpleGraph:
             rows[i] = 1 << i
         else:
             raise ValueError(f"unknown variant kind {kind!r}")
-        return LoopedSimpleGraph._derived(self.labels, rows)
+        return LoopedSimpleGraph._derived(self.labels, rows, self._position)
 
 
 @dataclass(frozen=True)
@@ -260,7 +277,7 @@ def find_root(parent: list[int], x: int) -> int:
 def as_multigraph(g: LoopedSimpleGraph | MultiGraph) -> MultiGraph:
     if isinstance(g, MultiGraph):
         return g
-    edges = tuple((i, j) for i in range(g.n) for j in range(i, g.n) if g.adj.entry(i, j))
+    edges = tuple((i, j) for i, r in enumerate(g.adj.data) for j in row_bits(r & (-1 << i)))
     return MultiGraph(g.labels, edges)
 
 

@@ -1,9 +1,11 @@
 """The line-oriented graph format, and the JSON form the CLI writes.
 
 Grammar: `# comment`, `vertices <name>+`, `loop <name>`, `edge <name> <name>`.
-Names are non-whitespace tokens.  Duplicate edge or loop lines make the
-result a multigraph; otherwise a looped simple graph is returned, its
-adjacency rows built as the lines are read.
+Names are non-whitespace tokens.  Lines end only at \\n, \\r\\n or \\r: str.splitlines'
+other breaks are whitespace, so line numbers are the file's (the CLI drops a
+leading byte order mark).  Duplicate edge or loop lines make the result a
+multigraph; otherwise a looped simple graph is returned, its adjacency rows
+built as the lines are read, and checked by the public constructors.
 """
 
 from __future__ import annotations
@@ -20,39 +22,41 @@ class GraphParseError(ValueError):
         self.line_no = line_no
 
 
+def text_lines(text: str) -> list[str]:
+    """The lines of text, ended only by \\n, \\r\\n or \\r."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def parse_graph(text: str) -> LoopedSimpleGraph | MultiGraph:
     index: dict[str, int] = {}  # in declaration order: the labels
     pairs: list[tuple[int, int]] = []
     rows: list[int] = []
     simple = True
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in enumerate(text_lines(text), start=1):
         parts = line.split()
-        keyword, args = parts[0], parts[1:]
-        if keyword == "vertices":
-            if not args:
-                raise GraphParseError(line_no, "vertices needs at least one name")
-            for v in args:
-                if v in index:
-                    raise GraphParseError(line_no, f"vertex {v!r} declared twice")
-                index[v] = len(rows)
-                rows.append(0)
-        elif keyword in ("loop", "edge"):
-            if keyword == "loop" and len(args) != 1:
-                raise GraphParseError(line_no, "loop needs exactly one vertex")
-            if keyword == "edge" and len(args) != 2:
-                raise GraphParseError(line_no, "edge needs exactly two vertices")
-            for w in args:
-                if w not in index:
-                    raise GraphParseError(line_no, f"unknown vertex {w!r}")
-            u, v = index[args[0]], index[args[-1]]
+        keyword = parts[0] if parts else "#"  # a blank line reads as a comment
+        if keyword == "edge" and len(parts) == 3 or keyword == "loop" and len(parts) == 2:
+            try:
+                u, v = index[parts[1]], index[parts[-1]]
+            except KeyError as exc:
+                raise GraphParseError(line_no, f"unknown vertex {exc.args[0]!r}") from None
             simple = simple and not (rows[u] >> v) & 1  # a repeated pair
             rows[u] |= 1 << v
             rows[v] |= 1 << u
             pairs.append((u, v))
-        else:
+        elif keyword == "vertices":
+            if len(parts) == 1:
+                raise GraphParseError(line_no, "vertices needs at least one name")
+            for v in parts[1:]:
+                if v in index:
+                    raise GraphParseError(line_no, f"vertex {v!r} declared twice")
+                index[v] = len(rows)
+                rows.append(0)
+        elif keyword == "edge":
+            raise GraphParseError(line_no, "edge needs exactly two vertices")
+        elif keyword == "loop":
+            raise GraphParseError(line_no, "loop needs exactly one vertex")
+        elif not keyword.startswith("#"):
             raise GraphParseError(line_no, f"unknown directive {keyword!r}")
     if simple:
         return LoopedSimpleGraph(tuple(index), BitMatrix(len(rows), len(rows), rows))

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from math import comb
+from operator import itemgetter
 from typing import Mapping
 
 from .binary_matroid import BinaryMatroid
@@ -138,32 +139,38 @@ def _shifts(n: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _taylor_steps(n: int) -> tuple[int, tuple[tuple[int, int, int], ...], list[int], list[int]]:
+def _taylor_steps(n: int) -> tuple[int, tuple[tuple[int, int, int], ...], itemgetter, tuple, tuple]:
     """The bias 2^(W-1) in each of the (n + 1)^2 slots; the Taylor shift in
     y, then in x, as n steps (shift, mask, bias under the mask), step k taking
-    off slots b (a) = n-1-k .. n-1 the slot above; the slots' a and b."""
+    off slots b (a) = n-1-k .. n-1 the slot above; a getter of the slots with
+    a + b <= n, where every term lies, in ascending (a, b), and their a and b."""
     w, u = _shifts(n)
     feet = ((1 << (n + 1) * u) - 1) // ((1 << u) - 1)  # 1 in each slot with b = 0
     bias = ((1 << (n + 1) * u) - 1) // ((1 << w) - 1) << w - 1
     masks = [(w, ((1 << (k + 1) * w) - 1 << (n - 1 - k) * w) * feet) for k in range(n)]
     masks += [(u, (1 << (k + 1) * u) - 1 << (n - 1 - k) * u) for k in range(n)]
     steps = tuple((s, m, m & bias) for s, m in masks)
-    return bias, steps, [a for a in range(n + 1) for _ in range(n + 1)], [*range(n + 1)] * (n + 1)
+    a_exp, b_exp = zip(*((a, b) for a in range(n + 1) for b in range(n + 1 - a)))
+    # slot 0 again at the end keeps the getter's result a tuple at n = 0; zip drops it
+    triangle = itemgetter(*(a * (n + 1) + b for a, b in zip(a_exp, b_exp)), 0)
+    return bias, steps, triangle, a_exp, b_exp
 
 
 def _from_tally(tally: int, n: int, height: int) -> BivariatePolynomial:
     """The polynomial in x, y whose nonnegative (u, v) counts, of degree at
     most height in v, are packed in tally: the Taylor shifts less the steps
-    moving only zeros above the degrees, then the signed slots read in C in
-    ascending (a, b), so the terms come out sorted (big-endian: top first)."""
-    bias, steps, a_exp, b_exp = _taylor_steps(n)
+    moving only zeros above the degrees, then the signed slots of the a + b <= n
+    triangle read in C in ascending (a, b), so the terms come out sorted
+    (big-endian: top first)."""
+    bias, steps, triangle, a_exp, b_exp = _taylor_steps(n)
     w, u = _shifts(n)
     t = tally + bias
     for s, mask, lift in steps[n - height : n] + steps[2 * n - (tally.bit_length() - 1) // u :]:
         t = t - ((t >> s) & mask) + lift
     data = (t ^ bias).to_bytes(u * (n + 1) // 8, sys.byteorder)
     slots = memoryview(data).cast("i" if w == 32 else "q")[:: -1 if sys.byteorder == "big" else 1]
-    return unchecked(BivariatePolynomial, terms=tuple(compress(zip(a_exp, b_exp, slots), slots)))
+    counts = triangle(slots)
+    return unchecked(BivariatePolynomial, terms=tuple(compress(zip(a_exp, b_exp, counts), counts)))
 
 
 def _layer_tally(layers: list[int], n: int, top: int, sign: int) -> int:

@@ -7,7 +7,9 @@ import pytest
 from adjmatroid.binary_matroid import BinaryMatroid, polygon_matroid
 from adjmatroid.delta_matroid import SetSystem
 from adjmatroid.gf2 import BitMatrix, Subspace, coord_masks, lowest_bit, size_masks
-from adjmatroid.graph import MultiGraph
+from adjmatroid.graph import (
+    LoopedSimpleGraph, MultiGraph, all_looped_simple_graphs, random_looped_simple_graph,
+)
 from adjmatroid.verify import _all_subspaces
 
 
@@ -200,3 +202,63 @@ def reference_matroids() -> list[BinaryMatroid]:
         edges += [tuple(rng.randrange(n) for _ in range(2)) for _ in range(rng.randrange(1, 10))]
         out.append(polygon_matroid(MultiGraph(tuple(f"x{i}" for i in range(n)), tuple(edges))))
     return out
+
+
+@pytest.fixture(scope="session")
+def small_and_seeded_graphs() -> list[LoopedSimpleGraph]:
+    """All 1,099 looped simple graphs with n <= 4; for n = 5-20 two seeded
+    graphs with each cell set at p = 1/2 and one with each edge at p = 2/n,
+    loops at p = 1/4."""
+    rng = random.Random(1107)
+    graphs = [g for n in range(5) for g in all_looped_simple_graphs(n)]
+    for n in range(5, 21):
+        graphs += [random_looped_simple_graph(rng, n) for _ in range(2)]
+        labels = tuple(f"v{i}" for i in range(n))
+        pairs = [(u, v) for i, u in enumerate(labels) for v in labels[i + 1:]]
+        edges = [e for e in pairs if rng.random() < 2 / n]
+        loops = [v for v in labels if rng.random() < 0.25]
+        graphs.append(LoopedSimpleGraph.build(labels, edges, loops))
+    return graphs
+
+
+def entry_cells(g: LoopedSimpleGraph) -> list[tuple[int, int]]:
+    """The set cells (i, j >= i) of g's adjacency matrix in row order, read
+    entry by entry over all pairs."""
+    return [(i, j) for i in range(g.n) for j in range(i, g.n) if g.adj.entry(i, j)]
+
+
+def entry_loop_labels(g: LoopedSimpleGraph) -> tuple[str, ...]:
+    return tuple(v for i, v in enumerate(g.labels) if g.adj.entry(i, i))
+
+
+def entry_edge_pairs(g: LoopedSimpleGraph) -> tuple[tuple[str, str], ...]:
+    return tuple((g.labels[i], g.labels[j]) for i, j in entry_cells(g) if i != j)
+
+
+def entry_render_graph(g: LoopedSimpleGraph) -> str:
+    lines = ["vertices " + " ".join(g.labels)] if g.labels else []
+    lines += [f"loop {v}" for v in entry_loop_labels(g)]
+    lines += [f"edge {u} {v}" for u, v in entry_edge_pairs(g)]
+    return "\n".join(lines) + "\n"
+
+
+def entry_graph_to_json(g: LoopedSimpleGraph) -> dict[str, list]:
+    cells = entry_cells(g)
+    return {
+        "vertices": list(g.labels),
+        "loops": [g.labels[i] for i, j in cells if i == j],
+        "edges": [[g.labels[i], g.labels[j]] for i, j in cells if i != j],
+    }
+
+
+@pytest.fixture
+def entry_forms():
+    """The entry-by-entry, all-pairs forms of the graph's set-bit walks, by
+    the name of the walk they check: the references for the walks."""
+    return {
+        "as_multigraph_edges": lambda g: tuple(entry_cells(g)),
+        "loop_labels": entry_loop_labels,
+        "edge_pairs": entry_edge_pairs,
+        "render_graph": entry_render_graph,
+        "graph_to_json": entry_graph_to_json,
+    }

@@ -143,6 +143,52 @@ def test_tripartition_reports():
     }
 
 
+def test_tripartition_report_matches_classify_vertex(small_and_seeded_graphs):
+    """Every reported case is classify_vertex's at that vertex, one of three
+    shared objects, with the tag the coloop evidence decides."""
+    shared = set()
+    for g in small_and_seeded_graphs:
+        report = tripartition_report(g)
+        assert list(report) == list(g.labels)
+        for v in g.labels:
+            plain, loop = _coloop_evidence(g, v)
+            assert report[v] is classify_vertex(g, v)
+            assert report[v].tag == ("case1" if plain and loop else "case2" if plain else "case3")
+            shared.add(id(report[v]))
+    assert len(shared) == 3
+    g = LoopedSimpleGraph(small_and_seeded_graphs[-1].labels, small_and_seeded_graphs[-1].adj)
+    with pytest.raises(ValueError, match="unknown vertex 'zz'"):
+        classify_vertex(g, "zz")
+    g.__dict__["coloop_masks"] = (0, 0)  # evidence no graph gives
+    for classify in (tripartition_report, lambda g: classify_vertex(g, g.labels[0])):
+        with pytest.raises(AssertionError, match="^vertex is a coloop of neither variant$"):
+            classify(g)
+
+
+def lc_sequence_by_labels(g: LoopedSimpleGraph, v: str) -> tuple[str, ...]:
+    """contract_via_lc's choice of steps as it was, asked of the graph label by label."""
+    if g.is_looped(v):
+        return (v,)
+    neighbors = g.neighbors(v)
+    if not neighbors:
+        return ()
+    unlooped = [w for w in neighbors if not g.is_looped(w)]
+    return (unlooped[0], v) if unlooped else (v, neighbors[0], v)
+
+
+def test_contraction_reads_its_steps_off_the_rows(small_and_seeded_graphs):
+    """The steps read off v's row and the loop bits are the label-by-label
+    choice at every vertex, and the witness is their local complements."""
+    for g in small_and_seeded_graphs:
+        for v in g.labels:
+            derivation = contract_via_lc(g, v)
+            assert derivation.lc_sequence == lc_sequence_by_labels(g, v)
+            witness = g
+            for w in derivation.lc_sequence:
+                witness = witness.local_complement(w)
+            assert derivation.witness_graph == witness
+
+
 def test_tripartition_independence_witness():
     # isomorphic matroids, different case multisets
     assert adjacency_matroid(K3) == adjacency_matroid(P3LL)  # by the identity

@@ -233,6 +233,44 @@ def test_stdin_and_file_both_refuse_invalid_utf8(tmp_path, capsys, monkeypatch):
         assert err.startswith("error: 'utf-8' codec can't decode byte 0xff") and err.count("\n") == 1
 
 
+def test_a_byte_order_mark_is_dropped_from_files_and_stdin(tmp_path, capsys, monkeypatch):
+    """Graph text and a 01-matrix read the same with a leading UTF-8 byte
+    order mark as without, from a file and from stdin; the parser itself
+    still takes the mark for text."""
+    for command, text in (("circuits", K3_TEXT), ("symmetrize", "01101\n00111\n01010\n")):
+        for fmt in ("text", "json"):
+            plain = run(capsys, command, "--input", write(tmp_path, "plain", text), "--format", fmt)
+            assert plain[0] == 0 and plain[1] and not plain[2]
+            data = b"\xef\xbb\xbf" + text.encode()
+            path = tmp_path / "marked"
+            path.write_bytes(data)
+            assert run(capsys, command, "--input", str(path), "--format", fmt) == plain
+            monkeypatch.setattr("sys.stdin", stdin_bytes(data))
+            assert run(capsys, command, "--input", "-", "--format", fmt) == plain
+    with pytest.raises(ValueError, match=r"^line 1: unknown directive '\\ufeffvertices'$"):
+        parse_graph("\ufeff" + K3_TEXT)
+
+
+def test_symmetrize_rows_end_only_at_newline_carriage_return_or_both(tmp_path, capsys, monkeypatch):
+    """From a file and from stdin, rows split at \\n, \\r\\n and \\r alike, and
+    at no other character str.splitlines breaks at, so the error names the
+    row's own line."""
+    expected = run(capsys, "symmetrize", "--input", write(tmp_path, "m", "01101\n00111\n01010\n"))
+    assert expected[0] == 0
+
+    def both_sources(text: str) -> list[tuple[int, str, str]]:
+        monkeypatch.setattr("sys.stdin", stdin_bytes(text.encode()))
+        path = tmp_path / "rows"
+        path.write_bytes(text.encode())
+        return [run(capsys, "symmetrize", "--input", source) for source in ("-", str(path))]
+
+    for end in ("\n", "\r\n", "\r"):
+        assert both_sources(end.join(["# rows", "01101", "00111", "", "01010"])) == [expected] * 2
+    for sep in "\v\f\x1c\x1d\x1e\x85\u2028\u2029":
+        error = (1, "", "error: line 2: matrix rows are strings of 0 and 1\n")
+        assert both_sources(f"01101\n00111{sep}01010\n") == [error] * 2
+
+
 def test_realize_touchgraph_pipeline(tmp_path, capsys):
     k3l = write(tmp_path, "g", K3L_TEXT)
     code, out, _ = run(capsys, "realize", "--input", k3l)

@@ -1033,9 +1033,9 @@ def test_relative_interlacement_builds_a_fixed_number_of_graphs(monkeypatch):
     builds = []
     derive = LoopedSimpleGraph._derived
 
-    def counted(labels, rows):
+    def counted(labels, rows, position=None):
         builds.append(rows)
-        return derive(labels, rows)
+        return derive(labels, rows, position)
 
     monkeypatch.setattr(LoopedSimpleGraph, "_derived", counted)
     psi_counts = set()

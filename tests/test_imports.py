@@ -10,8 +10,8 @@ the min-equicardinal oracle builds no set system, binary_matroid and
 polynomials import no delta_matroid, both work limits and their checkers
 are defined only in gf2, only the minor routes build an adjacency matroid, the
 4-regular builders take no validating route, only the Kotzig merge builds an
-Euler system unchecked, and the slow references that only verify calls live
-in verify."""
+Euler system unchecked, the slow references that only verify calls live
+in verify, and no matrix is walked entry by entry over all pairs."""
 
 import ast
 import re
@@ -924,3 +924,82 @@ def test_verify_references_live_only_in_verify():
             "_interlace_vertex_terms",
         ]
     }
+
+
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
+
+
+def entry_reads_under_two_fors(source: str) -> list[str]:
+    """Where a .entry( call sits under two or more for levels of one
+    definition, loop bodies and comprehension generators alike: the shape of
+    an all-pairs walk of a matrix, cell by cell."""
+    found = []
+
+    def visit(node: ast.AST, scope: str, depth: int) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope, depth = f"{scope}.{node.name}" if scope else node.name, 0
+        if depth >= 2 and calls("entry")(node):
+            found.append(scope or "<module>")
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            visit(node.iter, scope, depth)
+            for child in node.body + node.orelse:
+                visit(child, scope, depth + 1)
+        elif isinstance(node, COMPREHENSIONS):
+            for k, gen in enumerate(node.generators):
+                visit(gen.iter, scope, depth + k)
+                for cond in gen.ifs:
+                    visit(cond, scope, depth + k + 1)
+            inner = [node.key, node.value] if isinstance(node, ast.DictComp) else [node.elt]
+            for child in inner:
+                visit(child, scope, depth + len(node.generators))
+        else:
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope, depth)
+
+    visit(ast.parse(source), "", 0)
+    return found
+
+
+def test_checker_finds_every_entry_read_under_two_fors():
+    source = (
+        "class G:\n"
+        "    def edge_pairs(self):\n"
+        "        return tuple((i, j) for i in r for j in r if self.adj.entry(i, j))\n"
+        "    def loop_labels(self):\n"
+        "        return tuple(v for i, v in enumerate(self.labels) if self.adj.entry(i, i))\n"
+        "def cells(a):\n"
+        "    for i in r:\n"
+        "        for j in r:\n"
+        "            out.append(a.entry(i, j))\n"
+        "def rows(a):\n"
+        "    for i in r:\n"
+        "        out.append({j: a.entry(i, j) for j in r})\n"
+        "def looped(h, row):\n"
+        "    return next((i for i in set_bits(row) if h.adj.entry(i, i)), None)\n"
+        "def pairs(a):\n"
+        "    for i in r:\n"
+        "        out += [(i, j) for j in r if (a.data[i] >> j) & 1]\n"
+        "def one_level_each(a):\n"
+        "    for i in r:\n"
+        "        def f(j):\n"
+        "            return [a.entry(i, k) for k in r]\n"
+        "    return [a.entry(i, j) for i, j in [(i, i) for i in r]]\n"
+    )
+    assert entry_reads_under_two_fors(source) == ["G.edge_pairs", "cells", "rows"]
+    graph = ROOT / "src" / "adjmatroid" / "graph.py"
+    planted = graph.read_text() + (
+        "def as_multigraph_as_before(g):\n"
+        "    return tuple((i, j) for i in range(g.n) for j in range(i, g.n) if g.adj.entry(i, j))\n"
+    )
+    assert entry_reads_under_two_fors(planted) == ["as_multigraph_as_before"]
+
+
+def test_no_all_pairs_entry_walk_in_the_package():
+    """The edge, loop and multigraph walks read each row's set bits;
+    interlace_recursive's one set-bit walk reads single entries."""
+    found = {
+        str(path.relative_to(ROOT)): names
+        for path in SOURCES
+        if (names := entry_reads_under_two_fors(path.read_text()))
+    }
+    assert found == {}
