@@ -198,8 +198,8 @@ def cmd_symmetrize(args: argparse.Namespace) -> int:
         if set(line) - {"0", "1"}:
             raise ValueError(f"line {line_no}: matrix rows are strings of 0 and 1")
         rows.append([int(c) for c in line])
-    b = symmetrize_nullspace(BitMatrix.from_rows(rows))
-    g = LoopedSimpleGraph(default_labels(b.rows), b)
+    b = symmetrize_nullspace(BitMatrix.from_rows(rows))  # symmetric by construction
+    g = LoopedSimpleGraph._derived(default_labels(b.rows), b.data)
     _emit(args, render_graph(g).rstrip(), graph_to_json(g))
     return 0
 

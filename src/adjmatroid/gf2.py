@@ -48,9 +48,8 @@ def unchecked(cls: type[T], **fields: Any) -> T:
     checks run once, at the boundary: the text parser, LoopedSimpleGraph(...),
     BitMatrix(...) and from_rows, Subspace(...) and span, BinaryMatroid(...)
     and from_matrix, SetSystem(...) and from_sets, DeltaMatroid(...),
-    BivariatePolynomial(...), from_dict and monomial, MultiGraph(...) and
-    build, HalfEdgeGraph(...), EulerSystem(...), and partition_from_transitions
-    for a caller's pairing."""
+    BivariatePolynomial(...), MultiGraph(...) and build, HalfEdgeGraph(...),
+    EulerSystem(...), and partition_from_transitions for a caller's pairing."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
@@ -217,15 +216,19 @@ class BitMatrix:
 
     @property
     def is_symmetric(self) -> bool:
-        """Each set entry (i, j) has its mirror (j, i): one test per set entry."""
+        """Each set entry above the diagonal has its mirror, and as many lie
+        below as above, so the ones below are those mirrors: one test per entry above."""
         if self.rows != self.cols:
             return False
-        for i, r in enumerate(self.data):
-            while r:
-                if not (self.data[(r & -r).bit_length() - 1] >> i) & 1:
+        data, balance = self.data, 0
+        for i, r in enumerate(data):
+            above = r >> i + 1  # bit k is entry (i, i + 1 + k)
+            balance += (r & (1 << i) - 1).bit_count() - above.bit_count()
+            while above:
+                if not data[i + (above & -above).bit_length()] >> i & 1:
                     return False
-                r &= r - 1
-        return True
+                above &= above - 1
+        return balance == 0
 
     def mul_mask(self, v: int) -> int:
         """Matrix-vector product; v and the result are bitmasks."""

@@ -1,6 +1,10 @@
 """Exact integer bivariate polynomials and the nullity-weighted graph and
 matroid polynomial evaluators.
 
+BivariatePolynomial is a value with no arithmetic, built by _from_tally, which
+all four evaluators end in, and by shifted_power_term, the binomial form behind
+lambda_leading; the sum and product of verify's oracles live beside them.
+
 Both polynomials sum u^a v^b over subsets, u = x-1 and v = y-1, so every
 evaluator builds one tally of (a, b) counts packed in an int: u^a v^b at
 bit a*U + b*W, U = W(n + 1), W a native int width: 32 bits while
@@ -31,7 +35,6 @@ from functools import lru_cache
 from itertools import compress
 from math import comb
 from operator import itemgetter
-from typing import Mapping
 
 from .binary_matroid import BinaryMatroid
 from .gf2 import check_enum_gate, distance_layers, lowest_bit, set_bits, size_masks, unchecked
@@ -40,7 +43,7 @@ from .graph import LoopedSimpleGraph
 
 @dataclass(frozen=True)
 class BivariatePolynomial:
-    """Integer polynomial in x and y; terms sorted, zero coefficients absent."""
+    """Integer polynomial in x and y, a value: terms sorted, zero coefficients absent."""
 
     terms: tuple[tuple[int, int, int], ...]  # (x exponent, y exponent, coefficient)
 
@@ -56,42 +59,8 @@ class BivariatePolynomial:
         if tuple(sorted(self.terms)) != self.terms:
             raise ValueError("terms out of order")
 
-    @classmethod
-    def from_dict(cls, coeffs: Mapping[tuple[int, int], int]) -> "BivariatePolynomial":
-        return cls(_collected(coeffs).terms)
-
-    @classmethod
-    def monomial(cls, i: int, j: int) -> "BivariatePolynomial":
-        return cls.from_dict({(i, j): 1})
-
-    def __add__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
-        out: dict[tuple[int, int], int] = {}
-        for i, j, c in self.terms + other.terms:
-            out[(i, j)] = out.get((i, j), 0) + c
-        return _collected(out)
-
-    def __sub__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
-        return self + other.scale(-1)
-
-    def scale(self, c: int) -> "BivariatePolynomial":
-        return _collected({(i, j): c * k for i, j, k in self.terms})
-
-    def __mul__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
-        out: dict[tuple[int, int], int] = {}
-        for i, j, c in self.terms:
-            for a, b, d in other.terms:
-                key = (i + a, j + b)
-                out[key] = out.get(key, 0) + c * d
-        return _collected(out)
-
-    def swap_variables(self) -> "BivariatePolynomial":
-        return _collected({(j, i): c for i, j, c in self.terms})
-
     def evaluate(self, x: int, y: int) -> int:
         return sum(c * x**i * y**j for i, j, c in self.terms)
-
-    def degree_y(self) -> int:
-        return max((j for _, j, _ in self.terms), default=0)
 
     def to_text(self) -> str:
         """Terms as `c x^i y^j` joined by ` + `, descending in (i, j)."""
@@ -113,23 +82,13 @@ class BivariatePolynomial:
         return [[i, j, c] for i, j, c in sorted(self.terms, reverse=True)]
 
 
-def _collected(coeffs: Mapping[tuple[int, int], int]) -> BivariatePolynomial:
-    """from_dict unchecked: arithmetic on valid polynomials keeps them valid."""
-    terms = tuple(sorted((i, j, c) for (i, j), c in coeffs.items() if c))
-    return unchecked(BivariatePolynomial, terms=terms)
-
-
-ONE = BivariatePolynomial.monomial(0, 0)
-X = BivariatePolynomial.monomial(1, 0)
-Y = BivariatePolynomial.monomial(0, 1)
-
-
 @lru_cache(maxsize=None)
 def shifted_power_term(a: int, b: int) -> BivariatePolynomial:
-    """(x-1)^a (y-1)^b by the binomial theorem; polynomials are frozen, so
-    each exponent pair is expanded once."""
-    return _collected({(i, j): (-1) ** (a - i + b - j) * comb(a, i) * comb(b, j)
-                       for i in range(a + 1) for j in range(b + 1)})
+    """(x-1)^a (y-1)^b by the binomial theorem, its terms built sorted and
+    nonzero; polynomials are frozen, so each exponent pair is expanded once."""
+    terms = tuple((i, j, (-1) ** (a - i + b - j) * comb(a, i) * comb(b, j))
+                  for i in range(a + 1) for j in range(b + 1))
+    return unchecked(BivariatePolynomial, terms=terms)
 
 
 def _shifts(n: int) -> tuple[int, int]:

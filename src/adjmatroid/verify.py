@@ -12,11 +12,12 @@ interlace_subset runs.  The fourreg suite walks each corpus graph's
 transition systems once; `verify` and the tests drive the suites.
 
 A slow reference lives beside its checks, here, unless the CLI or the
-benchmark needs it: _all_subspaces, _kappa, and the interlace routes
-_q_from_lambda and _interlace_vertex_terms over one _induced_nullities table
-per graph.  bench/workloads.py checks outputs with four that stay in the
-library: polynomials.interlace_recursive and tutte_recursive, and
-SetSystem.loop_complement_sequential and dual_pivot_sequential.
+benchmark needs it: _all_subspaces, _kappa, the polynomial sum and product
+_poly_sum and _poly_times, which build through the validating constructor,
+and the interlace routes _q_from_lambda and _interlace_vertex_terms over one
+_induced_nullities table per graph.  bench/workloads.py checks outputs with
+four that stay in the library: polynomials.interlace_recursive and
+tutte_recursive, and SetSystem.loop_complement_sequential and dual_pivot_sequential.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import delta_matroid as dm
 from .adjacency_matroid import (
@@ -987,12 +988,25 @@ def fourreg_suite(max_n: int = 5, trials: int = 60, seed: int = 0) -> list[Check
 
 
 def _induced_nullities(g: LoopedSimpleGraph) -> list[int]:
-    """nu(G[S]) for every vertex mask S, read from the leading Tutte term of
-    the induced subgraph's matroid: one matroid per subset."""
+    """nu(G[S]) for every vertex mask S, the top y-exponent of the leading
+    Tutte term (y-1)^nu of the induced subgraph's matroid: one matroid per subset."""
     return [
-        lambda_leading(adjacency_matroid(g.induced_mask(mask))).degree_y()
+        lambda_leading(adjacency_matroid(g.induced_mask(mask))).terms[-1][1]
         for mask in range(1 << g.n)
     ]
+
+
+def _poly_sum(*term_streams: Iterable[tuple[int, int, int]]) -> BivariatePolynomial:
+    """The (i, j, c) terms of every stream added up, through the validating
+    constructor: the polynomial sum of the oracles below."""
+    coeffs: dict[tuple[int, int], int] = {}
+    for i, j, c in itertools.chain(*term_streams):
+        coeffs[i, j] = coeffs.get((i, j), 0) + c
+    return BivariatePolynomial(tuple(sorted((i, j, c) for (i, j), c in coeffs.items() if c)))
+
+
+def _poly_times(p: BivariatePolynomial, q: BivariatePolynomial) -> BivariatePolynomial:
+    return _poly_sum((i + a, j + b, c * d) for i, j, c in p.terms for a, b, d in q.terms)
 
 
 def _q_from_lambda(nullities: list[int], bit: int = 0) -> BivariatePolynomial:
@@ -1000,11 +1014,8 @@ def _q_from_lambda(nullities: list[int], bit: int = 0) -> BivariatePolynomial:
     (x-1)^(|S|-nu) (y-1)^nu summed over the vertex masks S holding bit
     (every S when bit is 0)."""
     counts = Counter((m.bit_count() - nu, nu) for m, nu in enumerate(nullities) if m & bit == bit)
-    coeffs: dict[tuple[int, int], int] = {}
-    for (a, b), count in counts.items():
-        for i, j, c in shifted_power_term(a, b).terms:
-            coeffs[i, j] = coeffs.get((i, j), 0) + count * c
-    return BivariatePolynomial.from_dict(coeffs)
+    return _poly_sum((i, j, count * c) for (a, b), count in counts.items()
+                     for i, j, c in shifted_power_term(a, b).terms)
 
 
 def _interlace_vertex_terms(
@@ -1028,7 +1039,7 @@ def _poly_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
         assert t == tutte_recursive(mg)
 
     with rec.check("tutte-polynomial-swaps-under-duality", witness):
-        assert t.swap_variables() == tutte_subset(mg.dual())
+        assert _poly_sum((j, i, c) for i, j, c in t.terms) == tutte_subset(mg.dual())
 
     with rec.check("leading-term-recursion", witness):
         lam, step = lambda_leading(mg), shifted_power_term(0, 1)
@@ -1036,11 +1047,11 @@ def _poly_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
             lam_del = lambda_leading(mg.delete(v))
             lam_con = lambda_leading(mg.contract(v))
             if mg.is_loop(v):
-                assert lam == step * lam_del == step * lam_con
+                assert lam == _poly_times(step, lam_del) == _poly_times(step, lam_con)
             elif mg.is_coloop(v):
                 assert lam == lam_del == lam_con
             else:
-                assert lam == step * lam_del == lam_con
+                assert lam == _poly_times(step, lam_del) == lam_con
 
     with rec.check("leading-term-complement-rules", witness):
         lam, step = lambda_leading(mg), shifted_power_term(0, 1)
@@ -1049,14 +1060,14 @@ def _poly_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
             if not g.is_looped(v):
                 assert lam == lambda_leading(adjacency_matroid(gv))
                 if not g.neighbors(v):
-                    assert lam == step * lambda_leading(adjacency_matroid(g.minus(v)))
+                    assert lam == _poly_times(step, lambda_leading(adjacency_matroid(g.minus(v))))
             else:
                 assert lam == lambda_leading(adjacency_matroid(gv.minus(v)))
 
     with rec.check("vertex-terms-make-the-difference", witness):
         terms = _interlace_vertex_terms(g, nullities)
         for v in g.labels:
-            assert q - interlace_subset(g.minus(v)) == terms[v]
+            assert q == _poly_sum(interlace_subset(g.minus(v)).terms, terms[v].terms)
 
 
 def _poly_polygon_checks(rec: Recorder, trials: int, seed: int) -> None:

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from math import comb
@@ -13,8 +14,9 @@ import pytest
 
 import adjmatroid
 from adjmatroid.cli import main
-from adjmatroid.graph import MultiGraph, as_multigraph
-from adjmatroid.graphtext import parse_graph
+from adjmatroid.gf2 import BitMatrix, symmetrize_nullspace
+from adjmatroid.graph import LoopedSimpleGraph, MultiGraph, as_multigraph, default_labels
+from adjmatroid.graphtext import graph_to_json, parse_graph, render_graph
 from adjmatroid.verify import MAX_FAILURES_KEPT, Recorder
 
 K3_TEXT = "vertices a b c\nedge a b\nedge b c\nedge a c\n"
@@ -208,6 +210,34 @@ def test_symmetrize(tmp_path, capsys):
         '{"edges": [["v1", "v3"], ["v2", "v3"], ["v2", "v4"], ["v3", "v4"]], '
         '"loops": ["v1", "v2", "v4"], "vertices": ["v0", "v1", "v2", "v3", "v4"]}\n'
     )
+
+
+def test_symmetrize_builds_its_graph_unchecked(tmp_path, capsys, monkeypatch):
+    """R^T R is symmetric by construction, so the command validates no graph,
+    and prints what the validated graph prints: the inputs above, then seeded
+    matrices up to 10 x 12."""
+    rng = random.Random(5493)
+    matrices = [[[1, 1]], [[0, 1, 1, 0, 1], [0, 0, 1, 1, 1], [0, 1, 0, 1, 0]]]
+    for _ in range(20):
+        rows, cols = rng.randint(1, 10), rng.randint(1, 12)
+        matrices.append([[rng.randint(0, 1) for _ in range(cols)] for _ in range(rows)])
+    expected = []
+    for rows in matrices:
+        b = symmetrize_nullspace(BitMatrix.from_rows(rows))
+        g = LoopedSimpleGraph(default_labels(b.rows), b)
+        expected.append((render_graph(g), json.dumps(graph_to_json(g), sort_keys=True) + "\n"))
+    counts, inner = {"__post_init__": 0}, LoopedSimpleGraph.__post_init__
+
+    def counted(self):
+        counts["__post_init__"] += 1
+        inner(self)
+
+    monkeypatch.setattr(LoopedSimpleGraph, "__post_init__", counted)
+    for rows, (text, payload) in zip(matrices, expected):
+        path = write(tmp_path, "m", "".join("".join(map(str, row)) + "\n" for row in rows))
+        assert run(capsys, "symmetrize", "--input", path) == (0, text, "")
+        assert run(capsys, "symmetrize", "--format", "json", "--input", path) == (0, payload, "")
+    assert counts == {"__post_init__": 0}
 
 
 def stdin_bytes(data: bytes) -> io.TextIOWrapper:

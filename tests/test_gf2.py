@@ -478,7 +478,18 @@ def test_rank_nullity_additivity():
             assert a.mul_mask(v) == 0
 
 
+def flipped(a: BitMatrix, *cells: tuple[int, int]) -> BitMatrix:
+    """a with the entry at each (row, column) cell flipped."""
+    rows = list(a.data)
+    for i, j in cells:
+        rows[i] ^= 1 << j
+    return BitMatrix(a.rows, a.cols, tuple(rows))
+
+
 def test_is_symmetric_matches_the_transpose():
+    """Every matrix up to 3x3; seeded symmetric ones up to n = 20 with one
+    entry flipped above or below the diagonal, or two flipped that keep as
+    many entries above as below but leave one without its mirror."""
     square = [
         BitMatrix(n, n, tuple((packed >> (n * i)) & ((1 << n) - 1) for i in range(n)))
         for n in range(4)
@@ -487,12 +498,24 @@ def test_is_symmetric_matches_the_transpose():
     rng = random.Random(4)
     for n in range(4, 9):
         g = random_looped_simple_graph(rng, n)
-        i, j = rng.sample(range(n), 2)
-        square += [g.adj, BitMatrix(n, n, tuple(r ^ (1 << j) if k == i else r
-                                                for k, r in enumerate(g.adj.data)))]
+        square += [g.adj, flipped(g.adj, rng.sample(range(n), 2))]
+    balanced = 0
+    for n in range(2, 21):
+        for _ in range(3):
+            a = random_looped_simple_graph(rng, n).adj
+            i, j = sorted(rng.sample(range(n), 2))  # (i, j) lies above the diagonal
+            square += [flipped(a, (i, j)), flipped(a, (j, i))]
+            below = [
+                (k, m) for k in range(n) for m in range(k)
+                if (k, m) != (j, i) and a.entry(k, m) == a.entry(i, j)
+            ]
+            if below:  # both flips set an entry, or both clear one
+                square.append(flipped(a, (i, j), rng.choice(below)))
+                balanced += 1
     for a in square:
         assert a.is_symmetric == (a.data == a.transpose().data)
     assert sum(a.is_symmetric for a in square) == 1 + 2 + 8 + 64 + 5
+    assert balanced == 53  # of 57: n = 2 has no other cell below, one n = 3 draw no match
     assert not BitMatrix(2, 3, (0b010, 0b001)).is_symmetric
 
 

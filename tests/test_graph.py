@@ -43,6 +43,7 @@ from adjmatroid.polynomials import (
     BivariatePolynomial,
     interlace_recursive,
     interlace_subset,
+    shifted_power_term,
     tutte_subset,
 )
 
@@ -259,7 +260,7 @@ def unchecked_outputs(g: LoopedSimpleGraph, rng: random.Random) -> list:
     for v in g.labels:
         out += [d.delete([v]), d.contract(v), d.tilde_minus(v), d.tilde_contract(v)]
     p, q = interlace_subset(g), tutte_subset(m)
-    out += [p, q, p + q, p - q, p * q, p.scale(-3), q.swap_variables()]
+    out += [p, q, shifted_power_term(m.rank, m.nullity), shifted_power_term(m.nullity, g.n)]
     if all(g.adj.data):  # no isolated unlooped vertex: g is a touch-graph
         r = realize_touch_graph(g)
         c = euler_system(r.f)

@@ -3,9 +3,10 @@ definition in the package is referenced from the package or the benchmark
 (a class or static method through its own class), object.__new__, the
 principal scan, the coloop pass and pairing validation each have one site,
 the two row eliminations run only inside gf2 and gf2 runs two in all, both
-subset expansions read distance layers, every polynomial evaluator reads
-its polynomial out of one packed tally, the one-coordinate pivot, the
-per-set-bit walk and the min/max closure each have one kernel, in gf2, and
+subset expansions read distance layers, a polynomial is a value with no
+arithmetic that the library builds only out of a packed tally or by the
+binomial form, the one-coordinate pivot, the per-set-bit walk and the
+min/max closure each have one kernel, in gf2, and
 the min-equicardinal oracle builds no set system, binary_matroid and
 polynomials import no delta_matroid, both work limits and their checkers
 are defined only in gf2, only the minor routes build an adjacency matroid, the
@@ -689,18 +690,7 @@ def test_both_subset_expansions_read_distance_layers():
     assert sites(POLYNOMIALS.read_text(), reads_layers) == ["interlace_subset", "tutte_subset"]
 
 
-def collects_outside_the_arithmetic(source: str) -> list[str]:
-    """Where the source builds a polynomial's terms unchecked, by _collected
-    or by unchecked(BivariatePolynomial, ...), outside BivariatePolynomial's
-    methods and _collected itself."""
-    hit = builds_unchecked("BivariatePolynomial")
-    return [
-        scope for scope in sites(source, lambda node: calls("_collected")(node) or hit(node))
-        if scope != "_collected" and not scope.startswith("BivariatePolynomial.")
-    ]
-
-
-POLYNOMIAL_NAMES = frozenset({"BivariatePolynomial", "ONE", "X", "Y"})
+POLYNOMIAL_NAMES = frozenset({"BivariatePolynomial", "shifted_power_term"})
 
 
 def polynomial_names(source: str, function: str) -> list[str]:
@@ -714,36 +704,69 @@ def polynomial_names(source: str, function: str) -> list[str]:
     })
 
 
-def test_checker_finds_every_collected_term_list_and_polynomial_in_a_recursion():
+def class_members(source: str, cls: str) -> list[str]:
+    """The names class cls binds in its body by def or plain assignment, in
+    source order; annotated fields are data, not members."""
+    body = next(node for name, node in definitions(source) if name == cls).body
+    return [
+        name for node in body
+        for name in (
+            [node.name] if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            else [t.id for t in node.targets if isinstance(t, ast.Name)]
+            if isinstance(node, ast.Assign) else []
+        )
+    ]
+
+
+def test_checker_finds_every_polynomial_build_member_and_recursion_read():
     source = (
         "class BivariatePolynomial:\n"
+        "    terms: tuple\n"
         "    def scale(self, c):\n"
-        "        return _collected({})\n"
-        "def _collected(coeffs):\n"
-        "    return unchecked(BivariatePolynomial, terms=tuple(coeffs))\n"
+        "        return unchecked(BivariatePolynomial, terms=())\n"
+        "    __mul__ = scale\n"
         "def _from_tally(t, n):\n"
         "    return gf2.unchecked(BivariatePolynomial, terms=()), unchecked(Other, terms=())\n"
-        "def _power(a, b):\n"
-        "    return polynomials._collected({})\n"
         "def q_rec(g) -> BivariatePolynomial:\n"
         "    memo: dict[int, 'BivariatePolynomial'] = {}\n"
         "    def rec(h) -> int:\n"
-        "        return polynomials.ONE + X * rec(h)\n"
-        "    return _from_tally(rec(g), g.n)\n"
+        "        return polynomials.shifted_power_term(0, 1)\n"
+        "    return _from_tally(rec(g), g.n), BivariatePolynomial(())\n"
     )
-    assert collects_outside_the_arithmetic(source) == ["_from_tally", "_power"]
-    assert polynomial_names(source, "q_rec") == ["BivariatePolynomial", "ONE", "X"]
-    planted = POLYNOMIALS.read_text().replace("            return 1\n", "            return ONE\n")
-    assert polynomial_names(planted, "tutte_recursive") == ["ONE"]
-    planted = POLYNOMIALS.read_text() + "def q(g):\n    return _collected({(0, g.n): 1})\n"
-    assert collects_outside_the_arithmetic(planted) == ["shifted_power_term", "_from_tally", "q"]
+    unchecked_builds = builds_unchecked("BivariatePolynomial")
+    assert sites(source, unchecked_builds) == ["BivariatePolynomial.scale", "_from_tally"]
+    assert sites(source, calls("BivariatePolynomial")) == ["q_rec"]
+    assert class_members(source, "BivariatePolynomial") == ["scale", "__mul__"]
+    assert polynomial_names(source, "q_rec") == ["BivariatePolynomial", "shifted_power_term"]
+    planted = POLYNOMIALS.read_text().replace(
+        "            return 1\n", "            return shifted_power_term(0, 0)\n"
+    )
+    assert polynomial_names(planted, "tutte_recursive") == ["shifted_power_term"]
+    planted = POLYNOMIALS.read_text().replace(
+        "    def evaluate(", "    def __add__(self, other):\n        return self\n\n    def evaluate("
+    )
+    assert class_members(planted, "BivariatePolynomial")[:2] == ["__post_init__", "__add__"]
+    planted = VERIFY.read_text() + "def q(g):\n    return unchecked(BivariatePolynomial, terms=())\n"
+    assert sites(planted, unchecked_builds) == ["q"]
+    planted = POLYNOMIALS.read_text() + "ONE = BivariatePolynomial(((0, 0, 1),))\n"
+    assert sites(planted, calls("BivariatePolynomial")) == ["<module>"]
 
 
 def test_each_evaluator_builds_its_polynomial_once_from_a_tally():
-    """Outside the arithmetic, only the tally conversion and the closed
-    binomial form collect terms, and the recursions add packed tallies."""
+    """The library builds a polynomial in two places: the tally conversion
+    that the four evaluators end in, and the closed binomial form; the
+    recursions add packed tallies.  The class has no arithmetic, and only
+    verify's oracle sum goes through the validating constructor."""
+    assert sites_in_sources(builds_unchecked("BivariatePolynomial")) == {
+        "src/adjmatroid/polynomials.py": ["shifted_power_term", "_from_tally"]
+    }
+    assert sites_in_sources(calls("BivariatePolynomial")) == {
+        "src/adjmatroid/verify.py": ["_poly_sum"]
+    }
     source = POLYNOMIALS.read_text()
-    assert collects_outside_the_arithmetic(source) == ["shifted_power_term", "_from_tally"]
+    assert class_members(source, "BivariatePolynomial") == [
+        "__post_init__", "evaluate", "to_text", "to_json_terms"
+    ]
     for recursion in ("interlace_recursive", "tutte_recursive"):
         assert polynomial_names(source, recursion) == []
 
@@ -891,7 +914,7 @@ def test_only_the_kotzig_merge_builds_an_euler_system_unchecked():
 # underscores: each lives beside its checks in verify.py, or nowhere.
 VERIFY_REFERENCES = frozenset({
     "q_from_lambda", "interlace_vertex_terms", "induced_nullities", "kappa", "all_subspaces",
-    "phi_pairing", "psi_pairing",
+    "phi_pairing", "psi_pairing", "poly_sum", "poly_times",
 })
 
 
@@ -910,6 +933,8 @@ def test_checker_finds_every_verify_reference():
         "def kappas(): ...\n"
     )
     assert verify_references(source) == ["kappa", "EulerSystem.phi_pairing", "_all_subspaces"]
+    planted = POLYNOMIALS.read_text() + "def _poly_times(p, q): ...\n"
+    assert verify_references(planted) == ["_poly_times"]
 
 
 def test_verify_references_live_only_in_verify():
@@ -920,8 +945,8 @@ def test_verify_references_live_only_in_verify():
     }
     assert found == {
         "src/adjmatroid/verify.py": [
-            "_all_subspaces", "_kappa", "_induced_nullities", "_q_from_lambda",
-            "_interlace_vertex_terms",
+            "_all_subspaces", "_kappa", "_induced_nullities", "_poly_sum", "_poly_times",
+            "_q_from_lambda", "_interlace_vertex_terms",
         ]
     }
 

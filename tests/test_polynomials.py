@@ -1,4 +1,4 @@
-"""Polynomial arithmetic and the evaluator identities."""
+"""The polynomial value, verify's oracle arithmetic and the evaluator identities."""
 
 import itertools
 import random
@@ -12,9 +12,6 @@ from adjmatroid.adjacency_matroid import adjacency_matroid
 from adjmatroid.binary_matroid import BinaryMatroid, free_matroid, single_coloop
 from adjmatroid.graph import LoopedSimpleGraph, all_looped_simple_graphs, random_looped_simple_graph
 from adjmatroid.polynomials import (
-    ONE,
-    X,
-    Y,
     BivariatePolynomial,
     _from_tally,
     _shifts,
@@ -25,9 +22,23 @@ from adjmatroid.polynomials import (
     tutte_recursive,
     tutte_subset,
 )
-from adjmatroid.verify import _induced_nullities, _interlace_vertex_terms, _q_from_lambda
+from adjmatroid.verify import (
+    _induced_nullities,
+    _interlace_vertex_terms,
+    _poly_sum,
+    _poly_times,
+    _q_from_lambda,
+)
 
 K3 = LoopedSimpleGraph.build("abc", [("a", "b"), ("b", "c"), ("a", "c")])
+
+
+def poly(*terms: tuple[int, int, int]) -> BivariatePolynomial:
+    """The polynomial with these (x exponent, y exponent, coefficient) terms."""
+    return BivariatePolynomial(tuple(sorted(terms)))
+
+
+ONE, X, Y = poly((0, 0, 1)), poly((1, 0, 1)), poly((0, 1, 1))
 
 
 def q_from_lambda(g: LoopedSimpleGraph) -> BivariatePolynomial:
@@ -47,12 +58,18 @@ def all_loops(labels) -> BinaryMatroid:
 
 
 def test_arithmetic():
-    p = (X + Y) * (X - Y)
-    assert p == X * X - Y * Y
+    """verify's sum and product collect terms, drop zeros and build through
+    the validating constructor."""
+    p = _poly_times(_poly_sum(X.terms, Y.terms), _poly_sum(X.terms, [(0, 1, -1)]))
+    assert p == _poly_sum(_poly_times(X, X).terms, [(0, 2, -1)])
     assert p.terms == ((0, 2, -1), (2, 0, 1))  # (x-degree, y-degree, coefficient)
     assert p.evaluate(3, 2) == 5
-    assert p.swap_variables() == Y * Y - X * X
-    assert BivariatePolynomial(()) + ONE == ONE
+    assert _poly_sum((j, i, c) for i, j, c in p.terms) == poly((0, 2, 1), (2, 0, -1))
+    assert _poly_sum((), ONE.terms) == ONE
+    zero = BivariatePolynomial(())
+    assert _poly_sum(p.terms, [(i, j, -c) for i, j, c in p.terms]) == zero == _poly_times(p, zero)
+    with pytest.raises(ValueError):
+        _poly_sum([(-1, 0, 1)])
 
 
 def test_canonical_form_rejects_garbage():
@@ -65,27 +82,27 @@ def test_canonical_form_rejects_garbage():
 
 
 def test_shifted_power_term_matches_repeated_multiplication():
-    xm1 = X - ONE
-    ym1 = Y - ONE
+    xm1 = poly((0, 0, -1), (1, 0, 1))
+    ym1 = poly((0, 0, -1), (0, 1, 1))
     for a in range(5):
         for b in range(5):
             expected = ONE
             for _ in range(a):
-                expected = expected * xm1
+                expected = _poly_times(expected, xm1)
             for _ in range(b):
-                expected = expected * ym1
-            assert shifted_power_term(a, b) == expected
+                expected = _poly_times(expected, ym1)
+            term = shifted_power_term(a, b)
+            assert term == expected == BivariatePolynomial(term.terms)
 
 
 def binomial_expand(counts) -> BivariatePolynomial:
     """Reference: each (a, b) pair expanded by the binomial theorem."""
-    out: dict[tuple[int, int], int] = {}
-    for (a, b), count in counts.items():
-        for i in range(a + 1):
-            ci = count * comb(a, i) * (-1) ** (a - i)
-            for j in range(b + 1):
-                out[(i, j)] = out.get((i, j), 0) + ci * comb(b, j) * (-1) ** (b - j)
-    return BivariatePolynomial.from_dict(out)
+    return _poly_sum(
+        (i, j, count * comb(a, i) * (-1) ** (a - i) * comb(b, j) * (-1) ** (b - j))
+        for (a, b), count in counts.items()
+        for i in range(a + 1)
+        for j in range(b + 1)
+    )
 
 
 def packed(counts, n: int) -> int:
@@ -178,7 +195,7 @@ def test_slot_bound_holds_at_the_enumeration_gate():
     for edges, loops in itertools.product(([], complete), ((), labels)):
         g = LoopedSimpleGraph.build(labels, edges, loops=loops)
         assert interlace_subset(g) == binomial_expand(layer_tally(g))
-    x_n, y_n = BivariatePolynomial.monomial(n, 0), BivariatePolynomial.monomial(0, n)
+    x_n, y_n = poly((n, 0, 1)), poly((0, n, 1))
     assert tutte_subset(free_matroid(labels)) == tutte_recursive(free_matroid(labels)) == x_n
     assert tutte_subset(all_loops(labels)) == tutte_recursive(all_loops(labels)) == y_n
 
@@ -211,13 +228,13 @@ def test_last_layer_counts_what_the_others_leave_at_the_enumeration_gate():
     labels = tuple(f"v{i}" for i in range(n))
     circuit = BinaryMatroid(labels, gf2.Subspace.span(n, [(1 << n) - 1]))
     parallel = BinaryMatroid(labels, gf2.Subspace.span(n, [1 | 1 << i for i in range(1, n)]))
-    x_powers = [BivariatePolynomial.monomial(i, 0) for i in range(1, n)]
-    y_powers = [BivariatePolynomial.monomial(0, j) for j in range(1, n)]
+    x_powers = [(i, 0, 1) for i in range(1, n)]
+    y_powers = [(0, j, 1) for j in range(1, n)]
     expected = [
-        (free_matroid(labels), BivariatePolynomial.monomial(n, 0)),
-        (all_loops(labels), BivariatePolynomial.monomial(0, n)),
-        (circuit, sum(x_powers, Y)),
-        (parallel, sum(y_powers, X)),
+        (free_matroid(labels), poly((n, 0, 1))),
+        (all_loops(labels), poly((0, n, 1))),
+        (circuit, poly(*x_powers, *Y.terms)),
+        (parallel, poly(*y_powers, *X.terms)),
     ]
     for m, t in expected:
         assert tutte_subset(m) == tutte_recursive(m) == t
@@ -248,11 +265,11 @@ def test_tutte_subset_matches_the_column_masked_tally(reference_matroids, tutte_
 def test_text_rendering():
     assert BivariatePolynomial(()).to_text() == "0"
     assert ONE.to_text() == "1"
-    assert (X + Y).to_text() == "x + y"
-    poly = BivariatePolynomial.from_dict({(2, 0): 1, (1, 0): 1, (0, 1): 1})
-    assert poly.to_text() == "x^2 + x + y"
+    assert poly((1, 0, 1), (0, 1, 1)).to_text() == "x + y"
+    p = poly((2, 0, 1), (1, 0, 1), (0, 1, 1))
+    assert p.to_text() == "x^2 + x + y"
     assert shifted_power_term(0, 1).to_text() == "y + -1"
-    assert poly.to_json_terms() == [[2, 0, 1], [1, 0, 1], [0, 1, 1]]
+    assert p.to_json_terms() == [[2, 0, 1], [1, 0, 1], [0, 1, 1]]
 
 
 def test_interlace_examples():
@@ -268,14 +285,14 @@ def test_tutte_examples():
     assert tutte_subset(all_loops("v")) == Y
     u32 = BinaryMatroid(tuple("abc"), gf2.Subspace(3, (0b111,)))
     assert tutte_subset(u32).to_text() == "x^2 + x + y"
-    assert tutte_recursive(free_matroid("abc")) == X * X * X
-    assert tutte_recursive(all_loops("ab")) == Y * Y
+    assert tutte_recursive(free_matroid("abc")) == poly((3, 0, 1))
+    assert tutte_recursive(all_loops("ab")) == poly((0, 2, 1))
 
 
 def test_lambda_examples():
     assert lambda_leading(free_matroid("abc")) == ONE
-    assert lambda_leading(all_loops("v")) == Y - ONE
-    assert lambda_leading(adjacency_matroid(K3)) == Y - ONE
+    assert lambda_leading(all_loops("v")) == poly((0, 0, -1), (0, 1, 1))
+    assert lambda_leading(adjacency_matroid(K3)) == poly((0, 0, -1), (0, 1, 1))
 
 
 def test_evaluators_agree_exhaustive_small():
@@ -317,7 +334,8 @@ def test_oracle_routes_never_call_the_subset_kernel(monkeypatch):
     for g, (q, t) in zip(graphs, expected):
         assert q_from_lambda(g) == interlace_recursive(g) == q
         v = g.labels[0]
-        assert interlace_vertex_terms(g)[v] == q - interlace_recursive(g.minus(v))
+        rest, terms = interlace_recursive(g.minus(v)), interlace_vertex_terms(g)[v]
+        assert _poly_sum(rest.terms, terms.terms) == q
         assert tutte_recursive(adjacency_matroid(g)) == t
 
 
@@ -341,13 +359,13 @@ def test_vertex_terms_identity():
         terms = interlace_vertex_terms(g)
         assert set(terms) == set(g.labels)
         for v in g.labels:
-            assert q - interlace_subset(g.minus(v)) == terms[v]
+            assert _poly_sum(interlace_subset(g.minus(v)).terms, terms[v].terms) == q
 
 
 def test_tutte_duality_swap():
     for g in all_looped_simple_graphs(3):
         m = adjacency_matroid(g)
-        assert tutte_subset(m).swap_variables() == tutte_subset(m.dual())
+        assert _poly_sum((j, i, c) for i, j, c in tutte_subset(m).terms) == tutte_subset(m.dual())
 
 
 def test_size_gate():

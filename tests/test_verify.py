@@ -146,7 +146,9 @@ def test_interlace_oracles_build_one_table_each(monkeypatch):
     terms = verify._interlace_vertex_terms(g, nullities)
     assert len(calls) == 1 << g.n  # one matroid per subset, read by both oracles
     assert q == interlace_subset(g)
-    assert {v: q - interlace_subset(g.minus(v)) for v in g.labels} == terms
+    assert set(terms) == set(g.labels)
+    for v in g.labels:  # q(G) = q(G - v) + the terms over the subsets holding v
+        assert verify._poly_sum(interlace_subset(g.minus(v)).terms, terms[v].terms) == q
     calls.clear()
     rec = verify.Recorder()
     verify._poly_graph_checks(rec, g)
