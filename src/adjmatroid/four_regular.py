@@ -13,7 +13,10 @@ circuits.  Each derived table is built in one pass with no function call per
 element: the passages and `TransitionSystem.from_circuits` carry the
 previous arriving half along each circuit instead of indexing back into it.
 
-Each graph builds its Euler system once, as the cached
+An Euler system is a circuit partition with one circuit per connected
+component: `EulerSystem` subclasses `CircuitPartition` with only that check.
+`_traced` returns the circuits of a valid pairing, and each builder wraps
+them in its own type.  Each graph builds its Euler system once, as the cached
 `HalfEdgeGraph.euler_system`, shared by every caller holding the same graph.
 Both Euler systems come from one kernel, Kotzig's merge (`_merged`): trace a
 start system once, then in one union-find pass re-pair each vertex whose two
@@ -35,7 +38,8 @@ k+3q, k+3q+1 and k+3q+2, and its j-th loop splits element j.
 
 Validation happens at the boundary, once.  `partition_from_transitions`
 validates a caller's pairing before it traces it, and MultiGraph(...) and
-build, HalfEdgeGraph(...) and EulerSystem(...) check what they are given.
+build, HalfEdgeGraph(...) and EulerSystem(f, transitions, circuits) check
+what they are given.
 `transition_type`, `relative_interlacement` and `compatible_euler_system`
 reject a partition traced on another graph (`HalfEdgeGraph.check_partition`,
 O(1) when both hold the same graph object).
@@ -232,11 +236,11 @@ class CircuitPartition:
 def partition_from_transitions(f: HalfEdgeGraph, t: TransitionSystem) -> CircuitPartition:
     """Follow the pairings; circuits come out in order of least half-edge."""
     t.validate(f)
-    return _traced(f, t)
+    return CircuitPartition(f, t, _traced(f, t))
 
 
-def _traced(f: HalfEdgeGraph, t: TransitionSystem) -> CircuitPartition:
-    """The partition of a system already known to be valid."""
+def _traced(f: HalfEdgeGraph, t: TransitionSystem) -> tuple[tuple[int, ...], ...]:
+    """The circuits of a system already known to be valid."""
     visited = [False] * f.half_count
     circuits = []
     for h0 in range(f.half_count):
@@ -252,11 +256,11 @@ def _traced(f: HalfEdgeGraph, t: TransitionSystem) -> CircuitPartition:
             if h == h0:
                 break
         circuits.append(tuple(orbit))
-    return CircuitPartition(f, t, tuple(circuits))
+    return tuple(circuits)
 
 
 @dataclass(frozen=True)
-class EulerSystem:
+class EulerSystem(CircuitPartition):
     """A circuit partition with exactly one circuit per connected component.
 
     The stored traversal order of each circuit fixes its preferred
@@ -264,23 +268,9 @@ class EulerSystem:
     out-directed.
     """
 
-    partition: CircuitPartition
-
     def __post_init__(self) -> None:
-        if self.partition.size != self.f.component_count:
+        if self.size != self.f.component_count:
             raise ValueError("not one circuit per connected component")
-
-    @property
-    def f(self) -> HalfEdgeGraph:
-        return self.partition.f
-
-    @property
-    def circuits(self) -> tuple[tuple[int, ...], ...]:
-        return self.partition.circuits
-
-    @property
-    def transitions(self) -> TransitionSystem:
-        return self.partition.transitions
 
 
 def euler_system(f: HalfEdgeGraph) -> EulerSystem:
@@ -296,7 +286,7 @@ def transition_type(c: EulerSystem, p: CircuitPartition, v: int) -> TransitionTy
     with the orientation (chi), or pairs the two in-directed halves (psi)."""
     c.f.check_vertex(v)
     c.f.check_partition(p)
-    return _kinds((c.partition.passages[v],), p.transitions.pairing)[0]
+    return _kinds((c.passages[v],), p.transitions.pairing)[0]
 
 
 def _kinds(
@@ -341,7 +331,7 @@ def interlacement(c: EulerSystem) -> LoopedSimpleGraph:
 def relative_interlacement(c: EulerSystem, p: CircuitPartition) -> LoopedSimpleGraph:
     """Interlacement of c with phi vertices dropped and psi vertices looped."""
     c.f.check_partition(p)
-    kinds = _kinds(c.partition.passages, p.transitions.pairing)
+    kinds = _kinds(c.passages, p.transitions.pairing)
     kept = [v for v, kind in enumerate(kinds) if kind != "phi"]
     bit = [0] * c.f.n
     for i, v in enumerate(kept):
@@ -399,7 +389,8 @@ def _merged(f: HalfEdgeGraph, quads: Sequence[tuple[int, ...]]) -> EulerSystem:
         if c1 != c2 and (r1 := find_root(parent, c1)) != (r2 := find_root(parent, c2)):
             pairing[x1], pairing[x2], pairing[y1], pairing[y2] = x2, x1, y2, y1
             parent[r1] = r2
-    return unchecked(EulerSystem, partition=_traced(f, TransitionSystem(pairing)))
+    t = TransitionSystem(pairing)
+    return unchecked(EulerSystem, f=f, transitions=t, circuits=_traced(f, t))
 
 
 @dataclass(frozen=True)
@@ -475,7 +466,8 @@ def file_order_partition(f: HalfEdgeGraph) -> CircuitPartition:
     in edge-insertion order; this is how a plain edge list encodes one.  It
     is valid by construction, so traced unvalidated, as `_merged` traces it."""
     pairs = [pair for v in range(f.n) for pair in f.transitions_at(v)[0]]
-    return _traced(f, TransitionSystem.from_pairs(f, pairs))
+    t = TransitionSystem.from_pairs(f, pairs)
+    return CircuitPartition(f, t, _traced(f, t))
 
 
 SAMPLE_TRIES = 200  # configuration-model draws before giving up on connectivity

@@ -49,7 +49,8 @@ def unchecked(cls: type[T], **fields: Any) -> T:
     BitMatrix(...) and from_rows, Subspace(...) and span, BinaryMatroid(...)
     and from_matrix, SetSystem(...) and from_sets, DeltaMatroid(...),
     BivariatePolynomial(...), MultiGraph(...) and build, HalfEdgeGraph(...),
-    EulerSystem(...), and partition_from_transitions for a caller's pairing."""
+    EulerSystem(f, transitions, circuits), and partition_from_transitions
+    for a caller's pairing."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj

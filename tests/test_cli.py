@@ -13,6 +13,7 @@ import networkx
 import pytest
 
 import adjmatroid
+from adjmatroid.adjacency_matroid import adjacency_matroid
 from adjmatroid.cli import main
 from adjmatroid.gf2 import BitMatrix, symmetrize_nullspace
 from adjmatroid.graph import LoopedSimpleGraph, MultiGraph, as_multigraph, default_labels
@@ -80,6 +81,23 @@ def test_minor_contract_shows_witness(tmp_path, capsys):
     assert "{b c}" in out
     assert "lc sequence: b a" in out
     assert "vertices a b c" in out
+
+
+def test_minor_delete_lists_the_circuits_of_the_deletion(tmp_path, capsys):
+    """Deleting c, on two of the three circuits, and the looped coloop g, on
+    none, prints the deletion's circuits by size, then in label order."""
+    text = "vertices a b c d g\nedge a b\nedge b c\nedge a c\nedge a d\nedge b d\nloop g\n"
+    path = write(tmp_path, "g", text)
+    m = adjacency_matroid(parse_graph(text))
+    expected = {"c": [["a", "b", "d"]], "g": [["c", "d"], ["a", "b", "c"], ["a", "b", "d"]]}
+    for v, circuits in expected.items():
+        assert m.is_coloop(v) == (v == "g")
+        assert {frozenset(c) for c in circuits} == m.delete(v).circuits()
+        code, out, err = run(capsys, "minor", "--delete", v, "--input", path)
+        assert (code, err) == (0, "")
+        assert out == "".join("{" + " ".join(c) + "}\n" for c in circuits)
+        code, out, _ = run(capsys, "minor", "--delete", v, "--format", "json", "--input", path)
+        assert code == 0 and json.loads(out) == {"circuits": circuits}
 
 
 def test_minor_needs_exactly_one_flag(tmp_path, capsys):

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from adjmatroid import four_regular, verify
 from adjmatroid.four_regular import (
+    CircuitPartition,
     EulerSystem,
     HalfEdgeGraph,
     TransitionSystem,
@@ -37,6 +38,11 @@ from adjmatroid.graph import (
 
 FIG8 = HalfEdgeGraph(MultiGraph.build("a", [("a", "a"), ("a", "a")]))
 PARALLEL4 = HalfEdgeGraph(MultiGraph.build("uv", [("u", "v")] * 4))
+
+
+def as_euler_system(p) -> EulerSystem:
+    """p through the validating Euler-system constructor."""
+    return EulerSystem(p.f, p.transitions, p.circuits)
 
 
 def edge_sets(p) -> frozenset[frozenset[int]]:
@@ -126,7 +132,7 @@ def test_interlacement_examples():
 
 def test_partition_sizes():
     c = euler_system(FIG8)
-    assert c.partition.size == FIG8.component_count == 1
+    assert c.size == FIG8.component_count == 1
     sizes = sorted(
         partition_from_transitions(FIG8, t).size for t in all_transition_systems(FIG8)
     )
@@ -148,7 +154,7 @@ def test_transition_types():
         f = HalfEdgeGraph(mg)
         c = euler_system(f)
         assert all(
-            transition_type(c, c.partition, v) == "phi" for v in range(f.n)
+            transition_type(c, c, v) == "phi" for v in range(f.n)
         )
         for t in all_transition_systems(f):
             p = partition_from_transitions(f, t)
@@ -169,12 +175,12 @@ def test_kappa_on_figure_eight():
     c = euler_system(FIG8)
     cv = verify._kappa(c, 0)
     assert len(cv.circuits) == 1 and len(cv.circuits[0]) == 2
-    assert transition_type(c, cv.partition, 0) == "psi"
+    assert transition_type(c, cv, 0) == "psi"
 
 
 def test_relative_interlacement():
     c = euler_system(PARALLEL4)
-    own = relative_interlacement(c, c.partition)
+    own = relative_interlacement(c, c)
     assert own.n == 0  # every vertex follows the system
     for t in all_transition_systems(PARALLEL4):
         p = partition_from_transitions(PARALLEL4, t)
@@ -196,7 +202,7 @@ def test_circuit_nullity_formula_small():
 
 def test_touch_graph_shapes():
     c = euler_system(PARALLEL4)
-    tch = touch_graph(c.partition)
+    tch = touch_graph(c)
     assert tch.n == 1
     assert all(u == v for u, v in tch.edges)  # one bouquet vertex
     # figure eight split into two loops: two circuit vertices, one edge
@@ -485,12 +491,12 @@ def assert_derived_objects_match_the_boundary(f: HalfEdgeGraph, p) -> None:
     differs from the file-order partition it merges at one vertex per
     circuit it joins."""
     c = euler_system(f)
-    assert c == EulerSystem(partition_from_transitions(f, c.transitions))
+    assert c == as_euler_system(partition_from_transitions(f, c.transitions))
     start = file_order_partition(f)
-    switched = sum(c.partition.pairing_at(v) != start.pairing_at(v) for v in range(f.n))
+    switched = sum(c.pairing_at(v) != start.pairing_at(v) for v in range(f.n))
     assert switched == start.size - f.component_count
     comp = compatible_euler_system(f, p)
-    assert comp == EulerSystem(partition_from_transitions(f, comp.transitions))
+    assert comp == as_euler_system(partition_from_transitions(f, comp.transitions))
     labels = tuple(f"c{i}" for i in range(p.size))
     passing = [p.circuits_through(v) for v in range(f.n)]
     tch = touch_graph(p)
@@ -524,8 +530,10 @@ def test_euler_system_rejects_the_wrong_circuit_count():
         partitions = (partition_from_transitions(f, t) for t in all_transition_systems(f))
         p = next(p for p in partitions if p.size == size)
         with pytest.raises(ValueError, match="^not one circuit per connected component$"):
-            EulerSystem(p)
-    assert EulerSystem(euler_system(two).partition) == euler_system(two)
+            as_euler_system(p)
+    c = euler_system(two)
+    assert as_euler_system(c) == c and hash(as_euler_system(c)) == hash(c)
+    assert isinstance(c, CircuitPartition) and not hasattr(c, "partition")
 
 
 def test_random_four_regular_is_four_regular():
@@ -632,7 +640,7 @@ def test_incidence_tables_match_the_edge_scans():
         for v in range(f.n):
             a, b, c, d = scan_halves(mg, v)
             assert f.transitions_at(v)[0] == ((a, b), (c, d))
-        for p in (euler_system(f).partition, file_order_partition(f), random_partition(rng, f)):
+        for p in (euler_system(f), file_order_partition(f), random_partition(rng, f)):
             assert p.passages == tuple(scan_passages(p, v) for v in range(f.n))
 
 
@@ -673,20 +681,20 @@ def pairwise_interlacement(c) -> LoopedSimpleGraph:
 def chi_pairing(c, v: int):
     """The orientation-consistent pairing at v that c does not follow: each
     arriving half with the departing half of the other passage."""
-    (_, arr_a, dep_a), (_, arr_b, dep_b) = c.partition.passages[v]
+    (_, arr_a, dep_a), (_, arr_b, dep_b) = c.passages[v]
     return frozenset((frozenset((arr_a, dep_b)), frozenset((arr_b, dep_a))))
 
 
 def psi_pairing(c, v: int):
     """The orientation-inconsistent pairing at v: ins together, outs together."""
-    (_, arr_a, dep_a), (_, arr_b, dep_b) = c.partition.passages[v]
+    (_, arr_a, dep_a), (_, arr_b, dep_b) = c.passages[v]
     return frozenset((frozenset((arr_a, arr_b)), frozenset((dep_a, dep_b))))
 
 
 def pairing_transition_type(c, p, v: int) -> str:
     """Reference: match p's pairing at v against c's three pairings as sets."""
     part = p.pairing_at(v)
-    phi, chi, psi = c.partition.pairing_at(v), chi_pairing(c, v), psi_pairing(c, v)
+    phi, chi, psi = c.pairing_at(v), chi_pairing(c, v), psi_pairing(c, v)
     assert len({phi, chi, psi}) == 3
     return {phi: "phi", chi: "chi", psi: "psi"}[part]
 
@@ -708,7 +716,7 @@ def slow_kotzig(f: HalfEdgeGraph, quads) -> EulerSystem:
             switched = partition_from_transitions(f, p.transitions.rewired(((x1, x2), (y1, y2))))
             assert switched.size == p.size - 1
             p, on = switched, circuit_of(switched)
-    return EulerSystem(p)
+    return as_euler_system(p)
 
 
 def parent_compatible_pairing(f: HalfEdgeGraph, p) -> tuple[int, ...]:
@@ -760,7 +768,7 @@ def test_kotzig_references_on_seeded_graphs():
         for connected in (True, False):
             f = HalfEdgeGraph(sample_graph(rng, n, connected))
             assert (f.component_count == 1) == connected
-            for p in (file_order_partition(f), random_partition(rng, f), euler_system(f).partition):
+            for p in (file_order_partition(f), random_partition(rng, f), euler_system(f)):
                 assert_kotzig_references(f, p)
 
 
@@ -795,11 +803,11 @@ def test_one_pass_tables_on_every_small_partition():
     checked = 0
     for mg in small_four_regular_corpus():
         f = HalfEdgeGraph(mg)
-        assert_one_pass_tables(euler_system(f).partition)
+        assert_one_pass_tables(euler_system(f))
         for t in all_transition_systems(f):
             p = partition_from_transitions(f, t)
             assert_one_pass_tables(p)
-            assert_one_pass_tables(compatible_euler_system(f, p).partition)
+            assert_one_pass_tables(compatible_euler_system(f, p))
             checked += 1
     assert checked == 3 + 2 * 3**2 + 3 * 3**3 + 3 * 3**4 + 3 * 3**5
 
@@ -810,10 +818,10 @@ def test_one_pass_tables_on_seeded_graphs():
         for connected in (True, False):
             f = HalfEdgeGraph(sample_graph(rng, n, connected))
             assert (f.component_count == 1) == connected
-            assert_one_pass_tables(euler_system(f).partition)
+            assert_one_pass_tables(euler_system(f))
             for p in (file_order_partition(f), random_partition(rng, f)):
                 assert_one_pass_tables(p)
-                assert_one_pass_tables(compatible_euler_system(f, p).partition)
+                assert_one_pass_tables(compatible_euler_system(f, p))
 
 
 def test_a_partition_traced_on_another_graph_is_rejected():
@@ -850,10 +858,10 @@ def assert_compatible(f: HalfEdgeGraph, p, comp) -> None:
     traced circuits; the relative interlacement of comp against p keeps
     every vertex."""
     comp.transitions.validate(f)
-    assert partition_from_transitions(f, comp.transitions) == comp.partition
-    assert comp.partition.size == f.component_count
+    assert as_euler_system(partition_from_transitions(f, comp.transitions)) == comp
+    assert comp.size == f.component_count
     assert all(x != y for x, y in zip(comp.transitions.pairing, p.transitions.pairing))
-    assert all(comp.partition.pairing_at(v) != p.pairing_at(v) for v in range(f.n))
+    assert all(comp.pairing_at(v) != p.pairing_at(v) for v in range(f.n))
     assert sorted(relative_interlacement(comp, p).labels) == sorted(f.graph.labels)
 
 
@@ -946,7 +954,7 @@ def test_compatible_euler_system_on_seeded_graphs():
         for connected in (True, False):
             f = HalfEdgeGraph(sample_graph(rng, n, connected))
             assert (f.component_count == 1) == connected
-            for p in (file_order_partition(f), random_partition(rng, f), euler_system(f).partition):
+            for p in (file_order_partition(f), random_partition(rng, f), euler_system(f)):
                 assert_compatible(f, p, compatible_euler_system(f, p))
 
 
@@ -1042,7 +1050,7 @@ def test_relative_interlacement_builds_a_fixed_number_of_graphs(monkeypatch):
     for f in table_cases()[:20]:
         c = euler_system(f)
         p0 = file_order_partition(f)
-        for p in (p0, compatible_euler_system(f, p0).partition):
+        for p in (p0, compatible_euler_system(f, p0)):
             expect = reference_relative_interlacement(c, p)
             builds.clear()
             assert relative_interlacement(c, p) == expect
@@ -1073,7 +1081,7 @@ def test_euler_system_is_built_once_per_graph(monkeypatch):
     f = table_cases()[-1]
     c = euler_system(f)
     assert euler_system(f) is c
-    for p in (file_order_partition(f), c.partition):
+    for p in (file_order_partition(f), c):
         assert compatible_euler_system(f, p) != c
     for v in range(f.n):
         verify._kappa(c, v)

@@ -1,18 +1,27 @@
 """Generated inputs at the text entry points: the graph format round-trips,
-arbitrary directive text parses or names a line it has, and every
+the JSON graph payload round-trips and lists every edge, arbitrary
+directive text parses or names a line it has, and every
 input-reading command exits 0, or exits 1 with one error line."""
 
 import contextlib
 import io
+import json
 import re
+from collections import Counter
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
 from adjmatroid.cli import main
 from adjmatroid.gf2 import BitMatrix
-from adjmatroid.graph import LoopedSimpleGraph, MultiGraph
-from adjmatroid.graphtext import GraphParseError, parse_graph, render_graph, text_lines
+from adjmatroid.graph import LoopedSimpleGraph, MultiGraph, as_multigraph
+from adjmatroid.graphtext import (
+    GraphParseError,
+    graph_to_json,
+    parse_graph,
+    render_graph,
+    text_lines,
+)
 
 FUZZ = settings(derandomize=True, database=None, deadline=None)
 
@@ -52,6 +61,22 @@ def multigraphs(draw, label: st.SearchStrategy[str] = names) -> MultiGraph:
 def test_rendered_graphs_parse_back_to_themselves(g):
     """Labels, rows and, for a multigraph, the edge list in its order."""
     assert parse_graph(render_graph(g)) == g
+
+
+@settings(FUZZ, max_examples=200)
+@given(st.one_of(looped_simple_graphs(), multigraphs()))
+def test_graph_json_survives_a_round_trip_and_lists_every_edge(g):
+    """The payload is plain JSON; its loops and edges are the multigraph's,
+    repeats kept; a simple graph builds back from it."""
+    payload = graph_to_json(g)
+    assert json.loads(json.dumps(payload)) == payload
+    assert payload["vertices"] == list(g.labels)
+    mg = as_multigraph(g)
+    ends = [(mg.labels[u], mg.labels[v]) for u, v in mg.edges]
+    assert Counter(payload["loops"]) == Counter(u for u, v in ends if u == v)
+    assert Counter(map(tuple, payload["edges"])) == Counter((u, v) for u, v in ends if u != v)
+    if isinstance(g, LoopedSimpleGraph):
+        assert LoopedSimpleGraph.build(payload["vertices"], payload["edges"], payload["loops"]) == g
 
 
 TOKENS = ["vertices", "edge", "loop", "a", "b", "c", "#", "#a", "\ufeff"]

@@ -46,6 +46,7 @@ from adjmatroid.polynomials import (
     shifted_power_term,
     tutte_subset,
 )
+from adjmatroid.verify import run_suites
 
 K3 = LoopedSimpleGraph.build("abc", [("a", "b"), ("b", "c"), ("a", "c")])
 K3L = K3.loop_complement("a")
@@ -681,3 +682,35 @@ def test_public_constructors_store_list_fields_as_tuples():
     m = built[4][0]
     loop = BinaryMatroid(["c"], Subspace(1, [1]))
     assert m.direct_sum(loop) == BinaryMatroid(("a", "b", "c"), Subspace(3, (0b011, 0b100)))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: BitMatrix(-1, 0, ()), "negative dimension"),
+        (lambda: BitMatrix(2, 1, (0,)), "row count mismatch"),
+        (lambda: BitMatrix(1, 1, (2,)), "row exceeds column count"),
+        (lambda: BitMatrix.from_rows([[0, 1], [1]]), "matrix rows must have equal length"),
+        (lambda: LoopedSimpleGraph("aa", BitMatrix(2, 2, (0, 0))), "duplicate vertex labels"),
+        (lambda: LoopedSimpleGraph("a", BitMatrix(2, 2, (0, 0))), "adjacency matrix size mismatch"),
+        (lambda: K3.adjacent("a", "a"), "adjacency is between distinct vertices"),
+        (lambda: MultiGraph("aa", ()), "duplicate vertex labels"),
+        (lambda: MultiGraph("a", ((0, 1),)), "edge endpoint out of range"),
+        (lambda: MultiGraph("a", ((0, 0),), ("x", "y")), "edge label count mismatch"),
+        (lambda: MultiGraph("a", ((0, 0), (0, 0)), ("x", "x")), "duplicate edge labels"),
+        (lambda: BinaryMatroid("aa", Subspace(2, ())), "duplicate ground labels"),
+        (lambda: SetSystem("aa", 0), "duplicate ground labels"),
+        (lambda: SetSystem("a", 0).min_sys(), "min needs a proper set system"),
+        (lambda: SetSystem("a", 0).max_sys(), "max needs a proper set system"),
+        (lambda: run_suites("nope"), "unknown suite 'nope'"),
+    ],
+    ids=[
+        "bitmatrix-dimension", "bitmatrix-rows", "bitmatrix-width", "from-rows-ragged",
+        "graph-labels", "graph-size", "graph-adjacent-self", "multigraph-labels",
+        "multigraph-endpoint", "multigraph-edge-label-count", "multigraph-edge-labels",
+        "matroid-ground", "set-system-ground", "min-sys-empty", "max-sys-empty", "unknown-suite",
+    ],
+)
+def test_boundary_refusals_name_the_fault_in_one_line(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()

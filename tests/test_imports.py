@@ -11,7 +11,8 @@ the min-equicardinal oracle builds no set system, binary_matroid and
 polynomials import no delta_matroid, both work limits and their checkers
 are defined only in gf2, only the minor routes build an adjacency matroid, the
 4-regular builders take no validating route, only the Kotzig merge builds an
-Euler system unchecked, the slow references that only verify calls live
+Euler system unchecked, an Euler system is a circuit partition subclass whose
+body defines only its check, the slow references that only verify calls live
 in verify, and no matrix is walked entry by entry over all pairs."""
 
 import ast
@@ -832,14 +833,15 @@ def test_checker_finds_validating_routes_in_derived_builders():
     source = (
         "class HalfEdgeGraph:\n"
         "    def euler_system(self):\n"
-        "        return EulerSystem(p), unchecked(EulerSystem, partition=p)\n"
+        "        return EulerSystem(f, t, cs), unchecked(EulerSystem, f=f, transitions=t, circuits=cs)\n"
         "def touch_graph(p):\n"
         "    return MultiGraph.build(l, e), graph.MultiGraph(l, e), g.build(l)\n"
         "def realize_touch_graph(g):\n"
         "    def inner():\n"
         "        return four_regular.partition_from_transitions(f, t)\n"
         "def kappa(c, v):\n"
-        "    return EulerSystem(partition_from_transitions(c.f, t))\n"
+        "    p = partition_from_transitions(c.f, t)\n"
+        "    return EulerSystem(p.f, p.transitions, p.circuits)\n"
     )
     assert validating_builders(source) == {
         "partition_from_transitions": ["realize_touch_graph.inner"],
@@ -864,7 +866,8 @@ def test_derived_four_regular_objects_skip_the_validating_routes():
 def test_checker_finds_a_validating_euler_system_anywhere():
     planted = FOUR_REGULAR.read_text() + (
         "def kappa(c, v):\n"
-        "    return EulerSystem(partition_from_transitions(c.f, t))\n"
+        "    p = partition_from_transitions(c.f, t)\n"
+        "    return EulerSystem(p.f, p.transitions, p.circuits)\n"
     )
     assert sites(planted, calls("EulerSystem")) == ["kappa"]
 
@@ -891,15 +894,17 @@ def builds_unchecked(cls: str) -> Callable[[ast.AST], bool]:
 def test_checker_finds_every_unchecked_euler_system():
     source = (
         "def _merged(f, quads):\n"
-        "    return unchecked(EulerSystem, partition=p)\n"
+        "    return unchecked(EulerSystem, f=f, transitions=t, circuits=_traced(f, t))\n"
         "class HalfEdgeGraph:\n"
         "    def euler_system(self):\n"
-        "        return gf2.unchecked(EulerSystem, partition=p), EulerSystem(p)\n"
+        "        return gf2.unchecked(EulerSystem, f=f, transitions=t, circuits=cs), EulerSystem(f, t, cs)\n"
         "def touch_graph(p):\n"
         "    return unchecked(MultiGraph, labels=l), unchecked(cls=EulerSystem)\n"
     )
     assert sites(source, builds_unchecked("EulerSystem")) == ["_merged", "HalfEdgeGraph.euler_system"]
-    planted = FOUR_REGULAR.read_text() + "def f(p):\n    return unchecked(EulerSystem, partition=p)\n"
+    planted = FOUR_REGULAR.read_text() + (
+        "def f(p):\n    return unchecked(EulerSystem, f=p.f, transitions=p.transitions, circuits=p.circuits)\n"
+    )
     assert sites(planted, builds_unchecked("EulerSystem")) == ["_merged", "f"]
 
 
@@ -908,6 +913,50 @@ def test_only_the_kotzig_merge_builds_an_euler_system_unchecked():
     assert sites_in_sources(builds_unchecked("EulerSystem")) == {
         "src/adjmatroid/four_regular.py": ["_merged"]
     }
+
+
+def class_shape(source: str, name: str) -> tuple[list[str], list[str]]:
+    """The bases of the named class and the names its body binds: methods,
+    nested classes, fields and assignments, in source order."""
+    cls = next(node for qualified, node in definitions(source) if qualified == name)
+    bound = []
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.append(node.name)
+        elif isinstance(node, ast.AnnAssign):
+            bound.append(ast.unparse(node.target))
+        elif isinstance(node, ast.Assign):
+            bound += [ast.unparse(target) for target in node.targets]
+    return [ast.unparse(base) for base in cls.bases], bound
+
+
+def test_checker_reads_a_class_shape():
+    source = (
+        "@dataclass(frozen=True)\n"
+        "class EulerSystem:\n"
+        "    \"\"\"A docstring binds nothing.\"\"\"\n"
+        "    partition: CircuitPartition\n"
+        "    size = 1\n"
+        "    def __post_init__(self): ...\n"
+        "    @property\n"
+        "    def f(self): ...\n"
+    )
+    assert class_shape(source, "EulerSystem") == ([], ["partition", "size", "__post_init__", "f"])
+    check = "    def __post_init__(self) -> None:\n        if self.size"
+    forwarding = "    @property\n    def circuits(self):\n        return self.partition.circuits\n\n"
+    planted = FOUR_REGULAR.read_text().replace(check, forwarding + check, 1)
+    assert class_shape(planted, "EulerSystem") == (["CircuitPartition"], ["circuits", "__post_init__"])
+    planted = FOUR_REGULAR.read_text().replace("class EulerSystem(CircuitPartition):", "class EulerSystem:")
+    assert class_shape(planted, "EulerSystem") == ([], ["__post_init__"])
+
+
+def test_an_euler_system_is_a_circuit_partition_with_one_check():
+    """EulerSystem inherits every field and table of CircuitPartition and
+    adds only the one-circuit-per-component check: no wrapped partition and
+    no forwarding properties."""
+    assert class_shape(FOUR_REGULAR.read_text(), "EulerSystem") == (
+        ["CircuitPartition"], ["__post_init__"]
+    )
 
 
 # The slow references that only verify calls, by name less any leading
