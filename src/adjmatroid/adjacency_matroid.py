@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .binary_matroid import BinaryMatroid
-from .gf2 import lowest_bit, nullity, row_bits
+from .gf2 import lowest_bit, nullity, nullspace, row_bits, unchecked
 from .graph import LoopedSimpleGraph, VariantKind
 
 CaseTag = Literal["case1", "case2", "case3"]
@@ -64,8 +64,9 @@ class TrioResult:
 
 
 def adjacency_matroid(g: LoopedSimpleGraph) -> BinaryMatroid:
-    """The matroid on V(g) represented by the adjacency matrix."""
-    return BinaryMatroid.from_matrix(g.adj, g.labels)
+    """The matroid on V(g) represented by the adjacency matrix; the graph
+    has checked its labels, so it is built unchecked."""
+    return unchecked(BinaryMatroid, ground=g.labels, cycle_space=nullspace(g.adj))
 
 
 def contract_via_lc(g: LoopedSimpleGraph, v: str) -> MinorDerivation:

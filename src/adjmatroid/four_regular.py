@@ -16,14 +16,13 @@ previous arriving half along each circuit instead of indexing back into it.
 An Euler system is a circuit partition with one circuit per connected
 component: `EulerSystem` subclasses `CircuitPartition` with only that check.
 `_traced` returns the circuits of a valid pairing, and each builder wraps
-them in its own type.  Each graph builds its Euler system once, as the cached
-`HalfEdgeGraph.euler_system`, shared by every caller holding the same graph.
-Both Euler systems come from one kernel, Kotzig's merge (`_merged`): trace a
-start system once, then in one union-find pass re-pair each vertex whose two
-pairs lie on different circuits, which joins those circuits.  The graph's own
-system starts from the file-order pairing; the system compatible with a
-partition starts from chi with respect to it and re-pairs to psi.  Either is
-near-linear in the edge count, plus one trace of the result.
+them in its own type.  Both Euler systems come from one kernel, Kotzig's
+merge (`_merged`): trace a start system once, then in one union-find pass
+re-pair each vertex whose two pairs lie on different circuits, which joins
+those circuits.  The graph's own system starts from the file-order pairing;
+the system compatible with a partition starts from chi with respect to it
+and re-pairs to psi.  Either is near-linear in the edge count, plus one
+trace of the result.
 
 The per-vertex steps of the pipeline are single passes.  Interlacement rows
 come from one walk of each circuit with a running XOR of the vertex bits
@@ -102,14 +101,6 @@ class HalfEdgeGraph:
     @cached_property
     def component_count(self) -> int:
         return self.graph.component_count()
-
-    @cached_property
-    def euler_system(self) -> EulerSystem:
-        """Kotzig's merge of the file-order system: each vertex's first two
-        and last two half-edges paired (a-b, c-d), re-paired a-c, b-d
-        wherever those pairs lie on different circuits; deterministic in the
-        half-edge order."""
-        return _merged(self, self.halves)
 
     def check_vertex(self, v: int) -> None:
         """Reject v unless it indexes a vertex; a negative v would otherwise
@@ -274,11 +265,11 @@ class EulerSystem(CircuitPartition):
 
 
 def euler_system(f: HalfEdgeGraph) -> EulerSystem:
-    """The Euler system of f, Kotzig's merge of its file-order pairing:
-    built on the first call for this graph object, in near-linear time, and
-    the same object on every later call.  An equal graph built separately
-    builds its own."""
-    return f.euler_system
+    """The Euler system of f, Kotzig's merge of its file-order system: each
+    vertex's first two and last two half-edges paired (a-b, c-d), re-paired
+    a-c, b-d wherever those pairs lie on different circuits; near-linear, and
+    deterministic in the half-edge order."""
+    return _merged(f, f.halves)
 
 
 def transition_type(c: EulerSystem, p: CircuitPartition, v: int) -> TransitionType:

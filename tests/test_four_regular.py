@@ -959,16 +959,18 @@ def test_compatible_euler_system_on_seeded_graphs():
 
 
 def test_compatible_euler_system_builds_no_euler_system(monkeypatch):
-    prop = HalfEdgeGraph.__dict__["euler_system"]
-    builds = []
-    build = prop.func
-    monkeypatch.setattr(prop, "func", lambda f: builds.append(f) or build(f))
+    """One Kotzig merge per compatible system, and no Euler system of the
+    graph built on the way."""
+    builds, merges = [], []
+    build, merge = four_regular.euler_system, four_regular._merged
+    monkeypatch.setattr(four_regular, "euler_system", lambda f: builds.append(f) or build(f))
+    monkeypatch.setattr(four_regular, "_merged", lambda f, quads: merges.append(f) or merge(f, quads))
     rng = random.Random(14)
     for connected in (True, False):
         f = HalfEdgeGraph(sample_graph(rng, 30, connected))
         for p in (file_order_partition(f), random_partition(rng, f)):
             compatible_euler_system(f, p)
-    assert builds == []
+    assert builds == [] and len(merges) == 4
 
 
 def nx_edge_keyed(mg: MultiGraph) -> networkx.MultiGraph:
@@ -1073,20 +1075,15 @@ def test_component_count_runs_once_per_graph(monkeypatch):
     assert len(calls) == 1
 
 
-def test_euler_system_is_built_once_per_graph(monkeypatch):
-    prop = HalfEdgeGraph.__dict__["euler_system"]
-    builds = []
-    build = prop.func
-    monkeypatch.setattr(prop, "func", lambda f: builds.append(f) or build(f))
+def test_euler_system_is_deterministic_per_graph():
+    """The same graph, or a graph built again from its multigraph, gives an
+    equal Euler system; every compatible system differs from it, and
+    verify's kappa rewires it at every vertex."""
     f = table_cases()[-1]
     c = euler_system(f)
-    assert euler_system(f) is c
+    assert euler_system(f) == c
     for p in (file_order_partition(f), c):
         assert compatible_euler_system(f, p) != c
     for v in range(f.n):
         verify._kappa(c, v)
-    assert builds == [f]
-    fresh = HalfEdgeGraph(f.graph)
-    again = euler_system(fresh)
-    assert len(builds) == 2 and builds[1] is fresh
-    assert again == c and again is not c
+    assert euler_system(HalfEdgeGraph(f.graph)) == c

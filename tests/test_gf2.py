@@ -32,6 +32,7 @@ from adjmatroid.binary_matroid import BinaryMatroid
 from adjmatroid.four_regular import (
     HalfEdgeGraph,
     TransitionSystem,
+    euler_system,
     file_order_partition,
     partition_from_transitions,
     random_four_regular,
@@ -222,7 +223,7 @@ def kernel_cases() -> list[BitMatrix]:
         pairs = [pair for v in range(f.n) for pair in rng.choice(f.transitions_at(v))]
         seeded = partition_from_transitions(f, TransitionSystem.from_pairs(f, pairs))
         for p in (seeded, file_order_partition(f)):
-            cases.append(relative_interlacement(f.euler_system, p).adj)
+            cases.append(relative_interlacement(euler_system(f), p).adj)
     return cases
 
 

@@ -5,7 +5,8 @@ principal scan, the coloop pass and pairing validation each have one site,
 the two row eliminations run only inside gf2 and gf2 runs two in all, both
 subset expansions read distance layers, a polynomial is a value with no
 arithmetic that the library builds only out of a packed tally or by the
-binomial form, the one-coordinate pivot, the per-set-bit walk and the
+binomial form, the tally read has no loop and the recursion rules are shifts
+and adds, the one-coordinate pivot, the per-set-bit walk and the
 min/max closure each have one kernel, in gf2, and
 the min-equicardinal oracle builds no set system, binary_matroid and
 polynomials import no delta_matroid, both work limits and their checkers
@@ -605,10 +606,10 @@ def test_min_equicardinal_oracle_builds_no_set_system():
 
 
 def builds_matroid(node: ast.AST) -> bool:
-    """Accepts a call of adjacency_matroid, bare or as an attribute, or of
-    BinaryMatroid.from_matrix."""
+    """Accepts a call of adjacency_matroid, bare or as an attribute, of
+    BinaryMatroid.from_matrix, or of unchecked(BinaryMatroid, ...)."""
     owner = getattr(getattr(node, "func", None), "value", None)
-    return calls("adjacency_matroid")(node) or (
+    return calls("adjacency_matroid")(node) or builds_unchecked("BinaryMatroid")(node) or (
         calls("from_matrix")(node)
         and "BinaryMatroid" in (getattr(owner, "id", ""), getattr(owner, "attr", ""))
     )
@@ -626,10 +627,12 @@ def test_checker_finds_every_matroid_build():
         "    return [adjacency_matroid(g.variant(v, k)) for k in KINDS]\n"
         "def other(g):\n"
         "    return binary_matroid.BinaryMatroid.from_matrix(a, l), m.from_matrix(a, l)\n"
+        "def raw(g):\n"
+        "    return gf2.unchecked(BinaryMatroid, ground=l, cycle_space=s), unchecked(Subspace, n=1)\n"
         "def classify(g):\n"
         "    return g.coloop_masks, adjacency_matroid\n"
     )
-    assert sites(source, builds_matroid) == ["adjacency_matroid", "trio", "other"]
+    assert sites(source, builds_matroid) == ["adjacency_matroid", "trio", "other", "raw"]
     planted = ADJACENCY.read_text() + "def f(g, v):\n    return am.adjacency_matroid(g.variant(v, 'loop'))\n"
     assert sites(planted, builds_matroid) == MATROID_BUILDERS + ["f"]
 
@@ -772,6 +775,58 @@ def test_each_evaluator_builds_its_polynomial_once_from_a_tally():
         assert polynomial_names(source, recursion) == []
 
 
+def loops(node: ast.AST) -> bool:
+    """Accepts a for or while loop, or a comprehension's for clause."""
+    return isinstance(node, (ast.For, ast.AsyncFor, ast.While, ast.comprehension))
+
+
+def multiplies(node: ast.AST) -> bool:
+    """Accepts a * BinOp or a *= augmented assignment."""
+    return isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Mult)
+
+
+RECURSIONS = ("interlace_recursive", "tutte_recursive")
+
+
+def in_scopes(found: list[str], names: tuple[str, ...]) -> list[str]:
+    """The scopes in found that are one of names or nested in one."""
+    return [scope for scope in found if scope.split(".")[0] in names]
+
+
+def test_checker_finds_every_loop_and_product():
+    source = (
+        "def _from_tally(t, n):\n"
+        "    for s in steps:\n"
+        "        t -= s\n"
+        "    return [c for c in t], 2 ** n\n"
+        "def tutte_recursive(m):\n"
+        "    def rec(mm):\n"
+        "        value = rec(mm) << w\n"
+        "        value *= 3\n"
+        "        return value * 2\n"
+        "    while m:\n"
+        "        m = 1 << m\n"
+    )
+    assert sites(source, loops) == ["_from_tally", "_from_tally", "tutte_recursive"]
+    assert sites(source, multiplies) == ["tutte_recursive.rec", "tutte_recursive.rec"]
+    planted = POLYNOMIALS.read_text().replace(
+        "value = rec(mm.delete(v)) << y_shift", "value = rec(mm.delete(v)) * ((1 << y_shift) + 1)"
+    )
+    assert in_scopes(sites(planted, multiplies), RECURSIONS) == ["tutte_recursive.rec"]
+    planted = POLYNOMIALS.read_text().replace(
+        "    counts = triangle(slots)\n", "    counts = [slots[k] for k in range(len(slots))]\n"
+    )
+    assert in_scopes(sites(planted, loops), ("_from_tally",)) == ["_from_tally"]
+
+
+def test_the_read_has_no_loop_and_the_recursion_rules_are_shifts_and_adds():
+    """The polynomial is packed in x and y, so the read takes its slots out
+    with no per-step pass, and every recursion rule is a shift or an add."""
+    source = POLYNOMIALS.read_text()
+    assert in_scopes(sites(source, loops), ("_from_tally",)) == []
+    assert in_scopes(sites(source, multiplies), RECURSIONS) == []
+
+
 WORD_READERS = [POLYNOMIALS.with_name("binary_matroid.py"), POLYNOMIALS]
 
 
@@ -804,7 +859,7 @@ def calls_method(owner: str, name: str) -> Callable[[ast.AST], bool]:
 # validating routes they must not take.
 FOUR_REGULAR = ROOT / "src" / "adjmatroid" / "four_regular.py"
 DERIVED_BUILDERS = (
-    "HalfEdgeGraph.euler_system", "compatible_euler_system", "_merged", "touch_graph",
+    "euler_system", "compatible_euler_system", "_merged", "touch_graph",
     "realize_touch_graph", "file_order_partition",
 )
 VALIDATING_ROUTES = {
@@ -831,9 +886,8 @@ def validating_builders(source: str) -> dict[str, list[str]]:
 
 def test_checker_finds_validating_routes_in_derived_builders():
     source = (
-        "class HalfEdgeGraph:\n"
-        "    def euler_system(self):\n"
-        "        return EulerSystem(f, t, cs), unchecked(EulerSystem, f=f, transitions=t, circuits=cs)\n"
+        "def euler_system(f):\n"
+        "    return EulerSystem(f, t, cs), unchecked(EulerSystem, f=f, transitions=t, circuits=cs)\n"
         "def touch_graph(p):\n"
         "    return MultiGraph.build(l, e), graph.MultiGraph(l, e), g.build(l)\n"
         "def realize_touch_graph(g):\n"
@@ -845,7 +899,7 @@ def test_checker_finds_validating_routes_in_derived_builders():
     )
     assert validating_builders(source) == {
         "partition_from_transitions": ["realize_touch_graph.inner"],
-        "EulerSystem(...)": ["HalfEdgeGraph.euler_system"],
+        "EulerSystem(...)": ["euler_system"],
         "MultiGraph(...)": ["touch_graph"],
         "MultiGraph.build": ["touch_graph"],
     }
@@ -895,13 +949,12 @@ def test_checker_finds_every_unchecked_euler_system():
     source = (
         "def _merged(f, quads):\n"
         "    return unchecked(EulerSystem, f=f, transitions=t, circuits=_traced(f, t))\n"
-        "class HalfEdgeGraph:\n"
-        "    def euler_system(self):\n"
-        "        return gf2.unchecked(EulerSystem, f=f, transitions=t, circuits=cs), EulerSystem(f, t, cs)\n"
+        "def euler_system(f):\n"
+        "    return gf2.unchecked(EulerSystem, f=f, transitions=t, circuits=cs), EulerSystem(f, t, cs)\n"
         "def touch_graph(p):\n"
         "    return unchecked(MultiGraph, labels=l), unchecked(cls=EulerSystem)\n"
     )
-    assert sites(source, builds_unchecked("EulerSystem")) == ["_merged", "HalfEdgeGraph.euler_system"]
+    assert sites(source, builds_unchecked("EulerSystem")) == ["_merged", "euler_system"]
     planted = FOUR_REGULAR.read_text() + (
         "def f(p):\n    return unchecked(EulerSystem, f=p.f, transitions=p.transitions, circuits=p.circuits)\n"
     )

@@ -106,14 +106,21 @@ def binomial_expand(counts) -> BivariatePolynomial:
 
 
 def packed(counts, n: int) -> int:
-    """The (a, b) counts of an n-element tally as one int in the module's
-    layout: the count of u^a v^b at bit a*U + b*W, (W, U) = _shifts(n)."""
+    """The sum of count (x-1)^a (y-1)^b over the (a, b) counts of an n-element
+    tally, in the module's layout, x^i y^j at bit i*U + j*W, (W, U) =
+    _shifts(n): Horner's rule in y for each a, then in x."""
     w, u = _shifts(n)
-    return sum(k << (a * u + b * w) for (a, b), k in counts.items())
+    out = 0
+    for a in range(n, -1, -1):
+        row = 0
+        for b in range(n, -1, -1):
+            row = (row << w) - row + counts.get((a, b), 0)
+        out = (out << u) - out + row
+    return out
 
 
 def converted(counts, n: int) -> BivariatePolynomial:
-    return _from_tally(packed(counts, n), n, n)
+    return _from_tally(packed(counts, n), n)
 
 
 def random_tally(rng: random.Random, n: int) -> dict[tuple[int, int], int]:
@@ -240,12 +247,44 @@ def test_last_layer_counts_what_the_others_leave_at_the_enumeration_gate():
         assert tutte_subset(m) == tutte_recursive(m) == t
 
 
+def looped_path(n: int) -> LoopedSimpleGraph:
+    """The n-vertex path with a loop on every third vertex."""
+    labels = tuple(f"v{i}" for i in range(n))
+    return LoopedSimpleGraph.build(labels, list(zip(labels, labels[1:])), loops=labels[::3])
+
+
+def looped_ladder(k: int) -> LoopedSimpleGraph:
+    """The 2 x k ladder, rung i on vertices 2i and 2i + 1, with a loop on
+    every third vertex."""
+    labels = tuple(f"v{i}" for i in range(2 * k))
+    rungs = list(zip(labels[::2], labels[1::2]))
+    rails = list(zip(labels, labels[2:]))
+    return LoopedSimpleGraph.build(labels, rungs + rails, loops=labels[::3])
+
+
+def test_recursions_are_exact_above_the_gate_inside_the_slot_bound(monkeypatch):
+    """With the gate patched out, both recursions on looped paths and ladders
+    with n up to 31, the last n whose 64-bit slots hold 2n + 2 bits:
+    q(2, 2) = 2^n, q(2, -1) = (-1)^n (-2)^nu(A + I) and T(2, 2) = 2^n.  The
+    gate itself lies inside the bound."""
+    assert 2 * gf2.ENUM_GATE + 2 <= _shifts(gf2.ENUM_GATE)[0]
+    monkeypatch.setattr(polynomials, "check_enum_gate", lambda *_: None)
+    graphs = [looped_path(n) for n in (24, 28, 31)] + [looped_ladder(k) for k in (12, 14, 15)]
+    for g in graphs:
+        n = g.n
+        shifted = gf2.BitMatrix(n, n, tuple(row ^ 1 << i for i, row in enumerate(g.adj.data)))
+        q = interlace_recursive(g)
+        assert q.evaluate(2, 2) == 2**n
+        assert q.evaluate(2, -1) == (-1) ** n * (-2) ** gf2.nullity(shifted)
+        assert tutte_recursive(adjacency_matroid(g)).evaluate(2, 2) == 2**n
+    assert [g.n for g in graphs] == [24, 28, 31, 24, 28, 30]
+
+
 def test_front_first_recursion_is_fast_on_a_long_looped_path():
     """The recursion splits at the lowest-index vertex, so on the 20-vertex
     path with a loop on every third vertex its memo holds suffixes of the
     path, not every way of stripping the loops."""
-    labels = tuple(f"v{i}" for i in range(gf2.ENUM_GATE))
-    g = LoopedSimpleGraph.build(labels, list(zip(labels, labels[1:])), loops=labels[::3])
+    g = looped_path(gf2.ENUM_GATE)
     start = time.perf_counter()
     q = interlace_recursive(g)
     assert time.perf_counter() - start < 0.2

@@ -5,6 +5,7 @@ and the set loops that the word-form oracles replaced, kept as references."""
 import itertools
 import random
 import re
+import sys
 
 from adjmatroid import verify
 from adjmatroid import delta_matroid as dm
@@ -108,7 +109,8 @@ def induced_subgraphs(g: LoopedSimpleGraph) -> list[LoopedSimpleGraph]:
 
 
 def count_matroid_builds(monkeypatch) -> list[None]:
-    """Patch BinaryMatroid.from_matrix to log one entry per call."""
+    """Patch BinaryMatroid.from_matrix, and adjacency_matroid in each module
+    that binds it, to log one entry per matroid built from a matrix."""
     calls: list[None] = []
     build = BinaryMatroid.from_matrix
 
@@ -116,7 +118,13 @@ def count_matroid_builds(monkeypatch) -> list[None]:
         calls.append(None)
         return build(a, labels)
 
+    def counted_graph(g):
+        calls.append(None)
+        return adjacency_matroid(g)
+
     monkeypatch.setattr(BinaryMatroid, "from_matrix", classmethod(counted))
+    for module in (verify, sys.modules[adjacency_matroid.__module__]):
+        monkeypatch.setattr(module, "adjacency_matroid", counted_graph)
     return calls
 
 
