@@ -18,7 +18,7 @@ from adjmatroid.cli import main
 from adjmatroid.gf2 import BitMatrix, symmetrize_nullspace
 from adjmatroid.graph import LoopedSimpleGraph, MultiGraph, as_multigraph, default_labels
 from adjmatroid.graphtext import graph_to_json, parse_graph, render_graph
-from adjmatroid.verify import MAX_FAILURES_KEPT, Recorder
+from adjmatroid.verify import MAX_FAILURES_KEPT, CheckResult, Recorder
 
 K3_TEXT = "vertices a b c\nedge a b\nedge b c\nedge a c\n"
 K3L_TEXT = K3_TEXT + "loop a\n"
@@ -524,3 +524,69 @@ def test_realize_and_touchgraph_output_is_pinned(tmp_path, capsys):
             source = write(tmp_path, "f", realized)
         code, out, err = run(capsys, command, "--format", fmt, "--input", source)
         assert (code, out, err) == (0, expect, "")
+
+
+# Golden outputs: every subcommand in both formats, and the refusal forms,
+# each read from stdin; stdout, stderr and the exit code are pinned in
+# tests/cli_golden.json.
+GOLDEN_INPUTS = {
+    "looped-k3": K3L_TEXT,
+    "repeated-edge": "vertices a b c d\nedge a b\nedge a b\nedge b c\nloop c\n",
+    "four-regular": "vertices p q r\nedge p q\nedge p q\nedge q r\nedge q r\nloop p\nloop r\n",
+    "touch-graph": "vertices a b c d\nedge a b\nedge b c\nedge c d\nloop d\n",
+    "matrix": "# rows\n01101\n00111\n\n01010\n",
+    "bad-matrix": "0110\n0120\n",
+    "bad-directive": "vertices a b\nedges a b\n",
+}
+SIMPLE_GRAPH_COMMANDS = [
+    ["info"], ["circuits"], ["minor", "--delete", "a"], ["minor", "--contract", "a"],
+    ["tripartition"], ["trio", "--vertex", "a"], ["interlace"], ["tutte"], ["lambda"],
+    ["delta"],
+]
+GOLDEN_CASES = {
+    " ".join(filter(None, [*argv, source, fmt])): (argv + ["--format", fmt], source)
+    for fmt in ("text", "json")
+    for argv, source in [
+        *((argv, graph) for argv in SIMPLE_GRAPH_COMMANDS for graph in ("looped-k3", "repeated-edge")),
+        (["touchgraph"], "four-regular"),
+        (["realize"], "touch-graph"),
+        (["symmetrize"], "matrix"),
+        (["verify", "--suite", "fourreg", "--max-n", "1", "--trials", "1"], None),
+    ]
+}
+GOLDEN_CASES.update({
+    "minor without a flag": (["minor"], "repeated-edge"),
+    "trio without --vertex": (["trio"], "looped-k3"),
+    "minor --delete of an unknown vertex": (["minor", "--delete", "z"], "looped-k3"),
+    "verify --max-n -1": (["verify", "--max-n", "-1"], None),
+    "a bad matrix row": (["symmetrize"], "bad-matrix"),
+    "an unknown directive": (["info"], "bad-directive"),
+})
+GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES)
+def test_golden_output(case, capsys, monkeypatch):
+    argv, source = GOLDEN_CASES[case]
+    if source is not None:
+        monkeypatch.setattr("sys.stdin", stdin_bytes(GOLDEN_INPUTS[source].encode()))
+        argv = argv + ["--input", "-"]
+    code, out, err = run(capsys, *argv)
+    assert {"code": code, "stdout": out, "stderr": err} == GOLDEN[case]
+
+
+def test_verify_failures_exit_2_and_print_their_reproduce_lines(capsys, monkeypatch):
+    results = [CheckResult("clean", 3), CheckResult("broken", 2, ["w0: boom", "w1: bang"])]
+    monkeypatch.setattr("adjmatroid.cli.run_suites", lambda *args: results)
+    assert run(capsys, "verify") == (
+        2,
+        "ok   clean instances=3\nFAIL broken instances=2\n"
+        "     reproduce: w0: boom\n     reproduce: w1: bang\n",
+        "",
+    )
+    assert run(capsys, "verify", "--format", "json") == (
+        2,
+        '[{"failures": [], "instances": 3, "name": "clean"}, '
+        '{"failures": ["w0: boom", "w1: bang"], "instances": 2, "name": "broken"}]\n',
+        "",
+    )
