@@ -1,5 +1,13 @@
 """Command line interface: graph ingestion, matroid and polynomial queries,
-4-regular pipelines, and the theorem verification runner."""
+4-regular pipelines, and the theorem verification runner.
+
+Every command takes one answer path.  build_parser names each subcommand's
+loader: _simple_graph (which warns when a multigraph is collapsed), the
+multigraph of the graph text, the parsed graph as it is, _matrix for 01 rows,
+or none for verify.  Each cmd_* is a function of the loaded object and the
+flags that returns (text, payload, exit code); it neither reads input nor
+prints.  Only main reads --input and prints the text, or the payload as
+sorted JSON; a ValueError or OSError is one error line and exit code 1."""
 
 from __future__ import annotations
 
@@ -34,23 +42,29 @@ def _read_input(path: str) -> str:
         return fh.read()
 
 
-def _load_simple_graph(args: argparse.Namespace) -> LoopedSimpleGraph:
-    g = parse_graph(_read_input(args.input))
+def _simple_graph(text: str) -> LoopedSimpleGraph:
+    g = parse_graph(text)
     if isinstance(g, MultiGraph):
         print("warning: multigraph input collapsed to a looped simple graph", file=sys.stderr)
         return g.simplify()
     return g
 
 
-def _load_multigraph(args: argparse.Namespace) -> MultiGraph:
-    return as_multigraph(parse_graph(_read_input(args.input)))
+def _matrix(text: str) -> BitMatrix:
+    """A 01-row matrix, one row per line; blank lines and # comments are skipped."""
+    rows = []
+    for line_no, raw in enumerate(text_lines(text), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if set(line) - {"0", "1"}:
+            raise ValueError(f"line {line_no}: matrix rows are strings of 0 and 1")
+        rows.append([int(c) for c in line])
+    return BitMatrix.from_rows(rows)
 
 
-def _emit(args: argparse.Namespace, text: str, payload) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(text)
+# What a command answers: the text, the JSON payload, and the exit code.
+Answer = tuple[str, object, int]
 
 
 def _sorted_circuits(m: BinaryMatroid) -> list[list[str]]:
@@ -62,8 +76,7 @@ def _sets_text(sets: Iterable[Sequence[str]], empty: str) -> str:
     return "\n".join("{" + " ".join(s) + "}" for s in sets) or empty
 
 
-def cmd_info(args: argparse.Namespace) -> int:
-    g = _load_simple_graph(args)
+def cmd_info(g: LoopedSimpleGraph, args: argparse.Namespace) -> Answer:
     m = adjacency_matroid(g)
     loops, edges, circuits = g.loop_labels(), g.edge_pairs(), len(m.circuit_masks())
     payload = {
@@ -84,27 +97,21 @@ def cmd_info(args: argparse.Namespace) -> int:
             f"matroid circuits: {circuits}",
         ]
     )
-    _emit(args, text, payload)
-    return 0
+    return text, payload, 0
 
 
-def cmd_circuits(args: argparse.Namespace) -> int:
-    g = _load_simple_graph(args)
+def cmd_circuits(g: LoopedSimpleGraph, args: argparse.Namespace) -> Answer:
     circuits = _sorted_circuits(adjacency_matroid(g))
-    _emit(args, _sets_text(circuits, "(none)"), circuits)
-    return 0
+    return _sets_text(circuits, "(none)"), circuits, 0
 
 
-def cmd_minor(args: argparse.Namespace) -> int:
-    g = _load_simple_graph(args)
+def cmd_minor(g: LoopedSimpleGraph, args: argparse.Namespace) -> Answer:
     if (args.delete is None) == (args.contract is None):
         raise ValueError("minor needs exactly one of --delete or --contract")
     if args.delete is not None:
         g.index(args.delete)  # the graph names an unknown vertex, as for --contract
-        result = adjacency_matroid(g).delete(args.delete)
-        circuits = _sorted_circuits(result)
-        _emit(args, _sets_text(circuits, "(none)"), {"circuits": circuits})
-        return 0
+        circuits = _sorted_circuits(adjacency_matroid(g).delete(args.delete))
+        return _sets_text(circuits, "(none)"), {"circuits": circuits}, 0
     derivation = contract_via_lc(g, args.contract)
     circuits = _sorted_circuits(derivation.result)
     payload = {
@@ -120,21 +127,16 @@ def cmd_minor(args: argparse.Namespace) -> int:
             render_graph(derivation.witness_graph).rstrip(),
         ]
     )
-    _emit(args, text, payload)
-    return 0
+    return text, payload, 0
 
 
-def cmd_tripartition(args: argparse.Namespace) -> int:
-    g = _load_simple_graph(args)
+def cmd_tripartition(g: LoopedSimpleGraph, args: argparse.Namespace) -> Answer:
     report = tripartition_report(g)
-    payload = {v: c.tag for v, c in report.items()}
     text = "\n".join(f"{v}: {c.tag}" for v, c in report.items())
-    _emit(args, text, payload)
-    return 0
+    return text, {v: c.tag for v, c in report.items()}, 0
 
 
-def cmd_trio(args: argparse.Namespace) -> int:
-    g = _load_simple_graph(args)
+def cmd_trio(g: LoopedSimpleGraph, args: argparse.Namespace) -> Answer:
     if not args.vertex:
         raise ValueError("trio needs --vertex")
     t = trio(g, args.vertex)
@@ -144,37 +146,25 @@ def cmd_trio(args: argparse.Namespace) -> int:
         f"odd: {t.odd_one}\n"
         f"shared nullity: {t.nullity}"
     )
-    _emit(args, text, payload)
-    return 0
+    return text, payload, 0
 
 
-def _cmd_polynomial(
-    args: argparse.Namespace, evaluate: Callable[[LoopedSimpleGraph], BivariatePolynomial]
-) -> int:
-    poly = evaluate(_load_simple_graph(args))
-    _emit(args, poly.to_text(), poly.to_json_terms())
-    return 0
+def _polynomial(poly: BivariatePolynomial) -> Answer:
+    return poly.to_text(), poly.to_json_terms(), 0
 
 
-def cmd_delta(args: argparse.Namespace) -> int:
-    g = _load_simple_graph(args)
+def cmd_delta(g: LoopedSimpleGraph, args: argparse.Namespace) -> Answer:
     d = delta_from_graph(g)
     members = [list(s) for s in d.member_sets()]
-    _emit(args, _sets_text(members, "(empty)"), {"ground": list(d.ground), "family": members})
-    return 0
+    return _sets_text(members, "(empty)"), {"ground": list(d.ground), "family": members}, 0
 
 
-def cmd_touchgraph(args: argparse.Namespace) -> int:
-    mg = _load_multigraph(args)
-    f = HalfEdgeGraph(mg)
-    p = file_order_partition(f)
-    tch = touch_graph(p)
-    _emit(args, render_graph(tch).rstrip(), graph_to_json(tch))
-    return 0
+def cmd_touchgraph(mg: MultiGraph, args: argparse.Namespace) -> Answer:
+    tch = touch_graph(file_order_partition(HalfEdgeGraph(mg)))
+    return render_graph(tch).rstrip(), graph_to_json(tch), 0
 
 
-def cmd_realize(args: argparse.Namespace) -> int:
-    g = parse_graph(_read_input(args.input))
+def cmd_realize(g: LoopedSimpleGraph | MultiGraph, args: argparse.Namespace) -> Answer:
     realization = realize_touch_graph(g)
     f_graph = realization.f.graph
     circuits = [
@@ -185,43 +175,26 @@ def cmd_realize(args: argparse.Namespace) -> int:
     payload["circuits"] = [sorted(c) for c in circuits]
     lines = [render_graph(f_graph).rstrip()]
     lines += [f"# circuit: {' '.join(c)}" for c in circuits]
-    _emit(args, "\n".join(lines), payload)
-    return 0
+    return "\n".join(lines), payload, 0
 
 
-def cmd_symmetrize(args: argparse.Namespace) -> int:
-    rows = []
-    for line_no, raw in enumerate(text_lines(_read_input(args.input)), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if set(line) - {"0", "1"}:
-            raise ValueError(f"line {line_no}: matrix rows are strings of 0 and 1")
-        rows.append([int(c) for c in line])
-    b = symmetrize_nullspace(BitMatrix.from_rows(rows))  # symmetric by construction
+def cmd_symmetrize(matrix: BitMatrix, args: argparse.Namespace) -> Answer:
+    b = symmetrize_nullspace(matrix)  # symmetric by construction
     g = LoopedSimpleGraph._derived(default_labels(b.rows), b.data)
-    _emit(args, render_graph(g).rstrip(), graph_to_json(g))
-    return 0
+    return render_graph(g).rstrip(), graph_to_json(g), 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(_: None, args: argparse.Namespace) -> Answer:
     for flag, value in (("--max-n", args.max_n), ("--trials", args.trials)):
         if value is not None and value < 0:
             raise ValueError(f"{flag} must be at least 0, got {value}")
     results = run_suites(args.suite, args.max_n, args.trials, args.seed)
-    if args.format == "json":
-        payload = [
-            {"name": r.name, "instances": r.instances, "failures": r.failures}
-            for r in results
-        ]
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for r in results:
-            mark = "ok  " if r.ok else "FAIL"
-            print(f"{mark} {r.name} instances={r.instances}")
-            for f in r.failures:
-                print(f"     reproduce: {f}")
-    return 2 if any(r.failures for r in results) else 0
+    payload = [{"name": r.name, "instances": r.instances, "failures": r.failures} for r in results]
+    lines = []
+    for r in results:
+        lines.append(f"{'ok  ' if r.ok else 'FAIL'} {r.name} instances={r.instances}")
+        lines += [f"     reproduce: {f}" for f in r.failures]
+    return "\n".join(lines), payload, 2 if any(r.failures for r in results) else 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -242,10 +215,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, help_text: str, needs_input: bool = True):
+    def add(name: str, func: Callable[..., Answer], help_text: str, load=_simple_graph):
+        """A subcommand answering func(load(input text), args); no input when load is None."""
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
-        if needs_input:
+        p.set_defaults(func=func, load=load)
+        if load is not None:
             p.add_argument("--input", required=True, help="graph file path, or - for stdin")
         p.add_argument("--format", choices=("text", "json"), default="text")
         return p
@@ -258,22 +232,32 @@ def build_parser() -> argparse.ArgumentParser:
     add("tripartition", cmd_tripartition, "vertex classification by coloop evidence")
     trio_p = add("trio", cmd_trio, "compare the three vertex variants at a vertex")
     trio_p.add_argument("--vertex", metavar="V")
-    add("interlace", lambda a: _cmd_polynomial(a, interlace_subset), "interlace polynomial")
+    add("interlace", lambda g, _: _polynomial(interlace_subset(g)), "interlace polynomial")
     add(
         "tutte",
-        lambda a: _cmd_polynomial(a, lambda g: tutte_subset(adjacency_matroid(g))),
+        lambda g, _: _polynomial(tutte_subset(adjacency_matroid(g))),
         "Tutte polynomial of the adjacency matroid",
     )
     add(
         "lambda",
-        lambda a: _cmd_polynomial(a, lambda g: lambda_leading(adjacency_matroid(g))),
+        lambda g, _: _polynomial(lambda_leading(adjacency_matroid(g))),
         "leading Tutte term (y-1)^nullity",
     )
     add("delta", cmd_delta, "nonsingular-induced-subgraph set system")
-    add("touchgraph", cmd_touchgraph, "touch-graph of the file-order circuit partition")
-    add("realize", cmd_realize, "4-regular graph realizing the input as a touch-graph")
-    add("symmetrize", cmd_symmetrize, "symmetric matrix with the same nullspace (01-row input)")
-    verify = add("verify", cmd_verify, "run the theorem property suites", needs_input=False)
+    add(
+        "touchgraph",
+        cmd_touchgraph,
+        "touch-graph of the file-order circuit partition",
+        lambda text: as_multigraph(parse_graph(text)),
+    )
+    add("realize", cmd_realize, "4-regular graph realizing the input as a touch-graph", parse_graph)
+    add(
+        "symmetrize",
+        cmd_symmetrize,
+        "symmetric matrix with the same nullspace (01-row input)",
+        _matrix,
+    )
+    verify = add("verify", cmd_verify, "run the theorem property suites", None)
     verify.add_argument("--suite", choices=("all",) + SUITE_NAMES, default="all")
     verify.add_argument("--max-n", type=int, default=None, dest="max_n")
     verify.add_argument("--trials", type=int, default=None)
@@ -282,10 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        loaded = None if args.load is None else args.load(_read_input(args.input))
+        text, payload, code = args.func(loaded, args)
+        print(json.dumps(payload, sort_keys=True) if args.format == "json" else text)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

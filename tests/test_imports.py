@@ -14,7 +14,8 @@ are defined only in gf2, only the minor routes build an adjacency matroid, the
 4-regular builders take no validating route, only the Kotzig merge builds an
 Euler system unchecked, an Euler system is a circuit partition subclass whose
 body defines only its check, the slow references that only verify calls live
-in verify, and no matrix is walked entry by entry over all pairs."""
+in verify, no matrix is walked entry by entry over all pairs, and in the CLI
+only main reads input or prints to stdout, and no command prints."""
 
 import ast
 import re
@@ -1130,3 +1131,64 @@ def test_no_all_pairs_entry_walk_in_the_package():
         if (names := entry_reads_under_two_fors(path.read_text()))
     }
     assert found == {}
+
+
+CLI = ROOT / "src" / "adjmatroid" / "cli.py"
+
+
+def prints_to_stdout(node: ast.AST) -> bool:
+    """A print call that does not pass file=sys.stderr."""
+    return calls("print")(node) and not any(
+        k.arg == "file" and ast.unparse(k.value) == "sys.stderr" for k in node.keywords
+    )
+
+
+def cli_answer_path_faults(source: str) -> list[str]:
+    """Where a cmd_* function prints, anything but main reads the input, or
+    anything but main prints to stdout."""
+    return (
+        [f"{s}: print" for s in sites(source, calls("print")) if s.startswith("cmd_")]
+        + [f"{s}: _read_input" for s in sites(source, calls("_read_input")) if s != "main"]
+        + [f"{s}: print to stdout" for s in sites(source, prints_to_stdout) if s != "main"]
+    )
+
+
+def test_checker_finds_every_command_print_and_input_read():
+    source = (
+        "def _load(args):\n"
+        "    print('warning', file=sys.stderr)\n"
+        "    return parse(_read_input(args.input))\n"
+        "def _emit(args, text):\n"
+        "    print(text)\n"
+        "def cmd_a(g, args):\n"
+        "    print('note', file=sys.stderr)\n"
+        "    return '', None, 0\n"
+        "def cmd_b(g, args):\n"
+        "    def inner():\n"
+        "        print(g, file=sys.stdout)\n"
+        "def build_parser():\n"
+        "    add('c', lambda g, _: print(g))\n"
+        "def main(argv):\n"
+        "    text = _read_input(argv[0])\n"
+        "    print(text)\n"
+        "    print('error', file=sys.stderr)\n"
+    )
+    assert cli_answer_path_faults(source) == [
+        "cmd_a: print",
+        "cmd_b.inner: print",
+        "_load: _read_input",
+        "_emit: print to stdout",
+        "cmd_b.inner: print to stdout",
+        "build_parser: print to stdout",
+    ]
+    planted = CLI.read_text() + (
+        "def cmd_echo(g, args):\n"
+        "    print(_read_input(args.input))\n"
+    )
+    assert cli_answer_path_faults(planted) == [
+        "cmd_echo: print", "cmd_echo: _read_input", "cmd_echo: print to stdout"
+    ]
+
+
+def test_only_main_reads_input_and_prints_the_answer():
+    assert cli_answer_path_faults(CLI.read_text()) == []
