@@ -110,7 +110,8 @@ def cmd_minor(g: LoopedSimpleGraph, args: argparse.Namespace) -> Answer:
         raise ValueError("minor needs exactly one of --delete or --contract")
     if args.delete is not None:
         g.index(args.delete)  # the graph names an unknown vertex, as for --contract
-        circuits = _sorted_circuits(adjacency_matroid(g).delete(args.delete))
+        result = adjacency_matroid(g).delete(args.delete)
+        circuits = _sorted_circuits(result)
         return _sets_text(circuits, "(none)"), {"circuits": circuits}, 0
     derivation = contract_via_lc(g, args.contract)
     circuits = _sorted_circuits(derivation.result)
@@ -132,8 +133,9 @@ def cmd_minor(g: LoopedSimpleGraph, args: argparse.Namespace) -> Answer:
 
 def cmd_tripartition(g: LoopedSimpleGraph, args: argparse.Namespace) -> Answer:
     report = tripartition_report(g)
+    payload = {v: c.tag for v, c in report.items()}
     text = "\n".join(f"{v}: {c.tag}" for v, c in report.items())
-    return text, {v: c.tag for v, c in report.items()}, 0
+    return text, payload, 0
 
 
 def cmd_trio(g: LoopedSimpleGraph, args: argparse.Namespace) -> Answer:
@@ -160,7 +162,9 @@ def cmd_delta(g: LoopedSimpleGraph, args: argparse.Namespace) -> Answer:
 
 
 def cmd_touchgraph(mg: MultiGraph, args: argparse.Namespace) -> Answer:
-    tch = touch_graph(file_order_partition(HalfEdgeGraph(mg)))
+    f = HalfEdgeGraph(mg)
+    p = file_order_partition(f)
+    tch = touch_graph(p)
     return render_graph(tch).rstrip(), graph_to_json(tch), 0
 
 
@@ -189,10 +193,14 @@ def cmd_verify(_: None, args: argparse.Namespace) -> Answer:
         if value is not None and value < 0:
             raise ValueError(f"{flag} must be at least 0, got {value}")
     results = run_suites(args.suite, args.max_n, args.trials, args.seed)
-    payload = [{"name": r.name, "instances": r.instances, "failures": r.failures} for r in results]
+    payload = [
+        {"name": r.name, "instances": r.instances, "failures": r.failures}
+        for r in results
+    ]
     lines = []
     for r in results:
-        lines.append(f"{'ok  ' if r.ok else 'FAIL'} {r.name} instances={r.instances}")
+        mark = "ok  " if r.ok else "FAIL"
+        lines.append(f"{mark} {r.name} instances={r.instances}")
         lines += [f"     reproduce: {f}" for f in r.failures]
     return "\n".join(lines), payload, 2 if any(r.failures for r in results) else 0
 
