@@ -23,8 +23,8 @@ Slot bound: a + b <= n over 2^n subsets, so i + j <= n and each coefficient
 is at most sum 2^(a+b) <= 2^(2n) < 2^(W-1) in size while 2n + 2 <= W, which
 holds for n <= 31: each biased slot stays in [0, 2^W), and no borrow crosses
 a slot.  Only the final polynomial must fit, so negative or wide partial sums
-in Horner's rule and the recursions are harmless.  ENUM_GATE keeps every call
-inside the bound.
+in Horner's rule and the recursions are harmless.  _shifts refuses n > 31, so
+no call reads past the bound; ENUM_GATE keeps every call well inside it.
 
 The recursions are slow references, which live beside verify's checks unless
 the CLI or the benchmark needs them: bench/workloads.py checks against them.
@@ -95,7 +95,10 @@ def shifted_power_term(a: int, b: int) -> BivariatePolynomial:
 
 
 def _shifts(n: int) -> tuple[int, int]:
-    """(W, U): a left shift by W multiplies an n-element packing by y, by U by x."""
+    """(W, U): a left shift by W multiplies an n-element packing by y, by U by x.
+    Past n = 31 no native width holds the slot bound, so n is refused."""
+    if 2 * n + 2 > 64:
+        raise ValueError(f"packed polynomials are exact up to 31 elements, got {n}")
     w = 32 if 2 * n + 2 <= 32 else 64
     return w, w * (n + 1)
 

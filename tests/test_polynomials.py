@@ -5,12 +5,19 @@ import random
 import time
 from math import comb
 
+import networkx
 import pytest
+import sympy
 
 from adjmatroid import binary_matroid, gf2, graph, polynomials
 from adjmatroid.adjacency_matroid import adjacency_matroid
-from adjmatroid.binary_matroid import BinaryMatroid, free_matroid, single_coloop
-from adjmatroid.graph import LoopedSimpleGraph, all_looped_simple_graphs, random_looped_simple_graph
+from adjmatroid.binary_matroid import BinaryMatroid, free_matroid, polygon_matroid, single_coloop
+from adjmatroid.graph import (
+    LoopedSimpleGraph,
+    MultiGraph,
+    all_looped_simple_graphs,
+    random_looped_simple_graph,
+)
 from adjmatroid.polynomials import (
     BivariatePolynomial,
     _from_tally,
@@ -278,6 +285,48 @@ def test_recursions_are_exact_above_the_gate_inside_the_slot_bound(monkeypatch):
         assert q.evaluate(2, -1) == (-1) ** n * (-2) ** gf2.nullity(shifted)
         assert tutte_recursive(adjacency_matroid(g)).evaluate(2, 2) == 2**n
     assert [g.n for g in graphs] == [24, 28, 31, 24, 28, 30]
+
+
+def test_packing_refuses_more_elements_than_the_slot_bound_covers(monkeypatch):
+    """n = 32 is the first n whose slots would need more than 64 bits: with
+    the gate patched out, both recursions refuse it in one line."""
+    monkeypatch.setattr(polynomials, "check_enum_gate", lambda *_: None)
+    g = looped_path(32)
+    message = "^packed polynomials are exact up to 31 elements, got 32$"
+    with pytest.raises(ValueError, match=message):
+        interlace_recursive(g)
+    with pytest.raises(ValueError, match=message):
+        tutte_recursive(adjacency_matroid(g))
+
+
+@pytest.mark.parametrize("n", [0, 1, 15, 16, 20, 31])
+def test_every_slot_holds_the_bound(n):
+    """Coefficients of size 2^(2n), the module's slot bound, in every slot of
+    the i + j <= n triangle, so in adjacent slots and in the corners with
+    i + j = n, all positive, all negative and in seeded signs, read back
+    exactly: a slot narrower than 2n + 2 bits fails."""
+    w, u = _shifts(n)
+    slots = [(i, j) for i in range(n + 1) for j in range(n + 1 - i)]
+    rng = random.Random(n)
+    for signs in ([1] * len(slots), [-1] * len(slots), [rng.choice((1, -1)) for _ in slots]):
+        terms = tuple((i, j, sign << 2 * n) for (i, j), sign in zip(slots, signs))
+        tally = sum(c << i * u + j * w for i, j, c in terms)
+        assert _from_tally(tally, n) == BivariatePolynomial(terms)
+
+
+def test_tutte_subset_matches_networkx_on_polygon_matroids():
+    """networkx's Tutte polynomial, which shares no code with the package, on
+    the polygon matroids of 20 seeded G(n, m) graphs, n <= 7 and m <= 10."""
+    x, y = sympy.symbols("x y")
+    rng = random.Random(18)
+    for _ in range(20):
+        n = rng.randint(3, 7)
+        m = rng.randint(n - 1, min(comb(n, 2), 10))
+        h = networkx.gnm_random_graph(n, m, seed=rng.randrange(2**32))
+        mg = MultiGraph(tuple(f"v{i}" for i in range(n)), tuple(h.edges))
+        expected = sympy.Poly(networkx.tutte_polynomial(h), x, y).terms()
+        terms = tuple(sorted((i, j, int(c)) for (i, j), c in expected))
+        assert tutte_subset(polygon_matroid(mg)) == BivariatePolynomial(terms)
 
 
 def test_front_first_recursion_is_fast_on_a_long_looped_path():
