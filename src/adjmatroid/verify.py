@@ -14,10 +14,26 @@ transition systems once; `verify` and the tests drive the suites.
 A slow reference lives beside its checks, here, unless the CLI or the
 benchmark needs it: _all_subspaces, _kappa, the polynomial sum and product
 _poly_sum and _poly_times, which build through the validating constructor,
-and the interlace routes _q_from_lambda and _interlace_vertex_terms over one
-_induced_nullities table per graph.  bench/workloads.py checks outputs with
-four that stay in the library: polynomials.interlace_recursive and
-tutte_recursive, and SetSystem.loop_complement_sequential and dual_pivot_sequential.
+the interlace routes _q_from_lambda and _interlace_vertex_terms over one
+_induced_nullities table per graph, and the Tutte route _tutte_by_rank.
+bench/workloads.py checks outputs with four that stay in the library:
+polynomials.interlace_recursive and tutte_recursive, and
+SetSystem.loop_complement_sequential and dual_pivot_sequential.
+
+The poly suite's checks, the routes each checks, and its oracle's kernels.
+No oracle reads polynomials._from_tally or gf2.distance_layers; the duality
+check has no oracle of its own, and the two Tutte evaluator checks share one:
+
+  check                                       routes checked         oracle kernels
+  interlace-evaluators-agree                  interlace_subset,      a matroid nullity per subset,
+                                              interlace_recursive    shifted_power_term, _poly_sum
+  tutte-evaluators-agree                      tutte_subset,          rank_of per subset,
+  tutte-evaluators-agree-on-polygon-matroids  tutte_recursive        shifted_power_term, _poly_sum
+  tutte-polynomial-swaps-under-duality        tutte_subset of M, M*  none: the route itself
+  leading-term-recursion                      lambda_leading         matroid nullity, _poly_times
+  leading-term-complement-rules               lambda_leading         matroid nullity, _poly_times
+  vertex-terms-make-the-difference            interlace_subset       a matroid nullity per subset,
+                                              of G and G - v         shifted_power_term, _poly_sum
 """
 
 from __future__ import annotations
@@ -1008,13 +1024,28 @@ def _poly_times(p: BivariatePolynomial, q: BivariatePolynomial) -> BivariatePoly
     return _poly_sum((i + a, j + b, c * d) for i, j, c in p.terms for a, b, d in q.terms)
 
 
+def _expanded(counts: Counter) -> BivariatePolynomial:
+    """The sum of count (x-1)^a (y-1)^b over the (a, b) counts, each pair
+    expanded once by the binomial form."""
+    return _poly_sum((i, j, count * c) for (a, b), count in counts.items()
+                     for i, j, c in shifted_power_term(a, b).terms)
+
+
 def _q_from_lambda(nullities: list[int], bit: int = 0) -> BivariatePolynomial:
     """The interlace polynomial from the induced nullity table, term by term:
     (x-1)^(|S|-nu) (y-1)^nu summed over the vertex masks S holding bit
     (every S when bit is 0)."""
-    counts = Counter((m.bit_count() - nu, nu) for m, nu in enumerate(nullities) if m & bit == bit)
-    return _poly_sum((i, j, count * c) for (a, b), count in counts.items()
-                     for i, j, c in shifted_power_term(a, b).terms)
+    return _expanded(
+        Counter((m.bit_count() - nu, nu) for m, nu in enumerate(nullities) if m & bit == bit)
+    )
+
+
+def _tutte_by_rank(m: BinaryMatroid) -> BivariatePolynomial:
+    """The Tutte polynomial by the rank generating expansion, S adding
+    (x-1)^(r - r(S)) (y-1)^(|S| - r(S)), with r(S) from rank_of: one
+    elimination per subset, no distance layer and no packed tally."""
+    ranks = ((mask.bit_count(), m.rank_of(m.labels_of(mask))) for mask in range(1 << m.size))
+    return _expanded(Counter((m.rank - r, size - r) for size, r in ranks))
 
 
 def _interlace_vertex_terms(
@@ -1036,6 +1067,7 @@ def _poly_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
     t = tutte_subset(mg)
     with rec.check("tutte-evaluators-agree", witness):
         assert t == tutte_recursive(mg)
+        assert t == _tutte_by_rank(mg)
 
     with rec.check("tutte-polynomial-swaps-under-duality", witness):
         assert _poly_sum((j, i, c) for i, j, c in t.terms) == tutte_subset(mg.dual())
@@ -1075,7 +1107,9 @@ def _poly_polygon_checks(rec: Recorder, trials: int, seed: int) -> None:
         mg = _random_multigraph(rng, rng.randrange(1, 5), rng.randrange(6))
         m = polygon_matroid(mg)
         with rec.check("tutte-evaluators-agree-on-polygon-matroids", Witness(graph_witness, mg)):
-            assert tutte_subset(m) == tutte_recursive(m)
+            t = tutte_subset(m)
+            assert t == tutte_recursive(m)
+            assert t == _tutte_by_rank(m)
 
 
 def poly_suite(max_n: int = 4, trials: int = 200, seed: int = 0) -> list[CheckResult]:

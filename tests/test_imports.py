@@ -1017,7 +1017,7 @@ def test_an_euler_system_is_a_circuit_partition_with_one_check():
 # underscores: each lives beside its checks in verify.py, or nowhere.
 VERIFY_REFERENCES = frozenset({
     "q_from_lambda", "interlace_vertex_terms", "induced_nullities", "kappa", "all_subspaces",
-    "phi_pairing", "psi_pairing", "poly_sum", "poly_times",
+    "phi_pairing", "psi_pairing", "poly_sum", "poly_times", "expanded", "tutte_by_rank",
 })
 
 
@@ -1049,7 +1049,7 @@ def test_verify_references_live_only_in_verify():
     assert found == {
         "src/adjmatroid/verify.py": [
             "_all_subspaces", "_kappa", "_induced_nullities", "_poly_sum", "_poly_times",
-            "_q_from_lambda", "_interlace_vertex_terms",
+            "_expanded", "_q_from_lambda", "_tutte_by_rank", "_interlace_vertex_terms",
         ]
     }
 

@@ -7,7 +7,7 @@ import random
 import re
 import sys
 
-from adjmatroid import verify
+from adjmatroid import polynomials, verify
 from adjmatroid import delta_matroid as dm
 from adjmatroid.adjacency_matroid import TrioResult, adjacency_matroid, trio
 from adjmatroid.binary_matroid import BinaryMatroid
@@ -136,6 +136,17 @@ def test_small_run_keeps_every_check_and_instance():
     assert counts == EXPECTED_COUNTS
     assert list(counts) == list(EXPECTED_COUNTS)  # the order verify prints
     assert sum(counts.values()) == 6115
+
+
+def test_both_tutte_checks_see_a_fault_in_the_shared_conversion(monkeypatch):
+    """tutte_subset and tutte_recursive both end in polynomials._from_tally;
+    a conversion that adds one to every tally still fails both Tutte checks,
+    as their oracle _tutte_by_rank reads no tally."""
+    shipped = polynomials._from_tally
+    monkeypatch.setattr(polynomials, "_from_tally", lambda tally, n: shipped(tally + 1, n))
+    results = {r.name: r for r in verify.poly_suite(max_n=2, trials=5, seed=0)}
+    for name in ("tutte-evaluators-agree", "tutte-evaluators-agree-on-polygon-matroids"):
+        assert results[name].failures, name
 
 
 def test_the_matroid_suite_builds_only_its_oracle_matroids(monkeypatch):
