@@ -543,11 +543,12 @@ SIMPLE_GRAPH_COMMANDS = [
     ["tripartition"], ["trio", "--vertex", "a"], ["interlace"], ["tutte"], ["lambda"],
     ["delta"],
 ]
+SIMPLE_GRAPH_INPUTS = ("looped-k3", "repeated-edge")
 GOLDEN_CASES = {
     " ".join(filter(None, [*argv, source, fmt])): (argv + ["--format", fmt], source)
     for fmt in ("text", "json")
     for argv, source in [
-        *((argv, graph) for argv in SIMPLE_GRAPH_COMMANDS for graph in ("looped-k3", "repeated-edge")),
+        *((argv, graph) for argv in SIMPLE_GRAPH_COMMANDS for graph in SIMPLE_GRAPH_INPUTS),
         (["touchgraph"], "four-regular"),
         (["realize"], "touch-graph"),
         (["symmetrize"], "matrix"),
@@ -563,6 +564,10 @@ GOLDEN_CASES.update({
     "an unknown directive": (["info"], "bad-directive"),
 })
 GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
+
+
+def test_the_golden_file_pins_exactly_the_golden_cases():
+    assert sorted(GOLDEN) == sorted(GOLDEN_CASES)
 
 
 @pytest.mark.parametrize("case", GOLDEN_CASES)
