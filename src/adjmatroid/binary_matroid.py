@@ -14,12 +14,12 @@ nonzero members.  The word steps and the enumeration gate are `gf2`'s.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .gf2 import (
     BitMatrix,
     Subspace,
+    cached,
     check_enum_gate,
     dominated,
     drop_bit,
@@ -171,7 +171,7 @@ class BinaryMatroid(_LabelCodec):
         w = unchecked(Subspace, ambient_dim=self.size + other.size, basis=basis)
         return unchecked(BinaryMatroid, ground=self.ground + other.ground, cycle_space=w)
 
-    @cached_property
+    @cached
     def _independent_bits(self) -> int:
         """The independent family as a 2^size-bit int: S is independent iff
         no nonzero cycle lies inside S.  The cycle-space word grows from {0}

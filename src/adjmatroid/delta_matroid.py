@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .gf2 import (
-    check_ground_gate, coord_masks, dominated, flip_coordinates, pivot_step, set_bits, size_masks,
-    unchecked,
+    cached, check_ground_gate, coord_masks, dominated, flip_coordinates, pivot_step, set_bits,
+    size_masks, unchecked,
 )
 from .graph import LoopedSimpleGraph, _LabelCodec, pair_is_edge
 
@@ -63,7 +62,7 @@ class SetSystem(_LabelCodec):
         empty = SetSystem(tuple(ground), 0)
         return cls(empty.ground, sum({1 << empty.mask_of(s) for s in sets}))
 
-    @cached_property
+    @cached
     def family(self) -> frozenset[int]:
         """The members as bitmasks: a read-only view of bits."""
         return frozenset(set_bits(self.bits))
@@ -249,18 +248,23 @@ def from_graph(g: LoopedSimpleGraph) -> DeltaMatroid:
 def to_graph(d: SetSystem) -> LoopedSimpleGraph:
     """Decode a graphic normal set system back to its looped simple graph.
 
-    A vertex is looped iff its singleton belongs to d; a pair is decoded by
-    `graph.pair_is_edge`, nonsingular iff it belongs to d.  The decode is
-    verified by re-encoding.
+    The rows are read straight off the family word: vertex j is looped iff
+    bit 2^j (its singleton) is set, and a pair {i, j} is decoded by
+    `graph.pair_is_edge`, nonsingular iff bit 2^i + 2^j is set.  The rows are
+    symmetric as filled and the graph is built unchecked on d's ground; it
+    is verified by re-encoding, which any non-graphic d fails.
     """
     if not d.is_normal:
         raise ValueError("a graphic set system contains the empty set")
-    loops = [v for v in d.ground if d.contains([v])]
-    edges = [
-        (u, v) for i, u in enumerate(d.ground) for v in d.ground[i + 1:]
-        if pair_is_edge(d.contains([u, v]), d.contains([u]), d.contains([v]))
-    ]
-    g = LoopedSimpleGraph.build(d.ground, edges, loops)
+    bits, rows = d.bits, [0] * d.n
+    for j in range(d.n):
+        looped = bool(bits >> (1 << j) & 1)
+        rows[j] |= looped << j
+        for i in range(j):
+            if pair_is_edge(bool(bits >> (1 << i | 1 << j) & 1), bool(rows[i] >> i & 1), looped):
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    g = LoopedSimpleGraph._derived(d.ground, rows)
     if from_graph(g).bits != d.bits:
         raise ValueError("set system is not the encoding of any looped simple graph")
     return g

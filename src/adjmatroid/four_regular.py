@@ -55,10 +55,9 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .gf2 import unchecked
+from .gf2 import cached, unchecked
 from .graph import LoopedSimpleGraph, MultiGraph, as_multigraph, default_labels, find_root
 
 Pairing = frozenset[frozenset[int]]
@@ -98,7 +97,7 @@ class HalfEdgeGraph:
     def half_count(self) -> int:
         return 2 * len(self.graph.edges)
 
-    @cached_property
+    @cached
     def component_count(self) -> int:
         return self.graph.component_count()
 
@@ -204,7 +203,7 @@ class CircuitPartition:
         pairing = self.transitions.pairing
         return frozenset(frozenset((h, pairing[h])) for h in self.f.halves[v])
 
-    @cached_property
+    @cached
     def passages(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
         """Per vertex, (circuit index, arriving half, departing half) for each
         visit, in order of circuit index and then position in the circuit."""

@@ -22,6 +22,13 @@ steps on such a word (``pivot_step``, ``flip_coordinates``, ``dominated``,
 ``distance_layers``) and both work limits and their checkers live here.
 Every mask table grows by doubling, one coordinate at a time
 (``coord_masks``, ``size_masks``); there is no bit-sliced counter.
+Set bits are read two ways: ``row_bits`` walks a sparse mask one step per
+set bit (an adjacency row, a label mask), and ``set_bits`` reads a dense
+2^n-bit family word in one pass over its digits.
+
+Objects are validated once, at the boundary: ``unchecked`` builds a value
+derived from valid ones without re-running its checks, and ``cached`` is
+the package's memo for a frozen object's derived attribute.
 
 A slow reference lives beside its checks in `verify` unless the CLI or the
 benchmark needs it, so the enumeration of all small subspaces is `verify`'s.
@@ -50,10 +57,44 @@ def unchecked(cls: type[T], **fields: Any) -> T:
     and from_matrix, SetSystem(...) and from_sets, DeltaMatroid(...),
     BivariatePolynomial(...), MultiGraph(...) and build, HalfEdgeGraph(...),
     EulerSystem(f, transitions, circuits), and partition_from_transitions
-    for a caller's pairing."""
+    for a caller's pairing.
+
+    The trusted builders, each valid by construction or by a check of its
+    own: nullspace, orthogonal_complement, symmetrize_nullspace, transpose,
+    principal_submatrix and Subspace.permuted (after their index checks);
+    LoopedSimpleGraph's derived graphs, build (after its label checks) and
+    the generators all_looped_simple_graphs and random_looped_simple_graph;
+    adjacency_matroid and BinaryMatroid's rank_of, dual, minors and direct
+    sum; SetSystem's flips, extrema and minors, from_graph (by Bouchet's
+    theorem) and to_graph (by re-encoding); the polynomial tallies and
+    shifted_power_term; and in four_regular touch_graph, the Kotzig merge
+    and the realization's multigraph."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
+
+
+class cached:
+    """A frozen object's derived attribute, computed once: the first read
+    calls func and stores its value in the instance __dict__, which every
+    later read finds first (this descriptor defines no __set__).  Unlike
+    functools.cached_property it takes no lock (Python 3.11 takes one per
+    first read); two threads racing on a first read both compute the same
+    value.  func stays readable and replaceable as .func."""
+
+    def __init__(self, func: Callable[[Any], Any]) -> None:
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj: Any, owner: type | None = None) -> Any:
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 def lowest_bit(x: int) -> int:
@@ -213,7 +254,8 @@ class BitMatrix:
         return mask
 
     def transpose(self) -> "BitMatrix":
-        return BitMatrix(self.cols, self.rows, (self.column_mask(j) for j in range(self.cols)))
+        data = tuple(self.column_mask(j) for j in range(self.cols))
+        return unchecked(BitMatrix, rows=self.cols, cols=self.rows, data=data)
 
     @property
     def is_symmetric(self) -> bool:
@@ -308,7 +350,8 @@ class Subspace:
         """Rename coordinates: old coordinate i becomes new_position[i]."""
         if sorted(new_position) != list(range(self.ambient_dim)):
             raise ValueError("not a permutation of the coordinates")
-        return Subspace.span(self.ambient_dim, (scatter(v, new_position) for v in self.basis))
+        basis = rref_masks(scatter(v, new_position) for v in self.basis)
+        return unchecked(Subspace, ambient_dim=self.ambient_dim, basis=basis)
 
 
 def nullspace(m: BitMatrix) -> Subspace:
@@ -348,7 +391,8 @@ def principal_submatrix(a: BitMatrix, s: Iterable[int]) -> BitMatrix:
     for i in idx:
         if not 0 <= i < a.cols:
             raise ValueError(f"index {i} out of range")
-    return BitMatrix(len(idx), len(idx), (gather(a.data[i], idx) for i in idx))
+    data = tuple(gather(a.data[i], idx) for i in idx)
+    return unchecked(BitMatrix, rows=len(idx), cols=len(idx), data=data)
 
 
 @lru_cache(maxsize=None)
@@ -447,7 +491,7 @@ def nonsingular_subsets(a: BitMatrix) -> int:
     word = 1  # the empty set has the empty cover
     for v, row in enumerate(a.data):
         covers = word if (row >> v) & 1 else 0
-        for w in set_bits(row & ((1 << v) - 1)):
+        for w in row_bits(row & ((1 << v) - 1)):
             covers ^= (word & masks[w][0]) << (1 << w)
         word ^= covers << (1 << v)
     return word

@@ -18,11 +18,12 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Literal, Sequence
 
 from .gf2 import (
-    BitMatrix, coloop_masks, drop_bit, gather, nonsingular_subsets, nullity, row_bits, unchecked,
+    BitMatrix, cached, coloop_masks, drop_bit, gather, nonsingular_subsets, nullity, row_bits,
+    unchecked,
 )
 
 VariantKind = Literal["plain", "loop", "loop_isolate"]
@@ -52,8 +53,20 @@ class LoopedSimpleGraph:
         loops: Iterable[str] = (),
     ) -> "LoopedSimpleGraph":
         """The graph with the given edges and loops; repeats collapse, as
-        in the text format."""
-        return MultiGraph.build(labels, [*edges, *((v, v) for v in loops)]).simplify()
+        in the text format.  The rows are symmetric as filled, so the labels
+        are the one thing checked."""
+        labels = tuple(labels)
+        index = {v: i for i, v in enumerate(labels)}
+        rows = [0] * len(labels)
+        for u, v in [*edges, *((v, v) for v in loops)]:
+            if u not in index or v not in index:
+                raise ValueError(f"unknown vertex in edge {u} {v}")
+            i, j = index[u], index[v]
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+        if len(index) != len(labels):
+            raise ValueError("duplicate vertex labels")
+        return cls._derived(labels, rows, index)
 
     @classmethod
     def _derived(
@@ -64,24 +77,24 @@ class LoopedSimpleGraph:
         adj = unchecked(BitMatrix, rows=len(rows), cols=len(rows), data=tuple(rows))
         g = unchecked(cls, labels=labels, adj=adj)
         if position is not None:
-            g.__dict__["_position"] = position  # what the cached property would build
+            g.__dict__["_position"] = position  # what the cached attribute would build
         return g
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
-    @cached_property
+    @cached
     def _position(self) -> dict[str, int]:
         return {v: i for i, v in enumerate(self.labels)}
 
-    @cached_property
+    @cached
     def nonsingular_subsets(self) -> int:
         """The vertex subsets S with A[S] nonsingular by cover parity, one
         2^n-bit word (128 KB at n = 20) found once per graph object and kept."""
         return nonsingular_subsets(self.adj)
 
-    @cached_property
+    @cached
     def coloop_masks(self) -> tuple[int, int]:
         """The vertices that are coloops of the adjacency matroid with their
         loop removed, and with it attached: two masks from one echelon form
@@ -359,11 +372,13 @@ class _LabelCodec:
         return mask
 
     def labels_of(self, mask: int) -> frozenset[str]:
-        return frozenset(self.ground[i] for i in range(len(self.ground)) if (mask >> i) & 1)
+        """The labels at mask's set bits; bits past the ground are ignored."""
+        return frozenset(self.ground[i] for i in row_bits(mask & ((1 << len(self.ground)) - 1)))
 
 
 def _from_cells(labels: tuple[str, ...], bits: Iterable[object]) -> LoopedSimpleGraph:
-    """The graph with cell (i, j >= i) set for each true bit, taken in row order."""
+    """The graph with cell (i, j >= i) set for each true bit, taken in row
+    order: symmetric as filled, on distinct generated labels, so unchecked."""
     n = len(labels)
     rows = [0] * n
     cells = ((i, j) for i in range(n) for j in range(i, n))
@@ -371,7 +386,7 @@ def _from_cells(labels: tuple[str, ...], bits: Iterable[object]) -> LoopedSimple
         if bit:
             rows[i] |= 1 << j
             rows[j] |= 1 << i
-    return LoopedSimpleGraph(labels, BitMatrix(n, n, rows))
+    return LoopedSimpleGraph._derived(labels, rows)
 
 
 def all_looped_simple_graphs(n: int) -> Iterator[LoopedSimpleGraph]:

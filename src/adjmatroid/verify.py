@@ -574,17 +574,21 @@ def _equicardinal_min_criterion(d: dm.SetSystem) -> bool:
 
 
 def _exchange_by_pairs(d: dm.SetSystem) -> bool:
-    """Oracle: the symmetric exchange axiom, tried on every pair of members."""
+    """Oracle: the symmetric exchange axiom, tried on every pair of members.
+    Per member x, the u with x^{u} outside F and, for each, the mask of the
+    v with x^{u, v} in F depend on x alone; then each y in F needs, at every
+    such u where it differs from x, one such v elsewhere in x ^ y."""
     fam, n = d.family, d.n
     for x in fam:
+        rescue = {}
+        for u in range(n):
+            xu = x ^ (1 << u)
+            if xu not in fam:
+                rescue[u] = sum(1 << v for v in range(n) if (xu ^ (1 << v)) in fam)
         for y in fam:
             diff = x ^ y
-            for u in range(n):
-                ub = 1 << u
-                if not diff & ub or (x ^ ub) in fam:
-                    continue
-                rest = diff & ~ub
-                if not any((rest >> v) & 1 and (x ^ ub ^ (1 << v)) in fam for v in range(n)):
+            for u, rescuers in rescue.items():
+                if (diff >> u) & 1 and not diff & rescuers & ~(1 << u):
                     return False
     return True
 
@@ -831,15 +835,12 @@ def _delta_general_checks(rec: Recorder, trials: int, rand_n: int, seed: int) ->
                 assert dm.from_graph(decoded).family == moved.family
 
         with rec.check("matroid-bases-satisfy-exchange", witness):
-            bases_sys = dm.SetSystem.from_sets(
-                g.labels, adjacency_matroid(g).bases()
-            )
+            m = adjacency_matroid(g)
+            bases_sys = dm.SetSystem.from_sets(g.labels, m.bases())
             assert dm.is_delta_matroid(bases_sys)
             assert bases_sys.is_equicardinal
             dual_sys = bases_sys.pivot(list(g.labels))
-            assert dual_sys.family == dm.SetSystem.from_sets(
-                g.labels, adjacency_matroid(g).dual().bases()
-            ).family
+            assert dual_sys.family == dm.SetSystem.from_sets(g.labels, m.dual().bases()).family
 
 
 def delta_suite(max_n: int = 4, trials: int = 200, seed: int = 0) -> list[CheckResult]:

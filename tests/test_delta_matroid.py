@@ -273,6 +273,46 @@ def test_exchange_check_matches_pairs_on_every_small_family():
             assert dm.is_delta_matroid(d) == _equicardinal_min_criterion(d)
 
 
+def exchange_by_literal_pairs(d):
+    """Reference: the symmetric exchange axiom with u and v searched afresh
+    for every pair of members x, y."""
+    fam, n = d.family, d.n
+    for x in fam:
+        for y in fam:
+            diff = x ^ y
+            for u in range(n):
+                ub = 1 << u
+                if not diff & ub or (x ^ ub) in fam:
+                    continue
+                rest = diff & ~ub
+                if not any((rest >> v) & 1 and (x ^ ub ^ (1 << v)) in fam for v in range(n)):
+                    return False
+    return True
+
+
+def test_exchange_oracle_matches_the_literal_pairs():
+    """verify's oracle works out per member which u leave F and which v
+    rescue them; it agrees with the literal pairs on every family with
+    n <= 3 and on seeded n = 4-5 families: random ones, pivoted graph
+    encodings, and those with one subset toggled."""
+    rng = random.Random(4343)
+    systems = list(every_small_family())
+    assert len(systems) == 278
+    for _ in range(1000):
+        ground = tuple(f"v{i}" for i in range(rng.randrange(4, 6)))
+        d = dm.from_graph(random_looped_simple_graph(rng, len(ground)))
+        d = d.pivot([v for v in ground if rng.random() < 0.5])
+        toggled = dm.SetSystem(ground, d.bits ^ (1 << rng.randrange(1 << len(ground))))
+        systems += [random_system(rng, ground, rng.choice([0.1, 0.3, 0.7])), d, toggled]
+    outcomes = set()
+    for d in systems:
+        holds = _exchange_by_pairs(d)
+        assert holds == exchange_by_literal_pairs(d), d
+        outcomes.add((d.n > 3, holds))
+    assert len(systems) == 3278
+    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+
+
 def test_exchange_check_matches_pairs_on_pivoted_graph_encodings():
     rng = random.Random(7)
     for _ in range(60):

@@ -347,6 +347,60 @@ def test_principal_submatrix():
         principal_submatrix(BitMatrix(2, 3, (0, 0)), [0])
 
 
+def test_derived_matrices_and_subspaces_pass_their_constructors():
+    """transpose, principal_submatrix and permuted build unchecked after
+    their own index checks; each output, rebuilt through the validating
+    constructor, is accepted and equal, and means what it says."""
+    rng = random.Random(4317)
+    for _ in range(300):
+        rows, cols = rng.randrange(8), rng.randrange(8)
+        a = BitMatrix(rows, cols, [rng.getrandbits(cols) for _ in range(rows)])
+        t = a.transpose()
+        assert BitMatrix(t.rows, t.cols, t.data) == t and (t.rows, t.cols) == (cols, rows)
+        assert all(t.entry(j, i) == a.entry(i, j) for i in range(rows) for j in range(cols))
+        assert t.transpose() == a
+        square = BitMatrix(cols, cols, [rng.getrandbits(cols) for _ in range(cols)])
+        idx = [i for i in range(cols) if rng.random() < 0.5]
+        sub = principal_submatrix(square, rng.sample(idx * 2, 2 * len(idx)))  # repeated, shuffled
+        assert BitMatrix(sub.rows, sub.cols, sub.data) == sub
+        assert [[sub.entry(p, q) for q in range(len(idx))] for p in range(len(idx))] == [
+            [square.entry(i, j) for j in idx] for i in idx
+        ]
+        w = Subspace.span(cols, a.data)
+        perm = rng.sample(range(cols), cols)
+        moved = w.permuted(perm)
+        assert Subspace(moved.ambient_dim, moved.basis) == moved
+        assert set(moved.vectors()) == {scatter(v, perm) for v in w.vectors()}
+    with pytest.raises(ValueError, match="not a permutation of the coordinates"):
+        Subspace.span(3, [0b11]).permuted([0, 1, 1])
+
+
+def test_cached_runs_its_function_once_per_object():
+    """The first read computes and stores in the instance __dict__, later
+    reads find the stored value; .func is the function, and replacing it
+    changes what the next new object computes."""
+    calls = []
+
+    class Holder:
+        @gf2.cached
+        def value(self):
+            """The doc."""
+            calls.append(self)
+            return len(calls)
+
+    descriptor = Holder.__dict__["value"]
+    assert Holder.value is descriptor and descriptor.__doc__ == "The doc."
+    first, second = Holder(), Holder()
+    assert "value" not in vars(first)
+    assert [first.value, first.value, second.value, first.value, second.value] == [1, 1, 2, 1, 2]
+    assert calls == [first, second] and vars(first) == {"value": 1}
+    compute = descriptor.func
+    descriptor.func = lambda h: compute(h) * 10
+    assert Holder().value == 30 and first.value == 1
+    g = random_looped_simple_graph(random.Random(3), 5)
+    assert g.nonsingular_subsets == nonsingular_subsets(g.adj) == vars(g)["nonsingular_subsets"]
+
+
 def planes_at(planes, mask):
     """The number of planes set at subset mask."""
     return sum((p >> mask) & 1 for p in planes)

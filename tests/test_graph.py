@@ -291,6 +291,51 @@ def test_unchecked_routes_pass_the_constructor_checks():
     }
 
 
+def test_trusted_graph_builders_match_their_validated_forms():
+    """The generators, build and to_graph fill rows that are symmetric by
+    construction and skip the constructor's checks: each graph passes them
+    and compares equal.  to_graph refuses every family with n <= 3 that
+    encodes no graph, and build keeps its label errors."""
+    generated = [g for n in range(5) for g in all_looped_simple_graphs(n)]
+    rng = random.Random(4343)
+    generated += [random_looped_simple_graph(rng, n) for n in range(11) for _ in range(5)]
+    assert len(generated) == 1099 + 55
+    for g in generated:
+        checked = LoopedSimpleGraph(g.labels, BitMatrix(g.n, g.n, g.adj.data))
+        assert checked == g and hash(checked) == hash(g)
+        built = LoopedSimpleGraph.build(g.labels, g.edge_pairs(), g.loop_labels())
+        assert rebuilt(built) == built == g
+        assert built._position == {v: i for i, v in enumerate(g.labels)}
+    encodings = {}
+    for g in generated[:1099]:
+        decoded = to_graph(from_graph(g))
+        assert rebuilt(decoded) == decoded == g
+        encodings[g.n, from_graph(g).bits] = g
+    assert len(encodings) == 1099
+    refused = 0
+    for n in range(4):
+        for bits in range(1 << (1 << n)):
+            d = SetSystem(default_labels(n), bits)
+            if (n, bits) in encodings:
+                assert to_graph(d) == encodings[n, bits]
+                continue
+            message = "set system is not the encoding of any looped simple graph"
+            if not d.is_normal:
+                message = "a graphic set system contains the empty set"
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                to_graph(d)
+            refused += d.is_normal
+    assert refused == (1 + 2 + 8 + 128) - (1 + 2 + 8 + 64)  # normal families less graphs
+    for labels, edges, loops, message in [
+        ("ab", [("a", "z")], (), "unknown vertex in edge a z"),
+        ("ab", [], "bz", "unknown vertex in edge z z"),
+        ("aba", [("a", "b")], (), "duplicate vertex labels"),
+        ("aa", [("a", "z")], (), "unknown vertex in edge a z"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LoopedSimpleGraph.build(labels, edges, loops)
+
+
 def test_nonsingular_subsets_scanned_once_per_graph(monkeypatch):
     prop = LoopedSimpleGraph.__dict__["nonsingular_subsets"]
     scans = []

@@ -15,7 +15,8 @@ are defined only in gf2, only the minor routes build an adjacency matroid, the
 Euler system unchecked, an Euler system is a circuit partition subclass whose
 body defines only its check, the slow references that only verify calls live
 in verify, no matrix is walked entry by entry over all pairs, and in the CLI
-only main reads input or prints to stdout, and no command prints."""
+only main reads input or prints to stdout and no command prints, and the
+package memoizes no attribute with functools.cached_property."""
 
 import ast
 import re
@@ -337,6 +338,36 @@ def test_only_the_graph_memo_computes_coloop_evidence():
     }
     matroids = (ROOT / "src" / "adjmatroid" / "adjacency_matroid.py").read_text()
     assert sites(matroids, calls("forward_pivots")) == []
+
+
+def reads_cached_property(node: ast.AST) -> bool:
+    """An import of cached_property, or a read of it off a module."""
+    if isinstance(node, ast.ImportFrom):
+        return any(alias.name == "cached_property" for alias in node.names)
+    return isinstance(node, ast.Attribute) and node.attr == "cached_property"
+
+
+def test_checker_finds_every_cached_property_read():
+    source = (
+        "from functools import lru_cache, cached_property as memo\n"
+        "import functools\n"
+        "class A:\n"
+        "    @functools.cached_property\n"
+        "    def x(self):\n"
+        "        return 1\n"
+        "    @gf2.cached\n"
+        "    def y(self):\n"
+        "        return 2\n"
+        "def f():\n"
+        "    from functools import cached_property\n"
+    )
+    assert sites(source, reads_cached_property) == ["<module>", "A.x", "f"]
+
+
+def test_the_package_memoizes_through_gf2_cached_alone():
+    """functools.cached_property takes a lock on each first read in Python
+    3.11; the package's derived attributes use gf2.cached, which takes none."""
+    assert sites_in_sources(reads_cached_property) == {}
 
 
 def test_checker_finds_every_echelon_and_forward_pivot_call():

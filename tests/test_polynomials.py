@@ -392,6 +392,35 @@ def test_evaluators_agree_exhaustive_small():
             assert tutte_subset(m) == tutte_recursive(m)
 
 
+def point_value_faults(g: LoopedSimpleGraph) -> list[str]:
+    """The point values of q(G) and of T(M_A(G)) that differ from counts read
+    off g's and M_A(G)'s words, which no tally reaches."""
+    m = adjacency_matroid(g)
+    q, t = interlace_subset(g), tutte_subset(m)
+    expected = [
+        ("q(2, 2)", q.evaluate(2, 2), 2**g.n),
+        ("q(2, 1)", q.evaluate(2, 1), g.nonsingular_subsets.bit_count()),
+        ("T(2, 2)", t.evaluate(2, 2), 2**m.size),
+        ("T(2, 1)", t.evaluate(2, 1), m._independent_bits.bit_count()),
+        ("T(1, 1)", t.evaluate(1, 1), len(m.bases())),
+    ]
+    return [name for name, value, count in expected if value != count]
+
+
+def test_point_values_match_counts_that_read_no_tally(monkeypatch):
+    """q(2, 2) = 2^n, q(2, 1) = |D_G|, T(2, 2) = 2^|E|, T(2, 1) = the number
+    of independent sets and T(1, 1) = the number of bases, on every graph
+    with n <= 4; a conversion that adds one to every tally breaks them."""
+    graphs = [g for n in range(5) for g in all_looped_simple_graphs(n)]
+    assert len(graphs) == 1099
+    for g in graphs:
+        assert point_value_faults(g) == [], g
+    shipped = polynomials._from_tally
+    monkeypatch.setattr(polynomials, "_from_tally", lambda tally, n: shipped(tally + 1, n))
+    g = graphs[-1]
+    assert point_value_faults(g) == ["q(2, 2)", "q(2, 1)", "T(2, 2)", "T(2, 1)", "T(1, 1)"]
+
+
 def test_evaluators_agree_random_medium():
     rng = random.Random(31)
     for _ in range(15):
