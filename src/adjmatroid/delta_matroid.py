@@ -28,7 +28,7 @@ from .gf2 import (
     cached, check_ground_gate, coord_masks, dominated, flip_coordinates, pivot_step, set_bits,
     size_masks, unchecked,
 )
-from .graph import LoopedSimpleGraph, _LabelCodec, pair_is_edge
+from .graph import LoopedSimpleGraph, _LabelCodec, _symmetric_rows, pair_is_edge
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,23 +248,20 @@ def from_graph(g: LoopedSimpleGraph) -> DeltaMatroid:
 def to_graph(d: SetSystem) -> LoopedSimpleGraph:
     """Decode a graphic normal set system back to its looped simple graph.
 
-    The rows are read straight off the family word: vertex j is looped iff
+    The pairs are read straight off the family word: vertex j is looped iff
     bit 2^j (its singleton) is set, and a pair {i, j} is decoded by
     `graph.pair_is_edge`, nonsingular iff bit 2^i + 2^j is set.  The rows are
-    symmetric as filled and the graph is built unchecked on d's ground; it
-    is verified by re-encoding, which any non-graphic d fails.
+    filled once, symmetric as filled, and the graph is built unchecked on d's
+    ground; it is verified by re-encoding, which any non-graphic d fails.
     """
     if not d.is_normal:
         raise ValueError("a graphic set system contains the empty set")
-    bits, rows = d.bits, [0] * d.n
-    for j in range(d.n):
-        looped = bool(bits >> (1 << j) & 1)
-        rows[j] |= looped << j
-        for i in range(j):
-            if pair_is_edge(bool(bits >> (1 << i | 1 << j) & 1), bool(rows[i] >> i & 1), looped):
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    g = LoopedSimpleGraph._derived(d.ground, rows)
+    bits, n = d.bits, d.n
+    looped = [bool(bits >> (1 << j) & 1) for j in range(n)]
+    pairs = [(j, j) for j in range(n) if looped[j]]
+    pairs += [(i, j) for j in range(n) for i in range(j)
+              if pair_is_edge(bool(bits >> (1 << i | 1 << j) & 1), looped[i], looped[j])]
+    g = LoopedSimpleGraph._derived(d.ground, _symmetric_rows(n, pairs))
     if from_graph(g).bits != d.bits:
         raise ValueError("set system is not the encoding of any looped simple graph")
     return g

@@ -59,16 +59,16 @@ def unchecked(cls: type[T], **fields: Any) -> T:
     EulerSystem(f, transitions, circuits), and partition_from_transitions
     for a caller's pairing.
 
-    The trusted builders, each valid by construction or by a check of its
-    own: nullspace, orthogonal_complement, symmetrize_nullspace, transpose,
+    The trusted builders, each valid by construction or by a check of its own:
+    nullspace, orthogonal_complement, symmetrize_nullspace, transpose,
     principal_submatrix and Subspace.permuted (after their index checks);
-    LoopedSimpleGraph's derived graphs, build (after its label checks) and
-    the generators all_looped_simple_graphs and random_looped_simple_graph;
-    adjacency_matroid and BinaryMatroid's rank_of, dual, minors and direct
-    sum; SetSystem's flips, extrema and minors, from_graph (by Bouchet's
-    theorem) and to_graph (by re-encoding); the polynomial tallies and
-    shifted_power_term; and in four_regular touch_graph, the Kotzig merge
-    and the realization's multigraph."""
+    LoopedSimpleGraph's derived graphs, build (after its label checks) and the
+    generators all_looped_simple_graphs and random_looped_simple_graph;
+    MultiGraph.simplify; adjacency_matroid and BinaryMatroid's rank_of, dual,
+    minors and direct sum; SetSystem's flips, extrema and minors, from_graph
+    (by Bouchet's theorem) and to_graph (by re-encoding); the polynomial
+    tallies and shifted_power_term; and in four_regular touch_graph, the Kotzig
+    merge and the realization's multigraph."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
@@ -409,13 +409,17 @@ def coord_masks(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def set_bits(x: int) -> list[int]:
-    """The positions of the set bits of x, ascending: a family's members."""
+    """The positions of the set bits of x >= 0, ascending: a family's members."""
+    if x < 0:
+        raise ValueError(f"set bits of a negative int {x}")
     return [i for i, c in enumerate(bin(x)[:1:-1]) if c == "1"]
 
 
 def row_bits(x: int) -> Iterator[int]:
-    """The positions of the set bits of x, ascending, one step per set bit:
-    a sparse row's walk, where set_bits would read all of its n bits."""
+    """The positions of the set bits of x >= 0, ascending, one step per set
+    bit: a sparse row's walk, where set_bits would read all of its n bits."""
+    if x < 0:
+        raise ValueError(f"set bits of a negative int {x}")
     while x:
         yield (x & -x).bit_length() - 1
         x &= x - 1

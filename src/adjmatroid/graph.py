@@ -9,8 +9,7 @@ place that names vertices v0..v{n-1}, and `_LabelCodec` the one map between
 ground labels and masks, which set systems and binary matroids share.
 
 Edges and neighbors are read off each row's set bits (`gf2.row_bits`), not
-entry by entry.  A graph on its parent's labels (a complement or a variant)
-shares the parent's label index, which is not a field.
+entry by entry; `_symmetric_rows` is the one fill of rows from index pairs.
 """
 
 from __future__ import annotations
@@ -56,29 +55,14 @@ class LoopedSimpleGraph:
         in the text format.  The rows are symmetric as filled, so the labels
         are the one thing checked."""
         labels = tuple(labels)
-        index = {v: i for i, v in enumerate(labels)}
-        rows = [0] * len(labels)
-        for u, v in [*edges, *((v, v) for v in loops)]:
-            if u not in index or v not in index:
-                raise ValueError(f"unknown vertex in edge {u} {v}")
-            i, j = index[u], index[v]
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-        if len(index) != len(labels):
-            raise ValueError("duplicate vertex labels")
-        return cls._derived(labels, rows, index)
+        pairs = _index_pairs(labels, [*edges, *((v, v) for v in loops)])
+        return cls._derived(labels, _symmetric_rows(len(labels), pairs))
 
     @classmethod
-    def _derived(
-        cls, labels: tuple[str, ...], rows: Sequence[int], position: dict[str, int] | None = None
-    ) -> "LoopedSimpleGraph":
-        """A graph derived from a valid one, symmetric by construction: unchecked.
-        A graph on its parent's labels is given the parent's label index."""
+    def _derived(cls, labels: tuple[str, ...], rows: Sequence[int]) -> "LoopedSimpleGraph":
+        """A graph derived from a valid one, symmetric by construction: unchecked."""
         adj = unchecked(BitMatrix, rows=len(rows), cols=len(rows), data=tuple(rows))
-        g = unchecked(cls, labels=labels, adj=adj)
-        if position is not None:
-            g.__dict__["_position"] = position  # what the cached attribute would build
-        return g
+        return unchecked(cls, labels=labels, adj=adj)
 
     @property
     def n(self) -> int:
@@ -146,13 +130,13 @@ class LoopedSimpleGraph:
         while walk:
             rows[(walk & -walk).bit_length() - 1] ^= mask
             walk &= walk - 1
-        return LoopedSimpleGraph._derived(self.labels, rows, self._position)
+        return LoopedSimpleGraph._derived(self.labels, rows)
 
     def loop_complement(self, v: str) -> "LoopedSimpleGraph":
         i = self.index(v)
         rows = list(self.adj.data)
         rows[i] ^= 1 << i
-        return LoopedSimpleGraph._derived(self.labels, rows, self._position)
+        return LoopedSimpleGraph._derived(self.labels, rows)
 
     def induced(self, s: Iterable[str]) -> "LoopedSimpleGraph":
         return self.induced_mask(sum(1 << i for i in {self.index(v) for v in s}))
@@ -183,7 +167,7 @@ class LoopedSimpleGraph:
             rows[i] = 1 << i
         else:
             raise ValueError(f"unknown variant kind {kind!r}")
-        return LoopedSimpleGraph._derived(self.labels, rows, self._position)
+        return LoopedSimpleGraph._derived(self.labels, rows)
 
 
 @dataclass(frozen=True)
@@ -219,13 +203,7 @@ class MultiGraph:
         edge_labels: Sequence[str] = (),
     ) -> "MultiGraph":
         labels = tuple(labels)
-        index = {v: i for i, v in enumerate(labels)}
-        pairs = []
-        for u, v in edges:
-            if u not in index or v not in index:
-                raise ValueError(f"unknown vertex in edge {u} {v}")
-            pairs.append((index[u], index[v]))
-        return cls(labels, tuple(pairs), tuple(edge_labels))
+        return cls(labels, _index_pairs(labels, edges), edge_labels)
 
     @property
     def n(self) -> int:
@@ -249,19 +227,10 @@ class MultiGraph:
             out[v].add(label)
         return sorted(tuple(sorted(labels)) for labels in out)
 
-    def adjacency(self) -> BitMatrix:
-        rows = [0] * self.n
-        for u, v in self.edges:
-            if u == v:
-                rows[u] |= 1 << u
-            else:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-        return BitMatrix(self.n, self.n, rows)
-
     def simplify(self) -> LoopedSimpleGraph:
-        """Collapse parallels and repeated loops to a looped simple graph."""
-        return LoopedSimpleGraph(self.labels, self.adjacency())
+        """Collapse parallels and repeated loops: the multigraph has checked its
+        labels and the rows are symmetric as filled, so it is built unchecked."""
+        return LoopedSimpleGraph._derived(self.labels, _symmetric_rows(self.n, self.edges))
 
     def incidence_matrix(self) -> BitMatrix:
         """Vertex-by-edge GF(2) incidence; loop edges give zero columns."""
@@ -277,6 +246,30 @@ class MultiGraph:
         for u, v in self.edges:
             parent[find_root(parent, u)] = find_root(parent, v)
         return len({find_root(parent, i) for i in range(self.n)})
+
+
+def _symmetric_rows(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """The rows of the symmetric n x n matrix with (i, j) and (j, i) set for
+    each index pair; a pair (i, i) is a loop.  Repeats collapse."""
+    rows = [0] * n
+    for i, j in pairs:
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return rows
+
+
+def _index_pairs(labels: Sequence[str], edges: Iterable[tuple[str, str]]) -> list[tuple[int, int]]:
+    """The label pairs as index pairs into labels; an unknown label, then a
+    repeated one, is refused."""
+    index = {v: i for i, v in enumerate(labels)}
+    pairs = []
+    for u, v in edges:
+        if u not in index or v not in index:
+            raise ValueError(f"unknown vertex in edge {u} {v}")
+        pairs.append((index[u], index[v]))
+    if len(index) != len(labels):
+        raise ValueError("duplicate vertex labels")
+    return pairs
 
 
 def find_root(parent: list[int], x: int) -> int:
@@ -380,13 +373,8 @@ def _from_cells(labels: tuple[str, ...], bits: Iterable[object]) -> LoopedSimple
     """The graph with cell (i, j >= i) set for each true bit, taken in row
     order: symmetric as filled, on distinct generated labels, so unchecked."""
     n = len(labels)
-    rows = [0] * n
     cells = ((i, j) for i in range(n) for j in range(i, n))
-    for (i, j), bit in zip(cells, bits):
-        if bit:
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-    return LoopedSimpleGraph._derived(labels, rows)
+    return LoopedSimpleGraph._derived(labels, _symmetric_rows(n, itertools.compress(cells, bits)))
 
 
 def all_looped_simple_graphs(n: int) -> Iterator[LoopedSimpleGraph]:

@@ -5,7 +5,8 @@ Names are non-whitespace tokens.  Lines end only at \\n, \\r\\n or \\r: str.spli
 other breaks are whitespace, so line numbers are the file's (the CLI drops a
 leading byte order mark).  Duplicate edge or loop lines make the result a
 multigraph; otherwise a looped simple graph is returned, its adjacency rows
-built as the lines are read, and checked by the public constructors.
+filled from the index pairs after the last line is read, and checked by the
+public constructors.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from typing import Any
 
 from .gf2 import BitMatrix
-from .graph import LoopedSimpleGraph, MultiGraph, as_multigraph
+from .graph import LoopedSimpleGraph, MultiGraph, _symmetric_rows, as_multigraph
 
 
 class GraphParseError(ValueError):
@@ -30,37 +31,31 @@ def text_lines(text: str) -> list[str]:
 def parse_graph(text: str) -> LoopedSimpleGraph | MultiGraph:
     index: dict[str, int] = {}  # in declaration order: the labels
     pairs: list[tuple[int, int]] = []
-    rows: list[int] = []
-    simple = True
     for line_no, line in enumerate(text_lines(text), start=1):
         parts = line.split()
         keyword = parts[0] if parts else "#"  # a blank line reads as a comment
         if keyword == "edge" and len(parts) == 3 or keyword == "loop" and len(parts) == 2:
             try:
-                u, v = index[parts[1]], index[parts[-1]]
+                pairs.append((index[parts[1]], index[parts[-1]]))
             except KeyError as exc:
                 raise GraphParseError(line_no, f"unknown vertex {exc.args[0]!r}") from None
-            simple = simple and not (rows[u] >> v) & 1  # a repeated pair
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-            pairs.append((u, v))
         elif keyword == "vertices":
             if len(parts) == 1:
                 raise GraphParseError(line_no, "vertices needs at least one name")
             for v in parts[1:]:
                 if v in index:
                     raise GraphParseError(line_no, f"vertex {v!r} declared twice")
-                index[v] = len(rows)
-                rows.append(0)
+                index[v] = len(index)
         elif keyword == "edge":
             raise GraphParseError(line_no, "edge needs exactly two vertices")
         elif keyword == "loop":
             raise GraphParseError(line_no, "loop needs exactly one vertex")
         elif not keyword.startswith("#"):
             raise GraphParseError(line_no, f"unknown directive {keyword!r}")
-    if simple:
-        return LoopedSimpleGraph(tuple(index), BitMatrix(len(rows), len(rows), rows))
-    return MultiGraph(tuple(index), pairs)
+    n = len(index)
+    if len({frozenset(p) for p in pairs}) < len(pairs):  # a repeated pair
+        return MultiGraph(tuple(index), pairs)
+    return LoopedSimpleGraph(tuple(index), BitMatrix(n, n, _symmetric_rows(n, pairs)))
 
 
 def render_graph(g: LoopedSimpleGraph | MultiGraph) -> str:

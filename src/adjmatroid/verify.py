@@ -22,14 +22,18 @@ SetSystem.loop_complement_sequential and dual_pivot_sequential.
 
 The poly suite's checks, the routes each checks, and its oracle's kernels.
 No oracle reads polynomials._from_tally or gf2.distance_layers; the duality
-check has no oracle of its own, and the two Tutte evaluator checks share one:
+check and the two Tutte evaluator checks share one.  The evaluator checks
+also pin q(2, 2) = 2^n and T(2, 2) = 2^|E|, and count the words the routes
+tally: q(2, 1) nonsingular subsets, T(2, 1) independent sets, T(1, 1) bases.
 
   check                                       routes checked         oracle kernels
   interlace-evaluators-agree                  interlace_subset,      a matroid nullity per subset,
-                                              interlace_recursive    shifted_power_term, _poly_sum
+                                              interlace_recursive    shifted_power_term, _poly_sum;
+                                                                     nonsingular_subsets
   tutte-evaluators-agree                      tutte_subset,          rank_of per subset,
-  tutte-evaluators-agree-on-polygon-matroids  tutte_recursive        shifted_power_term, _poly_sum
-  tutte-polynomial-swaps-under-duality        tutte_subset of M, M*  none: the route itself
+  tutte-evaluators-agree-on-polygon-matroids  tutte_recursive        shifted_power_term, _poly_sum;
+                                                                     independent_masks, bases
+  tutte-polynomial-swaps-under-duality        tutte_subset of M, M*  the Tutte oracle of M, swapped
   leading-term-recursion                      lambda_leading         matroid nullity, _poly_times
   leading-term-complement-rules               lambda_leading         matroid nullity, _poly_times
   vertex-terms-make-the-difference            interlace_subset       a matroid nullity per subset,
@@ -188,7 +192,7 @@ def _graph_stream(max_n: int, trials: int, rand_n: int, seed: int):
 # minor/local-complement/tripartition identity of adjacency matroids.
 
 
-def _check_circuit_axioms(rec: Recorder, m: BinaryMatroid, witness: str) -> None:
+def _check_circuit_axioms(rec: Recorder, m: BinaryMatroid, witness: object) -> None:
     circuits = m.circuit_masks()
     circuit_set = set(circuits)
     with rec.check("circuit-axioms", witness):
@@ -216,7 +220,7 @@ def _matroid_kernel_checks(rec: Recorder, max_n: int, trials: int, seed: int) ->
     for n in range(min(max_n, 5) + 1):
         for w in _all_subspaces(n):
             m = BinaryMatroid(default_labels(n), w)
-            witness = f"subspace dim {w.dim} of 2^{n}: {w.basis}"
+            witness = Witness("subspace dim {} of 2^{}: {}".format, w.dim, n, w.basis)
             with rec.check("subspace-matroid-round-trip", witness):
                 assert BinaryMatroid(m.ground, m.cycle_space) == m
                 assert m.cycle_space == w
@@ -228,7 +232,7 @@ def _matroid_kernel_checks(rec: Recorder, max_n: int, trials: int, seed: int) ->
         rows = rng.randrange(1, 9)
         cols = rng.randrange(1, 9)
         a = BitMatrix(rows, cols, (rng.randrange(1 << cols) for _ in range(rows)))
-        witness = f"matrix {a.rows}x{a.cols} rows={a.data}"
+        witness = Witness("matrix {}x{} rows={}".format, a.rows, a.cols, a.data)
         with rec.check("rank-plus-nullity", witness):
             assert rank(a) + nullity(a) == a.cols
             assert rank(a) == rank(a.transpose())
@@ -259,7 +263,7 @@ def _matroid_kernel_checks(rec: Recorder, max_n: int, trials: int, seed: int) ->
         n = rng.randrange(8)
         a = random_looped_simple_graph(rng, n).adj
         r = rank(a)
-        witness = f"symmetric {n}x{n} rows={a.data}"
+        witness = Witness("symmetric {0}x{0} rows={1}".format, n, a.data)
         with rec.check("principal-minor-rank-criterion", witness):
             for s in itertools.combinations(range(n), r):
                 cols = [a.column_mask(j) for j in s]
@@ -1049,6 +1053,16 @@ def _tutte_by_rank(m: BinaryMatroid) -> BivariatePolynomial:
     return _expanded(Counter((m.rank - r, size - r) for size, r in ranks))
 
 
+def _check_tutte(m: BinaryMatroid, t: BivariatePolynomial, oracle: BivariatePolynomial) -> None:
+    """Both Tutte evaluator checks: t = tutte_subset(m) against the recursion,
+    the rank oracle and the point values."""
+    assert t == tutte_recursive(m)
+    assert t == oracle
+    assert t.evaluate(2, 2) == 1 << m.size
+    assert t.evaluate(2, 1) == len(m.independent_masks())
+    assert t.evaluate(1, 1) == len(m.bases())
+
+
 def _interlace_vertex_terms(
     g: LoopedSimpleGraph, nullities: list[int]
 ) -> dict[str, BivariatePolynomial]:
@@ -1063,15 +1077,18 @@ def _poly_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
     with rec.check("interlace-evaluators-agree", witness):
         assert q == interlace_recursive(g)
         assert q == _q_from_lambda(nullities)
+        assert q.evaluate(2, 2) == 1 << g.n
+        assert q.evaluate(2, 1) == g.nonsingular_subsets.bit_count()
 
     mg = adjacency_matroid(g)
-    t = tutte_subset(mg)
+    t, by_rank = tutte_subset(mg), _tutte_by_rank(mg)
     with rec.check("tutte-evaluators-agree", witness):
-        assert t == tutte_recursive(mg)
-        assert t == _tutte_by_rank(mg)
+        _check_tutte(mg, t, by_rank)
 
     with rec.check("tutte-polynomial-swaps-under-duality", witness):
-        assert _poly_sum((j, i, c) for i, j, c in t.terms) == tutte_subset(mg.dual())
+        dual = tutte_subset(mg.dual())
+        for p in (t, by_rank):  # T(M*; x, y) = T(M; y, x)
+            assert _poly_sum((j, i, c) for i, j, c in p.terms) == dual
 
     with rec.check("leading-term-recursion", witness):
         lam, step = lambda_leading(mg), shifted_power_term(0, 1)
@@ -1108,9 +1125,7 @@ def _poly_polygon_checks(rec: Recorder, trials: int, seed: int) -> None:
         mg = _random_multigraph(rng, rng.randrange(1, 5), rng.randrange(6))
         m = polygon_matroid(mg)
         with rec.check("tutte-evaluators-agree-on-polygon-matroids", Witness(graph_witness, mg)):
-            t = tutte_subset(m)
-            assert t == tutte_recursive(m)
-            assert t == _tutte_by_rank(m)
+            _check_tutte(m, tutte_subset(m), _tutte_by_rank(m))
 
 
 def poly_suite(max_n: int = 4, trials: int = 200, seed: int = 0) -> list[CheckResult]:

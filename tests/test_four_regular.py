@@ -1043,9 +1043,9 @@ def test_relative_interlacement_builds_a_fixed_number_of_graphs(monkeypatch):
     builds = []
     derive = LoopedSimpleGraph._derived
 
-    def counted(labels, rows, position=None):
+    def counted(labels, rows):
         builds.append(rows)
-        return derive(labels, rows, position)
+        return derive(labels, rows)
 
     monkeypatch.setattr(LoopedSimpleGraph, "_derived", counted)
     psi_counts = set()

@@ -478,6 +478,20 @@ def test_count_masks_and_set_bits(count_masks):
     assert set_bits(0b101001) == [0, 3, 5]
 
 
+def test_set_bit_readers_refuse_a_negative_int():
+    """A negative int has set bits without end: row_bits would walk forever
+    and set_bits would read the digits of its absolute value."""
+    for x in (-1, -5, -(1 << 70)):
+        with pytest.raises(ValueError, match=f"^set bits of a negative int {x}$"):
+            set_bits(x)
+        with pytest.raises(ValueError, match=f"^set bits of a negative int {x}$"):
+            next(gf2.row_bits(x))
+    for x in (0, 1, 0b101001, 1 << 70 | 6):
+        expected = [i for i in range(x.bit_length()) if x >> i & 1]
+        assert set_bits(x) == list(gf2.row_bits(x)) == expected
+    assert list(gf2.row_bits(0)) == [] and list(gf2.row_bits(0b101001)) == [0, 3, 5]
+
+
 def test_size_masks_match_a_popcount_table():
     assert gf2.size_masks(0) == (1,)
     for n in range(13):

@@ -60,7 +60,7 @@ def test_simplify_collapses_parallels_and_loops():
     assert doubled.simplify() == K3
     twoloops = MultiGraph.build("a", [("a", "a"), ("a", "a")])
     assert twoloops.simplify() == LoopedSimpleGraph.build("a", loops="a")
-    assert doubled.simplify().adj == doubled.adjacency()
+    assert doubled.simplify().adj == BitMatrix(3, 3, [0b110, 0b101, 0b011])
 
 
 def test_local_complement_isolated_fixed_point():
@@ -152,22 +152,23 @@ def test_render_and_json_are_fast_on_a_large_sparse_graph():
         assert time.perf_counter() - start < 0.2
 
 
-def test_graphs_on_unchanged_labels_share_the_label_index():
-    """Complements, variants and contract_via_lc's witness chain reuse their
-    parent's label index.  It is not a field, so equality and hash are those
-    of the graph rebuilt through the constructor, and an unknown label still
-    raises; a graph on fewer labels builds its own."""
+def test_derived_graphs_index_their_own_labels():
+    """Complements, variants and contract_via_lc's witness chain build their
+    own label index on the first index().  It is not a field, so equality
+    and hash are those of the graph rebuilt through the constructor, and an
+    unknown label still raises; a graph on fewer labels builds its own."""
     assert "_position" not in {f.name for f in fields(LoopedSimpleGraph)}
     rng = random.Random(2011)
     for n in range(1, 10):
         g = random_looped_simple_graph(rng, n)
         v, w = g.labels[-1], g.labels[0]
-        shared = [g.local_complement(v), g.loop_complement(v)]
-        shared += [g.variant(v, kind) for kind in ("plain", "loop", "loop_isolate")]
-        shared += [h.local_complement(w) for h in shared]
-        shared.append(contract_via_lc(g, v).witness_graph)
-        for h in shared:
-            assert h._position is g._position
+        derived = [g.local_complement(v), g.loop_complement(v)]
+        derived += [g.variant(v, kind) for kind in ("plain", "loop", "loop_isolate")]
+        assert not any("_position" in vars(h) for h in derived)
+        derived += [h.local_complement(w) for h in derived]
+        derived.append(contract_via_lc(g, v).witness_graph)
+        for h in derived:
+            assert h._position == g._position
             rebuilt = LoopedSimpleGraph(h.labels, BitMatrix(n, n, h.adj.data))
             assert h == rebuilt and hash(h) == hash(rebuilt) and repr(h) == repr(rebuilt)
             with pytest.raises(ValueError, match="unknown vertex 'zz'"):
@@ -292,10 +293,11 @@ def test_unchecked_routes_pass_the_constructor_checks():
 
 
 def test_trusted_graph_builders_match_their_validated_forms():
-    """The generators, build and to_graph fill rows that are symmetric by
-    construction and skip the constructor's checks: each graph passes them
-    and compares equal.  to_graph refuses every family with n <= 3 that
-    encodes no graph, and build keeps its label errors."""
+    """The generators, build, MultiGraph.simplify and to_graph fill rows that
+    are symmetric by construction and skip the constructor's checks: each
+    graph passes them and compares equal.  to_graph refuses every family
+    with n <= 3 that encodes no graph, and both builds keep their label
+    errors, in the same order."""
     generated = [g for n in range(5) for g in all_looped_simple_graphs(n)]
     rng = random.Random(4343)
     generated += [random_looped_simple_graph(rng, n) for n in range(11) for _ in range(5)]
@@ -306,6 +308,10 @@ def test_trusted_graph_builders_match_their_validated_forms():
         built = LoopedSimpleGraph.build(g.labels, g.edge_pairs(), g.loop_labels())
         assert rebuilt(built) == built == g
         assert built._position == {v: i for i, v in enumerate(g.labels)}
+        loops = [(v, v) for v in g.loop_labels()]
+        repeated = [*g.edge_pairs(), *loops, *((v, u) for u, v in g.edge_pairs()), *loops]
+        simple = MultiGraph.build(g.labels, repeated).simplify()  # each edge and loop twice
+        assert rebuilt(simple) == simple == g
     encodings = {}
     for g in generated[:1099]:
         decoded = to_graph(from_graph(g))
@@ -334,6 +340,8 @@ def test_trusted_graph_builders_match_their_validated_forms():
     ]:
         with pytest.raises(ValueError, match=f"^{message}$"):
             LoopedSimpleGraph.build(labels, edges, loops)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MultiGraph.build(labels, [*edges, *((v, v) for v in loops)])
 
 
 def test_nonsingular_subsets_scanned_once_per_graph(monkeypatch):

@@ -14,9 +14,11 @@ are defined only in gf2, only the minor routes build an adjacency matroid, the
 4-regular builders take no validating route, only the Kotzig merge builds an
 Euler system unchecked, an Euler system is a circuit partition subclass whose
 body defines only its check, the slow references that only verify calls live
-in verify, no matrix is walked entry by entry over all pairs, and in the CLI
-only main reads input or prints to stdout and no command prints, and the
-package memoizes no attribute with functools.cached_property."""
+in verify, no matrix is walked entry by entry over all pairs, a symmetric
+pair fill has one site, in graph, and in the CLI only main reads input or
+prints to stdout and no command prints, and the package memoizes no
+attribute with functools.cached_property and writes into no instance
+__dict__ outside gf2."""
 
 import ast
 import re
@@ -368,6 +370,46 @@ def test_the_package_memoizes_through_gf2_cached_alone():
     """functools.cached_property takes a lock on each first read in Python
     3.11; the package's derived attributes use gf2.cached, which takes none."""
     assert sites_in_sources(reads_cached_property) == {}
+
+
+def writes_instance_dict(node: ast.AST) -> bool:
+    """An assignment into a subscript of an instance's __dict__ or vars()."""
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and any(
+        isinstance(t, ast.Subscript) and (
+            isinstance(t.value, ast.Attribute) and t.value.attr == "__dict__"
+            or calls("vars")(t.value)
+        )
+        for t in targets
+    )
+
+
+def test_checker_finds_every_instance_dict_write():
+    source = (
+        "class cached:\n"
+        "    def __get__(self, obj, owner=None):\n"
+        "        value = obj.__dict__[self.name] = self.func(obj)\n"
+        "        return value\n"
+        "def derived(g, position):\n"
+        "    g.__dict__['_position'] = position\n"
+        "def counted(g, k):\n"
+        "    vars(g)[k] += 1\n"
+        "def reads(obj, cls, fields):\n"
+        "    obj.__dict__.update(fields)\n"
+        "    return obj.__dict__['x'], cls.__dict__['y'], vars(obj)\n"
+    )
+    assert sites(source, writes_instance_dict) == ["cached.__get__", "derived", "counted"]
+    planted = (ROOT / "src" / "adjmatroid" / "graph.py").read_text() + (
+        "def derived_as_before(g, position):\n"
+        "    g.__dict__['_position'] = position  # what the cached attribute would build\n"
+    )
+    assert sites(planted, writes_instance_dict) == ["derived_as_before"]
+
+
+def test_only_the_gf2_memo_writes_an_instance_dict():
+    """A derived attribute is filled by gf2.cached on its first read, and by
+    nothing else: a derived graph builds its own label index."""
+    assert sites_in_sources(writes_instance_dict) == {"src/adjmatroid/gf2.py": ["cached.__get__"]}
 
 
 def test_checker_finds_every_echelon_and_forward_pivot_call():
@@ -1162,6 +1204,89 @@ def test_no_all_pairs_entry_walk_in_the_package():
         if (names := entry_reads_under_two_fors(path.read_text()))
     }
     assert found == {}
+
+
+def bit_fill(node: ast.AST) -> tuple[str, str, str] | None:
+    """(rows, i, j) for a statement rows[i] |= 1 << j, each part as its dump."""
+    if not (
+        isinstance(node, ast.AugAssign) and isinstance(node.op, ast.BitOr)
+        and isinstance(node.target, ast.Subscript) and isinstance(node.value, ast.BinOp)
+        and isinstance(node.value.op, ast.LShift)
+        and isinstance(node.value.left, ast.Constant) and node.value.left.value == 1
+    ):
+        return None
+    return ast.dump(node.target.value), ast.dump(node.target.slice), ast.dump(node.value.right)
+
+
+def symmetric_pair_fills(source: str) -> list[str]:
+    """Where a statement list sets rows[i] |= 1 << j and, as its next
+    statement, rows[j] |= 1 << i: both cells of an index pair filled."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        for body in (getattr(node, name, None) for name in ("body", "orelse", "finalbody")):
+            if isinstance(body, list):
+                fills = [bit_fill(stmt) for stmt in body]
+                found.extend(
+                    scope or "<module>" for a, b in zip(fills, fills[1:])
+                    if a and b == (a[0], a[2], a[1])
+                )
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_checker_finds_every_symmetric_pair_fill():
+    source = (
+        "def fill(n, pairs):\n"
+        "    rows = [0] * n\n"
+        "    for i, j in pairs:\n"
+        "        rows[i] |= 1 << j\n"
+        "        rows[j] |= 1 << i\n"
+        "class MultiGraph:\n"
+        "    def adjacency(self):\n"
+        "        for u, v in self.edges:\n"
+        "            if u == v:\n"
+        "                rows[u] |= 1 << u\n"
+        "            else:\n"
+        "                rows[u] |= 1 << v\n"
+        "                rows[v] |= 1 << u\n"
+        "def inline(rows, i, j):\n"
+        "    rows[i] |= 1 << j; rows[j] |= 1 << i\n"
+        "def not_a_pair(rows, cols, u, v, j):\n"
+        "    rows[u] |= 1 << j\n"
+        "    rows[v] |= 1 << j\n"
+        "    rows[u] |= 1 << v\n"
+        "    cols[v] |= 1 << u\n"
+        "    rows[u] |= 2 << v\n"
+        "    rows[v] |= 2 << u\n"
+        "    rows[v] ^= 1 << u\n"
+        "    rows[u] ^= 1 << v\n"
+    )
+    assert symmetric_pair_fills(source) == ["fill", "MultiGraph.adjacency", "inline"]
+    planted = (ROOT / "src" / "adjmatroid" / "delta_matroid.py").read_text() + (
+        "def to_graph_as_before(rows, i, j, looped):\n"
+        "    rows[j] |= looped << j\n"
+        "    if pair_is_edge(True, False, looped):\n"
+        "        rows[i] |= 1 << j\n"
+        "        rows[j] |= 1 << i\n"
+    )
+    assert symmetric_pair_fills(planted) == ["to_graph_as_before"]
+
+
+def test_one_symmetric_pair_fill_in_the_package():
+    """Every looped graph built from index pairs fills its rows through
+    graph._symmetric_rows."""
+    found = {
+        str(path.relative_to(ROOT)): names
+        for path in SOURCES
+        if (names := symmetric_pair_fills(path.read_text()))
+    }
+    assert found == {"src/adjmatroid/graph.py": ["_symmetric_rows"]}
 
 
 CLI = ROOT / "src" / "adjmatroid" / "cli.py"

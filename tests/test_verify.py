@@ -149,6 +149,16 @@ def test_both_tutte_checks_see_a_fault_in_the_shared_conversion(monkeypatch):
         assert results[name].failures, name
 
 
+def test_the_duality_check_sees_a_swap_symmetric_fault(monkeypatch):
+    """A tutte_subset that adds xy to every result still swaps under duality,
+    since xy is its own swap; the check's rank oracle, swapped, does not."""
+    shipped = verify.tutte_subset
+    monkeypatch.setattr(verify, "tutte_subset", lambda m: verify._poly_sum(shipped(m).terms, [(1, 1, 1)]))
+    results = {r.name: r for r in verify.poly_suite(max_n=2, trials=5, seed=0)}
+    for name in ("tutte-polynomial-swaps-under-duality", "tutte-evaluators-agree"):
+        assert results[name].failures, name
+
+
 def test_the_matroid_suite_builds_only_its_oracle_matroids(monkeypatch):
     """trio and subgraph deletion build no matroids of their own, so every
     build is one that the checks compare."""
@@ -294,6 +304,51 @@ def test_a_clean_run_renders_no_graph(monkeypatch):
     assert all(r.ok for r in results)
     assert sum(r.instances for r in results) == 6115
     assert renders == []
+
+
+def test_a_clean_matroid_run_checks_no_str_witness(monkeypatch):
+    """The kernel checks hand the recorder lazy witnesses, like every other
+    check: a clean run formats none."""
+    witnesses = []
+    check = verify.Recorder.check
+    monkeypatch.setattr(
+        verify.Recorder, "check", lambda rec, name, w: witnesses.append(w) or check(rec, name, w)
+    )
+    results = verify.matroid_suite(max_n=2, trials=5, seed=0)
+    assert all(r.ok for r in results)
+    assert len(witnesses) == sum(r.instances for r in results)
+    assert [w for w in witnesses if isinstance(w, str)] == []
+
+
+def test_kernel_failures_print_the_eager_witness_text(monkeypatch):
+    """Every kernel check forced to fail keeps its first witnesses, rendered
+    as the f-strings the lazy witnesses replaced."""
+    exit_check = verify._Check.__exit__
+    monkeypatch.setattr(
+        verify._Check, "__exit__",
+        lambda self, kind, exc, tb: exit_check(self, kind or AssertionError, exc or "forced", tb),
+    )
+    rec = verify.Recorder()
+    verify._matroid_kernel_checks(rec, max_n=2, trials=5, seed=0)
+    subspaces = [
+        f"subspace dim {w.dim} of 2^{n}: {w.basis}" for n in range(3) for w in verify._all_subspaces(n)
+    ]
+    rng = random.Random(1)  # the suite's seed + 1, drawn in the suite's order
+    matrices = []
+    for _ in range(200):
+        rows, cols = rng.randrange(1, 9), rng.randrange(1, 9)
+        a = BitMatrix(rows, cols, [rng.randrange(1 << cols) for _ in range(rows)])
+        matrices.append(f"matrix {a.rows}x{a.cols} rows={a.data}")
+    symmetric = []
+    for _ in range(verify.MAX_FAILURES_KEPT):
+        n = rng.randrange(8)
+        symmetric.append(f"symmetric {n}x{n} rows={random_looped_simple_graph(rng, n).adj.data}")
+    kept = verify.MAX_FAILURES_KEPT
+    expected = [subspaces] * 3 + [matrices] * 5 + [symmetric]
+    assert [r.failures for r in rec.report()] == [
+        [f"{text}: forced" for text in texts[:kept]] for texts in expected
+    ]
+    assert [r.instances for r in rec.report()] == [8] * 3 + [200] * 6
 
 
 def eager_graph_text(g) -> str:
