@@ -9,9 +9,12 @@ steps and the ground gate are `gf2`'s.  Graphs embed as the subsets S
 inducing a nonsingular adjacency submatrix (the graph's memoized word: det
 A[S] is the parity of the covers of S by loops and edges).  Bouchet
 ("Representability of delta-matroids", 1987) proved that this family meets
-the exchange axiom, so from_graph does not check it.  Its distance d(X) =
-min |F ^ X| over members F is the nullity of A[X], and gf2.distance_layers
-finds d at every X at once.
+the exchange axiom, so from_graph does not check it.  The exchange verdict
+is kept per system object (a `gf2.cached` attribute): is_delta_matroid,
+DeltaMatroid(...) and repeated asks run the kernel once per object, and
+nothing pre-seeds it, so from_graph's systems run it on their first ask.
+A graph family's distance d(X) = min |F ^ X| over members F is the nullity
+of A[X], and gf2.distance_layers finds d at every X at once.
 
 A slow reference lives beside its checks in `verify` unless the CLI or the
 benchmark needs it: bench/workloads.py checks the flips against the two
@@ -66,6 +69,26 @@ class SetSystem(_LabelCodec):
     def family(self) -> frozenset[int]:
         """The members as bitmasks: a read-only view of bits."""
         return frozenset(set_bits(self.bits))
+
+    @cached
+    def _exchange_verdict(self) -> bool:
+        """satisfies_exchange_axiom's kernel; nothing pre-seeds it."""
+        fam, bits = self.family, self.bits
+        masks = coord_masks(self.n)
+        for x in fam:
+            for u, (zero_u, one_u) in enumerate(masks):
+                xu = x ^ (1 << u)
+                if xu in fam:
+                    continue
+                witnesses = bits & (zero_u if (x >> u) & 1 else one_u)
+                for v, (zero_v, one_v) in enumerate(masks):
+                    if v != u and (xu ^ (1 << v)) in fam:
+                        witnesses &= one_v if (x >> v) & 1 else zero_v
+                        if not witnesses:
+                            break
+                if witnesses:
+                    return False
+        return True
 
     @property
     def n(self) -> int:
@@ -199,27 +222,13 @@ class SetSystem(_LabelCodec):
 
 
 def satisfies_exchange_axiom(d: SetSystem) -> bool:
-    """The symmetric exchange axiom, exactly, in O(|F| n^2) word operations.
+    """The symmetric exchange axiom, exactly, in O(|F| n^2) word operations,
+    run on the first ask of each system object and kept as its verdict.
 
     With T the v != u such that x^{u, v} is in F, the axiom fails at x in F
     and u with x^{u} outside F iff some y in F differs from x at u and
     agrees with x on T."""
-    fam, bits = d.family, d.bits
-    masks = coord_masks(d.n)
-    for x in fam:
-        for u, (zero_u, one_u) in enumerate(masks):
-            xu = x ^ (1 << u)
-            if xu in fam:
-                continue
-            witnesses = bits & (zero_u if (x >> u) & 1 else one_u)
-            for v, (zero_v, one_v) in enumerate(masks):
-                if v != u and (xu ^ (1 << v)) in fam:
-                    witnesses &= one_v if (x >> v) & 1 else zero_v
-                    if not witnesses:
-                        break
-            if witnesses:
-                return False
-    return True
+    return d._exchange_verdict
 
 
 def is_delta_matroid(d: SetSystem) -> bool:

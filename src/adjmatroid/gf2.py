@@ -17,7 +17,9 @@ No subset expansion eliminates per subset: the nonsingular principal
 submatrices of a symmetric matrix are one word (det a[S, S] is the parity
 of the covers of S by loops and edges, ``nonsingular_subsets``), and a
 matroid's independent sets are one word built from its cycle space in
-`binary_matroid`; each word's distance layers give the nullities.  The
+`binary_matroid`; each word's distance layers give the nullities, and the
+independent sets, being down-closed, need only the upward half of each
+pivot step (``distance_layers(..., down_closed=True)``).  The
 steps on such a word (``pivot_step``, ``flip_coordinates``, ``dominated``,
 ``distance_layers``) and both work limits and their checkers live here.
 Every mask table grows by doubling, one coordinate at a time
@@ -230,6 +232,8 @@ class BitMatrix:
             raise ValueError("row count mismatch")
         limit = 1 << self.cols
         for r in self.data:
+            if not isinstance(r, int):
+                raise ValueError(f"matrix row {r!r} is not an int")
             if not 0 <= r < limit:
                 raise ValueError("row exceeds column count")
 
@@ -464,19 +468,28 @@ def dominated(bits: int, n: int, up: bool) -> int:
     return beyond
 
 
-def distance_layers(bits: int, n: int) -> list[int]:
+def _up_step(f: int, zero: int, b: int) -> int:
+    """The upward half of pivot_step: each set avoiding i moved up to the set with i."""
+    return (f & zero) << b
+
+
+def distance_layers(bits: int, n: int, down_closed: bool = False) -> list[int]:
     """Word c holds the X at distance exactly c from the proper family bits,
     d(X) = min |F ^ X| over members F: breadth first, each layer the last one
-    pivoted in every coordinate, less what is reached."""
+    pivoted in every coordinate, less what is reached.  A down_closed family
+    (every subset of a member a member) has a nearest member of X inside X,
+    so each X at distance c + 1 is some X' + {i} with X' at distance c, and
+    only the upward half of each pivot step is taken."""
     if not bits:
         raise ValueError("distance needs a proper set system")
+    step = _up_step if down_closed else pivot_step
     layers, reached, full = [bits], bits, (1 << (1 << n)) - 1
     while layers[-1] and reached != full:
-        step = 0
+        moved = 0
         for i, (zero, _) in enumerate(coord_masks(n)):
-            step |= pivot_step(layers[-1], zero, 1 << i)
-        layers.append(step & ~reached)
-        reached |= step
+            moved |= step(layers[-1], zero, 1 << i)
+        layers.append(moved & ~reached)
+        reached |= moved
     return layers
 
 

@@ -13,8 +13,9 @@ times x - 1 is (R << U) - R.  Both polynomials sum (x-1)^a (y-1)^b over
 subsets.  The subset expansions read nullities as distances from a family
 word: the graph's delta-matroid (the memoized word from_graph shares), or the
 matroid's independent sets, a nearest of which to S being a largest one inside
-S.  They count each layer by size and expand the counts by Horner's rule, one
-shift and one subtraction per step.  The distance layers, the size masks and
+S; that word is down-closed, so its layers take only the upward half of each
+pivot step.  They count each layer by size and expand the counts by Horner's
+rule, one shift and one subtraction per step.  The distance layers, the size masks and
 the enumeration gate are `gf2`'s.  The recursions memoize packed polynomials.
 One read takes the polynomial out: 2^(W-1) added to each slot, then xor with
 that bias leaves two's complement.
@@ -192,7 +193,7 @@ def interlace_recursive(g: LoopedSimpleGraph) -> BivariatePolynomial:
 def tutte_subset(m: BinaryMatroid) -> BivariatePolynomial:
     """Rank generating subset expansion of the Tutte polynomial: S adds
     (x-1)^(r - r(S)) (y-1)^nu(S), nu(S) = |S| - r(S) its distance layer."""
-    layers = distance_layers(m._independent_bits, m.size)  # the word is gated
+    layers = distance_layers(m._independent_bits, m.size, down_closed=True)  # the word is gated
     return _from_tally(_layer_tally(layers, m.size, m.rank, -1), m.size)
 
 

@@ -11,6 +11,12 @@ loops they replaced as references.  The word steps and the gates are
 interlace_subset runs.  The fourreg suite walks each corpus graph's
 transition systems once; `verify` and the tests drive the suites.
 
+Each check reads each route value once per stream instance.  A value one
+check reads twice is bound once inside it; a value several checks read is a
+_Lazy, built on its first read inside the check that reads it first.  A
+build that raises keeps nothing, so a raising route fails every check that
+reads it, with the same text, as a direct call in each would.
+
 A slow reference lives beside its checks, here, unless the CLI or the
 benchmark needs it: _all_subspaces, _kappa, the polynomial sum and product
 _poly_sum and _poly_times, which build through the validating constructor,
@@ -47,7 +53,7 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from . import delta_matroid as dm
 from .adjacency_matroid import (
@@ -134,6 +140,22 @@ class Witness(functools.partial):
     """Failure text, rendered only by str(): the call of this partial."""
 
     __str__ = functools.partial.__call__
+
+
+class _Lazy:
+    """build(*args), called on the first read and kept; a call that raises
+    keeps nothing, so each later read calls again."""
+
+    __slots__ = ("build", "args", "value")
+
+    def __init__(self, build: Callable[..., Any], *args: Any) -> None:
+        self.build, self.args = build, args
+
+    def __call__(self) -> Any:
+        if self.build is not None:
+            self.value = self.build(*self.args)
+            self.build = None
+        return self.value
 
 
 class Recorder:
@@ -233,14 +255,16 @@ def _matroid_kernel_checks(rec: Recorder, max_n: int, trials: int, seed: int) ->
         cols = rng.randrange(1, 9)
         a = BitMatrix(rows, cols, (rng.randrange(1 << cols) for _ in range(rows)))
         witness = Witness("matrix {}x{} rows={}".format, a.rows, a.cols, a.data)
+        kernel, sym = _Lazy(nullspace, a), _Lazy(symmetrize_nullspace, a)
         with rec.check("rank-plus-nullity", witness):
-            assert rank(a) + nullity(a) == a.cols
-            assert rank(a) == rank(a.transpose())
+            r = rank(a)
+            assert r + nullity(a) == a.cols
+            assert r == rank(a.transpose())
         with rec.check("nullspace-annihilates", witness):
-            for v in nullspace(a).basis:
+            for v in kernel().basis:
                 assert a.mul_mask(v) == 0
         with rec.check("orthogonal-complement-involution", witness):
-            w = nullspace(a)
+            w = kernel()
             comp = orthogonal_complement(w)
             assert comp.dim + w.dim == a.cols
             assert orthogonal_complement(comp) == w
@@ -248,14 +272,13 @@ def _matroid_kernel_checks(rec: Recorder, max_n: int, trials: int, seed: int) ->
                 for y in comp.basis:
                     assert (x & y).bit_count() % 2 == 0
         with rec.check("symmetric-representation-of-nullspace", witness):
-            b = symmetrize_nullspace(a)
+            b = sym()
             assert b.is_symmetric and b.rows == a.cols
-            kernel = nullspace(a)
-            assert nullspace(b) == kernel
-            assert _zero_set(b) == sum(1 << v for v in kernel.vectors())
+            assert nullspace(b) == kernel()
+            assert _zero_set(b) == sum(1 << v for v in kernel().vectors())
         with rec.check("symmetric-representation-same-matroid", witness):
             labels = default_labels(a.cols)
-            assert BinaryMatroid.from_matrix(symmetrize_nullspace(a), labels) == (
+            assert BinaryMatroid.from_matrix(sym(), labels) == (
                 BinaryMatroid.from_matrix(a, labels)
             )
 
@@ -265,9 +288,9 @@ def _matroid_kernel_checks(rec: Recorder, max_n: int, trials: int, seed: int) ->
         r = rank(a)
         witness = Witness("symmetric {0}x{0} rows={1}".format, n, a.data)
         with rec.check("principal-minor-rank-criterion", witness):
+            columns = [a.column_mask(j) for j in range(n)]
             for s in itertools.combinations(range(n), r):
-                cols = [a.column_mask(j) for j in s]
-                independent = len(Subspace.span(n, cols).basis) == r
+                independent = len(Subspace.span(n, [columns[j] for j in s]).basis) == r
                 principal_ok = rank(principal_submatrix(a, s)) == r
                 assert independent == principal_ok
 
@@ -609,6 +632,7 @@ def _delta_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
     mg = adjacency_matroid(g)
     witness = Witness(graph_witness, g)
     induced = [g.induced_mask(mask) for mask in range(1 << g.n)]
+    top, mg_bases = _Lazy(d.max_sys), _Lazy(mg.bases)
 
     with rec.check("graph-encoding-is-normal-delta-matroid", witness):
         assert d.is_normal
@@ -622,7 +646,7 @@ def _delta_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
             assert _distance_of(layers, x) == nullity(h.adj)
 
     with rec.check("max-members-are-matroid-bases", witness):
-        assert dm.max_as_matroid(d) == mg.bases()
+        assert dm.max_as_matroid(d) == mg_bases()
 
     for v in g.labels:
         wv = Witness(graph_witness, g, f"vertex {v}")
@@ -630,32 +654,34 @@ def _delta_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
         m_gv = adjacency_matroid(gv)
         contracted = mg.contract(v)
         pivoted = d.pivot([v])
+        dual_pivoted, complemented = _Lazy(d.dual_pivot, [v]), _Lazy(d.loop_complement, [v])
+        deleted, pivoted_top = _Lazy(d.delete, [v]), _Lazy(pivoted.max_sys)
         with rec.check("flips-match-graph-complements", wv):
             if g.is_looped(v):
                 assert pivoted == dm.from_graph(gv)
             else:
-                assert d.dual_pivot([v]) == dm.from_graph(gv)
-            assert d.loop_complement([v]) == dm.from_graph(g.loop_complement(v))
-            assert d.delete([v]) == dm.from_graph(g.minus(v))
+                assert dual_pivoted() == dm.from_graph(gv)
+            assert complemented() == dm.from_graph(g.loop_complement(v))
+            assert deleted() == dm.from_graph(g.minus(v))
 
         with rec.check("matrix-free-minor-routes-agree", wv):
             if not mg.is_coloop(v):
-                assert mg.delete(v).bases() == dm.max_as_matroid(d.delete([v]))
-            if g.is_looped(v):
-                assert contracted.bases() == dm.max_as_matroid(pivoted.delete([v]))
-            elif g.neighbors(v):
-                assert contracted.bases() == dm.max_as_matroid(pivoted.delete([v]))
-                w = g.neighbors(v)[0]
-                seq = d.dual_pivot([w]) if not g.is_looped(w) else d.dual_pivot([v]).dual_pivot([w])
-                assert dm.max_as_matroid(seq.pivot([v]).delete([v])) == contracted.bases()
+                assert mg.delete(v).bases() == dm.max_as_matroid(deleted())
+            if g.is_looped(v) or g.neighbors(v):
+                bases = contracted.bases()
+                assert bases == dm.max_as_matroid(pivoted.delete([v]))
+                if not g.is_looped(v):
+                    w = g.neighbors(v)[0]
+                    seq = d.dual_pivot([w]) if not g.is_looped(w) else dual_pivoted().dual_pivot([w])
+                    assert dm.max_as_matroid(seq.pivot([v]).delete([v])) == bases
             if not g.is_looped(v):
-                assert dm.max_as_matroid(d.dual_pivot([v])) == m_gv.bases() == mg.bases()
+                assert dm.max_as_matroid(dual_pivoted()) == m_gv.bases() == mg_bases()
 
         with rec.check("two-of-three-max-transforms-agree", wv):
-            _check_two_of_three(d, v, pivoted)
+            _check_two_of_three(d, v, top(), pivoted_top(), complemented().max_sys())
 
         with rec.check("max-after-pinning", wv):
-            _check_max_after_pinning(d, v, pivoted)
+            _check_max_after_pinning(d, v, pivoted_top)
 
         with rec.check("loop-isolate-via-max-filter", wv):
             if g.is_looped(v):
@@ -705,11 +731,11 @@ def _union_below(families: list[int], n: int) -> list[int]:
     return families
 
 
-def _check_two_of_three(d: dm.SetSystem, v: str, pivoted: dm.SetSystem) -> None:
-    """pivoted is d pivoted at v.  Of the maxima of d, pivoted and d loop
-    complemented at v, two are one family; the third's members avoiding v,
-    with v added (a shift by 2^v), are that family."""
-    a, b, c = (s.max_sys().bits for s in (d, pivoted, d.loop_complement([v])))
+def _check_two_of_three(d: dm.SetSystem, v: str, *maxima: dm.SetSystem) -> None:
+    """maxima are those of d, of d pivoted at v and of d loop complemented
+    at v.  Two are one family; the third's members avoiding v, with v added
+    (a shift by 2^v), are that family."""
+    a, b, c = (top.bits for top in maxima)
     distinct = len({a, b, c})
     assert distinct == 2, f"expected exactly two distinct maxima, got {distinct}"
     shared = a if a in (b, c) else b
@@ -723,12 +749,12 @@ def _check_two_of_three(d: dm.SetSystem, v: str, pivoted: dm.SetSystem) -> None:
     assert (d.n - size2) == (d.n - size1) + 1, "nullity step is not one"
 
 
-def _check_max_after_pinning(d: dm.SetSystem, v: str, pivoted: dm.SetSystem) -> None:
-    """pivoted is d pivoted at v."""
+def _check_max_after_pinning(d: dm.SetSystem, v: str, top: Callable[[], dm.SetSystem]) -> None:
+    """top() is the maximum of d pivoted at v, read only when it is needed."""
     tilde = d.tilde_minus(v)
     if tilde.is_proper:
         left = tilde.loop_complement([v]).max_sys()
-        right = pivoted.max_sys().tilde_contract(v)
+        right = top().tilde_contract(v)
         assert left.bits == right.bits
 
 
@@ -760,48 +786,49 @@ def _delta_general_checks(rec: Recorder, trials: int, rand_n: int, seed: int) ->
         x_labels = [v for v in ground if rng.random() < 0.5]
         v = ground[rng.randrange(n)]
         w = ground[rng.randrange(n)]
+        pivoted, dual_pivoted = _Lazy(d.pivot, x_labels), _Lazy(d.dual_pivot, x_labels)
+        low, top, pivoted_v = _Lazy(d.min_sys), _Lazy(d.max_sys), _Lazy(d.pivot, [v])
 
         with rec.check("flip-involutions-and-commutation", witness):
-            assert d.pivot(x_labels).pivot(x_labels) == d
-            assert d.loop_complement(x_labels).loop_complement(x_labels) == d
-            assert d.dual_pivot(x_labels).dual_pivot(x_labels) == d
-            assert d.loop_complement(x_labels) == d.loop_complement_sequential(x_labels)
-            assert d.dual_pivot(x_labels) == d.dual_pivot_sequential(x_labels)
-            assert d.loop_complement(x_labels).family == _loop_complement_by_counting(d, x_labels)
-            assert d.dual_pivot(x_labels).family == _dual_pivot_by_counting(d, x_labels)
-            assert (
-                d.dual_pivot(x_labels)
-                == d.loop_complement(x_labels).pivot(x_labels).loop_complement(x_labels)
-            )
+            assert pivoted().pivot(x_labels) == d
+            complemented = d.loop_complement(x_labels)
+            assert complemented.loop_complement(x_labels) == d
+            dual = dual_pivoted()
+            assert dual.dual_pivot(x_labels) == d
+            assert complemented == d.loop_complement_sequential(x_labels)
+            assert dual == d.dual_pivot_sequential(x_labels)
+            assert complemented.family == _loop_complement_by_counting(d, x_labels)
+            assert dual.family == _dual_pivot_by_counting(d, x_labels)
+            assert dual == complemented.pivot(x_labels).loop_complement(x_labels)
             if v != w:
-                assert d.tilde_minus(v).pivot([w]) == d.pivot([w]).tilde_minus(v)
-                assert d.dual_pivot([v]).pivot([w]) == d.pivot([w]).dual_pivot([v])
-                assert (
-                    d.dual_pivot([v]).dual_pivot([w]) == d.dual_pivot([w]).dual_pivot([v])
-                )
+                pivoted_w, dual_v = d.pivot([w]), d.dual_pivot([v])
+                assert d.tilde_minus(v).pivot([w]) == pivoted_w.tilde_minus(v)
+                assert dual_v.pivot([w]) == pivoted_w.dual_pivot([v])
+                assert dual_v.dual_pivot([w]) == d.dual_pivot([w]).dual_pivot([v])
 
         with rec.check("pivot-distance-and-minmax-identities", witness):
             layers = distance_layers(d.bits, d.n)
-            pivoted = distance_layers(d.pivot(x_labels).bits, d.n)
-            assert _distance_of(layers, d.mask_of(x_labels)) == _distance_of(pivoted, 0)
-            assert d.pivot(x_labels).is_normal == d.contains(x_labels)
+            pivot_layers = distance_layers(pivoted().bits, d.n)
+            assert _distance_of(layers, d.mask_of(x_labels)) == _distance_of(pivot_layers, 0)
+            assert pivoted().is_normal == d.contains(x_labels)
             full = list(ground)
-            assert d.min_sys() == d.pivot(full).max_sys().pivot(full)
-            assert d.max_sys() == d.pivot(full).min_sys().pivot(full)
-            assert d.max_sys().family == d.dual_pivot(x_labels).max_sys().family
+            flipped = d.pivot(full)
+            assert low() == flipped.max_sys().pivot(full)
+            assert top() == flipped.min_sys().pivot(full)
+            assert top().family == dual_pivoted().max_sys().family
 
         with rec.check("min-commutes-with-deletion", witness):
             if not d.is_coloop(v):
-                assert d.min_sys().delete([v]) == d.delete([v]).min_sys()
+                assert low().delete([v]) == d.delete([v]).min_sys()
 
         with rec.check("contract-commutes-with-max", witness):
             if not d.is_loop(v):
-                left = d.max_sys().pivot([v]).delete([v])
-                right = d.pivot([v]).delete([v]).max_sys()
+                left = top().pivot([v]).delete([v])
+                right = pivoted_v().delete([v]).max_sys()
                 assert left == right
 
         with rec.check("max-after-pinning-general", witness):
-            _check_max_after_pinning(d, v, d.pivot([v]))
+            _check_max_after_pinning(d, v, lambda: pivoted_v().max_sys())
 
     for t in range(max(trials, 200)):
         n = rng.randrange(1, min(rand_n, 5) + 1)
@@ -811,23 +838,25 @@ def _delta_general_checks(rec: Recorder, trials: int, rand_n: int, seed: int) ->
         d = d.pivot(x_labels)
         v = g.labels[rng.randrange(n)]
         witness = Witness(_sets_witness, d, f"element {v}")
+        deleted = _Lazy(d.delete, [v])
 
         with rec.check("pivots-preserve-exchange", witness):
             assert dm.is_delta_matroid(d)
-            deleted = d.delete([v])
-            assert dm.is_delta_matroid(deleted) == deleted.is_proper
+            assert dm.is_delta_matroid(deleted()) == deleted().is_proper
             dropped = dm.SetSystem(d.ground, d.bits ^ (1 << max(d.family)))
-            for system in (d, deleted, dropped):
+            for system in (d, deleted(), dropped):
                 assert dm.satisfies_exchange_axiom(system) == _exchange_by_pairs(system)
                 assert dm.is_delta_matroid(system) == _equicardinal_min_criterion(system)
 
         with rec.check("max-commutes-with-deletion-for-exchange-systems", witness):
-            if not d.max_sys().is_coloop(v):
-                assert d.max_sys().delete([v]) == d.delete([v]).max_sys()
+            d_max = d.max_sys()
+            if not d_max.is_coloop(v):
+                assert d_max.delete([v]) == deleted().max_sys()
 
         with rec.check("min-contract-commutes-for-exchange-systems", witness):
-            if not d.min_sys().is_loop(v):
-                assert d.min_sys().pivot([v]).delete([v]) == d.pivot([v]).delete([v]).min_sys()
+            d_min = d.min_sys()
+            if not d_min.is_loop(v):
+                assert d_min.pivot([v]).delete([v]) == d.pivot([v]).delete([v]).min_sys()
 
         with rec.check("flip-reachable-iff-contains-empty", witness):
             moved = dm.from_graph(g)
@@ -907,6 +936,7 @@ def _fourreg_compatible_checks(
         assert adjacency_matroid(rel).dual() == poly
 
     with rec.check("rewire-matches-local-complement", witness):
+        poly_dual = _Lazy(poly.dual)
         for v in range(f.n):
             label = f.graph.labels[v]
             kind = transition_type(c, p, v)
@@ -925,7 +955,7 @@ def _fourreg_compatible_checks(
                     assert polygon_matroid(touch_graph(p_prime)) == poly
                 elif ci != cj:
                     moved = polygon_matroid(touch_graph(p_prime)).dual()
-                    expect = poly.dual().delete(label).direct_sum(single_coloop(label))
+                    expect = poly_dual().delete(label).direct_sum(single_coloop(label))
                     assert moved == expect
 
     with rec.check("rank-detects-shared-circuits", witness):

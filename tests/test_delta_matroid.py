@@ -357,6 +357,71 @@ def test_from_graph_never_runs_the_exchange_check(monkeypatch):
         dm.DeltaMatroid("ab", 0b1111)
 
 
+def exchange_families():
+    """Every family with n <= 3, then seeded n = 4-5 ones: random, pivoted
+    graph encodings, and those with one subset toggled."""
+    yield from every_small_family()
+    rng = random.Random(4545)
+    for _ in range(200):
+        ground = tuple(f"v{i}" for i in range(rng.randrange(4, 6)))
+        d = dm.from_graph(random_looped_simple_graph(rng, len(ground)))
+        d = d.pivot([v for v in ground if rng.random() < 0.5])
+        yield random_system(rng, ground, rng.choice([0.1, 0.3, 0.7]))
+        yield d
+        yield dm.SetSystem(ground, d.bits ^ (1 << rng.randrange(1 << len(ground))))
+
+
+def delta_matroid_or_refusal(d):
+    """DeltaMatroid(...) on d's fields, or the text of its refusal."""
+    try:
+        return dm.DeltaMatroid(d.ground, d.bits)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_the_kept_exchange_verdict_matches_the_pairs_whoever_asks_first():
+    """The verdict is kept per system object, so the first ask computes it:
+    each of DeltaMatroid(...), is_delta_matroid and satisfies_exchange_axiom
+    asks first on a fresh object, and every later ask agrees with the oracle."""
+    families = list(exchange_families())
+    assert len(families) == 278 + 600
+    outcomes = set()
+    for d in families:
+        holds = _exchange_by_pairs(d)
+        outcomes.add((d.n > 3, holds))
+        built = delta_matroid_or_refusal(d)
+        if isinstance(built, str):
+            assert built == ("a delta-matroid must be proper" if not d.is_proper
+                             else "symmetric exchange axiom violated")
+            assert not (d.is_proper and holds)
+        else:
+            assert holds and dm.satisfies_exchange_axiom(built) and dm.is_delta_matroid(built)
+        by_delta_check = dm.SetSystem(d.ground, d.bits)
+        assert dm.is_delta_matroid(by_delta_check) == (d.is_proper and holds)
+        assert dm.satisfies_exchange_axiom(by_delta_check) == holds
+        by_axiom = dm.SetSystem(d.ground, d.bits)
+        assert dm.satisfies_exchange_axiom(by_axiom) == holds
+        assert dm.is_delta_matroid(by_axiom) == (d.is_proper and holds)
+        assert dm.satisfies_exchange_axiom(by_axiom) == holds
+    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_the_exchange_kernel_runs_once_per_object_and_is_never_seeded(monkeypatch):
+    runs = []
+    kernel = dm.SetSystem.__dict__["_exchange_verdict"]
+    monkeypatch.setattr(kernel, "func", lambda d, run=kernel.func: runs.append(d) or run(d))
+    d = dm.SetSystem.from_sets("abc", [[], ["a"], ["a", "b"]])
+    for _ in range(3):
+        assert dm.satisfies_exchange_axiom(d) and dm.is_delta_matroid(d)
+    assert list(map(id, runs)) == [id(d)]
+    checked = dm.DeltaMatroid(d.ground, d.bits)  # an equal new object runs it again
+    assert dm.is_delta_matroid(checked) and list(map(id, runs)) == [id(d), id(checked)]
+    derived = [dm.from_graph(K3L), checked.pivot(["a"]), checked.max_sys(), checked.delete(["c"])]
+    assert all("_exchange_verdict" not in x.__dict__ for x in derived)
+    assert all(dm.satisfies_exchange_axiom(x) for x in derived + derived)
+    assert list(map(id, runs)) == list(map(id, [d, checked, *derived]))
+
+
 def check_word_forms(d):
     """Each word operation against its per-member or pairwise rule."""
     fam, n = d.family, d.n

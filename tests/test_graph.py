@@ -743,6 +743,8 @@ def test_public_constructors_store_list_fields_as_tuples():
         (lambda: BitMatrix(-1, 0, ()), "negative dimension"),
         (lambda: BitMatrix(2, 1, (0,)), "row count mismatch"),
         (lambda: BitMatrix(1, 1, (2,)), "row exceeds column count"),
+        (lambda: BitMatrix(1, 2, (1.5,)), "matrix row 1.5 is not an int"),
+        (lambda: BitMatrix(1, 2, ("1",)), "matrix row '1' is not an int"),
         (lambda: BitMatrix.from_rows([[0, 1], [1]]), "matrix rows must have equal length"),
         (lambda: LoopedSimpleGraph("aa", BitMatrix(2, 2, (0, 0))), "duplicate vertex labels"),
         (lambda: LoopedSimpleGraph("a", BitMatrix(2, 2, (0, 0))), "adjacency matrix size mismatch"),
@@ -758,7 +760,8 @@ def test_public_constructors_store_list_fields_as_tuples():
         (lambda: run_suites("nope"), "unknown suite 'nope'"),
     ],
     ids=[
-        "bitmatrix-dimension", "bitmatrix-rows", "bitmatrix-width", "from-rows-ragged",
+        "bitmatrix-dimension", "bitmatrix-rows", "bitmatrix-width", "bitmatrix-float-row",
+        "bitmatrix-str-row", "from-rows-ragged",
         "graph-labels", "graph-size", "graph-adjacent-self", "multigraph-labels",
         "multigraph-endpoint", "multigraph-edge-label-count", "multigraph-edge-labels",
         "matroid-ground", "set-system-ground", "min-sys-empty", "max-sys-empty", "unknown-suite",

@@ -755,7 +755,8 @@ reads_layers = calls("distance_layers")  # the one subset enumerator of polynomi
 
 def test_checker_finds_every_distance_layer_read():
     planted = POLYNOMIALS.read_text().replace(
-        "layers = distance_layers(m._independent_bits, m.size)", "layers = planes(m)"
+        "layers = distance_layers(m._independent_bits, m.size, down_closed=True)",
+        "layers = planes(m)",
     )
     assert sites(planted, reads_layers) == ["interlace_subset"]
     planted += "def q(g):\n    return [gf2.distance_layers(b, n) for b in g]\n"

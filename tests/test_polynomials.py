@@ -470,6 +470,20 @@ def test_subset_expansions_match_recursions_seeded():
             assert tutte_subset(m) == tutte_recursive(m)
 
 
+def test_down_closed_layers_match_the_full_pivot_steps():
+    """The independent-set word is down-closed, so its layers need only the
+    upward half of each pivot step: equal layers on M_A(G) for every graph
+    with n <= 4 and seeded ones with n = 5-10, and on U(1, 12)."""
+    rng = random.Random(53)
+    graphs = [g for n in range(5) for g in all_looped_simple_graphs(n)]
+    graphs += [random_looped_simple_graph(rng, rng.randrange(5, 11)) for _ in range(200)]
+    assert len(graphs) == 1099 + 200
+    words = [(adjacency_matroid(g)._independent_bits, g.n) for g in graphs]
+    words.append((1 | sum(1 << (1 << i) for i in range(12)), 12))  # U(1, 12): {} and singletons
+    for bits, n in words:
+        assert gf2.distance_layers(bits, n, down_closed=True) == gf2.distance_layers(bits, n)
+
+
 def test_vertex_terms_identity():
     for g in all_looped_simple_graphs(3):
         q = interlace_subset(g)

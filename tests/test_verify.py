@@ -3,9 +3,13 @@ number of matroids the shared oracle tables build, when witnesses render,
 and the set loops that the word-form oracles replaced, kept as references."""
 
 import itertools
+import json
 import random
 import re
 import sys
+from pathlib import Path
+
+import pytest
 
 from adjmatroid import polynomials, verify
 from adjmatroid import delta_matroid as dm
@@ -388,6 +392,57 @@ def failing_checks(results) -> dict[str, list[str]]:
     return {r.name: r.failures for r in results if r.failures}
 
 
+# The failure records of delta_suite(max_n=2, trials=5, seed=0) when one
+# route raises ValueError("broken <route>") on every system of 3 or more
+# elements, taken while every check called its routes directly.
+FAULT_RECORDS = json.loads(Path(__file__).with_name("delta_fault_records.json").read_text())
+DELTA_NAMES = list(EXPECTED_COUNTS)[
+    list(EXPECTED_COUNTS).index("graph-encoding-is-normal-delta-matroid"):
+    list(EXPECTED_COUNTS).index("matroid-bases-satisfy-exchange") + 1
+]
+
+
+@pytest.mark.parametrize(
+    "route, failing", [("dual_pivot", 6), ("loop_complement", 6), ("max_sys", 10),
+                       ("min_sys", 4), ("delete", 8)]
+)
+def test_a_raising_route_fails_each_check_that_reads_it(route, failing, monkeypatch):
+    """A route value shared between checks is built on its first read, inside
+    a check, so a raising route fails every check that reads it, with the
+    text a direct call gives, and every check name and instance count stays.
+    A raising pivot is not covered: it crashes the suite, as it always has,
+    since _delta_graph_checks builds `pivoted` and the second loop of
+    _delta_general_checks builds its system by a pivot, both before any check."""
+    build = getattr(dm.SetSystem, route)
+
+    def broken(d, *args):
+        if d.n >= 3:
+            raise ValueError(f"broken {route}")
+        return build(d, *args)
+
+    monkeypatch.setattr(dm.SetSystem, route, broken)
+    results = verify.delta_suite(max_n=2, trials=5, seed=0)
+    assert [(r.name, r.instances) for r in results] == [
+        (name, EXPECTED_COUNTS[name]) for name in DELTA_NAMES
+    ]
+    assert failing_checks(results) == FAULT_RECORDS[route]
+    assert len(FAULT_RECORDS[route]) == failing
+
+
+def test_a_delta_run_runs_the_exchange_kernel_once_per_object_asked(monkeypatch):
+    """Each system object asked keeps its verdict: 1,766 asks of 837 objects
+    run the kernel 837 times, once per object."""
+    asked, runs = [], []
+    ask, kernel = dm.satisfies_exchange_axiom, dm.SetSystem.__dict__["_exchange_verdict"]
+    monkeypatch.setattr(dm, "satisfies_exchange_axiom", lambda d: asked.append(d) or ask(d))
+    monkeypatch.setattr(kernel, "func", lambda d, run=kernel.func: runs.append(d) or run(d))
+    verify.delta_suite(max_n=2, trials=5, seed=0)
+    distinct = {id(d) for d in asked}  # asked holds every object, so no id is reused
+    assert len(asked) == 1766
+    assert len(runs) == len({id(d) for d in runs}) == len(distinct) == 837
+    assert {id(d) for d in runs} == distinct
+
+
 def assert_graph_vertex_witnesses(failures: list[str]) -> None:
     """Each failure names a graph and one of its vertices."""
     assert failures
@@ -573,6 +628,12 @@ def two_of_three_by_sets(d: dm.SetSystem, v: str, pivoted: dm.SetSystem) -> None
     assert (d.n - size2) == (d.n - size1) + 1, "nullity step is not one"
 
 
+def two_of_three_by_words(d: dm.SetSystem, v: str, pivoted: dm.SetSystem) -> None:
+    """verify._check_two_of_three on the three maxima, as its caller reads them."""
+    maxima = (s.max_sys() for s in (d, pivoted, d.loop_complement([v])))
+    verify._check_two_of_three(d, v, *maxima)
+
+
 def verdict(check, *args) -> tuple[type, str] | None:
     """The exception type and message line, or None for a pass; pytest
     appends its own explanation to failed asserts in this module."""
@@ -593,7 +654,7 @@ def test_word_form_two_of_three_matches_the_set_form():
             pivots = [d.pivot([v]), d, *(d.pivot([w]) for w in g.labels if w != v)]
             for k, pivoted in enumerate(pivots):
                 expected = verdict(two_of_three_by_sets, d, v, pivoted)
-                assert verdict(verify._check_two_of_three, d, v, pivoted) == expected
+                assert verdict(two_of_three_by_words, d, v, pivoted) == expected
                 assert expected is None or k > 0
                 failed += expected is not None
         checked += 1
