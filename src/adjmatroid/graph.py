@@ -10,6 +10,9 @@ ground labels and masks, which set systems and binary matroids share.
 
 Edges and neighbors are read off each row's set bits (`gf2.row_bits`), not
 entry by entry; `_symmetric_rows` is the one fill of rows from index pairs.
+`_local_complement_at` and `_drop_index` are the one local complement and the
+one vertex deletion, on rows: the graph methods and the interlace recursion
+share them.
 """
 
 from __future__ import annotations
@@ -123,13 +126,8 @@ class LoopedSimpleGraph:
         return tuple(out)
 
     def local_complement(self, v: str) -> "LoopedSimpleGraph":
-        """Toggle loops of v's neighbors and adjacency between distinct
-        neighbors: each neighbor's row takes an xor with v's neighbor mask."""
-        mask = walk = self.neighbor_mask(v)
-        rows = list(self.adj.data)
-        while walk:
-            rows[(walk & -walk).bit_length() - 1] ^= mask
-            walk &= walk - 1
+        """Toggle loops of v's neighbors and adjacency between distinct neighbors."""
+        rows = _local_complement_at(self.adj.data, self.index(v))
         return LoopedSimpleGraph._derived(self.labels, rows)
 
     def loop_complement(self, v: str) -> "LoopedSimpleGraph":
@@ -151,7 +149,7 @@ class LoopedSimpleGraph:
 
     def minus(self, v: str) -> "LoopedSimpleGraph":
         i = self.index(v)
-        rows = [drop_bit(r, i) for k, r in enumerate(self.adj.data) if k != i]
+        rows = _drop_index(self.adj.data, i)
         return LoopedSimpleGraph._derived(self.labels[:i] + self.labels[i + 1:], rows)
 
     def variant(self, v: str, kind: VariantKind) -> "LoopedSimpleGraph":
@@ -256,6 +254,22 @@ def _symmetric_rows(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
         rows[i] |= 1 << j
         rows[j] |= 1 << i
     return rows
+
+
+def _drop_index(rows: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """Symmetric rows with index i deleted: row i removed, bit i dropped from the rest."""
+    return tuple(drop_bit(r, i) for r in rows[:i] + rows[i + 1:])
+
+
+def _local_complement_at(rows: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """Symmetric rows locally complemented at index i: each neighbor's row
+    takes an xor with i's neighbor mask."""
+    mask = walk = rows[i] & ~(1 << i)
+    out = list(rows)
+    while walk:
+        out[(walk & -walk).bit_length() - 1] ^= mask
+        walk &= walk - 1
+    return tuple(out)
 
 
 def _index_pairs(labels: Sequence[str], edges: Iterable[tuple[str, str]]) -> list[tuple[int, int]]:

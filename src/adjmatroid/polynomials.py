@@ -16,7 +16,8 @@ matroid's independent sets, a nearest of which to S being a largest one inside
 S; that word is down-closed, so its layers take only the upward half of each
 pivot step.  They count each layer by size and expand the counts by Horner's
 rule, one shift and one subtraction per step.  The distance layers, the size masks and
-the enumeration gate are `gf2`'s.  The recursions memoize packed polynomials.
+the enumeration gate are `gf2`'s.  The recursions memoize packed polynomials,
+keyed by the adjacency rows alone or by size and canonical cycle-space basis.
 One read takes the polynomial out: 2^(W-1) added to each slot, then xor with
 that bias leaves two's complement.
 
@@ -41,8 +42,8 @@ from math import comb
 from operator import itemgetter
 
 from .binary_matroid import BinaryMatroid
-from .gf2 import check_enum_gate, distance_layers, lowest_bit, set_bits, size_masks, unchecked
-from .graph import LoopedSimpleGraph
+from .gf2 import check_enum_gate, distance_layers, row_bits, rref_masks, size_masks, unchecked
+from .graph import LoopedSimpleGraph, _drop_index, _local_complement_at
 
 
 @dataclass(frozen=True)
@@ -159,35 +160,35 @@ def interlace_subset(g: LoopedSimpleGraph) -> BivariatePolynomial:
 
 
 def interlace_recursive(g: LoopedSimpleGraph) -> BivariatePolynomial:
-    """Evaluate by vertex reduction and memoization on the matrix form, at
-    the lowest-index vertex v, so each subproblem is a suffix changed near
-    its front: if v or a neighbor is looped, the first such w splits off g-w
-    and the complement at w; else a neighbor w of v splits through the
-    three-step complement at v, w, v; else v is isolated, a factor y."""
+    """Vertex reduction at index 0 on the adjacency rows, memoized by the rows
+    alone; each subproblem is a suffix changed near its front.  If 0 or a
+    neighbor is looped, the first such w splits off the rows without w and the
+    complement at w; else a neighbor w of 0 splits through the three-step
+    complement at 0, w, 0; else 0 is isolated, a factor y."""
     check_enum_gate(g.n, "interlace recursion")
     y_shift, x_shift = _shifts(g.n)
-    memo: dict[tuple[tuple[str, ...], tuple[int, ...]], int] = {((), ()): 1}  # the empty graph
+    memo: dict[tuple[int, ...], int] = {(): 1}  # the empty graph
 
-    def rec(h: LoopedSimpleGraph) -> int:
-        key = (h.labels, h.adj.data)
-        if (hit := memo.get(key)) is not None:
+    def rec(rows: tuple[int, ...]) -> int:
+        if (hit := memo.get(rows)) is not None:
             return hit
-        v, row = h.labels[0], h.adj.data[0]  # v's loop bit and its neighbors
-        looped = next((h.labels[i] for i in set_bits(row) if h.adj.entry(i, i)), None)
+        row = rows[0]  # index 0's loop bit and its neighbors
+        looped = next((i for i in row_bits(row) if rows[i] >> i & 1), None)
         if looped is not None:
-            other = rec(h.local_complement(looped).minus(looped))  # times x - 1
-            value = rec(h.minus(looped)) + (other << x_shift) - other
+            other = rec(_drop_index(_local_complement_at(rows, looped), looped))  # times x - 1
+            value = rec(_drop_index(rows, looped)) + (other << x_shift) - other
         elif not row:
-            value = rec(h.minus(v)) << y_shift  # times y
+            value = rec(_drop_index(rows, 0)) << y_shift  # times y
         else:
-            w = h.labels[lowest_bit(row)]
-            three = h.local_complement(v).local_complement(w).local_complement(v)
-            both = rec(three.minus(v).minus(w)) << x_shift  # times (x-1)^2 - 1 = x(x - 2)
-            value = rec(h.minus(v)) + rec(three.minus(v)) + (both << x_shift) - (both << 1)
-        memo[key] = value
+            w = next(row_bits(row))
+            three = _local_complement_at(_local_complement_at(_local_complement_at(rows, 0), w), 0)
+            rest = _drop_index(three, 0)
+            both = rec(_drop_index(rest, w - 1)) << x_shift  # times (x-1)^2 - 1 = x(x - 2)
+            value = rec(_drop_index(rows, 0)) + rec(rest) + (both << x_shift) - (both << 1)
+        memo[rows] = value
         return value
 
-    return _from_tally(rec(g), g.n)
+    return _from_tally(rec(g.adj.data), g.n)
 
 
 def tutte_subset(m: BinaryMatroid) -> BivariatePolynomial:
@@ -198,28 +199,27 @@ def tutte_subset(m: BinaryMatroid) -> BivariatePolynomial:
 
 
 def tutte_recursive(m: BinaryMatroid) -> BivariatePolynomial:
-    """Deletion/contraction with loop and coloop factors, memoized."""
+    """Deletion/contraction at element 0 on the canonical cycle-space basis,
+    memoized by size and basis: only basis[0] can hold bit 0, so element 0 is
+    a coloop iff no row holds it and a loop iff basis[0] is 1."""
     check_enum_gate(m.size, "Tutte recursion")
     y_shift, x_shift = _shifts(m.size)
-    memo: dict[tuple[tuple[str, ...], tuple[int, ...]], int] = {}
+    memo: dict[tuple[int, tuple[int, ...]], int] = {(0, ()): 1}  # the empty matroid
 
-    def rec(mm: BinaryMatroid) -> int:
-        if not mm.ground:
-            return 1
-        key = (mm.ground, mm.cycle_space.basis)
+    def rec(size: int, basis: tuple[int, ...]) -> int:
+        key = (size, basis)
         if (hit := memo.get(key)) is not None:
             return hit
-        v = mm.ground[0]
-        if mm.is_loop(v):
-            value = rec(mm.delete(v)) << y_shift  # times y
-        elif mm.is_coloop(v):
-            value = rec(mm.contract(v)) << x_shift  # times x
-        else:
-            value = rec(mm.contract(v)) + rec(mm.delete(v))
+        held = basis[0] & 1 if basis else 0  # whether basis[0] holds element 0
+        deleted = rec(size - 1, tuple(b >> 1 for b in basis[held:]))  # the other rows
+        if held and basis[0] != 1:  # the contraction: every row without bit 0, reduced again
+            value = rec(size - 1, rref_masks(b >> 1 for b in basis)) + deleted
+        else:  # a loop, times y, or a coloop, times x
+            value = deleted << (y_shift if held else x_shift)
         memo[key] = value
         return value
 
-    return _from_tally(rec(m), m.size)
+    return _from_tally(rec(m.size, m.cycle_space.basis), m.size)
 
 
 def lambda_leading(m: BinaryMatroid) -> BivariatePolynomial:

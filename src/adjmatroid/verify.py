@@ -15,7 +15,10 @@ Each check reads each route value once per stream instance.  A value one
 check reads twice is bound once inside it; a value several checks read is a
 _Lazy, built on its first read inside the check that reads it first.  A
 build that raises keeps nothing, so a raising route fails every check that
-reads it, with the same text, as a direct call in each would.
+reads it, with the same text, as a direct call in each would.  The pivots
+are _Lazy too, and a witness that names a pivoted system falls back to the
+graph and the pivot set when the pivot raises, so a raising pivot gives FAIL
+lines as every other route does.
 
 A slow reference lives beside its checks, here, unless the CLI or the
 benchmark needs it: _all_subspaces, _kappa, the polynomial sum and product
@@ -564,6 +567,14 @@ def _sets_witness(d: dm.SetSystem, extra: object = "") -> str:
     return f"[ground {' '.join(d.ground)}; family {members}]" + (f" {extra}" if extra else "")
 
 
+def _pivoted_witness(g: LoopedSimpleGraph, x: list[str], v: str, pivoted: _Lazy) -> str:
+    """The pivoted system and v, or the graph, x and v when the pivot raises."""
+    try:
+        return _sets_witness(pivoted(), f"element {v}")
+    except ValueError:
+        return graph_witness(g, f"pivoted at {{{' '.join(x)}}} element {v}")
+
+
 def _loop_complement_by_counting(d: dm.SetSystem, x: list[str]) -> frozenset[int]:
     """Oracle: Y is kept iff the members between Y minus x and Y are odd in number."""
     xm = d.mask_of(x)
@@ -653,12 +664,12 @@ def _delta_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
         gv = g.local_complement(v)
         m_gv = adjacency_matroid(gv)
         contracted = mg.contract(v)
-        pivoted = d.pivot([v])
-        dual_pivoted, complemented = _Lazy(d.dual_pivot, [v]), _Lazy(d.loop_complement, [v])
-        deleted, pivoted_top = _Lazy(d.delete, [v]), _Lazy(pivoted.max_sys)
+        pivoted, dual_pivoted = _Lazy(d.pivot, [v]), _Lazy(d.dual_pivot, [v])
+        complemented, deleted = _Lazy(d.loop_complement, [v]), _Lazy(d.delete, [v])
+        pivoted_top = _Lazy(lambda: pivoted().max_sys())
         with rec.check("flips-match-graph-complements", wv):
             if g.is_looped(v):
-                assert pivoted == dm.from_graph(gv)
+                assert pivoted() == dm.from_graph(gv)
             else:
                 assert dual_pivoted() == dm.from_graph(gv)
             assert complemented() == dm.from_graph(g.loop_complement(v))
@@ -669,7 +680,7 @@ def _delta_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
                 assert mg.delete(v).bases() == dm.max_as_matroid(deleted())
             if g.is_looped(v) or g.neighbors(v):
                 bases = contracted.bases()
-                assert bases == dm.max_as_matroid(pivoted.delete([v]))
+                assert bases == dm.max_as_matroid(pivoted().delete([v]))
                 if not g.is_looped(v):
                     w = g.neighbors(v)[0]
                     seq = d.dual_pivot([w]) if not g.is_looped(w) else dual_pivoted().dual_pivot([w])
@@ -833,14 +844,14 @@ def _delta_general_checks(rec: Recorder, trials: int, rand_n: int, seed: int) ->
     for t in range(max(trials, 200)):
         n = rng.randrange(1, min(rand_n, 5) + 1)
         g = random_looped_simple_graph(rng, n)
-        d = dm.from_graph(g)
         x_labels = [v for v in g.labels if rng.random() < 0.5]
-        d = d.pivot(x_labels)
+        pivoted = _Lazy(dm.from_graph(g).pivot, x_labels)
         v = g.labels[rng.randrange(n)]
-        witness = Witness(_sets_witness, d, f"element {v}")
-        deleted = _Lazy(d.delete, [v])
+        witness = Witness(_pivoted_witness, g, x_labels, v, pivoted)
+        deleted = _Lazy(lambda: pivoted().delete([v]))
 
         with rec.check("pivots-preserve-exchange", witness):
+            d = pivoted()
             assert dm.is_delta_matroid(d)
             assert dm.is_delta_matroid(deleted()) == deleted().is_proper
             dropped = dm.SetSystem(d.ground, d.bits ^ (1 << max(d.family)))
@@ -849,14 +860,14 @@ def _delta_general_checks(rec: Recorder, trials: int, rand_n: int, seed: int) ->
                 assert dm.is_delta_matroid(system) == _equicardinal_min_criterion(system)
 
         with rec.check("max-commutes-with-deletion-for-exchange-systems", witness):
-            d_max = d.max_sys()
+            d_max = pivoted().max_sys()
             if not d_max.is_coloop(v):
                 assert d_max.delete([v]) == deleted().max_sys()
 
         with rec.check("min-contract-commutes-for-exchange-systems", witness):
-            d_min = d.min_sys()
+            d_min = pivoted().min_sys()
             if not d_min.is_loop(v):
-                assert d_min.pivot([v]).delete([v]) == d.pivot([v]).delete([v]).min_sys()
+                assert d_min.pivot([v]).delete([v]) == pivoted().pivot([v]).delete([v]).min_sys()
 
         with rec.check("flip-reachable-iff-contains-empty", witness):
             moved = dm.from_graph(g)

@@ -6,7 +6,8 @@ the two row eliminations run only inside gf2 and gf2 runs two in all, both
 subset expansions read distance layers, a polynomial is a value with no
 arithmetic that the library builds only out of a packed tally or by the
 binomial form, the tally read has no loop and the recursion rules are shifts
-and adds, the one-coordinate pivot, the per-set-bit walk and the
+and adds, the recursions build and ask no graph or matroid after entry, the
+one-coordinate pivot, the per-set-bit walk and the
 min/max closure each have one kernel, in gf2, and
 the min-equicardinal oracle builds no set system, binary_matroid and
 polynomials import no delta_matroid, both work limits and their checkers
@@ -818,7 +819,7 @@ def test_checker_finds_every_polynomial_build_member_and_recursion_read():
     assert class_members(source, "BivariatePolynomial") == ["scale", "__mul__"]
     assert polynomial_names(source, "q_rec") == ["BivariatePolynomial", "shifted_power_term"]
     planted = POLYNOMIALS.read_text().replace(
-        "            return 1\n", "            return shifted_power_term(0, 0)\n"
+        "{(0, ()): 1}  # the empty matroid", "{(0, ()): shifted_power_term(0, 0)}"
     )
     assert polynomial_names(planted, "tutte_recursive") == ["shifted_power_term"]
     planted = POLYNOMIALS.read_text().replace(
@@ -885,7 +886,8 @@ def test_checker_finds_every_loop_and_product():
     assert sites(source, loops) == ["_from_tally", "_from_tally", "tutte_recursive"]
     assert sites(source, multiplies) == ["tutte_recursive.rec", "tutte_recursive.rec"]
     planted = POLYNOMIALS.read_text().replace(
-        "value = rec(mm.delete(v)) << y_shift", "value = rec(mm.delete(v)) * ((1 << y_shift) + 1)"
+        "value = deleted << (y_shift if held else x_shift)",
+        "value = deleted * (1 << (y_shift if held else x_shift))",
     )
     assert in_scopes(sites(planted, multiplies), RECURSIONS) == ["tutte_recursive.rec"]
     planted = POLYNOMIALS.read_text().replace(
@@ -900,6 +902,79 @@ def test_the_read_has_no_loop_and_the_recursion_rules_are_shifts_and_adds():
     source = POLYNOMIALS.read_text()
     assert in_scopes(sites(source, loops), ("_from_tally",)) == []
     assert in_scopes(sites(source, multiplies), RECURSIONS) == []
+
+
+OBJECT_ROUTES = frozenset({
+    "LoopedSimpleGraph", "BinaryMatroid", "_derived", "unchecked",
+    "minus", "local_complement", "delete", "contract", "is_loop", "is_coloop",
+})
+OBJECT_CLASSES = ("LoopedSimpleGraph", "BinaryMatroid")
+
+
+def object_routes_in_recursions(source: str) -> list[str]:
+    """Each call in the inner rec of either recursion, nested definitions
+    included, of a graph or matroid constructor or class method, of _derived
+    or unchecked, or of a minor or element question, as rec's qualified name
+    and the route called.  The entry, which reads the input once, is exempt."""
+    found = []
+    for name, func in definitions(source):
+        if name not in [f"{recursion}.rec" for recursion in RECURSIONS]:
+            continue
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Call):
+                continue
+            route = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            owner = getattr(getattr(node.func, "value", None), "id", None)
+            if owner in OBJECT_CLASSES:
+                found.append(f"{name}: {owner}.{route}")
+            elif route in OBJECT_ROUTES:
+                found.append(f"{name}: {route}")
+    return found
+
+
+def test_checker_finds_every_object_route_in_a_recursion():
+    source = (
+        "def interlace_recursive(g):\n"
+        "    h = LoopedSimpleGraph(g.labels, g.adj).minus('a')\n"
+        "    def rec(h):\n"
+        "        three = h.local_complement(v)\n"
+        "        return rec(three.minus(v)) + rec(LoopedSimpleGraph._derived(l, r))\n"
+        "    return rec(h)\n"
+        "def tutte_recursive(m):\n"
+        "    def rec(mm):\n"
+        "        def side(v):\n"
+        "            return mm.delete(v) if mm.is_loop(v) else unchecked(BinaryMatroid, g=g)\n"
+        "        return rec(BinaryMatroid(g, w)) + rec(mm.contract(v)) + mm.is_coloop(v)\n"
+        "def other(m):\n"
+        "    def rec(mm):\n"
+        "        return mm.delete('a')\n"
+    )
+    assert sorted(object_routes_in_recursions(source)) == [
+        "interlace_recursive.rec: LoopedSimpleGraph._derived",
+        "interlace_recursive.rec: local_complement",
+        "interlace_recursive.rec: minus",
+        "tutte_recursive.rec: BinaryMatroid",
+        "tutte_recursive.rec: contract",
+        "tutte_recursive.rec: delete",
+        "tutte_recursive.rec: is_coloop",
+        "tutte_recursive.rec: is_loop",
+        "tutte_recursive.rec: unchecked",
+    ]
+    planted = POLYNOMIALS.read_text().replace(
+        "rec(_drop_index(rows, 0)) << y_shift", "rec(g.minus(g.labels[0]).adj.data) << y_shift"
+    ).replace(
+        "rref_masks(b >> 1 for b in basis)", "m.contract(m.ground[0]).cycle_space.basis"
+    )
+    assert object_routes_in_recursions(planted) == [
+        "interlace_recursive.rec: minus", "tutte_recursive.rec: contract"
+    ]
+
+
+def test_the_recursions_build_and_ask_no_object_after_entry():
+    """Both recursions read their input once at entry and recurse on ints:
+    the interlace one on adjacency rows through graph's one local complement
+    and one vertex deletion, the Tutte one on the canonical cycle-space basis."""
+    assert object_routes_in_recursions(POLYNOMIALS.read_text()) == []
 
 
 WORD_READERS = [POLYNOMIALS.with_name("binary_matroid.py"), POLYNOMIALS]
@@ -1197,8 +1272,8 @@ def test_checker_finds_every_entry_read_under_two_fors():
 
 
 def test_no_all_pairs_entry_walk_in_the_package():
-    """The edge, loop and multigraph walks read each row's set bits;
-    interlace_recursive's one set-bit walk reads single entries."""
+    """The edge, loop and multigraph walks read each row's set bits, and
+    interlace_recursive reads its loop bits off its rows."""
     found = {
         str(path.relative_to(ROOT)): names
         for path in SOURCES

@@ -269,6 +269,15 @@ def looped_ladder(k: int) -> LoopedSimpleGraph:
     return LoopedSimpleGraph.build(labels, rungs + rails, loops=labels[::3])
 
 
+def looped_grid(rows: int, cols: int) -> LoopedSimpleGraph:
+    """The rows x cols grid in row-major order, vertex r * cols + c, with a
+    loop on every third vertex; 2 x k is the ladder with its rails first."""
+    labels = tuple(f"v{i}" for i in range(rows * cols))
+    across = [(labels[i], labels[i + 1]) for i in range(rows * cols) if (i + 1) % cols]
+    down = list(zip(labels, labels[cols:]))
+    return LoopedSimpleGraph.build(labels, across + down, loops=labels[::3])
+
+
 def test_recursions_are_exact_above_the_gate_inside_the_slot_bound(monkeypatch):
     """With the gate patched out, both recursions on looped paths and ladders
     with n up to 31, the last n whose 64-bit slots hold 2n + 2 bits:
@@ -458,16 +467,18 @@ def test_oracle_routes_never_call_the_subset_kernel(monkeypatch):
 
 def test_subset_expansions_match_recursions_seeded():
     rng = random.Random(41)
+    graphs = [looped_grid(2, 10), looped_grid(3, 6)]  # thousands of memo states at index order
     for n in range(5, 11):
         labels = tuple(f"v{i}" for i in range(n))
         looped = LoopedSimpleGraph.build(labels, loops=labels)
-        for g in (random_looped_simple_graph(rng, n), looped):
-            assert interlace_subset(g) == interlace_recursive(g)
-            m = adjacency_matroid(g)
-            assert tutte_subset(m) == tutte_recursive(m)
+        graphs += [random_looped_simple_graph(rng, n), looped]
         assert adjacency_matroid(looped).nullity == 0
         for m in (free_matroid(labels), all_loops(labels)):
             assert tutte_subset(m) == tutte_recursive(m)
+    for g in graphs:
+        assert interlace_subset(g) == interlace_recursive(g)
+        m = adjacency_matroid(g)
+        assert tutte_subset(m) == tutte_recursive(m)
 
 
 def test_down_closed_layers_match_the_full_pivot_steps():
