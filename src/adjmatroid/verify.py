@@ -1,24 +1,27 @@
 """Named property suites exercising every structural identity of the toolkit.
 
 Each check runs over exhaustively enumerated small instances plus seeded
-random ones, and reports instance counts and minimal reproducing inputs for
-any failure.  A witness is rendered only for a failure that is kept.  The
-kernel and induced-subset oracles (_zero_set, _down_closure, _union_below),
-the min-equicardinal oracle _equicardinal_min_criterion and the two-of-three
-maxima check are word operations on 2^n-bit families; tests keep the set
-loops they replaced as references.  The word steps and the gates are
+random ones, and reports instance counts and, for any failure, the first
+failing inputs in stream order.  A witness is rendered only for a failure that
+is kept.  The kernel and induced-subset oracles (_zero_set, _down_closure,
+_union_below), the min-equicardinal oracle _equicardinal_min_criterion and the
+two-of-three maxima check are word operations on 2^n-bit families; tests keep
+the set loops they replaced as references.  The word steps and the gates are
 `gf2`'s, and the distance checks read gf2.distance_layers, the kernel that
-interlace_subset runs.  The fourreg suite walks each corpus graph's
-transition systems once; `verify` and the tests drive the suites.
+interlace_subset runs.  The fourreg suite walks each corpus graph's transition
+systems once; `verify` and the tests drive the suites.
 
-Each check reads each route value once per stream instance.  A value one
-check reads twice is bound once inside it; a value several checks read is a
-_Lazy, built on its first read inside the check that reads it first.  A
-build that raises keeps nothing, so a raising route fails every check that
-reads it, with the same text, as a direct call in each would.  The pivots
-are _Lazy too, and a witness that names a pivoted system falls back to the
-graph and the pivot set when the pivot raises, so a raising pivot gives FAIL
-lines as every other route does.
+Each check reads each route value once per stream instance, and one rule
+shares it: a value several checks read is a _Lazy, built on its first read
+inside the check that reads it first, and a value one check reads twice is
+bound once inside it.  A build that raises keeps nothing, so a raising route
+fails every check that reads it, with the same text, as a direct call in
+each would.  The exception is a read that decides which instances a stream
+holds, what the rng draws next or what a witness says: the graph and
+set-system generators, HalfEdgeGraph(...), all_transition_systems, the
+transitions_at draws and the is_proper filter run before the checks, so a
+raise in one of them ends its suite.  A witness that names a pivoted system
+falls back to the graph and the pivot set when the pivot raises.
 
 A slow reference lives beside its checks, here, unless the CLI or the
 benchmark needs it: _all_subspaces, _kappa, the polynomial sum and product
@@ -69,7 +72,6 @@ from .adjacency_matroid import (
 )
 from .binary_matroid import BinaryMatroid, polygon_matroid, single_coloop
 from .four_regular import (
-    CircuitPartition,
     EulerSystem,
     HalfEdgeGraph,
     TransitionSystem,
@@ -173,21 +175,13 @@ class Recorder:
         if not ok and len(r.failures) < MAX_FAILURES_KEPT:
             r.failures.append(str(witness))
 
-    def check(self, name: str, witness: object) -> "_Check":
+    def check(self, name: str, witness: object) -> "Recorder":
         """Record a clean exit from the block as a pass, and an AssertionError or
         a ValueError from a route under test as a failure, rendered as
-        f"{witness}: {exc}" only if kept; other exceptions propagate."""
-        return _Check(self, name, witness)
-
-    def report(self) -> list[CheckResult]:
-        return list(self.results.values())
-
-
-class _Check:
-    __slots__ = ("rec", "name", "witness")
-
-    def __init__(self, rec: Recorder, name: str, witness: object) -> None:
-        self.rec, self.name, self.witness = rec, name, witness
+        f"{witness}: {exc}" only if kept; other exceptions propagate.  Checks do
+        not nest, so the recorder is the block's context, holding its name and witness."""
+        self.name, self.witness = name, witness
+        return self
 
     def __enter__(self) -> None:
         pass
@@ -195,8 +189,11 @@ class _Check:
     def __exit__(self, kind: type[BaseException] | None, exc: object, tb: object) -> bool:
         if kind is not None and not issubclass(kind, (AssertionError, ValueError)):
             return False
-        self.rec.record(self.name, not kind, kind and Witness("{}: {}".format, self.witness, exc))
+        self.record(self.name, not kind, kind and Witness("{}: {}".format, self.witness, exc))
         return True
+
+    def report(self) -> list[CheckResult]:
+        return list(self.results.values())
 
 
 def graph_witness(g: LoopedSimpleGraph | MultiGraph, extra: object = "") -> str:
@@ -217,41 +214,38 @@ def _graph_stream(max_n: int, trials: int, rand_n: int, seed: int):
 # minor/local-complement/tripartition identity of adjacency matroids.
 
 
-def _check_circuit_axioms(rec: Recorder, m: BinaryMatroid, witness: object) -> None:
-    circuits = m.circuit_masks()
-    circuit_set = set(circuits)
-    with rec.check("circuit-axioms", witness):
-        assert 0 not in circuit_set, "empty circuit"
-        for c1, c2 in itertools.combinations(circuits, 2):
-            assert not (c1 & c2 == c1 or c1 & c2 == c2), "nested circuits"
-            diff = c1 ^ c2
-            assert any(c & diff == c for c in circuits), "symmetric difference misses a circuit"
-    with rec.check("cycle-vectors-split-into-disjoint-circuits", witness):
-        for z in m.cycle_space.vectors():
-            rest = z
-            parts: list[int] = []
-            while rest:
-                c = next((c for c in circuits if c & rest == c), None)
-                assert c is not None, f"vector {rest:b} contains no circuit"
-                parts.append(c)
-                rest ^= c
-            for c1, c2 in itertools.combinations(parts, 2):
-                assert c1 & c2 == 0, "circuit decomposition not disjoint"
-
-
 def _matroid_kernel_checks(rec: Recorder, max_n: int, trials: int, seed: int) -> None:
     rng = random.Random(seed + 1)
 
     for n in range(min(max_n, 5) + 1):
         for w in _all_subspaces(n):
-            m = BinaryMatroid(default_labels(n), w)
+            m = _Lazy(BinaryMatroid, default_labels(n), w)
+            masks = _Lazy(lambda: m().circuit_masks())
             witness = Witness("subspace dim {} of 2^{}: {}".format, w.dim, n, w.basis)
             with rec.check("subspace-matroid-round-trip", witness):
-                assert BinaryMatroid(m.ground, m.cycle_space) == m
-                assert m.cycle_space == w
-                span = Subspace.span(n, m.circuit_masks())
-                assert span == w, "circuits do not span the cycle space"
-            _check_circuit_axioms(rec, m, witness)
+                built = m()
+                assert BinaryMatroid(built.ground, built.cycle_space) == built
+                assert built.cycle_space == w
+                assert Subspace.span(n, masks()) == w, "circuits do not span the cycle space"
+            with rec.check("circuit-axioms", witness):
+                circuits = masks()
+                assert 0 not in circuits, "empty circuit"
+                for c1, c2 in itertools.combinations(circuits, 2):
+                    assert not (c1 & c2 == c1 or c1 & c2 == c2), "nested circuits"
+                    diff = c1 ^ c2
+                    assert any(c & diff == c for c in circuits), "symmetric difference misses a circuit"
+            with rec.check("cycle-vectors-split-into-disjoint-circuits", witness):
+                circuits = masks()
+                for z in m().cycle_space.vectors():
+                    rest = z
+                    parts: list[int] = []
+                    while rest:
+                        c = next((c for c in circuits if c & rest == c), None)
+                        assert c is not None, f"vector {rest:b} contains no circuit"
+                        parts.append(c)
+                        rest ^= c
+                    for c1, c2 in itertools.combinations(parts, 2):
+                        assert c1 & c2 == 0, "circuit decomposition not disjoint"
 
     for t in range(max(trials, 200)):
         rows = rng.randrange(1, 9)
@@ -288,9 +282,9 @@ def _matroid_kernel_checks(rec: Recorder, max_n: int, trials: int, seed: int) ->
     for t in range(max(trials, 200)):
         n = rng.randrange(8)
         a = random_looped_simple_graph(rng, n).adj
-        r = rank(a)
         witness = Witness("symmetric {0}x{0} rows={1}".format, n, a.data)
         with rec.check("principal-minor-rank-criterion", witness):
+            r = rank(a)
             columns = [a.column_mask(j) for j in range(n)]
             for s in itertools.combinations(range(n), r):
                 independent = len(Subspace.span(n, [columns[j] for j in s]).basis) == r
@@ -353,57 +347,57 @@ def _matroid_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
     # one memo per stream graph: each graph the checks below compare is
     # built into a matroid once; the library routes under test build their own
     m = functools.cache(adjacency_matroid)
-    mg = m(g)
+    mg = _Lazy(m, g)
     kinds = ("plain", "loop", "loop_isolate")
     for v in g.labels:
         witness = Witness(graph_witness, g, f"vertex {v}")
-        gv = g.local_complement(v)
-        mine = {k: m(g.variant(v, k)) for k in kinds}
-        theirs = {k: m(gv.variant(v, k)) for k in kinds}
-        m_gv = m(gv)
-        m_minus = m(g.minus(v))
-        deleted = mg.delete(v)
-        triple = is_triple_coloop(g, v)  # the route under test, asked once
+        gv = _Lazy(g.local_complement, v)
+        variants = _Lazy(lambda: {k: m(g.variant(v, k)) for k in kinds})
+        their_variants = _Lazy(lambda: {k: m(gv().variant(v, k)) for k in kinds})
+        m_gv, m_minus = _Lazy(lambda: m(gv())), _Lazy(lambda: m(g.minus(v)))
+        deleted = _Lazy(lambda: mg().delete(v))
+        triple = _Lazy(is_triple_coloop, g, v)  # the route under test, asked once
 
         with rec.check("contract-matches-complement-witness", witness):
             derivation = contract_via_lc(g, v)
-            assert derivation.result == mg.contract(v)
+            assert derivation.result == mg().contract(v)
             rebuilt = g
             for w in derivation.lc_sequence:
                 rebuilt = rebuilt.local_complement(w)
             assert rebuilt == derivation.witness_graph
 
         with rec.check("delete-matches-subgraph-for-noncoloops", witness):
-            if not mg.is_coloop(v):
-                assert deleted == m_minus
+            if not mg().is_coloop(v):
+                assert deleted() == m_minus()
 
         with rec.check("delete-matches-subgraph-off-triple-coloops", witness):
-            if not triple:
-                assert deleted == m_minus
-            assert delete_via_subgraph(g, v) == deleted
+            if not triple():
+                assert deleted() == m_minus()
+            assert delete_via_subgraph(g, v) == deleted()
 
         with rec.check("deletion-ignores-local-complement", witness):
-            assert deleted == m_gv.delete(v)
+            assert deleted() == m_gv().delete(v)
 
         with rec.check("local-complement-matroid-relation", witness):
+            here, there = mg(), m_gv()
             if not g.is_looped(v):
-                assert m_gv == mg
+                assert there == here
             else:
-                c_here = mg.is_coloop(v)
-                c_there = m_gv.is_coloop(v)
+                c_here = here.is_coloop(v)
+                c_there = there.is_coloop(v)
                 assert c_here or c_there, "coloop of neither"
                 if c_here and c_there:
-                    assert m_gv == mg
-                    assert not triple
-                    assert not is_triple_coloop(gv, v)
+                    assert there == here
+                    assert not triple()
+                    assert not is_triple_coloop(gv(), v)
                 else:
-                    m1, m2 = (m_gv, mg) if c_here else (mg, m_gv)
+                    m1, m2 = (there, here) if c_here else (here, there)
                     assert m2 == m1.delete(v).direct_sum(single_coloop(v))
                     assert m2.nullity == m1.nullity - 1, "equal nullities"
-                    assert triple if c_here else is_triple_coloop(gv, v)
+                    assert triple() if c_here else is_triple_coloop(gv(), v)
 
         with rec.check("three-variants-two-agree", witness):
-            t = trio(g, v)
+            t, mine = trio(g, v), variants()
             equal = [(a, b) for a, b in itertools.combinations(kinds, 2) if mine[a] == mine[b]]
             assert equal == [t.equal_pair], f"{t.equal_pair} vs {equal}"
             assert {t.odd_one, *t.equal_pair} == set(kinds), f"odd {t.odd_one}"
@@ -412,33 +406,33 @@ def _matroid_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
             assert bigger.dim == shared.dim + 1 and all(bigger.contains(x) for x in shared.basis)
 
         with rec.check("loop-isolate-splits-off-coloop", witness):
-            iso = mine["loop_isolate"]
+            iso, minus = variants()["loop_isolate"], m_minus()
             assert iso.is_coloop(v)
-            assert iso == m_minus.direct_sum(single_coloop(v))
-            gv_loop = theirs["loop"]
-            assert iso.nullity == m_minus.nullity == gv_loop.contract(v).nullity == gv_loop.nullity
+            assert iso == minus.direct_sum(single_coloop(v))
+            gv_loop = their_variants()["loop"]
+            assert iso.nullity == minus.nullity == gv_loop.contract(v).nullity == gv_loop.nullity
 
         with rec.check("coloop-of-graph-or-loop-complement", witness):
             toggled = m(g.loop_complement(v))
-            assert mg.is_coloop(v) or toggled.is_coloop(v)
+            assert mg().is_coloop(v) or toggled.is_coloop(v)
 
         with rec.check("triple-coloop-cycle-space-criterion", witness):
-            plain, loop, iso = mine["plain"], mine["loop"], mine["loop_isolate"]
+            plain, loop, iso = variants().values()
             assert iso.is_coloop(v)
             assert plain.is_coloop(v) or loop.is_coloop(v)
             criterion = plain.cycle_space == loop.cycle_space and all(
                 iso.cycle_space.contains(x) for x in plain.cycle_space.basis
             ) and iso.cycle_space != plain.cycle_space
-            assert criterion == triple
+            assert criterion == triple()
 
         with rec.check("tripartition-case-details", witness):
-            _check_tripartition_case(g, v, gv, mine, theirs)
+            _check_tripartition_case(g, v, gv(), variants(), their_variants())
 
     with rec.check("rank-function-shape", Witness(graph_witness, g)):
-        table = {}
+        table, rank_of = {}, mg().rank_of
         for mask in range(1 << g.n):
             s = [g.labels[i] for i in range(g.n) if (mask >> i) & 1]
-            table[mask] = mg.rank_of(s)
+            table[mask] = rank_of(s)
         full = (1 << g.n) - 1
         assert table[0] == 0
         for a in range(1 << g.n):
@@ -449,13 +443,14 @@ def _matroid_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
         for a in range(1 << g.n):
             for b in range(1 << g.n):
                 assert table[a | b] + table[a & b] <= table[a] + table[b], "not submodular"
-        assert table[full] == mg.rank
+        assert table[full] == mg().rank
 
     with rec.check("duality-and-minor-exchange", Witness(graph_witness, g)):
-        assert mg.dual().dual() == mg
+        whole = mg()
+        assert whole.dual().dual() == whole
         for v in g.labels:
-            assert mg.delete(v).dual() == mg.dual().contract(v)
-            assert mg.contract(v).dual() == mg.dual().delete(v)
+            assert whole.delete(v).dual() == whole.dual().contract(v)
+            assert whole.contract(v).dual() == whole.dual().delete(v)
 
     with rec.check("graph-reconstruction-from-nullities", Witness(graph_witness, g)):
         assert reconstruct_from_nullity_oracle(g.labels, nullity_oracle_of(g)) == g
@@ -639,93 +634,96 @@ def _distance_of(layers: list[int], x: int) -> int:
 
 
 def _delta_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
-    d = dm.from_graph(g)
-    mg = adjacency_matroid(g)
+    d, mg = _Lazy(dm.from_graph, g), _Lazy(adjacency_matroid, g)
     witness = Witness(graph_witness, g)
-    induced = [g.induced_mask(mask) for mask in range(1 << g.n)]
-    top, mg_bases = _Lazy(d.max_sys), _Lazy(mg.bases)
+    induced = _Lazy(lambda: [g.induced_mask(mask) for mask in range(1 << g.n)])
+    top, mg_bases = _Lazy(lambda: d().max_sys()), _Lazy(lambda: mg().bases())
 
     with rec.check("graph-encoding-is-normal-delta-matroid", witness):
-        assert d.is_normal
-        assert dm.is_delta_matroid(d)
-        assert d.min_sys().family == frozenset({0})
-        assert dm.to_graph(d) == g
+        encoded = d()
+        assert encoded.is_normal
+        assert dm.is_delta_matroid(encoded)
+        assert encoded.min_sys().family == frozenset({0})
+        assert dm.to_graph(encoded) == g
 
     with rec.check("distance-equals-induced-nullity", witness):
-        layers = distance_layers(d.bits, g.n)
-        for x, h in enumerate(induced):
+        layers = distance_layers(d().bits, g.n)
+        for x, h in enumerate(induced()):
             assert _distance_of(layers, x) == nullity(h.adj)
 
     with rec.check("max-members-are-matroid-bases", witness):
-        assert dm.max_as_matroid(d) == mg_bases()
+        assert dm.max_as_matroid(d()) == mg_bases()
 
     for v in g.labels:
         wv = Witness(graph_witness, g, f"vertex {v}")
-        gv = g.local_complement(v)
-        m_gv = adjacency_matroid(gv)
-        contracted = mg.contract(v)
-        pivoted, dual_pivoted = _Lazy(d.pivot, [v]), _Lazy(d.dual_pivot, [v])
-        complemented, deleted = _Lazy(d.loop_complement, [v]), _Lazy(d.delete, [v])
+        gv = _Lazy(g.local_complement, v)
+        m_gv = _Lazy(lambda: adjacency_matroid(gv()))
+        pivoted, dual_pivoted = _Lazy(lambda: d().pivot([v])), _Lazy(lambda: d().dual_pivot([v]))
+        complemented = _Lazy(lambda: d().loop_complement([v]))
+        deleted = _Lazy(lambda: d().delete([v]))
         pivoted_top = _Lazy(lambda: pivoted().max_sys())
         with rec.check("flips-match-graph-complements", wv):
             if g.is_looped(v):
-                assert pivoted() == dm.from_graph(gv)
+                assert pivoted() == dm.from_graph(gv())
             else:
-                assert dual_pivoted() == dm.from_graph(gv)
+                assert dual_pivoted() == dm.from_graph(gv())
             assert complemented() == dm.from_graph(g.loop_complement(v))
             assert deleted() == dm.from_graph(g.minus(v))
 
         with rec.check("matrix-free-minor-routes-agree", wv):
-            if not mg.is_coloop(v):
-                assert mg.delete(v).bases() == dm.max_as_matroid(deleted())
+            whole = mg()
+            if not whole.is_coloop(v):
+                assert whole.delete(v).bases() == dm.max_as_matroid(deleted())
             if g.is_looped(v) or g.neighbors(v):
-                bases = contracted.bases()
+                bases = whole.contract(v).bases()
                 assert bases == dm.max_as_matroid(pivoted().delete([v]))
                 if not g.is_looped(v):
                     w = g.neighbors(v)[0]
-                    seq = d.dual_pivot([w]) if not g.is_looped(w) else dual_pivoted().dual_pivot([w])
+                    seq = d().dual_pivot([w]) if not g.is_looped(w) else dual_pivoted().dual_pivot([w])
                     assert dm.max_as_matroid(seq.pivot([v]).delete([v])) == bases
             if not g.is_looped(v):
-                assert dm.max_as_matroid(dual_pivoted()) == m_gv.bases() == mg_bases()
+                assert dm.max_as_matroid(dual_pivoted()) == m_gv().bases() == mg_bases()
 
         with rec.check("two-of-three-max-transforms-agree", wv):
-            _check_two_of_three(d, v, top(), pivoted_top(), complemented().max_sys())
+            _check_two_of_three(d(), v, top(), pivoted_top(), complemented().max_sys())
 
         with rec.check("max-after-pinning", wv):
-            _check_max_after_pinning(d, v, pivoted_top)
+            _check_max_after_pinning(d(), v, pivoted_top)
 
         with rec.check("loop-isolate-via-max-filter", wv):
             if g.is_looped(v):
-                m_iso = adjacency_matroid(g.variant(v, "loop_isolate"))
-                assert m_iso.nullity == m_gv.nullity
-                assert m_iso.bases() == {b for b in m_gv.bases() if v in b}
-                assert m_iso == m_gv.contract(v).direct_sum(single_coloop(v))
-                assert (m_iso == m_gv) == (mg.nullity >= m_gv.nullity)
+                m_iso, there = adjacency_matroid(g.variant(v, "loop_isolate")), m_gv()
+                assert m_iso.nullity == there.nullity
+                assert m_iso.bases() == {b for b in there.bases() if v in b}
+                assert m_iso == there.contract(v).direct_sum(single_coloop(v))
+                assert (m_iso == there) == (mg().nullity >= there.nullity)
 
     _delta_subset_checks(rec, g, d, induced)
 
 
-def _delta_subset_checks(
-    rec: Recorder, g: LoopedSimpleGraph, d: dm.SetSystem, induced: list[LoopedSimpleGraph]
-) -> None:
-    """The induced-subgraph checks, over one matroid per vertex subset;
-    induced[mask] is g's subgraph induced on mask."""
+def _delta_subset_checks(rec: Recorder, g: LoopedSimpleGraph, d: _Lazy, induced: _Lazy) -> None:
+    """The induced-subgraph checks, over one matroid per vertex subset; d()
+    is g's set system and induced()[mask] g's subgraph induced on mask."""
     witness = Witness(graph_witness, g)
-    subs = [adjacency_matroid(h) for h in induced]
-    sub_bases = [sub.bases() for sub in subs]
-    collected = _union_below([sum({1 << d.mask_of(b) for b in bs}) for bs in sub_bases], g.n)
-    for mask, (h, sub) in enumerate(zip(induced, subs)):
-        ws = Witness("{} subset {{{}}}".format, witness, Witness(" ".join, h.labels))
-        inside = d.restrict(h.labels)
+    subs = _Lazy(lambda: [adjacency_matroid(h) for h in induced()])
+    sub_bases = _Lazy(lambda: [sub.bases() for sub in subs()])
+    families = _Lazy(lambda: [sum({1 << d().mask_of(b) for b in bs}) for bs in sub_bases()])
+    collected = _Lazy(lambda: _union_below(families(), g.n))
+    for mask in range(1 << g.n):
+        labels = [g.labels[i] for i in set_bits(mask)]
+        ws = Witness("{} subset {{{}}}".format, witness, Witness(" ".join, labels))
+        inside = _Lazy(lambda: d().restrict(labels))
         with rec.check("bases-are-maximal-encoded-subsets", ws):
-            assert inside.is_proper
-            assert {inside.labels_of(m) for m in inside.max_sys().family} == sub_bases[mask]
+            part = inside()
+            assert part.is_proper
+            assert {part.labels_of(m) for m in part.max_sys().family} == sub_bases()[mask]
         with rec.check("independents-extend-to-encoded-sets", ws):
-            assert inside.ground == sub.ground  # so masks name the same labels
-            assert set_bits(_down_closure(inside)) == list(sub.independent_masks())
+            sub = subs()[mask]
+            assert inside().ground == sub.ground  # so masks name the same labels
+            assert set_bits(_down_closure(inside())) == list(sub.independent_masks())
         with rec.check("restriction-collects-subgraph-bases", ws):
-            restricted = dm.from_graph(h)
-            assert dm.SetSystem(d.ground, collected[mask]).restrict(h.labels) == restricted
+            restricted = dm.from_graph(induced()[mask])
+            assert dm.SetSystem(d().ground, collected()[mask]).restrict(labels) == restricted
 
 
 def _down_closure(d: dm.SetSystem) -> int:
@@ -845,7 +843,8 @@ def _delta_general_checks(rec: Recorder, trials: int, rand_n: int, seed: int) ->
         n = rng.randrange(1, min(rand_n, 5) + 1)
         g = random_looped_simple_graph(rng, n)
         x_labels = [v for v in g.labels if rng.random() < 0.5]
-        pivoted = _Lazy(dm.from_graph(g).pivot, x_labels)
+        encoded = _Lazy(dm.from_graph, g)
+        pivoted = _Lazy(lambda: encoded().pivot(x_labels))
         v = g.labels[rng.randrange(n)]
         witness = Witness(_pivoted_witness, g, x_labels, v, pivoted)
         deleted = _Lazy(lambda: pivoted().delete([v]))
@@ -870,7 +869,7 @@ def _delta_general_checks(rec: Recorder, trials: int, rand_n: int, seed: int) ->
                 assert d_min.pivot([v]).delete([v]) == pivoted().pivot([v]).delete([v]).min_sys()
 
         with rec.check("flip-reachable-iff-contains-empty", witness):
-            moved = dm.from_graph(g)
+            moved = encoded()
             for _ in range(rng.randrange(4)):
                 kind = rng.choice(["pivot", "dual_pivot", "loop_complement"])
                 moved = getattr(moved, kind)([g.labels[rng.randrange(n)]])
@@ -912,41 +911,41 @@ def _kappa(c: EulerSystem, v: int) -> EulerSystem:
 
 
 def _fourreg_partition_checks(
-    rec: Recorder, f: HalfEdgeGraph, c: EulerSystem, p: CircuitPartition, witness: str
+    rec: Recorder, f: HalfEdgeGraph, euler: _Lazy, partition: _Lazy, witness: str, compatible: bool
 ) -> None:
-    comp = f.component_count
+    """Checks of partition() against euler(), and, if compatible, through its compatible system."""
+    touch = _Lazy(lambda: touch_graph(partition()))
     with rec.check("circuit-nullity-formula", witness):
-        rel = relative_interlacement(c, p)
-        assert nullity(rel.adj) == p.size - comp
+        p = partition()
+        assert nullity(relative_interlacement(euler(), p).adj) == p.size - f.component_count
 
     with rec.check("touch-graph-shape", witness):
-        tch = touch_graph(p)
-        assert tch.n == p.size
+        tch = touch()
+        assert tch.n == partition().size
         assert len(tch.edges) == f.n
-        assert tch.component_count() == comp
+        assert tch.component_count() == f.component_count
 
-
-def _fourreg_compatible_checks(
-    rec: Recorder, f: HalfEdgeGraph, p: CircuitPartition, witness: str
-) -> None:
-    c = compatible_euler_system(f, p)
-    rel = relative_interlacement(c, p)
-    base_rank = rank(rel.adj)
-    tch = touch_graph(p)
-    poly = polygon_matroid(tch)
+    if not compatible:
+        return
+    system = _Lazy(lambda: compatible_euler_system(f, partition()))
+    relative = _Lazy(lambda: relative_interlacement(system(), partition()))
+    full_rank = _Lazy(lambda: rank(relative().adj))
+    polygon = _Lazy(lambda: polygon_matroid(touch()))
     with rec.check("compatible-system-covers-all-vertices", witness):
-        assert sorted(rel.labels) == sorted(f.graph.labels)
+        assert sorted(relative().labels) == sorted(f.graph.labels)
 
     with rec.check("touch-polygon-orthogonality", witness):
+        rel, poly = relative(), polygon()
         # align the polygon cycle space into rel's vertex order by labels
         position = [rel.index(v) for v in poly.ground]
         moved = poly.cycle_space.permuted(position)
         assert orthogonal_complement(nullspace(rel.adj)) == moved
 
     with rec.check("touch-polygon-duality", witness):
-        assert adjacency_matroid(rel).dual() == poly
+        assert adjacency_matroid(relative()).dual() == polygon()
 
     with rec.check("rewire-matches-local-complement", witness):
+        c, p, rel, poly = system(), partition(), relative(), polygon()
         poly_dual = _Lazy(poly.dual)
         for v in range(f.n):
             label = f.graph.labels[v]
@@ -970,6 +969,7 @@ def _fourreg_compatible_checks(
                     assert moved == expect
 
     with rec.check("rank-detects-shared-circuits", witness):
+        p, rel, base_rank = partition(), relative(), full_rank()
         for v in range(f.n):
             label = f.graph.labels[v]
             ci, cj = p.circuits_through(v)
@@ -978,6 +978,7 @@ def _fourreg_compatible_checks(
 
     with rec.check("independent-sets-drop-circuit-counts", witness):
         if f.n <= 4:
+            c, p, rel, poly, base_rank = system(), partition(), relative(), polygon(), full_rank()
             for size in range(1, f.n + 1):
                 for combo in itertools.combinations(range(f.n), size):
                     labels = [f.graph.labels[v] for v in combo]
@@ -1001,32 +1002,29 @@ def fourreg_suite(max_n: int = 5, trials: int = 60, seed: int = 0) -> list[Check
 
     for mg in small_four_regular_corpus(max_n):
         f = HalfEdgeGraph(mg)
-        c = euler_system(f)
+        c = _Lazy(euler_system, f)
         witness = Witness(graph_witness, mg)
         with rec.check("euler-system-covers-components", witness):
-            assert c.size == f.component_count
-            seen = sorted(h >> 1 for circ in c.circuits for h in circ)
+            system = c()
+            assert system.size == f.component_count
+            seen = sorted(h >> 1 for circ in system.circuits for h in circ)
             assert seen == list(range(f.edge_count))
-            base = interlacement(c)
+            base = interlacement(system)
             assert not base.loop_labels()
         for t in all_transition_systems(f):
-            p = partition_from_transitions(f, t)
+            p = _Lazy(partition_from_transitions, f, t)
             witness = Witness(graph_witness, mg, Witness("pairing {}".format, t.pairing))
-            _fourreg_partition_checks(rec, f, c, p, witness)
-            if mg.n <= 3:
-                _fourreg_compatible_checks(rec, f, p, witness)
+            _fourreg_partition_checks(rec, f, c, p, witness, mg.n <= 3)
 
     for i in range(max(trials, 20)):
         n = rng.randrange(1, 6) if i % 2 else rng.randrange(4, 9)
         mg = random_four_regular(rng, n, connected=bool(rng.randrange(2)))
         f = HalfEdgeGraph(mg)
-        c = euler_system(f)
         pairs = [pair for v in range(f.n) for pair in rng.choice(f.transitions_at(v))]
         t = TransitionSystem.from_pairs(f, pairs)
-        p = partition_from_transitions(f, t)
+        c, p = _Lazy(euler_system, f), _Lazy(partition_from_transitions, f, t)
         witness = Witness(graph_witness, mg, Witness("pairing {}".format, t.pairing))
-        _fourreg_partition_checks(rec, f, c, p, witness)
-        _fourreg_compatible_checks(rec, f, p, witness)
+        _fourreg_partition_checks(rec, f, c, p, witness, True)
 
     count = 0
     attempts = 0
@@ -1113,26 +1111,27 @@ def _interlace_vertex_terms(
 
 def _poly_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
     witness = Witness(graph_witness, g)
-    q = interlace_subset(g)
-    nullities = _induced_nullities(g)  # one table for both induced-matroid oracles
+    q = _Lazy(interlace_subset, g)
+    nullities = _Lazy(_induced_nullities, g)  # one table for both induced-matroid oracles
     with rec.check("interlace-evaluators-agree", witness):
-        assert q == interlace_recursive(g)
-        assert q == _q_from_lambda(nullities)
-        assert q.evaluate(2, 2) == 1 << g.n
-        assert q.evaluate(2, 1) == g.nonsingular_subsets.bit_count()
+        poly = q()
+        assert poly == interlace_recursive(g)
+        assert poly == _q_from_lambda(nullities())
+        assert poly.evaluate(2, 2) == 1 << g.n
+        assert poly.evaluate(2, 1) == g.nonsingular_subsets.bit_count()
 
-    mg = adjacency_matroid(g)
-    t, by_rank = tutte_subset(mg), _tutte_by_rank(mg)
+    m, leading = _Lazy(adjacency_matroid, g), _Lazy(lambda: lambda_leading(m()))
+    t, by_rank = _Lazy(lambda: tutte_subset(m())), _Lazy(lambda: _tutte_by_rank(m()))
     with rec.check("tutte-evaluators-agree", witness):
-        _check_tutte(mg, t, by_rank)
+        _check_tutte(m(), t(), by_rank())
 
     with rec.check("tutte-polynomial-swaps-under-duality", witness):
-        dual = tutte_subset(mg.dual())
-        for p in (t, by_rank):  # T(M*; x, y) = T(M; y, x)
+        dual = tutte_subset(m().dual())
+        for p in (t(), by_rank()):  # T(M*; x, y) = T(M; y, x)
             assert _poly_sum((j, i, c) for i, j, c in p.terms) == dual
 
     with rec.check("leading-term-recursion", witness):
-        lam, step = lambda_leading(mg), shifted_power_term(0, 1)
+        mg, lam, step = m(), leading(), shifted_power_term(0, 1)
         for v in g.labels:
             lam_del = lambda_leading(mg.delete(v))
             lam_con = lambda_leading(mg.contract(v))
@@ -1144,7 +1143,7 @@ def _poly_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
                 assert lam == _poly_times(step, lam_del) == lam_con
 
     with rec.check("leading-term-complement-rules", witness):
-        lam, step = lambda_leading(mg), shifted_power_term(0, 1)
+        lam, step = leading(), shifted_power_term(0, 1)
         for v in g.labels:
             gv = g.local_complement(v)
             if not g.is_looped(v):
@@ -1155,17 +1154,17 @@ def _poly_graph_checks(rec: Recorder, g: LoopedSimpleGraph) -> None:
                 assert lam == lambda_leading(adjacency_matroid(gv.minus(v)))
 
     with rec.check("vertex-terms-make-the-difference", witness):
-        terms = _interlace_vertex_terms(g, nullities)
+        poly, terms = q(), _interlace_vertex_terms(g, nullities())
         for v in g.labels:
-            assert q == _poly_sum(interlace_subset(g.minus(v)).terms, terms[v].terms)
+            assert poly == _poly_sum(interlace_subset(g.minus(v)).terms, terms[v].terms)
 
 
 def _poly_polygon_checks(rec: Recorder, trials: int, seed: int) -> None:
     rng = random.Random(seed + 5)
     for _ in range(max(trials // 4, 25)):
         mg = _random_multigraph(rng, rng.randrange(1, 5), rng.randrange(6))
-        m = polygon_matroid(mg)
         with rec.check("tutte-evaluators-agree-on-polygon-matroids", Witness(graph_witness, mg)):
+            m = polygon_matroid(mg)
             _check_tutte(m, tutte_subset(m), _tutte_by_rank(m))
 
 

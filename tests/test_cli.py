@@ -13,6 +13,7 @@ import networkx
 import pytest
 
 import adjmatroid
+from adjmatroid import verify
 from adjmatroid.adjacency_matroid import adjacency_matroid
 from adjmatroid.cli import main
 from adjmatroid.gf2 import BitMatrix, symmetrize_nullspace
@@ -376,6 +377,30 @@ def test_verify_small_run(capsys):
     assert code == 0
     data = json.loads(out)
     assert all(r["failures"] == [] for r in data)
+
+
+def test_verify_prints_a_raising_route_as_fail_lines(capsys, monkeypatch):
+    """A route that raises on graphs of 3 or more vertices gives the FAIL line
+    of each check that reads it, with witnesses that parse back, and exit 2."""
+    build = verify.interlace_subset
+
+    def broken(g):
+        if g.n >= 3:
+            raise ValueError("broken interlace_subset")
+        return build(g)
+
+    monkeypatch.setattr(verify, "interlace_subset", broken)
+    code, out, err = run(capsys, "verify", "--suite", "poly", "--max-n", "2", "--trials", "5")
+    assert (code, err) == (2, "")
+    lines = out.splitlines()
+    at = lines.index("FAIL interlace-evaluators-agree instances=16")
+    records = json.loads(Path(__file__).with_name("route_fault_records.json").read_text())
+    expected = records["interlace_subset"]["interlace-evaluators-agree"]
+    assert lines[at + 1 : at + 1 + len(expected)] == [f"     reproduce: {f}" for f in expected]
+    assert lines[at + 1 + len(expected)].startswith("ok ")
+    text = expected[0].split("]: ")[0][1:].replace("; ", "\n")
+    with pytest.raises(ValueError, match="broken interlace_subset"):
+        verify.interlace_subset(parse_graph(text))
 
 
 def test_verify_rejects_negative_sizes(capsys):

@@ -192,10 +192,10 @@ def test_interlace_oracles_build_one_table_each(monkeypatch):
 
 def test_delta_subset_checks_build_one_matroid_per_subset(monkeypatch):
     g = C5_LOOPED
-    d = dm.from_graph(g)
+    d, induced = verify._Lazy(dm.from_graph, g), verify._Lazy(induced_subgraphs, g)
     rec = verify.Recorder()
     calls = count_matroid_builds(monkeypatch)
-    verify._delta_subset_checks(rec, g, d, induced_subgraphs(g))
+    verify._delta_subset_checks(rec, g, d, induced)
     assert len(calls) == 1 << g.n
     assert all(r.ok and r.instances == 1 << g.n for r in rec.report())
 
@@ -327,9 +327,9 @@ def test_a_clean_matroid_run_checks_no_str_witness(monkeypatch):
 def test_kernel_failures_print_the_eager_witness_text(monkeypatch):
     """Every kernel check forced to fail keeps its first witnesses, rendered
     as the f-strings the lazy witnesses replaced."""
-    exit_check = verify._Check.__exit__
+    exit_check = verify.Recorder.__exit__
     monkeypatch.setattr(
-        verify._Check, "__exit__",
+        verify.Recorder, "__exit__",
         lambda self, kind, exc, tb: exit_check(self, kind or AssertionError, exc or "forced", tb),
     )
     rec = verify.Recorder()
@@ -430,6 +430,46 @@ def test_a_raising_route_fails_each_check_that_reads_it(route, failing, monkeypa
     assert len(FAULT_RECORDS[route]) == failing
 
 
+# The failure records of each route's suite at max_n=2, trials=5, seed=0 when
+# the route raises ValueError("broken <route>") on every object of 3 or more
+# elements (its first argument's .n or .size).  Each of these routes raised
+# out of its suite while its value was built before the checks that read it.
+ROUTE_FAULT_RECORDS = json.loads(Path(__file__).with_name("route_fault_records.json").read_text())
+ROUTE_FAULTS = [
+    ("matroid", BinaryMatroid, "delete", 6),
+    ("matroid", LoopedSimpleGraph, "local_complement", 7),
+    ("delta", BinaryMatroid, "contract", 2),
+    ("delta", dm, "from_graph", 14),
+    ("fourreg", verify, "euler_system", 1),
+    ("fourreg", verify, "compatible_euler_system", 6),
+    ("poly", verify, "interlace_subset", 2),
+    ("poly", verify, "tutte_subset", 3),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, owner, route, failing",
+    [pytest.param(*fault, id=f"{fault[0]}-{fault[2]}") for fault in ROUTE_FAULTS],
+)
+def test_a_raising_route_is_a_fail_line_in_every_suite(suite, owner, route, failing, monkeypatch):
+    """Every suite builds a route value inside the first check that reads it,
+    so a raising route gives FAIL lines, never an exception out of the suite,
+    and every check name and instance count stays."""
+    clean = verify.run_suites(suite, max_n=2, trials=5, seed=0)
+    build = getattr(owner, route)
+
+    def broken(obj, *args):
+        if (obj.n if hasattr(obj, "n") else obj.size) >= 3:
+            raise ValueError(f"broken {route}")
+        return build(obj, *args)
+
+    monkeypatch.setattr(owner, route, broken)
+    results = verify.run_suites(suite, max_n=2, trials=5, seed=0)
+    assert [(r.name, r.instances) for r in results] == [(r.name, r.instances) for r in clean]
+    assert failing_checks(results) == ROUTE_FAULT_RECORDS[route]
+    assert len(ROUTE_FAULT_RECORDS[route]) == failing
+
+
 def test_a_delta_run_runs_the_exchange_kernel_once_per_object_asked(monkeypatch):
     """Each system object asked keeps its verdict: 1,766 asks of 837 objects
     run the kernel 837 times, once per object."""
@@ -486,7 +526,8 @@ def test_subset_failures_print_the_eager_witness_text(monkeypatch):
     failed = 0
     for g in [C5_LOOPED, *all_looped_simple_graphs(2)]:
         rec = verify.Recorder()
-        verify._delta_subset_checks(rec, g, dm.from_graph(g), induced_subgraphs(g))
+        d, induced = verify._Lazy(dm.from_graph, g), verify._Lazy(induced_subgraphs, g)
+        verify._delta_subset_checks(rec, g, d, induced)
         texts = [
             f"{eager_graph_text(g)} subset {{{' '.join(g.induced_mask(mask).labels)}}}: "
             for mask in range(1 << g.n)
