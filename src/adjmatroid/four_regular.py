@@ -465,6 +465,8 @@ SAMPLE_TRIES = 200  # configuration-model draws before giving up on connectivity
 
 def random_four_regular(rng: random.Random, n: int, connected: bool = True) -> MultiGraph:
     """Configuration-model 4-regular multigraph on n vertices."""
+    if connected and n < 1:  # an empty graph has no component, so no draw would pass
+        raise ValueError(f"a connected 4-regular graph needs at least 1 vertex, got {n}")
     labels = default_labels(n)
     for _ in range(SAMPLE_TRIES):
         stubs = [v for v in range(n) for _ in range(4)]

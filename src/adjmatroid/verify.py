@@ -11,17 +11,22 @@ the set loops they replaced as references.  The word steps and the gates are
 interlace_subset runs.  The fourreg suite walks each corpus graph's transition
 systems once; `verify` and the tests drive the suites.
 
+A stream instance is fixed before its checks run: its inputs, every rng
+draw it needs (the pivots stream's flip walk too) and its witness, which
+names the instance and calls no route.  No check body reads the suite's rng,
+so a failing check or a raising route leaves every later instance as it is.
+A looped graph's witness opens with its text in brackets, which parse_graph
+reads back with "; " as a line break.
+
 Each check reads each route value once per stream instance, and one rule
 shares it: a value several checks read is a _Lazy, built on its first read
 inside the check that reads it first, and a value one check reads twice is
 bound once inside it.  A build that raises keeps nothing, so a raising route
 fails every check that reads it, with the same text, as a direct call in
-each would.  The exception is a read that decides which instances a stream
-holds, what the rng draws next or what a witness says: the graph and
-set-system generators, HalfEdgeGraph(...), all_transition_systems, the
-transitions_at draws and the is_proper filter run before the checks, so a
-raise in one of them ends its suite.  A witness that names a pivoted system
-falls back to the graph and the pivot set when the pivot raises.
+each would.  The only reads that run before the checks are those that decide
+which instances a stream holds: the graph and set-system generators,
+HalfEdgeGraph(...), all_transition_systems, the transitions_at draws and the
+is_proper filter, so a raise in one of them ends its suite.
 
 A slow reference lives beside its checks, here, unless the CLI or the
 benchmark needs it: _all_subspaces, _kappa, the polynomial sum and product
@@ -562,14 +567,6 @@ def _sets_witness(d: dm.SetSystem, extra: object = "") -> str:
     return f"[ground {' '.join(d.ground)}; family {members}]" + (f" {extra}" if extra else "")
 
 
-def _pivoted_witness(g: LoopedSimpleGraph, x: list[str], v: str, pivoted: _Lazy) -> str:
-    """The pivoted system and v, or the graph, x and v when the pivot raises."""
-    try:
-        return _sets_witness(pivoted(), f"element {v}")
-    except ValueError:
-        return graph_witness(g, f"pivoted at {{{' '.join(x)}}} element {v}")
-
-
 def _loop_complement_by_counting(d: dm.SetSystem, x: list[str]) -> frozenset[int]:
     """Oracle: Y is kept iff the members between Y minus x and Y are odd in number."""
     xm = d.mask_of(x)
@@ -846,7 +843,9 @@ def _delta_general_checks(rec: Recorder, trials: int, rand_n: int, seed: int) ->
         encoded = _Lazy(dm.from_graph, g)
         pivoted = _Lazy(lambda: encoded().pivot(x_labels))
         v = g.labels[rng.randrange(n)]
-        witness = Witness(_pivoted_witness, g, x_labels, v, pivoted)
+        moves = [(rng.choice(["pivot", "dual_pivot", "loop_complement"]), g.labels[rng.randrange(n)])
+                 for _ in range(rng.randrange(4))]
+        witness = Witness(graph_witness, g, f"pivoted at {{{' '.join(x_labels)}}} element {v}")
         deleted = _Lazy(lambda: pivoted().delete([v]))
 
         with rec.check("pivots-preserve-exchange", witness):
@@ -870,9 +869,8 @@ def _delta_general_checks(rec: Recorder, trials: int, rand_n: int, seed: int) ->
 
         with rec.check("flip-reachable-iff-contains-empty", witness):
             moved = encoded()
-            for _ in range(rng.randrange(4)):
-                kind = rng.choice(["pivot", "dual_pivot", "loop_complement"])
-                moved = getattr(moved, kind)([g.labels[rng.randrange(n)]])
+            for kind, u in moves:
+                moved = getattr(moved, kind)([u])
             if moved.is_normal:
                 decoded = dm.to_graph(moved)
                 assert dm.from_graph(decoded).family == moved.family

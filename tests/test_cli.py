@@ -395,7 +395,7 @@ def test_verify_prints_a_raising_route_as_fail_lines(capsys, monkeypatch):
     lines = out.splitlines()
     at = lines.index("FAIL interlace-evaluators-agree instances=16")
     records = json.loads(Path(__file__).with_name("route_fault_records.json").read_text())
-    expected = records["interlace_subset"]["interlace-evaluators-agree"]
+    expected = records["poly-interlace_subset"]["interlace-evaluators-agree"]
     assert lines[at + 1 : at + 1 + len(expected)] == [f"     reproduce: {f}" for f in expected]
     assert lines[at + 1 + len(expected)].startswith("ok ")
     text = expected[0].split("]: ")[0][1:].replace("; ", "\n")

@@ -545,6 +545,17 @@ def test_random_four_regular_is_four_regular():
         assert mg.degrees() == [4] * mg.n
 
 
+def test_random_four_regular_refuses_a_connected_empty_graph_before_drawing():
+    rng = random.Random(0)
+    state = rng.getstate()
+    for n in (0, -1):
+        message = f"^a connected 4-regular graph needs at least 1 vertex, got {n}$"
+        with pytest.raises(ValueError, match=message):
+            random_four_regular(rng, n)
+    assert rng.getstate() == state
+    assert random_four_regular(rng, 0, connected=False).n == 0
+
+
 def test_transition_system_validation():
     involution = "pairing is not a fixed-point-free involution"
     for pairing, message in (

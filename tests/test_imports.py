@@ -15,9 +15,10 @@ are defined only in gf2, only the minor routes build an adjacency matroid, the
 4-regular builders take no validating route, only the Kotzig merge builds an
 Euler system unchecked, an Euler system is a circuit partition subclass whose
 body defines only its check, the slow references that only verify calls live
-in verify, no matrix is walked entry by entry over all pairs, a symmetric
-pair fill has one site, in graph, and in the CLI only main reads input or
-prints to stdout and no command prints, and the package memoizes no
+in verify, no check body in verify reads the suite's rng, no matrix is
+walked entry by entry over all pairs, a symmetric pair fill has one site,
+in graph, and in the CLI only main reads input or prints to stdout and no
+command prints, and the package memoizes no
 attribute with functools.cached_property and writes into no instance
 __dict__ outside gf2."""
 
@@ -1201,6 +1202,47 @@ def test_verify_references_live_only_in_verify():
             "_expanded", "_q_from_lambda", "_tutte_by_rank", "_interlace_vertex_terms",
         ]
     }
+
+
+def rng_reads_in_checks(source: str) -> list[int]:
+    """The lines where a `with rec.check(...)` body reads the name rng: an
+    instance's draws belong before its checks, so no check moves the stream."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.With) and any(
+            isinstance(call := item.context_expr, ast.Call)
+            and isinstance(call.func, ast.Attribute) and call.func.attr == "check"
+            and isinstance(call.func.value, ast.Name) and call.func.value.id == "rec"
+            for item in node.items
+        ):
+            found += [
+                n.lineno for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and n.id == "rng" and isinstance(n.ctx, ast.Load)
+            ]
+    return sorted(found)
+
+
+def test_checker_finds_every_rng_read_in_a_check():
+    source = (
+        "def suite(rec, rng):\n"
+        "    n = rng.randrange(4)\n"
+        "    with rec.check('a', n):\n"
+        "        assert n < 4\n"
+        "    with rec.check('b', n):\n"
+        "        for _ in range(rng.randrange(n + 1)):\n"
+        "            rng = None\n"
+        "    with open('f') as rng_file:\n"
+        "        rng.random()\n"
+    )
+    assert rng_reads_in_checks(source) == [6]
+    walk = "            for kind, u in moves:"
+    drawn = walk.replace("moves", "moves[: rng.randrange(4)]")
+    planted = VERIFY.read_text().replace(walk, drawn, 1)
+    assert rng_reads_in_checks(planted) == [planted.splitlines().index(drawn) + 1]
+
+
+def test_no_check_body_reads_the_suite_rng():
+    assert rng_reads_in_checks(VERIFY.read_text()) == []
 
 
 COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)

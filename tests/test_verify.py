@@ -28,7 +28,7 @@ from adjmatroid.graph import (
     default_labels,
     random_looped_simple_graph,
 )
-from adjmatroid.graphtext import render_graph
+from adjmatroid.graphtext import parse_graph, render_graph
 from adjmatroid.polynomials import interlace_subset
 
 # Instance counts of every check at max_n=2, trials=5, seed=0.  Sharing work
@@ -324,14 +324,19 @@ def test_a_clean_matroid_run_checks_no_str_witness(monkeypatch):
     assert [w for w in witnesses if isinstance(w, str)] == []
 
 
-def test_kernel_failures_print_the_eager_witness_text(monkeypatch):
-    """Every kernel check forced to fail keeps its first witnesses, rendered
-    as the f-strings the lazy witnesses replaced."""
+def force_every_check_to_fail(monkeypatch) -> None:
+    """Record a check that passes as a failure with the message "forced"."""
     exit_check = verify.Recorder.__exit__
     monkeypatch.setattr(
         verify.Recorder, "__exit__",
         lambda self, kind, exc, tb: exit_check(self, kind or AssertionError, exc or "forced", tb),
     )
+
+
+def test_kernel_failures_print_the_eager_witness_text(monkeypatch):
+    """Every kernel check forced to fail keeps its first witnesses, rendered
+    as the f-strings the lazy witnesses replaced."""
+    force_every_check_to_fail(monkeypatch)
     rec = verify.Recorder()
     verify._matroid_kernel_checks(rec, max_n=2, trials=5, seed=0)
     subspaces = [
@@ -392,52 +397,20 @@ def failing_checks(results) -> dict[str, list[str]]:
     return {r.name: r.failures for r in results if r.failures}
 
 
-# The failure records of delta_suite(max_n=2, trials=5, seed=0) when one
-# route raises ValueError("broken <route>") on every system of 3 or more
-# elements, taken while every check called its routes directly; the pivot's,
-# which crashed the suite while the pivots were built before the checks, was
-# taken when they became lazy.
-FAULT_RECORDS = json.loads(Path(__file__).with_name("delta_fault_records.json").read_text())
-DELTA_NAMES = list(EXPECTED_COUNTS)[
-    list(EXPECTED_COUNTS).index("graph-encoding-is-normal-delta-matroid"):
-    list(EXPECTED_COUNTS).index("matroid-bases-satisfy-exchange") + 1
-]
-
-
-@pytest.mark.parametrize(
-    "route, failing", [("dual_pivot", 6), ("loop_complement", 6), ("max_sys", 10),
-                       ("min_sys", 4), ("delete", 8), ("pivot", 13)]
-)
-def test_a_raising_route_fails_each_check_that_reads_it(route, failing, monkeypatch):
-    """A route value shared between checks is built on its first read, inside
-    a check, so a raising route fails every check that reads it, with the
-    text a direct call gives, and every check name and instance count stays.
-    A witness naming a system the pivot failed to build names the graph and
-    the pivot set instead."""
-    build = getattr(dm.SetSystem, route)
-
-    def broken(d, *args):
-        if d.n >= 3:
-            raise ValueError(f"broken {route}")
-        return build(d, *args)
-
-    monkeypatch.setattr(dm.SetSystem, route, broken)
-    results = verify.delta_suite(max_n=2, trials=5, seed=0)
-    assert [(r.name, r.instances) for r in results] == [
-        (name, EXPECTED_COUNTS[name]) for name in DELTA_NAMES
-    ]
-    assert failing_checks(results) == FAULT_RECORDS[route]
-    assert len(FAULT_RECORDS[route]) == failing
-
-
 # The failure records of each route's suite at max_n=2, trials=5, seed=0 when
 # the route raises ValueError("broken <route>") on every object of 3 or more
-# elements (its first argument's .n or .size).  Each of these routes raised
-# out of its suite while its value was built before the checks that read it.
+# elements (its first argument's .n or .size), keyed "<suite>-<route>" so that
+# the matroid and set-system delete routes stay apart.
 ROUTE_FAULT_RECORDS = json.loads(Path(__file__).with_name("route_fault_records.json").read_text())
 ROUTE_FAULTS = [
     ("matroid", BinaryMatroid, "delete", 6),
     ("matroid", LoopedSimpleGraph, "local_complement", 7),
+    ("delta", dm.SetSystem, "dual_pivot", 6),
+    ("delta", dm.SetSystem, "loop_complement", 6),
+    ("delta", dm.SetSystem, "max_sys", 10),
+    ("delta", dm.SetSystem, "min_sys", 4),
+    ("delta", dm.SetSystem, "delete", 8),
+    ("delta", dm.SetSystem, "pivot", 13),
     ("delta", BinaryMatroid, "contract", 2),
     ("delta", dm, "from_graph", 14),
     ("fourreg", verify, "euler_system", 1),
@@ -447,15 +420,31 @@ ROUTE_FAULTS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "suite, owner, route, failing",
-    [pytest.param(*fault, id=f"{fault[0]}-{fault[2]}") for fault in ROUTE_FAULTS],
-)
-def test_a_raising_route_is_a_fail_line_in_every_suite(suite, owner, route, failing, monkeypatch):
-    """Every suite builds a route value inside the first check that reads it,
-    so a raising route gives FAIL lines, never an exception out of the suite,
-    and every check name and instance count stays."""
-    clean = verify.run_suites(suite, max_n=2, trials=5, seed=0)
+def checks_between(first: str, last: str) -> list[str]:
+    """The check names from first to last, in the order verify prints."""
+    names = list(EXPECTED_COUNTS)
+    return names[names.index(first) : names.index(last) + 1]
+
+
+SUITE_CHECKS = {
+    "matroid": checks_between("subspace-matroid-round-trip", "tripartition-case-details"),
+    "delta": checks_between("graph-encoding-is-normal-delta-matroid", "matroid-bases-satisfy-exchange"),
+    "fourreg": checks_between("euler-system-covers-components", "realization-reproduces-touch-graph"),
+    "poly": checks_between("interlace-evaluators-agree", "tutte-evaluators-agree-on-polygon-matroids"),
+}
+PIVOTS_CHECKS = checks_between("pivots-preserve-exchange", "matroid-bases-satisfy-exchange")
+# the per-graph, per-vertex and per-subset checks, and the pivots stream's
+LOOPED_GRAPH_CHECKS = {
+    "matroid": checks_between("rank-function-shape", "tripartition-case-details"),
+    "delta": checks_between("graph-encoding-is-normal-delta-matroid", "loop-isolate-via-max-filter")
+    + PIVOTS_CHECKS,
+    "poly": checks_between("interlace-evaluators-agree", "vertex-terms-make-the-difference"),
+}
+
+
+def break_route(monkeypatch, owner, route: str) -> None:
+    """Make owner.route raise ValueError("broken <route>") on every object of
+    3 or more elements."""
     build = getattr(owner, route)
 
     def broken(obj, *args):
@@ -464,10 +453,66 @@ def test_a_raising_route_is_a_fail_line_in_every_suite(suite, owner, route, fail
         return build(obj, *args)
 
     monkeypatch.setattr(owner, route, broken)
+
+
+@pytest.mark.parametrize(
+    "suite, owner, route, failing",
+    [pytest.param(*fault, id=f"{fault[0]}-{fault[2]}") for fault in ROUTE_FAULTS],
+)
+def test_a_raising_route_is_a_fail_line_in_every_suite(suite, owner, route, failing, monkeypatch):
+    """Every suite builds a route value inside the first check that reads it,
+    so a raising route fails every check that reads it, with the text a
+    direct call gives, never an exception out of the suite, and every check
+    name and instance count stays."""
+    break_route(monkeypatch, owner, route)
     results = verify.run_suites(suite, max_n=2, trials=5, seed=0)
-    assert [(r.name, r.instances) for r in results] == [(r.name, r.instances) for r in clean]
-    assert failing_checks(results) == ROUTE_FAULT_RECORDS[route]
-    assert len(ROUTE_FAULT_RECORDS[route]) == failing
+    assert [(r.name, r.instances) for r in results] == [
+        (name, EXPECTED_COUNTS[name]) for name in SUITE_CHECKS[suite]
+    ]
+    records = ROUTE_FAULT_RECORDS[f"{suite}-{route}"]
+    assert failing_checks(results) == records
+    assert len(records) == failing
+
+
+def keep_every_forced_failure(monkeypatch) -> None:
+    """Fail every check that passes with the message "forced", and keep every failure."""
+    force_every_check_to_fail(monkeypatch)
+    monkeypatch.setattr(verify, "MAX_FAILURES_KEPT", sum(EXPECTED_COUNTS.values()))
+
+
+@pytest.mark.parametrize("route", ["dual_pivot", "loop_complement", "pivot"])
+def test_pivots_stream_instances_do_not_depend_on_a_raising_route(route, monkeypatch):
+    """A pivots-stream instance, its flip walk included, is drawn before its
+    checks, and its witness calls no route: with every check failing, a
+    raising route leaves each of the stream's witness sequences as it is."""
+    keep_every_forced_failure(monkeypatch)
+
+    def witnesses() -> dict[str, list[str]]:
+        results = {r.name: r for r in verify.delta_suite(max_n=2, trials=5, seed=0)}
+        return {
+            name: [re.sub(r": (forced|broken \w+)$", "", f) for f in results[name].failures]
+            for name in PIVOTS_CHECKS
+        }
+
+    clean = witnesses()
+    assert [len(w) for w in clean.values()] == [EXPECTED_COUNTS[name] for name in PIVOTS_CHECKS]
+    break_route(monkeypatch, dm.SetSystem, route)
+    assert witnesses() == clean
+
+
+def test_every_looped_graph_witness_parses_back(monkeypatch):
+    """The bracketed graph text of every looped-graph check's witness, read
+    with "; " as a line break, parses to a graph that renders back to it."""
+    keep_every_forced_failure(monkeypatch)
+    for suite, names in LOOPED_GRAPH_CHECKS.items():
+        results = {r.name: r for r in verify.run_suites(suite, max_n=2, trials=5, seed=0)}
+        for name in names:
+            assert len(results[name].failures) == EXPECTED_COUNTS[name]
+            for failure in results[name].failures:
+                text = re.fullmatch(r"\[([^]]*)\](?: [^:]*)?: forced", failure)[1]
+                g = parse_graph(text.replace("; ", "\n"))
+                assert isinstance(g, LoopedSimpleGraph)
+                assert render_graph(g).strip().replace("\n", "; ") == text
 
 
 def test_a_delta_run_runs_the_exchange_kernel_once_per_object_asked(monkeypatch):
