@@ -55,6 +55,8 @@ class SetSystem(_LabelCodec):
         if len(set(self.ground)) != len(self.ground):
             raise ValueError("duplicate ground labels")
         check_ground_gate(len(self.ground))
+        if not isinstance(self.bits, int):
+            raise ValueError(f"family word {self.bits!r} is not an int")
         if self.bits < 0 or self.bits.bit_length() > 1 << len(self.ground):
             raise ValueError("family member outside the ground set")
 

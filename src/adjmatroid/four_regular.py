@@ -31,9 +31,9 @@ the vertices met once in between.  The relative interlacement reads every
 vertex's transition kind in one pass over the passages, by the rule
 `transition_type` uses for one vertex; it gives phi vertices no bit and
 keeps each psi vertex's own bit as its loop, so it is one graph.  The
-realization splits edges first in, first out, so index arithmetic places each
-loop: with k start edges, element q of a circuit's queue splits into elements
-k+3q, k+3q+1 and k+3q+2, and its j-th loop splits element j.
+realization is one closed walk per vertex u of the touch-graph: u's non-loop
+edges in file order, then each loop at u twice in a row, with an edge of F
+between each two consecutive entries.
 
 Validation happens at the boundary, once.  `partition_from_transitions`
 validates a caller's pairing before it traces it, and MultiGraph(...) and
@@ -133,6 +133,8 @@ class TransitionSystem:
         if len(self.pairing) != f.half_count:
             raise ValueError("pairing length mismatch")
         for h, k in enumerate(self.pairing):
+            if not isinstance(k, int):
+                raise ValueError(f"partner {k!r} of half-edge {h} is not an int")
             if not 0 <= k < len(self.pairing):
                 raise ValueError(
                     "pairing is not a fixed-point-free involution: "
@@ -394,57 +396,33 @@ class Realization:
 def realize_touch_graph(g: LoopedSimpleGraph | MultiGraph) -> Realization:
     """Build a 4-regular graph whose touch-graph reproduces g.
 
-    One circuit per vertex of g: non-loop edges become 4-regular vertices
-    strung on their endpoints' circuits; each loop adds a looped vertex in
-    the middle of the oldest unsplit edge of its circuit, or a fresh
-    double-loop vertex when its circuit does not exist yet.  Isolated
-    unlooped vertices cannot be reached by any circuit and are rejected.
-
-    Oldest first makes each split index arithmetic.  A circuit starts as k
-    edges y_q -> y_(q+1 mod k) through its non-loop F vertices y_0..y_(k-1),
-    or as its first loop's two edges y -> y.  As a queue, its start edges are
-    elements 0..k-1, the parts head -> y, y -> y, y -> tail of element q are
-    elements k+3q, k+3q+1, k+3q+2, and its j-th splitting loop splits element j.
+    Vertex y of F is edge y of g, and circuit u is a closed walk: u's
+    non-loop edges in file order, then each loop at u twice in a row.  F's
+    edges join consecutive entries of each walk, circuit by circuit, so the
+    circuits come in traced order.  With the loops last, no walk with a
+    non-loop edge starts at a loop, so the edge list alone encodes the
+    partition (`file_order_partition`).  An isolated unlooped vertex has an
+    empty walk and is rejected.
     """
     mg = as_multigraph(g)
-    for i, d in enumerate(mg.degrees()):
-        if d == 0:
-            raise ValueError(
-                f"vertex {mg.labels[i]!r} is isolated and unlooped, not realizable"
-            )
-    nonloop = [e for e, (a, b) in enumerate(mg.edges) if a != b]
-    loops = [e for e, (a, b) in enumerate(mg.edges) if a == b]
-    incident_at: list[list[int]] = [[] for _ in range(mg.n)]  # F vertices per g-vertex
-    for y, e in enumerate(nonloop):
-        a, b = mg.edges[e]
-        incident_at[a].append(y)
-        incident_at[b].append(y)
-    looped_at: list[list[int]] = [[] for _ in range(mg.n)]  # loop F vertices, file order
-    for y, e in enumerate(loops, len(nonloop)):
-        looped_at[mg.edges[e][0]].append(y)
-    # (start cycle, splitting loops) per circuit, in traced order: those with
-    # non-loop edges by g-vertex, then the rest (each has a loop, as none is
-    # isolated) by their first loop
-    starts = [(ys, looped_at[u]) for u, ys in enumerate(incident_at) if ys]
-    starts += sorted(([ys[0]] * 2, ys[1:]) for ys, inc in zip(looped_at, incident_at) if not inc)
-
-    # F's edges are the circuits' runs, each taken forwards: a circuit starts
-    # at its least half-edge and the circuits come in order of it, as traced
+    walks: list[list[int]] = [[] for _ in range(mg.n)]
+    for y, (a, b) in enumerate(mg.edges):
+        if a != b:
+            walks[a].append(y)
+            walks[b].append(y)
+    for y, (a, b) in enumerate(mg.edges):
+        if a == b:
+            walks[a] += (y, y)
     edges: list[tuple[int, int]] = []
     circuits = []
-    for ys, splitters in starts:
-        k, first = len(ys), len(edges)
-        stack = [(q, ys[q], ys[(q + 1) % k]) for q in reversed(range(k))]
-        while stack:
-            q, head, tail = stack.pop()
-            if q < len(splitters):
-                y, r = splitters[q], k + 3 * q
-                stack += ((r + 2, y, tail), (r + 1, y, y), (r, head, y))
-            else:
-                edges.append((head, tail))
+    for u, walk in enumerate(walks):
+        if not walk:
+            raise ValueError(f"vertex {mg.labels[u]!r} is isolated and unlooped, not realizable")
+        first = len(edges)
+        edges += zip(walk, walk[1:] + walk[:1])
         circuits.append(tuple(range(2 * first, 2 * len(edges), 2)))
     f = HalfEdgeGraph(unchecked(
-        MultiGraph, labels=tuple(mg.edge_labels[e] for e in nonloop + loops), edges=tuple(edges),
+        MultiGraph, labels=mg.edge_labels, edges=tuple(edges),
         edge_labels=default_labels(len(edges), "e"),
     ))
     t = TransitionSystem.from_circuits(f, circuits)
@@ -467,6 +445,8 @@ def random_four_regular(rng: random.Random, n: int, connected: bool = True) -> M
     """Configuration-model 4-regular multigraph on n vertices."""
     if connected and n < 1:  # an empty graph has no component, so no draw would pass
         raise ValueError(f"a connected 4-regular graph needs at least 1 vertex, got {n}")
+    if n < 0:
+        raise ValueError(f"a vertex count cannot be negative, got {n}")
     labels = default_labels(n)
     for _ in range(SAMPLE_TRIES):
         stubs = [v for v in range(n) for _ in range(4)]

@@ -313,6 +313,8 @@ class Subspace:
         limit = 1 << self.ambient_dim
         prev = pivots = 0
         for v in self.basis:
+            if not isinstance(v, int):
+                raise ValueError(f"basis row {v!r} is not an int")
             if not 0 < v < limit:
                 raise ValueError(f"basis row {v} is zero or outside GF(2)^{self.ambient_dim}")
             low = v & -v

@@ -184,6 +184,8 @@ class MultiGraph:
             raise ValueError("duplicate vertex labels")
         n = len(self.labels)
         for u, v in self.edges:
+            if not (isinstance(u, int) and isinstance(v, int)):
+                raise ValueError(f"edge {(u, v)!r} has an endpoint that is not an int")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError("edge endpoint out of range")
         if not self.edge_labels:
@@ -206,14 +208,6 @@ class MultiGraph:
     @property
     def n(self) -> int:
         return len(self.labels)
-
-    def degrees(self) -> list[int]:
-        """Incidences at each vertex, in one pass; a loop counts twice."""
-        out = [0] * self.n
-        for u, v in self.edges:
-            out[u] += 1
-            out[v] += 1
-        return out
 
     def incidences(self) -> list[tuple[str, ...]]:
         """Each vertex's incident edge labels, sorted, a loop listed once; the

@@ -487,43 +487,42 @@ def test_closed_stdout_exits_quietly(tmp_path):
 
 
 ABC_TEXT = "vertices a b c\nloop a\nedge b c\n"
-# a's three loops split the lowest edge of its circuit, a piece of an earlier
-# split included; c's first loop makes a fresh vertex, its second splits it
+# a walks its edges a-b twice, then its three loops twice each; c has loops only
 LOOPS_TEXT = (
     "vertices a b c\nedge a b\nedge a b\nloop a\nloop a\nloop a\nloop c\nloop c\n"
 )
-# Each realization lists its circuits in order of least half-edge: b's, c's,
-# then a's, whose loop alone needs a fresh vertex.
+# Each realization has one circuit per input vertex, in vertex order, and its
+# vertices are the input's edges in the input's edge order.
 PINNED = {
     ("realize", ABC_TEXT, "text"): (
-        "vertices e1 e0\nloop e1\nloop e1\nloop e0\nloop e0\n"
-        "# circuit: e0\n# circuit: e1\n# circuit: e2 e3\n"
+        "vertices e0 e1\nloop e0\nloop e0\nloop e1\nloop e1\n"
+        "# circuit: e0 e1\n# circuit: e2\n# circuit: e3\n"
     ),
     ("realize", ABC_TEXT, "json"): (
-        '{"circuits": [["e0"], ["e1"], ["e2", "e3"]], "edges": [], '
-        '"loops": ["e1", "e1", "e0", "e0"], "vertices": ["e1", "e0"]}\n'
+        '{"circuits": [["e0", "e1"], ["e2"], ["e3"]], "edges": [], '
+        '"loops": ["e0", "e0", "e1", "e1"], "vertices": ["e0", "e1"]}\n'
     ),
     ("realize", K3L_TEXT, "text"): (
-        "vertices e1 e2 e3 e0\nedge e1 e0\nloop e0\nedge e0 e2\nedge e2 e1\n"
+        "vertices e0 e1 e2 e3\nedge e1 e2\nedge e2 e0\nloop e0\nedge e0 e1\n"
         "edge e1 e3\nedge e3 e1\nedge e2 e3\nedge e3 e2\n"
         "# circuit: e0 e1 e2 e3\n# circuit: e4 e5\n# circuit: e6 e7\n"
     ),
     ("realize", K3L_TEXT, "json"): (
         '{"circuits": [["e0", "e1", "e2", "e3"], ["e4", "e5"], ["e6", "e7"]], '
-        '"edges": [["e1", "e0"], ["e0", "e2"], ["e2", "e1"], ["e1", "e3"], ["e3", "e1"], '
-        '["e2", "e3"], ["e3", "e2"]], "loops": ["e0"], "vertices": ["e1", "e2", "e3", "e0"]}\n'
+        '"edges": [["e1", "e2"], ["e2", "e0"], ["e0", "e1"], ["e1", "e3"], ["e3", "e1"], '
+        '["e2", "e3"], ["e3", "e2"]], "loops": ["e0"], "vertices": ["e0", "e1", "e2", "e3"]}\n'
     ),
     ("realize", LOOPS_TEXT, "text"): (
-        "vertices e0 e1 e2 e3 e4 e5 e6\nedge e0 e4\nloop e4\nedge e4 e2\nloop e2\n"
-        "edge e2 e1\nedge e1 e3\nloop e3\nedge e3 e0\nedge e0 e1\nedge e1 e0\n"
-        "edge e5 e6\nloop e6\nedge e6 e5\nloop e5\n"
+        "vertices e0 e1 e2 e3 e4 e5 e6\nedge e0 e1\nedge e1 e2\nloop e2\nedge e2 e3\n"
+        "loop e3\nedge e3 e4\nloop e4\nedge e4 e0\nedge e0 e1\nedge e1 e0\n"
+        "loop e5\nedge e5 e6\nloop e6\nedge e6 e5\n"
         "# circuit: e0 e1 e2 e3 e4 e5 e6 e7\n# circuit: e8 e9\n# circuit: e10 e11 e12 e13\n"
     ),
     ("realize", LOOPS_TEXT, "json"): (
         '{"circuits": [["e0", "e1", "e2", "e3", "e4", "e5", "e6", "e7"], ["e8", "e9"], '
-        '["e10", "e11", "e12", "e13"]], "edges": [["e0", "e4"], ["e4", "e2"], ["e2", "e1"], '
-        '["e1", "e3"], ["e3", "e0"], ["e0", "e1"], ["e1", "e0"], ["e5", "e6"], ["e6", "e5"]], '
-        '"loops": ["e4", "e2", "e3", "e6", "e5"], '
+        '["e10", "e11", "e12", "e13"]], "edges": [["e0", "e1"], ["e1", "e2"], ["e2", "e3"], '
+        '["e3", "e4"], ["e4", "e0"], ["e0", "e1"], ["e1", "e0"], ["e5", "e6"], ["e6", "e5"]], '
+        '"loops": ["e2", "e3", "e4", "e5", "e6"], '
         '"vertices": ["e0", "e1", "e2", "e3", "e4", "e5", "e6"]}\n'
     ),
     ("touchgraph", ABC_TEXT, "text"): "vertices c0 c1 c2 c3\nedge c0 c1\nedge c2 c3\n",
@@ -531,7 +530,7 @@ PINNED = {
         '{"edges": [["c0", "c1"], ["c2", "c3"]], "loops": [], "vertices": ["c0", "c1", "c2", "c3"]}\n'
     ),
     ("touchgraph", K3L_TEXT, "text"): (
-        "vertices c0 c1 c2\nedge c0 c1\nedge c0 c2\nedge c1 c2\nloop c0\n"
+        "vertices c0 c1 c2\nloop c0\nedge c0 c1\nedge c0 c2\nedge c1 c2\n"
     ),
     ("touchgraph", K3L_TEXT, "json"): (
         '{"edges": [["c0", "c1"], ["c0", "c2"], ["c1", "c2"]], "loops": ["c0"], '

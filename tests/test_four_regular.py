@@ -2,8 +2,7 @@
 
 import itertools
 import random
-import re
-from collections import Counter, deque
+from collections import Counter
 
 import networkx
 import pytest
@@ -242,6 +241,17 @@ def reproduces(g: LoopedSimpleGraph | MultiGraph, r) -> bool:
     return touch_graph(r.partition).incidences() == as_multigraph(g).incidences()
 
 
+def degrees(mg: MultiGraph) -> list[int]:
+    """Incidences at each vertex; a loop counts twice."""
+    count = Counter(v for edge in mg.edges for v in edge)
+    return [count[v] for v in range(mg.n)]
+
+
+def isolated_refusal(v: str) -> str:
+    """The pattern of realize_touch_graph's refusal of vertex v."""
+    return f"^vertex '{v}' is isolated and unlooped, not realizable$"
+
+
 def test_realize_single_looped_vertex():
     g = LoopedSimpleGraph.build("v", loops="v")
     r = realize_touch_graph(g)
@@ -260,19 +270,30 @@ def test_realize_single_edge():
 
 
 def test_realize_rejects_isolated_unlooped():
-    with pytest.raises(ValueError):
-        realize_touch_graph(LoopedSimpleGraph.build("a"))
-    with pytest.raises(ValueError):
-        realize_touch_graph(LoopedSimpleGraph.build("abc", [("a", "b")], loops="a"))
+    """The refusal names the first isolated unlooped vertex in index order."""
+    cases = [
+        (LoopedSimpleGraph.build("a"), "a"),
+        (LoopedSimpleGraph.build("abc", [("a", "b")], loops="a"), "c"),
+        (MultiGraph.build("abcd", [("c", "c"), ("a", "c")]), "b"),
+    ]
+    for g, v in cases:
+        with pytest.raises(ValueError, match=isolated_refusal(v)):
+            realize_touch_graph(g)
 
 
 def test_realize_every_small_graph():
+    """Every graph with n <= 4 is realized, or refused by its first isolated
+    unlooped vertex."""
     realized = 0
     for n in range(5):
         for g in all_looped_simple_graphs(n):
             if all(g.adj.data):
                 assert reproduces(g, realize_touch_graph(g))
                 realized += 1
+            else:
+                first_isolated = g.labels[g.adj.data.index(0)]
+                with pytest.raises(ValueError, match=isolated_refusal(first_isolated)):
+                    realize_touch_graph(g)
     # looped graphs on n <= 4 labelled vertices with no isolated unlooped one
     assert realized == 1 + 1 + 5 + 45 + 809
 
@@ -311,9 +332,9 @@ def test_realize_random_multigraphs():
         assert reproduces(g, realize_touch_graph(g))
 
 
-def test_realize_splits_the_lowest_edge_of_each_circuit():
-    # a's circuit starts as w -> x -> w; loop y splits its edge w -> x, loop s
-    # then splits the older x -> w, and loop t the oldest piece left, w -> y
+def test_realize_walks_each_vertex_with_its_loops_last():
+    # a's circuit walks its non-loop edges w, x, then its loops y, s, t twice
+    # each; b's walks w, x, then z twice.  F's vertices are g's edges in order.
     g = MultiGraph.build(
         "ab", [("a", "b"), ("a", "b"), ("a", "a"), ("b", "b"), ("a", "a"), ("a", "a")], "wxyzst"
     )
@@ -321,14 +342,16 @@ def test_realize_splits_the_lowest_edge_of_each_circuit():
     w, x, y, z, s, t = range(6)
     assert r.f.graph.labels == tuple("wxyzst")
     assert r.f.graph.edges == (
-        (w, t), (t, t), (t, y), (y, y), (y, x), (x, s), (s, s), (s, w),
-        (w, z), (z, z), (z, x), (x, w),
+        (w, x), (x, y), (y, y), (y, s), (s, s), (s, t), (t, t), (t, w),
+        (w, x), (x, z), (z, z), (z, w),
     )
     assert r.partition.circuits == (tuple(range(0, 16, 2)), tuple(range(16, 24, 2)))
+    assert touch_graph(r.partition).edges == g.edges
+    assert reproduces(g, r)
 
 
 def test_realize_many_loops_on_one_circuit():
-    # 2,000 loops split edges of one circuit, pieces of earlier splits included
+    # 2,000 loops on one circuit, each visited twice in a row after p and q
     loops = [f"l{i}" for i in range(2000)]
     g = MultiGraph.build(
         "ab", [("a", "b"), ("a", "b")] + [("a", "a")] * len(loops), ["p", "q", *loops]
@@ -336,7 +359,7 @@ def test_realize_many_loops_on_one_circuit():
     r = realize_touch_graph(g)
     assert_one_pass_tables(r.partition)
     assert r.f.n == len(loops) + 2
-    assert r.f.graph.degrees() == [4] * r.f.n
+    assert degrees(r.f.graph) == [4] * r.f.n
     tch = touch_graph(r.partition)
     assert tch.n == 2
     ends = {label: tch.edges[e] for e, label in enumerate(tch.edge_labels)}
@@ -347,107 +370,24 @@ def test_realize_many_loops_on_one_circuit():
 
 
 def test_realize_encodes_partition_in_file_order():
-    # without isolated looped vertices the emitted edge order carries the
-    # distinguished partition
-    g = LoopedSimpleGraph.build("abc", [("a", "b"), ("b", "c")], loops="b")
-    r = realize_touch_graph(g)
-    again = file_order_partition(r.f)
-    assert edge_sets(again) == edge_sets(r.partition)
+    """Where every vertex of g has a non-loop edge, no walk starts at a loop,
+    so the emitted edge order carries the distinguished partition."""
+    checked = 0
+    for n in range(5):
+        for g in all_looped_simple_graphs(n):
+            if all(g.neighbor_mask(v) for v in g.labels):
+                r = realize_touch_graph(g)
+                assert file_order_partition(r.f).transitions == r.partition.transitions
+                checked += 1
+    assert checked == 1 + 0 + 4 + 32 + 656
 
 
-def split_table_realization(g: LoopedSimpleGraph | MultiGraph) -> four_regular.Realization:
-    """Reference: the realization replayed through an edge-id table, with
-    each loop popping the oldest edge id of its circuit from a deque and
-    recording the split, then each circuit's ids expanded recursively."""
-    mg = as_multigraph(g)
-    for i, d in enumerate(mg.degrees()):
-        if d == 0:
-            raise ValueError(f"vertex {mg.labels[i]!r} is isolated and unlooped, not realizable")
-    nonloop = [e for e, (a, b) in enumerate(mg.edges) if a != b]
-    loops = [e for e, (a, b) in enumerate(mg.edges) if a == b]
-    f_labels = [mg.edge_labels[e] for e in nonloop]
-    ends: list[tuple[int, int]] = []
-    splits: list[tuple[int, int, int] | None] = [None] * (2 * len(nonloop) + 3 * len(loops))
-    circuit_of: dict[int, list[int]] = {}
-    oldest: dict[int, deque[int]] = {}
-    incident_at: list[list[int]] = [[] for _ in range(mg.n)]
-    for y, e in enumerate(nonloop):
-        a, b = mg.edges[e]
-        incident_at[a].append(y)
-        incident_at[b].append(y)
-    for u, incident in enumerate(incident_at):
-        if incident:
-            first = len(ends)
-            ends += zip(incident, incident[1:] + incident[:1])
-            circuit_of[u] = list(range(first, len(ends)))
-            oldest[u] = deque(circuit_of[u])
-    for e in loops:
-        u = mg.edges[e][0]
-        y = len(f_labels)
-        f_labels.append(mg.edge_labels[e])
-        first = len(ends)
-        if u not in circuit_of:
-            ends += ((y, y), (y, y))
-            circuit_of[u] = [first, first + 1]
-            oldest[u] = deque(circuit_of[u])
-        else:
-            eid = oldest[u].popleft()
-            head, tail = ends[eid]
-            ends += ((head, y), (y, y), (y, tail))
-            splits[eid] = split = (first, first + 1, first + 2)
-            oldest[u] += split
-
-    def expand(seq: list[int]) -> list[int]:
-        out = []
-        stack = seq[::-1]
-        while stack:
-            eid = stack.pop()
-            split = splits[eid]
-            if split:
-                stack += split[::-1]
-            else:
-                out.append(eid)
-        return out
-
-    edge_order: list[int] = []
-    circuits = []
-    for circ in circuit_of.values():
-        circ = expand(circ)
-        circuits.append(tuple(range(2 * len(edge_order), 2 * (len(edge_order) + len(circ)), 2)))
-        edge_order += circ
-    f = HalfEdgeGraph(MultiGraph(tuple(f_labels), tuple(ends[e] for e in edge_order)))
-    t = TransitionSystem.from_circuits(f, circuits)
-    return four_regular.Realization(f, four_regular.CircuitPartition(f, t, tuple(circuits)))
-
-
-def assert_realizes_as_the_split_table(g: LoopedSimpleGraph | MultiGraph) -> None:
-    """realize_touch_graph gives the reference's F, edge labels included, and
-    its circuits and transitions, or raises the reference's error."""
-    try:
-        ref = split_table_realization(g)
-    except ValueError as err:
-        with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
-            realize_touch_graph(g)
-        return
-    r = realize_touch_graph(g)
-    assert r.f.graph == ref.f.graph
-    assert r.partition.circuits == ref.partition.circuits
-    assert r.partition.transitions == ref.partition.transitions
-
-
-def test_realization_matches_the_split_table_on_every_small_graph():
-    graphs = [g for n in range(5) for g in all_looped_simple_graphs(n)]
-    assert len(graphs) == 1 + 2 + 2**3 + 2**6 + 2**10
-    for g in graphs:
-        assert_realizes_as_the_split_table(g)
-
-
-def test_realization_matches_the_split_table_on_seeded_multigraphs():
+def test_realize_reproduces_seeded_multigraphs():
     """Loop-heavy multigraphs with shuffled edge labels: loop-only circuits,
-    circuits with more loops than start edges, so that loops split pieces of
-    earlier splits, and isolated vertices."""
+    circuits with more loops than non-loop edges, and isolated vertices,
+    which are refused by name."""
     rng = random.Random(26)
-    loop_only = pieces_of_pieces = isolated = 0
+    loop_only = loop_heavy = isolated = 0
     for _ in range(1500):
         n = rng.randrange(1, 9)
         edges = [
@@ -457,29 +397,28 @@ def test_realization_matches_the_split_table_on_seeded_multigraphs():
         names = [f"x{k}" for k in range(len(edges))]
         rng.shuffle(names)
         g = MultiGraph(tuple(f"v{i}" for i in range(n)), tuple(edges), tuple(names))
-        assert_realizes_as_the_split_table(g)
         start = Counter(v for a, b in edges if a != b for v in (a, b))
         loop_counts = Counter(a for a, b in edges if a == b)
+        unreached = [v for v in range(n) if not start[v] and not loop_counts[v]]
+        if unreached:
+            with pytest.raises(ValueError, match=isolated_refusal(f"v{unreached[0]}")):
+                realize_touch_graph(g)
+        else:
+            assert reproduces(g, realize_touch_graph(g))
         loop_only += any(not start[v] for v in loop_counts)
-        # a loop-only circuit starts with its first loop's two edges
-        pieces_of_pieces += any(
-            m > start[v] if start[v] else m - 1 > 2 for v, m in loop_counts.items()
-        )
-        isolated += any(not start[v] and not loop_counts[v] for v in range(n))
-    assert loop_only >= 500 and pieces_of_pieces >= 500 and isolated >= 100
+        loop_heavy += any(m > start[v] for v, m in loop_counts.items())
+        isolated += bool(unreached)
+    assert loop_only >= 500 and loop_heavy >= 500 and isolated >= 100
 
 
-def test_realization_matches_the_split_table_on_large_touch_graphs():
-    loops = [f"l{i}" for i in range(2000)]
-    assert_realizes_as_the_split_table(MultiGraph.build(
-        "ab", [("a", "b"), ("a", "b")] + [("a", "a")] * len(loops), ["p", "q", *loops]
-    ))
+def test_realize_reproduces_large_touch_graphs():
     rng = random.Random(27)
     for n in (150, 2400):
         for connected in (True, False):
             f = HalfEdgeGraph(sample_graph(rng, n, connected))
             for p in (file_order_partition(f), random_partition(rng, f)):
-                assert_realizes_as_the_split_table(touch_graph(p))
+                tch = touch_graph(p)
+                assert reproduces(tch, realize_touch_graph(tch))
 
 
 def assert_derived_objects_match_the_boundary(f: HalfEdgeGraph, p) -> None:
@@ -542,7 +481,7 @@ def test_random_four_regular_is_four_regular():
         mg = random_four_regular(rng, rng.randrange(1, 7))
         f = HalfEdgeGraph(mg)
         assert f.component_count == 1
-        assert mg.degrees() == [4] * mg.n
+        assert degrees(mg) == [4] * mg.n
 
 
 def test_random_four_regular_refuses_a_connected_empty_graph_before_drawing():
@@ -553,7 +492,16 @@ def test_random_four_regular_refuses_a_connected_empty_graph_before_drawing():
         with pytest.raises(ValueError, match=message):
             random_four_regular(rng, n)
     assert rng.getstate() == state
-    assert random_four_regular(rng, 0, connected=False).n == 0
+    assert random_four_regular(rng, 0, connected=False) == MultiGraph((), ())
+
+
+def test_random_four_regular_refuses_a_negative_vertex_count():
+    rng = random.Random(0)
+    state = rng.getstate()
+    for n in (-1, -2):
+        with pytest.raises(ValueError, match=f"^a vertex count cannot be negative, got {n}$"):
+            random_four_regular(rng, n, connected=False)
+    assert rng.getstate() == state
 
 
 def test_transition_system_validation():

@@ -14,10 +14,12 @@ from adjmatroid.adjacency_matroid import adjacency_matroid, contract_via_lc
 from adjmatroid.binary_matroid import BinaryMatroid
 from adjmatroid.delta_matroid import SetSystem, from_graph, to_graph
 from adjmatroid.four_regular import (
+    HalfEdgeGraph,
     TransitionSystem,
     compatible_euler_system,
     euler_system,
     interlacement,
+    partition_from_transitions,
     realize_touch_graph,
     relative_interlacement,
 )
@@ -430,7 +432,7 @@ def test_reconstruction_rejects_inconsistent_oracle():
 
 def test_multigraph_structure():
     mg = MultiGraph.build("ab", [("a", "a"), ("a", "b")])
-    assert mg.degrees() == [3, 1]
+    assert Counter(v for edge in mg.edges for v in edge) == {0: 3, 1: 1}  # a loop counts twice
     assert mg.component_count() == 1
     split = MultiGraph.build("ab", [("a", "a"), ("b", "b")])
     assert split.component_count() == 2
@@ -751,10 +753,19 @@ def test_public_constructors_store_list_fields_as_tuples():
         (lambda: K3.adjacent("a", "a"), "adjacency is between distinct vertices"),
         (lambda: MultiGraph("aa", ()), "duplicate vertex labels"),
         (lambda: MultiGraph("a", ((0, 1),)), "edge endpoint out of range"),
+        (lambda: MultiGraph("ab", [(0.5, 1)]), "edge (0.5, 1) has an endpoint that is not an int"),
         (lambda: MultiGraph("a", ((0, 0),), ("x", "y")), "edge label count mismatch"),
         (lambda: MultiGraph("a", ((0, 0), (0, 0)), ("x", "x")), "duplicate edge labels"),
         (lambda: BinaryMatroid("aa", Subspace(2, ())), "duplicate ground labels"),
         (lambda: SetSystem("aa", 0), "duplicate ground labels"),
+        (lambda: SetSystem("a", 1.0), "family word 1.0 is not an int"),
+        (lambda: Subspace(2, (1.0,)), "basis row 1.0 is not an int"),
+        (
+            lambda: partition_from_transitions(
+                HalfEdgeGraph(MultiGraph("a", [(0, 0), (0, 0)])), TransitionSystem((1.0, 0.0, 3.0, 2.0))
+            ),
+            "partner 1.0 of half-edge 0 is not an int",
+        ),
         (lambda: SetSystem("a", 0).min_sys(), "min needs a proper set system"),
         (lambda: SetSystem("a", 0).max_sys(), "max needs a proper set system"),
         (lambda: run_suites("nope"), "unknown suite 'nope'"),
@@ -763,8 +774,10 @@ def test_public_constructors_store_list_fields_as_tuples():
         "bitmatrix-dimension", "bitmatrix-rows", "bitmatrix-width", "bitmatrix-float-row",
         "bitmatrix-str-row", "from-rows-ragged",
         "graph-labels", "graph-size", "graph-adjacent-self", "multigraph-labels",
-        "multigraph-endpoint", "multigraph-edge-label-count", "multigraph-edge-labels",
-        "matroid-ground", "set-system-ground", "min-sys-empty", "max-sys-empty", "unknown-suite",
+        "multigraph-endpoint", "multigraph-float-endpoint", "multigraph-edge-label-count",
+        "multigraph-edge-labels", "matroid-ground", "set-system-ground", "set-system-float-word",
+        "subspace-float-row", "pairing-float-partner", "min-sys-empty", "max-sys-empty",
+        "unknown-suite",
     ],
 )
 def test_boundary_refusals_name_the_fault_in_one_line(build, message):
