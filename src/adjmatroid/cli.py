@@ -2,8 +2,8 @@
 4-regular pipelines, and the theorem verification runner.
 
 Every command takes one answer path.  build_parser names each subcommand's
-loader: _simple_graph (which warns when a multigraph is collapsed), the
-multigraph of the graph text, the parsed graph as it is, _matrix for 01 rows,
+loader: _simple_graph (which warns when a multigraph is collapsed),
+parse_multigraph (the graph text's edges in file order), _matrix for 01 rows,
 or none for verify.  Each cmd_* is a function of the loaded object and the
 flags that returns (text, payload, exit code); it neither reads input nor
 prints.  Only main reads --input and prints the text, or the payload as
@@ -27,8 +27,8 @@ from .four_regular import (
     touch_graph,
 )
 from .gf2 import BitMatrix, symmetrize_nullspace
-from .graph import LoopedSimpleGraph, MultiGraph, as_multigraph, default_labels
-from .graphtext import graph_to_json, parse_graph, render_graph, text_lines
+from .graph import LoopedSimpleGraph, MultiGraph, default_labels
+from .graphtext import graph_to_json, parse_graph, parse_multigraph, render_graph, text_lines
 from .polynomials import BivariatePolynomial, interlace_subset, lambda_leading, tutte_subset
 from .verify import SUITE_NAMES, run_suites
 
@@ -78,23 +78,16 @@ def _sets_text(sets: Iterable[Sequence[str]], empty: str) -> str:
 
 def cmd_info(g: LoopedSimpleGraph, args: argparse.Namespace) -> Answer:
     m = adjacency_matroid(g)
-    loops, edges, circuits = g.loop_labels(), g.edge_pairs(), len(m.circuit_masks())
-    payload = {
-        "vertices": list(g.labels),
-        "loops": list(loops),
-        "edges": [[u, v] for u, v in edges],
-        "rank": m.rank,
-        "nullity": m.nullity,
-        "circuits": circuits,
-    }
+    payload = graph_to_json(g)
+    payload.update(rank=m.rank, nullity=m.nullity, circuits=len(m.circuit_masks()))
     text = "\n".join(
         [
             f"vertices: {len(g.labels)} ({' '.join(g.labels) or 'none'})",
-            f"loops: {' '.join(loops) or '(none)'}",
-            f"edges: {len(edges)}",
+            f"loops: {' '.join(payload['loops']) or '(none)'}",
+            f"edges: {len(payload['edges'])}",
             f"matroid rank: {m.rank}",
             f"matroid nullity: {m.nullity}",
-            f"matroid circuits: {circuits}",
+            f"matroid circuits: {payload['circuits']}",
         ]
     )
     return text, payload, 0
@@ -168,13 +161,10 @@ def cmd_touchgraph(mg: MultiGraph, args: argparse.Namespace) -> Answer:
     return render_graph(tch).rstrip(), graph_to_json(tch), 0
 
 
-def cmd_realize(g: LoopedSimpleGraph | MultiGraph, args: argparse.Namespace) -> Answer:
+def cmd_realize(g: MultiGraph, args: argparse.Namespace) -> Answer:
     realization = realize_touch_graph(g)
     f_graph = realization.f.graph
-    circuits = [
-        [f_graph.edge_labels[h >> 1] for h in circuit]
-        for circuit in realization.partition.circuits
-    ]
+    circuits = [[f_graph.edge_labels[h >> 1] for h in c] for c in realization.partition.circuits]
     payload = graph_to_json(f_graph)
     payload["circuits"] = [sorted(c) for c in circuits]
     lines = [render_graph(f_graph).rstrip()]
@@ -252,13 +242,11 @@ def build_parser() -> argparse.ArgumentParser:
         "leading Tutte term (y-1)^nullity",
     )
     add("delta", cmd_delta, "nonsingular-induced-subgraph set system")
-    add(
-        "touchgraph",
-        cmd_touchgraph,
-        "touch-graph of the file-order circuit partition",
-        lambda text: as_multigraph(parse_graph(text)),
-    )
-    add("realize", cmd_realize, "4-regular graph realizing the input as a touch-graph", parse_graph)
+    for name, func, help_text in (
+        ("touchgraph", cmd_touchgraph, "touch-graph of the file-order circuit partition"),
+        ("realize", cmd_realize, "4-regular graph realizing the input as a touch-graph"),
+    ):
+        add(name, func, help_text, parse_multigraph)
     add(
         "symmetrize",
         cmd_symmetrize,

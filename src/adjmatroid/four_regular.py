@@ -396,13 +396,13 @@ class Realization:
 def realize_touch_graph(g: LoopedSimpleGraph | MultiGraph) -> Realization:
     """Build a 4-regular graph whose touch-graph reproduces g.
 
-    Vertex y of F is edge y of g, and circuit u is a closed walk: u's
-    non-loop edges in file order, then each loop at u twice in a row.  F's
-    edges join consecutive entries of each walk, circuit by circuit, so the
-    circuits come in traced order.  With the loops last, no walk with a
-    non-loop edge starts at a loop, so the edge list alone encodes the
-    partition (`file_order_partition`).  An isolated unlooped vertex has an
-    empty walk and is rejected.
+    Vertex y of F is edge y of g in text order (`as_multigraph`), and
+    circuit u is a closed walk: u's non-loop edges in that order, then each
+    loop at u twice in a row.  F's edges join consecutive entries of each
+    walk, circuit by circuit, so the circuits come in traced order.  With the
+    loops last, no walk with a non-loop edge starts at a loop, so the edge
+    list alone encodes the partition (`file_order_partition`).  An isolated
+    unlooped vertex has an empty walk and is rejected.
     """
     mg = as_multigraph(g)
     walks: list[list[int]] = [[] for _ in range(mg.n)]

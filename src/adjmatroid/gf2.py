@@ -216,6 +216,14 @@ def reduce_mask(v: int, basis: Sequence[int]) -> int:
     return v
 
 
+def _check_dimension(d: object) -> None:
+    """Refuse a dimension field that is not an int >= 0 (a bool is an int)."""
+    if not isinstance(d, int):
+        raise ValueError(f"dimension {d!r} is not an int")
+    if d < 0:
+        raise ValueError("negative dimension")
+
+
 @dataclass(frozen=True)
 class BitMatrix:
     """A rows x cols matrix over GF(2), rows packed as int masks."""
@@ -226,8 +234,8 @@ class BitMatrix:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "data", tuple(self.data))
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative dimension")
+        _check_dimension(self.rows)
+        _check_dimension(self.cols)
         if len(self.data) != self.rows:
             raise ValueError("row count mismatch")
         limit = 1 << self.cols
@@ -310,6 +318,7 @@ class Subspace:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "basis", tuple(self.basis))
+        _check_dimension(self.ambient_dim)
         limit = 1 << self.ambient_dim
         prev = pivots = 0
         for v in self.basis:

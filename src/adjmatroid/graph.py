@@ -9,7 +9,8 @@ place that names vertices v0..v{n-1}, and `_LabelCodec` the one map between
 ground labels and masks, which set systems and binary matroids share.
 
 Edges and neighbors are read off each row's set bits (`gf2.row_bits`), not
-entry by entry; `_symmetric_rows` is the one fill of rows from index pairs.
+entry by entry; `_symmetric_rows` is the one fill of rows from index pairs,
+and `_text_pairs` the one walk of edges in text order, for every writer.
 `_local_complement_at` and `_drop_index` are the one local complement and the
 one vertex deletion, on rows: the graph methods and the interlace recursion
 share them.
@@ -114,16 +115,6 @@ class LoopedSimpleGraph:
 
     def loop_labels(self) -> tuple[str, ...]:
         return tuple(self.labels[i] for i, r in enumerate(self.adj.data) if r >> i & 1)
-
-    def edge_pairs(self) -> tuple[tuple[str, str], ...]:
-        """Non-loop edges as label pairs, in index order: row set bits above the diagonal."""
-        labels, out = self.labels, []
-        for i, r in enumerate(self.adj.data):
-            r &= -2 << i
-            while r:
-                out.append((labels[i], labels[(r & -r).bit_length() - 1]))
-                r &= r - 1
-        return tuple(out)
 
     def local_complement(self, v: str) -> "LoopedSimpleGraph":
         """Toggle loops of v's neighbors and adjacency between distinct neighbors."""
@@ -288,11 +279,19 @@ def find_root(parent: list[int], x: int) -> int:
     return x
 
 
+def _text_pairs(g: LoopedSimpleGraph | MultiGraph) -> tuple[tuple[int, int], ...]:
+    """g's edges as index pairs in text order: a multigraph's as stored; a looped
+    simple graph's loops in index order, then its edges in row order."""
+    if isinstance(g, MultiGraph):
+        return g.edges
+    loops = tuple((i, i) for i, r in enumerate(g.adj.data) if r >> i & 1)
+    return loops + tuple((i, j) for i, r in enumerate(g.adj.data) for j in row_bits(r & (-2 << i)))
+
+
 def as_multigraph(g: LoopedSimpleGraph | MultiGraph) -> MultiGraph:
     if isinstance(g, MultiGraph):
         return g
-    edges = tuple((i, j) for i, r in enumerate(g.adj.data) for j in row_bits(r & (-1 << i)))
-    return MultiGraph(g.labels, edges)
+    return MultiGraph(g.labels, _text_pairs(g))
 
 
 def pair_is_edge(nonsingular: bool, looped_u: bool, looped_v: bool) -> bool:

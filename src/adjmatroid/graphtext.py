@@ -3,10 +3,11 @@
 Grammar: `# comment`, `vertices <name>+`, `loop <name>`, `edge <name> <name>`.
 Names are non-whitespace tokens.  Lines end only at \\n, \\r\\n or \\r: str.splitlines'
 other breaks are whitespace, so line numbers are the file's (the CLI drops a
-leading byte order mark).  Duplicate edge or loop lines make the result a
-multigraph; otherwise a looped simple graph is returned, its adjacency rows
-filled from the index pairs after the last line is read, and checked by the
-public constructors.
+leading byte order mark).  One grammar pass (`_read`) gives the labels and
+the edge and loop lines as index pairs in file order: `parse_multigraph`
+keeps them, and so does `parse_graph` when a pair repeats; otherwise it fills
+and checks the rows of a looped simple graph.  Graphs are written in text
+order (`graph._text_pairs`), so reading what was written keeps its order.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from typing import Any
 
 from .gf2 import BitMatrix
-from .graph import LoopedSimpleGraph, MultiGraph, _symmetric_rows, as_multigraph
+from .graph import LoopedSimpleGraph, MultiGraph, _symmetric_rows, _text_pairs
 
 
 class GraphParseError(ValueError):
@@ -28,7 +29,8 @@ def text_lines(text: str) -> list[str]:
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
-def parse_graph(text: str) -> LoopedSimpleGraph | MultiGraph:
+def _read(text: str) -> tuple[tuple[str, ...], list[tuple[int, int]]]:
+    """The declared labels, and the edge and loop lines as index pairs in file order."""
     index: dict[str, int] = {}  # in declaration order: the labels
     pairs: list[tuple[int, int]] = []
     for line_no, line in enumerate(text_lines(text), start=1):
@@ -52,35 +54,35 @@ def parse_graph(text: str) -> LoopedSimpleGraph | MultiGraph:
             raise GraphParseError(line_no, "loop needs exactly one vertex")
         elif not keyword.startswith("#"):
             raise GraphParseError(line_no, f"unknown directive {keyword!r}")
-    n = len(index)
+    return tuple(index), pairs
+
+
+def parse_graph(text: str) -> LoopedSimpleGraph | MultiGraph:
+    labels, pairs = _read(text)
+    n = len(labels)
     if len({frozenset(p) for p in pairs}) < len(pairs):  # a repeated pair
-        return MultiGraph(tuple(index), pairs)
-    return LoopedSimpleGraph(tuple(index), BitMatrix(n, n, _symmetric_rows(n, pairs)))
+        return MultiGraph(labels, pairs)
+    return LoopedSimpleGraph(labels, BitMatrix(n, n, _symmetric_rows(n, pairs)))
+
+
+def parse_multigraph(text: str) -> MultiGraph:
+    """The graph text as a multigraph, edge i its i-th edge or loop line."""
+    return MultiGraph(*_read(text))
 
 
 def render_graph(g: LoopedSimpleGraph | MultiGraph) -> str:
-    """Emit the text format; edge order is preserved for multigraphs."""
-    lines = []
-    if g.labels:
-        lines.append("vertices " + " ".join(g.labels))
-    if isinstance(g, LoopedSimpleGraph):
-        for v in g.loop_labels():
-            lines.append(f"loop {v}")
-        for u, v in g.edge_pairs():
-            lines.append(f"edge {u} {v}")
-    else:
-        for ui, vi in g.edges:
-            u, v = g.labels[ui], g.labels[vi]
-            if u == v:
-                lines.append(f"loop {u}")
-            else:
-                lines.append(f"edge {u} {v}")
+    """Emit the text format, the edges in text order."""
+    labels = g.labels
+    lines = ["vertices " + " ".join(labels)] if labels else []
+    lines += [
+        f"loop {labels[u]}" if u == v else f"edge {labels[u]} {labels[v]}"
+        for u, v in _text_pairs(g)
+    ]
     return "\n".join(lines) + "\n"
 
 
 def graph_to_json(g: LoopedSimpleGraph | MultiGraph) -> dict[str, Any]:
-    mg = as_multigraph(g)
-    loops = [mg.labels[u] for u, v in mg.edges if u == v]
-    edges = [[mg.labels[u], mg.labels[v]] for u, v in mg.edges if u != v]
-    return {"vertices": list(mg.labels), "loops": loops, "edges": edges}
-
+    labels, pairs = g.labels, _text_pairs(g)
+    loops = [labels[u] for u, v in pairs if u == v]
+    edges = [[labels[u], labels[v]] for u, v in pairs if u != v]
+    return {"vertices": list(labels), "loops": loops, "edges": edges}

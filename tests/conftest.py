@@ -235,6 +235,12 @@ def entry_edge_pairs(g: LoopedSimpleGraph) -> tuple[tuple[str, str], ...]:
     return tuple((g.labels[i], g.labels[j]) for i, j in entry_cells(g) if i != j)
 
 
+def entry_text_pairs(g: LoopedSimpleGraph) -> tuple[tuple[int, int], ...]:
+    """The set cells in text order: the loop cells, then the off-diagonal cells."""
+    cells = entry_cells(g)
+    return tuple([(i, j) for i, j in cells if i == j] + [(i, j) for i, j in cells if i != j])
+
+
 def entry_render_graph(g: LoopedSimpleGraph) -> str:
     lines = ["vertices " + " ".join(g.labels)] if g.labels else []
     lines += [f"loop {v}" for v in entry_loop_labels(g)]
@@ -256,9 +262,8 @@ def entry_forms():
     """The entry-by-entry, all-pairs forms of the graph's set-bit walks, by
     the name of the walk they check: the references for the walks."""
     return {
-        "as_multigraph_edges": lambda g: tuple(entry_cells(g)),
+        "as_multigraph_edges": entry_text_pairs,
         "loop_labels": entry_loop_labels,
-        "edge_pairs": entry_edge_pairs,
         "render_graph": entry_render_graph,
         "graph_to_json": entry_graph_to_json,
     }

@@ -492,7 +492,8 @@ LOOPS_TEXT = (
     "vertices a b c\nedge a b\nedge a b\nloop a\nloop a\nloop a\nloop c\nloop c\n"
 )
 # Each realization has one circuit per input vertex, in vertex order, and its
-# vertices are the input's edges in the input's edge order.
+# vertices are the input's edges in the input's edge order: its edge and loop
+# lines in file order, whether or not a pair repeats.
 PINNED = {
     ("realize", ABC_TEXT, "text"): (
         "vertices e0 e1\nloop e0\nloop e0\nloop e1\nloop e1\n"
@@ -503,14 +504,14 @@ PINNED = {
         '"loops": ["e0", "e0", "e1", "e1"], "vertices": ["e0", "e1"]}\n'
     ),
     ("realize", K3L_TEXT, "text"): (
-        "vertices e0 e1 e2 e3\nedge e1 e2\nedge e2 e0\nloop e0\nedge e0 e1\n"
-        "edge e1 e3\nedge e3 e1\nedge e2 e3\nedge e3 e2\n"
+        "vertices e0 e1 e2 e3\nedge e0 e2\nedge e2 e3\nloop e3\nedge e3 e0\n"
+        "edge e0 e1\nedge e1 e0\nedge e1 e2\nedge e2 e1\n"
         "# circuit: e0 e1 e2 e3\n# circuit: e4 e5\n# circuit: e6 e7\n"
     ),
     ("realize", K3L_TEXT, "json"): (
         '{"circuits": [["e0", "e1", "e2", "e3"], ["e4", "e5"], ["e6", "e7"]], '
-        '"edges": [["e1", "e2"], ["e2", "e0"], ["e0", "e1"], ["e1", "e3"], ["e3", "e1"], '
-        '["e2", "e3"], ["e3", "e2"]], "loops": ["e0"], "vertices": ["e0", "e1", "e2", "e3"]}\n'
+        '"edges": [["e0", "e2"], ["e2", "e3"], ["e3", "e0"], ["e0", "e1"], ["e1", "e0"], '
+        '["e1", "e2"], ["e2", "e1"]], "loops": ["e3"], "vertices": ["e0", "e1", "e2", "e3"]}\n'
     ),
     ("realize", LOOPS_TEXT, "text"): (
         "vertices e0 e1 e2 e3 e4 e5 e6\nedge e0 e1\nedge e1 e2\nloop e2\nedge e2 e3\n"
@@ -530,10 +531,10 @@ PINNED = {
         '{"edges": [["c0", "c1"], ["c2", "c3"]], "loops": [], "vertices": ["c0", "c1", "c2", "c3"]}\n'
     ),
     ("touchgraph", K3L_TEXT, "text"): (
-        "vertices c0 c1 c2\nloop c0\nedge c0 c1\nedge c0 c2\nedge c1 c2\n"
+        "vertices c0 c1 c2\nedge c0 c1\nedge c1 c2\nedge c0 c2\nloop c0\n"
     ),
     ("touchgraph", K3L_TEXT, "json"): (
-        '{"edges": [["c0", "c1"], ["c0", "c2"], ["c1", "c2"]], "loops": ["c0"], '
+        '{"edges": [["c0", "c1"], ["c1", "c2"], ["c0", "c2"]], "loops": ["c0"], '
         '"vertices": ["c0", "c1", "c2"]}\n'
     ),
 }

@@ -1,24 +1,28 @@
 """Generated inputs at the text entry points: the graph format round-trips,
 the JSON graph payload round-trips and lists every edge, arbitrary
-directive text parses or names a line it has, and every
-input-reading command exits 0, or exits 1 with one error line."""
+directive text parses or names a line it has, every
+input-reading command exits 0, or exits 1 with one error line, and
+touchgraph of realize prints its input's lines back."""
 
 import contextlib
 import io
 import json
+import random
 import re
 from collections import Counter
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from adjmatroid.cli import main
 from adjmatroid.gf2 import BitMatrix
-from adjmatroid.graph import LoopedSimpleGraph, MultiGraph, as_multigraph
+from adjmatroid.graph import LoopedSimpleGraph, MultiGraph, all_looped_simple_graphs, as_multigraph
 from adjmatroid.graphtext import (
     GraphParseError,
     graph_to_json,
     parse_graph,
+    parse_multigraph,
     render_graph,
     text_lines,
 )
@@ -88,14 +92,21 @@ directive_text = st.lists(st.tuples(st.sampled_from(TOKENS), st.sampled_from(SEP
 @settings(FUZZ, max_examples=300)
 @given(directive_text)
 def test_directive_text_parses_or_names_one_of_its_lines(text):
+    """parse_multigraph refuses the same texts, naming the same line, and
+    otherwise reads the edges parse_graph keeps or collapses."""
     try:
         g = parse_graph(text)
     except GraphParseError as exc:
         match = re.fullmatch(r"line (\d+): .+", str(exc), re.DOTALL)
         assert match and int(match[1]) == exc.line_no
         assert 1 <= exc.line_no <= len(text_lines(text))
+        with pytest.raises(GraphParseError) as again:
+            parse_multigraph(text)
+        assert (str(again.value), again.value.line_no) == (str(exc), exc.line_no)
     else:
         assert parse_graph(render_graph(g)) == g
+        mg = parse_multigraph(text)
+        assert mg == g if isinstance(g, MultiGraph) else mg.simplify() == g
 
 
 COMMANDS = [
@@ -144,3 +155,32 @@ def test_every_input_command_exits_0_or_prints_one_error_line(argv, fmt, data):
         assert (code, out) == (1, "")
         assert len(lines) == 1 and lines[0].startswith("error: ") and lines[0].endswith("\n")
 
+
+def renamed_lines(g: LoopedSimpleGraph, lines: list[str]) -> list[str]:
+    """The graph text lines with vertex u named c<index of u>, each edge's
+    ends in index order."""
+    out = []
+    for line in lines:
+        keyword, *ends = line.split()
+        ends = ends if keyword == "vertices" else sorted(ends, key=g.index)
+        out.append(" ".join([keyword, *(f"c{g.index(v)}" for v in ends)]))
+    return out
+
+
+def test_realize_then_touchgraph_prints_the_input_lines_back():
+    """On every looped graph with n <= 4 whose vertices all have a non-loop
+    edge (693 graphs), in render order and in one seeded shuffle of its edge
+    and loop lines, touchgraph of realize prints the input's lines, renamed."""
+    rng, cases = random.Random(51), 0
+    for g in (g for n in range(5) for g in all_looped_simple_graphs(n)):
+        if not all(r & ~(1 << i) for i, r in enumerate(g.adj.data)):
+            continue
+        header, *body = render_graph(g).splitlines()
+        for order in (body, rng.sample(body, len(body))):
+            lines = [header, *order] if g.labels else order
+            code, realized, _ = run_on_stdin(["realize"], ("\n".join(lines) + "\n").encode())
+            assert code == 0
+            code, out, err = run_on_stdin(["touchgraph"], realized.encode())
+            assert (code, out, err) == (0, "\n".join(renamed_lines(g, lines)) + "\n", ""), lines
+            cases += 1
+    assert cases == 2 * 693

@@ -8,6 +8,7 @@ from collections import Counter
 from dataclasses import fields
 
 import pytest
+from conftest import entry_edge_pairs
 
 from adjmatroid import gf2
 from adjmatroid.adjacency_matroid import adjacency_matroid, contract_via_lc
@@ -38,6 +39,7 @@ from adjmatroid.graphtext import (
     GraphParseError,
     graph_to_json,
     parse_graph,
+    parse_multigraph,
     render_graph,
     text_lines,
 )
@@ -75,7 +77,7 @@ def test_local_complement_isolated_fixed_point():
 def test_local_complement_k3():
     # complement at a: loops appear on b and c, the bc edge disappears
     assert P3LL.loop_labels() == ("b", "c")
-    assert P3LL.edge_pairs() == (("a", "b"), ("a", "c"))
+    assert entry_edge_pairs(P3LL) == (("a", "b"), ("a", "c"))
     assert P3LL.local_complement("a") == K3
 
 
@@ -128,7 +130,6 @@ def test_set_bit_walks_match_the_entry_forms(small_and_seeded_graphs, entry_form
     walks = {
         "as_multigraph_edges": lambda g: as_multigraph(g).edges,
         "loop_labels": LoopedSimpleGraph.loop_labels,
-        "edge_pairs": LoopedSimpleGraph.edge_pairs,
         "render_graph": render_graph,
         "graph_to_json": graph_to_json,
     }
@@ -136,6 +137,7 @@ def test_set_bit_walks_match_the_entry_forms(small_and_seeded_graphs, entry_form
     for g in small_and_seeded_graphs:
         for name, reference in entry_forms.items():
             assert walks[name](g) == reference(g), (name, g)
+        assert parse_multigraph(render_graph(g)) == as_multigraph(g), g
 
 
 def test_render_and_json_are_fast_on_a_large_sparse_graph():
@@ -211,7 +213,7 @@ def test_variants():
     assert K3.variant("a", "loop") == K3L
     iso = K3.variant("a", "loop_isolate")
     assert iso.loop_labels() == ("a",)
-    assert iso.edge_pairs() == (("b", "c"),)
+    assert entry_edge_pairs(iso) == (("b", "c"),)
     with pytest.raises(ValueError):
         K3.variant("a", "weird")
 
@@ -307,11 +309,11 @@ def test_trusted_graph_builders_match_their_validated_forms():
     for g in generated:
         checked = LoopedSimpleGraph(g.labels, BitMatrix(g.n, g.n, g.adj.data))
         assert checked == g and hash(checked) == hash(g)
-        built = LoopedSimpleGraph.build(g.labels, g.edge_pairs(), g.loop_labels())
+        built = LoopedSimpleGraph.build(g.labels, entry_edge_pairs(g), g.loop_labels())
         assert rebuilt(built) == built == g
         assert built._position == {v: i for i, v in enumerate(g.labels)}
-        loops = [(v, v) for v in g.loop_labels()]
-        repeated = [*g.edge_pairs(), *loops, *((v, u) for u, v in g.edge_pairs()), *loops]
+        edges, loops = entry_edge_pairs(g), [(v, v) for v in g.loop_labels()]
+        repeated = [*edges, *loops, *((v, u) for u, v in edges), *loops]
         simple = MultiGraph.build(g.labels, repeated).simplify()  # each edge and loop twice
         assert rebuilt(simple) == simple == g
     encodings = {}
@@ -513,7 +515,7 @@ def test_build_matches_the_parser():
     """build and parse_graph collapse the same repeats to the same graph."""
     for n in range(4):
         for g in all_looped_simple_graphs(n):
-            edges, loops = list(g.edge_pairs()), list(g.loop_labels())
+            edges, loops = list(entry_edge_pairs(g)), list(g.loop_labels())
             for e, l in (
                 (edges, loops),
                 (edges + [(v, u) for u, v in edges], loops * 2),  # repeated
@@ -675,6 +677,8 @@ def test_parser_errors_match_the_reference_in_text_and_order():
             text = end.join(["# header", "vertices a b", "", body.replace("\n", end), "edge a b"])
             outcome = parse_outcome(parse_graph, text)
             assert outcome == parse_outcome(parse_graph_as_before, text), repr(text)
+            if outcome[0] is GraphParseError:
+                assert parse_outcome(parse_multigraph, text) == outcome, repr(text)
             outcomes[outcome[0]] += 1
     assert outcomes == {GraphParseError: 3 * 13, LoopedSimpleGraph: 3 * 4, MultiGraph: 3 * 1}
 
@@ -743,6 +747,8 @@ def test_public_constructors_store_list_fields_as_tuples():
     "build, message",
     [
         (lambda: BitMatrix(-1, 0, ()), "negative dimension"),
+        (lambda: BitMatrix(1.0, 1, (0,)), "dimension 1.0 is not an int"),
+        (lambda: BitMatrix(1, 1.0, (0,)), "dimension 1.0 is not an int"),
         (lambda: BitMatrix(2, 1, (0,)), "row count mismatch"),
         (lambda: BitMatrix(1, 1, (2,)), "row exceeds column count"),
         (lambda: BitMatrix(1, 2, (1.5,)), "matrix row 1.5 is not an int"),
@@ -760,6 +766,8 @@ def test_public_constructors_store_list_fields_as_tuples():
         (lambda: SetSystem("aa", 0), "duplicate ground labels"),
         (lambda: SetSystem("a", 1.0), "family word 1.0 is not an int"),
         (lambda: Subspace(2, (1.0,)), "basis row 1.0 is not an int"),
+        (lambda: Subspace(1.5, ()), "dimension 1.5 is not an int"),
+        (lambda: Subspace(-1, ()), "negative dimension"),
         (
             lambda: partition_from_transitions(
                 HalfEdgeGraph(MultiGraph("a", [(0, 0), (0, 0)])), TransitionSystem((1.0, 0.0, 3.0, 2.0))
@@ -771,12 +779,14 @@ def test_public_constructors_store_list_fields_as_tuples():
         (lambda: run_suites("nope"), "unknown suite 'nope'"),
     ],
     ids=[
-        "bitmatrix-dimension", "bitmatrix-rows", "bitmatrix-width", "bitmatrix-float-row",
+        "bitmatrix-dimension", "bitmatrix-float-row-count", "bitmatrix-float-column-count",
+        "bitmatrix-rows", "bitmatrix-width", "bitmatrix-float-row",
         "bitmatrix-str-row", "from-rows-ragged",
         "graph-labels", "graph-size", "graph-adjacent-self", "multigraph-labels",
         "multigraph-endpoint", "multigraph-float-endpoint", "multigraph-edge-label-count",
         "multigraph-edge-labels", "matroid-ground", "set-system-ground", "set-system-float-word",
-        "subspace-float-row", "pairing-float-partner", "min-sys-empty", "max-sys-empty",
+        "subspace-float-row", "subspace-float-dimension", "subspace-negative-dimension",
+        "pairing-float-partner", "min-sys-empty", "max-sys-empty",
         "unknown-suite",
     ],
 )

@@ -16,9 +16,10 @@ are defined only in gf2, only the minor routes build an adjacency matroid, the
 Euler system unchecked, an Euler system is a circuit partition subclass whose
 body defines only its check, the slow references that only verify calls live
 in verify, no check body in verify reads the suite's rng, no matrix is
-walked entry by entry over all pairs, a symmetric pair fill has one site,
-in graph, and in the CLI only main reads input or prints to stdout and no
-command prints, and the package memoizes no
+walked entry by entry over all pairs, a symmetric pair fill and a walk of
+a graph's rows into edge pairs each have one site, in graph, and in the CLI
+only main reads input or prints to stdout and no command prints, and the
+package memoizes no
 attribute with functools.cached_property and writes into no instance
 __dict__ outside gf2."""
 
@@ -1314,8 +1315,8 @@ def test_checker_finds_every_entry_read_under_two_fors():
 
 
 def test_no_all_pairs_entry_walk_in_the_package():
-    """The edge, loop and multigraph walks read each row's set bits, and
-    interlace_recursive reads its loop bits off its rows."""
+    """The text-order edge walk and the loop walk read each row's set bits,
+    and interlace_recursive reads its loop bits off its rows."""
     found = {
         str(path.relative_to(ROOT)): names
         for path in SOURCES
@@ -1405,6 +1406,71 @@ def test_one_symmetric_pair_fill_in_the_package():
         if (names := symmetric_pair_fills(path.read_text()))
     }
     assert found == {"src/adjmatroid/graph.py": ["_symmetric_rows"]}
+
+
+def reads_adjacency_rows(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Attribute) and node.attr == "data"
+        and isinstance(node.value, ast.Attribute) and node.value.attr == "adj"
+    )
+
+
+def walks_rows_into_pairs(node: ast.AST) -> bool:
+    """Accepts a for loop or comprehension whose iterator reads a graph's
+    rows (x.adj.data) and whose body or element builds a pair, a tuple or a
+    list of two: the shape of a walk of a looped simple graph's rows into
+    edge pairs."""
+    if isinstance(node, (ast.For, ast.AsyncFor)):
+        iters, built = [node.iter], node.body + node.orelse
+    elif isinstance(node, COMPREHENSIONS):
+        iters = [gen.iter for gen in node.generators]
+        built = [node.key, node.value] if isinstance(node, ast.DictComp) else [node.elt]
+    else:
+        return False
+    return any(reads_adjacency_rows(n) for it in iters for n in ast.walk(it)) and any(
+        isinstance(n, (ast.Tuple, ast.List)) and isinstance(n.ctx, ast.Load) and len(n.elts) == 2
+        for b in built for n in ast.walk(b)
+    )
+
+
+def test_checker_finds_every_walk_of_rows_into_pairs():
+    source = (
+        "class G:\n"
+        "    def edge_pairs(self):\n"
+        "        for i, r in enumerate(self.adj.data):\n"
+        "            r &= -2 << i\n"
+        "            while r:\n"
+        "                out.append((self.labels[i], self.labels[(r & -r).bit_length() - 1]))\n"
+        "                r &= r - 1\n"
+        "    def loop_labels(self):\n"
+        "        return tuple(self.labels[i] for i, r in enumerate(self.adj.data) if r >> i & 1)\n"
+        "def as_multigraph(g):\n"
+        "    return [(i, j) for i, r in enumerate(g.adj.data) for j in row_bits(r & (-1 << i))]\n"
+        "def matrix_cells(a):\n"
+        "    return [(i, j) for i, r in enumerate(a.data) for j in row_bits(r)]\n"
+        "def degrees(g):\n"
+        "    for i, r in enumerate(g.adj.data):\n"
+        "        total += r.bit_count()\n"
+        "def info(g):\n"
+        "    return [(g.labels[u], g.labels[v]) for u, v in _text_pairs(g)]\n"
+    )
+    assert sites(source, walks_rows_into_pairs) == ["G.edge_pairs", "as_multigraph"]
+    planted = CLI.read_text() + (
+        "def info_as_before(g):\n"
+        "    return [[g.labels[i], g.labels[j]]\n"
+        "            for i, r in enumerate(g.adj.data) for j in row_bits(r >> i + 1)]\n"
+        "def loops_as_before(g):\n"
+        "    return {(v, v) for v, r in zip(g.labels, g.adj.data) if r}\n"
+    )
+    assert sites(planted, walks_rows_into_pairs) == ["info_as_before", "loops_as_before"]
+
+
+def test_one_walk_of_rows_into_edge_pairs_in_the_package():
+    """Every writer takes a looped simple graph's edges in text order from
+    graph._text_pairs: its loops, then its edges."""
+    assert sites_in_sources(walks_rows_into_pairs) == {
+        "src/adjmatroid/graph.py": ["_text_pairs", "_text_pairs"]
+    }
 
 
 CLI = ROOT / "src" / "adjmatroid" / "cli.py"
