@@ -8,10 +8,11 @@ comparison at a vertex, and the resulting three-way vertex classification.
 Every vertex question reads one piece of evidence and builds no matroid:
 whether v is a coloop with its loop removed and with it attached, for every
 v at once, kept by the graph (`LoopedSimpleGraph.coloop_masks`).
-`gf2.coloop_masks` computes it and proves it right.  A `TripartitionCase`
-keeps only the tag the evidence decides, and `trio` reads its equal pair
-off that tag.  The three cases are three shared frozen values, picked by
-each vertex's two coloop bits; `tripartition_report` reads the masks once.
+`gf2.coloop_masks` computes it and proves it right.  Only `classify_vertex`
+and `tripartition_report` (once for all vertices) read the masks; a
+`TripartitionCase` keeps the tag they decide, and `is_triple_coloop` (case1)
+and `trio` (its equal pair) read it.  The three cases are three shared
+frozen values, picked by each vertex's two coloop bits.
 verify's three-variants-two-agree check builds the three variant matroids
 and is the oracle for `trio`.
 """
@@ -93,17 +94,9 @@ def contract_via_lc(g: LoopedSimpleGraph, v: str) -> MinorDerivation:
     return MinorDerivation(adjacency_matroid(witness.minus(v)), witness, seq)
 
 
-def _coloop_evidence(g: LoopedSimpleGraph, v: str) -> tuple[bool, bool]:
-    """Whether v is a coloop with its loop removed, and with it attached,
-    read from the graph's kept coloop masks."""
-    bit = 1 << g.index(v)
-    plain, loop = g.coloop_masks
-    return bool(plain & bit), bool(loop & bit)
-
-
 def is_triple_coloop(g: LoopedSimpleGraph, v: str) -> bool:
-    """True iff v is a coloop in all three vertex-variant matroids (always in loop-isolate)."""
-    return all(_coloop_evidence(g, v))
+    """True iff v is a coloop of all three vertex-variant matroids: v is case1."""
+    return classify_vertex(g, v).tag == "case1"
 
 
 def delete_via_subgraph(g: LoopedSimpleGraph, v: str) -> BinaryMatroid:

@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from typing import Callable, Iterable, NoReturn, Sequence
 
 from .adjacency_matroid import adjacency_matroid, contract_via_lc, trio, tripartition_report
@@ -202,7 +203,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: main parses every argv with it."""
     parser = _Parser(
         prog="adjmatroid",
         description=(

@@ -402,7 +402,10 @@ def realize_touch_graph(g: LoopedSimpleGraph | MultiGraph) -> Realization:
     walk, circuit by circuit, so the circuits come in traced order.  With the
     loops last, no walk with a non-loop edge starts at a loop, so the edge
     list alone encodes the partition (`file_order_partition`).  An isolated
-    unlooped vertex has an empty walk and is rejected.
+    unlooped vertex has an empty walk and is rejected.  The touch-graph is g
+    edge for edge: `touch_graph(r.partition)` has g's vertices in order as
+    `c<i>`, g's edges in text order with each pair ascending, and g's edge
+    labels.
     """
     mg = as_multigraph(g)
     walks: list[list[int]] = [[] for _ in range(mg.n)]

@@ -113,9 +113,6 @@ class LoopedSimpleGraph:
         mask = self.neighbor_mask(v)
         return tuple(self.labels[i] for i in row_bits(mask))
 
-    def loop_labels(self) -> tuple[str, ...]:
-        return tuple(self.labels[i] for i, r in enumerate(self.adj.data) if r >> i & 1)
-
     def local_complement(self, v: str) -> "LoopedSimpleGraph":
         """Toggle loops of v's neighbors and adjacency between distinct neighbors."""
         rows = _local_complement_at(self.adj.data, self.index(v))
@@ -199,16 +196,6 @@ class MultiGraph:
     @property
     def n(self) -> int:
         return len(self.labels)
-
-    def incidences(self) -> list[tuple[str, ...]]:
-        """Each vertex's incident edge labels, sorted, a loop listed once; the
-        list sorted.  Two multigraphs give equal lists iff renaming vertices
-        turns one into the other with every edge label kept."""
-        out: list[set[str]] = [set() for _ in range(self.n)]
-        for (u, v), label in zip(self.edges, self.edge_labels):
-            out[u].add(label)
-            out[v].add(label)
-        return sorted(tuple(sorted(labels)) for labels in out)
 
     def simplify(self) -> LoopedSimpleGraph:
         """Collapse parallels and repeated loops: the multigraph has checked its

@@ -263,7 +263,6 @@ def entry_forms():
     the name of the walk they check: the references for the walks."""
     return {
         "as_multigraph_edges": entry_text_pairs,
-        "loop_labels": entry_loop_labels,
         "render_graph": entry_render_graph,
         "graph_to_json": entry_graph_to_json,
     }

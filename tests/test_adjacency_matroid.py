@@ -10,7 +10,6 @@ import pytest
 from adjmatroid import binary_matroid, gf2
 from adjmatroid.adjacency_matroid import (
     TrioResult,
-    _coloop_evidence,
     adjacency_matroid,
     classify_vertex,
     contract_via_lc,
@@ -151,8 +150,9 @@ def test_tripartition_report_matches_classify_vertex(small_and_seeded_graphs):
     for g in small_and_seeded_graphs:
         report = tripartition_report(g)
         assert list(report) == list(g.labels)
-        for v in g.labels:
-            plain, loop = _coloop_evidence(g, v)
+        plain_mask, loop_mask = g.coloop_masks
+        for i, v in enumerate(g.labels):
+            plain, loop = plain_mask >> i & 1, loop_mask >> i & 1
             assert report[v] is classify_vertex(g, v)
             assert report[v].tag == ("case1" if plain and loop else "case2" if plain else "case3")
             shared.add(id(report[v]))
@@ -298,8 +298,9 @@ def test_coloop_masks_match_the_per_vertex_elimination():
     graphs += [random_looped_simple_graph(rng, n) for n in range(5, 17) for _ in range(25)]
     kinds = set()
     for g in graphs:
-        for v in g.labels:
-            evidence = _coloop_evidence(g, v)
+        plain, loop = g.coloop_masks
+        for i, v in enumerate(g.labels):
+            evidence = bool(plain >> i & 1), bool(loop >> i & 1)
             assert evidence == per_vertex_coloop_evidence(g, v), (g, v)
             kinds.add((g.is_looped(v), evidence))
     assert len(graphs) == 1099 + 12 * 25

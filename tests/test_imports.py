@@ -2,7 +2,8 @@
 definition in the package is referenced from the package or the benchmark
 (a class or static method through its own class), object.__new__, the
 principal scan, the coloop pass and pairing validation each have one site,
-the two row eliminations run only inside gf2 and gf2 runs two in all, both
+only the two classifiers read a graph's kept coloop masks, the two row
+eliminations run only inside gf2 and gf2 runs two in all, both
 subset expansions read distance layers, a polynomial is a value with no
 arithmetic that the library builds only out of a packed tally or by the
 binomial form, the tally read has no loop and the recursion rules are shifts
@@ -343,6 +344,52 @@ def test_only_the_graph_memo_computes_coloop_evidence():
     }
     matroids = (ROOT / "src" / "adjmatroid" / "adjacency_matroid.py").read_text()
     assert sites(matroids, calls("forward_pivots")) == []
+
+
+def reads_coloop_masks(node: ast.AST) -> bool:
+    """A read of an attribute named coloop_masks: a graph's kept evidence, or
+    gf2's pass, which calls_coloop_masks keeps inside the graph memo."""
+    return (
+        isinstance(node, ast.Attribute) and node.attr == "coloop_masks"
+        and isinstance(node.ctx, ast.Load)
+    )
+
+
+def test_checker_finds_every_read_of_the_kept_coloop_masks():
+    source = (
+        "class G:\n"
+        "    def coloop_masks(self):\n"
+        "        return coloop_masks(self.adj)\n"
+        "def evidence(g, v):\n"
+        "    plain, loop = g.coloop_masks\n"
+        "    return plain >> g.index(v) & 1\n"
+        "def case(g, v):\n"
+        "    return _case(*g.coloop_masks, g.index(v))\n"
+        "def store(g):\n"
+        "    g.coloop_masks = (0, 0)\n"
+    )
+    assert sites(source, reads_coloop_masks) == ["evidence", "case"]
+    planted = (ROOT / "src" / "adjmatroid" / "adjacency_matroid.py").read_text() + (
+        "def _coloop_evidence(g, v):\n"
+        "    plain, loop = g.coloop_masks\n"
+        "    return bool(plain >> g.index(v) & 1), bool(loop >> g.index(v) & 1)\n"
+    )
+    assert sites(planted, reads_coloop_masks) == [
+        "classify_vertex", "tripartition_report", "_coloop_evidence"
+    ]
+
+
+def test_only_the_classifiers_read_the_kept_coloop_masks():
+    """Outside the graph, every other vertex question (is_triple_coloop, trio,
+    delete_via_subgraph) reads the case classify_vertex decides."""
+    found = {
+        path: names
+        for path, readers in sites_in_sources(reads_coloop_masks).items()
+        if (names := [s for s in readers if not s.startswith("LoopedSimpleGraph.")])
+    }
+    assert found == {
+        "src/adjmatroid/adjacency_matroid.py": ["classify_vertex", "tripartition_report"]
+    }
 
 
 def reads_cached_property(node: ast.AST) -> bool:

@@ -142,6 +142,17 @@ def test_small_run_keeps_every_check_and_instance():
     assert sum(counts.values()) == 6115
 
 
+def test_the_default_report_pin_is_one_ok_line_per_check_in_order():
+    """tests/verify_default.txt is the stdout of default `adjmatroid verify`,
+    which CI diffs against a fresh run: an ok line per check, in the order
+    verify prints."""
+    lines = Path(__file__).with_name("verify_default.txt").read_text().splitlines()
+    parsed = [re.fullmatch(r"ok   (\S+) instances=(\d+)", line) for line in lines]
+    assert all(parsed), [line for line, m in zip(lines, parsed) if not m]
+    assert [m[1] for m in parsed] == list(EXPECTED_COUNTS)
+    assert sum(int(m[2]) for m in parsed) == 163782
+
+
 def test_both_tutte_checks_see_a_fault_in_the_shared_conversion(monkeypatch):
     """tutte_subset and tutte_recursive both end in polynomials._from_tally;
     a conversion that adds one to every tally still fails both Tutte checks,
