@@ -62,6 +62,7 @@ def unchecked(cls: type[T], **fields: Any) -> T:
     for a caller's pairing.
 
     The trusted builders, each valid by construction or by a check of its own:
+    the text parser, which checks its grammar and builds what it read;
     nullspace, orthogonal_complement, symmetrize_nullspace, transpose,
     principal_submatrix and Subspace.permuted (after their index checks);
     LoopedSimpleGraph's derived graphs, build (after its label checks) and the
@@ -494,11 +495,12 @@ def distance_layers(bits: int, n: int, down_closed: bool = False) -> list[int]:
     if not bits:
         raise ValueError("distance needs a proper set system")
     step = _up_step if down_closed else pivot_step
+    coords = [(zero, 1 << i) for i, (zero, _) in enumerate(coord_masks(n))]
     layers, reached, full = [bits], bits, (1 << (1 << n)) - 1
     while layers[-1] and reached != full:
         moved = 0
-        for i, (zero, _) in enumerate(coord_masks(n)):
-            moved |= step(layers[-1], zero, 1 << i)
+        for zero, b in coords:
+            moved |= step(layers[-1], zero, b)
         layers.append(moved & ~reached)
         reached |= moved
     return layers

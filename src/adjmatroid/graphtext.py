@@ -3,19 +3,20 @@
 Grammar: `# comment`, `vertices <name>+`, `loop <name>`, `edge <name> <name>`.
 Names are non-whitespace tokens.  Lines end only at \\n, \\r\\n or \\r: str.splitlines'
 other breaks are whitespace, so line numbers are the file's (the CLI drops a
-leading byte order mark).  One grammar pass (`_read`) gives the labels and
-the edge and loop lines as index pairs in file order: `parse_multigraph`
-keeps them, and so does `parse_graph` when a pair repeats; otherwise it fills
-and checks the rows of a looped simple graph.  Graphs are written in text
-order (`graph._text_pairs`), so reading what was written keeps its order.
+leading byte order mark).  One grammar pass (`_read`), the only check, reads
+the labels and the edge and loop lines as index pairs in file order; what it
+read is built unchecked.  `parse_graph` fills the rows once: a distinct edge
+sets two bits, a distinct loop one diagonal bit, so a short bit count means a
+repeated pair, and then it keeps the pairs, as `parse_multigraph` does.  Graphs
+are written in text order (`graph._text_pairs`), so reading them keeps it.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from .gf2 import BitMatrix
-from .graph import LoopedSimpleGraph, MultiGraph, _symmetric_rows, _text_pairs
+from .gf2 import unchecked
+from .graph import LoopedSimpleGraph, MultiGraph, _symmetric_rows, _text_pairs, default_labels
 
 
 class GraphParseError(ValueError):
@@ -59,15 +60,21 @@ def _read(text: str) -> tuple[tuple[str, ...], list[tuple[int, int]]]:
 
 def parse_graph(text: str) -> LoopedSimpleGraph | MultiGraph:
     labels, pairs = _read(text)
-    n = len(labels)
-    if len({frozenset(p) for p in pairs}) < len(pairs):  # a repeated pair
-        return MultiGraph(labels, pairs)
-    return LoopedSimpleGraph(labels, BitMatrix(n, n, _symmetric_rows(n, pairs)))
+    rows = _symmetric_rows(len(labels), pairs)
+    if sum(r.bit_count() + (r >> i & 1) for i, r in enumerate(rows)) < 2 * len(pairs):
+        return _multigraph(labels, pairs)  # a repeated pair
+    return LoopedSimpleGraph._derived(labels, rows)
 
 
 def parse_multigraph(text: str) -> MultiGraph:
     """The graph text as a multigraph, edge i its i-th edge or loop line."""
-    return MultiGraph(*_read(text))
+    return _multigraph(*_read(text))
+
+
+def _multigraph(labels: tuple[str, ...], pairs: list[tuple[int, int]]) -> MultiGraph:
+    """The read pairs as edges e0, e1, ...: checked as read, so unchecked."""
+    edge_labels = default_labels(len(pairs), "e")
+    return unchecked(MultiGraph, labels=labels, edges=tuple(pairs), edge_labels=edge_labels)
 
 
 def render_graph(g: LoopedSimpleGraph | MultiGraph) -> str:

@@ -137,7 +137,7 @@ def _layer_tally(layers: list[int], n: int, top: int, sign: int) -> int:
     The layers cover every subset, so the last counts what the others left."""
     w, u = _shifts(n)
     sizes = size_masks(n)
-    left = [comb(n, size) for size in range(n + 1)]
+    left = [mask.bit_count() for mask in sizes]  # C(n, size)
     last, rows = len(layers) - 1, []
     for d, layer in enumerate(layers):
         row = 0

@@ -176,9 +176,9 @@ class Recorder:
 
     def check(self, name: str, witness: object) -> "Recorder":
         """Record a clean exit from the block as a pass, and an AssertionError or
-        a ValueError from a route under test as a failure, rendered as
-        f"{witness}: {exc}" only if kept; other exceptions propagate.  Checks do
-        not nest, so the recorder is the block's context, holding its name and witness."""
+        a ValueError from a route under test as a failure, rendered if kept as
+        f"{witness}: {exc}" (an empty exc: the line that raised); other exceptions
+        propagate.  Checks do not nest: the recorder holds the block's name and witness."""
         self.name, self.witness = name, witness
         return self
 
@@ -192,7 +192,8 @@ class Recorder:
         r = self.results.get(name) or self.results.setdefault(name, CheckResult(name))
         r.instances += 1
         if kind and len(r.failures) < MAX_FAILURES_KEPT:
-            r.failures.append(f"{self.witness}: {exc}")
+            import traceback  # on a failure only: every CLI command imports verify
+            r.failures.append(f"{self.witness}: {str(exc) or traceback.extract_tb(tb)[-1].line}")
         return True
 
     def report(self) -> list[CheckResult]:

@@ -60,11 +60,21 @@ def multigraphs(draw, label: st.SearchStrategy[str] = names) -> MultiGraph:
     return MultiGraph(labels, edges)
 
 
+def rebuilt(g: LoopedSimpleGraph | MultiGraph) -> LoopedSimpleGraph | MultiGraph:
+    """g built again through the validating constructors, which the parser skips."""
+    if isinstance(g, MultiGraph):
+        return MultiGraph(g.labels, g.edges, g.edge_labels)
+    return LoopedSimpleGraph(g.labels, BitMatrix(g.n, g.n, g.adj.data))
+
+
 @settings(FUZZ, max_examples=200)
 @given(st.one_of(looped_simple_graphs(), multigraphs()))
 def test_rendered_graphs_parse_back_to_themselves(g):
-    """Labels, rows and, for a multigraph, the edge list in its order."""
-    assert parse_graph(render_graph(g)) == g
+    """Labels, rows and, for a multigraph, the edge list in its order; the
+    parsed value passes the constructor checks."""
+    parsed = parse_graph(render_graph(g))
+    assert parsed == g
+    assert rebuilt(parsed) == parsed
 
 
 @settings(FUZZ, max_examples=200)
@@ -93,7 +103,8 @@ directive_text = st.lists(st.tuples(st.sampled_from(TOKENS), st.sampled_from(SEP
 @given(directive_text)
 def test_directive_text_parses_or_names_one_of_its_lines(text):
     """parse_multigraph refuses the same texts, naming the same line, and
-    otherwise reads the edges parse_graph keeps or collapses."""
+    otherwise reads the edges parse_graph keeps or collapses; both values
+    pass the constructor checks."""
     try:
         g = parse_graph(text)
     except GraphParseError as exc:
@@ -107,6 +118,7 @@ def test_directive_text_parses_or_names_one_of_its_lines(text):
         assert parse_graph(render_graph(g)) == g
         mg = parse_multigraph(text)
         assert mg == g if isinstance(g, MultiGraph) else mg.simplify() == g
+        assert rebuilt(g) == g and rebuilt(mg) == mg
 
 
 COMMANDS = [

@@ -10,7 +10,7 @@ from dataclasses import fields
 import pytest
 from conftest import entry_edge_pairs, entry_loop_labels
 
-from adjmatroid import gf2
+from adjmatroid import gf2, graph, graphtext
 from adjmatroid.adjacency_matroid import adjacency_matroid, contract_via_lc
 from adjmatroid.binary_matroid import BinaryMatroid
 from adjmatroid.delta_matroid import SetSystem, from_graph, to_graph
@@ -141,7 +141,8 @@ def test_set_bit_walks_match_the_entry_forms(small_and_seeded_graphs, entry_form
 
 def test_render_and_json_are_fast_on_a_large_sparse_graph():
     """n = 2,000 at average degree 4: one step per set bit, not n^2 entry
-    reads (about 0.45 s each), keeps each call far under 0.2 s."""
+    reads (about 0.45 s each), keeps each call far under 0.2 s, and so does
+    parsing the text back."""
     rng = random.Random(2000)
     n, rows = 2000, [0] * 2000
     for _ in range(2 * n):
@@ -153,6 +154,11 @@ def test_render_and_json_are_fast_on_a_large_sparse_graph():
         start = time.perf_counter()
         emit(g)
         assert time.perf_counter() - start < 0.2
+    text = render_graph(g)
+    start = time.perf_counter()
+    parsed = parse_graph(text)
+    assert time.perf_counter() - start < 0.2
+    assert parsed == g
 
 
 def test_derived_graphs_index_their_own_labels():
@@ -685,22 +691,64 @@ def test_lines_end_only_at_newline_carriage_return_or_both():
 
 
 def test_parser_builds_a_multigraph_only_for_repeats(monkeypatch):
-    """A text with no repeated pair builds its adjacency rows directly,
-    through both validating constructors; a repeat builds one multigraph."""
-    built = Counter()
+    """The grammar pass is the parser's one check: neither branch of
+    parse_graph, nor parse_multigraph, runs a validating __post_init__.  A
+    text with no repeated pair builds its rows and graph unchecked; a repeat
+    builds one multigraph."""
+    checked, built = Counter(), Counter()
     for cls in (LoopedSimpleGraph, MultiGraph, BitMatrix):
         check = cls.__post_init__
         monkeypatch.setattr(
             cls, "__post_init__",
-            lambda self, check=check, name=cls.__name__: built.update([name]) or check(self),
+            lambda self, check=check, name=cls.__name__: checked.update([name]) or check(self),
         )
-    text = render_graph(random_looped_simple_graph(random.Random(9), 9))
-    built.clear()
-    assert isinstance(parse_graph(text), LoopedSimpleGraph)
-    assert built == {"LoopedSimpleGraph": 1, "BitMatrix": 1}
-    built.clear()
-    assert isinstance(parse_graph(text + "edge v0 v0\n" + "loop v0\n"), MultiGraph)
-    assert built == {"MultiGraph": 1}
+    for module in (graph, graphtext):
+        monkeypatch.setattr(
+            module, "unchecked",
+            lambda cls, **kw: built.update([cls.__name__]) or gf2.unchecked(cls, **kw),
+        )
+    simple = render_graph(random_looped_simple_graph(random.Random(9), 9))
+    repeated = simple + "edge v0 v0\n" + "loop v0\n"
+    for read, text, kind, objects in [
+        (parse_graph, simple, LoopedSimpleGraph, {"LoopedSimpleGraph": 1, "BitMatrix": 1}),
+        (parse_graph, repeated, MultiGraph, {"MultiGraph": 1}),
+        (parse_multigraph, simple, MultiGraph, {"MultiGraph": 1}),
+    ]:
+        built.clear()
+        assert isinstance(read(text), kind)
+        assert built == objects
+    assert checked == {}
+
+
+def test_parse_graph_keeps_the_pairs_exactly_when_one_repeats():
+    """A repeated pair shows in the bit count of the rows parse_graph fills,
+    as in the set of the text's unordered pairs: on the render of every graph
+    with n <= 4, its lines shuffled, alone and with one line repeated (an
+    edge reversed, a loop as edge u u), and on edge a a beside loop a, loop a
+    twice, and edge b a after edge a b."""
+    rng = random.Random(4)
+    texts = ["vertices a\nedge a a\nloop a\n", "vertices a\nloop a\nloop a\n",
+             "vertices a b\nedge a b\nedge b a\n"]
+    for n in range(5):
+        for g in all_looped_simple_graphs(n):
+            head, *lines = render_graph(g).splitlines()
+            rng.shuffle(lines)
+            shuffled = "\n".join([head, *lines]) + "\n"
+            assert parse_graph(shuffled) == g
+            texts.append(shuffled)
+            if lines:
+                _, u, *ends = rng.choice(lines).split()
+                v = ends[0] if ends else u
+                again = rng.choice([f"edge {u} {v}", f"edge {v} {u}" if ends else f"loop {u}"])
+                lines.insert(rng.randrange(len(lines) + 1), again)
+                texts.append("\n".join([head, *lines]) + "\n")
+    repeats = Counter()
+    for text in texts:
+        mg = parse_multigraph(text)
+        repeat = len({frozenset(e) for e in mg.edges}) < len(mg.edges)
+        assert parse_graph(text) == (mg if repeat else mg.simplify())
+        repeats[repeat] += 1
+    assert repeats == {True: 3 + 1099 - 5, False: 1099}
 
 
 def test_public_constructors_store_list_fields_as_tuples():

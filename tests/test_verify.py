@@ -153,6 +153,40 @@ def test_the_default_report_pin_is_one_ok_line_per_check_in_order():
     assert sum(int(m[2]) for m in parsed) == 163782
 
 
+def test_the_json_report_pin_matches_the_text_pin():
+    """tests/verify_default.json is the stdout of default `adjmatroid verify
+    --format json`, which CI diffs against a fresh run: the text pin's checks
+    and instance counts, in order, with no failures."""
+    text = Path(__file__).with_name("verify_default.txt").read_text().splitlines()
+    payload = json.loads(Path(__file__).with_name("verify_default.json").read_text())
+    assert [f"ok   {r['name']} instances={r['instances']}" for r in payload] == text
+    assert [r["failures"] for r in payload] == [[]] * len(text)
+
+
+def test_a_message_less_assert_fails_with_its_source_line(monkeypatch):
+    """A failing assert with no message prints the statement that failed
+    after the witness, so no FAIL line ends in an empty reason."""
+    decode = dm.to_graph
+
+    def broken(d):
+        g = decode(d)
+        return g.loop_complement(g.labels[0]) if g.n else g
+
+    monkeypatch.setattr(dm, "to_graph", broken)
+    results = verify.run_suites("delta", max_n=2, trials=5, seed=0)
+    assert [(r.name, r.instances) for r in results] == [
+        (name, EXPECTED_COUNTS[name]) for name in SUITE_CHECKS["delta"]
+    ]
+    failed = failing_checks(results)
+    assert failed["graph-encoding-is-normal-delta-matroid"][0] == (
+        "[vertices v0]: assert dm.to_graph(encoded) == g"
+    )
+    assert {name: {f.rpartition(": assert ")[2] for f in fs} for name, fs in failed.items()} == {
+        "graph-encoding-is-normal-delta-matroid": {"dm.to_graph(encoded) == g"},
+        "flip-reachable-iff-contains-empty": {"dm.from_graph(decoded).family == moved.family"},
+    }
+
+
 def test_both_tutte_checks_see_a_fault_in_the_shared_conversion(monkeypatch):
     """tutte_subset and tutte_recursive both end in polynomials._from_tally;
     a conversion that adds one to every tally still fails both Tutte checks,
@@ -574,7 +608,9 @@ def test_subgraph_deletion_at_a_triple_coloop_is_a_fail_line(monkeypatch):
     failures = failing_checks(verify.matroid_suite(max_n=2, trials=5, seed=0))
     assert list(failures) == ["delete-matches-subgraph-off-triple-coloops"]
     assert_graph_vertex_witnesses(failures["delete-matches-subgraph-off-triple-coloops"])
-    assert "[vertices v0 v1; edge v0 v1] vertex v0: " in failures["delete-matches-subgraph-off-triple-coloops"]
+    assert "[vertices v0 v1; edge v0 v1] vertex v0: assert delete_via_subgraph(g, v) == deleted()" in (
+        failures["delete-matches-subgraph-off-triple-coloops"]
+    )
 
 
 def test_subset_failures_print_the_eager_witness_text(monkeypatch):
@@ -585,12 +621,14 @@ def test_subset_failures_print_the_eager_witness_text(monkeypatch):
         d, induced = verify._Lazy(dm.from_graph, g), verify._Lazy(induced_subgraphs, g)
         verify._delta_subset_checks(rec, g, d, induced)
         texts = [
-            f"{eager_graph_text(g)} subset {{{' '.join(g.induced_mask(mask).labels)}}}: "
+            f"{eager_graph_text(g)} subset {{{' '.join(g.induced_mask(mask).labels)}}}"
             for mask in range(1 << g.n)
         ]
         for r in rec.report():
             assert r.instances == 1 << g.n
-            positions = [texts.index(f) for f in r.failures]
+            split = [f.partition(": assert ") for f in r.failures]
+            assert all(statement for _, _, statement in split)  # the line of a message-less assert
+            positions = [texts.index(witness) for witness, _, _ in split]
             assert positions == sorted(set(positions))
             failed += len(r.failures)
     assert failed
@@ -600,8 +638,9 @@ def test_pairing_and_set_system_failures_print_the_eager_witness_text(monkeypatc
     monkeypatch.setattr(verify, "nullity", lambda a: -1)
     monkeypatch.setattr(verify, "_equicardinal_min_criterion", lambda d: True)
     (circuit,) = [r for r in verify.fourreg_suite(max_n=2, trials=0) if r.name == "circuit-nullity-formula"]
+    statement = "assert nullity(relative_interlacement(euler(), p).adj) == p.size - f.component_count"
     expected = [
-        f"{eager_graph_text(mg)} pairing {t.pairing}: "
+        f"{eager_graph_text(mg)} pairing {t.pairing}: {statement}"
         for mg in small_four_regular_corpus(2)
         for t in all_transition_systems(HalfEdgeGraph(mg))
     ]
@@ -609,7 +648,10 @@ def test_pairing_and_set_system_failures_print_the_eager_witness_text(monkeypatc
     (broken,) = [
         r for r in verify.delta_suite(max_n=1, trials=0) if r.name == "dual-pivot-can-break-exchange"
     ]
-    assert broken.failures == ["[ground a b c; family {a},{b},{c},{a b},{a c},{b c},{a b c}]: "]
+    assert broken.failures == [
+        "[ground a b c; family {a},{b},{c},{a b},{a c},{b c},{a b c}]: "
+        "assert not _equicardinal_min_criterion(flipped)"
+    ]
 
 
 # ---------------------------------------------------------------------------
