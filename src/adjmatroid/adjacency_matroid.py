@@ -19,18 +19,16 @@ and is the oracle for `trio`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Literal
 
 from .binary_matroid import BinaryMatroid
-from .gf2 import lowest_bit, nullity, nullspace, row_bits, unchecked
+from .gf2 import Frozen, lowest_bit, nullity, nullspace, row_bits, unchecked
 from .graph import LoopedSimpleGraph, VariantKind
 
 CaseTag = Literal["case1", "case2", "case3"]
 
 
-@dataclass(frozen=True)
-class TripartitionCase:
+class TripartitionCase(Frozen):
     """Vertex class: which of v unlooped and v looped leave v a coloop
     (case1 both, case2 unlooped only, case3 looped only)."""
 
@@ -41,8 +39,7 @@ class TripartitionCase:
 _CASES = {3: TripartitionCase("case1"), 1: TripartitionCase("case2"), 2: TripartitionCase("case3")}
 
 
-@dataclass(frozen=True)
-class MinorDerivation:
+class MinorDerivation(Frozen):
     """A matroid minor together with its local-complementation witness."""
 
     result: BinaryMatroid
@@ -50,8 +47,7 @@ class MinorDerivation:
     lc_sequence: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class TrioResult:
+class TrioResult(Frozen):
     """Which two of the three vertex variants share a matroid at v.
 
     nullity is the shared nullity; by the tripartition theorem the odd

@@ -13,11 +13,11 @@ nonzero members.  The word steps and the enumeration gate are `gf2`'s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .gf2 import (
     BitMatrix,
+    Frozen,
     Subspace,
     cached,
     check_enum_gate,
@@ -36,8 +36,7 @@ from .gf2 import (
 from .graph import MultiGraph, _LabelCodec
 
 
-@dataclass(frozen=True, eq=False)
-class BinaryMatroid(_LabelCodec):
+class BinaryMatroid(_LabelCodec, Frozen):
     """A binary matroid given by ground labels and its cycle space."""
 
     ground: tuple[str, ...]
@@ -76,7 +75,8 @@ class BinaryMatroid(_LabelCodec):
         if not isinstance(other, BinaryMatroid):
             return NotImplemented
         aligned = self._aligned_space(other)
-        return aligned is not None and aligned == self.cycle_space
+        # one ground set, so one ambient dimension: the canonical bases decide
+        return aligned is not None and aligned.basis == self.cycle_space.basis
 
     def __hash__(self) -> int:
         ordered = sorted(self.ground)

@@ -24,18 +24,16 @@ benchmark needs it: bench/workloads.py checks the flips against the two
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .gf2 import (
-    cached, check_ground_gate, coord_masks, dominated, flip_coordinates, pivot_step, set_bits,
-    size_masks, unchecked,
+    Frozen, cached, check_ground_gate, coord_masks, dominated, flip_coordinates, pivot_step,
+    set_bits, size_masks, unchecked,
 )
 from .graph import LoopedSimpleGraph, _LabelCodec, _symmetric_rows, pair_is_edge
 
 
-@dataclass(frozen=True, eq=False)
-class SetSystem(_LabelCodec):
+class SetSystem(_LabelCodec, Frozen):
     """A ground set plus a family of subsets, bit m of bits set iff mask m is a member."""
 
     ground: tuple[str, ...]

@@ -54,23 +54,20 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .gf2 import cached, unchecked
+from .gf2 import Frozen, cached, unchecked
 from .graph import LoopedSimpleGraph, MultiGraph, as_multigraph, default_labels, find_root
 
 Pairing = frozenset[frozenset[int]]
 TransitionType = str  # "phi" | "chi" | "psi"
 
 
-@dataclass(frozen=True)
-class HalfEdgeGraph:
-    """A 4-regular multigraph with the half-edge order at every vertex."""
+class HalfEdgeGraph(Frozen):
+    """A 4-regular multigraph with the half-edge order at every vertex; its
+    tables ends and halves are set by __post_init__ and are not fields."""
 
     graph: MultiGraph
-    ends: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    halves: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         ends: list[int] = []
@@ -120,8 +117,7 @@ class HalfEdgeGraph:
         return (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c)))
 
 
-@dataclass(frozen=True)
-class TransitionSystem:
+class TransitionSystem(Frozen):
     """A fixed-point-free involution pairing half-edges at each vertex."""
 
     pairing: tuple[int, ...]
@@ -183,8 +179,7 @@ def all_transition_systems(f: HalfEdgeGraph) -> Iterator[TransitionSystem]:
         yield TransitionSystem.from_pairs(f, pairs)
 
 
-@dataclass(frozen=True)
-class CircuitPartition:
+class CircuitPartition(Frozen):
     """A transition system with the closed trails it induces.
 
     Each circuit is the tuple of departing half-edges in traversal order;
@@ -251,7 +246,6 @@ def _traced(f: HalfEdgeGraph, t: TransitionSystem) -> tuple[tuple[int, ...], ...
     return tuple(circuits)
 
 
-@dataclass(frozen=True)
 class EulerSystem(CircuitPartition):
     """A circuit partition with exactly one circuit per connected component.
 
@@ -385,8 +379,7 @@ def _merged(f: HalfEdgeGraph, quads: Sequence[tuple[int, ...]]) -> EulerSystem:
     return unchecked(EulerSystem, f=f, transitions=t, circuits=_traced(f, t))
 
 
-@dataclass(frozen=True)
-class Realization:
+class Realization(Frozen):
     """A 4-regular graph with a distinguished circuit partition."""
 
     f: HalfEdgeGraph

@@ -28,9 +28,10 @@ Set bits are read two ways: ``row_bits`` walks a sparse mask one step per
 set bit (an adjacency row, a label mask), and ``set_bits`` reads a dense
 2^n-bit family word in one pass over its digits.
 
-Objects are validated once, at the boundary: ``unchecked`` builds a value
-derived from valid ones without re-running its checks, and ``cached`` is
-the package's memo for a frozen object's derived attribute.
+Three tools serve the value classes.  ``Frozen``, their base, gives each its
+constructor, equality and hash; objects are validated once, at the boundary,
+and ``unchecked`` builds a value derived from valid ones without re-running
+its checks; ``cached`` is the memo for a frozen object's derived attribute.
 
 A slow reference lives beside its checks in `verify` unless the CLI or the
 benchmark needs it, so the enumeration of all small subspaces is `verify`'s.
@@ -39,8 +40,8 @@ benchmark needs it, so the enumeration of all small subspaces is `verify`'s.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
+from types import FunctionType
 from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -52,14 +53,12 @@ GROUND_GATE = 16
 
 
 def unchecked(cls: type[T], **fields: Any) -> T:
-    """A frozen-dataclass instance built without its __post_init__ checks,
-    for a value derived from valid ones and valid by construction.  The
-    checks run once, at the boundary: the text parser, LoopedSimpleGraph(...),
-    BitMatrix(...) and from_rows, Subspace(...) and span, BinaryMatroid(...)
-    and from_matrix, SetSystem(...) and from_sets, DeltaMatroid(...),
-    BivariatePolynomial(...), MultiGraph(...) and build, HalfEdgeGraph(...),
-    EulerSystem(f, transitions, circuits), and partition_from_transitions
-    for a caller's pairing.
+    """A Frozen value built without its __post_init__ checks, for a value
+    derived from valid ones and valid by construction; with the Frozen base
+    and cached, one of the three value tools.  The checks run once, at the
+    boundary: the text parser, each value class's public constructor, with
+    from_rows, span, from_matrix, from_sets and MultiGraph.build, and
+    partition_from_transitions for a caller's pairing.
 
     The trusted builders, each valid by construction or by a check of its own:
     the text parser, which checks its grammar and builds what it read;
@@ -98,6 +97,78 @@ class cached:
             return self
         value = obj.__dict__[self.name] = self.func(obj)
         return value
+
+
+class Frozen:
+    """A frozen value.  Its fields are its own annotated names, after its bases'
+    fields; a class attribute of a field's name is that field's default.  Each
+    subclass gets an __init__ that binds the fields and then runs __post_init__
+    (looked up per call), and unless it defines or inherits its own, an __eq__
+    true only within one exact class and the matching __hash__ of the field
+    tuple.  No code is compiled for them at import."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        own = [n for n in cls.__annotations__ if n not in cls._fields]  # a class's own, from 3.10
+        cls._fields = names = cls._fields + tuple(own)
+        cls.__init__ = _initializer(cls, names)
+        # object's __eq__ and those built here are replaced; a class's own is kept
+        if cls.__eq__.__qualname__.startswith(("object.", "Frozen.")):
+            get, one = operator.attrgetter(*names), len(names) == 1
+
+            def __eq__(self: Any, other: Any) -> Any:
+                if other.__class__ is not self.__class__:
+                    return NotImplemented
+                return self is other or get(self) == get(other)
+            cls.__eq__, cls.__hash__ = __eq__, lambda self: hash((get(self),) if one else get(self))
+
+    def __post_init__(self) -> None:
+        """A subclass's checks of a public construction; none here."""
+
+    def __setattr__(self, name: str, value: Any = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+def _init_1(self: Any, f0: Any) -> None:
+    object.__setattr__(self, "f0", f0)
+    self.__post_init__()
+
+
+def _init_2(self: Any, f0: Any, f1: Any) -> None:
+    object.__setattr__(self, "f0", f0)
+    object.__setattr__(self, "f1", f1)
+    self.__post_init__()
+
+
+def _init_3(self: Any, f0: Any, f1: Any, f2: Any) -> None:
+    object.__setattr__(self, "f0", f0)
+    object.__setattr__(self, "f1", f1)
+    object.__setattr__(self, "f2", f2)
+    self.__post_init__()
+
+
+def _initializer(cls: type, names: tuple[str, ...]) -> Callable[..., None]:
+    """cls's __init__: the template for its field count with f0, f1 and f2,
+    its argument and attribute names, renamed to cls's fields, so that Python
+    binds the arguments as fast as in a compiled __init__.  A template never
+    reads the instance __dict__: that would slow every later attribute load."""
+    defaults = tuple(getattr(cls, n) for n in names if hasattr(cls, n))
+    if not 0 < len(names) <= 3 or not all(hasattr(cls, n) for n in names[len(names) - len(defaults):]):
+        raise TypeError(f"{cls.__name__} needs one to three fields, the defaulted ones last")
+    code = (_init_1, _init_2, _init_3)[len(names) - 1].__code__
+    rename = dict(zip(code.co_varnames[1:], names))
+    code = code.replace(co_name="__init__", co_varnames=("self", *names),
+                        co_consts=tuple(rename.get(c, c) for c in code.co_consts))
+    if hasattr(code, "co_qualname"):  # the name call errors print, from Python 3.11
+        code = code.replace(co_qualname=f"{cls.__qualname__}.__init__")
+    return FunctionType(code, globals(), "__init__", defaults)
 
 
 def lowest_bit(x: int) -> int:
@@ -225,8 +296,7 @@ def _check_dimension(d: object) -> None:
         raise ValueError("negative dimension")
 
 
-@dataclass(frozen=True)
-class BitMatrix:
+class BitMatrix(Frozen):
     """A rows x cols matrix over GF(2), rows packed as int masks."""
 
     rows: int
@@ -304,8 +374,7 @@ def nullity(m: BitMatrix) -> int:
     return m.cols - rank(m)
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Frozen):
     """A subspace of GF(2)^ambient_dim in canonical RREF basis form.
 
     ``basis`` is a tuple of int row masks.  The rows are nonzero, lie inside

@@ -20,20 +20,18 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Literal, Sequence
 
 from .gf2 import (
-    BitMatrix, cached, coloop_masks, drop_bit, gather, nonsingular_subsets, nullity, row_bits,
-    unchecked,
+    BitMatrix, Frozen, cached, coloop_masks, drop_bit, gather, nonsingular_subsets, nullity,
+    row_bits, unchecked,
 )
 
 VariantKind = Literal["plain", "loop", "loop_isolate"]
 
 
-@dataclass(frozen=True)
-class LoopedSimpleGraph:
+class LoopedSimpleGraph(Frozen):
     """A graph with at most one loop per vertex and no parallel edges."""
 
     labels: tuple[str, ...]
@@ -156,13 +154,12 @@ class LoopedSimpleGraph:
         return LoopedSimpleGraph._derived(self.labels, rows)
 
 
-@dataclass(frozen=True)
-class MultiGraph:
+class MultiGraph(Frozen):
     """Vertices plus an explicit edge list; loops and parallels allowed."""
 
     labels: tuple[str, ...]
     edges: tuple[tuple[int, int], ...]
-    edge_labels: tuple[str, ...] = field(default=())
+    edge_labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         for name in ("labels", "edge_labels"):

@@ -35,19 +35,17 @@ the CLI or the benchmark needs them: bench/workloads.py checks against them.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from math import comb
 from operator import itemgetter
 
 from .binary_matroid import BinaryMatroid
-from .gf2 import check_enum_gate, distance_layers, row_bits, rref_masks, size_masks, unchecked
+from .gf2 import Frozen, check_enum_gate, distance_layers, row_bits, rref_masks, size_masks, unchecked
 from .graph import LoopedSimpleGraph, _drop_index, _local_complement_at
 
 
-@dataclass(frozen=True)
-class BivariatePolynomial:
+class BivariatePolynomial(Frozen):
     """Integer polynomial in x and y, a value: terms sorted, zero coefficients absent."""
 
     terms: tuple[tuple[int, int, int], ...]  # (x exponent, y exponent, coefficient)

@@ -22,10 +22,16 @@ a graph's rows into edge pairs each have one site, in graph, and in the CLI
 only main reads input or prints to stdout and no command prints, and the
 package memoizes no
 attribute with functools.cached_property and writes into no instance
-__dict__ outside gf2."""
+__dict__ outside gf2, and no value class is a dataclass, so importing the
+package compiles no source text but the dataclass methods of verify's
+CheckResult."""
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from typing import Callable
 
@@ -1579,3 +1585,88 @@ def test_checker_finds_every_command_print_and_input_read():
 
 def test_only_main_reads_input_and_prints_the_answer():
     assert cli_answer_path_faults(CLI.read_text()) == []
+
+
+def reads_dataclass(node: ast.AST) -> bool:
+    """A read of dataclass or make_dataclass, bare or as an attribute."""
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    return isinstance(node, (ast.Name, ast.Attribute)) and name in ("dataclass", "make_dataclass")
+
+
+def test_checker_finds_every_dataclass():
+    source = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass, field\n"
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    x: int = field(default=0)\n"
+        "@dataclasses.dataclass\n"
+        "class B: ...\n"
+        "C = dataclasses.make_dataclass('C', ['x'])\n"
+        "def f(cls):\n"
+        "    return dataclass(cls)\n"
+        "class D(Frozen):\n"
+        "    x: int\n"
+    )
+    assert sites(source, reads_dataclass) == ["A", "B", "<module>", "f"]
+
+
+def test_only_the_verify_check_result_is_a_dataclass():
+    """The value classes are gf2.Frozen subclasses, which compile nothing;
+    CheckResult stays a dataclass, which the benchmark's tests replace."""
+    assert sites_in_sources(reads_dataclass) == {"src/adjmatroid/verify.py": ["CheckResult"]}
+
+
+# Imports the standard library modules named on the command line, then,
+# under an audit hook, every adjmatroid module; prints, for each source text
+# compiled from a string, the class whose dataclass methods it builds, or None.
+AUDITED_IMPORT = """
+import importlib, json, sys
+modules = sys.argv[1:]
+for name in modules:
+    if not name.startswith("adjmatroid"):
+        importlib.import_module(name)
+compiled = []
+
+def hook(event, args):
+    if event != "compile" or args[1] != "<string>":
+        return
+    frame = sys._getframe(1)
+    while frame is not None and frame.f_code.co_name != "_process_class":
+        frame = frame.f_back
+    cls = frame and frame.f_locals["cls"]
+    compiled.append(cls and f"{cls.__module__}.{cls.__qualname__}")
+
+sys.addaudithook(hook)
+for name in modules:
+    if name.startswith("adjmatroid"):
+        importlib.import_module(name)
+print(json.dumps(compiled))
+"""
+
+
+def absolute_imports(source: str) -> set[str]:
+    """The modules a source imports by absolute name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module)
+    return found
+
+
+def test_importing_the_package_compiles_only_check_result_methods():
+    stdlib = sorted(set().union(*(absolute_imports(p.read_text()) for p in SOURCES)))
+    package = [f"adjmatroid.{p.stem}" for p in SOURCES if p.stem != "__main__"]
+    assert "dataclasses" in stdlib and "adjmatroid.gf2" in package
+    proc = subprocess.run(
+        [sys.executable, "-c", AUDITED_IMPORT, *stdlib, *package],
+        capture_output=True, text=True, timeout=120, cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+        )),
+    )
+    assert proc.returncode == 0, proc.stderr
+    compiled = json.loads(proc.stdout)
+    assert compiled and set(compiled) == {"adjmatroid.verify.CheckResult"}
